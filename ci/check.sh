@@ -191,8 +191,8 @@ echo "== rgb_wire smoke =="
 # Perf trajectory: a bounded scale-bench smoke must run clean (converged
 # steady-state cells) and emit the BENCH json artifact, so every CI run
 # keeps a point on the trajectory next to the committed BENCH_PR*.json
-# (full sweeps are produced by `bench_scale` / `rgb_exp bench`).
-echo "== bench_scale smoke =="
+# (full sweeps: `rgb_exp bench --members 1000,20000,100000 --join both`).
+echo "== rgb_exp bench smoke =="
 bench_log="$(mktemp)"
 if ! "$BUILD_DIR/rgb_exp" bench --smoke --json "$BUILD_DIR/BENCH_PR6.json" \
     --series "$BUILD_DIR/BENCH_PR6_series.csv" --detect 2> "$bench_log"; then
@@ -298,6 +298,13 @@ if ! grep -q "flight recorder:" "$tr1"; then
 fi
 rm -f "$tr1" "$tr2" "$tr8"
 
+# Benchmark suite smoke: every bench/suite workload at ~2% size, the traced
+# run's self-checks (the wire-sizer call count among them), and the check
+# that BENCHMARK.json matches the compiled metric catalog. run.py builds the
+# suite into .bench_build/ itself and exits non-zero on any failure.
+echo "== bench suite smoke =="
+python3 bench/suite/run.py smoke > /dev/null
+
 # ThreadSanitizer gate over the concurrent kernel (sim worker pool +
 # cross-shard outboxes, net stripe metering, striped obs instruments,
 # atomic protocol counters): build the library and the two drivers with
@@ -320,7 +327,7 @@ TSAN_OPTIONS="halt_on_error=1" \
     "$TSAN_DIR/rgb_fuzz" --churn 1 --stability 1 --seeds 3 --start 1 \
     --shard-workers 8 --quiet
 TSAN_OPTIONS="halt_on_error=1" \
-    "$TSAN_DIR/rgb_exp" bench --members 1000 --modes digest --join both \
+    "$TSAN_DIR/rgb_exp" bench --members 1000 --join both \
     --deterministic --shards 8 --json "$tsan_bench" 2> /dev/null
 test -s "$tsan_bench"
 rm -f "$tsan_bench"

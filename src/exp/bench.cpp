@@ -66,14 +66,6 @@ ProfileStats profile_from(const obs::HandlerProfiler& profiler) {
       out.handled.emplace_back(static_cast<unsigned>(k), handled[k]);
     }
   }
-  if (profiler.wall_enabled()) {
-    const obs::HandlerProfiler::PerKind wall = profiler.wall_ns_per_kind();
-    for (std::size_t k = 0; k < wall.size(); ++k) {
-      if (wall[k] != 0) {
-        out.wall_ns.emplace_back(static_cast<unsigned>(k), wall[k]);
-      }
-    }
-  }
   return out;
 }
 
@@ -97,20 +89,17 @@ ScaleStats run_scale_trial_impl(const ScaleConfig& config, bool timed,
   net::Network network{simulator, rng.fork("net")};
   core::RgbConfig rgb_config;
   rgb_config.probe_period = config.probe_period;
-  rgb_config.digest_anti_entropy = config.digest;
   rgb_config.snapshot_join = config.snapshot_join;
   core::RgbSystem sys{network, rgb_config,
                       core::HierarchyLayout{config.tiers, config.ring_size}};
   if (sharded) sys.configure_shards(shard_count);
   // Spans flip on before any traffic so every op gets a complete causal
-  // tree; wall attribution only on timed runs (untimed = deterministic).
+  // tree.
   sys.obs().spans.set_enabled(config.spans);
-  sys.obs().profiler.set_wall_enabled(config.profile_wall && timed);
 
   ScaleStats stats;
   stats.members = config.members;
   stats.ne_count = sys.layout().ne_count();
-  stats.digest = config.digest;
   stats.snapshot_join = config.snapshot_join;
   stats.spans = config.spans;
 
@@ -400,7 +389,6 @@ MultigroupStats run_multigroup_trial(const MultigroupConfig& config,
   net::Network network{simulator, rng.fork("net")};
   core::RgbConfig rgb_config;
   rgb_config.probe_period = config.probe_period;
-  rgb_config.digest_anti_entropy = true;
   rgb_config.groups = config.groups;
   rgb_config.groups_per_member = 1;
   core::RgbSystem sys{network, rgb_config,
@@ -568,35 +556,30 @@ std::vector<ScaleStats> run_scale_sweep(
   for (const std::uint64_t members : member_counts) {
     for (const bool snapshot : {false, true}) {
       if (snapshot ? !modes.snapshot : !modes.dissemination) continue;
-      for (const bool digest : {true, false}) {
-        if (digest ? !modes.digest : !modes.full) continue;
-        for (const bool spans : {false, true}) {
-          if (spans && !modes.spans_ab) continue;
-          ScaleConfig config = base;
-          config.members = members;
-          config.digest = digest;
-          config.snapshot_join = snapshot;
-          config.spans = spans;
-          log << "bench: members=" << members
-              << " join=" << (snapshot ? "snapshot" : "dissemination")
-              << " sync=" << (digest ? "digest" : "full")
-              << (modes.spans_ab ? (spans ? " spans=on" : " spans=off") : "")
-              << " ...\n";
-          const ScaleStats stats = run_scale_trial(config, timed);
-          log << "  join " << stats.join_events << " events / "
-              << stats.join_bytes << " bytes in " << stats.join_wall_ms
-              << " ms ("
-              << static_cast<std::uint64_t>(stats.join_events_per_sec())
-              << " ev/s), divergence " << stats.join_divergence << "; steady "
-              << stats.steady_events << " events in " << stats.steady_wall_ms
-              << " ms ("
-              << static_cast<std::uint64_t>(stats.steady_events_per_sec())
-              << " ev/s); kViewSync " << stats.viewsync_msgs << " msgs / "
-              << stats.viewsync_bytes << " bytes; rss " << stats.peak_rss_kb
-              << " KiB; converged=" << (stats.converged ? "yes" : "NO")
-              << std::endl;
-          all.push_back(stats);
-        }
+      for (const bool spans : {false, true}) {
+        if (spans && !modes.spans_ab) continue;
+        ScaleConfig config = base;
+        config.members = members;
+        config.snapshot_join = snapshot;
+        config.spans = spans;
+        log << "bench: members=" << members
+            << " join=" << (snapshot ? "snapshot" : "dissemination")
+            << (modes.spans_ab ? (spans ? " spans=on" : " spans=off") : "")
+            << " ...\n";
+        const ScaleStats stats = run_scale_trial(config, timed);
+        log << "  join " << stats.join_events << " events / "
+            << stats.join_bytes << " bytes in " << stats.join_wall_ms
+            << " ms ("
+            << static_cast<std::uint64_t>(stats.join_events_per_sec())
+            << " ev/s), divergence " << stats.join_divergence << "; steady "
+            << stats.steady_events << " events in " << stats.steady_wall_ms
+            << " ms ("
+            << static_cast<std::uint64_t>(stats.steady_events_per_sec())
+            << " ev/s); kViewSync " << stats.viewsync_msgs << " msgs / "
+            << stats.viewsync_bytes << " bytes; rss " << stats.peak_rss_kb
+            << " KiB; converged=" << (stats.converged ? "yes" : "NO")
+            << std::endl;
+        all.push_back(stats);
       }
     }
   }
@@ -631,7 +614,6 @@ void write_bench_json(const ScaleConfig& base,
   for (std::size_t i = 0; i < stats.size(); ++i) {
     const ScaleStats& s = stats[i];
     os << "    {\"members\": " << s.members << ", \"ne_count\": " << s.ne_count
-       << ", \"digest\": " << (s.digest ? "true" : "false")
        << ", \"snapshot_join\": " << (s.snapshot_join ? "true" : "false")
        << ", \"spans\": " << (s.spans ? "true" : "false")
        << ", \"converged\": " << (s.converged ? "true" : "false") << ",\n"
@@ -678,19 +660,8 @@ void write_bench_json(const ScaleConfig& base,
          << "\": " << s.profile.handled[j].second;
     }
     os << "}, \"spans_recorded\": " << s.spans_recorded
-       << ", \"spans_dropped\": " << s.spans_dropped << "},\n";
-    // Wall-CPU attribution — the one NON-deterministic block (present only
-    // when --profile-wall asked for it on a timed run): keep it out of any
-    // byte-identity comparison.
-    if (!s.profile.wall_ns.empty()) {
-      os << "     \"profile_wall_ns\": {";
-      for (std::size_t j = 0; j < s.profile.wall_ns.size(); ++j) {
-        os << (j == 0 ? "" : ", ") << "\"kind" << s.profile.wall_ns[j].first
-           << "\": " << s.profile.wall_ns[j].second;
-      }
-      os << "},\n";
-    }
-    os << "     \"peak_rss_kb\": " << s.peak_rss_kb << "}"
+       << ", \"spans_dropped\": " << s.spans_dropped << "},\n"
+       << "     \"peak_rss_kb\": " << s.peak_rss_kb << "}"
        << (i + 1 < stats.size() ? "," : "") << "\n";
   }
   os << "  ]";

@@ -8,12 +8,12 @@
 //  * deterministic protocol metrics — events executed, kViewSync messages
 //    and bytes over the steady window, convergence — pure functions of the
 //    (seed, config) pair, byte-identical across hosts and thread counts;
-//    these back the registered `bench.scale` scenario and the >=10x
-//    digest-vs-full traffic claim;
+//    these back the registered `bench.scale` scenario and the flat
+//    steady-state kViewSync traffic claim;
 //  * wall-clock metrics — join/steady wall time, events/sec, peak RSS —
 //    host-dependent by nature, reported only by the timed bench entry
-//    points (`bench_scale`, `rgb_exp bench`) and recorded per PR in
-//    BENCH_*.json so the perf trajectory accumulates alongside the code.
+//    point (`rgb_exp bench`) and recorded per PR in BENCH_*.json so the
+//    perf trajectory accumulates alongside the code.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +31,6 @@ struct ScaleConfig {
   int tiers = 2;      ///< ring tiers (h)
   int ring_size = 5;  ///< nodes per ring (r)
   std::uint64_t members = 1000;
-  bool digest = true;  ///< digest-first vs full-table anti-entropy
   /// Join-phase mode: per-op downward dissemination (false, the paper's
   /// protocol) vs kSnapshot bulk state transfer (true: NotifyChild is
   /// replaced by debounced framed MemberTable snapshots).
@@ -59,10 +58,6 @@ struct ScaleConfig {
   /// so the perf trajectory measures the protocol, not the tracer; the
   /// spans A/B sweep (SweepModes::spans_ab) quantifies the overhead.
   bool spans = false;
-  /// Wall-CPU handler attribution. Non-deterministic by nature; its
-  /// numbers go only into the clearly separated "profile_wall_ns" bench
-  /// block and are zeroed (with the other wall fields) by untimed runs.
-  bool profile_wall = false;
 };
 
 /// Digest of one latency histogram (sim-time microseconds), exported into
@@ -80,20 +75,16 @@ struct LatencyStats {
 
 /// Deterministic handler-profile digest of one trial: per-message-kind
 /// delivery handler invocation counts (non-zero kinds only, ordered by
-/// kind id). `wall_ns` is the one non-deterministic member — filled only
-/// when ScaleConfig::profile_wall asked for attribution on a timed run,
-/// and exported under its own clearly separated JSON key.
+/// kind id).
 struct ProfileStats {
   std::uint64_t handled_total = 0;
   std::vector<std::pair<unsigned, std::uint64_t>> handled;
-  std::vector<std::pair<unsigned, std::uint64_t>> wall_ns;
 };
 
 struct ScaleStats {
   // Echo of the cell.
   std::uint64_t members = 0;
   std::uint64_t ne_count = 0;
-  bool digest = true;
   bool snapshot_join = false;
   bool spans = false;  ///< causal-span recording was on for this cell
 
@@ -291,10 +282,8 @@ void write_multigroup_json(const MultigroupConfig& base,
                            const std::vector<MultigroupStats>& stats,
                            std::ostream& os);
 
-/// Which cells of the (anti-entropy mode x join mode) grid a sweep runs.
+/// Which join modes a sweep runs.
 struct SweepModes {
-  bool digest = true;         ///< digest-first anti-entropy
-  bool full = true;           ///< full-table anti-entropy
   bool dissemination = true;  ///< per-op downward dissemination join
   bool snapshot = false;      ///< kSnapshot bulk-join state transfer
   /// Adds a spans-on twin for every selected cell (spans-off first), so
@@ -303,8 +292,8 @@ struct SweepModes {
 };
 
 /// Runs the full members x mode grid (timed), logging one summary line per
-/// cell to `log`. Shared by `bench_scale` and `rgb_exp bench` so the sweep
-/// semantics — cell order, mode selection, reporting — live in one place.
+/// cell to `log`. Backs `rgb_exp bench`, so the sweep semantics — cell
+/// order, mode selection, reporting — live in one place.
 /// `timed = false` zeroes the wall-clock fields, making the JSON artifact
 /// byte-identical across hosts and replays (the CI determinism gate).
 [[nodiscard]] std::vector<ScaleStats> run_scale_sweep(

@@ -456,34 +456,29 @@ Scenario make_check_adversarial() {
   return s;
 }
 
-// --- EX5: scale bench, digest vs full-table anti-entropy --------------------
+// --- EX5: scale bench, steady anti-entropy cost and join mode ----------------
 
 Scenario make_bench_scale() {
   Scenario s;
   s.id = "bench.scale";
   s.title =
-      "Scale sweep: anti-entropy cost (digest vs full), join mode "
+      "Scale sweep: steady anti-entropy cost, join mode "
       "(dissemination vs snapshot)";
   s.paper_ref = "extension (perf trajectory, PR3/PR4)";
   // Deterministic protocol metrics only — wall-clock numbers come from the
-  // timed entry points (`rgb_exp bench`, bench_scale) and BENCH_*.json.
+  // timed entry point (`rgb_exp bench`) and BENCH_*.json.
   // Byte metrics are real encoded bytes (wire codec metering).
   s.metrics = {"viewsync_bytes", "viewsync_msgs", "steady_events",
                "join_events",    "join_bytes",    "join_divergence",
                "converged"};
-  // Dissemination-join cells first (the PR3 grid, order preserved for the
-  // thread-determinism test that trims to the first two), snapshot-join
-  // cells appended (PR4).
+  // Dissemination-join cells first (the thread-determinism test trims to
+  // these two), snapshot-join cells appended.
   for (const double snapshot : {0.0, 1.0}) {
     for (const double members : {250.0, 1000.0}) {
-      for (const double digest : {1.0, 0.0}) {
-        if (snapshot == 1.0 && digest == 0.0) continue;  // keep it bounded
-        s.cells.push_back(ParamSet{{"h", 2.0},
-                                   {"r", 5.0},
-                                   {"members", members},
-                                   {"digest", digest},
-                                   {"snapshot", snapshot}});
-      }
+      s.cells.push_back(ParamSet{{"h", 2.0},
+                                 {"r", 5.0},
+                                 {"members", members},
+                                 {"snapshot", snapshot}});
     }
   }
   s.trials_per_cell = 1;
@@ -492,7 +487,6 @@ Scenario make_bench_scale() {
     config.tiers = ctx.params.get_int("h");
     config.ring_size = ctx.params.get_int("r");
     config.members = static_cast<std::uint64_t>(ctx.params.get_int("members"));
-    config.digest = ctx.params.get_int("digest") != 0;
     config.snapshot_join = ctx.params.get_int("snapshot") != 0;
     config.seed = ctx.seed;
     const ScaleStats stats = run_scale_trial(config, /*timed=*/false);

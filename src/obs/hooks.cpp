@@ -1,7 +1,5 @@
 #include "obs/hooks.hpp"
 
-#include <chrono>
-
 namespace rgb::obs {
 
 void ObsTraceHooks::on_send(net::Envelope& env, sim::Time now) {
@@ -16,23 +14,9 @@ void ObsTraceHooks::on_send(net::Envelope& env, sim::Time now) {
 void ObsTraceHooks::on_deliver(const net::Envelope& env, sim::Time now,
                                net::Endpoint& endpoint) {
   if (!spans_.enabled()) {
-    // Default-on profile path: one array bump, then the handler. The wall
-    // clock is read only when attribution was explicitly enabled — it is
-    // the repo's single non-deterministic instrument.
-    if (!profiler_.wall_enabled()) {
-      endpoint.deliver(env);
-      profiler_.on_handled(env.kind);
-      return;
-    }
-    const auto start = std::chrono::steady_clock::now();
+    // Default-on profile path: one array bump, then the handler.
     endpoint.deliver(env);
-    const auto end = std::chrono::steady_clock::now();
     profiler_.on_handled(env.kind);
-    profiler_.add_wall_ns(
-        env.kind, static_cast<std::uint64_t>(
-                      std::chrono::duration_cast<std::chrono::nanoseconds>(
-                          end - start)
-                          .count()));
     return;
   }
 
@@ -46,20 +30,8 @@ void ObsTraceHooks::on_deliver(const net::Envelope& env, sim::Time now,
       env.src.value());
   const SpanRecorder::Scope scope{spans_,
                                   SpanRecorder::Context{env.trace, handler}};
-  if (!profiler_.wall_enabled()) {
-    endpoint.deliver(env);
-    profiler_.on_handled(env.kind);
-    return;
-  }
-  const auto start = std::chrono::steady_clock::now();
   endpoint.deliver(env);
-  const auto end = std::chrono::steady_clock::now();
   profiler_.on_handled(env.kind);
-  profiler_.add_wall_ns(
-      env.kind,
-      static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
-              .count()));
 }
 
 }  // namespace rgb::obs

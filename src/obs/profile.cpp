@@ -17,10 +17,6 @@ void HandlerProfiler::on_handled(net::MessageKind kind) {
   ++stripe().handled[slot_of(kind)];
 }
 
-void HandlerProfiler::add_wall_ns(net::MessageKind kind, std::uint64_t ns) {
-  stripe().wall_ns[slot_of(kind)] += ns;
-}
-
 HandlerProfiler::PerKind HandlerProfiler::handled_per_kind() const {
   PerKind out{};
   for (const Stripe& s : stripes_) {
@@ -35,14 +31,6 @@ std::uint64_t HandlerProfiler::handled_total() const {
     for (const std::uint64_t n : s.handled) total += n;
   }
   return total;
-}
-
-HandlerProfiler::PerKind HandlerProfiler::wall_ns_per_kind() const {
-  PerKind out{};
-  for (const Stripe& s : stripes_) {
-    for (std::size_t k = 0; k < kMaxKinds; ++k) out[k] += s.wall_ns[k];
-  }
-  return out;
 }
 
 void HandlerProfiler::clear() {

@@ -1,13 +1,8 @@
 // Deterministic handler profiler: per-message-kind delivery counts riding
 // the same network hooks as the span layer, striped per shard and merged
 // in shard order — a pure function of the logical shard count, enumerable
-// through the metrics registry under `obs.prof.*`.
-//
-// Wall-CPU attribution (per-kind nanoseconds inside the delivery handler)
-// is the one deliberately non-deterministic instrument in the repo: it is
-// opt-in (`set_wall_enabled`), never feeds the registry, and the bench
-// exports it only into a clearly separated `profile_wall` block that the
-// byte-identity gates exclude.
+// through the metrics registry under `obs.prof.*`. Wall-clock time per
+// handler is measured from outside the library (bench/suite), not here.
 #pragma once
 
 #include <array>
@@ -34,16 +29,9 @@ class HandlerProfiler {
   /// A delivery handler for `kind` ran to completion.
   void on_handled(net::MessageKind kind);
 
-  /// Opt-in wall-CPU attribution (see the file header).
-  void set_wall_enabled(bool on) { wall_enabled_ = on; }
-  [[nodiscard]] bool wall_enabled() const { return wall_enabled_; }
-  void add_wall_ns(net::MessageKind kind, std::uint64_t ns);
-
   /// Deterministic reads: stripes merged in shard order.
   [[nodiscard]] PerKind handled_per_kind() const;
   [[nodiscard]] std::uint64_t handled_total() const;
-  /// Non-deterministic read (all zero unless wall attribution ran).
-  [[nodiscard]] PerKind wall_ns_per_kind() const;
 
   void clear();
 
@@ -54,12 +42,10 @@ class HandlerProfiler {
  private:
   struct Stripe {
     PerKind handled{};
-    PerKind wall_ns{};
   };
 
   [[nodiscard]] Stripe& stripe();
 
-  bool wall_enabled_ = false;
   std::vector<Stripe> stripes_{1};
 };
 

@@ -36,21 +36,15 @@ void GroupDirectory::insert_batch(std::vector<MembershipOp> ops) {
   for (MembershipOp& op : ops) insert(std::move(op), Contributor{});
 }
 
-MessageQueue::Batch GroupDirectory::drain(std::size_t max_ops) {
+MessageQueue::Batch GroupDirectory::drain() {
   // NE ops first (hierarchy changes gate everything else), then groups in
   // gid order. Non-aggregating mode keeps the one-op-per-round contract of
   // the single queue: drain stops after the first op it obtains.
   MessageQueue::Batch batch;
-  const auto budget = [&]() -> std::size_t {
-    if (!aggregate_) return batch.ops.empty() ? 1 : 0;
-    if (max_ops == 0) return 0;  // unlimited
-    return max_ops > batch.ops.size() ? max_ops - batch.ops.size() : 0;
-  };
   const auto take_from = [&](MessageQueue& mq) {
     if (mq.empty()) return;
     if (!aggregate_ && !batch.ops.empty()) return;
-    if (aggregate_ && max_ops != 0 && batch.ops.size() >= max_ops) return;
-    MessageQueue::Batch part = mq.drain(budget());
+    MessageQueue::Batch part = mq.drain();
     for (MembershipOp& op : part.ops) batch.ops.push_back(std::move(op));
     for (Contributor& c : part.contributors) {
       if (std::find(batch.contributors.begin(), batch.contributors.end(), c) ==

@@ -44,9 +44,9 @@ class GroupDirectory {
   void insert_batch(std::vector<MembershipOp> ops);
 
   /// Next batch to ride a token round: NE ops first, then groups in gid
-  /// order, bounded by `max_ops` (0 = unlimited). Non-aggregating mode
-  /// drains exactly one op total, like the single queue did.
-  MessageQueue::Batch drain(std::size_t max_ops = 0);
+  /// order, every queued op. Non-aggregating mode drains exactly one op
+  /// total, like the single queue did.
+  MessageQueue::Batch drain();
 
   /// Orphaned acks aggregated across every queue.
   std::vector<Contributor> take_orphaned_acks();

@@ -139,11 +139,10 @@ bool MessageQueue::try_aggregate(const MembershipOp& op,
   return false;
 }
 
-MessageQueue::Batch MessageQueue::drain(std::size_t max_ops) {
+MessageQueue::Batch MessageQueue::drain() {
   Batch batch;
-  std::size_t limit = aggregate_ ? (max_ops == 0 ? queue_.size() : max_ops)
-                                 : std::size_t{1};
-  limit = std::min(limit, queue_.size());
+  const std::size_t limit =
+      aggregate_ ? queue_.size() : std::min<std::size_t>(1, queue_.size());
   batch.ops.reserve(limit);
   for (std::size_t i = 0; i < limit; ++i) {
     Pending& front = queue_.front();

@@ -55,9 +55,8 @@ class MessageQueue {
   };
 
   /// Removes and returns the next batch to ride a token round: everything
-  /// (bounded by `max_ops`; 0 = unlimited) when aggregating, exactly one op
-  /// otherwise.
-  Batch drain(std::size_t max_ops = 0);
+  /// when aggregating, exactly one op otherwise.
+  Batch drain();
 
   /// Contributors whose ops were cancelled by aggregation since the last
   /// call; they are owed an immediate ack.

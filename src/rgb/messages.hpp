@@ -186,12 +186,10 @@ struct RingReformMsg {
 ///    does nothing; on mismatch it compares per group and answers with a
 ///    kFull scoped to just the differing groups (empty packed set: a
 ///    universal kFull, the pre-v4 semantics).
-///  * kFull   — the sender's seq-keyed view of the scoped groups. The
-///    receiver merges monotonically and, when `reply_requested`, answers
-///    with a kDiff of the entries it alone holds newer — one bounded diff,
-///    no cascading. (Full-table mode, config.digest_anti_entropy = false,
-///    starts here directly: the PR2 behaviour, kept for equivalence tests
-///    and as the measurement baseline.)
+///  * kFull   — only ever the answer to a kDigest: the sender's seq-keyed
+///    view of the scoped groups. The receiver merges monotonically and,
+///    when `reply_requested`, answers with a kDiff of the entries it alone
+///    holds newer — one bounded diff, no cascading. No tick starts here.
 ///  * kDiff   — the bounded diff reply; merged, never answered.
 struct ViewSyncMsg {
   enum class Phase : std::uint8_t { kFull, kDigest, kDiff, kSummary };
@@ -211,8 +209,7 @@ struct ViewSyncMsg {
   std::vector<GroupDigest> group_digests;
   /// kFull/kDiff: the groups this sync is scoped to. A kFull receiver
   /// restricts its kDiff reply to these, so a mismatch in one group never
-  /// ships every group's view. Empty = universal (full-table mode and
-  /// pre-v4 semantics).
+  /// ships every group's view. Empty = universal (pre-v4 semantics).
   std::vector<GroupId> sync_gids;
   /// When the sender is a ring leader syncing its ring, it also carries
   /// its (roster, leader) so ring reforms are *convergent*, not

@@ -9,6 +9,26 @@
 namespace rgb::core {
 
 namespace {
+/// Debounce between a reconcile trigger (merge/reform completion, shape
+/// adoption, recovery) and the claim exchange, letting the trigger's entry
+/// imports land first so claims are checked against the merged table.
+constexpr sim::Duration kReconcileDelay = sim::msec(100);
+
+/// Debounce for the snapshot flush: a dirty NE pushes its snapshot after
+/// this long with no further table change. Arrivals during a surge keep
+/// pushing the timer back, so a 20k-member join phase ships one snapshot
+/// per edge instead of 20k notifications. The window must exceed the
+/// inter-round gaps of a sustained surge (rounds aggregate a few ms of
+/// arrivals each), otherwise mid-surge gaps leak partial snapshots; it is
+/// also the per-tier latency a change pays to reach the bottom in this
+/// mode, so it trades bulk efficiency against freshness.
+constexpr sim::Duration kSnapshotFlushQuiet = sim::msec(50);
+
+/// Alerts from this many distinct observers fire a stability cut early,
+/// before the aggregation window closes. Clamped to the feasible observer
+/// count at use, so degenerate rings (2 survivors) still converge.
+constexpr int kStabilityK = 2;
+
 /// Deterministic leadership rule after failures: the lowest NodeId among
 /// alive roster members. Every node evaluates the same rule on the same
 /// (eventually consistent) roster, so leadership converges without an
@@ -385,7 +405,7 @@ void NetworkEntity::handle_token_release(const TokenReleaseMsg& msg,
 }
 
 void NetworkEntity::start_round(std::uint64_t round_id) {
-  MessageQueue::Batch batch = dir_.drain(config_.max_ops_per_token);
+  MessageQueue::Batch batch = dir_.drain();
   if (batch.empty()) {
     if (is_leader()) {
       token_free_ = true;
@@ -1351,14 +1371,13 @@ void NetworkEntity::rearm_after_reconfigure() {
 }
 
 void NetworkEntity::schedule_reconcile() {
-  if (!config_.reconcile_rounds) return;
   if (local_attached_.empty()) return;
   // Debounce: merge storms (several reforms while fragments knit back
   // together) collapse into one exchange once the shape settles, and the
   // trigger's entry imports land before the claims are checked.
   cancel_timer(reconcile_timer_);
-  reconcile_timer_ = set_timer(config_.reconcile_delay,
-                               [this]() { run_reconcile_round(); });
+  reconcile_timer_ =
+      set_timer(kReconcileDelay, [this]() { run_reconcile_round(); });
 }
 
 void NetworkEntity::run_reconcile_round() {
@@ -1464,72 +1483,40 @@ void NetworkEntity::anti_entropy_tick() {
   // the network quiesces. The monotone seq rule makes syncs idempotent and
   // loop-free; a receiver answers at most one bounded diff.
   //
-  // Digest-first mode ships an O(1) digest per edge; a receiver whose view
-  // already agrees answers nothing, so the steady-state cost per tick is
-  // independent of the member count. Full-table mode (the PR2 baseline)
-  // ships the whole view every tick. Either way the ring-internal message
+  // Each tick ships an O(1) digest per edge; a receiver whose view already
+  // agrees answers nothing, so the steady-state cost per tick is
+  // independent of the member count. The ring-internal message also
   // carries the ring shape: members adopt it when their (roster, leader)
   // drifted — the convergent replacement for a lost RingReform broadcast.
-  if (config_.digest_anti_entropy) {
-    // Multi-group steady-state tick (wire v4): one kSummary frame per link
-    // carrying only the combined digest over every group — O(1) bytes per
-    // link per tick no matter how many groups the directory serves. The
-    // per-group digest vector ships only on mismatch (the receiver pulls
-    // it with a kDigest reply), so G groups cost a constant steady-state
-    // frame plus ~11B per group only while actually out of sync — the
-    // amortization the bench.multigroup cell measures.
-    const ViewDigest digest = dir_.combined_digest();
-    ViewSyncMsg ring_sync;
-    ring_sync.phase = ViewSyncMsg::Phase::kSummary;
-    ring_sync.digest = digest.hash;
-    ring_sync.entry_count = static_cast<std::uint32_t>(digest.count);
-    ring_sync.roster = roster_;
-    ring_sync.leader = leader_;
-    const auto ring_bytes = wire_size(ring_sync);
-    // One shared payload for the whole fan-out: k sends, one allocation.
-    const net::Payload ring_payload{std::move(ring_sync)};
-    for (const NodeId peer : roster_) {
-      if (peer == id()) continue;
-      send(peer, kind::kViewSync, ring_payload, ring_bytes);
-    }
-    if (dir_.empty()) return;  // cross edges carry only view state
-    ViewSyncMsg cross_sync;
-    cross_sync.phase = ViewSyncMsg::Phase::kSummary;
-    cross_sync.digest = digest.hash;
-    cross_sync.entry_count = static_cast<std::uint32_t>(digest.count);
-    const auto cross_bytes = wire_size(cross_sync);
-    const net::Payload cross_payload{std::move(cross_sync)};
-    if (parent_.valid() && tier_ - 1 >= config_.retain_tier) {
-      send(parent_, kind::kViewSync, cross_payload, cross_bytes);
-    }
-    if (child_.valid() && config_.disseminate_down) {
-      send(child_, kind::kViewSync, cross_payload, cross_bytes);
-    }
-    return;
-  }
-
-  // One export feeds both messages (it is an O(N log N) copy + sort).
-  std::vector<TableEntry> entries = dir_.export_all();
-  const bool have_entries = !entries.empty();
+  //
+  // Multi-group steady-state tick (wire v4): one kSummary frame per link
+  // carrying only the combined digest over every group — O(1) bytes per
+  // link per tick no matter how many groups the directory serves. The
+  // per-group digest vector ships only on mismatch (the receiver pulls it
+  // with a kDigest reply), so G groups cost a constant steady-state frame
+  // plus ~11B per group only while actually out of sync — the amortization
+  // the bench.multigroup cell measures.
+  const ViewDigest digest = dir_.combined_digest();
   ViewSyncMsg ring_sync;
-  ring_sync.phase = ViewSyncMsg::Phase::kFull;
-  ring_sync.entries = entries;
-  ring_sync.reply_requested = true;
+  ring_sync.phase = ViewSyncMsg::Phase::kSummary;
+  ring_sync.digest = digest.hash;
+  ring_sync.entry_count = static_cast<std::uint32_t>(digest.count);
   ring_sync.roster = roster_;
   ring_sync.leader = leader_;
   const auto ring_bytes = wire_size(ring_sync);
+  // One shared payload for the whole fan-out: k sends, one allocation.
   const net::Payload ring_payload{std::move(ring_sync)};
   for (const NodeId peer : roster_) {
     if (peer == id()) continue;
     send(peer, kind::kViewSync, ring_payload, ring_bytes);
   }
-  if (!have_entries) return;  // cross-ring edges carry only view state
-  ViewSyncMsg sync;
-  sync.phase = ViewSyncMsg::Phase::kFull;
-  sync.entries = std::move(entries);
-  sync.reply_requested = true;
-  const auto cross_bytes = wire_size(sync);
-  const net::Payload cross_payload{std::move(sync)};
+  if (dir_.empty()) return;  // cross edges carry only view state
+  ViewSyncMsg cross_sync;
+  cross_sync.phase = ViewSyncMsg::Phase::kSummary;
+  cross_sync.digest = digest.hash;
+  cross_sync.entry_count = static_cast<std::uint32_t>(digest.count);
+  const auto cross_bytes = wire_size(cross_sync);
+  const net::Payload cross_payload{std::move(cross_sync)};
   if (parent_.valid() && tier_ - 1 >= config_.retain_tier) {
     send(parent_, kind::kViewSync, cross_payload, cross_bytes);
   }
@@ -1542,7 +1529,7 @@ void NetworkEntity::handle_view_sync(const ViewSyncMsg& msg, NodeId from) {
   // Ring-shape adoption: the sync came from a node leading a ring that
   // contains us, and our local (roster, leader) drifted from it — a
   // reform we never received. Adopt the leader's view of the ring. Rides
-  // the digest in digest mode, the full table in full-table mode.
+  // the ring-internal kSummary tick.
   if (msg.leader.valid() && msg.leader == from &&
       std::find(msg.roster.begin(), msg.roster.end(), id()) !=
           msg.roster.end() &&
@@ -1795,8 +1782,8 @@ void NetworkEntity::schedule_snapshot_flush(bool to_ring, bool to_child) {
   // window, so a sustained surge ships one snapshot at its end, not one
   // per round.
   cancel_timer(snapshot_flush_timer_);
-  snapshot_flush_timer_ = set_timer(config_.snapshot_flush_quiet,
-                                    [this]() { flush_snapshot(); });
+  snapshot_flush_timer_ =
+      set_timer(kSnapshotFlushQuiet, [this]() { flush_snapshot(); });
 }
 
 SnapshotMsg NetworkEntity::make_snapshot_msg() const {
@@ -2256,7 +2243,7 @@ void NetworkEntity::check_stability_cut() {
   // every cut would wait out the full window.
   const int feasible =
       roster_.size() > 1 ? static_cast<int>(roster_.size()) - 1 : 1;
-  const int k = std::max(1, std::min(config_.stability_k, feasible));
+  const int k = std::max(1, std::min(kStabilityK, feasible));
   if (stability_.ready(now(), config_.stability_window, k)) {
     // A K-corroborated cut fires immediately. A deadline-only cut first
     // verifies its suspects: the dominant false-cut path is a suppressed

@@ -170,13 +170,6 @@ struct RgbConfig {
   /// (partition detection & merge are an extension — paper future work).
   sim::Duration probe_period = 0;
 
-  /// Digest-first anti-entropy (kViewSync): a steady-state sync tick sends
-  /// an O(1) table digest and ships entries only on mismatch, keeping
-  /// reconciliation traffic near-constant in the group size. When false,
-  /// every tick ships the full member table (the PR2 behaviour) — kept as
-  /// the measurement baseline and for the digest/full equivalence tests.
-  bool digest_anti_entropy = true;
-
   /// Encoded-byte metering: RgbSystem installs the wire-codec sizer on its
   /// network (wire::attach_encoded_metering) so per-kind byte counters
   /// price every registered message at its exact framed encoding. When
@@ -194,38 +187,6 @@ struct RgbConfig {
   /// authoritative at all times. Off by default: the per-op dissemination
   /// path is the paper's protocol and the fuzz/conformance baseline.
   bool snapshot_join = false;
-
-  /// Debounce for the snapshot flush: a dirty NE pushes its snapshot after
-  /// this long with no further table change. Arrivals during a surge keep
-  /// pushing the timer back, so a 20k-member join phase ships one snapshot
-  /// per edge instead of 20k notifications. The window must exceed the
-  /// inter-round gaps of a sustained surge (rounds aggregate a few ms of
-  /// arrivals each), otherwise mid-surge gaps leak partial snapshots; it
-  /// is also the per-tier latency a change pays to reach the bottom in
-  /// this mode, so it trades bulk efficiency against freshness.
-  sim::Duration snapshot_flush_quiet = sim::msec(50);
-
-  /// Post-heal reconciliation rounds (kReconcile): after a ring merge,
-  /// reform or crash-window recovery, hosting APs re-anchor their
-  /// attachment claims against the merged table through an acked,
-  /// retransmitted claim exchange with their ring leader (leaders: with
-  /// their parent), and falsified or superseded claims are repaired
-  /// through the normal round machinery immediately instead of waiting on
-  /// probe-tick reaffirmation to notice. Off disables the claim
-  /// *exchange* only (the A/B knob for the protocol phase): the
-  /// claim-epoch record ordering, probe-tick reaffirmation, and the
-  /// post-reconfigure machinery re-arming (watchdogs, token-request
-  /// chains) are unconditional correctness fixes and stay on.
-  bool reconcile_rounds = true;
-
-  /// Debounce between a reconcile trigger (merge/reform completion,
-  /// recovery) and the claim exchange, letting the trigger's entry
-  /// imports land first so claims are checked against the merged table.
-  sim::Duration reconcile_delay = sim::msec(100);
-
-  /// Per-ring cap of ops carried by one token (0 = unlimited). Guards
-  /// against unbounded token growth under extreme churn.
-  std::size_t max_ops_per_token = 0;
 
   /// AP-side detection of faulty disconnections (Section 1): a local member
   /// that has heartbeated at least once and then stays silent for this long
@@ -246,11 +207,6 @@ struct RgbConfig {
   /// the single-observer behaviour is the paper's protocol and the
   /// fuzz/conformance baseline.
   bool stability = false;
-
-  /// Alerts from this many distinct observers fire the cut early (before
-  /// the window closes). Clamped to the feasible observer count, so
-  /// degenerate rings (2 survivors) still converge.
-  int stability_k = 2;
 
   /// Aggregation window: the cut fires at the latest this long after the
   /// first alert for a pending suspect, batching whatever correlated

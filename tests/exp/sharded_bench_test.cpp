@@ -25,7 +25,6 @@ ScaleConfig small_base(unsigned shard_workers) {
 std::string bench_json(unsigned shard_workers) {
   std::ostringstream log, json;
   SweepModes modes;
-  modes.full = false;  // digest-only keeps the test quick
   modes.snapshot = true;
   const auto stats = run_scale_sweep(small_base(shard_workers), {300}, modes,
                                      log, /*timed=*/false);

@@ -203,8 +203,6 @@ TEST_F(ProfilerTest, CountsDeliveriesPerKindUnderRealTraffic) {
       EXPECT_FALSE(value.has_value()) << name;
     }
   }
-  // Wall attribution is opt-in and stays out of deterministic surfaces.
-  EXPECT_FALSE(prof.wall_enabled());
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Configuration-point coverage: token cargo caps, aggregation disabled
-// end-to-end, and layout arithmetic.
+// Configuration-point coverage: aggregation disabled end-to-end, layout
+// arithmetic, and upward-only propagation.
 #include <gtest/gtest.h>
 
 #include "test_util.hpp"
@@ -10,20 +10,6 @@ namespace {
 using testing::RgbSystemTest;
 
 class ConfigTest : public RgbSystemTest {};
-
-TEST_F(ConfigTest, MaxOpsPerTokenSplitsBigBatches) {
-  RgbConfig config;
-  config.max_ops_per_token = 2;
-  auto& sys = build(1, 4, config);
-  for (std::uint64_t g = 1; g <= 6; ++g) {
-    sys.join(common::Guid{g}, sys.aps().front());
-  }
-  run_all();
-  EXPECT_EQ(sys.membership().size(), 6u);
-  EXPECT_TRUE(sys.membership_converged());
-  // 6 ops with a 2-op cargo cap need at least 3 rounds.
-  EXPECT_GE(sys.metrics().rounds_completed.value(), 3u);
-}
 
 TEST_F(ConfigTest, AggregationDisabledStillConvergesEndToEnd) {
   RgbConfig config;

@@ -52,17 +52,6 @@ TEST(MessageQueue, DrainReturnsOneWhenNotAggregating) {
   EXPECT_EQ(mq.size(), 1u);
 }
 
-TEST(MessageQueue, DrainHonoursMaxOpsCap) {
-  MessageQueue mq{true};
-  for (int i = 1; i <= 5; ++i) {
-    mq.insert(op(OpKind::kMemberJoin, static_cast<std::uint64_t>(i),
-                 static_cast<std::uint64_t>(i), 100));
-  }
-  const auto batch = mq.drain(2);
-  EXPECT_EQ(batch.ops.size(), 2u);
-  EXPECT_EQ(mq.size(), 3u);
-}
-
 TEST(MessageQueue, DuplicateSeqDropped) {
   MessageQueue mq{true};
   mq.insert(op(OpKind::kMemberJoin, 7, 1, 100));

@@ -5,12 +5,11 @@
 //   rgb_exp run <scenario-id> [--threads N] [--trials N] [--seed S]
 //                             [--csv PATH|-] [--json PATH|-] [--no-table]
 //                             [--check]
-//   rgb_exp bench [--members N[,N...]] [--modes digest|full|both]
-//                 [--join dissem|snapshot|both]
+//   rgb_exp bench [--members N[,N...]] [--join dissem|snapshot|both]
 //                 [--tiers H] [--ring R] [--steady-ticks K] [--seed S]
 //                 [--warmup-ticks K] [--join-spacing US] [--shards W]
 //                 [--json PATH|-] [--smoke] [--series PATH|-] [--detect]
-//                 [--deterministic] [--spans-ab] [--profile-wall]
+//                 [--deterministic] [--spans-ab]
 //   rgb_exp trace [--members N] [--tiers H] [--ring R] [--shards W]
 //                 [--seed S] [--steady-ticks K] [--warmup-ticks K]
 //                 [--out PATH|-]
@@ -88,7 +87,6 @@ int usage(const char* argv0, int code) {
      << "bench options:\n"
      << "  --members LIST comma-separated member counts\n"
      << "                 (default: 1000,10000,100000)\n"
-     << "  --modes M      digest | full | both (default: both)\n"
      << "  --join J       dissem | snapshot | both (default: dissem)\n"
      << "  --tiers H      ring tiers (default 2)\n"
      << "  --ring R       ring size (default 5)\n"
@@ -100,7 +98,7 @@ int usage(const char* argv0, int code) {
      << "                 deterministic output is identical for any W >= 1\n"
      << "  --seed S       trial seed (default 0xBE7C4)\n"
      << "  --json PATH    write the BENCH json artifact ('-' for stdout)\n"
-     << "  --smoke        bounded CI profile (members=200, both modes)\n"
+     << "  --smoke        bounded CI profile (members=200, both join modes)\n"
      << "  --series PATH  write the first cell's tick series as CSV\n"
      << "                 ('-' for stdout)\n"
      << "  --detect       append the failure-detection latency micro-trial\n"
@@ -111,8 +109,6 @@ int usage(const char* argv0, int code) {
      << "                 byte-identity gate\n"
      << "  --spans-ab     run every cell twice, causal spans off then on,\n"
      << "                 so the JSON carries the span overhead A/B\n"
-     << "  --profile-wall attribute wall-CPU to handlers; adds the\n"
-     << "                 non-deterministic profile_wall_ns block\n"
      << "  --multigroup   run the multi-group serving cell instead of the\n"
      << "                 scale sweep: G groups x M members on ONE shared\n"
      << "                 hierarchy, measuring steady-state kViewSync bytes\n"
@@ -252,14 +248,6 @@ int run_bench(int argc, char** argv) {
         std::cerr << "rgb_exp: --members needs at least one count\n";
         return 2;
       }
-    } else if (arg == "--modes") {
-      const std::string mode = next();
-      modes.digest = mode == "digest" || mode == "both";
-      modes.full = mode == "full" || mode == "both";
-      if (!modes.digest && !modes.full) {
-        std::cerr << "rgb_exp: --modes must be digest, full or both\n";
-        return 2;
-      }
     } else if (arg == "--join") {
       join_flag_seen = true;
       const std::string join = next();
@@ -329,8 +317,6 @@ int run_bench(int argc, char** argv) {
       deterministic = true;
     } else if (arg == "--spans-ab") {
       modes.spans_ab = true;
-    } else if (arg == "--profile-wall") {
-      base.profile_wall = true;
     } else {
       std::cerr << "rgb_exp: unknown bench option '" << arg << "'\n";
       return usage(argv[0], 2);
