@@ -282,18 +282,6 @@ GroupDirectory::grouped_members_at(NodeId ap) const {
   return out;
 }
 
-std::vector<GroupId> GroupDirectory::groups_hosting(Guid mh, NodeId ap) const {
-  std::vector<GroupId> out;
-  for (const auto& [gid, st] : groups_) {
-    const auto rec = st.table.find(mh);
-    if (rec && rec->status == MemberStatus::kOperational &&
-        rec->access_proxy == ap) {
-      out.push_back(gid);
-    }
-  }
-  return out;
-}
-
 std::size_t GroupDirectory::total_size() const {
   std::size_t n = 0;
   for (const auto& [gid, st] : groups_) n += st.table.size();

@@ -116,10 +116,6 @@ class GroupDirectory {
   [[nodiscard]] std::vector<std::pair<GroupId, std::vector<MemberRecord>>>
   grouped_members_at(NodeId ap) const;
 
-  /// Groups in which `mh` is operational at `ap`, gid-ascending (the
-  /// silent-member sweep fails a quiet MH in every group it inhabits).
-  [[nodiscard]] std::vector<GroupId> groups_hosting(Guid mh, NodeId ap) const;
-
   /// Total entries across all groups.
   [[nodiscard]] std::size_t total_size() const;
   [[nodiscard]] bool empty() const;

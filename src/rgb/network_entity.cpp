@@ -2374,43 +2374,74 @@ void NetworkEntity::handle_mh_heartbeat(const MhHeartbeatMsg& msg,
 }
 
 void NetworkEntity::sweep_silent_members() {
+  // Sweep ticks are skipped while this AP is crashed, so a gap of more than
+  // two periods means it just recovered. Heartbeats sent to it meanwhile
+  // were lost, so silence that overlaps its own downtime is no evidence
+  // against a member it still claims: monitoring restarts from now.
+  if (last_mh_sweep_ != 0 &&
+      now() - last_mh_sweep_ > config_.mh_failure_timeout) {
+    mh_monitored_since_ = now();
+  }
+  last_mh_sweep_ = now();
   const sim::Time deadline =
       now() < config_.mh_failure_timeout
           ? 0
           : now() - config_.mh_failure_timeout;
   for (auto it = mh_last_heard_.begin(); it != mh_last_heard_.end();) {
     const Guid mh = it->first;
-    if (it->second.last_heard > deadline) {
+    if (std::max(it->second.last_heard, mh_monitored_since_) > deadline) {
       ++it;
       continue;
     }
     const MhLiveness liveness = it->second;
     it = mh_last_heard_.erase(it);
-    // Only members still attached here are ours to report; a handed-off
-    // member is monitored by its new AP. Liveness is per-member, not
-    // per-group: a silent MH is silent in every group it inhabits.
-    if (!dir_.groups_hosting(mh, id()).empty()) {
-      if (config_.stability) {
-        // Defer into the stability window instead of failing on the first
-        // silent sweep, and counter-probe the member — a live-but-quiet MH
-        // answers with an immediate heartbeat, which cancels the pending
-        // failure (flap suppression for lost-heartbeat bursts).
-        pending_silent_[mh] =
-            PendingSilent{liveness.last_heard, now(), liveness.mh_node};
-        if (liveness.mh_node.valid()) {
-          AlertMsg probe{id(), 0, {}, false};
-          const auto bytes = wire_size(probe);
-          send(liveness.mh_node, kind::kAlert, std::move(probe), bytes);
-        }
-        continue;
+    // Only members this AP still claims are ours to report; a handed-off
+    // member is monitored by its new AP. The claim, not the table, decides:
+    // a join or handoff-in whose round still waits for the token is ours
+    // although no table shows it yet.
+    if (local_attached_.count(mh) == 0) continue;
+    if (config_.stability) {
+      // Defer into the stability window instead of failing on the first
+      // silent sweep, and counter-probe the member — a live-but-quiet MH
+      // answers with an immediate heartbeat, which cancels the pending
+      // failure (flap suppression for lost-heartbeat bursts).
+      pending_silent_[mh] =
+          PendingSilent{liveness.last_heard, now(), liveness.mh_node};
+      if (liveness.mh_node.valid()) {
+        AlertMsg probe{id(), 0, {}, false};
+        const auto bytes = wire_size(probe);
+        send(liveness.mh_node, kind::kAlert, std::move(probe), bytes);
       }
-      // Detection latency: silence began at the last heartbeat heard.
-      obs_.tracer.on_member_detected(mh, id(), now() - liveness.last_heard,
-                                     now());
-      local_member_fail(mh);
+      continue;
     }
+    enqueue_local_ops(silent_member_fail_ops(mh, liveness.last_heard));
   }
   flush_silent_members();
+}
+
+std::vector<MembershipOp> NetworkEntity::silent_member_fail_ops(
+    Guid mh, sim::Time last_heard) {
+  std::vector<MembershipOp> ops;
+  const auto it = local_attached_.find(mh);
+  if (it == local_attached_.end()) return ops;  // handed off or departed
+  // Liveness is per-member, not per-group: a silent MH is silent in every
+  // group it inhabits. One detection event (latency from the last
+  // heartbeat heard), one fail op per claimed group, each ending the epoch
+  // this AP claimed.
+  const std::map<GroupId, std::uint64_t> claims = std::move(it->second);
+  local_attached_.erase(it);
+  obs_.tracer.on_member_detected(mh, id(), now() - last_heard, now());
+  for (const auto& [gid, claim] : claims) {
+    MembershipOp op;
+    op.kind = OpKind::kMemberFail;
+    op.gid = gid;
+    op.seq = next_op_seq();
+    op.uid = next_op_uid();
+    op.claim_seq = claim;
+    op.member = MemberRecord{mh, id(), MemberStatus::kFailed};
+    ops.push_back(std::move(op));
+  }
+  return ops;
 }
 
 void NetworkEntity::flush_silent_members() {
@@ -2428,21 +2459,7 @@ void NetworkEntity::flush_silent_members() {
   for (const Guid mh : expired) {
     const PendingSilent pending = pending_silent_.at(mh);
     pending_silent_.erase(mh);
-    const std::vector<GroupId> gids = dir_.groups_hosting(mh, id());
-    if (gids.empty()) {
-      continue;  // handed off or departed while deferred
-    }
-    // One detection event per member, one fail op per group it inhabits.
-    obs_.tracer.on_member_detected(mh, id(), now() - pending.last_heard,
-                                   now());
-    for (const GroupId gid : gids) {
-      MembershipOp op;
-      op.kind = OpKind::kMemberFail;
-      op.gid = gid;
-      op.seq = next_op_seq();
-      op.uid = next_op_uid();
-      op.claim_seq = take_local_claim(gid, mh);
-      op.member = MemberRecord{mh, id(), MemberStatus::kFailed};
+    for (MembershipOp& op : silent_member_fail_ops(mh, pending.last_heard)) {
       ops.push_back(std::move(op));
     }
   }

@@ -78,18 +78,9 @@ class NetworkEntity : public proto::Process {
   // --- local membership events (AP tier) -------------------------------------
 
   /// An MH joined / left / failed at this AP, or handed off to this AP from
-  /// `old_ap`. These inject ops exactly like MH-originated requests do.
-  /// The group-less overloads target the NE's configured default group
-  /// (config.gid) — the pre-v4 single-group call shape.
-  void local_member_join(Guid mh) { local_member_join(config_.gid, mh); }
-  void local_member_leave(Guid mh) { local_member_leave(config_.gid, mh); }
-  void local_member_handoff_in(Guid mh, NodeId old_ap) {
-    local_member_handoff_in(config_.gid, mh, old_ap);
-  }
-  void local_member_fail(Guid mh) { local_member_fail(config_.gid, mh); }
-
-  /// Group-scoped verbs (multi-group serving): the op lands in `gid`'s
-  /// table/queue; attachment claims are kept per (member, group).
+  /// `old_ap`, in group `gid`. These inject ops exactly like MH-originated
+  /// requests do: the op lands in `gid`'s table/queue, and attachment
+  /// claims are kept per (member, group).
   void local_member_join(GroupId gid, Guid mh);
   void local_member_leave(GroupId gid, Guid mh);
   void local_member_handoff_in(GroupId gid, Guid mh, NodeId old_ap);
@@ -510,6 +501,12 @@ class NetworkEntity : public proto::Process {
   void sweep_silent_members();
   /// Batch-fails every deferred silent member whose window expired.
   void flush_silent_members();
+  /// Ends every claim this AP holds for silent member `mh` (the claims,
+  /// not the table: a join or handoff-in still queued for the token counts)
+  /// and returns one kMemberFail per claimed group, recording one
+  /// detection. Empty when `mh` is not claimed here any more.
+  std::vector<MembershipOp> silent_member_fail_ops(Guid mh,
+                                                   sim::Time last_heard);
   /// Last heartbeat per attached member, plus the MH's network address so
   /// the stability layer can counter-probe a silent member.
   struct MhLiveness {
@@ -518,6 +515,10 @@ class NetworkEntity : public proto::Process {
   };
   std::unordered_map<Guid, MhLiveness> mh_last_heard_;
   std::unique_ptr<proto::PeriodicTimer> mh_sweep_timer_;
+  sim::Time last_mh_sweep_ = 0;
+  /// Recovery time of the last crash window the sweep noticed: no member
+  /// counts as silent for longer than it has been monitored since.
+  sim::Time mh_monitored_since_ = 0;
   /// Stability-deferred silent members: instead of failing on the sweep
   /// that notices the silence, the member enters this window; a heartbeat
   /// (often provoked by the counter-probe) cancels it, and everything

@@ -179,11 +179,6 @@ TEST(GroupDirectory, MergedViewsDeduplicateAcrossGroups) {
   ASSERT_EQ(grouped.size(), 2u);
   EXPECT_EQ(grouped[0].first, GroupId{1});
   EXPECT_EQ(grouped[1].first, GroupId{2});
-
-  const std::vector<GroupId> hosting = dir.groups_hosting(Guid{10}, NodeId{100});
-  ASSERT_EQ(hosting.size(), 2u);
-  EXPECT_EQ(hosting[0], GroupId{1});
-  EXPECT_EQ(hosting[1], GroupId{2});
 }
 
 TEST(GroupDirectory, QueueRoutesByGroupAndDrainsNeOpsFirst) {
