@@ -739,14 +739,22 @@ void NetworkEntity::on_token_retx_timeout(std::uint64_t round_id) {
     // peer, or this observer's own stability-timeout fallback — removes it
     // from the roster, and the next timeout falls through to the repair
     // and reroute below. Liveness stays bounded by stability_timeout.
-    report_suspect(hop.target);
+    const NodeId suspect = hop.target;
+    report_suspect(suspect);
+    // At an aggregating leader the alert can complete a cut on the spot;
+    // the cut then rerouted this hop and erased the entry `hop` refers to.
+    const auto live = inflight_hops_.find(round_id);
+    if (live == inflight_hops_.end() || live->second.target != suspect) {
+      return;
+    }
+    InflightHop& pending = live->second;
     metrics_.token_retransmits.increment();
     const net::MessageKind kind =
-        hop.token.ops.empty() ? kind::kProbe : kind::kToken;
-    TokenMsg msg{hop.token};
+        pending.token.ops.empty() ? kind::kProbe : kind::kToken;
+    TokenMsg msg{pending.token};
     const auto bytes = wire_size(msg);
-    send(hop.target, kind, std::move(msg), bytes);
-    hop.timer = set_timer(config_.retx_timeout, [this, round_id]() {
+    send(pending.target, kind, std::move(msg), bytes);
+    pending.timer = set_timer(config_.retx_timeout, [this, round_id]() {
       on_token_retx_timeout(round_id);
     });
     return;

@@ -99,6 +99,20 @@ TEST(ShardedReplay, ChurnWithStabilityIdenticalAcrossWorkerCounts) {
   }
 }
 
+TEST(ShardedReplay, RetxAlertThatCompletesACutKeepsTheHopAlive) {
+  // The `rgb_fuzz --churn 1 --stability 1 --shard-workers 1` profile at
+  // seed 40: a token hop's retx alert completes a stability cut at the
+  // aggregating leader, and the cut reroutes and erases the very hop being
+  // retransmitted. This used to read the freed hop and crash.
+  AdversarialConfig cfg;
+  cfg.gen.churn = true;
+  cfg.stability = true;
+  cfg.shard_workers = 1;
+  const CheckRunResult result =
+      run_schedule(cfg, random_schedule_for(cfg, 40), 40);
+  EXPECT_TRUE(result.passed()) << result.report.format();
+}
+
 TEST(ShardedReplay, ViolatingRunReportsIdenticallyAcrossWorkerCounts) {
   // An unhealed split violates convergence by design; the violation report
   // (message counts, sampled timestamps, flight tail) must not depend on
