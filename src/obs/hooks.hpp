@@ -19,8 +19,9 @@ class ObsTraceHooks : public net::TraceHooks {
   /// kSend span (no-op when spans are disabled or no trace is active).
   void on_send(net::Envelope& env, sim::Time now) override;
 
-  /// Counts the delivery (default-on) and — when spans are enabled — records the kHandler span and installs
-  /// {env.trace, handler span} as the causal context around the handler.
+  /// Counts the delivery (default-on) and — when spans are enabled —
+  /// records the kHandler span and installs {env.trace, handler span} as
+  /// the causal context around the handler.
   void on_deliver(const net::Envelope& env, sim::Time now,
                   net::Endpoint& endpoint) override;
 

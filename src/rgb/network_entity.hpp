@@ -226,7 +226,7 @@ class NetworkEntity : public proto::Process {
   // --- snapshot state transfer (kSnapshot bulk-join path) ----------------------
   // Under config.snapshot_join the per-op downward dissemination is
   // replaced by debounced framed MemberTable snapshots: NEs that applied
-  // fresh member state mark themselves dirty; after snapshot_flush_quiet
+  // fresh member state mark themselves dirty; after kSnapshotFlushQuiet
   // with no further change they push one wire-encoded snapshot to their
   // child ring leader (and, when they learned the state *from* a snapshot
   // rather than a token round, across their own ring if they lead it).

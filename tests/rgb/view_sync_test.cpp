@@ -130,7 +130,7 @@ TEST(ViewSyncCollision, CollidingDigestIsBenignAndNextTickHeals) {
       << "no state change";
 
   // The genuine mismatch path: a digest that does not match provokes the
-  // full-table reply that reconciliation rides on.
+  // kFull reply that reconciliation rides on.
   ViewSyncMsg mismatching = colliding;
   mismatching.digest ^= 1;
   network.send(net::Envelope{sys.aps()[2], receiver, kind::kViewSync,
