@@ -1,5 +1,7 @@
 // Experiment E10 — google-benchmark micro-benchmarks of the building
-// blocks: event kernel, RNG, MQ aggregation, member-table apply, network
+// blocks: event kernel, RNG, MQ aggregation, member-table apply, the
+// GroupDirectory operations a probe tick or an op intake performs (at
+// G = 1, 100 and 1000 groups; each should read flat in G), network
 // send/deliver, and an end-to-end Member-Join round on a small hierarchy.
 #include <benchmark/benchmark.h>
 
@@ -63,6 +65,81 @@ void BM_MemberTableApply(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MemberTableApply);
+
+// --- GroupDirectory: per-tick and per-op operations, flat in G -------------
+
+constexpr std::uint64_t kMembersPerGroup = 20;
+
+core::MembershipOp directory_join(std::uint64_t gid, std::uint64_t guid,
+                                  std::uint64_t seq) {
+  core::MembershipOp op;
+  op.kind = core::OpKind::kMemberJoin;
+  op.seq = seq;
+  op.uid = seq;
+  op.claim_seq = seq;
+  op.gid = common::GroupId{gid};
+  op.member = {common::Guid{guid}, common::NodeId{1},
+               proto::MemberStatus::kOperational};
+  return op;
+}
+
+/// G groups of kMembersPerGroup members each, every queue empty.
+core::GroupDirectory populated_directory(std::uint64_t groups) {
+  core::GroupDirectory dir;
+  std::uint64_t seq = 0;
+  for (std::uint64_t gid = 1; gid <= groups; ++gid) {
+    for (std::uint64_t m = 0; m < kMembersPerGroup; ++m) {
+      dir.apply(directory_join(gid, gid * kMembersPerGroup + m, ++seq));
+    }
+  }
+  return dir;
+}
+
+void BM_DirectoryCombinedDigest(benchmark::State& state) {
+  const core::GroupDirectory dir =
+      populated_directory(static_cast<std::uint64_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dir.combined_digest());
+  }
+}
+BENCHMARK(BM_DirectoryCombinedDigest)->Arg(1)->Arg(100)->Arg(1000);
+
+void BM_DirectoryQueueEmpty(benchmark::State& state) {
+  const core::GroupDirectory dir =
+      populated_directory(static_cast<std::uint64_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dir.queue_empty());
+  }
+}
+BENCHMARK(BM_DirectoryQueueEmpty)->Arg(1)->Arg(100)->Arg(1000);
+
+/// One op enqueued into a rotating group, then drained: the op-intake and
+/// round-start path of a token round.
+void BM_DirectoryInsertDrain(benchmark::State& state) {
+  const auto groups = static_cast<std::uint64_t>(state.range(0));
+  core::GroupDirectory dir = populated_directory(groups);
+  std::uint64_t seq = groups * kMembersPerGroup;
+  for (auto _ : state) {
+    ++seq;
+    dir.insert(directory_join(1 + seq % groups, seq, seq));
+    benchmark::DoNotOptimize(dir.drain());
+  }
+}
+BENCHMARK(BM_DirectoryInsertDrain)->Arg(1)->Arg(100)->Arg(1000);
+
+void BM_DirectoryLookup(benchmark::State& state) {
+  const auto groups = static_cast<std::uint64_t>(state.range(0));
+  const core::GroupDirectory dir = populated_directory(groups);
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    const std::uint64_t gid = 1 + i % groups;
+    const std::uint64_t guid = gid * kMembersPerGroup + i % kMembersPerGroup;
+    benchmark::DoNotOptimize(
+        dir.lookup(common::GroupId{gid}, common::Guid{guid}));
+    ++i;
+  }
+}
+BENCHMARK(BM_DirectoryLookup)->Arg(1)->Arg(100)->Arg(1000);
 
 void BM_NetworkSendDeliver(benchmark::State& state) {
   class Sink : public net::Endpoint {

@@ -14,6 +14,12 @@ std::uint64_t mix(std::uint64_t x) {
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
   return x ^ (x >> 31);
 }
+
+/// One group's term in the combined digest, given the group's mixed id;
+/// an empty table contributes none.
+std::uint64_t term(std::uint64_t mixed_gid, const ViewDigest& d) {
+  return d.count == 0 ? 0 : mix(mixed_gid ^ d.hash);
+}
 }  // namespace
 
 GroupDirectory::GroupState& GroupDirectory::state(GroupId gid) {
@@ -24,11 +30,43 @@ GroupDirectory::GroupState& GroupDirectory::state(GroupId gid) {
   return it->second;
 }
 
+template <class Edit>
+bool GroupDirectory::edit_table(GroupId gid, const Edit& edit) {
+  MemberTable& tab = state(gid).table;
+  const ViewDigest before = tab.digest();
+  if (!edit(tab)) return false;
+  const ViewDigest after = tab.digest();
+  const std::uint64_t mixed_gid = mix(gid.value());
+  digest_.hash ^= term(mixed_gid, before) ^ term(mixed_gid, after);
+  digest_.count += after.count - before.count;  // modular: shrinking is fine
+  ++changes_;
+  return true;
+}
+
 void GroupDirectory::insert(MembershipOp op, Contributor contributor) {
-  if (op.is_member_op() && op.gid.valid()) {
-    state(op.gid).mq.insert(std::move(op), contributor);
-  } else {
-    ne_queue_.insert(std::move(op), contributor);
+  const bool grouped = op.is_member_op() && op.gid.valid();
+  const GroupId gid = grouped ? op.gid : GroupId{};
+  MessageQueue& mq = grouped ? state(gid).mq : ne_queue_;
+  const std::size_t size_before = mq.size();
+  const std::uint64_t collapsed_before = mq.ops_collapsed();
+  const bool orphans_before = mq.has_orphaned_acks();
+  mq.insert(std::move(op), contributor);
+  queued_ = queued_ - size_before + mq.size();
+  ++ops_inserted_;
+  ops_collapsed_ += mq.ops_collapsed() - collapsed_before;
+  if (!grouped) return;  // the NE queue is checked directly, not listed
+  // An insert can fill a queue or, by annihilating a pending join, empty it.
+  const auto pos = std::lower_bound(queued_groups_.begin(),
+                                    queued_groups_.end(), gid);
+  if (size_before == 0 && !mq.empty()) {
+    queued_groups_.insert(pos, gid);
+  } else if (size_before != 0 && mq.empty()) {
+    queued_groups_.erase(pos);
+  }
+  if (!orphans_before && mq.has_orphaned_acks()) {
+    orphan_groups_.insert(std::lower_bound(orphan_groups_.begin(),
+                                           orphan_groups_.end(), gid),
+                          gid);
   }
 }
 
@@ -36,67 +74,50 @@ void GroupDirectory::insert_batch(std::vector<MembershipOp> ops) {
   for (MembershipOp& op : ops) insert(std::move(op), Contributor{});
 }
 
+void GroupDirectory::take_batch(MessageQueue& mq, MessageQueue::Batch& batch) {
+  MessageQueue::Batch part = mq.drain();
+  queued_ -= part.ops.size();
+  for (MembershipOp& op : part.ops) batch.ops.push_back(std::move(op));
+  for (Contributor& c : part.contributors) {
+    if (std::find(batch.contributors.begin(), batch.contributors.end(), c) ==
+        batch.contributors.end()) {
+      batch.contributors.push_back(c);
+    }
+  }
+}
+
 MessageQueue::Batch GroupDirectory::drain() {
   // NE ops first (hierarchy changes gate everything else), then groups in
   // gid order. Non-aggregating mode keeps the one-op-per-round contract of
   // the single queue: drain stops after the first op it obtains.
   MessageQueue::Batch batch;
-  const auto take_from = [&](MessageQueue& mq) {
-    if (mq.empty()) return;
-    if (!aggregate_ && !batch.ops.empty()) return;
-    MessageQueue::Batch part = mq.drain();
-    for (MembershipOp& op : part.ops) batch.ops.push_back(std::move(op));
-    for (Contributor& c : part.contributors) {
-      if (std::find(batch.contributors.begin(), batch.contributors.end(), c) ==
-          batch.contributors.end()) {
-        batch.contributors.push_back(c);
-      }
-    }
-  };
-  take_from(ne_queue_);
-  for (auto& [gid, st] : groups_) take_from(st.mq);
+  if (!ne_queue_.empty()) take_batch(ne_queue_, batch);
+  std::size_t emptied = 0;  // leading queued groups this drain emptied
+  for (const GroupId gid : queued_groups_) {
+    if (!aggregate_ && !batch.ops.empty()) break;
+    MessageQueue& mq = groups_.find(gid)->second.mq;
+    take_batch(mq, batch);
+    if (!mq.empty()) break;  // non-aggregating: one op taken, more remain
+    ++emptied;
+  }
+  queued_groups_.erase(queued_groups_.begin(),
+                       queued_groups_.begin() +
+                           static_cast<std::ptrdiff_t>(emptied));
   return batch;
 }
 
 std::vector<Contributor> GroupDirectory::take_orphaned_acks() {
   std::vector<Contributor> out = ne_queue_.take_orphaned_acks();
-  for (auto& [gid, st] : groups_) {
-    for (Contributor& c : st.mq.take_orphaned_acks()) {
+  for (const GroupId gid : orphan_groups_) {
+    for (Contributor& c : groups_.find(gid)->second.mq.take_orphaned_acks()) {
       if (std::find(out.begin(), out.end(), c) == out.end()) {
         out.push_back(c);
       }
     }
   }
+  orphan_groups_.clear();
   return out;
 }
-
-bool GroupDirectory::queue_empty() const {
-  if (!ne_queue_.empty()) return false;
-  for (const auto& [gid, st] : groups_) {
-    if (!st.mq.empty()) return false;
-  }
-  return true;
-}
-
-std::size_t GroupDirectory::queue_size() const {
-  std::size_t n = ne_queue_.size();
-  for (const auto& [gid, st] : groups_) n += st.mq.size();
-  return n;
-}
-
-std::uint64_t GroupDirectory::ops_inserted() const {
-  std::uint64_t n = ne_queue_.ops_inserted();
-  for (const auto& [gid, st] : groups_) n += st.mq.ops_inserted();
-  return n;
-}
-
-std::uint64_t GroupDirectory::ops_collapsed() const {
-  std::uint64_t n = ne_queue_.ops_collapsed();
-  for (const auto& [gid, st] : groups_) n += st.mq.ops_collapsed();
-  return n;
-}
-
-MemberTable& GroupDirectory::table(GroupId gid) { return state(gid).table; }
 
 const MemberTable* GroupDirectory::table_if(GroupId gid) const {
   const auto it = groups_.find(gid);
@@ -105,7 +126,7 @@ const MemberTable* GroupDirectory::table_if(GroupId gid) const {
 
 bool GroupDirectory::apply(const MembershipOp& op) {
   if (!op.is_member_op() || !op.gid.valid()) return false;
-  return state(op.gid).table.apply(op);
+  return edit_table(op.gid, [&](MemberTable& tab) { return tab.apply(op); });
 }
 
 std::vector<TableEntry> GroupDirectory::export_all() const {
@@ -145,7 +166,8 @@ bool GroupDirectory::import_all(const std::vector<TableEntry>& entries) {
       ++i;
     }
     if (!gid.valid()) continue;  // malformed: a group-less entry has no home
-    if (state(gid).table.import_entries(run)) changed = true;
+    changed |= edit_table(
+        gid, [&](MemberTable& tab) { return tab.import_entries(run); });
   }
   return changed;
 }
@@ -185,17 +207,6 @@ std::vector<GroupDigest> GroupDirectory::packed_digests() const {
     if (st.table.empty()) continue;
     const ViewDigest d = st.table.digest();
     out.push_back(GroupDigest{gid, d.hash, d.count});
-  }
-  return out;
-}
-
-ViewDigest GroupDirectory::combined_digest() const {
-  ViewDigest out;
-  for (const auto& [gid, st] : groups_) {
-    if (st.table.empty()) continue;
-    const ViewDigest d = st.table.digest();
-    out.hash ^= mix(mix(gid.value()) ^ d.hash);
-    out.count += d.count;
   }
   return out;
 }
@@ -282,17 +293,16 @@ GroupDirectory::grouped_members_at(NodeId ap) const {
   return out;
 }
 
-std::size_t GroupDirectory::total_size() const {
-  std::size_t n = 0;
-  for (const auto& [gid, st] : groups_) n += st.table.size();
-  return n;
-}
-
-bool GroupDirectory::empty() const { return total_size() == 0; }
-
 void GroupDirectory::clear() {
+  if (digest_.count != 0) ++changes_;
   groups_.clear();
   ne_queue_ = MessageQueue{aggregate_};
+  digest_ = {};
+  queued_ = 0;
+  ops_inserted_ = 0;
+  ops_collapsed_ = 0;
+  queued_groups_.clear();
+  orphan_groups_.clear();
 }
 
 }  // namespace rgb::core

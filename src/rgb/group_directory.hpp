@@ -10,6 +10,12 @@
 // per-link in NetworkEntity — they just read and write group-scoped state
 // through here. Iteration is gid-ascending everywhere (std::map), which is
 // what keeps sharded runs byte-identical.
+//
+// The cross-group aggregates a probe tick or an op intake reads (combined
+// digest, entry count, queue occupancy, MQ counters) are kept up to date at
+// the directory's own mutation points, so those reads cost O(1) however
+// many groups the directory serves. Every table write goes through apply /
+// import_all / clear; there is deliberately no mutable table accessor.
 #pragma once
 
 #include <cstdint>
@@ -45,21 +51,20 @@ class GroupDirectory {
 
   /// Next batch to ride a token round: NE ops first, then groups in gid
   /// order, every queued op. Non-aggregating mode drains exactly one op
-  /// total, like the single queue did.
+  /// total, like the single queue did. Visits only queues that hold ops.
   MessageQueue::Batch drain();
 
-  /// Orphaned acks aggregated across every queue.
+  /// Orphaned acks aggregated across every queue (NE queue first, then
+  /// groups in gid order). Visits only queues that hold orphaned acks.
   std::vector<Contributor> take_orphaned_acks();
 
-  [[nodiscard]] bool queue_empty() const;
-  [[nodiscard]] std::size_t queue_size() const;
-  [[nodiscard]] std::uint64_t ops_inserted() const;
-  [[nodiscard]] std::uint64_t ops_collapsed() const;
+  [[nodiscard]] bool queue_empty() const { return queued_ == 0; }
+  [[nodiscard]] std::size_t queue_size() const { return queued_; }
+  [[nodiscard]] std::uint64_t ops_inserted() const { return ops_inserted_; }
+  [[nodiscard]] std::uint64_t ops_collapsed() const { return ops_collapsed_; }
 
   // --- table facade ---------------------------------------------------------
 
-  /// The group's table, created on demand.
-  [[nodiscard]] MemberTable& table(GroupId gid);
   /// The group's table when it exists, else null (read paths must not
   /// instantiate groups as a side effect — that would skew packed digests).
   [[nodiscard]] const MemberTable* table_if(GroupId gid) const;
@@ -90,7 +95,9 @@ class GroupDirectory {
 
   /// Order-independent digest over all groups, gid mixed into each group's
   /// hash — the O(1) "everything matches" fast path of a packed sync tick.
-  [[nodiscard]] ViewDigest combined_digest() const;
+  /// Maintained incrementally: each table change xors its group's term out
+  /// and back in (an empty table contributes no term).
+  [[nodiscard]] ViewDigest combined_digest() const { return digest_; }
 
   /// Groups whose digest differs from the sender's packed set: mismatching
   /// gids plus any non-empty local group the sender did not mention.
@@ -117,10 +124,14 @@ class GroupDirectory {
   grouped_members_at(NodeId ap) const;
 
   /// Total entries across all groups.
-  [[nodiscard]] std::size_t total_size() const;
-  [[nodiscard]] bool empty() const;
+  [[nodiscard]] std::size_t total_size() const { return digest_.count; }
+  [[nodiscard]] bool empty() const { return digest_.count == 0; }
   /// Number of instantiated (ever-touched) groups.
   [[nodiscard]] std::size_t group_count() const { return groups_.size(); }
+
+  /// Bumped on every table change that takes effect. Equal values at two
+  /// points in time mean every lookup answers the same at both.
+  [[nodiscard]] std::uint64_t change_count() const { return changes_; }
 
   [[nodiscard]] const std::map<GroupId, GroupState>& groups() const {
     return groups_;
@@ -130,10 +141,28 @@ class GroupDirectory {
 
  private:
   GroupState& state(GroupId gid);
+  /// Runs `edit` (returns true on change) on `gid`'s table and folds the
+  /// change into the combined digest and the change counter.
+  template <class Edit>
+  bool edit_table(GroupId gid, const Edit& edit);
+  /// Moves one queue's batch into `batch` (contributors deduplicated) and
+  /// takes its ops off the queued-op count.
+  void take_batch(MessageQueue& mq, MessageQueue::Batch& batch);
 
   bool aggregate_;
   std::map<GroupId, GroupState> groups_;
   MessageQueue ne_queue_;  ///< NE ops (invalid gid) — shared, not group-scoped
+
+  ViewDigest digest_;           ///< combined_digest(); count = total entries
+  std::uint64_t changes_ = 0;   ///< change_count()
+  std::size_t queued_ = 0;      ///< ops queued across every queue
+  std::uint64_t ops_inserted_ = 0;
+  std::uint64_t ops_collapsed_ = 0;
+  /// gid-sorted: groups whose queue holds ops, and groups whose queue
+  /// holds orphaned acks. Vectors, not sets: a queue that fills and drains
+  /// every round must not cost an allocation each time.
+  std::vector<GroupId> queued_groups_;
+  std::vector<GroupId> orphan_groups_;
 };
 
 }  // namespace rgb::core

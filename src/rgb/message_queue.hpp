@@ -61,6 +61,9 @@ class MessageQueue {
   /// Contributors whose ops were cancelled by aggregation since the last
   /// call; they are owed an immediate ack.
   std::vector<Contributor> take_orphaned_acks();
+  [[nodiscard]] bool has_orphaned_acks() const {
+    return !orphaned_acks_.empty();
+  }
 
   [[nodiscard]] bool aggregation_enabled() const { return aggregate_; }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "common/log.hpp"
 #include "wire/snapshot.hpp"
@@ -158,8 +159,26 @@ void NetworkEntity::local_member_join(GroupId gid, Guid mh) {
   op.claim_seq = op.seq;  // a physical join starts a new attachment epoch
   op.gid = gid;
   op.member = MemberRecord{mh, id(), MemberStatus::kOperational};
-  local_attached_[mh][gid] = op.claim_seq;
+  set_claim(mh, gid, op.claim_seq);
   enqueue_local_op(std::move(op));
+}
+
+std::uint64_t NetworkEntity::set_claim(Guid mh, GroupId gid,
+                                       std::uint64_t claim_seq) {
+  std::uint64_t previous = 0;
+  if (claim_seq != 0) {
+    previous = std::exchange(local_attached_[mh][gid], claim_seq);
+  } else {
+    const auto it = local_attached_.find(mh);
+    if (it == local_attached_.end()) return 0;
+    const auto git = it->second.find(gid);
+    if (git == it->second.end()) return 0;
+    previous = git->second;
+    it->second.erase(git);
+    if (it->second.empty()) local_attached_.erase(it);
+  }
+  reaffirm_due_ = true;
+  return previous;
 }
 
 std::uint64_t NetworkEntity::take_local_claim(GroupId gid, Guid mh) {
@@ -167,17 +186,8 @@ std::uint64_t NetworkEntity::take_local_claim(GroupId gid, Guid mh) {
   // one (erased — the member is no longer ours in this group), else
   // whatever epoch the group's table reflects (a departure injected for a
   // member we never claimed).
-  const auto it = local_attached_.find(mh);
-  if (it != local_attached_.end()) {
-    const auto git = it->second.find(gid);
-    if (git != it->second.end()) {
-      const std::uint64_t claim = git->second;
-      it->second.erase(git);
-      if (it->second.empty()) local_attached_.erase(it);
-      return claim;
-    }
-  }
-  return dir_.claim_of(gid, mh);
+  const std::uint64_t claim = set_claim(mh, gid, 0);
+  return claim != 0 ? claim : dir_.claim_of(gid, mh);
 }
 
 void NetworkEntity::local_member_leave(GroupId gid, Guid mh) {
@@ -201,7 +211,7 @@ void NetworkEntity::local_member_handoff_in(GroupId gid, Guid mh,
   op.gid = gid;
   op.member = MemberRecord{mh, id(), MemberStatus::kOperational};
   op.old_ap = old_ap;
-  local_attached_[mh][gid] = op.claim_seq;
+  set_claim(mh, gid, op.claim_seq);
   enqueue_local_op(std::move(op));
 }
 
@@ -567,8 +577,7 @@ void NetworkEntity::apply_ops_and_notify(const Token& token) {
         if (it != local_attached_.end()) {
           const auto git = it->second.find(op.gid);
           if (git != it->second.end() && git->second < op.claim_seq) {
-            it->second.erase(git);
-            if (it->second.empty()) local_attached_.erase(it);
+            set_claim(op.member.guid, op.gid, 0);
           }
         }
       }
@@ -1277,6 +1286,9 @@ void NetworkEntity::on_probe_tick() {
 
 void NetworkEntity::reaffirm_local_members() {
   if (local_attached_.empty()) return;
+  if (!reaffirm_due_ && reaffirmed_at_ == dir_.change_count()) return;
+  reaffirm_due_ = false;
+  reaffirmed_at_ = dir_.change_count();
   std::vector<std::pair<Guid, GroupId>> reannounce, departed;
   for (const auto& [mh, by_gid] : local_attached_) {
     for (const auto& [gid, claim_seq] : by_gid) {
@@ -1320,12 +1332,10 @@ void NetworkEntity::reaffirm_local_members() {
   }
   // local_attached_ iterates deterministically (both maps ordered), so the
   // lists are already (guid, gid)-sorted.
-  for (const auto& [mh, gid] : departed) {
-    const auto it = local_attached_.find(mh);
-    if (it == local_attached_.end()) continue;
-    it->second.erase(gid);
-    if (it->second.empty()) local_attached_.erase(it);
-  }
+  for (const auto& [mh, gid] : departed) set_claim(mh, gid, 0);
+  // A re-anchor op changes no table until its round lands, so the next
+  // pass must run to re-announce (or confirm) these claims.
+  if (!reannounce.empty()) reaffirm_due_ = true;
   for (const auto& [mh, gid] : reannounce) {
     const std::uint64_t claim = local_attached_.at(mh).at(gid);
     RGB_LOG(kInfo, "reaffirm")
@@ -2436,8 +2446,8 @@ std::vector<MembershipOp> NetworkEntity::silent_member_fail_ops(
   // group it inhabits. One detection event (latency from the last
   // heartbeat heard), one fail op per claimed group, each ending the epoch
   // this AP claimed.
-  const std::map<GroupId, std::uint64_t> claims = std::move(it->second);
-  local_attached_.erase(it);
+  const std::map<GroupId, std::uint64_t> claims = it->second;
+  for (const auto& [gid, claim] : claims) set_claim(mh, gid, 0);
   obs_.tracer.on_member_detected(mh, id(), now() - last_heard, now());
   for (const auto& [gid, claim] : claims) {
     MembershipOp op;

@@ -544,12 +544,27 @@ class NetworkEntity : public proto::Process {
   // is outwaited (our claim assertion is in flight and out-ranks it in
   // record_precedes order). Checked from the probe tick and from
   // reconcile-round replies.
+  //
+  // A pass reads only the claims and the tables, so after a pass that
+  // re-announced nothing, the next pass can only conclude "no departures,
+  // no re-anchors" until the directory's change counter or the claim set
+  // moves (a departure the pass drops edits the claims, which re-arms the
+  // next pass too). The steady tick then skips the per-claim lookups.
   void reaffirm_local_members();
   void reannounce_member(GroupId gid, Guid mh, std::uint64_t claim_seq);
   std::uint64_t take_local_claim(GroupId gid, Guid mh);
+  /// The single writer of local_attached_: sets `mh`'s claim in `gid` to
+  /// `claim_seq`, or erases it when `claim_seq` is 0 (dropping `mh` once it
+  /// holds no claim). Returns the epoch it replaced, 0 when there was none.
+  /// Any edit re-arms the reaffirmation pass.
+  std::uint64_t set_claim(Guid mh, GroupId gid, std::uint64_t claim_seq);
   /// guid-major, gid-minor (both std::map: deterministic iteration for the
   /// reaffirmation / reconcile passes); one claim per (member, group).
   std::map<Guid, std::map<GroupId, std::uint64_t>> local_attached_;
+  /// Reaffirmation gate: true when the claims moved or the last pass
+  /// re-announced; `reaffirmed_at_` is dir_.change_count() at that pass.
+  bool reaffirm_due_ = true;
+  std::uint64_t reaffirmed_at_ = 0;
 
   // --- counters ---------------------------------------------------------------------------
   std::uint64_t op_seq_counter_ = 0;

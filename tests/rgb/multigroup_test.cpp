@@ -2,8 +2,9 @@
 // Membership state is per-group (directory tables/queues); the probe, token,
 // stability and reconcile machinery stays shared per-link. Covers per-group
 // convergence (group_view_divergence, which a merged view cannot fake),
-// group-scoped queries, per-group failure handling, and the facade's
-// deterministic member_groups() fan-out.
+// group-scoped queries, per-group failure handling, the facade's
+// deterministic member_groups() fan-out, and the idle reaffirmation pass
+// that skips its per-claim walk while nothing changed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -33,6 +34,40 @@ class MultigroupTest : public RgbSystemTest {
     }
     run_all();
   }
+
+  /// A multi-group system that has sat idle with probing on long enough
+  /// for every AP's reaffirmation pass to start skipping.
+  RgbSystem& idle_probing_system() {
+    RgbConfig config = grouped(4, 2);
+    config.probe_period = kProbe;
+    auto& sys = build(2, 3, config);
+    populate(sys, 12);
+    sys.start_probing();
+    run_for_ms(10 * kProbeMs);
+    return sys;
+  }
+
+  /// Hands AP `x` a false Member-Failure for its own member `mh` in `gid`
+  /// through anti-entropy: a kFull entry that ends x's claim epoch with a
+  /// newer seq, as a failure-detector false positive elsewhere would.
+  void import_false_failure(RgbSystem& sys, NodeId x, GroupId gid, Guid mh) {
+    const auto entry = sys.entity(x)->directory().lookup(gid, mh);
+    ASSERT_TRUE(entry.has_value());
+    ASSERT_EQ(entry->record.status, MemberStatus::kOperational);
+    ViewSyncMsg sync;
+    sync.phase = ViewSyncMsg::Phase::kFull;
+    sync.entries = {TableEntry{MemberRecord{mh, x, MemberStatus::kFailed},
+                               entry->last_seq + 1, entry->claim_seq, gid}};
+    const NodeId peer = sys.aps().back();
+    network_.send(
+        net::Envelope{peer, x, kind::kViewSync, wire_size(sync), sync});
+    run_for_ms(5);
+    ASSERT_EQ(sys.entity(x)->directory().lookup(gid, mh)->record.status,
+              MemberStatus::kFailed);
+  }
+
+  static constexpr std::uint64_t kProbeMs = 100;
+  static constexpr sim::Duration kProbe = sim::msec(kProbeMs);
 
   QueryClient::Result group_query(RgbSystem& sys, GroupId gid,
                                   proto::QueryScheme scheme) {
@@ -156,6 +191,54 @@ TEST_F(MultigroupTest, SingleGroupConfigMatchesFlatSemantics) {
     EXPECT_EQ(grouped_members[i].first, GroupId{1});
     EXPECT_EQ(grouped_members[i].second.guid, flat[i].guid);
   }
+}
+
+TEST_F(MultigroupTest, IdleApReanchorsAFalseFailureImportedByAntiEntropy) {
+  auto& sys = idle_probing_system();
+  const Guid mh{2};
+  const NodeId x = sys.ap_of(mh);
+  ASSERT_FALSE(sys.entity(x)->is_leader());
+  const GroupId gid = member_groups(mh, sys.config()).front();
+  const std::uint64_t reanchors = sys.metrics().reconcile_reanchors.value();
+
+  // No token round touches x's table: the import alone must re-arm the
+  // pass, which then re-anchors on x's next tick.
+  import_false_failure(sys, x, gid, mh);
+  run_for_ms(kProbeMs + kProbeMs / 2);
+  EXPECT_EQ(sys.metrics().reconcile_reanchors.value(), reanchors + 1);
+
+  run_for_ms(20 * kProbeMs);
+  for (const NodeId ne : sys.all_nes()) {
+    const auto entry = sys.entity(ne)->directory().lookup(gid, mh);
+    ASSERT_TRUE(entry.has_value()) << ne;
+    EXPECT_EQ(entry->record.status, MemberStatus::kOperational) << ne;
+    EXPECT_EQ(entry->record.access_proxy, x) << ne;
+  }
+  EXPECT_EQ(sys.group_view_divergence(), 0u);
+  // Settled again: no further re-anchors while idle.
+  EXPECT_EQ(sys.metrics().reconcile_reanchors.value(), reanchors + 1);
+}
+
+TEST_F(MultigroupTest, HeldBackReanchorIsReannouncedEveryTick) {
+  auto& sys = idle_probing_system();
+  const Guid mh{2};
+  const NodeId x = sys.ap_of(mh);
+  ASSERT_FALSE(sys.entity(x)->is_leader());
+  const GroupId gid = member_groups(mh, sys.config()).front();
+
+  import_false_failure(sys, x, gid, mh);
+  // Cut x off: its re-anchor op cannot get the token, so x's table keeps
+  // the false record and every tick's pass must re-announce the claim.
+  network_.set_partition(x, 1);
+  const std::uint64_t reanchors = sys.metrics().reconcile_reanchors.value();
+  constexpr std::uint64_t kTicks = 8;
+  run_for_ms(kTicks * kProbeMs);
+  const std::uint64_t announced =
+      sys.metrics().reconcile_reanchors.value() - reanchors;
+  EXPECT_GE(announced, kTicks - 1);
+  EXPECT_LE(announced, kTicks);
+  EXPECT_EQ(sys.entity(x)->directory().lookup(gid, mh)->record.status,
+            MemberStatus::kFailed);
 }
 
 }  // namespace
