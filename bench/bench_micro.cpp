@@ -1,11 +1,16 @@
 // Experiment E10 — google-benchmark micro-benchmarks of the building
 // blocks: event kernel, RNG, MQ aggregation, member-table apply, the
 // GroupDirectory operations a probe tick or an op intake performs (at
-// G = 1, 100 and 1000 groups; each should read flat in G), network
-// send/deliver, and an end-to-end Member-Join round on a small hierarchy.
+// G = 1, 100 and 1000 groups; each should read flat in G), the kFull
+// exchange's two halves per entry (one group's export, one fused
+// import+diff), codec encode/decode in ns/byte, network send/deliver, and
+// an end-to-end Member-Join round on a small hierarchy.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "bench_util.hpp"
+#include "wire/registry.hpp"
 #include "workload/churn.hpp"
 
 namespace {
@@ -140,6 +145,139 @@ void BM_DirectoryLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DirectoryLookup)->Arg(1)->Arg(100)->Arg(1000);
+
+// --- the kFull exchange, per entry ------------------------------------------
+
+/// One group of `entries` members, every queue empty.
+core::GroupDirectory one_group(std::uint64_t entries) {
+  core::GroupDirectory dir;
+  for (std::uint64_t m = 1; m <= entries; ++m) {
+    dir.apply(directory_join(1, m, m));
+  }
+  return dir;
+}
+
+/// What a kFull sender does per receipt: export one group, gid-stamped.
+void BM_GroupExport(benchmark::State& state) {
+  const auto entries = static_cast<std::uint64_t>(state.range(0));
+  const core::GroupDirectory dir = one_group(entries);
+  const std::vector<common::GroupId> scope{common::GroupId{1}};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dir.export_groups(scope));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(entries));
+}
+BENCHMARK(BM_GroupExport)->Arg(20)->Arg(2000)->Arg(200000);
+
+/// What a kFull receiver does: the fused import+diff of one group's run
+/// against a table holding the same guids, the common case (on
+/// churn_faults ~95% of receipts mention every local record). Every 50th
+/// incoming entry is one seq older than the local one, so the diff holds
+/// 2% of the table; nothing lands, so every iteration sees the same table.
+void BM_GroupImportAndDiff(benchmark::State& state) {
+  const auto entries = static_cast<std::uint64_t>(state.range(0));
+  core::GroupDirectory dir = one_group(entries);
+  std::vector<core::TableEntry> run = dir.export_all();
+  for (core::TableEntry& entry : run) {
+    if (entry.record.guid.value() % 50 == 0) --entry.last_seq;
+  }
+  const std::vector<common::GroupId> scope{common::GroupId{1}};
+  std::vector<core::TableEntry> diff;
+  for (auto _ : state) {
+    diff.clear();
+    benchmark::DoNotOptimize(dir.import_and_diff(run, scope, diff));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(run.size()));
+}
+BENCHMARK(BM_GroupImportAndDiff)->Arg(20)->Arg(2000)->Arg(200000);
+
+// --- codec: ns per encoded byte --------------------------------------------
+
+/// Adds a "per_B" counter: wall time per encoded byte (printed as ns).
+void report_time_per_byte(benchmark::State& state, std::size_t frame_bytes) {
+  const double bytes = static_cast<double>(state.iterations()) *
+                       static_cast<double>(frame_bytes);
+  state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
+  state.counters["per_B"] = benchmark::Counter(
+      bytes, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+core::ViewSyncMsg full_of(std::uint64_t entries) {
+  core::ViewSyncMsg msg;
+  msg.phase = core::ViewSyncMsg::Phase::kFull;
+  msg.reply_requested = true;
+  msg.entries = one_group(entries).export_all();
+  msg.sync_gids = {common::GroupId{1}};
+  return msg;
+}
+
+core::ViewSyncMsg packed_digest() {
+  core::ViewSyncMsg msg;
+  msg.phase = core::ViewSyncMsg::Phase::kDigest;
+  const core::GroupDirectory dir = populated_directory(20);
+  msg.digest = dir.combined_digest().hash;
+  msg.entry_count = static_cast<std::uint32_t>(dir.combined_digest().count);
+  msg.group_digests = dir.packed_digests();
+  return msg;
+}
+
+core::TokenMsg token_of(std::uint64_t ops) {
+  core::TokenMsg msg;
+  msg.token.gid = common::GroupId{1};
+  msg.token.holder = common::NodeId{4};
+  msg.token.round_id = 77;
+  for (std::uint64_t i = 1; i <= ops; ++i) {
+    msg.token.ops.push_back(directory_join(1, 1000 + i, 5000 + i));
+  }
+  return msg;
+}
+
+struct CodecFrame {
+  const char* label;
+  net::MessageKind kind;
+  net::Payload payload;
+};
+
+/// The four frames the codec benches run on, by index.
+CodecFrame codec_frame(std::int64_t which) {
+  switch (which) {
+    case 0: return {"kFull/20", core::kind::kViewSync, full_of(20)};
+    case 1: return {"kFull/2000", core::kind::kViewSync, full_of(2000)};
+    case 2: return {"kDigest/20groups", core::kind::kViewSync, packed_digest()};
+    default: return {"kToken/65ops", core::kind::kToken, token_of(65)};
+  }
+}
+
+void BM_CodecEncode(benchmark::State& state) {
+  const CodecFrame frame = codec_frame(state.range(0));
+  const auto& registry = wire::WireRegistry::global();
+  std::vector<std::uint8_t> bytes;
+  for (auto _ : state) {
+    bytes.clear();
+    benchmark::DoNotOptimize(registry.encode(frame.kind, frame.payload, bytes));
+  }
+  state.SetLabel(frame.label);
+  report_time_per_byte(state, bytes.size());
+}
+BENCHMARK(BM_CodecEncode)->DenseRange(0, 3);
+
+void BM_CodecDecode(benchmark::State& state) {
+  const CodecFrame frame = codec_frame(state.range(0));
+  const auto& registry = wire::WireRegistry::global();
+  std::vector<std::uint8_t> bytes;
+  if (!registry.encode(frame.kind, frame.payload, bytes)) {
+    state.SkipWithError("frame does not encode");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(registry.decode(bytes));
+  }
+  state.SetLabel(frame.label);
+  report_time_per_byte(state, bytes.size());
+}
+BENCHMARK(BM_CodecDecode)->DenseRange(0, 3);
 
 void BM_NetworkSendDeliver(benchmark::State& state) {
   class Sink : public net::Endpoint {

@@ -305,6 +305,17 @@ rm -f "$tr1" "$tr2" "$tr8"
 echo "== bench suite smoke =="
 python3 bench/suite/run.py smoke > /dev/null
 
+# AddressSanitizer + UndefinedBehaviorSanitizer gate over the unit suite:
+# a separate Debug build (asserts on, libstdc++ container checks on) in
+# which any memory error, UB or failed assert fails CI.
+echo "== asan+ubsan unit tests =="
+ASAN_DIR="${BUILD_DIR}-asan"
+cmake -B "$ASAN_DIR" -S . -DCMAKE_BUILD_TYPE=Debug \
+    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS" \
+    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" > /dev/null
+cmake --build "$ASAN_DIR" -j --target rgb_unit_tests > /dev/null
+ctest --test-dir "$ASAN_DIR" --output-on-failure -L unit
+
 # ThreadSanitizer gate over the concurrent kernel (sim worker pool +
 # cross-shard outboxes, net stripe metering, striped obs instruments,
 # atomic protocol counters): build the library and the two drivers with

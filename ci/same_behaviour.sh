@@ -14,7 +14,13 @@
 #     --groups 4, --groups 4 --churn 1, --snapshot-join 1 (report, flight
 #     ring dump and exit code must match);
 #   - rgb_exp trace --members 500 at --shards 1 and 8 (Chrome trace export);
-#   - rgb_exp bench --smoke --deterministic --detect --oscillation --json.
+#   - rgb_exp bench --smoke --deterministic --detect --oscillation --json;
+#   - bench_suite on every BENCHMARK.json workload at seed 11, --seconds 2,
+#     with its timing fields stripped (setup_s, window_s, rss_b_per_member,
+#     slices, slowdown, wall): every exact metric, count and outcome must
+#     match. A side's bench_suite is BUILD/bench_suite when that exists;
+#     otherwise it is built from the build's source tree (its CMakeCache)
+#     into BUILD/bench_suite_build.
 # Each pair runs base and change side by side; exits 1 on any difference.
 set -uo pipefail
 
@@ -100,6 +106,74 @@ done
 
 compare "rgb_exp bench --smoke --deterministic --detect --oscillation" \
     rgb_exp bench --smoke --deterministic --detect --oscillation --json @OUT@
+
+# suite_of BUILD — prints the path of BUILD's bench_suite, building it from
+# BUILD's source tree when it is not there yet.
+suite_of() {
+  local dir="$1" src
+  if [ -x "$dir/bench_suite" ]; then
+    echo "$dir/bench_suite"
+    return 0
+  fi
+  src="$(sed -n 's/^CMAKE_HOME_DIRECTORY:INTERNAL=//p' "$dir/CMakeCache.txt" \
+      2> /dev/null)"
+  [ -n "$src" ] && [ -d "$src/bench/suite" ] || return 1
+  cmake -S "$src/bench/suite" -B "$dir/bench_suite_build" \
+      -DCMAKE_BUILD_TYPE=Release > /dev/null 2>&1 &&
+    cmake --build "$dir/bench_suite_build" --target bench_suite -j 4 \
+      > /dev/null 2>&1 || return 1
+  echo "$dir/bench_suite_build/bench_suite"
+}
+
+# The detail and result lines of one run, timing fields removed.
+strip_timing() {
+  python3 -c '
+import json, sys
+def strip(x):
+    if isinstance(x, dict):
+        return {k: strip(v) for k, v in x.items()
+                if k not in ("setup_s", "window_s", "rss_b_per_member")
+                and not k.startswith(("slices", "slowdown")) and "wall" not in k}
+    if isinstance(x, list):
+        return [strip(v) for v in x]
+    return x
+for line in sys.stdin.read().splitlines()[-2:]:
+    print(json.dumps(strip(json.loads(line)), sort_keys=True))
+'
+}
+
+base_suite="$(suite_of "$BASE")" || base_suite=""
+change_suite="$(suite_of "$CHANGE")" || change_suite=""
+if [ -z "$base_suite" ] || [ -z "$change_suite" ]; then
+  echo "NO BUILD bench_suite"
+  checks=$((checks + 1))
+  failures=$((failures + 1))
+else
+  workloads="$(python3 -c 'import json, sys
+print(" ".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' \
+      "$(dirname "$0")/../BENCHMARK.json")"
+  for w in $workloads; do
+    pids=()
+    for side in base change; do
+      if [ "$side" = base ]; then suite="$base_suite"; else suite="$change_suite"; fi
+      ( "$suite" --workload "$w" --seed 11 --seconds 2 --trace 0 2> /dev/null |
+          strip_timing > "$work/$side.suite" 2> /dev/null
+        echo "exit ${PIPESTATUS[0]}" >> "$work/$side.suite" ) &
+      pids+=($!)
+    done
+    wait "${pids[@]}"
+    checks=$((checks + 1))
+    if [ "$(wc -l < "$work/base.suite")" -lt 3 ]; then
+      echo "NO OUTPUT bench_suite $w"
+      failures=$((failures + 1))
+    elif cmp -s "$work/base.suite" "$work/change.suite"; then
+      echo "same    bench_suite $w (seed 11, 2 s, timing stripped)"
+    else
+      echo "DIFFERS bench_suite $w (seed 11, 2 s, timing stripped)"
+      failures=$((failures + 1))
+    fi
+  done
+fi
 
 if [ "$failures" -ne 0 ]; then
   echo "FAIL: $failures of $checks artifacts differ" >&2

@@ -1,6 +1,7 @@
 #include "rgb/group_directory.hpp"
 
 #include <algorithm>
+#include <functional>
 
 namespace rgb::core {
 
@@ -19,6 +20,71 @@ std::uint64_t mix(std::uint64_t x) {
 /// an empty table contributes none.
 std::uint64_t term(std::uint64_t mixed_gid, const ViewDigest& d) {
   return d.count == 0 ? 0 : mix(mixed_gid ^ d.hash);
+}
+
+bool by_gid(const TableEntry& a, const TableEntry& b) { return a.gid < b.gid; }
+
+bool by_gid_guid(const TableEntry& a, const TableEntry& b) {
+  return a.gid != b.gid ? a.gid < b.gid : a.record.guid < b.record.guid;
+}
+
+/// Calls `fn(gid, run)` for each maximal run of equal gids, in order.
+template <class Fn>
+void for_each_run(std::span<const TableEntry> entries, const Fn& fn) {
+  for (auto begin = entries.begin(); begin != entries.end();) {
+    const GroupId gid = begin->gid;
+    const auto end =
+        std::find_if(begin, entries.end(),
+                     [&](const TableEntry& e) { return e.gid != gid; });
+    fn(gid, std::span<const TableEntry>{begin, end});
+    begin = end;
+  }
+}
+
+/// `entries` itself when it is gid-major and guid-ascending without
+/// repeats; otherwise `storage` holding that shape, with each (gid, guid)
+/// kept as the first of its newest copies in record_precedes order (the
+/// copy a lattice import of every copy would leave).
+std::span<const TableEntry> canonical(std::span<const TableEntry> entries,
+                                      std::vector<TableEntry>& storage) {
+  const auto out_of_order = [](const TableEntry& a, const TableEntry& b) {
+    return !by_gid_guid(a, b);
+  };
+  if (std::adjacent_find(entries.begin(), entries.end(), out_of_order) ==
+      entries.end()) {
+    return entries;
+  }
+  storage.assign(entries.begin(), entries.end());
+  std::stable_sort(storage.begin(), storage.end(), by_gid_guid);
+  auto out = storage.begin();
+  for (auto it = storage.begin(); it != storage.end();) {
+    auto newest = it;
+    auto next = it + 1;
+    for (; next != storage.end() && !by_gid_guid(*it, *next); ++next) {
+      if (record_precedes(newest->claim_seq, newest->last_seq,
+                          next->claim_seq, next->last_seq)) {
+        newest = next;
+      }
+    }
+    *out++ = *newest;
+    it = next;
+  }
+  storage.erase(out, storage.end());
+  return storage;
+}
+
+/// `gids` itself when strictly ascending; otherwise `storage` holding them
+/// sorted without repeats.
+std::span<const GroupId> canonical(std::span<const GroupId> gids,
+                                   std::vector<GroupId>& storage) {
+  if (std::adjacent_find(gids.begin(), gids.end(),
+                         std::greater_equal<GroupId>{}) == gids.end()) {
+    return gids;
+  }
+  storage.assign(gids.begin(), gids.end());
+  std::sort(storage.begin(), storage.end());
+  storage.erase(std::unique(storage.begin(), storage.end()), storage.end());
+  return storage;
 }
 }  // namespace
 
@@ -136,68 +202,77 @@ std::vector<TableEntry> GroupDirectory::export_all() const {
 std::vector<TableEntry> GroupDirectory::export_groups(
     const std::vector<GroupId>& gids) const {
   std::vector<TableEntry> out;
-  const auto append = [&](GroupId gid, const MemberTable& tab) {
-    for (TableEntry& entry : tab.export_entries()) {
-      entry.gid = gid;
-      out.push_back(std::move(entry));
-    }
-  };
   if (gids.empty()) {
-    for (const auto& [gid, st] : groups_) append(gid, st.table);
-  } else {
-    for (GroupId gid : gids) {
-      if (const MemberTable* tab = table_if(gid)) append(gid, *tab);
-    }
+    out.reserve(digest_.count);
+    for (const auto& [gid, st] : groups_) st.table.append_entries(out, gid);
+    return out;
+  }
+  std::size_t total = 0;
+  for (const GroupId gid : gids) {
+    if (const MemberTable* tab = table_if(gid)) total += tab->size();
+  }
+  out.reserve(total);
+  for (const GroupId gid : gids) {
+    if (const MemberTable* tab = table_if(gid)) tab->append_entries(out, gid);
   }
   return out;
 }
 
-bool GroupDirectory::import_all(const std::vector<TableEntry>& entries) {
-  // Group the incoming run by gid (payloads are gid-major, so this is one
-  // pass) and lattice-merge each run into its group's table.
+bool GroupDirectory::import_all(std::span<const TableEntry> entries) {
+  // Payloads are gid-major, so each group's entries are one run.
   bool changed = false;
-  std::size_t i = 0;
-  std::vector<TableEntry> run;
-  while (i < entries.size()) {
-    const GroupId gid = entries[i].gid;
-    run.clear();
-    while (i < entries.size() && entries[i].gid == gid) {
-      run.push_back(entries[i]);
-      ++i;
-    }
-    if (!gid.valid()) continue;  // malformed: a group-less entry has no home
+  for_each_run(entries, [&](GroupId gid, std::span<const TableEntry> run) {
+    if (!gid.valid()) return;  // malformed: a group-less entry has no home
     changed |= edit_table(
         gid, [&](MemberTable& tab) { return tab.import_entries(run); });
-  }
+  });
   return changed;
 }
 
-std::vector<TableEntry> GroupDirectory::newer_than(
-    const std::vector<TableEntry>& incoming,
-    const std::vector<GroupId>& gids) const {
-  // Split `incoming` per gid, then diff group by group.
-  std::map<GroupId, std::vector<TableEntry>> theirs;
-  for (const TableEntry& entry : incoming) {
-    theirs[entry.gid].push_back(entry);
-  }
-  std::vector<TableEntry> out;
-  const auto diff_one = [&](GroupId gid, const MemberTable& tab) {
-    static const std::vector<TableEntry> kNone;
-    const auto it = theirs.find(gid);
-    for (TableEntry& entry :
-         tab.newer_than(it == theirs.end() ? kNone : it->second)) {
-      entry.gid = gid;
-      out.push_back(std::move(entry));
+bool GroupDirectory::import_and_diff(std::span<const TableEntry> entries,
+                                     std::span<const GroupId> gids,
+                                     std::vector<TableEntry>& newer) {
+  std::vector<TableEntry> sorted_entries;
+  std::vector<GroupId> sorted_gids;
+  entries = canonical(entries, sorted_entries);
+  gids = canonical(gids, sorted_gids);
+  const std::size_t first = newer.size();
+  bool changed = false;
+  for_each_run(entries, [&](GroupId gid, std::span<const TableEntry> run) {
+    if (!gid.valid()) return;
+    if (!gids.empty() && !std::binary_search(gids.begin(), gids.end(), gid)) {
+      changed |= edit_table(
+          gid, [&](MemberTable& tab) { return tab.import_entries(run); });
+      return;
     }
+    const std::size_t from = newer.size();
+    changed |= edit_table(
+        gid, [&](MemberTable& tab) { return tab.import_and_diff(run, newer); });
+    for (auto it = newer.begin() + static_cast<std::ptrdiff_t>(from);
+         it != newer.end(); ++it) {
+      it->gid = gid;
+    }
+  });
+  // In-scope groups the payload does not mention: all of it is news to
+  // the sender. Appended gid-ascending, then merged into place.
+  const std::size_t mid = newer.size();
+  const auto append_unmentioned = [&](GroupId gid, const MemberTable& tab) {
+    const auto pos = std::lower_bound(
+        entries.begin(), entries.end(), gid,
+        [](const TableEntry& e, GroupId g) { return e.gid < g; });
+    if (pos == entries.end() || pos->gid != gid) tab.append_entries(newer, gid);
   };
   if (gids.empty()) {
-    for (const auto& [gid, st] : groups_) diff_one(gid, st.table);
+    for (const auto& [gid, st] : groups_) append_unmentioned(gid, st.table);
   } else {
-    for (GroupId gid : gids) {
-      if (const MemberTable* tab = table_if(gid)) diff_one(gid, *tab);
+    for (const GroupId gid : gids) {
+      if (const MemberTable* tab = table_if(gid)) append_unmentioned(gid, *tab);
     }
   }
-  return out;
+  std::inplace_merge(newer.begin() + static_cast<std::ptrdiff_t>(first),
+                     newer.begin() + static_cast<std::ptrdiff_t>(mid),
+                     newer.end(), by_gid);
+  return changed;
 }
 
 std::vector<GroupDigest> GroupDirectory::packed_digests() const {

@@ -15,12 +15,14 @@
 // digest, entry count, queue occupancy, MQ counters) are kept up to date at
 // the directory's own mutation points, so those reads cost O(1) however
 // many groups the directory serves. Every table write goes through apply /
-// import_all / clear; there is deliberately no mutable table accessor.
+// import_all / import_and_diff / clear; there is deliberately no mutable
+// table accessor.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -80,14 +82,24 @@ class GroupDirectory {
       const std::vector<GroupId>& gids) const;
 
   /// Lattice-merges gid-stamped entries into their groups' tables.
-  bool import_all(const std::vector<TableEntry>& entries);
+  bool import_all(std::span<const TableEntry> entries);
 
-  /// Entries of this directory newer than (or absent from) `incoming`,
-  /// restricted to `gids` (empty = every group this directory holds).
-  /// gid-major, guid-ascending.
-  [[nodiscard]] std::vector<TableEntry> newer_than(
-      const std::vector<TableEntry>& incoming,
-      const std::vector<GroupId>& gids) const;
+  /// A kFull receipt in one pass: lattice-merges `entries` exactly as
+  /// import_all does, and appends to `newer` this directory's entries,
+  /// after the import, that are strictly newer than every incoming copy of
+  /// their (gid, guid) or that `entries` does not mention — the diff the
+  /// receiver sends back. The diff is restricted to `gids` (empty = every
+  /// group this directory holds), gid-major, guid-ascending. Returns true
+  /// when any table changed.
+  ///
+  /// A payload that is gid-major and guid-ascending without repeats (what
+  /// export_groups emits) is read in place. Any other payload is first
+  /// sorted into that shape, keeping one newest copy of each (gid, guid);
+  /// that yields the same tables as import_all, but change_count() then
+  /// moves once per group rather than once per run.
+  bool import_and_diff(std::span<const TableEntry> entries,
+                       std::span<const GroupId> gids,
+                       std::vector<TableEntry>& newer);
 
   /// One digest per non-empty group, gid-ascending — the packed kDigest
   /// payload (sublinear sync bytes per link in the group count).

@@ -1,6 +1,7 @@
 #include "rgb/member_table.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 namespace rgb::core {
 
@@ -13,6 +14,10 @@ std::uint64_t mix(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
   return x ^ (x >> 31);
+}
+
+bool by_guid(const TableEntry& a, const TableEntry& b) {
+  return a.record.guid < b.record.guid;
 }
 }  // namespace
 
@@ -87,8 +92,7 @@ std::optional<MemberRecord> MemberTable::find(Guid guid) const {
 std::optional<TableEntry> MemberTable::lookup(Guid guid) const {
   const auto it = records_.find(guid);
   if (it == records_.end()) return std::nullopt;
-  return TableEntry{it->second.record, it->second.last_seq,
-                    it->second.claim_seq};
+  return to_entry(it->second, GroupId{});
 }
 
 bool MemberTable::contains(Guid guid) const {
@@ -155,57 +159,78 @@ void MemberTable::merge(const MemberTable& other) {
 std::vector<TableEntry> MemberTable::export_entries() const {
   std::vector<TableEntry> out;
   out.reserve(records_.size());
-  for (const auto& [guid, entry] : records_) {
-    out.push_back(TableEntry{entry.record, entry.last_seq, entry.claim_seq});
-  }
-  std::sort(out.begin(), out.end(),
-            [](const TableEntry& a, const TableEntry& b) {
-              return a.record.guid < b.record.guid;
-            });
+  append_entries(out, GroupId{});
   return out;
 }
 
-bool MemberTable::import_entries(const std::vector<TableEntry>& entries) {
+void MemberTable::append_entries(std::vector<TableEntry>& out,
+                                 GroupId gid) const {
+  const std::size_t first = out.size();
+  for (const auto& [guid, entry] : records_) {
+    out.push_back(to_entry(entry, gid));
+  }
+  std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end(),
+            by_guid);
+}
+
+bool MemberTable::import_entries(std::span<const TableEntry> entries) {
+  return import(entries, nullptr);
+}
+
+bool MemberTable::import(std::span<const TableEntry> entries,
+                         std::vector<TableEntry>* newer) {
   bool changed = false;
   for (const TableEntry& incoming : entries) {
     const auto [it, inserted] = records_.try_emplace(incoming.record.guid);
+    Entry& local = it->second;
     if (!inserted) {
-      if (!record_precedes(it->second.claim_seq, it->second.last_seq,
+      if (!record_precedes(local.claim_seq, local.last_seq,
                            incoming.claim_seq, incoming.last_seq)) {
+        if (newer != nullptr &&
+            record_precedes(incoming.claim_seq, incoming.last_seq,
+                            local.claim_seq, local.last_seq)) {
+          newer->push_back(to_entry(local, GroupId{}));
+        }
         continue;
       }
-      digest_ ^= entry_hash(it->second);
+      digest_ ^= entry_hash(local);
     }
-    it->second = Entry{incoming.record, incoming.last_seq,
-                       incoming.claim_seq};
-    digest_ ^= entry_hash(it->second);
+    local = Entry{incoming.record, incoming.last_seq, incoming.claim_seq};
+    digest_ ^= entry_hash(local);
     changed = true;
   }
   return changed;
 }
 
-std::vector<TableEntry> MemberTable::newer_than(
-    const std::vector<TableEntry>& incoming) const {
-  std::unordered_map<Guid, std::pair<std::uint64_t, std::uint64_t>> theirs;
-  theirs.reserve(incoming.size());
-  for (const TableEntry& entry : incoming) {
-    theirs[entry.record.guid] = {entry.claim_seq, entry.last_seq};
-  }
-  std::vector<TableEntry> out;
-  for (const auto& [guid, entry] : records_) {
-    const auto it = theirs.find(guid);
-    if (it == theirs.end() ||
-        record_precedes(it->second.first, it->second.second, entry.claim_seq,
-                        entry.last_seq)) {
-      out.push_back(
-          TableEntry{entry.record, entry.last_seq, entry.claim_seq});
+bool MemberTable::import_and_diff(std::span<const TableEntry> run,
+                                  std::vector<TableEntry>& newer) {
+  assert(std::adjacent_find(run.begin(), run.end(),
+                            [](const TableEntry& a, const TableEntry& b) {
+                              return !by_guid(a, b);
+                            }) == run.end());
+  const std::size_t first = newer.size();
+  const bool changed = import(run, &newer);
+  // The run's guids are all in the table now and distinct, so the table
+  // holds exactly size() - run.size() records the run does not mention.
+  if (std::size_t absent = records_.size() - run.size(); absent != 0) {
+    const std::size_t probed = newer.size();
+    for (const auto& [guid, entry] : records_) {
+      const auto pos = std::lower_bound(
+          run.begin(), run.end(), guid,
+          [](const TableEntry& e, Guid g) { return e.record.guid < g; });
+      if (pos == run.end() || pos->record.guid != guid) {
+        newer.push_back(to_entry(entry, GroupId{}));
+        if (--absent == 0) break;
+      }
     }
+    const auto begin = newer.begin();
+    std::sort(begin + static_cast<std::ptrdiff_t>(probed), newer.end(),
+              by_guid);
+    std::inplace_merge(begin + static_cast<std::ptrdiff_t>(first),
+                       begin + static_cast<std::ptrdiff_t>(probed),
+                       newer.end(), by_guid);
   }
-  std::sort(out.begin(), out.end(),
-            [](const TableEntry& a, const TableEntry& b) {
-              return a.record.guid < b.record.guid;
-            });
-  return out;
+  return changed;
 }
 
 bool operator==(const MemberTable& a, const MemberTable& b) {

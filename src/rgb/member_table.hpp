@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -115,16 +116,24 @@ class MemberTable {
   /// Every record (operational or not) with its sequence, sorted by guid —
   /// the anti-entropy sync payload.
   [[nodiscard]] std::vector<TableEntry> export_entries() const;
+  /// Appends every record, stamped with `gid`, to `out`; the appended part
+  /// is guid-ascending.
+  void append_entries(std::vector<TableEntry>& out, GroupId gid) const;
 
   /// Lattice merge of exported entries: an entry lands only when it is
   /// newer than what this table reflects for the guid in
   /// `record_precedes` order. Returns true when anything changed.
-  bool import_entries(const std::vector<TableEntry>& entries);
+  bool import_entries(std::span<const TableEntry> entries);
 
-  /// Entries of this table that are newer than (or absent from) `incoming`
-  /// — the bounded diff an anti-entropy receiver sends back.
-  [[nodiscard]] std::vector<TableEntry> newer_than(
-      const std::vector<TableEntry>& incoming) const;
+  /// import_entries for a strictly guid-ascending `run`, fused with the
+  /// diff an anti-entropy receiver sends back: appends to `newer` every
+  /// entry of this table that the import left strictly newer than its
+  /// incoming copy or that the run does not mention (the appended part is
+  /// guid-ascending, gid unstamped). The same hash probe imports and
+  /// compares; records absent from the run are searched for only when the
+  /// table holds more records than the run, and only until all are found.
+  bool import_and_diff(std::span<const TableEntry> run,
+                       std::vector<TableEntry>& newer);
 
   /// O(1) anti-entropy digest, maintained incrementally: every mutation
   /// xors the affected entry's hash out of / into the accumulator, so a
@@ -153,6 +162,14 @@ class MemberTable {
   [[nodiscard]] static std::uint64_t entry_hash(const Entry& entry) {
     return entry_hash(entry.record, entry.last_seq, entry.claim_seq);
   }
+  [[nodiscard]] static TableEntry to_entry(const Entry& entry, GroupId gid) {
+    return TableEntry{entry.record, entry.last_seq, entry.claim_seq, gid};
+  }
+  /// The lattice merge behind import_entries / import_and_diff; with
+  /// `newer` set, also appends each local entry left strictly newer than
+  /// its incoming copy.
+  bool import(std::span<const TableEntry> entries,
+              std::vector<TableEntry>* newer);
 
   std::unordered_map<Guid, Entry> records_;
   std::uint64_t digest_ = 0;  ///< xor-accumulated entry hashes

@@ -1238,6 +1238,7 @@ void NetworkEntity::handle_holder_ack(const HolderAckMsg& msg) {
 // --------------------------------------------------------------------------
 
 void NetworkEntity::on_probe_tick() {
+  last_full_.reset();
   const sim::Time tick_time = now();
   const bool crash_gap =
       last_probe_tick_ != 0 &&
@@ -1613,28 +1614,40 @@ void NetworkEntity::handle_view_sync(const ViewSyncMsg& msg, NodeId from) {
       // neither side holds entries for. Nothing useful to ship.
       return;
     }
-    ViewSyncMsg reply;
-    reply.phase = ViewSyncMsg::Phase::kFull;
-    reply.entries = dir_.export_groups(gids);
-    reply.reply_requested = true;
-    reply.sync_gids = gids;
     metrics_.group_fulls_sent.increment(gids.empty() ? dir_.group_count()
                                                      : gids.size());
-    const auto reply_bytes = wire_size(reply);
-    send(from, kind::kViewSync, std::move(reply), reply_bytes);
+    // One kSummary fan-out draws a kDigest from several peers: while the
+    // directory and the scope are unchanged, the kFull built for the first
+    // is exactly what a fresh export would build for the next.
+    if (!last_full_ || last_full_->changes != dir_.change_count() ||
+        last_full_->gids != gids) {
+      ViewSyncMsg reply;
+      reply.phase = ViewSyncMsg::Phase::kFull;
+      reply.entries = dir_.export_groups(gids);
+      reply.reply_requested = true;
+      reply.sync_gids = gids;
+      const auto reply_bytes = wire_size(reply);
+      last_full_ = FullReply{std::move(reply), dir_.change_count(),
+                             std::move(gids), reply_bytes};
+    }
+    send(from, kind::kViewSync, last_full_->payload, last_full_->bytes);
     return;
   }
 
   RGB_LOG(kDebug, "sync") << now() << " " << id() << " imports "
                           << msg.entries.size() << " entries from " << from;
-  dir_.import_all(msg.entries);
+  if (!msg.reply_requested) {
+    dir_.import_all(msg.entries);
+    note_group_count();
+    return;
+  }
+  // Import and diff in one pass. The diff is scoped to the sync's group
+  // set: a scoped kFull must not drag every unrelated group's entries into
+  // the reply (that would undo the packing amortization). Empty sync_gids
+  // = universal (pre-v4 sender).
+  std::vector<TableEntry> diff;
+  dir_.import_and_diff(msg.entries, msg.sync_gids, diff);
   note_group_count();
-
-  if (!msg.reply_requested) return;
-  // Scope the diff to the sync's group set: a scoped kFull must not drag
-  // every unrelated group's entries into the reply (that would undo the
-  // packing amortization). Empty sync_gids = universal (pre-v4 sender).
-  std::vector<TableEntry> diff = dir_.newer_than(msg.entries, msg.sync_gids);
   if (diff.empty()) return;
   std::size_t diff_groups = 0;
   GroupId last_gid;  // diff is gid-major, so distinct gids = run starts

@@ -296,6 +296,16 @@ class NetworkEntity : public proto::Process {
   /// probe ticks, token rounds, stability and reconcile run once per link
   /// and route group-scoped reads/writes through here.
   GroupDirectory dir_;
+  /// The last kFull this NE built, with the dir_.change_count() and scope
+  /// it was built for and its wire_size. Reused while both are unchanged;
+  /// dropped at every probe tick, so no kFull outlives its tick.
+  struct FullReply {
+    net::Payload payload;
+    std::uint64_t changes = 0;
+    std::vector<GroupId> gids;
+    std::uint32_t bytes = 0;
+  };
+  std::optional<FullReply> last_full_;
   /// Meters directory growth (metrics_.groups_created): compared against
   /// dir_.group_count() after every mutation funnel.
   std::size_t known_group_count_ = 0;

@@ -4,7 +4,10 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -142,7 +145,7 @@ TEST(GroupDirectory, DifferingGroupsFindsMismatchAndSenderOnlyGroups) {
   EXPECT_TRUE(std::find(diff2.begin(), diff2.end(), GroupId{7}) != diff2.end());
 }
 
-TEST(GroupDirectory, NewerThanIsGroupScoped) {
+TEST(GroupDirectory, ImportAndDiffIsGroupScoped) {
   GroupDirectory a;
   a.apply(member_op(1, OpKind::kMemberJoin, 1, 10, 100));
   a.apply(member_op(2, OpKind::kMemberJoin, 2, 20, 100));
@@ -152,13 +155,16 @@ TEST(GroupDirectory, NewerThanIsGroupScoped) {
   b.apply(member_op(2, OpKind::kMemberJoin, 2, 20, 100));
 
   // Scoped to group 2: only the entry b lacks comes back.
-  const auto diff = a.newer_than(b.export_all(), {GroupId{2}});
+  const std::vector<GroupId> scope{GroupId{2}};
+  std::vector<TableEntry> diff;
+  EXPECT_FALSE(a.import_and_diff(b.export_all(), scope, diff));
   ASSERT_EQ(diff.size(), 1u);
   EXPECT_EQ(diff[0].gid, GroupId{2});
   EXPECT_EQ(diff[0].record.guid, Guid{21});
 
   // Empty scope = every group a holds.
-  const auto full = a.newer_than(b.export_all(), {});
+  std::vector<TableEntry> full;
+  EXPECT_FALSE(a.import_and_diff(b.export_all(), {}, full));
   EXPECT_EQ(full.size(), 2u);
 }
 
@@ -469,6 +475,217 @@ TEST(GroupDirectory, IncrementalAggregatesMatchAWalkAggregating) {
 TEST(GroupDirectory, IncrementalAggregatesMatchAWalkNonAggregating) {
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     run_random_directory_walk(seed, /*aggregate=*/false);
+  }
+}
+
+// --- fused kFull receipt ----------------------------------------------------
+
+/// Brute-force reference for GroupDirectory::import_and_diff: imports every
+/// entry (one gid at a time, in payload order), then looks each local entry
+/// of the scope up among the incoming ones. A local entry is news to the
+/// sender when no incoming copy exists or it is strictly newer than every
+/// copy.
+bool reference_import_and_diff(GroupDirectory& dir,
+                               const std::vector<TableEntry>& entries,
+                               const std::vector<GroupId>& gids,
+                               std::vector<TableEntry>& newer) {
+  std::map<GroupId, std::vector<TableEntry>> incoming;
+  for (const TableEntry& e : entries) incoming[e.gid].push_back(e);
+  bool changed = false;
+  for (const auto& [gid, run] : incoming) changed |= dir.import_all(run);
+  std::set<GroupId> scope(gids.begin(), gids.end());
+  if (scope.empty()) {
+    for (const auto& [gid, st] : dir.groups()) scope.insert(gid);
+  }
+  for (const GroupId gid : scope) {
+    const MemberTable* tab = dir.table_if(gid);
+    if (tab == nullptr) continue;
+    const auto copies = incoming.find(gid);
+    for (TableEntry local : tab->export_entries()) {
+      bool news = true;
+      if (copies != incoming.end()) {
+        for (const TableEntry& e : copies->second) {
+          if (e.record.guid == local.record.guid &&
+              !record_precedes(e.claim_seq, e.last_seq, local.claim_seq,
+                               local.last_seq)) {
+            news = false;
+          }
+        }
+      }
+      if (news) {
+        local.gid = gid;
+        newer.push_back(local);
+      }
+    }
+  }
+  return changed;
+}
+
+std::map<GroupId, std::vector<TableEntry>> tables_of(const GroupDirectory& d) {
+  std::map<GroupId, std::vector<TableEntry>> out;
+  for (const auto& [gid, st] : d.groups()) out[gid] = st.table.export_entries();
+  return out;
+}
+
+/// Runs the fused pass and the reference on two copies of `receiver` and
+/// requires the same diff (content and order), tables, combined digest,
+/// change count and changed flag.
+void expect_fused_matches_reference(const GroupDirectory& receiver,
+                                    const std::vector<TableEntry>& entries,
+                                    const std::vector<GroupId>& gids,
+                                    const std::string& label) {
+  SCOPED_TRACE(label);
+  GroupDirectory fused = receiver;
+  GroupDirectory ref = receiver;
+  std::vector<TableEntry> got;
+  std::vector<TableEntry> want;
+  const bool got_changed = fused.import_and_diff(entries, gids, got);
+  const bool want_changed =
+      reference_import_and_diff(ref, entries, gids, want);
+  EXPECT_EQ(got_changed, want_changed);
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(tables_of(fused), tables_of(ref));
+  EXPECT_EQ(fused.combined_digest(), ref.combined_digest());
+  EXPECT_EQ(fused.change_count(), ref.change_count());
+  // The tables land where import_all alone would put them.
+  GroupDirectory plain = receiver;
+  EXPECT_EQ(plain.import_all(entries), got_changed);
+  EXPECT_EQ(tables_of(fused), tables_of(plain));
+}
+
+/// A seeded receiver and a perturbed copy of it as the sender, over 24
+/// groups of up to ~500 entries: entries stale, equal, newer or missing on
+/// either side, equal (claim, seq) with different records, sender-only and
+/// receiver-only groups, and a receiver group whose table is empty.
+std::pair<GroupDirectory, GroupDirectory> random_directory_pair(
+    common::RngStream& rng) {
+  constexpr std::uint64_t kGroups = 24;
+  std::vector<TableEntry> mine;
+  std::vector<TableEntry> theirs;
+  const auto entry = [](std::uint64_t gid, std::uint64_t guid,
+                        std::uint64_t claim, std::uint64_t seq,
+                        std::uint64_t ap) {
+    const MemberStatus status =
+        seq % 3 == 0 ? MemberStatus::kFailed : MemberStatus::kOperational;
+    return TableEntry{MemberRecord{Guid{guid}, NodeId{ap}, status}, seq, claim,
+                      GroupId{gid}};
+  };
+  for (std::uint64_t gid = 1; gid <= kGroups; ++gid) {
+    const std::uint64_t shape = rng.next_below(10);
+    const bool sender_only = shape == 0;
+    const bool receiver_only = shape == 1;
+    const std::uint64_t n = rng.chance(0.2) ? 200 + rng.next_below(300)
+                                            : rng.next_below(40);
+    for (std::uint64_t guid = 1; guid <= n; ++guid) {
+      const std::uint64_t claim = 1 + rng.next_below(3);
+      const std::uint64_t seq = claim + rng.next_below(50);
+      const std::uint64_t ap = 100 + rng.next_below(4);
+      TableEntry a = entry(gid, guid * 7, claim, seq, ap);
+      TableEntry b = a;
+      switch (rng.next_below(8)) {
+        case 0:  // receiver newer: a later seq or a later epoch
+          a = rng.chance(0.5) ? entry(gid, guid * 7, claim, seq + 5, ap)
+                              : entry(gid, guid * 7, claim + 1, 1, ap + 1);
+          break;
+        case 1:  // sender newer
+          b = rng.chance(0.5) ? entry(gid, guid * 7, claim, seq + 5, ap)
+                              : entry(gid, guid * 7, claim + 1, 1, ap + 1);
+          break;
+        case 2:  // equal (claim, seq), different record
+          b = entry(gid, guid * 7, claim, seq, ap + 1);
+          break;
+        case 3:
+          b.gid = GroupId{};  // receiver only (dropped below)
+          break;
+        case 4:
+          a.gid = GroupId{};  // sender only
+          break;
+        default:
+          break;
+      }
+      if (!sender_only && a.gid.valid()) mine.push_back(a);
+      if (!receiver_only && b.gid.valid()) theirs.push_back(b);
+    }
+  }
+  std::pair<GroupDirectory, GroupDirectory> out;
+  out.first.import_all(mine);
+  out.second.import_all(theirs);
+  // A queued op instantiates a group without touching its table.
+  out.first.insert(member_op(kGroups + 3, OpKind::kMemberJoin, 1, 1, 100));
+  return out;
+}
+
+TEST(GroupDirectory, ImportAndDiffMatchesBruteForceReference) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    common::RngStream rng{0xF05ED000 + seed};
+    const auto [receiver, sender] = random_directory_pair(rng);
+    ASSERT_GE(receiver.group_count(), 16u);
+    const std::string at = "seed " + std::to_string(seed) + ": ";
+
+    // What the NE sends: the sender scopes its kFull to the groups whose
+    // digests differ from the receiver's, or sends everything.
+    const std::vector<GroupId> scope =
+        sender.differing_groups(receiver.packed_digests());
+    ASSERT_FALSE(scope.empty());
+    const std::vector<TableEntry> scoped = sender.export_groups(scope);
+    expect_fused_matches_reference(receiver, scoped, scope, at + "scoped");
+    expect_fused_matches_reference(receiver, sender.export_all(), {},
+                                   at + "universal");
+    expect_fused_matches_reference(receiver, scoped, {},
+                                   at + "scoped payload, universal diff");
+
+    // Gid-less entries, at the front and inside the payload.
+    std::vector<TableEntry> gidless = scoped;
+    TableEntry stray = scoped.front();
+    stray.gid = GroupId{};
+    gidless.insert(gidless.begin(), stray);
+    gidless.insert(gidless.begin() + static_cast<std::ptrdiff_t>(
+                                         gidless.size() / 2),
+                   stray);
+    expect_fused_matches_reference(receiver, gidless, scope, at + "gid-less");
+
+    // Hand-made runs: shuffled, with repeated guids at other lattice
+    // positions, and one group split into two runs.
+    std::vector<TableEntry> shuffled = sender.export_all();
+    for (std::size_t i = shuffled.size(); i > 1; --i) {
+      std::swap(shuffled[i - 1], shuffled[rng.next_below(i)]);
+    }
+    expect_fused_matches_reference(receiver, shuffled, {}, at + "shuffled");
+    std::vector<TableEntry> repeats = scoped;
+    for (std::size_t i = 0; i < scoped.size(); i += 1 + rng.next_below(5)) {
+      TableEntry copy = scoped[i];
+      switch (rng.next_below(3)) {
+        case 0:  // newer
+          copy.last_seq += 3;
+          break;
+        case 1:  // older
+          copy.last_seq = copy.last_seq > 1 ? copy.last_seq - 1 : 0;
+          break;
+        default:  // same (claim, seq), another record
+          copy.record.access_proxy = NodeId{999};
+          break;
+      }
+      repeats.insert(repeats.begin() + static_cast<std::ptrdiff_t>(
+                                           rng.next_below(repeats.size() + 1)),
+                     copy);
+    }
+    expect_fused_matches_reference(receiver, repeats, scope, at + "repeats");
+    std::vector<TableEntry> split = scoped;
+    std::rotate(split.begin(),
+                split.begin() + static_cast<std::ptrdiff_t>(split.size() / 3),
+                split.end());
+    expect_fused_matches_reference(receiver, split, scope, at + "split runs");
+
+    // Scopes naming groups neither side holds, unsorted and repeated.
+    std::vector<GroupId> odd_scope = scope;
+    odd_scope.push_back(GroupId{77});
+    odd_scope.push_back(scope.front());
+    odd_scope.push_back(GroupId{});
+    std::reverse(odd_scope.begin(), odd_scope.end());
+    expect_fused_matches_reference(receiver, scoped, odd_scope,
+                                   at + "unsorted scope");
+    expect_fused_matches_reference(receiver, {}, scope, at + "empty payload");
+    if (::testing::Test::HasFailure()) return;
   }
 }
 

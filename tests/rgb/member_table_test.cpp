@@ -294,9 +294,11 @@ TEST(MemberTableLattice, ImportAndMergeAndDiffUseLatticeOrder) {
   EXPECT_EQ(a2.find(Guid{1})->access_proxy, NodeId{200});
   EXPECT_FALSE(b.import_entries(a.export_entries()));
   EXPECT_EQ(b.find(Guid{1})->access_proxy, NodeId{200});
-  // newer_than: a's false-fail record is NOT newer than b's entry, so the
-  // diff b would send back for a's entries contains b's record.
-  const auto diff = b.newer_than(a.export_entries());
+  // import_and_diff: a's false-fail record is NOT newer than b's entry, so
+  // the import leaves b unchanged and the diff b would send back for a's
+  // entries contains b's record.
+  std::vector<TableEntry> diff;
+  EXPECT_FALSE(b.import_and_diff(a.export_entries(), diff));
   ASSERT_EQ(diff.size(), 1u);
   EXPECT_EQ(diff[0].claim_seq, 20u);
   // merge follows the same order.

@@ -155,8 +155,9 @@ TEST(SnapshotJoin, CorruptBlobRejectedCleanly) {
   // digest advertises a (fictional) different table so the receiver
   // attempts the decode.
   SnapshotMsg msg;
-  rgb::wire::encode_snapshot(
-      sys.entity(sys.aps()[0])->ring_members().export_entries(), msg.blob);
+  // The codec takes gid-stamped entries (a bare table export has none).
+  rgb::wire::encode_snapshot(sys.entity(sys.aps()[0])->directory().export_all(),
+                             msg.blob);
   msg.digest = before.hash ^ 0x1;  // force a mismatch -> decode attempt
   msg.entry_count = before.count;
   msg.blob[msg.blob.size() / 2] ^= 0x40;

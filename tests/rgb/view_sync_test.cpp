@@ -1,7 +1,8 @@
 // Digest-first anti-entropy (PR3): convergence through a faulty run, the
-// digest-collision path, steady-state traffic that stays flat in the member
-// count, and replay determinism of the bench.scale scenario across
-// worker-thread counts.
+// digest-collision path, a leader's kFull reused across one kSummary
+// fan-out, steady-state traffic that stays flat in the member count, and
+// replay determinism of the bench.scale scenario across worker-thread
+// counts.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -138,6 +139,124 @@ TEST(ViewSyncCollision, CollidingDigestIsBenignAndNextTickHeals) {
   simulator.run();
   EXPECT_GE(viewsync_sends(), sends_before + 3)  // ours + the kFull reply
       << "a digest mismatch must provoke a reconciliation reply";
+}
+
+// --- kFull reuse across one kSummary fan-out ---------------------------------
+
+/// A three-AP ring with probing off: every sync below is hand-delivered,
+/// and no probe tick drops the leader's cached kFull between two kDigests.
+/// Records every kFull the leader sends.
+struct FullReuseRig {
+  common::RngStream rng{0xF0117};
+  sim::Simulator simulator;
+  net::Network network{simulator, rng.fork("net")};
+  RgbSystem sys{network, RgbConfig{}, HierarchyLayout{1, 3}};
+  NodeId leader = sys.aps()[0];
+  NodeId a = sys.aps()[1];
+  NodeId b = sys.aps()[2];
+  struct Full {
+    net::Payload payload;    ///< keeps the message alive for the checks
+    const ViewSyncMsg* msg;  ///< the shared payload's address
+  };
+  std::vector<Full> fulls;
+
+  FullReuseRig() {
+    sys.join(Guid{1}, sys.aps()[0]);
+    simulator.run();
+    network.set_tap([this](const net::Envelope& env, bool) {
+      if (env.kind != kind::kViewSync || env.src != leader) return;
+      const auto& msg = env.payload.get<ViewSyncMsg>();
+      if (msg.phase == ViewSyncMsg::Phase::kFull) {
+        fulls.push_back(Full{env.payload, &msg});
+      }
+    });
+  }
+
+  const GroupDirectory& dir(NodeId ne) { return sys.entity(ne)->directory(); }
+
+  /// Lands `entries` in `ne`'s directory as a kDiff (imported, no reply).
+  void inject(NodeId ne, std::vector<TableEntry> entries) {
+    ViewSyncMsg msg;
+    msg.phase = ViewSyncMsg::Phase::kDiff;
+    msg.entries = std::move(entries);
+    network.send(net::Envelope{a == ne ? b : a, ne, kind::kViewSync,
+                               wire_size(msg), msg});
+    simulator.run();
+  }
+
+  /// `peer`'s packed kDigest to the leader, as a kSummary mismatch draws it.
+  void digest_from(NodeId peer) {
+    ViewSyncMsg msg;
+    msg.phase = ViewSyncMsg::Phase::kDigest;
+    msg.digest = dir(peer).combined_digest().hash;
+    msg.entry_count =
+        static_cast<std::uint32_t>(dir(peer).combined_digest().count);
+    msg.group_digests = dir(peer).packed_digests();
+    network.send(
+        net::Envelope{peer, leader, kind::kViewSync, wire_size(msg), msg});
+  }
+};
+
+TableEntry sync_entry(std::uint64_t gid, std::uint64_t guid,
+                      std::uint64_t seq) {
+  return TableEntry{proto::MemberRecord{Guid{guid}, NodeId{4},
+                                        proto::MemberStatus::kOperational},
+                    seq, seq, GroupId{gid}};
+}
+
+TEST(ViewSyncFullReuse, PeersWithOneScopeShareOnePayloadAndConverge) {
+  FullReuseRig rig;
+  rig.inject(rig.leader, {sync_entry(1, 50, 900), sync_entry(2, 60, 901)});
+  rig.digest_from(rig.a);
+  rig.digest_from(rig.b);
+  rig.simulator.run();
+
+  ASSERT_EQ(rig.fulls.size(), 2u);
+  EXPECT_EQ(rig.fulls[0].msg, rig.fulls[1].msg)
+      << "same directory, same scope: the second kFull reuses the first";
+  EXPECT_EQ(rig.dir(rig.a).combined_digest(),
+            rig.dir(rig.leader).combined_digest());
+  EXPECT_EQ(rig.dir(rig.b).combined_digest(),
+            rig.dir(rig.leader).combined_digest());
+}
+
+TEST(ViewSyncFullReuse, AnotherScopeGetsItsOwnFull) {
+  FullReuseRig rig;
+  // b lacks one leader entry (scope {1}); a lacks it too and alone holds
+  // an entry of group 2 (scope {1, 2}), which only a {1, 2}-scoped kFull
+  // draws back to the leader in a's kDiff.
+  rig.inject(rig.leader, {sync_entry(1, 50, 900)});
+  rig.inject(rig.a, {sync_entry(2, 60, 901)});
+  rig.digest_from(rig.b);
+  rig.simulator.run();
+  rig.digest_from(rig.a);
+  rig.simulator.run();
+
+  ASSERT_EQ(rig.fulls.size(), 2u);
+  EXPECT_NE(rig.fulls[0].msg, rig.fulls[1].msg);
+  EXPECT_EQ(rig.fulls[1].msg->sync_gids,
+            (std::vector<GroupId>{GroupId{1}, GroupId{2}}));
+  EXPECT_TRUE(rig.dir(rig.b).lookup(GroupId{1}, Guid{50}).has_value());
+  EXPECT_EQ(rig.dir(rig.a).combined_digest(),
+            rig.dir(rig.leader).combined_digest());
+}
+
+TEST(ViewSyncFullReuse, DirectoryChangeBetweenDigestsGetsAFreshFull) {
+  FullReuseRig rig;
+  rig.inject(rig.leader, {sync_entry(1, 50, 900)});
+  rig.digest_from(rig.b);
+  rig.simulator.run();
+  // An op lands at the leader before a's kDigest (same scope as b's).
+  rig.inject(rig.leader, {sync_entry(1, 70, 902)});
+  rig.digest_from(rig.a);
+  rig.simulator.run();
+
+  ASSERT_EQ(rig.fulls.size(), 2u);
+  EXPECT_NE(rig.fulls[0].msg, rig.fulls[1].msg);
+  EXPECT_TRUE(rig.dir(rig.a).lookup(GroupId{1}, Guid{70}).has_value())
+      << "the second peer must receive the entry that landed in between";
+  EXPECT_EQ(rig.dir(rig.a).combined_digest(),
+            rig.dir(rig.leader).combined_digest());
 }
 
 // --- steady-state traffic ----------------------------------------------------
