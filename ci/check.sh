@@ -137,6 +137,16 @@ fi
     --quiet
 rm -f "$mg0" "$mg8"
 
+# All-modes gate: every protocol mode the fuzz driver can switch on at once
+# (groups, sustained churn, the stability layer, snapshot bulk-join and
+# partition faults), so the modes' interactions are held to zero violations
+# serially and on the sharded runner, not one profile at a time.
+echo "== all-modes fuzz gate (serial + sharded) =="
+all_modes=(--groups 4 --churn 1 --stability 1 --snapshot-join 1 --partitions 1)
+"$BUILD_DIR/rgb_fuzz" "${all_modes[@]}" --seeds 20 --start 1 --quiet
+"$BUILD_DIR/rgb_fuzz" "${all_modes[@]}" --seeds 8 --start 1 \
+    --shard-workers 8 --quiet
+
 echo "== sharded bench determinism gate =="
 "$BUILD_DIR/rgb_exp" bench --smoke --deterministic --shards 1 --json "$sw1" \
     2> /dev/null

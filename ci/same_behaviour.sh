@@ -8,13 +8,18 @@
 #   BASE_BUILD, CHANGE_BUILD: build directories holding rgb_fuzz and rgb_exp.
 #   SEEDS=N (environment, default 40): fuzz seeds per profile, from seed 1.
 #
-# The matrix:
+# The matrix (26 artifacts):
 #   - rgb_fuzz --flight-full over seeds 1..SEEDS at --shard-workers 0 and 8,
-#     in six profiles: base, --partitions 1, --churn 1 --stability 1,
-#     --groups 4, --groups 4 --churn 1, --snapshot-join 1 (report, flight
-#     ring dump and exit code must match);
+#     in seven profiles: base, --partitions 1, --churn 1 --stability 1,
+#     --groups 4, --groups 4 --churn 1, --snapshot-join 1, and all modes at
+#     once (--groups 4 --churn 1 --stability 1 --snapshot-join 1
+#     --partitions 1) (report, flight ring dump and exit code must match);
 #   - rgb_exp trace --members 500 at --shards 1 and 8 (Chrome trace export);
 #   - rgb_exp bench --smoke --deterministic --detect --oscillation --json;
+#   - rgb_exp run --json --no-table for query.schemes, flashcrowd.agg,
+#     churn.converge, mobility.handoff and table2.proto: the only artifacts
+#     that run aggregate_mq = false, retain_tier 1 and 2 and
+#     disseminate_down = false;
 #   - bench_suite on every BENCHMARK.json workload at seed 11, --seconds 2,
 #     with its timing fields stripped (setup_s, window_s, rss_b_per_member,
 #     slices, slowdown, wall): every exact metric, count and outcome must
@@ -89,6 +94,7 @@ profiles=(
   "--groups 4"
   "--groups 4 --churn 1"
   "--snapshot-join 1"
+  "--groups 4 --churn 1 --stability 1 --snapshot-join 1 --partitions 1"
 )
 for workers in 0 8; do
   for profile in "${profiles[@]}"; do
@@ -106,6 +112,12 @@ done
 
 compare "rgb_exp bench --smoke --deterministic --detect --oscillation" \
     rgb_exp bench --smoke --deterministic --detect --oscillation --json @OUT@
+
+for scenario in query.schemes flashcrowd.agg churn.converge mobility.handoff \
+    table2.proto; do
+  compare "rgb_exp run $scenario" rgb_exp run "$scenario" --json @OUT@ \
+      --no-table
+done
 
 # suite_of BUILD — prints the path of BUILD's bench_suite, building it from
 # BUILD's source tree when it is not there yet.

@@ -63,14 +63,7 @@ void OpTracer::on_op_applied(const core::MembershipOp& op, common::NodeId at,
     if (stripes_.size() > 1 && op.uid % stripes_.size() != stripe_idx) {
       return;
     }
-    if (st.joins_seen_at_root.insert(op.uid).second) {
-      st.joins_seen_order.push_back(op.uid);
-      if (st.joins_seen_order.size() > kJoinDedupCap) {
-        st.joins_seen_at_root.erase(st.joins_seen_order.front());
-        st.joins_seen_order.pop_front();
-      }
-      st.join_latency.add(latency);
-    }
+    if (st.joins_seen_at_root.insert(op.uid)) st.join_latency.add(latency);
   }
 }
 

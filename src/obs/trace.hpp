@@ -25,10 +25,9 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
-#include <unordered_set>
 #include <vector>
 
+#include "common/bounded_id_set.hpp"
 #include "common/ids.hpp"
 #include "common/stats.hpp"
 #include "obs/flight.hpp"
@@ -108,8 +107,7 @@ class OpTracer {
     common::Histogram join_latency;
     common::Histogram member_detection;
     common::Histogram ne_detection;
-    std::unordered_set<std::uint64_t> joins_seen_at_root;
-    std::deque<std::uint64_t> joins_seen_order;
+    common::BoundedIdSet joins_seen_at_root{kJoinDedupCap};
   };
 
   [[nodiscard]] Stripe& stripe();

@@ -13,6 +13,7 @@
 #include "net/message.hpp"
 #include "rgb/member_table.hpp"
 #include "rgb/types.hpp"
+#include "sim/simulator.hpp"
 
 namespace rgb::core {
 
@@ -59,6 +60,17 @@ inline constexpr net::MessageKind kQueryReply = 41;
   return k == kToken || k == kNotifyParent || k == kNotifyChild;
 }
 }  // namespace kind
+
+/// An acked send (token hop, notification, reconcile request): the message
+/// as first built, resent unchanged until the ack or the retx budget ends it.
+struct PendingSend {
+  NodeId dest;
+  net::MessageKind kind = 0;
+  net::Payload payload;
+  std::uint32_t bytes = 0;
+  int retx = 0;
+  sim::EventId timer{};
+};
 
 // --- ring plane -------------------------------------------------------------
 
@@ -136,11 +148,6 @@ struct AlertAckMsg {
 /// Tells a parent NE that the leader of its child ring changed.
 struct ChildRebindMsg {
   NodeId new_child_leader;
-};
-
-struct ProbeMsg {
-  std::uint64_t probe_id;
-  NodeId origin;
 };
 
 struct ProbeAckMsg {

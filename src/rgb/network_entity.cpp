@@ -5,43 +5,16 @@
 #include <utility>
 
 #include "common/log.hpp"
-#include "wire/snapshot.hpp"
 
 namespace rgb::core {
 
-namespace {
-/// Debounce between a reconcile trigger (merge/reform completion, shape
-/// adoption, recovery) and the claim exchange, letting the trigger's entry
-/// imports land first so claims are checked against the merged table.
-constexpr sim::Duration kReconcileDelay = sim::msec(100);
-
-/// Debounce for the snapshot flush: a dirty NE pushes its snapshot after
-/// this long with no further table change. Arrivals during a surge keep
-/// pushing the timer back, so a 20k-member join phase ships one snapshot
-/// per edge instead of 20k notifications. The window must exceed the
-/// inter-round gaps of a sustained surge (rounds aggregate a few ms of
-/// arrivals each), otherwise mid-surge gaps leak partial snapshots; it is
-/// also the per-tier latency a change pays to reach the bottom in this
-/// mode, so it trades bulk efficiency against freshness.
-constexpr sim::Duration kSnapshotFlushQuiet = sim::msec(50);
-
-/// Alerts from this many distinct observers fire a stability cut early,
-/// before the aggregation window closes. Clamped to the feasible observer
-/// count at use, so degenerate rings (2 survivors) still converge.
-constexpr int kStabilityK = 2;
-
-/// Deterministic leadership rule after failures: the lowest NodeId among
-/// alive roster members. Every node evaluates the same rule on the same
-/// (eventually consistent) roster, so leadership converges without an
-/// election protocol.
-NodeId elect_leader(const std::vector<NodeId>& roster) {
+NodeId elect_leader(const std::vector<NodeId>& roster, NodeId excluded) {
   NodeId best;
   for (const NodeId n : roster) {
-    if (!best.valid() || n < best) best = n;
+    if (n != excluded && (!best.valid() || n < best)) best = n;
   }
   return best;
 }
-}  // namespace
 
 NetworkEntity::NetworkEntity(NodeId id, NeRole role, int tier,
                              net::Network& network, const RgbConfig& config,
@@ -62,6 +35,12 @@ void NetworkEntity::note_group_count() {
   }
 }
 
+bool NetworkEntity::import(const std::vector<TableEntry>& entries) {
+  const bool changed = dir_.import_all(entries);
+  note_group_count();
+  return changed;
+}
+
 // --------------------------------------------------------------------------
 // Wiring
 // --------------------------------------------------------------------------
@@ -70,21 +49,11 @@ void NetworkEntity::remember_peer(NodeId n) {
   if (known_peers_set_.insert(n).second) known_peers_.push_back(n);
 }
 
-void NetworkEntity::rebuild_roster_index() {
-  roster_set_.clear();
-  roster_set_.insert(roster_.begin(), roster_.end());
-}
-
 void NetworkEntity::configure_ring(std::vector<NodeId> roster,
                                    NodeId leader) {
   assert(std::find(roster.begin(), roster.end(), id()) != roster.end());
   assert(std::find(roster.begin(), roster.end(), leader) != roster.end());
-  roster_ = std::move(roster);
-  rebuild_roster_index();
-  for (const NodeId n : roster_) remember_peer(n);
-  leader_ = leader;
-  suspected_faulty_.clear();
-  recompute_pointers();
+  install_shape(std::move(roster), leader, /*remember=*/true);
   ring_ok_ = true;
   token_free_ = is_leader();
 }
@@ -151,97 +120,47 @@ std::uint64_t NetworkEntity::next_notify_id() {
 // Local membership events (the AP edge)
 // --------------------------------------------------------------------------
 
-void NetworkEntity::local_member_join(GroupId gid, Guid mh) {
+MembershipOp NetworkEntity::member_op(OpKind kind, GroupId gid, Guid mh,
+                                      NodeId ap, std::uint64_t claim_seq) {
   MembershipOp op;
-  op.kind = OpKind::kMemberJoin;
-  op.seq = next_op_seq();
-  op.uid = next_op_uid();
-  op.claim_seq = op.seq;  // a physical join starts a new attachment epoch
-  op.gid = gid;
-  op.member = MemberRecord{mh, id(), MemberStatus::kOperational};
-  set_claim(mh, gid, op.claim_seq);
-  enqueue_local_op(std::move(op));
-}
-
-std::uint64_t NetworkEntity::set_claim(Guid mh, GroupId gid,
-                                       std::uint64_t claim_seq) {
-  std::uint64_t previous = 0;
-  if (claim_seq != 0) {
-    previous = std::exchange(local_attached_[mh][gid], claim_seq);
-  } else {
-    const auto it = local_attached_.find(mh);
-    if (it == local_attached_.end()) return 0;
-    const auto git = it->second.find(gid);
-    if (git == it->second.end()) return 0;
-    previous = git->second;
-    it->second.erase(git);
-    if (it->second.empty()) local_attached_.erase(it);
-  }
-  reaffirm_due_ = true;
-  return previous;
-}
-
-std::uint64_t NetworkEntity::take_local_claim(GroupId gid, Guid mh) {
-  // The epoch a departure op ends: our own attachment claim when we hold
-  // one (erased — the member is no longer ours in this group), else
-  // whatever epoch the group's table reflects (a departure injected for a
-  // member we never claimed).
-  const std::uint64_t claim = set_claim(mh, gid, 0);
-  return claim != 0 ? claim : dir_.claim_of(gid, mh);
-}
-
-void NetworkEntity::local_member_leave(GroupId gid, Guid mh) {
-  MembershipOp op;
-  op.kind = OpKind::kMemberLeave;
-  op.seq = next_op_seq();
-  op.uid = next_op_uid();
-  op.claim_seq = take_local_claim(gid, mh);
-  op.gid = gid;
-  op.member = MemberRecord{mh, id(), MemberStatus::kDisconnected};
-  enqueue_local_op(std::move(op));
-}
-
-void NetworkEntity::local_member_handoff_in(GroupId gid, Guid mh,
-                                            NodeId old_ap) {
-  MembershipOp op;
-  op.kind = OpKind::kMemberHandoff;
-  op.seq = next_op_seq();
-  op.uid = next_op_uid();
-  op.claim_seq = op.seq;  // a handoff-in starts a new attachment epoch
-  op.gid = gid;
-  op.member = MemberRecord{mh, id(), MemberStatus::kOperational};
-  op.old_ap = old_ap;
-  set_claim(mh, gid, op.claim_seq);
-  enqueue_local_op(std::move(op));
-}
-
-void NetworkEntity::local_member_fail(GroupId gid, Guid mh) {
-  MembershipOp op;
-  op.kind = OpKind::kMemberFail;
-  op.seq = next_op_seq();
-  op.uid = next_op_uid();
-  op.claim_seq = take_local_claim(gid, mh);
-  op.gid = gid;
-  op.member = MemberRecord{mh, id(), MemberStatus::kFailed};
-  enqueue_local_op(std::move(op));
-}
-
-void NetworkEntity::reannounce_member(GroupId gid, Guid mh,
-                                      std::uint64_t claim_seq) {
-  // Re-anchors an existing attachment epoch with a fresh op sequence: the
-  // fresh seq out-ranks the false record *within* the epoch, while the
-  // preserved claim_seq keeps the assertion strictly below any newer
-  // physical attachment (a handoff the accusation raced with) in
-  // record_precedes order. Deliberately does NOT touch local_attached_ —
-  // a repair is not a new physical attachment.
-  MembershipOp op;
-  op.kind = OpKind::kMemberJoin;
+  op.kind = kind;
   op.seq = next_op_seq();
   op.uid = next_op_uid();
   op.claim_seq = claim_seq;
   op.gid = gid;
-  op.member = MemberRecord{mh, id(), MemberStatus::kOperational};
+  const MemberStatus status = kind == OpKind::kMemberLeave
+                                  ? MemberStatus::kDisconnected
+                              : kind == OpKind::kMemberFail
+                                  ? MemberStatus::kFailed
+                                  : MemberStatus::kOperational;
+  op.member = MemberRecord{mh, ap, status};
+  return op;
+}
+
+void NetworkEntity::local_member_join(GroupId gid, Guid mh) {
+  MembershipOp op = member_op(OpKind::kMemberJoin, gid, mh, id(), 0);
+  op.claim_seq = op.seq;  // a physical join starts a new attachment epoch
+  attachments_.set_claim(mh, gid, op.claim_seq);
   enqueue_local_op(std::move(op));
+}
+
+void NetworkEntity::local_member_leave(GroupId gid, Guid mh) {
+  enqueue_local_op(member_op(OpKind::kMemberLeave, gid, mh, id(),
+                             attachments_.take_claim(gid, mh)));
+}
+
+void NetworkEntity::local_member_handoff_in(GroupId gid, Guid mh,
+                                            NodeId old_ap) {
+  MembershipOp op = member_op(OpKind::kMemberHandoff, gid, mh, id(), 0);
+  op.claim_seq = op.seq;  // a handoff-in starts a new attachment epoch
+  op.old_ap = old_ap;
+  attachments_.set_claim(mh, gid, op.claim_seq);
+  enqueue_local_op(std::move(op));
+}
+
+void NetworkEntity::local_member_fail(GroupId gid, Guid mh) {
+  enqueue_local_op(member_op(OpKind::kMemberFail, gid, mh, id(),
+                             attachments_.take_claim(gid, mh)));
 }
 
 void NetworkEntity::enqueue_local_op(MembershipOp op) {
@@ -269,33 +188,50 @@ void NetworkEntity::enqueue_local_ops(std::vector<MembershipOp> ops) {
   }
   const obs::SpanRecorder::Scope scope{obs_.spans, birth};
   dir_.insert_batch(std::move(ops));
-  note_group_count();
-  metrics_.ops_aggregated.increment(dir_.ops_collapsed() - collapsed_before);
-  for (const Contributor& orphan : dir_.take_orphaned_acks()) {
-    HolderAckMsg ack{{orphan.notify_id}};
-    const auto bytes = wire_size(ack);
-    send(orphan.ne, kind::kHolderAck, std::move(ack), bytes);
-    metrics_.holder_acks.increment();
-  }
   // One activity kick for the whole batch: at a leader with a free token
   // the per-op path would race the first op out in its own round while the
   // rest of the batch was still being inserted.
-  on_mq_activity();
+  after_insert(collapsed_before);
 }
 
 void NetworkEntity::enqueue_op(MembershipOp op, Contributor contributor) {
   const std::uint64_t collapsed_before = dir_.ops_collapsed();
   dir_.insert(std::move(op), contributor);
+  after_insert(collapsed_before);
+}
+
+void NetworkEntity::after_insert(std::uint64_t collapsed_before) {
   note_group_count();
   metrics_.ops_aggregated.increment(dir_.ops_collapsed() - collapsed_before);
   // Ops cancelled by aggregation still owe their contributors an ack.
   for (const Contributor& orphan : dir_.take_orphaned_acks()) {
-    HolderAckMsg ack{{orphan.notify_id}};
-    const auto bytes = wire_size(ack);
-    send(orphan.ne, kind::kHolderAck, std::move(ack), bytes);
-    metrics_.holder_acks.increment();
+    send_holder_ack(orphan.ne, {orphan.notify_id});
   }
   on_mq_activity();
+}
+
+void NetworkEntity::send_holder_ack(NodeId to,
+                                    std::vector<std::uint64_t> notify_ids) {
+  HolderAckMsg ack{std::move(notify_ids)};
+  const auto bytes = wire_size(ack);
+  send(to, kind::kHolderAck, std::move(ack), bytes);
+  metrics_.holder_acks.increment();
+}
+
+void NetworkEntity::enqueue_ne_op(OpKind kind, NodeId ne,
+                                  Contributor contributor) {
+  MembershipOp op;
+  op.kind = kind;
+  op.seq = next_op_seq();
+  op.uid = next_op_uid();
+  op.ne = ne;
+  if (kind == OpKind::kNeJoin) op.ne_after = id();
+  op.born = now();
+  // NE ops born inside a handler open their own trace (the join or leave
+  // is new protocol work); the triggered sends execute under it.
+  const obs::SpanRecorder::Scope scope{
+      obs_.spans, obs_.tracer.on_op_born(op, id(), now())};
+  enqueue_op(std::move(op), contributor);
 }
 
 // --------------------------------------------------------------------------
@@ -307,9 +243,7 @@ void NetworkEntity::on_mq_activity() {
   if (!leader_.valid()) return;  // not in a ring yet
   if (is_leader()) {
     if (token_free_) {
-      token_free_ = false;
-      active_round_id_ = next_round_id();
-      start_round(active_round_id_);
+      start_round(take_token());
     } else if (std::find(pending_grants_.begin(), pending_grants_.end(),
                          id()) == pending_grants_.end()) {
       // The token is out with a peer: queue *ourselves* for a grant like
@@ -357,7 +291,7 @@ void NetworkEntity::send_token_request() {
       // grants us the token.
       token_requested_ = false;
       if (leader_.valid() && leader_ != id()) {
-        report_suspect(leader_);
+        stability_.report_suspect(leader_);
       }
       on_mq_activity();
     }
@@ -382,15 +316,11 @@ void NetworkEntity::handle_token_request(const TokenRequestMsg& msg,
                            << " holding=" << holding_round_
                            << " active=" << active_round_id_;
   if (token_free_) {
-    token_free_ = false;
-    active_round_id_ = next_round_id();
-    send(msg.requester, kind::kTokenGrant, TokenGrantMsg{active_round_id_});
+    send(msg.requester, kind::kTokenGrant, TokenGrantMsg{take_token()});
     arm_round_watchdog(active_round_id_);
-  } else {
-    if (std::find(pending_grants_.begin(), pending_grants_.end(),
-                  msg.requester) == pending_grants_.end()) {
-      pending_grants_.push_back(msg.requester);
-    }
+  } else if (std::find(pending_grants_.begin(), pending_grants_.end(),
+                       msg.requester) == pending_grants_.end()) {
+    pending_grants_.push_back(msg.requester);
   }
 }
 
@@ -405,8 +335,7 @@ void NetworkEntity::handle_token_grant(const TokenGrantMsg& msg) {
   start_round(msg.round_id);
 }
 
-void NetworkEntity::handle_token_release(const TokenReleaseMsg& msg,
-                                         NodeId /*from*/) {
+void NetworkEntity::handle_token_release(const TokenReleaseMsg& msg) {
   if (!is_leader()) return;
   if (token_free_ || msg.round_id != active_round_id_) return;
   cancel_timer(round_watchdog_);
@@ -428,19 +357,14 @@ void NetworkEntity::start_round(std::uint64_t round_id) {
   holding_round_ = true;
   my_round_id_ = round_id;
   round_contributors_ = std::move(batch.contributors);
-
-  Token token;
-  token.gid = config_.gid;
-  token.holder = id();
-  token.round_id = round_id;
-  token.ops = std::move(batch.ops);
+  Token token{config_.gid, id(), round_id, std::move(batch.ops)};
 
   metrics_.rounds_started.increment();
   obs_.flight.record(now(), id(), obs::FlightKind::kRoundStarted,
                      token.round_id, token.ops.size());
-  remember_round(token.round_id);
+  recent_rounds_.insert(token.round_id);
   apply_ops_and_notify(token);
-  remember_disseminated(token.ops);
+  for (const MembershipOp& op : token.ops) disseminated_.insert(op.uid);
 
   if (next_ == id()) {
     complete_round(token);
@@ -478,32 +402,19 @@ void NetworkEntity::abandon_round(std::uint64_t round_id) {
   round_contributors_.clear();
   std::vector<MembershipOp> replay = std::move(pending_round_ops_);
   pending_round_ops_.clear();
-  if (is_leader()) {
-    token_free_ = true;
-  }
-  for (MembershipOp& op : replay) {
-    enqueue_op(std::move(op), Contributor{});
-  }
-  if (is_leader()) {
-    grant_next();
-  }
+  if (is_leader()) token_free_ = true;
+  for (MembershipOp& op : replay) enqueue_op(std::move(op), Contributor{});
+  if (is_leader()) grant_next();
   on_mq_activity();
 }
 
 void NetworkEntity::start_probe_round() {
   if (!is_leader() || !token_free_ || roster_.size() < 2) return;
-  token_free_ = false;
-  active_round_id_ = next_round_id();
+  my_round_id_ = take_token();
   holding_round_ = true;
-  my_round_id_ = active_round_id_;
   round_contributors_.clear();
-
-  Token token;
-  token.gid = config_.gid;
-  token.holder = id();
-  token.round_id = my_round_id_;
-
-  remember_round(token.round_id);
+  Token token{config_.gid, id(), my_round_id_, {}};
+  recent_rounds_.insert(token.round_id);
   ring_ok_ = true;
   pending_round_ops_.clear();
   arm_holder_watchdog(my_round_id_);
@@ -536,22 +447,18 @@ void NetworkEntity::handle_token(TokenMsg msg, NodeId from) {
     return;
   }
 
-  if (recent_rounds_.count(token.round_id) != 0) {
+  if (!recent_rounds_.insert(token.round_id)) {
     // Duplicate delivery (our TokenPassAck was lost and the hop was
     // retransmitted). We already applied and forwarded this round.
     return;
   }
-  remember_round(token.round_id);
 
   apply_ops_and_notify(token);
-  remember_disseminated(token.ops);
+  for (const MembershipOp& op : token.ops) disseminated_.insert(op.uid);
 
   if (next_ == id()) {
     // Degenerate repaired ring: we are alone; the round cannot get back to
-    // its holder. Adopt and complete it here.
-    token.holder = id();
-    holding_round_ = true;
-    my_round_id_ = token.round_id;
+    // its holder. Complete it here.
     complete_round(token);
     return;
   }
@@ -565,21 +472,8 @@ void NetworkEntity::apply_ops_and_notify(const Token& token) {
         metrics_.ops_disseminated.increment();
         obs_.tracer.on_op_applied(op, id(), tier_, now());
       }
-      // A handoff away from this AP is authoritative departure evidence:
-      // without it, a racing (false) failure record could hide the
-      // member's new attachment and trick reaffirmation into re-claiming
-      // a member that physically moved. Keyed per (member, group) — the
-      // member moved in THAT group only — and guarded by the claim epoch:
-      // a stale handoff-away replayed after the member re-attached here
-      // must not drop the newer claim.
       if (op.kind == OpKind::kMemberHandoff && op.old_ap == id()) {
-        const auto it = local_attached_.find(op.member.guid);
-        if (it != local_attached_.end()) {
-          const auto git = it->second.find(op.gid);
-          if (git != it->second.end() && git->second < op.claim_seq) {
-            set_claim(op.member.guid, op.gid, 0);
-          }
-        }
+        attachments_.on_handoff_away(op);
       }
     } else {
       apply_ne_op(op);
@@ -606,7 +500,7 @@ void NetworkEntity::apply_ops_and_notify(const Token& token) {
       // whole surge condenses into one state transfer per edge.
       for (const MembershipOp& op : token.ops) {
         if (op.is_member_op() && op.from_child_of != id()) {
-          schedule_snapshot_flush(/*to_ring=*/false, /*to_child=*/true);
+          snapshots_.schedule_flush(/*to_ring=*/false, /*to_child=*/true);
           break;
         }
       }
@@ -633,12 +527,7 @@ void NetworkEntity::complete_round(const Token& token) {
   for (const Contributor& c : round_contributors_) {
     acks[c.ne].push_back(c.notify_id);
   }
-  for (auto& [ne, ids] : acks) {
-    HolderAckMsg ack{std::move(ids)};
-    const auto bytes = wire_size(ack);
-    send(ne, kind::kHolderAck, std::move(ack), bytes);
-    metrics_.holder_acks.increment();
-  }
+  for (auto& [ne, ids] : acks) send_holder_ack(ne, std::move(ids));
   round_contributors_.clear();
 
   if (token.ops.empty()) {
@@ -665,23 +554,21 @@ void NetworkEntity::grant_next() {
     const NodeId grantee = pending_grants_.front();
     pending_grants_.pop_front();
     if (grantee == id()) {
-      if (!dir_.queue_empty()) {
-        token_free_ = false;
-        active_round_id_ = next_round_id();
-        start_round(active_round_id_);
-      }
+      if (!dir_.queue_empty()) start_round(take_token());
       continue;
     }
-    token_free_ = false;
-    active_round_id_ = next_round_id();
-    send(grantee, kind::kTokenGrant, TokenGrantMsg{active_round_id_});
+    send(grantee, kind::kTokenGrant, TokenGrantMsg{take_token()});
     arm_round_watchdog(active_round_id_);
   }
   if (token_free_ && !dir_.queue_empty() && !holding_round_) {
-    token_free_ = false;
-    active_round_id_ = next_round_id();
-    start_round(active_round_id_);
+    start_round(take_token());
   }
+}
+
+std::uint64_t NetworkEntity::take_token() {
+  token_free_ = false;
+  active_round_id_ = next_round_id();
+  return active_round_id_;
 }
 
 void NetworkEntity::arm_round_watchdog(std::uint64_t round_id) {
@@ -698,23 +585,29 @@ void NetworkEntity::arm_round_watchdog(std::uint64_t round_id) {
 }
 
 // --------------------------------------------------------------------------
-// Reliable token pass
+// Acked sends: the reliable token pass and its kin
 // --------------------------------------------------------------------------
 
+void NetworkEntity::transmit(PendingSend& pending, sim::Duration timeout,
+                             std::function<void()> on_timeout) {
+  send(pending.dest, pending.kind, pending.payload, pending.bytes);
+  pending.timer = set_timer(timeout, std::move(on_timeout));
+}
+
 void NetworkEntity::send_token_to(NodeId target, Token token) {
+  const std::uint64_t round_id = token.round_id;
   const net::MessageKind kind =
       token.ops.empty() ? kind::kProbe : kind::kToken;
-  const std::uint64_t round_id = token.round_id;
-  TokenMsg msg{token};
+  TokenMsg msg{std::move(token)};
   const auto bytes = wire_size(msg);
-  send(target, kind, std::move(msg), bytes);
-  InflightHop hop;
-  hop.token = std::move(token);
-  hop.target = target;
-  hop.timer = set_timer(config_.retx_timeout, [this, round_id]() {
-    on_token_retx_timeout(round_id);
-  });
-  inflight_hops_[round_id] = std::move(hop);
+  PendingSend& hop = inflight_hops_[round_id] =
+      PendingSend{target, kind, std::move(msg), bytes};
+  send_hop(round_id, hop);
+}
+
+void NetworkEntity::send_hop(std::uint64_t round_id, PendingSend& hop) {
+  transmit(hop, config_.retx_timeout,
+           [this, round_id]() { on_token_retx_timeout(round_id); });
 }
 
 void NetworkEntity::handle_token_pass_ack(const TokenPassAckMsg& msg) {
@@ -727,85 +620,59 @@ void NetworkEntity::handle_token_pass_ack(const TokenPassAckMsg& msg) {
 void NetworkEntity::on_token_retx_timeout(std::uint64_t round_id) {
   const auto it = inflight_hops_.find(round_id);
   if (it == inflight_hops_.end()) return;
-  InflightHop& hop = it->second;
+  PendingSend& hop = it->second;
   if (++hop.retx <= config_.max_retx) {
     metrics_.token_retransmits.increment();
     obs_.flight.record(now(), id(), obs::FlightKind::kTokenRetx, round_id,
                        static_cast<std::uint64_t>(hop.retx));
-    const net::MessageKind kind =
-        hop.token.ops.empty() ? kind::kProbe : kind::kToken;
-    TokenMsg msg{hop.token};
-    const auto bytes = wire_size(msg);
-    send(hop.target, kind, std::move(msg), bytes);
-    hop.timer = set_timer(config_.retx_timeout, [this, round_id]() {
-      on_token_retx_timeout(round_id);
-    });
+    send_hop(round_id, hop);
     return;
   }
-  if (config_.stability && in_roster(hop.target) && hop.target != id()) {
+  const NodeId target = hop.dest;
+  if (config_.stability && in_roster(target) && target != id()) {
     // Stability: file an alert and keep the hop alive at retx cadence.
     // Whatever resolves the suspect — a batched cut, a RepairMsg from a
     // peer, or this observer's own stability-timeout fallback — removes it
     // from the roster, and the next timeout falls through to the repair
     // and reroute below. Liveness stays bounded by stability_timeout.
-    const NodeId suspect = hop.target;
-    report_suspect(suspect);
+    stability_.report_suspect(target);
     // At an aggregating leader the alert can complete a cut on the spot;
     // the cut then rerouted this hop and erased the entry `hop` refers to.
     const auto live = inflight_hops_.find(round_id);
-    if (live == inflight_hops_.end() || live->second.target != suspect) {
-      return;
-    }
-    InflightHop& pending = live->second;
+    if (live == inflight_hops_.end() || live->second.dest != target) return;
     metrics_.token_retransmits.increment();
-    const net::MessageKind kind =
-        pending.token.ops.empty() ? kind::kProbe : kind::kToken;
-    TokenMsg msg{pending.token};
-    const auto bytes = wire_size(msg);
-    send(pending.target, kind, std::move(msg), bytes);
-    pending.timer = set_timer(config_.retx_timeout, [this, round_id]() {
-      on_token_retx_timeout(round_id);
-    });
+    send_hop(round_id, live->second);
     return;
   }
-  declare_faulty_and_repair(hop.target);
+  declare_cut({target});
   // The repair normally reroutes this hop. When it could not — the target
-  // was already spliced out by an earlier repair or reform, so
-  // declare_faulty_and_repair returned without touching the ring — the hop
-  // must still not leak: an orphaned hop blocks its round forever, which
-  // at a leader freezes the token (every later request queues unanswered
-  // until the requesters falsely declare *us* faulty).
+  // was already spliced out by an earlier repair or reform, so declare_cut
+  // returned without touching the ring — the hop must still not leak: an
+  // orphaned hop blocks its round forever, which at a leader freezes the
+  // token (every later request queues unanswered until the requesters
+  // falsely declare *us* faulty).
   const auto orphan = inflight_hops_.find(round_id);
   if (orphan == inflight_hops_.end()) return;
-  Token token = std::move(orphan->second.token);
+  Token token = orphan->second.payload.get<TokenMsg>().token;
   cancel_timer(orphan->second.timer);
   inflight_hops_.erase(orphan);
   if (token.holder == id()) {
-    holding_round_ = true;
-    my_round_id_ = token.round_id;
     complete_round(token);
-  } else if (next_ != id()) {
-    send_token_to(next_, std::move(token));
   } else {
-    send_token_to(token.holder, std::move(token));
+    const NodeId to = next_ != id() ? next_ : token.holder;
+    send_token_to(to, std::move(token));
   }
 }
 
 // --------------------------------------------------------------------------
-// Repair & rosters
+// Repair, reforms & rosters
 // --------------------------------------------------------------------------
-
-void NetworkEntity::declare_faulty_and_repair(NodeId faulty) {
-  declare_cut({faulty});
-}
 
 void NetworkEntity::declare_cut(const std::vector<NodeId>& suspects) {
   std::vector<NodeId> cut;
   for (const NodeId f : suspects) {
-    if (f == id() || !f.valid()) continue;
-    if (!in_roster(f)) {
-      continue;  // already repaired (e.g. several hops detected it at once)
-    }
+    // Not in the roster: already repaired (several hops detected it).
+    if (f == id() || !f.valid() || !in_roster(f)) continue;
     if (std::find(cut.begin(), cut.end(), f) == cut.end()) cut.push_back(f);
   }
   if (cut.empty()) return;
@@ -827,23 +694,14 @@ void NetworkEntity::declare_cut(const std::vector<NodeId>& suspects) {
     }
     obs_.tracer.on_view_change(obs::FlightKind::kRepair, id(), faulty.value(),
                                stranded, now());
-    suspected_faulty_.insert(faulty);
     was_leader = was_leader || (faulty == leader_);
     remove_from_roster(faulty);
     // The verdict is in: any pending stability evidence about this node is
     // consumed (the alert resolved) rather than left to fire again.
     stability_.forget(faulty);
-    cancel_alert(faulty);
-    cancel_cut_verification(faulty);
   }
 
-  if (was_leader) {
-    leader_ = elect_leader(roster_);
-    metrics_.leader_failovers.increment();
-    obs_.tracer.on_view_change(obs::FlightKind::kLeaderFailover, id(),
-                               leader_.value(), cut.front().value(), now());
-    if (leader_ == id()) adopt_leadership();
-  }
+  if (was_leader) replace_leader(cut.front(), /*counted=*/true);
   recompute_pointers();
 
   // Local repair notice ("local repair by excluding the faulty node from
@@ -883,20 +741,14 @@ void NetworkEntity::declare_cut(const std::vector<NodeId>& suspects) {
           obs_.tracer.on_member_detected(rec.guid, id(), now() - *crashed_at,
                                          now());
         }
-        MembershipOp m_op;
-        m_op.kind = OpKind::kMemberFail;
-        m_op.seq = next_op_seq();
-        m_op.uid = next_op_uid();
         // A detector-inferred failure ends only the epoch it observed: if
         // the member has since re-attached elsewhere (a handoff this
         // accusation races with across a partition), the newer epoch
         // out-ranks this op in record_precedes order no matter which seq
         // disseminates first.
-        m_op.claim_seq = dir_.claim_of(gid, rec.guid);
-        m_op.gid = gid;
-        m_op.member = rec;
-        m_op.member.status = MemberStatus::kFailed;
-        ops.push_back(std::move(m_op));
+        ops.push_back(member_op(OpKind::kMemberFail, gid, rec.guid,
+                                rec.access_proxy,
+                                dir_.claim_of(gid, rec.guid)));
       }
     }
   }
@@ -910,9 +762,9 @@ void NetworkEntity::declare_cut(const std::vector<NodeId>& suspects) {
   };
   std::vector<Token> reroute;
   for (auto it = inflight_hops_.begin(); it != inflight_hops_.end();) {
-    if (in_cut(it->second.target)) {
+    if (in_cut(it->second.dest)) {
       cancel_timer(it->second.timer);
-      reroute.push_back(std::move(it->second.token));
+      reroute.push_back(it->second.payload.get<TokenMsg>().token);
       it = inflight_hops_.erase(it);
     } else {
       ++it;
@@ -926,11 +778,6 @@ void NetworkEntity::declare_cut(const std::vector<NodeId>& suspects) {
       round_contributors_.clear();
     }
     if (next_ == id()) {
-      if (token.holder != id()) {
-        token.holder = id();
-        holding_round_ = true;
-        my_round_id_ = token.round_id;
-      }
       complete_round(token);
     } else {
       send_token_to(next_, std::move(token));
@@ -943,18 +790,44 @@ void NetworkEntity::declare_cut(const std::vector<NodeId>& suspects) {
   }
 }
 
+void NetworkEntity::replace_leader(NodeId departed, bool counted) {
+  leader_ = elect_leader(roster_);
+  if (counted) {
+    metrics_.leader_failovers.increment();
+    obs_.tracer.on_view_change(obs::FlightKind::kLeaderFailover, id(),
+                               leader_.value(), departed.value(), now());
+  }
+  if (leader_ == id()) adopt_leadership();
+}
+
 void NetworkEntity::adopt_leadership() {
   RGB_LOG(kInfo, "failover") << now() << " " << id()
                              << " adopts ring leadership";
   leader_ = id();
-  token_free_ = !holding_round_ && inflight_hops_.empty();
-  if (!token_free_ && !holding_round_) arm_round_watchdog(active_round_id_);
   token_requested_ = false;
   cancel_timer(request_retx_timer_);
-  if (parent_.valid()) {
-    send(parent_, kind::kChildRebind, ChildRebindMsg{id()});
-  }
+  settle_token();
   grant_next();
+}
+
+void NetworkEntity::settle_token() {
+  if (!is_leader()) {
+    token_free_ = false;
+    return;
+  }
+  token_free_ = !holding_round_ && inflight_hops_.empty();
+  // A busy token that is not a round we hold belongs to a round in flight
+  // somewhere in the churned ring; its release can miss us (the holder may
+  // address a stale leader). Arm the reclaim watchdog so the token cannot
+  // stay un-free forever — a live release cancels it.
+  if (!token_free_ && !holding_round_) arm_round_watchdog(active_round_id_);
+  rebind_parent(id());
+}
+
+void NetworkEntity::rebind_parent(NodeId leader) {
+  if (parent_.valid()) {
+    send(parent_, kind::kChildRebind, ChildRebindMsg{leader});
+  }
 }
 
 void NetworkEntity::remove_from_roster(NodeId node) {
@@ -963,27 +836,19 @@ void NetworkEntity::remove_from_roster(NodeId node) {
   roster_set_.erase(node);
 }
 
-void NetworkEntity::handle_repair(const RepairMsg& msg, NodeId from) {
+void NetworkEntity::handle_repair(const RepairMsg& msg) {
   for (const NodeId f : msg.faulty) {
     if (f == id()) continue;  // false accusation; merge reconciles later
     if (!in_roster(f)) continue;  // already excluded
-    suspected_faulty_.insert(f);
     const bool was_leader = (f == leader_);
     remove_from_roster(f);
     obs_.tracer.on_view_change(obs::FlightKind::kRepair, id(), f.value(), 0,
                                now());
-    if (was_leader) {
-      leader_ = elect_leader(roster_);
-      metrics_.leader_failovers.increment();
-      obs_.tracer.on_view_change(obs::FlightKind::kLeaderFailover, id(),
-                                 leader_.value(), f.value(), now());
-      if (leader_ == id()) adopt_leadership();
-    }
+    if (was_leader) replace_leader(f, /*counted=*/true);
   }
   // Pointers re-derive from the repaired roster; once every survivor has
   // processed the broadcast the views agree.
   recompute_pointers();
-  (void)from;
 }
 
 void NetworkEntity::apply_ne_op(const MembershipOp& op) {
@@ -992,12 +857,7 @@ void NetworkEntity::apply_ne_op(const MembershipOp& op) {
   // across a crash window) would re-splice a node that a merge has since
   // re-admitted. Apply each NE op at most once per node, keyed by uid.
   if (op.uid != 0) {
-    if (!applied_ne_ops_.insert(op.uid).second) return;
-    applied_ne_ops_order_.push_back(op.uid);
-    while (applied_ne_ops_order_.size() > kDisseminatedCap) {
-      applied_ne_ops_.erase(applied_ne_ops_order_.front());
-      applied_ne_ops_order_.pop_front();
-    }
+    if (!applied_ne_ops_.insert(op.uid)) return;
     // First processing of this NE op at this node = its apply tick.
     obs_.tracer.on_op_applied(op, id(), tier_, now());
   }
@@ -1012,16 +872,12 @@ void NetworkEntity::apply_ne_op(const MembershipOp& op) {
       }
       if (!in_roster(op.ne)) return;
       const bool was_leader = (op.ne == leader_);
-      if (op.kind == OpKind::kNeFail) suspected_faulty_.insert(op.ne);
       remove_from_roster(op.ne);
       obs_.tracer.on_view_change(op.kind == OpKind::kNeFail
                                      ? obs::FlightKind::kRepair
                                      : obs::FlightKind::kNeLeave,
                                  id(), op.ne.value(), 0, now());
-      if (was_leader) {
-        leader_ = elect_leader(roster_);
-        if (leader_ == id()) adopt_leadership();
-      }
+      if (was_leader) replace_leader(op.ne, /*counted=*/false);
       recompute_pointers();
       if (op.kind == OpKind::kNeLeave) metrics_.ne_leaves.increment();
       return;
@@ -1036,7 +892,6 @@ void NetworkEntity::apply_ne_op(const MembershipOp& op) {
       }
       roster_set_.insert(op.ne);
       remember_peer(op.ne);
-      suspected_faulty_.erase(op.ne);
       obs_.tracer.on_view_change(obs::FlightKind::kNeJoin, id(),
                                  op.ne.value(), op.ne_after.value(), now());
       recompute_pointers();
@@ -1060,46 +915,26 @@ void NetworkEntity::apply_ne_op(const MembershipOp& op) {
   }
 }
 
-NodeId NetworkEntity::successor_of(NodeId node) const {
-  const auto it = std::find(roster_.begin(), roster_.end(), node);
-  if (it == roster_.end() || roster_.size() < 2) return id();
-  const std::size_t i =
-      static_cast<std::size_t>(std::distance(roster_.begin(), it));
-  return roster_[(i + 1) % roster_.size()];
-}
-
-NodeId NetworkEntity::predecessor_of(NodeId node) const {
-  const auto it = std::find(roster_.begin(), roster_.end(), node);
-  if (it == roster_.end() || roster_.size() < 2) return id();
-  const std::size_t i =
-      static_cast<std::size_t>(std::distance(roster_.begin(), it));
-  return roster_[(i + roster_.size() - 1) % roster_.size()];
+void NetworkEntity::install_shape(std::vector<NodeId> roster, NodeId leader,
+                                  bool remember) {
+  roster_ = std::move(roster);
+  roster_set_.clear();
+  roster_set_.insert(roster_.begin(), roster_.end());
+  if (remember) {
+    for (const NodeId n : roster_) remember_peer(n);
+  }
+  leader_ = leader;
+  recompute_pointers();
 }
 
 void NetworkEntity::handle_ring_reform(const RingReformMsg& msg, NodeId from) {
   obs_.tracer.on_view_change(obs::FlightKind::kRingReform, id(),
                              msg.leader.value(), msg.roster.size(), now());
-  roster_ = msg.roster;
-  rebuild_roster_index();
-  leader_ = msg.leader;
-  for (const NodeId n : roster_) {
-    suspected_faulty_.erase(n);
-    remember_peer(n);
-  }
-  dir_.import_all(msg.entries);
-  note_group_count();
-  recompute_pointers();
+  install_shape(msg.roster, msg.leader, /*remember=*/true);
+  import(msg.entries);
   ring_ok_ = true;
-  if (is_leader()) {
-    token_free_ = !holding_round_ && inflight_hops_.empty();
-    if (!token_free_ && !holding_round_) arm_round_watchdog(active_round_id_);
-    if (parent_.valid()) {
-      send(parent_, kind::kChildRebind, ChildRebindMsg{id()});
-    }
-    grant_next();
-  } else {
-    token_free_ = false;
-  }
+  settle_token();
+  if (is_leader()) grant_next();
   if (stashed_token_) {
     TokenMsg replay = std::move(*stashed_token_);
     stashed_token_.reset();
@@ -1112,19 +947,97 @@ void NetworkEntity::handle_ring_reform(const RingReformMsg& msg, NodeId from) {
   // after a false failure).
   if (config_.snapshot_join && msg.entries.empty() && from.valid() &&
       from != id()) {
-    request_snapshot_from(from);
+    snapshots_.request_from(from);
   }
   // A reform is a heal-path completion: re-aim any request chain at the
   // (possibly new) leader and re-anchor local claims against the
   // re-baselined table.
   rearm_after_reconfigure();
-  schedule_reconcile();
 }
 
-void NetworkEntity::handle_child_rebind(const ChildRebindMsg& msg,
-                                        NodeId /*from*/) {
+void NetworkEntity::adopt_shape(NodeId from, const std::vector<NodeId>& roster,
+                                NodeId leader) {
+  RGB_LOG(kInfo, "sync") << id() << " adopts ring shape from leader " << from
+                         << " (" << roster.size() << " members)";
+  obs_.tracer.on_view_change(obs::FlightKind::kShapeAdopt, id(), from.value(),
+                             roster.size(), now());
+  install_shape(roster, leader, /*remember=*/true);
+  ring_ok_ = true;
+  if (!is_leader()) token_free_ = false;
+  rearm_after_reconfigure();
+}
+
+void NetworkEntity::merge_fragment(const std::vector<NodeId>& their_roster,
+                                   const std::vector<TableEntry>& entries) {
+  // Union roster in sorted order (deterministic on both sides), lowest id
+  // leads, member views union-merge.
+  std::vector<NodeId> merged = roster_;
+  for (const NodeId n : their_roster) {
+    if (std::find(merged.begin(), merged.end(), n) == merged.end()) {
+      merged.push_back(n);
+    }
+  }
+  std::sort(merged.begin(), merged.end());
+  const NodeId new_leader = elect_leader(merged);
+
+  import(entries);
+
+  metrics_.merges.increment();
+  obs_.tracer.on_view_change(obs::FlightKind::kMerge, id(),
+                             their_roster.empty() ? 0
+                                                  : their_roster.front().value(),
+                             merged.size(), now());
+  RGB_LOG(kInfo, "merge") << now() << " " << id()
+                          << " merges fragments into a ring of "
+                          << merged.size() << " under " << new_leader;
+  install_shape(std::move(merged), new_leader, /*remember=*/false);
+  broadcast_ring_reform(roster_, leader_);
+  settle_token();
+  // Merge completion is the canonical post-heal moment: the fragments'
+  // tables just unioned, so any cross-partition false-failure record is
+  // now visible locally — re-anchor claims against the merged view and
+  // let queued fragment ops flow through the merged ring immediately.
+  rearm_after_reconfigure();
+}
+
+void NetworkEntity::broadcast_ring_reform(const std::vector<NodeId>& roster,
+                                          NodeId leader) {
+  RingReformMsg msg{roster, leader, dir_.export_all()};
+  const auto bytes = wire_size(msg);
+  const net::Payload reform{std::move(msg)};
+  for (const NodeId n : roster) {
+    if (n == id()) continue;
+    send(n, kind::kRingReform, reform, bytes);
+  }
+}
+
+void NetworkEntity::handle_child_rebind(const ChildRebindMsg& msg) {
   child_ = msg.new_child_leader;
   child_ok_ = child_.valid();
+}
+
+void NetworkEntity::rearm_after_reconfigure() {
+  // A request chain aimed at a replaced leader would wait out its full
+  // retx budget before re-aiming (every resend reads the current leader_,
+  // but the timer cadence is round_timeout) — during which this NE's MQ is
+  // blocked, exactly when the post-heal ring needs the queued fragment ops
+  // replayed. Reset the chain; on_mq_activity re-requests from the new
+  // leader immediately.
+  if (token_requested_ && !is_leader()) {
+    cancel_timer(request_retx_timer_);
+    token_requested_ = false;
+  }
+  // Timers die with a crashed node: a holder that crashed mid-round would
+  // otherwise keep holding_round_ set forever with no watchdog to abandon
+  // it, blocking its MQ permanently; same for a leader's reclaim
+  // watchdog. Re-arm both — for a live round this merely extends a
+  // deadline, for a dead one it restores the abandon/reclaim path.
+  if (holding_round_) arm_holder_watchdog(my_round_id_);
+  if (is_leader() && !token_free_ && !holding_round_) {
+    arm_round_watchdog(active_round_id_);
+  }
+  on_mq_activity();
+  attachments_.schedule_reconcile();
 }
 
 // --------------------------------------------------------------------------
@@ -1134,79 +1047,57 @@ void NetworkEntity::handle_child_rebind(const ChildRebindMsg& msg,
 void NetworkEntity::send_notify(NodeId dest, std::vector<MembershipOp> ops,
                                 bool downward) {
   const std::uint64_t nid = next_notify_id();
-  const net::MessageKind kind =
-      downward ? kind::kNotifyChild : kind::kNotifyParent;
-  NotifyMsg msg{ops, nid, downward};
+  NotifyMsg msg{std::move(ops), nid, downward};
   const auto bytes = wire_size(msg);
-  send(dest, kind, std::move(msg), bytes);
+  PendingSend& pending =
+      pending_notifies_
+          .emplace(nid, PendingSend{dest,
+                                    downward ? kind::kNotifyChild
+                                             : kind::kNotifyParent,
+                                    std::move(msg), bytes})
+          .first->second;
+  transmit(pending, config_.notify_timeout,
+           [this, nid]() { on_notify_retx_timeout(nid); });
   metrics_.notifications_sent.increment();
-  PendingNotify pending;
-  pending.dest = dest;
-  pending.ops = std::move(ops);
-  pending.downward = downward;
-  pending.timer = set_timer(config_.notify_timeout,
-                            [this, nid]() { on_notify_retx_timeout(nid); });
-  pending_notifies_.emplace(nid, std::move(pending));
 }
 
 void NetworkEntity::on_notify_retx_timeout(std::uint64_t notify_id) {
   const auto it = pending_notifies_.find(notify_id);
   if (it == pending_notifies_.end()) return;
-  PendingNotify& pending = it->second;
+  PendingSend& pending = it->second;
   if (++pending.retx <= config_.max_notify_retx) {
     metrics_.notify_retransmits.increment();
-    const net::MessageKind kind =
-        pending.downward ? kind::kNotifyChild : kind::kNotifyParent;
-    NotifyMsg msg{pending.ops, notify_id, pending.downward};
-    const auto bytes = wire_size(msg);
-    send(pending.dest, kind, std::move(msg), bytes);
-    pending.timer = set_timer(config_.notify_timeout, [this, notify_id]() {
-      on_notify_retx_timeout(notify_id);
-    });
+    transmit(pending, config_.notify_timeout,
+             [this, notify_id]() { on_notify_retx_timeout(notify_id); });
     return;
   }
   // The inter-ring edge is down: reflect it in ParentOK/ChildOK (paper
   // Section 4.2 semantics). Probing/merge may later restore the flag.
+  const bool downward = pending.kind == kind::kNotifyChild;
   RGB_LOG(kWarn, "notify") << now() << " " << id() << " gives up notify "
                            << notify_id << " to " << pending.dest << " ("
-                           << pending.ops.size() << " ops, "
-                           << (pending.downward ? "down" : "up")
+                           << pending.payload.get<NotifyMsg>().ops.size()
+                           << " ops, " << (downward ? "down" : "up")
                            << "); marking edge down";
-  if (pending.downward) {
-    child_ok_ = false;
-  } else {
-    parent_ok_ = false;
-  }
+  (downward ? child_ok_ : parent_ok_) = false;
   pending_notifies_.erase(it);
 }
 
 void NetworkEntity::handle_notify(const NotifyMsg& msg, NodeId from) {
   // Already-disseminated batch (our Holder-Ack got lost): ack immediately,
   // do not re-propagate.
-  bool all_known = true;
-  for (const MembershipOp& op : msg.ops) {
-    if (!already_disseminated(op.uid)) {
-      all_known = false;
-      break;
-    }
-  }
-  if (all_known) {
-    HolderAckMsg ack{{msg.notify_id}};
-    const auto bytes = wire_size(ack);
-    send(from, kind::kHolderAck, std::move(ack), bytes);
-    metrics_.holder_acks.increment();
+  if (std::all_of(msg.ops.begin(), msg.ops.end(),
+                  [this](const MembershipOp& op) {
+                    return disseminated_.contains(op.uid);
+                  })) {
+    send_holder_ack(from, {msg.notify_id});
     return;
   }
 
   const Contributor contributor{from, msg.notify_id};
   for (MembershipOp op : msg.ops) {
-    if (msg.downward) {
-      op.from_parent_of = id();
-      op.from_child_of = NodeId{};
-    } else {
-      op.from_child_of = id();
-      op.from_parent_of = NodeId{};
-    }
+    op.from_parent_of = msg.downward ? id() : NodeId{};
+    op.from_child_of = msg.downward ? NodeId{} : id();
     enqueue_op(std::move(op), contributor);
   }
   // Receiving traffic from that edge proves it is alive again.
@@ -1233,12 +1124,11 @@ void NetworkEntity::handle_holder_ack(const HolderAckMsg& msg) {
 }
 
 // --------------------------------------------------------------------------
-// Probing & merge (extension: the paper's future-work
-// Membership-Partition/Merge algorithms)
+// Probe tick
 // --------------------------------------------------------------------------
 
 void NetworkEntity::on_probe_tick() {
-  last_full_.reset();
+  view_sync_.new_tick();
   const sim::Time tick_time = now();
   const bool crash_gap =
       last_probe_tick_ != 0 &&
@@ -1251,9 +1141,8 @@ void NetworkEntity::on_probe_tick() {
     // may have falsified its attachment claims while it was silent —
     // the AP-recovery trigger of the reconciliation round.
     rearm_after_reconfigure();
-    schedule_reconcile();
   }
-  reaffirm_local_members();
+  attachments_.reaffirm();
   if (!is_leader()) {
     // Follower-side leader liveness: failure detection otherwise rides
     // entirely on traffic (token retx, unanswered requests), so a crashed
@@ -1281,695 +1170,7 @@ void NetworkEntity::on_probe_tick() {
     return;
   }
   if (token_free_ && dir_.queue_empty()) start_probe_round();
-  attempt_merge();
-  anti_entropy_tick();
-}
-
-void NetworkEntity::reaffirm_local_members() {
-  if (local_attached_.empty()) return;
-  if (!reaffirm_due_ && reaffirmed_at_ == dir_.change_count()) return;
-  reaffirm_due_ = false;
-  reaffirmed_at_ = dir_.change_count();
-  std::vector<std::pair<Guid, GroupId>> reannounce, departed;
-  for (const auto& [mh, by_gid] : local_attached_) {
-    for (const auto& [gid, claim_seq] : by_gid) {
-      const auto entry = dir_.lookup(gid, mh);
-      // No record yet: our own join/handoff op is still queued or in a
-      // round. Do NOT re-announce — a duplicate assertion could race the
-      // very op that carries the claim. The at-least-once round machinery
-      // lands the original op.
-      if (!entry) continue;
-      const MemberRecord& rec = entry->record;
-      const std::uint64_t rec_claim = entry->claim_seq;
-      const std::uint64_t rec_seq = entry->last_seq;
-      if (rec_claim > claim_seq) {
-        // A newer attachment epoch exists: the member physically joined or
-        // handed off somewhere else after our claim (and possibly departed
-        // there too). Ours is history — stop claiming. Epoch comparison,
-        // not raw seq, makes this immune to detector-inferred records and
-        // repair re-assertions, which never start an epoch.
-        departed.emplace_back(mh, gid);
-        continue;
-      }
-      if (rec.status == MemberStatus::kOperational &&
-          rec.access_proxy == id()) {
-        continue;  // consistent: hosted here
-      }
-      if (rec_claim == claim_seq && rec_seq > claim_seq) {
-        // Our own epoch was ended or overridden by something we never saw
-        // locally — a genuine departure goes through local_member_leave /
-        // fail / the handoff-away guard, all of which erase the claim
-        // first. So this is a false accusation (failure-detector false
-        // positive elsewhere, typically a cross-partition splice). The
-        // hosting AP is authoritative: re-anchor the epoch with a fresh op.
-        reannounce.emplace_back(mh, gid);
-        continue;
-      }
-      // rec_claim < claim_seq (stale pre-claim record), or rec_claim ==
-      // claim_seq with rec_seq <= claim_seq (our claim op not yet
-      // reflected): the in-flight claim assertion out-ranks the record in
-      // record_precedes order — outwait it.
-    }
-  }
-  // local_attached_ iterates deterministically (both maps ordered), so the
-  // lists are already (guid, gid)-sorted.
-  for (const auto& [mh, gid] : departed) set_claim(mh, gid, 0);
-  // A re-anchor op changes no table until its round lands, so the next
-  // pass must run to re-announce (or confirm) these claims.
-  if (!reannounce.empty()) reaffirm_due_ = true;
-  for (const auto& [mh, gid] : reannounce) {
-    const std::uint64_t claim = local_attached_.at(mh).at(gid);
-    RGB_LOG(kInfo, "reaffirm")
-        << id() << " re-anchors falsely failed local member " << mh.value()
-        << " (group " << gid.value() << ", epoch " << claim << ")";
-    metrics_.reconcile_reanchors.increment();
-    obs_.flight.record(now(), id(), obs::FlightKind::kReconcileReanchor,
-                       mh.value(), claim);
-    reannounce_member(gid, mh, claim);
-  }
-}
-
-// --------------------------------------------------------------------------
-// Post-heal reconciliation round (kReconcile)
-// --------------------------------------------------------------------------
-
-std::vector<AttachClaim> NetworkEntity::local_claims() const {
-  // Nested-map iteration is already (guid, gid)-ascending — deterministic
-  // without a sort.
-  std::vector<AttachClaim> claims;
-  claims.reserve(local_attached_.size());
-  for (const auto& [mh, by_gid] : local_attached_) {
-    for (const auto& [gid, claim] : by_gid) {
-      claims.push_back(AttachClaim{mh, claim, gid});
-    }
-  }
-  return claims;
-}
-
-void NetworkEntity::rearm_after_reconfigure() {
-  // A request chain aimed at a replaced leader would wait out its full
-  // retx budget before re-aiming (every resend reads the current leader_,
-  // but the timer cadence is round_timeout) — during which this NE's MQ is
-  // blocked, exactly when the post-heal ring needs the queued fragment ops
-  // replayed. Reset the chain; on_mq_activity re-requests from the new
-  // leader immediately.
-  if (token_requested_ && !is_leader()) {
-    cancel_timer(request_retx_timer_);
-    token_requested_ = false;
-  }
-  // Timers die with a crashed node: a holder that crashed mid-round would
-  // otherwise keep holding_round_ set forever with no watchdog to abandon
-  // it, blocking its MQ permanently; same for a leader's reclaim
-  // watchdog. Re-arm both — for a live round this merely extends a
-  // deadline, for a dead one it restores the abandon/reclaim path.
-  if (holding_round_) arm_holder_watchdog(my_round_id_);
-  if (is_leader() && !token_free_ && !holding_round_) {
-    arm_round_watchdog(active_round_id_);
-  }
-  on_mq_activity();
-}
-
-void NetworkEntity::schedule_reconcile() {
-  if (local_attached_.empty()) return;
-  // Debounce: merge storms (several reforms while fragments knit back
-  // together) collapse into one exchange once the shape settles, and the
-  // trigger's entry imports land before the claims are checked.
-  cancel_timer(reconcile_timer_);
-  reconcile_timer_ =
-      set_timer(kReconcileDelay, [this]() { run_reconcile_round(); });
-}
-
-void NetworkEntity::run_reconcile_round() {
-  if (local_attached_.empty()) return;
-  const NodeId target = is_leader() ? parent_ : leader_;
-  if (!target.valid() || target == id()) {
-    // Nobody above us to ask (singleton / detached root): our own table is
-    // the best merged view there is — evaluate the claims against it.
-    // Not counted in reconcile_rounds, which meters actual claim
-    // exchanges (the oracle-visibility contract of the metric).
-    reaffirm_local_members();
-    return;
-  }
-  metrics_.reconcile_rounds.increment();
-  obs_.flight.record(now(), id(), obs::FlightKind::kReconcileRound,
-                     local_attached_.size(), target.value());
-  const std::uint64_t rid = (id().value() << 24) | ++reconcile_counter_;
-  PendingReconcile pending;
-  pending.dest = target;
-  pending.claims = local_claims();
-  ReconcileMsg msg{rid, pending.claims};
-  const auto bytes = wire_size(msg);
-  RGB_LOG(kInfo, "reconcile")
-      << now() << " " << id() << " asserts " << msg.claims.size()
-      << " claim(s) to " << target;
-  send(target, kind::kReconcile, std::move(msg), bytes);
-  pending.timer = set_timer(config_.notify_timeout, [this, rid]() {
-    on_reconcile_retx_timeout(rid);
-  });
-  pending_reconciles_[rid] = std::move(pending);
-}
-
-void NetworkEntity::on_reconcile_retx_timeout(std::uint64_t reconcile_id) {
-  const auto it = pending_reconciles_.find(reconcile_id);
-  if (it == pending_reconciles_.end()) return;
-  PendingReconcile& pending = it->second;
-  if (++pending.retx <= config_.max_notify_retx) {
-    metrics_.reconcile_retransmits.increment();
-    ReconcileMsg msg{reconcile_id, pending.claims};
-    const auto bytes = wire_size(msg);
-    send(pending.dest, kind::kReconcile, std::move(msg), bytes);
-    pending.timer = set_timer(config_.notify_timeout, [this, reconcile_id]() {
-      on_reconcile_retx_timeout(reconcile_id);
-    });
-    return;
-  }
-  // The responder is unreachable: drop the exchange. The probe-tick
-  // reaffirmation pass keeps the same decision logic running against
-  // whatever anti-entropy brings in, so giving up loses promptness, not
-  // correctness.
-  metrics_.reconcile_give_ups.increment();
-  pending_reconciles_.erase(it);
-}
-
-void NetworkEntity::handle_reconcile(const ReconcileMsg& msg, NodeId from) {
-  ReconcileAckMsg ack;
-  ack.reconcile_id = msg.reconcile_id;
-  for (const AttachClaim& claim : msg.claims) {
-    // Pre-v4 claims carry no group: answer against the default group.
-    const GroupId gid = claim.gid.valid() ? claim.gid : config_.gid;
-    const auto entry = dir_.lookup(gid, claim.mh);
-    if (!entry) continue;
-    // Return our entry whenever the claim's assertion (claim, claim)
-    // loses to it in record_precedes order: a newer epoch supersedes the
-    // claim outright, and a same-epoch ending means the claim was
-    // falsified somewhere — either way the asker needs the record to
-    // decide. Entries the claim out-ranks are omitted (the claim stands),
-    // as is the asker's own re-anchored state — a same-epoch record
-    // operational at the asker confirms the claim, it does not supersede
-    // it, and echoing it back would cost superseding bytes on every
-    // round after any repair.
-    if (record_precedes(claim.claim_seq, claim.claim_seq, entry->claim_seq,
-                        entry->last_seq) &&
-        !(entry->claim_seq == claim.claim_seq &&
-          entry->record.status == MemberStatus::kOperational &&
-          entry->record.access_proxy == from)) {
-      ack.superseding.push_back(*entry);
-    }
-  }
-  metrics_.reconcile_replies.increment();
-  const auto bytes = wire_size(ack);
-  send(from, kind::kReconcileAck, std::move(ack), bytes);
-}
-
-void NetworkEntity::handle_reconcile_ack(const ReconcileAckMsg& msg) {
-  const auto it = pending_reconciles_.find(msg.reconcile_id);
-  if (it == pending_reconciles_.end()) return;  // stale or duplicate ack
-  cancel_timer(it->second.timer);
-  pending_reconciles_.erase(it);
-  dir_.import_all(msg.superseding);
-  note_group_count();
-  // Re-evaluate every claim against the responder-informed table: the
-  // shared decision core drops superseded epochs and re-anchors falsified
-  // ones through the normal round machinery.
-  reaffirm_local_members();
-}
-
-void NetworkEntity::anti_entropy_tick() {
-  // Seq-keyed view reconciliation along the leader graph — ring members,
-  // parent (within the retention tiers), child (when disseminating down).
-  // Every edge of the hierarchy is covered by some leader's sync set, so
-  // views that lost notifications to a crash/repair window reconverge once
-  // the network quiesces. The monotone seq rule makes syncs idempotent and
-  // loop-free; a receiver answers at most one bounded diff.
-  //
-  // Each tick ships an O(1) digest per edge; a receiver whose view already
-  // agrees answers nothing, so the steady-state cost per tick is
-  // independent of the member count. The ring-internal message also
-  // carries the ring shape: members adopt it when their (roster, leader)
-  // drifted — the convergent replacement for a lost RingReform broadcast.
-  //
-  // Multi-group steady-state tick (wire v4): one kSummary frame per link
-  // carrying only the combined digest over every group — O(1) bytes per
-  // link per tick no matter how many groups the directory serves. The
-  // per-group digest vector ships only on mismatch (the receiver pulls it
-  // with a kDigest reply), so G groups cost a constant steady-state frame
-  // plus ~11B per group only while actually out of sync — the amortization
-  // the bench.multigroup cell measures.
-  const ViewDigest digest = dir_.combined_digest();
-  ViewSyncMsg ring_sync;
-  ring_sync.phase = ViewSyncMsg::Phase::kSummary;
-  ring_sync.digest = digest.hash;
-  ring_sync.entry_count = static_cast<std::uint32_t>(digest.count);
-  ring_sync.roster = roster_;
-  ring_sync.leader = leader_;
-  const auto ring_bytes = wire_size(ring_sync);
-  // One shared payload for the whole fan-out: k sends, one allocation.
-  const net::Payload ring_payload{std::move(ring_sync)};
-  for (const NodeId peer : roster_) {
-    if (peer == id()) continue;
-    send(peer, kind::kViewSync, ring_payload, ring_bytes);
-  }
-  if (dir_.empty()) return;  // cross edges carry only view state
-  ViewSyncMsg cross_sync;
-  cross_sync.phase = ViewSyncMsg::Phase::kSummary;
-  cross_sync.digest = digest.hash;
-  cross_sync.entry_count = static_cast<std::uint32_t>(digest.count);
-  const auto cross_bytes = wire_size(cross_sync);
-  const net::Payload cross_payload{std::move(cross_sync)};
-  if (parent_.valid() && tier_ - 1 >= config_.retain_tier) {
-    send(parent_, kind::kViewSync, cross_payload, cross_bytes);
-  }
-  if (child_.valid() && config_.disseminate_down) {
-    send(child_, kind::kViewSync, cross_payload, cross_bytes);
-  }
-}
-
-void NetworkEntity::handle_view_sync(const ViewSyncMsg& msg, NodeId from) {
-  // Ring-shape adoption: the sync came from a node leading a ring that
-  // contains us, and our local (roster, leader) drifted from it — a
-  // reform we never received. Adopt the leader's view of the ring. Rides
-  // the ring-internal kSummary tick.
-  if (msg.leader.valid() && msg.leader == from &&
-      std::find(msg.roster.begin(), msg.roster.end(), id()) !=
-          msg.roster.end() &&
-      (roster_ != msg.roster || leader_ != msg.leader)) {
-    RGB_LOG(kInfo, "sync") << id() << " adopts ring shape from leader "
-                           << from << " (" << msg.roster.size()
-                           << " members)";
-    obs_.tracer.on_view_change(obs::FlightKind::kShapeAdopt, id(),
-                               from.value(), msg.roster.size(), now());
-    roster_ = msg.roster;
-    rebuild_roster_index();
-    leader_ = msg.leader;
-    for (const NodeId n : roster_) {
-      suspected_faulty_.erase(n);
-      remember_peer(n);
-    }
-    recompute_pointers();
-    ring_ok_ = true;
-    if (!is_leader()) token_free_ = false;
-    // Shape adoption is the convergent stand-in for a lost reform: same
-    // heal-path completion, same reconciliation trigger.
-    rearm_after_reconfigure();
-    schedule_reconcile();
-  }
-
-  if (msg.phase == ViewSyncMsg::Phase::kSummary) {
-    // Steady-state fast path: combined digests agree, nothing to do —
-    // total tick cost stayed O(1) per link regardless of the group count.
-    // On mismatch, pull: answer with our packed per-group digests so the
-    // sender can scope its kFull to just the differing groups.
-    const ViewDigest mine = dir_.combined_digest();
-    if (mine.hash == msg.digest && mine.count == msg.entry_count) return;
-    ViewSyncMsg reply;
-    reply.phase = ViewSyncMsg::Phase::kDigest;
-    reply.digest = mine.hash;
-    reply.entry_count = static_cast<std::uint32_t>(mine.count);
-    reply.group_digests = dir_.packed_digests();
-    metrics_.digest_groups_packed.increment(reply.group_digests.size());
-    const auto reply_bytes = wire_size(reply);
-    send(from, kind::kViewSync, std::move(reply), reply_bytes);
-    return;
-  }
-
-  if (msg.phase == ViewSyncMsg::Phase::kDigest) {
-    // In-sync views answer nothing: the common steady-state tick ends here
-    // having cost one O(1) comparison. (A hash collision between unequal
-    // views — ~2^-64 — also lands here; it heals on the next tick after
-    // either table changes, and never corrupts state since no entries were
-    // merged.) On mismatch, ship our view and ask for the sender's newer
-    // entries back; the pair then reconverges in one exchange. With a
-    // packed per-group digest set (v4) the reply is scoped to the groups
-    // that actually differ instead of the whole directory.
-    const ViewDigest mine = dir_.combined_digest();
-    if (mine.hash == msg.digest && mine.count == msg.entry_count) return;
-    std::vector<GroupId> gids = dir_.differing_groups(msg.group_digests);
-    if (msg.group_digests.empty()) {
-      // Pre-packing sender (or a sender with an empty directory): no
-      // per-group evidence to scope by — answer with everything.
-      gids.clear();
-    } else if (gids.empty()) {
-      // Combined digests differ but every per-group digest matches: the
-      // combined hash collided (~2^-64) or the mismatch lives in groups
-      // neither side holds entries for. Nothing useful to ship.
-      return;
-    }
-    metrics_.group_fulls_sent.increment(gids.empty() ? dir_.group_count()
-                                                     : gids.size());
-    // One kSummary fan-out draws a kDigest from several peers: while the
-    // directory and the scope are unchanged, the kFull built for the first
-    // is exactly what a fresh export would build for the next.
-    if (!last_full_ || last_full_->changes != dir_.change_count() ||
-        last_full_->gids != gids) {
-      ViewSyncMsg reply;
-      reply.phase = ViewSyncMsg::Phase::kFull;
-      reply.entries = dir_.export_groups(gids);
-      reply.reply_requested = true;
-      reply.sync_gids = gids;
-      const auto reply_bytes = wire_size(reply);
-      last_full_ = FullReply{std::move(reply), dir_.change_count(),
-                             std::move(gids), reply_bytes};
-    }
-    send(from, kind::kViewSync, last_full_->payload, last_full_->bytes);
-    return;
-  }
-
-  RGB_LOG(kDebug, "sync") << now() << " " << id() << " imports "
-                          << msg.entries.size() << " entries from " << from;
-  if (!msg.reply_requested) {
-    dir_.import_all(msg.entries);
-    note_group_count();
-    return;
-  }
-  // Import and diff in one pass. The diff is scoped to the sync's group
-  // set: a scoped kFull must not drag every unrelated group's entries into
-  // the reply (that would undo the packing amortization). Empty sync_gids
-  // = universal (pre-v4 sender).
-  std::vector<TableEntry> diff;
-  dir_.import_and_diff(msg.entries, msg.sync_gids, diff);
-  note_group_count();
-  if (diff.empty()) return;
-  std::size_t diff_groups = 0;
-  GroupId last_gid;  // diff is gid-major, so distinct gids = run starts
-  for (const TableEntry& entry : diff) {
-    if (entry.gid != last_gid) {
-      ++diff_groups;
-      last_gid = entry.gid;
-    }
-  }
-  metrics_.group_diffs_sent.increment(diff_groups);
-  ViewSyncMsg reply;
-  reply.phase = ViewSyncMsg::Phase::kDiff;
-  reply.entries = std::move(diff);
-  reply.sync_gids = msg.sync_gids;
-  const auto reply_bytes = wire_size(reply);
-  send(from, kind::kViewSync, std::move(reply), reply_bytes);
-}
-
-void NetworkEntity::attempt_merge() {
-  if (known_peers_.size() <= roster_.size()) return;
-  // Round-robin over peers we once knew but no longer ring with: they may
-  // have recovered or live in another fragment.
-  std::vector<NodeId> candidates;
-  for (const NodeId peer : known_peers_) {
-    if (!in_roster(peer)) candidates.push_back(peer);
-  }
-  if (candidates.empty()) return;
-  const NodeId target = candidates[merge_probe_cursor_ % candidates.size()];
-  ++merge_probe_cursor_;
-  MergeOfferMsg offer{roster_, dir_.export_all()};
-  const auto bytes = wire_size(offer);
-  send(target, kind::kMergeOffer, std::move(offer), bytes);
-}
-
-void NetworkEntity::merge_fragment(const std::vector<NodeId>& their_roster,
-                                   const std::vector<TableEntry>& entries) {
-  // Union roster in sorted order (deterministic on both sides), lowest id
-  // leads, member views union-merge.
-  std::vector<NodeId> merged = roster_;
-  for (const NodeId n : their_roster) {
-    if (std::find(merged.begin(), merged.end(), n) == merged.end()) {
-      merged.push_back(n);
-    }
-  }
-  std::sort(merged.begin(), merged.end());
-  const NodeId new_leader = elect_leader(merged);
-
-  dir_.import_all(entries);
-  note_group_count();
-
-  metrics_.merges.increment();
-  obs_.tracer.on_view_change(obs::FlightKind::kMerge, id(),
-                             their_roster.empty() ? 0
-                                                  : their_roster.front().value(),
-                             merged.size(), now());
-  RGB_LOG(kInfo, "merge") << now() << " " << id()
-                          << " merges fragments into a ring of "
-                          << merged.size() << " under " << new_leader;
-  roster_ = merged;
-  rebuild_roster_index();
-  leader_ = new_leader;
-  for (const NodeId n : merged) suspected_faulty_.erase(n);
-  recompute_pointers();
-  broadcast_ring_reform(merged, new_leader);
-  if (is_leader()) {
-    token_free_ = !holding_round_ && inflight_hops_.empty();
-    // A busy token that is not a round we hold belongs to a round in
-    // flight somewhere in the churned ring; its release can miss us (the
-    // holder may address a stale leader). Arm the reclaim watchdog so the
-    // token cannot stay un-free forever — a live release cancels it.
-    if (!token_free_ && !holding_round_) arm_round_watchdog(active_round_id_);
-    if (parent_.valid()) {
-      send(parent_, kind::kChildRebind, ChildRebindMsg{id()});
-    }
-  } else {
-    token_free_ = false;
-  }
-  // Merge completion is the canonical post-heal moment: the fragments'
-  // tables just unioned, so any cross-partition false-failure record is
-  // now visible locally — re-anchor claims against the merged view and
-  // let queued fragment ops flow through the merged ring immediately.
-  rearm_after_reconfigure();
-  schedule_reconcile();
-}
-
-void NetworkEntity::handle_merge_offer(const MergeOfferMsg& msg,
-                                       NodeId from) {
-  if (!is_leader()) {
-    const bool i_am_in_offer =
-        std::find(msg.roster.begin(), msg.roster.end(), id()) !=
-        msg.roster.end();
-    if (i_am_in_offer) return;  // the offerer already rings with us
-    if (leader_.valid() && leader_ != id() && leader_ != from) {
-      // A true fragment: relay to our fragment's leader — and answer the
-      // offerer directly as well. The relay alone deadlocks when our
-      // leader pointer is fictional (the supposed leader repaired us out
-      // of its ring across the partition and drops the relayed offer as
-      // "already ringing with the offerer"): offers then die at the relay
-      // forever and the rosters never reconverge — the post-heal orphan
-      // class of the partition fuzz profile. The direct accept is safe in
-      // the healthy-fragment case too: merge_fragment unions rosters and
-      // elects deterministically, so it merely duplicates the leader-level
-      // merge the relay triggers.
-      send(leader_, kind::kMergeOffer, msg, wire_size(msg));
-      MergeAcceptMsg accept{roster_, dir_.export_all()};
-      const auto bytes = wire_size(accept);
-      send(from, kind::kMergeAccept, std::move(accept), bytes);
-    } else {
-      // Stale state: the node we believe leads us is the one telling us we
-      // are not in its ring (e.g. we just recovered from a crash). Offer
-      // ourselves back as a singleton fragment.
-      MergeAcceptMsg accept{{id()}, dir_.export_all()};
-      const auto bytes = wire_size(accept);
-      send(from, kind::kMergeAccept, std::move(accept), bytes);
-    }
-    return;
-  }
-  if (in_roster(from)) {
-    // We already ring with the offerer. That makes the offer stale only
-    // when our rosters actually agree: a recovered crashed leader still
-    // holds its pre-crash roster (which contains the survivors) while the
-    // survivors repaired around it — rejecting their offers here would
-    // deadlock the fragments into permanent disagreement. Merge whenever
-    // the views diverge; merge_fragment is idempotent under agreement.
-    std::vector<NodeId> theirs = msg.roster;
-    std::vector<NodeId> ours = roster_;
-    std::sort(theirs.begin(), theirs.end());
-    std::sort(ours.begin(), ours.end());
-    if (theirs == ours) return;  // consistent rings: truly stale
-  }
-  merge_fragment(msg.roster, msg.entries);
-}
-
-void NetworkEntity::handle_merge_accept(const MergeAcceptMsg& msg,
-                                        NodeId from) {
-  if (!is_leader()) return;
-  if (in_roster(from) && msg.roster.size() <= 1) {
-    return;  // already merged by an earlier accept
-  }
-  merge_fragment(msg.roster, msg.entries);
-}
-
-void NetworkEntity::broadcast_ring_reform(const std::vector<NodeId>& roster,
-                                          NodeId leader) {
-  RingReformMsg msg{roster, leader, dir_.export_all()};
-  const auto bytes = wire_size(msg);
-  const net::Payload reform{std::move(msg)};
-  for (const NodeId n : roster) {
-    if (n == id()) continue;
-    send(n, kind::kRingReform, reform, bytes);
-  }
-}
-
-// --------------------------------------------------------------------------
-// Snapshot state transfer (the kSnapshot bulk-join path)
-// --------------------------------------------------------------------------
-
-void NetworkEntity::schedule_snapshot_flush(bool to_ring, bool to_child) {
-  if (!to_ring && !to_child) return;
-  snapshot_dirty_ring_ = snapshot_dirty_ring_ || to_ring;
-  snapshot_dirty_child_ = snapshot_dirty_child_ || to_child;
-  // Debounce: every fresh mark pushes the flush out by another quiet
-  // window, so a sustained surge ships one snapshot at its end, not one
-  // per round.
-  cancel_timer(snapshot_flush_timer_);
-  snapshot_flush_timer_ =
-      set_timer(kSnapshotFlushQuiet, [this]() { flush_snapshot(); });
-}
-
-SnapshotMsg NetworkEntity::make_snapshot_msg() const {
-  SnapshotMsg msg;
-  const ViewDigest digest = dir_.combined_digest();
-  msg.digest = digest.hash;
-  msg.entry_count = digest.count;
-  rgb::wire::encode_snapshot(dir_.export_all(), msg.blob);
-  return msg;
-}
-
-const net::Payload& NetworkEntity::snapshot_payload() {
-  const ViewDigest digest = dir_.combined_digest();
-  if (!snapshot_payload_valid_ || snapshot_payload_digest_ != digest.hash ||
-      snapshot_payload_count_ != digest.count) {
-    SnapshotMsg msg = make_snapshot_msg();
-    snapshot_payload_digest_ = msg.digest;
-    snapshot_payload_count_ = msg.entry_count;
-    snapshot_payload_bytes_ = wire_size(msg);
-    snapshot_payload_cache_ = net::Payload{std::move(msg)};
-    snapshot_payload_valid_ = true;
-  }
-  return snapshot_payload_cache_;
-}
-
-void NetworkEntity::flush_snapshot() {
-  const bool to_ring =
-      snapshot_dirty_ring_ && is_leader() && roster_.size() > 1;
-  const bool to_child =
-      snapshot_dirty_child_ && child_.valid() && config_.disseminate_down;
-  snapshot_dirty_ring_ = false;
-  snapshot_dirty_child_ = false;
-  if (!to_ring && !to_child) return;
-  // One encoded blob, shared by every push of this flush (and by any
-  // retransmission until the table moves again).
-  const net::Payload& payload = snapshot_payload();
-  const auto bytes = snapshot_payload_bytes_;
-  const std::uint64_t digest = snapshot_payload_digest_;
-  const std::uint64_t entry_count = snapshot_payload_count_;
-  const auto push = [&](NodeId dest) {
-    send(dest, kind::kSnapshot, payload, bytes);
-    metrics_.snapshots_sent.increment();
-    // Flush-edge reliability: remember the push until its kSnapshotAck.
-    PendingSnapshotPush& pending = pending_snapshot_pushes_[dest];
-    cancel_timer(pending.timer);
-    pending.digest = digest;
-    pending.entry_count = entry_count;
-    pending.retx = 0;
-    pending.timer = set_timer(config_.notify_timeout, [this, dest]() {
-      on_snapshot_push_timeout(dest);
-    });
-  };
-  if (to_ring) {
-    for (const NodeId peer : roster_) {
-      if (peer == id()) continue;
-      push(peer);
-    }
-  }
-  if (to_child) push(child_);
-}
-
-void NetworkEntity::on_snapshot_push_timeout(NodeId dest) {
-  const auto it = pending_snapshot_pushes_.find(dest);
-  if (it == pending_snapshot_pushes_.end()) return;
-  PendingSnapshotPush& pending = it->second;
-  if (++pending.retx > config_.max_notify_retx) {
-    // The edge is unreachable past the budget; anti-entropy probing and
-    // the next flush remain the safety net (monotone import makes any
-    // later, fresher transfer equivalent).
-    metrics_.snapshot_push_give_ups.increment();
-    pending_snapshot_pushes_.erase(it);
-    return;
-  }
-  metrics_.snapshot_retransmits.increment();
-  // Retransmit the *current* table, not the stale blob: the receiver's
-  // import is monotone, so fresher is always at least as good, and the
-  // pending digest must track what was actually sent for the ack match.
-  // The cached payload makes this a shared-refcount send unless the table
-  // actually moved since the last encode.
-  const net::Payload& payload = snapshot_payload();
-  pending.digest = snapshot_payload_digest_;
-  pending.entry_count = snapshot_payload_count_;
-  send(dest, kind::kSnapshot, payload, snapshot_payload_bytes_);
-  metrics_.snapshots_sent.increment();
-  pending.timer = set_timer(config_.notify_timeout, [this, dest]() {
-    on_snapshot_push_timeout(dest);
-  });
-}
-
-void NetworkEntity::handle_snapshot_ack(const SnapshotAckMsg& msg,
-                                        NodeId from) {
-  const auto it = pending_snapshot_pushes_.find(from);
-  if (it == pending_snapshot_pushes_.end()) return;
-  // Only the ack of the *latest* push clears the pending entry — a stale
-  // ack racing a fresher flush must not silence its retransmission.
-  if (it->second.digest != msg.digest) return;
-  cancel_timer(it->second.timer);
-  pending_snapshot_pushes_.erase(it);
-}
-
-void NetworkEntity::request_snapshot_from(NodeId peer) {
-  if (!peer.valid() || peer == id()) return;
-  const ViewDigest mine = dir_.combined_digest();
-  send(peer, kind::kSnapshotRequest,
-       SnapshotRequestMsg{mine.hash, mine.count});
-}
-
-void NetworkEntity::handle_snapshot_request(const SnapshotRequestMsg& msg,
-                                            NodeId from) {
-  const ViewDigest mine = dir_.combined_digest();
-  if (mine.hash == msg.digest && mine.count == msg.entry_count) return;
-  // Sequenced: snapshot_payload() refreshes snapshot_payload_bytes_, so
-  // the two must not be read in one unordered argument list.
-  const net::Payload& payload = snapshot_payload();
-  send(from, kind::kSnapshot, payload, snapshot_payload_bytes_);
-  metrics_.snapshots_sent.increment();
-}
-
-void NetworkEntity::handle_snapshot(const SnapshotMsg& msg, NodeId from) {
-  const ViewDigest mine = dir_.combined_digest();
-  if (mine.hash == msg.digest && mine.count == msg.entry_count) {
-    // Already in sync: skip the decode entirely, but still confirm the
-    // receipt so a pending flush push stops retransmitting.
-    send(from, kind::kSnapshotAck,
-         SnapshotAckMsg{msg.digest, msg.entry_count});
-    return;
-  }
-  // The blob is real wire bytes; a truncated or corrupted transfer decodes
-  // to a clean error and is dropped *unacked* — the sender's retx loop
-  // (flush pushes) or the anti-entropy tick retries the transfer.
-  const auto decoded = rgb::wire::decode_snapshot(msg.blob);
-  if (!decoded.ok()) {
-    metrics_.snapshot_decode_errors.increment();
-    obs_.flight.record(now(), id(), obs::FlightKind::kSnapshotRejected,
-                       from.value(),
-                       metrics_.snapshot_decode_errors.value());
-    RGB_LOG(kWarn, "snapshot")
-        << id() << " rejects corrupt snapshot from " << from << ": "
-        << rgb::wire::to_string(decoded.error().status) << " at offset "
-        << decoded.error().offset;
-    return;
-  }
-  send(from, kind::kSnapshotAck, SnapshotAckMsg{msg.digest, msg.entry_count});
-  const bool changed = dir_.import_all(decoded.value());
-  note_group_count();
-  if (!changed) return;
-  metrics_.snapshots_applied.increment();
-  obs_.flight.record(now(), id(), obs::FlightKind::kSnapshotApplied,
-                     from.value(), decoded.value().size());
-  if (!config_.snapshot_join) return;
-  // Cascade: state learned by snapshot (not by a token round, which every
-  // ring peer sees anyway) is owed onward — across the ring when we lead
-  // it, and down to our child ring's leader.
-  schedule_snapshot_flush(is_leader(),
-                          child_.valid() && config_.disseminate_down);
+  view_sync_.tick();
 }
 
 // --------------------------------------------------------------------------
@@ -1981,27 +1182,13 @@ void NetworkEntity::request_ring_join(NodeId ring_leader) {
   send(ring_leader, kind::kNeJoinRequest, NeJoinRequestMsg{id(), nid});
 }
 
-void NetworkEntity::handle_ne_join_request(const NeJoinRequestMsg& msg,
-                                           NodeId from) {
-  if (!is_leader()) {
-    if (leader_.valid() && leader_ != id()) {
-      send(leader_, kind::kNeJoinRequest, msg);
-    }
-    return;
+void NetworkEntity::handle_ne_join_request(const NeJoinRequestMsg& msg) {
+  if (is_leader()) {
+    enqueue_ne_op(OpKind::kNeJoin, msg.joiner,
+                  Contributor{msg.joiner, msg.notify_id});
+  } else if (leader_.valid() && leader_ != id()) {
+    send(leader_, kind::kNeJoinRequest, msg);
   }
-  (void)from;
-  MembershipOp op;
-  op.kind = OpKind::kNeJoin;
-  op.seq = next_op_seq();
-  op.uid = next_op_uid();
-  op.ne = msg.joiner;
-  op.ne_after = id();
-  op.born = now();
-  // NE ops born inside a handler open their own trace (the join is new
-  // protocol work); the triggered sends execute under it.
-  const obs::SpanRecorder::Scope scope{
-      obs_.spans, obs_.tracer.on_op_born(op, id(), now())};
-  enqueue_op(std::move(op), Contributor{msg.joiner, msg.notify_id});
 }
 
 void NetworkEntity::request_ring_leave() {
@@ -2017,13 +1204,8 @@ void NetworkEntity::request_ring_leave() {
       if (n != id()) rest.push_back(n);
     }
     const NodeId successor = elect_leader(rest);
-    RingReformMsg msg{rest, successor, dir_.export_all()};
-    const auto bytes = wire_size(msg);
-    const net::Payload reform{std::move(msg)};
-    for (const NodeId n : rest) send(n, kind::kRingReform, reform, bytes);
-    if (parent_.valid()) {
-      send(parent_, kind::kChildRebind, ChildRebindMsg{successor});
-    }
+    broadcast_ring_reform(rest, successor);
+    rebind_parent(successor);
     metrics_.ne_leaves.increment();
     clear_ring_state();
     return;
@@ -2049,53 +1231,30 @@ void NetworkEntity::clear_ring_state() {
   cancel_timer(request_retx_timer_);
   cancel_timer(round_watchdog_);
   cancel_timer(holder_watchdog_);
-  cancel_timer(snapshot_flush_timer_);
-  cancel_timer(reconcile_timer_);
-  for (auto& [rid, pending] : pending_reconciles_) {
-    cancel_timer(pending.timer);
-  }
-  pending_reconciles_.clear();
-  for (auto& [dest, pending] : pending_snapshot_pushes_) {
-    cancel_timer(pending.timer);
-  }
-  pending_snapshot_pushes_.clear();
-  snapshot_dirty_ring_ = false;
-  snapshot_dirty_child_ = false;
   pending_round_ops_.clear();
+  snapshots_.reset();
+  attachments_.cancel_reconcile();
   // Stability evidence is ring-scoped: alerts and pending cuts reference a
   // roster this NE no longer has.
-  reset_stability_state();
+  stability_.reset();
 }
 
-void NetworkEntity::handle_ne_leave_request(const NeLeaveRequestMsg& msg,
-                                            NodeId from) {
-  if (!is_leader()) {
-    if (leader_.valid() && leader_ != id()) {
-      send(leader_, kind::kNeLeaveRequest, msg);
-    }
-    return;
+void NetworkEntity::handle_ne_leave_request(const NeLeaveRequestMsg& msg) {
+  if (is_leader()) {
+    enqueue_ne_op(OpKind::kNeLeave, msg.leaver,
+                  Contributor{msg.leaver, msg.notify_id});
+  } else if (leader_.valid() && leader_ != id()) {
+    send(leader_, kind::kNeLeaveRequest, msg);
   }
-  (void)from;
-  MembershipOp op;
-  op.kind = OpKind::kNeLeave;
-  op.seq = next_op_seq();
-  op.uid = next_op_uid();
-  op.ne = msg.leaver;
-  op.born = now();
-  const obs::SpanRecorder::Scope scope{
-      obs_.spans, obs_.tracer.on_op_born(op, id(), now())};
-  enqueue_op(std::move(op), Contributor{msg.leaver, msg.notify_id});
 }
 
 void NetworkEntity::form_singleton_ring() {
   configure_ring({id()}, id());
-  if (parent_.valid()) {
-    send(parent_, kind::kChildRebind, ChildRebindMsg{id()});
-  }
+  rebind_parent(id());
 }
 
 // --------------------------------------------------------------------------
-// Queries
+// Queries and member-list views
 // --------------------------------------------------------------------------
 
 void NetworkEntity::handle_query(const QueryRequestMsg& msg, NodeId from) {
@@ -2116,394 +1275,6 @@ void NetworkEntity::handle_query(const QueryRequestMsg& msg, NodeId from) {
   send(reply_to, kind::kQueryReply, std::move(reply), reply_bytes);
 }
 
-// --------------------------------------------------------------------------
-// Stability plane (multi-observer cut detection)
-// --------------------------------------------------------------------------
-
-void NetworkEntity::report_suspect(NodeId suspect) {
-  if (!config_.stability) {
-    declare_faulty_and_repair(suspect);
-    return;
-  }
-  raise_alert(suspect);
-}
-
-void NetworkEntity::raise_alert(NodeId suspect) {
-  if (suspect == id() || !suspect.valid() || !in_roster(suspect)) return;
-  if (pending_alerts_.count(suspect) != 0) return;  // already filed
-  PendingAlert pa;
-  pa.alert_id = (id().value() << 24) | ++alert_counter_;
-  // Alerts converge at the ring leader's aggregator; when the leader
-  // itself is the suspect they converge at the presumptive next leader
-  // instead, so the NE-level cut decision survives leader death.
-  NodeId aggregator = leader_;
-  if (suspect == leader_) {
-    std::vector<NodeId> rest;
-    for (const NodeId n : roster_) {
-      if (n != suspect) rest.push_back(n);
-    }
-    aggregator = elect_leader(rest);
-  }
-  pa.aggregator = aggregator;
-  metrics_.stability_alerts.increment();
-  obs_.flight.record(now(), id(), obs::FlightKind::kAlertRaised,
-                     suspect.value(), pa.alert_id);
-  RGB_LOG(kDebug, "stability") << now() << " " << id() << " alerts on "
-                               << suspect << " to " << aggregator;
-  AlertMsg alert{id(), pa.alert_id, {suspect}, false};
-  const auto bytes = wire_size(alert);
-  if (aggregator == id()) {
-    observe_alert(suspect, id());
-  } else if (aggregator.valid()) {
-    send(aggregator, kind::kAlert, alert, bytes);
-  }
-  // Liveness counter-check: the suspect itself gets the alert too; a live
-  // one answers kAlertAck and the accusation is withdrawn before any cut.
-  send(suspect, kind::kAlert, std::move(alert), bytes);
-  const NodeId s = suspect;
-  pa.ping_timer = set_timer(config_.retx_timeout,
-                            [this, s]() { on_alert_ping_timeout(s); });
-  const std::uint64_t aid = pa.alert_id;
-  pa.fallback_timer = set_timer(config_.stability_timeout, [this, s, aid]() {
-    on_stability_fallback(s, aid);
-  });
-  pending_alerts_.emplace(suspect, std::move(pa));
-}
-
-void NetworkEntity::cancel_alert(NodeId suspect) {
-  const auto it = pending_alerts_.find(suspect);
-  if (it == pending_alerts_.end()) return;
-  cancel_timer(it->second.ping_timer);
-  cancel_timer(it->second.fallback_timer);
-  pending_alerts_.erase(it);
-}
-
-void NetworkEntity::on_alert_ping_timeout(NodeId suspect) {
-  const auto it = pending_alerts_.find(suspect);
-  if (it == pending_alerts_.end()) return;
-  // Re-ping until the ack, a cut, or the fallback resolves the alert: a
-  // loss burst that swallowed the first ping must not be enough to turn a
-  // live node into a cut member.
-  AlertMsg ping{id(), it->second.alert_id, {suspect}, false};
-  const auto bytes = wire_size(ping);
-  send(suspect, kind::kAlert, std::move(ping), bytes);
-  it->second.ping_timer = set_timer(config_.retx_timeout, [this, suspect]() {
-    on_alert_ping_timeout(suspect);
-  });
-}
-
-void NetworkEntity::on_stability_fallback(NodeId suspect,
-                                          std::uint64_t alert_id) {
-  const auto it = pending_alerts_.find(suspect);
-  if (it == pending_alerts_.end() || it->second.alert_id != alert_id) return;
-  cancel_timer(it->second.ping_timer);
-  pending_alerts_.erase(it);
-  if (!in_roster(suspect)) return;  // a cut or repair resolved it already
-  // No cut arrived within the stability timeout: degrade to the proven
-  // single-observer declare so detection latency stays bounded and
-  // liveness never regresses below the pre-stability protocol.
-  metrics_.stability_timeout_fallbacks.increment();
-  obs_.flight.record(now(), id(), obs::FlightKind::kStabilityFallback,
-                     suspect.value(), alert_id);
-  declare_faulty_and_repair(suspect);
-}
-
-void NetworkEntity::handle_alert(const AlertMsg& msg, NodeId from) {
-  if (!config_.stability) return;
-  if (msg.retract) {
-    for (const NodeId s : msg.suspects) stability_.retract(s, msg.observer);
-    return;
-  }
-  bool about_me = false;
-  for (const NodeId s : msg.suspects) {
-    if (s == id()) {
-      about_me = true;
-    } else {
-      observe_alert(s, msg.observer);
-    }
-  }
-  if (about_me) {
-    // Counter-observation of liveness: we are evidently alive; the ack
-    // makes the observer withdraw the accusation.
-    send(from, kind::kAlertAck, AlertAckMsg{id(), msg.alert_id},
-         wire_size(AlertAckMsg{}));
-  }
-}
-
-void NetworkEntity::handle_alert_ack(const AlertAckMsg& msg, NodeId /*from*/) {
-  const auto vit = pending_verifies_.find(msg.responder);
-  if (vit != pending_verifies_.end() && vit->second.alert_id == msg.alert_id) {
-    // Pre-cut verification answered: the suspect is alive, its pending
-    // observation was a stale flap (a lost retraction) — drop it outright.
-    metrics_.stability_suppressed_flaps.increment();
-    RGB_LOG(kDebug, "stability") << now() << " " << id() << " verified "
-                                 << msg.responder << " live; cut averted";
-    cancel_cut_verification(msg.responder);
-    stability_.forget(msg.responder);
-    arm_stability_cut_timer();
-    return;
-  }
-  const auto it = pending_alerts_.find(msg.responder);
-  if (it == pending_alerts_.end() || it->second.alert_id != msg.alert_id) {
-    return;
-  }
-  // The suspect answered: suppress the flap — cancel locally and retract
-  // at the aggregator so a pending cut loses this observation.
-  metrics_.stability_suppressed_flaps.increment();
-  const NodeId aggregator = it->second.aggregator;
-  const std::uint64_t alert_id = it->second.alert_id;
-  cancel_alert(msg.responder);
-  if (aggregator == id()) {
-    stability_.retract(msg.responder, id());
-  } else if (aggregator.valid()) {
-    AlertMsg retraction{id(), alert_id, {msg.responder}, true};
-    const auto bytes = wire_size(retraction);
-    send(aggregator, kind::kAlert, std::move(retraction), bytes);
-  }
-}
-
-void NetworkEntity::observe_alert(NodeId suspect, NodeId observer) {
-  if (!in_roster(suspect) || suspect == id()) return;
-  stability_.observe(suspect, observer, now());
-  check_stability_cut();
-}
-
-void NetworkEntity::check_stability_cut() {
-  // K is clamped to the observers that can exist (ring peers minus the
-  // suspect): a K nobody can reach would disable early firing entirely and
-  // every cut would wait out the full window.
-  const int feasible =
-      roster_.size() > 1 ? static_cast<int>(roster_.size()) - 1 : 1;
-  const int k = std::max(1, std::min(kStabilityK, feasible));
-  if (stability_.ready(now(), config_.stability_window, k)) {
-    // A K-corroborated cut fires immediately. A deadline-only cut first
-    // verifies its suspects: the dominant false-cut path is a suppressed
-    // flap whose one-shot retraction was lost in transit, leaving a stale
-    // single observation to ride out the window. The verification ping is
-    // the same alert/ack liveness exchange the observers use; only the
-    // suspects that stay silent through the retx budget are cut.
-    if (!stability_.corroborated(k)) {
-      start_cut_verifications();
-      if (cut_verifies_in_flight()) {
-        arm_stability_cut_timer();
-        return;
-      }
-    }
-    const StabilityAggregator::Cut cut = stability_.take();
-    for (const NodeId suspect : cut.suspects) cancel_cut_verification(suspect);
-    metrics_.stability_cuts.increment();
-    metrics_.stability_batched_failures.increment(cut.suspects.size());
-    obs_.flight.record(now(), id(), obs::FlightKind::kCutApplied,
-                       cut.suspects.size(), cut.observers);
-    RGB_LOG(kInfo, "stability")
-        << now() << " " << id() << " applies a cut of " << cut.suspects.size()
-        << " suspect(s) from " << cut.observers << " observer(s)";
-    declare_cut(cut.suspects);
-  }
-  arm_stability_cut_timer();
-}
-
-bool NetworkEntity::start_cut_verifications() {
-  bool started = false;
-  for (const NodeId suspect : stability_.suspects()) {
-    if (pending_verifies_.count(suspect) != 0) continue;
-    PendingVerify pv;
-    pv.alert_id = (id().value() << 24) | ++alert_counter_;
-    pv.pings_left = config_.max_retx;
-    RGB_LOG(kDebug, "stability") << now() << " " << id()
-                                 << " verifies suspect " << suspect
-                                 << " before a deadline cut";
-    AlertMsg ping{id(), pv.alert_id, {suspect}, false};
-    const auto bytes = wire_size(ping);
-    send(suspect, kind::kAlert, std::move(ping), bytes);
-    const NodeId s = suspect;
-    pv.ping_timer = set_timer(config_.retx_timeout,
-                              [this, s]() { on_verify_ping_timeout(s); });
-    pending_verifies_.emplace(suspect, std::move(pv));
-    started = true;
-  }
-  return started;
-}
-
-bool NetworkEntity::cut_verifies_in_flight() const {
-  for (const auto& [suspect, pv] : pending_verifies_) {
-    if (!pv.expired) return true;
-  }
-  return false;
-}
-
-void NetworkEntity::on_verify_ping_timeout(NodeId suspect) {
-  const auto it = pending_verifies_.find(suspect);
-  if (it == pending_verifies_.end() || it->second.expired) return;
-  if (it->second.pings_left <= 0) {
-    // Silent through the whole budget: the suspect no longer blocks the
-    // deadline cut. The entry stays (expired) so it is not re-verified.
-    it->second.expired = true;
-    check_stability_cut();
-    return;
-  }
-  --it->second.pings_left;
-  AlertMsg ping{id(), it->second.alert_id, {suspect}, false};
-  const auto bytes = wire_size(ping);
-  send(suspect, kind::kAlert, std::move(ping), bytes);
-  it->second.ping_timer = set_timer(config_.retx_timeout, [this, suspect]() {
-    on_verify_ping_timeout(suspect);
-  });
-}
-
-void NetworkEntity::cancel_cut_verification(NodeId suspect) {
-  const auto it = pending_verifies_.find(suspect);
-  if (it == pending_verifies_.end()) return;
-  cancel_timer(it->second.ping_timer);
-  pending_verifies_.erase(it);
-}
-
-void NetworkEntity::arm_stability_cut_timer() {
-  cancel_timer(stability_cut_timer_);
-  const sim::Time deadline = stability_.deadline(config_.stability_window);
-  if (deadline == 0) return;
-  const sim::Duration delay = deadline > now() ? deadline - now() : 1;
-  stability_cut_timer_ = set_timer(delay, [this]() { check_stability_cut(); });
-}
-
-void NetworkEntity::reset_stability_state() {
-  for (auto& [suspect, pending] : pending_alerts_) {
-    cancel_timer(pending.ping_timer);
-    cancel_timer(pending.fallback_timer);
-  }
-  pending_alerts_.clear();
-  for (auto& [suspect, pending] : pending_verifies_) {
-    cancel_timer(pending.ping_timer);
-  }
-  pending_verifies_.clear();
-  stability_.clear();
-  cancel_timer(stability_cut_timer_);
-}
-
-// --------------------------------------------------------------------------
-// MH liveness monitoring (faulty-disconnection detection, Section 1)
-// --------------------------------------------------------------------------
-
-void NetworkEntity::handle_mh_heartbeat(const MhHeartbeatMsg& msg,
-                                        NodeId from) {
-  if (config_.mh_failure_timeout == 0) return;
-  mh_last_heard_[msg.mh] = MhLiveness{now(), from};
-  const auto pending = pending_silent_.find(msg.mh);
-  if (pending != pending_silent_.end()) {
-    // Counter-observation: the member is alive after all — the pending
-    // failure was a flap (heartbeats lost in transit), not a faulty
-    // disconnection.
-    pending_silent_.erase(pending);
-    metrics_.stability_suppressed_flaps.increment();
-  }
-  if (!mh_sweep_timer_) {
-    mh_sweep_timer_ = std::make_unique<proto::PeriodicTimer>(
-        network(), id(), config_.mh_failure_timeout / 2,
-        [this]() { sweep_silent_members(); });
-    mh_sweep_timer_->start();
-  }
-}
-
-void NetworkEntity::sweep_silent_members() {
-  // Sweep ticks are skipped while this AP is crashed, so a gap of more than
-  // two periods means it just recovered. Heartbeats sent to it meanwhile
-  // were lost, so silence that overlaps its own downtime is no evidence
-  // against a member it still claims: monitoring restarts from now.
-  if (last_mh_sweep_ != 0 &&
-      now() - last_mh_sweep_ > config_.mh_failure_timeout) {
-    mh_monitored_since_ = now();
-  }
-  last_mh_sweep_ = now();
-  const sim::Time deadline =
-      now() < config_.mh_failure_timeout
-          ? 0
-          : now() - config_.mh_failure_timeout;
-  for (auto it = mh_last_heard_.begin(); it != mh_last_heard_.end();) {
-    const Guid mh = it->first;
-    if (std::max(it->second.last_heard, mh_monitored_since_) > deadline) {
-      ++it;
-      continue;
-    }
-    const MhLiveness liveness = it->second;
-    it = mh_last_heard_.erase(it);
-    // Only members this AP still claims are ours to report; a handed-off
-    // member is monitored by its new AP. The claim, not the table, decides:
-    // a join or handoff-in whose round still waits for the token is ours
-    // although no table shows it yet.
-    if (local_attached_.count(mh) == 0) continue;
-    if (config_.stability) {
-      // Defer into the stability window instead of failing on the first
-      // silent sweep, and counter-probe the member — a live-but-quiet MH
-      // answers with an immediate heartbeat, which cancels the pending
-      // failure (flap suppression for lost-heartbeat bursts).
-      pending_silent_[mh] =
-          PendingSilent{liveness.last_heard, now(), liveness.mh_node};
-      if (liveness.mh_node.valid()) {
-        AlertMsg probe{id(), 0, {}, false};
-        const auto bytes = wire_size(probe);
-        send(liveness.mh_node, kind::kAlert, std::move(probe), bytes);
-      }
-      continue;
-    }
-    enqueue_local_ops(silent_member_fail_ops(mh, liveness.last_heard));
-  }
-  flush_silent_members();
-}
-
-std::vector<MembershipOp> NetworkEntity::silent_member_fail_ops(
-    Guid mh, sim::Time last_heard) {
-  std::vector<MembershipOp> ops;
-  const auto it = local_attached_.find(mh);
-  if (it == local_attached_.end()) return ops;  // handed off or departed
-  // Liveness is per-member, not per-group: a silent MH is silent in every
-  // group it inhabits. One detection event (latency from the last
-  // heartbeat heard), one fail op per claimed group, each ending the epoch
-  // this AP claimed.
-  const std::map<GroupId, std::uint64_t> claims = it->second;
-  for (const auto& [gid, claim] : claims) set_claim(mh, gid, 0);
-  obs_.tracer.on_member_detected(mh, id(), now() - last_heard, now());
-  for (const auto& [gid, claim] : claims) {
-    MembershipOp op;
-    op.kind = OpKind::kMemberFail;
-    op.gid = gid;
-    op.seq = next_op_seq();
-    op.uid = next_op_uid();
-    op.claim_seq = claim;
-    op.member = MemberRecord{mh, id(), MemberStatus::kFailed};
-    ops.push_back(std::move(op));
-  }
-  return ops;
-}
-
-void NetworkEntity::flush_silent_members() {
-  if (pending_silent_.empty()) return;
-  std::vector<Guid> expired;
-  for (const auto& [mh, pending] : pending_silent_) {
-    if (now() - pending.deferred_at >= config_.stability_window) {
-      expired.push_back(mh);
-    }
-  }
-  if (expired.empty()) return;
-  // Deterministic batch order regardless of hash-map iteration.
-  std::sort(expired.begin(), expired.end());
-  std::vector<MembershipOp> ops;
-  for (const Guid mh : expired) {
-    const PendingSilent pending = pending_silent_.at(mh);
-    pending_silent_.erase(mh);
-    for (MembershipOp& op : silent_member_fail_ops(mh, pending.last_heard)) {
-      ops.push_back(std::move(op));
-    }
-  }
-  // A correlated silence (regional outage, crashed coverage area) becomes
-  // ONE batched flush — one token round — instead of one round per member.
-  metrics_.stability_batched_failures.increment(ops.size());
-  enqueue_local_ops(std::move(ops));
-}
-
-// --------------------------------------------------------------------------
-// Member-list views
-// --------------------------------------------------------------------------
-
 std::vector<MemberRecord> NetworkEntity::local_members() const {
   return dir_.merged_members_at(id());
 }
@@ -2519,37 +1290,6 @@ std::vector<MemberRecord> NetworkEntity::neighbor_members() const {
               return a.guid < b.guid;
             });
   return out;
-}
-
-// --------------------------------------------------------------------------
-// Dedup bookkeeping
-// --------------------------------------------------------------------------
-
-void NetworkEntity::remember_disseminated(
-    const std::vector<MembershipOp>& ops) {
-  for (const MembershipOp& op : ops) {
-    if (disseminated_.insert(op.uid).second) {
-      disseminated_order_.push_back(op.uid);
-      if (disseminated_order_.size() > kDisseminatedCap) {
-        disseminated_.erase(disseminated_order_.front());
-        disseminated_order_.pop_front();
-      }
-    }
-  }
-}
-
-bool NetworkEntity::already_disseminated(std::uint64_t uid) const {
-  return disseminated_.count(uid) != 0;
-}
-
-void NetworkEntity::remember_round(std::uint64_t round_id) {
-  if (recent_rounds_.insert(round_id).second) {
-    recent_rounds_order_.push_back(round_id);
-    if (recent_rounds_order_.size() > kRecentRoundsCap) {
-      recent_rounds_.erase(recent_rounds_order_.front());
-      recent_rounds_order_.pop_front();
-    }
-  }
 }
 
 // --------------------------------------------------------------------------
@@ -2574,7 +1314,7 @@ void NetworkEntity::deliver(const net::Envelope& env) {
       handle_token_grant(env.payload.get<TokenGrantMsg>());
       break;
     case kind::kTokenRelease:
-      handle_token_release(env.payload.get<TokenReleaseMsg>(), env.src);
+      handle_token_release(env.payload.get<TokenReleaseMsg>());
       break;
     case kind::kNotifyParent:
     case kind::kNotifyChild:
@@ -2584,43 +1324,46 @@ void NetworkEntity::deliver(const net::Envelope& env) {
       handle_holder_ack(env.payload.get<HolderAckMsg>());
       break;
     case kind::kRepair:
-      handle_repair(env.payload.get<RepairMsg>(), env.src);
+      handle_repair(env.payload.get<RepairMsg>());
       break;
     case kind::kChildRebind:
-      handle_child_rebind(env.payload.get<ChildRebindMsg>(), env.src);
+      handle_child_rebind(env.payload.get<ChildRebindMsg>());
       break;
     case kind::kMergeOffer:
-      handle_merge_offer(env.payload.get<MergeOfferMsg>(), env.src);
+      view_sync_.handle_merge_offer(env.payload.get<MergeOfferMsg>(),
+                                    env.src);
       break;
     case kind::kMergeAccept:
-      handle_merge_accept(env.payload.get<MergeAcceptMsg>(), env.src);
+      view_sync_.handle_merge_accept(env.payload.get<MergeAcceptMsg>(),
+                                     env.src);
       break;
     case kind::kRingReform:
       handle_ring_reform(env.payload.get<RingReformMsg>(), env.src);
       break;
     case kind::kNeJoinRequest:
-      handle_ne_join_request(env.payload.get<NeJoinRequestMsg>(), env.src);
+      handle_ne_join_request(env.payload.get<NeJoinRequestMsg>());
       break;
     case kind::kNeLeaveRequest:
-      handle_ne_leave_request(env.payload.get<NeLeaveRequestMsg>(), env.src);
+      handle_ne_leave_request(env.payload.get<NeLeaveRequestMsg>());
       break;
     case kind::kViewSync:
-      handle_view_sync(env.payload.get<ViewSyncMsg>(), env.src);
+      view_sync_.handle_view_sync(env.payload.get<ViewSyncMsg>(), env.src);
       break;
     case kind::kSnapshotRequest:
-      handle_snapshot_request(env.payload.get<SnapshotRequestMsg>(), env.src);
+      snapshots_.handle_request(env.payload.get<SnapshotRequestMsg>(),
+                                env.src);
       break;
     case kind::kSnapshot:
-      handle_snapshot(env.payload.get<SnapshotMsg>(), env.src);
+      snapshots_.handle_snapshot(env.payload.get<SnapshotMsg>(), env.src);
       break;
     case kind::kSnapshotAck:
-      handle_snapshot_ack(env.payload.get<SnapshotAckMsg>(), env.src);
+      snapshots_.handle_ack(env.payload.get<SnapshotAckMsg>(), env.src);
       break;
     case kind::kReconcile:
-      handle_reconcile(env.payload.get<ReconcileMsg>(), env.src);
+      attachments_.handle_reconcile(env.payload.get<ReconcileMsg>(), env.src);
       break;
     case kind::kReconcileAck:
-      handle_reconcile_ack(env.payload.get<ReconcileAckMsg>());
+      attachments_.handle_reconcile_ack(env.payload.get<ReconcileAckMsg>());
       break;
     case kind::kMhRequest: {
       const MhRequestMsg& req = env.payload.get<MhRequestMsg>();
@@ -2644,13 +1387,14 @@ void NetworkEntity::deliver(const net::Envelope& env) {
       break;
     }
     case kind::kMhHeartbeat:
-      handle_mh_heartbeat(env.payload.get<MhHeartbeatMsg>(), env.src);
+      attachments_.handle_mh_heartbeat(env.payload.get<MhHeartbeatMsg>(),
+                                       env.src);
       break;
     case kind::kAlert:
-      handle_alert(env.payload.get<AlertMsg>(), env.src);
+      stability_.handle_alert(env.payload.get<AlertMsg>(), env.src);
       break;
     case kind::kAlertAck:
-      handle_alert_ack(env.payload.get<AlertAckMsg>(), env.src);
+      stability_.handle_alert_ack(env.payload.get<AlertAckMsg>());
       break;
     case kind::kQueryRequest:
       handle_query(env.payload.get<QueryRequestMsg>(), env.src);

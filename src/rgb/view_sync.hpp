@@ -1,0 +1,75 @@
+// View-sync anti-entropy and fragment merging (extensions: the paper's
+// future-work Membership-Partition/Merge algorithms): the NE component that
+// reconverges member views and ring shapes after losses, crashes and
+// partitions. Handles kViewSync, kMergeOffer and kMergeAccept.
+//
+// Anti-entropy runs seq-keyed view reconciliation along the leader graph —
+// ring members, parent (within the retention tiers), child (when
+// disseminating down). Every edge of the hierarchy is covered by some
+// leader's sync set, so views that lost notifications to a crash/repair
+// window reconverge once the network quiesces. The monotone seq rule makes
+// syncs idempotent and loop-free; a receiver answers at most one bounded
+// diff. Each tick ships one kSummary frame per link carrying only the
+// combined digest over every group — O(1) bytes per link per tick however
+// many groups the directory serves; a receiver whose view agrees answers
+// nothing. On mismatch the receiver pulls with a kDigest of its packed
+// per-group digests, the sender answers with a kFull scoped to the groups
+// that differ, and the receiver imports it and sends back a kDiff of what
+// it holds newer. The ring-internal kSummary also carries the ring shape:
+// members adopt it when their (roster, leader) drifted — the convergent
+// replacement for a lost RingReform broadcast.
+//
+// Merge probing: a leader round-robins a kMergeOffer over peers it once
+// ringed with but no longer does; they may have recovered or live in
+// another fragment. Offer and accept both end in the core's
+// merge_fragment.
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <optional>
+#include <vector>
+
+#include "rgb/messages.hpp"
+#include "rgb/types.hpp"
+
+namespace rgb::core {
+
+class NetworkEntity;
+
+class ViewSync {
+ public:
+  explicit ViewSync(NetworkEntity& ne) : ne_(ne) {}
+  ViewSync(const ViewSync&) = delete;  // timers hold its address
+  ViewSync& operator=(const ViewSync&) = delete;
+
+  /// Drops the cached kFull: none outlives the probe tick it was built in.
+  void new_tick() { last_full_.reset(); }
+  /// A leader's probe-tick work: one merge probe, then the kSummary fan-out.
+  void tick();
+
+  void handle_view_sync(const ViewSyncMsg& msg, NodeId from);
+  void handle_merge_offer(const MergeOfferMsg& msg, NodeId from);
+  void handle_merge_accept(const MergeAcceptMsg& msg, NodeId from);
+
+ private:
+  void attempt_merge();
+  void send_summaries();
+
+  NetworkEntity& ne_;
+  /// The last kFull this NE built, with the dir_.change_count() and scope
+  /// it was built for and its wire_size. Reused while both are unchanged:
+  /// one kSummary fan-out draws a kDigest from several peers, and while the
+  /// directory and the scope are unchanged the kFull built for the first
+  /// is exactly what a fresh export would build for the next.
+  struct FullReply {
+    net::Payload payload;
+    std::uint64_t changes = 0;
+    std::vector<GroupId> gids;
+    std::uint32_t bytes = 0;
+  };
+  std::optional<FullReply> last_full_;
+  std::size_t merge_probe_cursor_ = 0;
+};
+
+}  // namespace rgb::core

@@ -265,16 +265,6 @@ inline void read_body(Reader& r, core::ChildRebindMsg& v) {
 }
 
 template <typename Sink>
-void write_body(Writer<Sink>& w, const core::ProbeMsg& v) {
-  w.varint(v.probe_id);
-  w.id(v.origin);
-}
-inline void read_body(Reader& r, core::ProbeMsg& v) {
-  v.probe_id = r.varint();
-  v.origin = r.id<common::NodeIdTag>();
-}
-
-template <typename Sink>
 void write_body(Writer<Sink>& w, const core::ProbeAckMsg& v) {
   w.varint(v.probe_id);
 }

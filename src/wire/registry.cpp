@@ -136,8 +136,7 @@ const WireRegistry& WireRegistry::global() {
     r.add(core::kind::kChildRebind,
           make_codec<core::ChildRebindMsg>("child-rebind"));
     // kProbe carries an empty-op TokenMsg (send_token_to picks the kind by
-    // cargo); the standalone ProbeMsg/ProbeAckMsg types are currently
-    // unsent but keep their kinds reserved.
+    // cargo); kProbeAck is currently unsent but keeps its kind and codec.
     r.add(core::kind::kProbe, make_codec<core::TokenMsg>("probe"));
     r.add(core::kind::kProbeAck, make_codec<core::ProbeAckMsg>("probe-ack"));
     r.add(core::kind::kMergeOffer,
