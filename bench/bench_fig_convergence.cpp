@@ -33,8 +33,9 @@ int main() {
     const int r = cell.params.get_int("r");
     std::uint64_t n = 1;
     for (int i = 0; i < h; ++i) n *= static_cast<std::uint64_t>(r);
-    table.add_row({common::cell(n),
-                   "(" + std::to_string(h) + "," + std::to_string(r) + ")",
+    std::string shape = "(";
+    shape += std::to_string(h) + "," + std::to_string(r) + ")";
+    table.add_row({common::cell(n), shape,
                    common::cell(cell.metric("rgb_ms").mean, 1),
                    common::cell(cell.metric("tree_ms").mean, 1),
                    common::cell(cell.metric("flat_ms").mean, 1)});

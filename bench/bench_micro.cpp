@@ -3,8 +3,10 @@
 // GroupDirectory operations a probe tick or an op intake performs (at
 // G = 1, 100 and 1000 groups; each should read flat in G), the kFull
 // exchange's two halves per entry (one group's export, one fused
-// import+diff), codec encode/decode in ns/byte, network send/deliver, and
-// an end-to-end Member-Join round on a small hierarchy.
+// import+diff) and their bucket-scoped counterparts with the bucket
+// digests a large differing group reads, codec encode/decode in ns/byte,
+// network send/deliver, and an end-to-end Member-Join round on a small
+// hierarchy.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -192,6 +194,65 @@ void BM_GroupImportAndDiff(benchmark::State& state) {
                           static_cast<std::int64_t>(run.size()));
 }
 BENCHMARK(BM_GroupImportAndDiff)->Arg(20)->Arg(2000)->Arg(200000);
+
+// --- the bucket-level exchange of a large group ------------------------------
+
+/// Every 12th of the 128 buckets: 11 buckets, about what ~11 differing
+/// records (the churn_faults mean per exchange) spread over.
+const std::vector<core::BucketScope> kElevenBuckets = [] {
+  core::BucketScope scope{common::GroupId{1}, {}};
+  for (std::uint32_t b = 0; b < core::kBucketCount; b += 12) {
+    scope.buckets.push_back(b);
+  }
+  return std::vector<core::BucketScope>{scope};
+}();
+
+/// What a kDigest receiver reads for a large group that differs: its
+/// bucket digests, kept by the table from its first bucket-level exchange.
+void BM_GroupBucketDigests(benchmark::State& state) {
+  core::GroupDirectory dir =
+      one_group(static_cast<std::uint64_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dir.bucket_digests(common::GroupId{1}));
+  }
+}
+BENCHMARK(BM_GroupBucketDigests)->Arg(2000)->Arg(200000);
+
+/// What a kBuckets receiver ships: the entries of 11 buckets. Items are
+/// the table's entries, so the rate compares with BM_GroupExport's.
+void BM_GroupExportBuckets(benchmark::State& state) {
+  const auto entries = static_cast<std::uint64_t>(state.range(0));
+  core::GroupDirectory dir = one_group(entries);
+  dir.bucket_digests(common::GroupId{1});  // as the receiver does first
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dir.export_buckets(kElevenBuckets));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(entries));
+}
+BENCHMARK(BM_GroupExportBuckets)->Arg(2000)->Arg(200000);
+
+/// What a bucket-scoped kFull receiver does: the fused import+diff of 11
+/// buckets' run, with BM_GroupImportAndDiff's 2% of older entries. Items
+/// are the table's entries, as above.
+void BM_GroupImportAndDiffBuckets(benchmark::State& state) {
+  const auto entries = static_cast<std::uint64_t>(state.range(0));
+  core::GroupDirectory dir = one_group(entries);
+  dir.bucket_digests(common::GroupId{1});  // as the kBuckets sender did
+  std::vector<core::TableEntry> run = dir.export_buckets(kElevenBuckets);
+  for (core::TableEntry& entry : run) {
+    if (entry.record.guid.value() % 50 == 0) --entry.last_seq;
+  }
+  std::vector<core::TableEntry> diff;
+  for (auto _ : state) {
+    diff.clear();
+    benchmark::DoNotOptimize(
+        dir.import_and_diff(run, {}, diff, kElevenBuckets));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(entries));
+}
+BENCHMARK(BM_GroupImportAndDiffBuckets)->Arg(2000)->Arg(200000);
 
 // --- codec: ns per encoded byte --------------------------------------------
 

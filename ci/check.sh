@@ -15,8 +15,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
 
+# Warnings are errors in the check build: the project's -Wall -Wextra
+# build stays at zero warnings.
 echo "== configure =="
-cmake -B "$BUILD_DIR" -S . > /dev/null
+cmake -B "$BUILD_DIR" -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON > /dev/null
 
 echo "== build =="
 cmake --build "$BUILD_DIR" -j
@@ -86,6 +88,18 @@ echo "== rgb_fuzz partition gate (60 seeds) =="
 echo "== rgb_fuzz snapshot-join lossy profile =="
 "$BUILD_DIR/rgb_fuzz" --partitions 1 --snapshot-join 1 --seeds 20 --start 1 \
     --quiet
+
+# Large-group gates: every other gate runs 8 members, so no group there
+# exceeds the bucket threshold (ViewSync::kBucketThreshold, 256 records on
+# both ends) and no exchange takes the bucket-level anti-entropy path of
+# wire v5. At 600 members, in one group and in four, differing groups go
+# down to bucket level under partition faults; both must stay at zero
+# violating seeds.
+echo "== rgb_fuzz large-group gates (bucket-level anti-entropy) =="
+"$BUILD_DIR/rgb_fuzz" --members 600 --partitions 1 --seeds 20 --start 1 \
+    --quiet
+"$BUILD_DIR/rgb_fuzz" --members 600 --groups 4 --partitions 1 --seeds 20 \
+    --start 1 --quiet
 
 # Sustained-churn conformance gate (the PR8 stability layer). The churn
 # profile adds 0.5–3%-per-tick member churn windows to the base fault mix;
@@ -191,7 +205,8 @@ rm -f "$sw1" "$sw2" "$sw8"
 # Wire codec conformance: every registered kind must round-trip
 # byte-identically on randomized messages — since wire v4 that includes the
 # group-scoped bodies (gid-stamped ops/entries, packed per-group digests,
-# the kSummary sync phase and sync-scope gid lists) — and a bounded
+# the kSummary sync phase and sync-scope gid lists), since v5 the kBuckets
+# phase, per-group bucket digests and bucket scopes — and a bounded
 # mutation-fuzz sweep must produce only clean accepts/rejects (no crash,
 # no UB, accepted mutants canonical). Fixed seeds keep both deterministic.
 echo "== rgb_wire smoke =="
@@ -315,16 +330,18 @@ rm -f "$tr1" "$tr2" "$tr8"
 echo "== bench suite smoke =="
 python3 bench/suite/run.py smoke > /dev/null
 
-# AddressSanitizer + UndefinedBehaviorSanitizer gate over the unit suite:
-# a separate Debug build (asserts on, libstdc++ container checks on) in
-# which any memory error, UB or failed assert fails CI.
+# AddressSanitizer + UndefinedBehaviorSanitizer gate over the unit and wire
+# suites (the wire suite feeds hostile frames to the real decoders): a
+# separate Debug build (asserts on, libstdc++ container checks on) in which
+# any memory error, UB or failed assert fails CI.
 echo "== asan+ubsan unit tests =="
 ASAN_DIR="${BUILD_DIR}-asan"
 cmake -B "$ASAN_DIR" -S . -DCMAKE_BUILD_TYPE=Debug \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" > /dev/null
-cmake --build "$ASAN_DIR" -j --target rgb_unit_tests > /dev/null
-ctest --test-dir "$ASAN_DIR" --output-on-failure -L unit
+cmake --build "$ASAN_DIR" -j --target rgb_unit_tests rgb_wire_tests \
+    > /dev/null
+ctest --test-dir "$ASAN_DIR" --output-on-failure -L 'unit|wire'
 
 # ThreadSanitizer gate over the concurrent kernel (sim worker pool +
 # cross-shard outboxes, net stripe metering, striped obs instruments,

@@ -82,7 +82,7 @@ class Payload {
   }
 
   std::shared_ptr<const std::any> shared_;
-  alignas(std::max_align_t) unsigned char inline_storage_[kInlineBytes];
+  alignas(std::max_align_t) unsigned char inline_storage_[kInlineBytes] = {};
   const std::type_info* inline_type_ = nullptr;
 };
 

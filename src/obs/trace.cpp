@@ -8,7 +8,7 @@ OpTracer::OpTracer(FlightRecorder& flight, SpanRecorder& spans)
     : flight_(flight), spans_(spans) {}
 
 void OpTracer::configure_shards(std::uint32_t count) {
-  stripes_.assign(count == 0 ? 1 : count, Stripe{});
+  stripes_.assign(count == 0 ? 1 : count, Stripe());
 }
 
 OpTracer::Stripe& OpTracer::stripe() {
@@ -136,7 +136,7 @@ common::Histogram OpTracer::merged_detection() const {
 }
 
 void OpTracer::reset() {
-  for (Stripe& st : stripes_) st = Stripe{};
+  for (Stripe& st : stripes_) st = Stripe();
   view_changes_.reset();
 }
 

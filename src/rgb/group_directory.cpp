@@ -1,7 +1,6 @@
 #include "rgb/group_directory.hpp"
 
 #include <algorithm>
-#include <functional>
 
 namespace rgb::core {
 
@@ -73,18 +72,36 @@ std::span<const TableEntry> canonical(std::span<const TableEntry> entries,
   return storage;
 }
 
-/// `gids` itself when strictly ascending; otherwise `storage` holding them
-/// sorted without repeats.
-std::span<const GroupId> canonical(std::span<const GroupId> gids,
-                                   std::vector<GroupId>& storage) {
-  if (std::adjacent_find(gids.begin(), gids.end(),
-                         std::greater_equal<GroupId>{}) == gids.end()) {
-    return gids;
+/// A sync scope as (group, buckets) pairs, gid-ascending, one per group.
+using Scope = std::vector<std::pair<GroupId, BucketMask>>;
+
+/// Every group of `gids` whole and every group of `buckets` by its
+/// buckets; a group named twice is scoped to the union, and bucket indices
+/// of kBucketCount or more are dropped.
+Scope scope_of(std::span<const GroupId> gids,
+               std::span<const BucketScope> buckets) {
+  Scope out;
+  out.reserve(gids.size() + buckets.size());
+  for (const GroupId gid : gids) out.emplace_back(gid, ~BucketMask{});
+  for (const BucketScope& scope : buckets) {
+    BucketMask mask;
+    for (const std::uint32_t b : scope.buckets) {
+      if (b < kBucketCount) mask.set(b);
+    }
+    out.emplace_back(scope.gid, mask);
   }
-  storage.assign(gids.begin(), gids.end());
-  std::sort(storage.begin(), storage.end());
-  storage.erase(std::unique(storage.begin(), storage.end()), storage.end());
-  return storage;
+  std::sort(out.begin(), out.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::size_t kept = 0;
+  for (const auto& [gid, mask] : out) {
+    if (kept != 0 && out[kept - 1].first == gid) {
+      out[kept - 1].second |= mask;
+    } else {
+      out[kept++] = {gid, mask};
+    }
+  }
+  out.resize(kept);
+  return out;
 }
 }  // namespace
 
@@ -229,44 +246,75 @@ bool GroupDirectory::import_all(std::span<const TableEntry> entries) {
   return changed;
 }
 
+std::vector<TableEntry> GroupDirectory::export_buckets(
+    std::span<const BucketScope> scope) const {
+  std::vector<TableEntry> out;
+  for (const auto& [gid, buckets] : scope_of({}, scope)) {
+    if (const MemberTable* tab = table_if(gid)) {
+      tab->append_entries(out, gid, buckets);
+    }
+  }
+  return out;
+}
+
 bool GroupDirectory::import_and_diff(std::span<const TableEntry> entries,
                                      std::span<const GroupId> gids,
-                                     std::vector<TableEntry>& newer) {
+                                     std::vector<TableEntry>& newer,
+                                     std::span<const BucketScope> buckets) {
   std::vector<TableEntry> sorted_entries;
-  std::vector<GroupId> sorted_gids;
   entries = canonical(entries, sorted_entries);
-  gids = canonical(gids, sorted_gids);
+  const bool universal = gids.empty() && buckets.empty();
+  const Scope scope = scope_of(gids, buckets);
+  const BucketMask whole = ~BucketMask{};
+  // The buckets `gid` is diffed over; null when it is out of scope.
+  const auto buckets_of = [&](GroupId gid) -> const BucketMask* {
+    if (universal) return &whole;
+    const auto it = std::lower_bound(
+        scope.begin(), scope.end(), gid,
+        [](const auto& s, GroupId g) { return s.first < g; });
+    return it != scope.end() && it->first == gid ? &it->second : nullptr;
+  };
   const std::size_t first = newer.size();
   bool changed = false;
   for_each_run(entries, [&](GroupId gid, std::span<const TableEntry> run) {
     if (!gid.valid()) return;
-    if (!gids.empty() && !std::binary_search(gids.begin(), gids.end(), gid)) {
+    const BucketMask* in_scope = buckets_of(gid);
+    if (in_scope == nullptr) {
       changed |= edit_table(
           gid, [&](MemberTable& tab) { return tab.import_entries(run); });
       return;
     }
     const std::size_t from = newer.size();
-    changed |= edit_table(
-        gid, [&](MemberTable& tab) { return tab.import_and_diff(run, newer); });
+    changed |= edit_table(gid, [&](MemberTable& tab) {
+      return tab.import_and_diff(run, newer, *in_scope);
+    });
     for (auto it = newer.begin() + static_cast<std::ptrdiff_t>(from);
          it != newer.end(); ++it) {
       it->gid = gid;
     }
   });
-  // In-scope groups the payload does not mention: all of it is news to
-  // the sender. Appended gid-ascending, then merged into place.
+  // In-scope groups the payload does not mention: all of their scoped
+  // buckets are news to the sender. Appended gid-ascending, then merged
+  // into place.
   const std::size_t mid = newer.size();
-  const auto append_unmentioned = [&](GroupId gid, const MemberTable& tab) {
+  const auto append_unmentioned = [&](GroupId gid, const MemberTable& tab,
+                                      const BucketMask& in_scope) {
     const auto pos = std::lower_bound(
         entries.begin(), entries.end(), gid,
         [](const TableEntry& e, GroupId g) { return e.gid < g; });
-    if (pos == entries.end() || pos->gid != gid) tab.append_entries(newer, gid);
+    if (pos == entries.end() || pos->gid != gid) {
+      tab.append_entries(newer, gid, in_scope);
+    }
   };
-  if (gids.empty()) {
-    for (const auto& [gid, st] : groups_) append_unmentioned(gid, st.table);
+  if (universal) {
+    for (const auto& [gid, st] : groups_) {
+      append_unmentioned(gid, st.table, whole);
+    }
   } else {
-    for (const GroupId gid : gids) {
-      if (const MemberTable* tab = table_if(gid)) append_unmentioned(gid, *tab);
+    for (const auto& [gid, in_scope] : scope) {
+      if (const MemberTable* tab = table_if(gid)) {
+        append_unmentioned(gid, *tab, in_scope);
+      }
     }
   }
   std::inplace_merge(newer.begin() + static_cast<std::ptrdiff_t>(first),
@@ -309,6 +357,13 @@ std::vector<GroupId> GroupDirectory::differing_groups(
   for (const auto& [gid, d] : by_gid) out.push_back(gid);
   std::sort(out.begin(), out.end());
   return out;
+}
+
+BucketHashes GroupDirectory::bucket_digests(GroupId gid) {
+  const auto it = groups_.find(gid);
+  if (it == groups_.end()) return BucketHashes{};
+  it->second.table.index_buckets();
+  return it->second.table.bucket_digests();
 }
 
 std::uint64_t GroupDirectory::claim_of(GroupId gid, Guid guid) const {

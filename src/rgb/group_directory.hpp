@@ -16,7 +16,7 @@
 // the directory's own mutation points, so those reads cost O(1) however
 // many groups the directory serves. Every table write goes through apply /
 // import_all / import_and_diff / clear; there is deliberately no mutable
-// table accessor.
+// table accessor (bucket_digests only indexes a table's buckets).
 #pragma once
 
 #include <cstdint>
@@ -80,6 +80,11 @@ class GroupDirectory {
   /// export_all restricted to `gids` (empty = all groups).
   [[nodiscard]] std::vector<TableEntry> export_groups(
       const std::vector<GroupId>& gids) const;
+  /// The entries of the scoped buckets of each scoped group, gid-stamped,
+  /// gid-major then guid-ascending — a bucket-scoped kFull. The scope is
+  /// read as import_and_diff reads it.
+  [[nodiscard]] std::vector<TableEntry> export_buckets(
+      std::span<const BucketScope> scope) const;
 
   /// Lattice-merges gid-stamped entries into their groups' tables.
   bool import_all(std::span<const TableEntry> entries);
@@ -88,9 +93,13 @@ class GroupDirectory {
   /// import_all does, and appends to `newer` this directory's entries,
   /// after the import, that are strictly newer than every incoming copy of
   /// their (gid, guid) or that `entries` does not mention — the diff the
-  /// receiver sends back. The diff is restricted to `gids` (empty = every
-  /// group this directory holds), gid-major, guid-ascending. Returns true
-  /// when any table changed.
+  /// receiver sends back. The diff is restricted to the groups `gids`
+  /// names whole plus the buckets `buckets` names (both empty = every
+  /// group this directory holds), gid-major, guid-ascending; outside every
+  /// scoped bucket it holds only entries strictly newer than an incoming
+  /// copy. The scope may come in any order and repeat itself; bucket
+  /// indices of kBucketCount or more are ignored. Returns true when any table
+  /// changed.
   ///
   /// A payload that is gid-major and guid-ascending without repeats (what
   /// export_groups emits) is read in place. Any other payload is first
@@ -99,7 +108,8 @@ class GroupDirectory {
   /// moves once per group rather than once per run.
   bool import_and_diff(std::span<const TableEntry> entries,
                        std::span<const GroupId> gids,
-                       std::vector<TableEntry>& newer);
+                       std::vector<TableEntry>& newer,
+                       std::span<const BucketScope> buckets = {});
 
   /// One digest per non-empty group, gid-ascending — the packed kDigest
   /// payload (sublinear sync bytes per link in the group count).
@@ -115,6 +125,12 @@ class GroupDirectory {
   /// gids plus any non-empty local group the sender did not mention.
   [[nodiscard]] std::vector<GroupId> differing_groups(
       const std::vector<GroupDigest>& theirs) const;
+
+  /// One group's bucket digests; all zero when the directory lacks it.
+  /// A bucket-level exchange starts here on both ends, so the group's
+  /// table starts keeping bucket state (MemberTable::index_buckets); no
+  /// entry, digest or change_count() moves.
+  BucketHashes bucket_digests(GroupId gid);
 
   [[nodiscard]] std::uint64_t claim_of(GroupId gid, Guid guid) const;
   [[nodiscard]] std::optional<TableEntry> lookup(GroupId gid, Guid guid) const;

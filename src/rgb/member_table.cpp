@@ -35,6 +35,47 @@ std::uint64_t MemberTable::entry_hash(const MemberRecord& record,
   return h;
 }
 
+std::size_t MemberTable::bucket_of(Guid guid) {
+  return static_cast<std::size_t>(mix(guid.value()) % kBucketCount);
+}
+
+void MemberTable::index_buckets() {
+  if (!buckets_.empty()) return;
+  std::array<std::size_t, kBucketCount> sizes{};
+  for (const auto& [guid, entry] : records_) ++sizes[bucket_of(guid)];
+  buckets_.resize(kBucketCount);
+  for (std::size_t b = 0; b < kBucketCount; ++b) {
+    buckets_[b].guids.reserve(sizes[b]);
+  }
+  for (const auto& [guid, entry] : records_) {
+    Bucket& bucket = buckets_[bucket_of(guid)];
+    bucket.hash ^= entry_hash(entry);
+    bucket.guids.push_back(guid);
+  }
+}
+
+BucketHashes MemberTable::bucket_digests() const {
+  BucketHashes out{};
+  if (!buckets_.empty()) {
+    for (std::size_t b = 0; b < kBucketCount; ++b) out[b] = buckets_[b].hash;
+    return out;
+  }
+  for (const auto& [guid, entry] : records_) {
+    out[bucket_of(guid)] ^= entry_hash(entry);
+  }
+  return out;
+}
+
+void MemberTable::flip(const Entry& entry) {
+  const std::uint64_t h = entry_hash(entry);
+  digest_ ^= h;
+  if (!buckets_.empty()) buckets_[bucket_of(entry.record.guid)].hash ^= h;
+}
+
+void MemberTable::track(Guid guid) {
+  if (!buckets_.empty()) buckets_[bucket_of(guid)].guids.push_back(guid);
+}
+
 bool MemberTable::apply(const MembershipOp& op) {
   if (!op.is_member_op()) return false;
 
@@ -48,7 +89,7 @@ bool MemberTable::apply(const MembershipOp& op) {
                        op.seq)) {
     return false;
   }
-  if (!inserted) digest_ ^= entry_hash(entry);
+  if (!inserted) flip(entry);
   entry.last_seq = op.seq;
   entry.claim_seq = op.claim_seq;
   entry.record = op.member;
@@ -65,22 +106,25 @@ bool MemberTable::apply(const MembershipOp& op) {
       entry.record.status = MemberStatus::kFailed;
       break;
   }
-  digest_ ^= entry_hash(entry);
+  flip(entry);
+  if (inserted) track(op.member.guid);
   return true;
 }
 
 void MemberTable::upsert(const MemberRecord& rec) {
   const auto [it, inserted] = records_.try_emplace(rec.guid);
-  if (!inserted) digest_ ^= entry_hash(it->second);
+  if (!inserted) flip(it->second);
   it->second.record = rec;
-  digest_ ^= entry_hash(it->second);
+  flip(it->second);
+  if (inserted) track(rec.guid);
 }
 
 void MemberTable::remove(Guid guid) {
   const auto it = records_.find(guid);
   if (it == records_.end()) return;
-  digest_ ^= entry_hash(it->second);
+  flip(it->second);
   records_.erase(it);
+  if (!buckets_.empty()) std::erase(buckets_[bucket_of(guid)].guids, guid);
 }
 
 std::optional<MemberRecord> MemberTable::find(Guid guid) const {
@@ -149,10 +193,12 @@ void MemberTable::merge(const MemberTable& other) {
                            their.claim_seq, their.last_seq)) {
         continue;
       }
-      digest_ ^= entry_hash(it->second);
+      flip(it->second);
+    } else {
+      track(guid);
     }
     it->second = their;
-    digest_ ^= entry_hash(it->second);
+    flip(it->second);
   }
 }
 
@@ -168,6 +214,26 @@ void MemberTable::append_entries(std::vector<TableEntry>& out,
   const std::size_t first = out.size();
   for (const auto& [guid, entry] : records_) {
     out.push_back(to_entry(entry, gid));
+  }
+  std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end(),
+            by_guid);
+}
+
+void MemberTable::append_entries(std::vector<TableEntry>& out, GroupId gid,
+                                 const BucketMask& buckets) const {
+  if (buckets.all()) return append_entries(out, gid);
+  const std::size_t first = out.size();
+  if (buckets_.empty()) {
+    for (const auto& [guid, entry] : records_) {
+      if (buckets.test(bucket_of(guid))) out.push_back(to_entry(entry, gid));
+    }
+  } else {
+    for (std::size_t b = 0; b < kBucketCount; ++b) {
+      if (!buckets.test(b)) continue;
+      for (const Guid guid : buckets_[b].guids) {
+        out.push_back(to_entry(records_.find(guid)->second, gid));
+      }
+    }
   }
   std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end(),
             by_guid);
@@ -193,34 +259,52 @@ bool MemberTable::import(std::span<const TableEntry> entries,
         }
         continue;
       }
-      digest_ ^= entry_hash(local);
+      flip(local);
+    } else {
+      track(incoming.record.guid);
     }
     local = Entry{incoming.record, incoming.last_seq, incoming.claim_seq};
-    digest_ ^= entry_hash(local);
+    flip(local);
     changed = true;
   }
   return changed;
 }
 
 bool MemberTable::import_and_diff(std::span<const TableEntry> run,
-                                  std::vector<TableEntry>& newer) {
+                                  std::vector<TableEntry>& newer,
+                                  const BucketMask& scope) {
   assert(std::adjacent_find(run.begin(), run.end(),
                             [](const TableEntry& a, const TableEntry& b) {
                               return !by_guid(a, b);
                             }) == run.end());
+  const bool whole = scope.all();
+  if (!whole) index_buckets();
   const std::size_t first = newer.size();
   const bool changed = import(run, &newer);
   // The run's guids are all in the table now and distinct, so the table
   // holds exactly size() - run.size() records the run does not mention.
   if (std::size_t absent = records_.size() - run.size(); absent != 0) {
     const std::size_t probed = newer.size();
-    for (const auto& [guid, entry] : records_) {
+    const auto in_run = [&](Guid guid) {
       const auto pos = std::lower_bound(
           run.begin(), run.end(), guid,
           [](const TableEntry& e, Guid g) { return e.record.guid < g; });
-      if (pos == run.end() || pos->record.guid != guid) {
+      return pos != run.end() && pos->record.guid == guid;
+    };
+    if (whole) {
+      for (const auto& [guid, entry] : records_) {
+        if (in_run(guid)) continue;
         newer.push_back(to_entry(entry, GroupId{}));
         if (--absent == 0) break;
+      }
+    } else {
+      for (std::size_t b = 0; absent != 0 && b < kBucketCount; ++b) {
+        if (!scope.test(b)) continue;
+        for (const Guid guid : buckets_[b].guids) {
+          if (in_run(guid)) continue;
+          newer.push_back(to_entry(records_.find(guid)->second, GroupId{}));
+          if (--absent == 0) break;
+        }
       }
     }
     const auto begin = newer.begin();
@@ -240,6 +324,7 @@ bool operator==(const MemberTable& a, const MemberTable& b) {
 void MemberTable::clear() {
   records_.clear();
   digest_ = 0;
+  std::vector<Bucket>().swap(buckets_);
 }
 
 }  // namespace rgb::core

@@ -7,6 +7,8 @@
 // reconcile without special cases.
 #pragma once
 
+#include <array>
+#include <bitset>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -76,6 +78,31 @@ struct GroupDigest {
   friend bool operator==(const GroupDigest&, const GroupDigest&) = default;
 };
 
+/// Bucket-level anti-entropy (wire v5), one level of a Merkle tree under
+/// the group digest: a record's bucket is its guid hash mod kBucketCount, and a
+/// bucket's digest is the xor of its entries' MemberTable::entry_hash, so a
+/// table's bucket digests xor to its digest().hash.
+inline constexpr std::size_t kBucketCount = 128;
+using BucketHashes = std::array<std::uint64_t, kBucketCount>;
+using BucketMask = std::bitset<kBucketCount>;
+
+/// One group's bucket digests in a kBuckets frame.
+struct GroupBuckets {
+  GroupId gid;
+  BucketHashes hashes{};
+
+  friend bool operator==(const GroupBuckets&, const GroupBuckets&) = default;
+};
+
+/// One group's share of a bucket-scoped kFull / kDiff: the buckets, each
+/// below kBucketCount and ascending, that the sync covers.
+struct BucketScope {
+  GroupId gid;
+  std::vector<std::uint32_t> buckets;
+
+  friend bool operator==(const BucketScope&, const BucketScope&) = default;
+};
+
 class MemberTable {
  public:
   /// Applies a member op. Returns true if the table changed. NE ops are
@@ -119,6 +146,9 @@ class MemberTable {
   /// Appends every record, stamped with `gid`, to `out`; the appended part
   /// is guid-ascending.
   void append_entries(std::vector<TableEntry>& out, GroupId gid) const;
+  /// append_entries restricted to the records whose bucket is in `buckets`.
+  void append_entries(std::vector<TableEntry>& out, GroupId gid,
+                      const BucketMask& buckets) const;
 
   /// Lattice merge of exported entries: an entry lands only when it is
   /// newer than what this table reflects for the guid in
@@ -131,9 +161,12 @@ class MemberTable {
   /// incoming copy or that the run does not mention (the appended part is
   /// guid-ascending, gid unstamped). The same hash probe imports and
   /// compares; records absent from the run are searched for only when the
-  /// table holds more records than the run, and only until all are found.
+  /// table holds more records than the run, only until all are found, and
+  /// only in the buckets of `scope` (indexing the table's buckets when
+  /// that is not all of them).
   bool import_and_diff(std::span<const TableEntry> run,
-                       std::vector<TableEntry>& newer);
+                       std::vector<TableEntry>& newer,
+                       const BucketMask& scope = ~BucketMask{});
 
   /// O(1) anti-entropy digest, maintained incrementally: every mutation
   /// xors the affected entry's hash out of / into the accumulator, so a
@@ -142,6 +175,17 @@ class MemberTable {
   [[nodiscard]] ViewDigest digest() const {
     return ViewDigest{digest_, records_.size()};
   }
+
+  /// The record's bucket: its guid hash mod kBucketCount.
+  [[nodiscard]] static std::size_t bucket_of(Guid guid);
+  /// Starts keeping bucket state: each bucket's digest, by the same xor as
+  /// digest(), and its guids, both updated with every later change. From
+  /// then on bucket_digests() costs O(kBucketCount), and a bucket-scoped export
+  /// or diff visits only the scoped buckets' records instead of the whole
+  /// table. Idempotent; no entry, digest or answer changes.
+  void index_buckets();
+  /// Each bucket's digest: O(kBucketCount) once indexed, else one pass.
+  [[nodiscard]] BucketHashes bucket_digests() const;
 
   /// The hash one entry contributes to the digest (exposed for tests that
   /// need to predict or collide digests).
@@ -170,9 +214,22 @@ class MemberTable {
   /// its incoming copy.
   bool import(std::span<const TableEntry> entries,
               std::vector<TableEntry>* newer);
+  /// Xors `entry`'s hash into (or out of) the digest and, once indexed,
+  /// its bucket's digest.
+  void flip(const Entry& entry);
+  /// Files a guid new to the table under its bucket, once indexed.
+  void track(Guid guid);
 
   std::unordered_map<Guid, Entry> records_;
   std::uint64_t digest_ = 0;  ///< xor-accumulated entry hashes
+  struct Bucket {
+    std::uint64_t hash = 0;   ///< xor of the bucket's entry hashes
+    std::vector<Guid> guids;  ///< the bucket's records, unordered
+  };
+  /// kBucketCount buckets from index_buckets() on, else empty: a table that
+  /// never takes part in a bucket-level exchange (every small group, and
+  /// every group that is never probed) carries no bucket state.
+  std::vector<Bucket> buckets_;
 };
 
 }  // namespace rgb::core

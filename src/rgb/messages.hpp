@@ -182,7 +182,7 @@ struct RingReformMsg {
 /// these on probe ticks towards their ring, parent and child, which
 /// restores views that lost notifications to crash/repair windows.
 ///
-/// Four phases:
+/// Five phases:
 ///  * kSummary — steady-state tick (multi-group): only the sender's
 ///    *combined* digest over every group. O(1) bytes per link per tick no
 ///    matter how many groups the hierarchy serves. A receiver whose own
@@ -192,14 +192,22 @@ struct RingReformMsg {
 ///    digest per non-empty group. A receiver whose combined digest matches
 ///    does nothing; on mismatch it compares per group and answers with a
 ///    kFull scoped to just the differing groups (empty packed set: a
-///    universal kFull, the pre-v4 semantics).
-///  * kFull   — only ever the answer to a kDigest: the sender's seq-keyed
-///    view of the scoped groups. The receiver merges monotonically and,
-///    when `reply_requested`, answers with a kDiff of the entries it alone
-///    holds newer — one bounded diff, no cascading. No tick starts here.
+///    universal kFull, the pre-v4 semantics). A differing group that both
+///    ends hold more than ViewSync::kBucketThreshold records of goes down
+///    one level instead: it rides a kBuckets frame, not the kFull.
+///  * kBuckets — wire v5: the answer to a kDigest for large differing
+///    groups, carrying the sender's kBucketCount bucket digests of each.
+///    The receiver compares bucket by bucket and answers with a kFull
+///    scoped to the buckets that differ; when none does (a collision at
+///    group level), nothing.
+///  * kFull   — the answer to a kDigest or a kBuckets: the sender's
+///    seq-keyed view of the scoped groups or buckets. The receiver merges
+///    monotonically and, when `reply_requested`, answers with a kDiff of
+///    the entries it alone holds newer within the same scope — one bounded
+///    diff, no cascading. No tick starts here.
 ///  * kDiff   — the bounded diff reply; merged, never answered.
 struct ViewSyncMsg {
-  enum class Phase : std::uint8_t { kFull, kDigest, kDiff, kSummary };
+  enum class Phase : std::uint8_t { kFull, kDigest, kDiff, kSummary, kBuckets };
   Phase phase = Phase::kFull;
   /// kDigest only: the sender's *combined* digest over every group (gid
   /// mixed into each group's hash) and the total entry count — the O(1)
@@ -216,8 +224,17 @@ struct ViewSyncMsg {
   std::vector<GroupDigest> group_digests;
   /// kFull/kDiff: the groups this sync is scoped to. A kFull receiver
   /// restricts its kDiff reply to these, so a mismatch in one group never
-  /// ships every group's view. Empty = universal (pre-v4 semantics).
+  /// ships every group's view. Empty, with `bucket_scope` empty too =
+  /// universal (pre-v4 semantics).
   std::vector<GroupId> sync_gids;
+  /// kBuckets only (wire v5): the sender's bucket digests of each large
+  /// group that differs.
+  std::vector<GroupBuckets> group_buckets;
+  /// kFull/kDiff (wire v5): the buckets of large groups this sync is
+  /// scoped to, beside any whole groups in `sync_gids`. A kFull receiver
+  /// restricts its kDiff reply to them, so one differing record ships one
+  /// bucket of its group, not the group.
+  std::vector<BucketScope> bucket_scope;
   /// When the sender is a ring leader syncing its ring, it also carries
   /// its (roster, leader) so ring reforms are *convergent*, not
   /// delivery-dependent: a member whose RingReform was lost (drop burst,
@@ -384,6 +401,12 @@ inline constexpr std::uint32_t kClaimBytes = 22;
 inline constexpr std::uint32_t kGroupDigestBytes = 24;
 /// One GroupId (sync scope elements).
 inline constexpr std::uint32_t kGroupIdBytes = 10;
+/// One group's bucket digests: gid + length + kBucketCount 8-byte hashes.
+inline constexpr std::uint32_t kGroupBucketsBytes =
+    kGroupIdBytes + 2 + 8 * static_cast<std::uint32_t>(kBucketCount);
+/// One bucket scope: gid + length; each bucket index below kBucketCount.
+inline constexpr std::uint32_t kBucketScopeBytes = kGroupIdBytes + 2;
+inline constexpr std::uint32_t kBucketIndexBytes = 2;
 }  // namespace wire
 
 /// A bare flooded MembershipOp (the tree baseline's proposal): kOpBytes
@@ -440,12 +463,21 @@ inline constexpr std::uint32_t kGroupIdBytes = 10;
 }
 
 [[nodiscard]] inline std::uint32_t wire_size(const ViewSyncMsg& msg) {
+  std::uint32_t scope_bytes = 0;
+  for (const BucketScope& scope : msg.bucket_scope) {
+    scope_bytes += wire::kBucketScopeBytes +
+                   wire::kBucketIndexBytes *
+                       static_cast<std::uint32_t>(scope.buckets.size());
+  }
   return wire::kBaseBytes +
          wire::kTableEntryBytes * static_cast<std::uint32_t>(msg.entries.size()) +
          wire::kNodeIdBytes * static_cast<std::uint32_t>(msg.roster.size()) +
          wire::kGroupDigestBytes *
              static_cast<std::uint32_t>(msg.group_digests.size()) +
-         wire::kGroupIdBytes * static_cast<std::uint32_t>(msg.sync_gids.size());
+         wire::kGroupIdBytes * static_cast<std::uint32_t>(msg.sync_gids.size()) +
+         wire::kGroupBucketsBytes *
+             static_cast<std::uint32_t>(msg.group_buckets.size()) +
+         scope_bytes;
 }
 
 [[nodiscard]] inline std::uint32_t wire_size(const SnapshotRequestMsg&) {

@@ -79,18 +79,20 @@ void ViewSync::handle_view_sync(const ViewSyncMsg& msg, NodeId from) {
     // On mismatch, ship our view and ask for the sender's newer entries
     // back; the pair then reconverges in one exchange. With a packed
     // per-group digest set (v4) the reply is scoped to the groups that
-    // actually differ instead of the whole directory.
+    // actually differ instead of the whole directory, and large groups
+    // among them go down to bucket level (v5).
     if (in_sync) return;
-    std::vector<GroupId> gids = dir.differing_groups(msg.group_digests);
-    if (msg.group_digests.empty()) {
-      // Pre-packing sender (or a sender with an empty directory): no
-      // per-group evidence to scope by — answer with everything.
-      gids.clear();
-    } else if (gids.empty()) {
+    // Pre-packing sender (or a sender with an empty directory): no
+    // per-group evidence to scope by — answer with everything (empty gids).
+    std::vector<GroupId> gids;
+    if (!msg.group_digests.empty()) {
+      gids = dir.differing_groups(msg.group_digests);
+      send_bucket_digests(gids, msg.group_digests, from);
       // Combined digests differ but every per-group digest matches: the
       // combined hash collided (~2^-64) or the mismatch lives in groups
-      // neither side holds entries for. Nothing useful to ship.
-      return;
+      // neither side holds entries for. Nothing useful to ship — nor when
+      // every differing group went down to bucket level.
+      if (gids.empty()) return;
     }
     ne_.metrics_.group_fulls_sent.increment(gids.empty() ? dir.group_count()
                                                          : gids.size());
@@ -109,18 +111,45 @@ void ViewSync::handle_view_sync(const ViewSyncMsg& msg, NodeId from) {
     return;
   }
 
+  if (msg.phase == ViewSyncMsg::Phase::kBuckets) {
+    // One level down: ship our entries of every bucket whose digest
+    // differs from the sender's, and ask for the sender's newer entries of
+    // those buckets back.
+    ViewSyncMsg reply;
+    reply.phase = ViewSyncMsg::Phase::kFull;
+    reply.reply_requested = true;
+    for (const GroupBuckets& theirs : msg.group_buckets) {
+      const BucketHashes mine = dir.bucket_digests(theirs.gid);
+      BucketScope scope{theirs.gid, {}};
+      for (std::uint32_t b = 0; b < kBucketCount; ++b) {
+        if (mine[b] != theirs.hashes[b]) scope.buckets.push_back(b);
+      }
+      if (!scope.buckets.empty()) {
+        reply.bucket_scope.push_back(std::move(scope));
+      }
+    }
+    // Group digests differ but every bucket digest matches: a collision at
+    // group or bucket level (~2^-64). As at group level, nothing to ship.
+    if (reply.bucket_scope.empty()) return;
+    reply.entries = dir.export_buckets(reply.bucket_scope);
+    ne_.metrics_.group_fulls_sent.increment(reply.bucket_scope.size());
+    const auto reply_bytes = wire_size(reply);
+    ne_.send(from, kind::kViewSync, std::move(reply), reply_bytes);
+    return;
+  }
+
   RGB_LOG(kDebug, "sync") << ne_.now() << " " << ne_.id() << " imports "
                           << msg.entries.size() << " entries from " << from;
   if (!msg.reply_requested) {
     ne_.import(msg.entries);
     return;
   }
-  // Import and diff in one pass. The diff is scoped to the sync's group
-  // set: a scoped kFull must not drag every unrelated group's entries into
-  // the reply (that would undo the packing amortization). Empty sync_gids
-  // = universal (pre-v4 sender).
+  // Import and diff in one pass. The diff is scoped to the sync's groups
+  // and buckets: a scoped kFull must not drag every unrelated group's (or
+  // bucket's) entries into the reply (that would undo the packing
+  // amortization). An empty scope = universal (pre-v4 sender).
   std::vector<TableEntry> diff;
-  dir.import_and_diff(msg.entries, msg.sync_gids, diff);
+  dir.import_and_diff(msg.entries, msg.sync_gids, diff, msg.bucket_scope);
   ne_.note_group_count();
   if (diff.empty()) return;
   std::size_t diff_groups = 0;
@@ -136,8 +165,35 @@ void ViewSync::handle_view_sync(const ViewSyncMsg& msg, NodeId from) {
   reply.phase = ViewSyncMsg::Phase::kDiff;
   reply.entries = std::move(diff);
   reply.sync_gids = msg.sync_gids;
+  reply.bucket_scope = msg.bucket_scope;
   const auto reply_bytes = wire_size(reply);
   ne_.send(from, kind::kViewSync, std::move(reply), reply_bytes);
+}
+
+void ViewSync::send_bucket_digests(std::vector<GroupId>& gids,
+                                   const std::vector<GroupDigest>& theirs,
+                                   NodeId to) {
+  GroupDirectory& dir = ne_.dir_;
+  ViewSyncMsg sync;
+  sync.phase = ViewSyncMsg::Phase::kBuckets;
+  std::erase_if(gids, [&](GroupId gid) {
+    const MemberTable* table = dir.table_if(gid);
+    if (table == nullptr || table->size() <= kBucketThreshold) return false;
+    // `theirs` is gid-ascending as packed_digests() emits it; a sender
+    // that breaks that only keeps its groups whole.
+    const auto it = std::lower_bound(
+        theirs.begin(), theirs.end(), gid,
+        [](const GroupDigest& d, GroupId g) { return d.gid < g; });
+    if (it == theirs.end() || it->gid != gid ||
+        it->count <= kBucketThreshold) {
+      return false;
+    }
+    sync.group_buckets.push_back(GroupBuckets{gid, dir.bucket_digests(gid)});
+    return true;
+  });
+  if (sync.group_buckets.empty()) return;
+  const auto bytes = wire_size(sync);
+  ne_.send(to, kind::kViewSync, std::move(sync), bytes);
 }
 
 // --------------------------------------------------------------------------

@@ -15,9 +15,16 @@
 // nothing. On mismatch the receiver pulls with a kDigest of its packed
 // per-group digests, the sender answers with a kFull scoped to the groups
 // that differ, and the receiver imports it and sends back a kDiff of what
-// it holds newer. The ring-internal kSummary also carries the ring shape:
-// members adopt it when their (roster, leader) drifted — the convergent
-// replacement for a lost RingReform broadcast.
+// it holds newer. A differing group that both ends hold more than
+// kBucketThreshold records of goes down one level (wire v5, one level of
+// Dynamo's Merkle-tree anti-entropy): the sender answers with its bucket
+// digests of the group in a kBuckets frame instead, the receiver ships a
+// kFull of just the buckets that differ, and the sender's kDiff is scoped
+// to the same buckets. Repair traffic then follows how far two views
+// diverge, not how large the group is; bucket digests travel only for
+// groups already found to differ. The ring-internal kSummary also carries
+// the ring shape: members adopt it when their (roster, leader) drifted —
+// the convergent replacement for a lost RingReform broadcast.
 //
 // Merge probing: a leader round-robins a kMergeOffer over peers it once
 // ringed with but no longer does; they may have recovered or live in
@@ -39,6 +46,11 @@ class NetworkEntity;
 
 class ViewSync {
  public:
+  /// A group that differs goes down to bucket level only when both ends
+  /// hold more than this many records of it (two per bucket on average);
+  /// smaller groups ship whole.
+  static constexpr std::size_t kBucketThreshold = 256;
+
   explicit ViewSync(NetworkEntity& ne) : ne_(ne) {}
   ViewSync(const ViewSync&) = delete;  // timers hold its address
   ViewSync& operator=(const ViewSync&) = delete;
@@ -55,6 +67,11 @@ class ViewSync {
  private:
   void attempt_merge();
   void send_summaries();
+  /// Takes out of `gids` (groups that differ from a kDigest's sender)
+  /// those both ends hold more than kBucketThreshold records of, and sends
+  /// their bucket digests to `to` in one kBuckets frame.
+  void send_bucket_digests(std::vector<GroupId>& gids,
+                           const std::vector<GroupDigest>& theirs, NodeId to);
 
   NetworkEntity& ne_;
   /// The last kFull this NE built, with the dir_.change_count() and scope

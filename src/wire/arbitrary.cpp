@@ -112,6 +112,27 @@ struct Gen {
     return out;
   }
 
+  [[nodiscard]] std::vector<core::GroupBuckets> group_buckets() {
+    std::vector<core::GroupBuckets> out(count());
+    for (auto& g : out) {
+      g.gid = id<common::GroupId>();
+      for (auto& hash : g.hashes) hash = rng.next_u64();
+    }
+    return out;
+  }
+
+  /// Bucket scopes with valid (ascending, in-range) bucket lists.
+  [[nodiscard]] std::vector<core::BucketScope> bucket_scope() {
+    std::vector<core::BucketScope> out(count());
+    for (auto& scope : out) {
+      scope.gid = id<common::GroupId>();
+      for (std::uint32_t b = 0; b < core::kBucketCount; ++b) {
+        if (rng.next_below(16) == 0) scope.buckets.push_back(b);
+      }
+    }
+    return out;
+  }
+
   /// A valid encoded snapshot blob: gid-major groups (strictly
   /// gid-ascending), strictly guid-ascending entries within each group.
   [[nodiscard]] std::vector<std::uint8_t> snapshot_blob() {
@@ -189,7 +210,7 @@ net::Payload arbitrary_payload(net::MessageKind kind, common::RngStream& rng,
       return core::NeLeaveRequestMsg{g.id<common::NodeId>(), g.u64()};
     case core::kind::kViewSync: {
       core::ViewSyncMsg m;
-      m.phase = static_cast<core::ViewSyncMsg::Phase>(g.rng.next_below(4));
+      m.phase = static_cast<core::ViewSyncMsg::Phase>(g.rng.next_below(5));
       m.digest = g.rng.next_u64();  // hashes are full-range by nature
       m.entry_count = static_cast<std::uint32_t>(g.rng.next_below(1U << 20));
       m.reply_requested = g.coin();
@@ -198,6 +219,10 @@ net::Payload arbitrary_payload(net::MessageKind kind, common::RngStream& rng,
       m.leader = g.id<common::NodeId>();
       m.group_digests = g.group_digests();
       m.sync_gids = g.gids();
+      if (g.coin()) {  // the v5 bucket fields, else the v4 layout
+        m.group_buckets = g.group_buckets();
+        m.bucket_scope = g.bucket_scope();
+      }
       return m;
     }
     case core::kind::kSnapshotRequest:

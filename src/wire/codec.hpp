@@ -35,13 +35,17 @@
 namespace rgb::wire {
 
 /// Version byte leading every framed message (WireRegistry::encode).
+/// v5: bucket-level anti-entropy — the ViewSync kBuckets phase with
+/// per-group bucket digests, and a bucket scope on kFull / kDiff, flagged
+/// by bit 7 of the phase byte (ViewSync frames without them, and every
+/// other body, encode as in v4).
 /// v4: multi-group serving — GroupId on MembershipOp / TableEntry /
 /// AttachClaim / MhRequest / MhAck / QueryRequest bodies, packed per-group
 /// digests + sync scope on ViewSync, group-major snapshot format.
 /// v3: kAlert / kAlertAck stability-plane kinds.
 /// v2: attachment-epoch claim_seq on MembershipOp / TableEntry bodies,
 /// kReconcile / kReconcileAck / kSnapshotAck kinds.
-inline constexpr std::uint8_t kWireVersion = 4;
+inline constexpr std::uint8_t kWireVersion = 5;
 
 enum class DecodeStatus : std::uint8_t {
   kOk = 0,

@@ -1,6 +1,10 @@
-// Per-message body codecs (wire format version 4 — version 3 plus the
-// multi-group GroupId on every group-scoped body and the packed per-group
-// digest vector + sync scope on ViewSync; version 3 was version 2 plus the
+// Per-message body codecs (wire format version 5 — version 4 plus the
+// bucket-level anti-entropy fields on ViewSync: the kBuckets phase, its
+// per-group bucket digests and the bucket scope of kFull / kDiff, present
+// only when bit 7 of the phase byte is set, so every other ViewSync frame
+// encodes as in version 4; version 4 was version 3 plus the multi-group
+// GroupId on every group-scoped body and the packed per-group digest
+// vector + sync scope on ViewSync; version 3 was version 2 plus the
 // kAlert / kAlertAck stability-plane messages; version 2 was version 1
 // plus the attachment-epoch claim_seq field on MembershipOp and
 // TableEntry, and the kReconcile / kReconcileAck / kSnapshotAck messages).
@@ -71,6 +75,45 @@ inline void read_body(Reader& r, core::GroupDigest& v) {
   v.gid = r.id<common::GroupIdTag>();
   v.hash = r.u64le();
   v.count = r.varint();
+}
+
+/// One group's bucket digests in a kBuckets frame: a length that is not
+/// kBucketCount is malformed.
+template <typename Sink>
+void write_body(Writer<Sink>& w, const core::GroupBuckets& v) {
+  w.id(v.gid);
+  w.varint(v.hashes.size());
+  for (const std::uint64_t hash : v.hashes) w.u64le(hash);
+}
+
+inline void read_body(Reader& r, core::GroupBuckets& v) {
+  v.gid = r.id<common::GroupIdTag>();
+  if (r.length(8) != core::kBucketCount) r.fail(DecodeStatus::kMalformed);
+  for (std::uint64_t& hash : v.hashes) hash = r.u64le();
+}
+
+/// One group's bucket scope: bucket indices strictly ascending and below
+/// kBucketCount, or the scope is malformed.
+template <typename Sink>
+void write_body(Writer<Sink>& w, const core::BucketScope& v) {
+  w.id(v.gid);
+  w.varint(v.buckets.size());
+  for (const std::uint32_t bucket : v.buckets) w.varint(bucket);
+}
+
+inline void read_body(Reader& r, core::BucketScope& v) {
+  v.gid = r.id<common::GroupIdTag>();
+  const std::uint64_t n = r.length(1);
+  v.buckets.clear();
+  v.buckets.reserve(n);
+  for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
+    const std::uint64_t bucket = r.varint();
+    if (bucket >= core::kBucketCount ||
+        (!v.buckets.empty() && bucket <= v.buckets.back())) {
+      r.fail(DecodeStatus::kMalformed);
+    }
+    v.buckets.push_back(static_cast<std::uint32_t>(bucket));
+  }
 }
 
 template <typename Sink>
@@ -304,9 +347,16 @@ inline void read_body(Reader& r, core::RingReformMsg& v) {
   read_seq(r, v.entries, 6);
 }
 
+/// Bit 7 of the ViewSync phase byte (v5): the bucket fields follow the
+/// v4 body. Set exactly when one of them is non-empty, so a frame without
+/// them is byte for byte its v4 encoding.
+inline constexpr std::uint8_t kViewSyncBucketed = 0x80;
+
 template <typename Sink>
 void write_body(Writer<Sink>& w, const core::ViewSyncMsg& v) {
-  w.u8(static_cast<std::uint8_t>(v.phase));
+  const bool bucketed = !v.group_buckets.empty() || !v.bucket_scope.empty();
+  w.u8(static_cast<std::uint8_t>(v.phase) |
+       (bucketed ? kViewSyncBucketed : 0));
   w.u64le(v.digest);
   w.varint(v.entry_count);
   w.boolean(v.reply_requested);
@@ -315,10 +365,19 @@ void write_body(Writer<Sink>& w, const core::ViewSyncMsg& v) {
   w.id(v.leader);
   write_seq(w, v.group_digests);
   write_ids(w, v.sync_gids);
+  if (bucketed) {
+    write_seq(w, v.group_buckets);
+    write_seq(w, v.bucket_scope);
+  }
 }
 inline void read_body(Reader& r, core::ViewSyncMsg& v) {
-  v.phase = r.enum8<core::ViewSyncMsg::Phase>(
-      static_cast<std::uint8_t>(core::ViewSyncMsg::Phase::kSummary));
+  const std::uint8_t head = r.u8();
+  const auto phase = static_cast<std::uint8_t>(head & ~kViewSyncBucketed);
+  if (phase > static_cast<std::uint8_t>(core::ViewSyncMsg::Phase::kBuckets)) {
+    r.fail(DecodeStatus::kBadEnum);
+  }
+  v.phase = r.ok() ? static_cast<core::ViewSyncMsg::Phase>(phase)
+                   : core::ViewSyncMsg::Phase::kFull;
   v.digest = r.u64le();
   const std::uint64_t count = r.varint();
   if (count > UINT32_MAX) r.fail(DecodeStatus::kMalformed);
@@ -329,6 +388,14 @@ inline void read_body(Reader& r, core::ViewSyncMsg& v) {
   v.leader = r.id<common::NodeIdTag>();
   read_seq(r, v.group_digests, 10);  // digest: gid + 8B hash + count
   read_ids(r, v.sync_gids);
+  if ((head & kViewSyncBucketed) != 0) {
+    // gid + 2-byte length + the hashes; gid + length
+    read_seq(r, v.group_buckets, 3 + 8 * core::kBucketCount);
+    read_seq(r, v.bucket_scope, 2);
+    if (v.group_buckets.empty() && v.bucket_scope.empty()) {
+      r.fail(DecodeStatus::kMalformed);  // the flag without its fields
+    }
+  }
 }
 
 template <typename Sink>

@@ -32,7 +32,7 @@ TEST(ParamSet, GetSetAndOverwrite) {
   EXPECT_EQ(p.get("h"), 4.0);
   EXPECT_EQ(p.get("f"), 0.02);
   EXPECT_EQ(p.get_or("missing", -1.0), -1.0);
-  EXPECT_THROW(p.get("missing"), std::out_of_range);
+  EXPECT_THROW(static_cast<void>(p.get("missing")), std::out_of_range);
 }
 
 TEST(ParamSet, LabelKeepsInsertionOrderAndIntegerFormatting) {

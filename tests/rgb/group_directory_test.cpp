@@ -689,6 +689,185 @@ TEST(GroupDirectory, ImportAndDiffMatchesBruteForceReference) {
   }
 }
 
+// --- bucket-level exchange --------------------------------------------------
+
+/// A directory pair over `groups` groups of 1-5,000 records each: the first
+/// is the kDigest answerer, the second its peer, a copy perturbed at a
+/// per-group rate from one record in a thousand to one in five (newer on
+/// either side, equal (claim, seq) with another record, or missing on
+/// either side). Both are built from shuffled payloads with gid-less
+/// strays.
+std::pair<GroupDirectory, GroupDirectory> random_large_pair(
+    common::RngStream& rng, std::uint64_t groups) {
+  std::vector<TableEntry> mine;
+  std::vector<TableEntry> theirs;
+  for (std::uint64_t gid = 1; gid <= groups; ++gid) {
+    const std::uint64_t n = 1 + rng.next_below(5000);
+    const double rate =
+        std::vector<double>{0.001, 0.01, 0.2}[rng.next_below(3)];
+    for (std::uint64_t guid = 1; guid <= n; ++guid) {
+      const std::uint64_t claim = 1 + rng.next_below(3);
+      const std::uint64_t seq = claim + rng.next_below(50);
+      TableEntry a{MemberRecord{Guid{guid * 13}, NodeId{100 + guid % 4},
+                                MemberStatus::kOperational},
+                   seq, claim, GroupId{gid}};
+      TableEntry b = a;
+      bool in_a = true;
+      bool in_b = true;
+      if (rng.chance(rate)) {
+        switch (rng.next_below(5)) {
+          case 0:
+            a.last_seq += 1 + rng.next_below(4);
+            break;
+          case 1:
+            b.claim_seq += 1;
+            b.record.status = MemberStatus::kFailed;
+            break;
+          case 2:
+            b.record.access_proxy = NodeId{999};
+            break;
+          case 3:
+            in_a = false;
+            break;
+          default:
+            in_b = false;
+            break;
+        }
+      }
+      if (in_a) mine.push_back(a);
+      if (in_b) theirs.push_back(b);
+    }
+  }
+  const auto build = [&](std::vector<TableEntry> payload) {
+    for (std::size_t i = payload.size(); i > 1; --i) {
+      std::swap(payload[i - 1], payload[rng.next_below(i)]);
+    }
+    TableEntry stray = payload.front();
+    stray.gid = GroupId{};
+    payload.insert(payload.begin() + static_cast<std::ptrdiff_t>(
+                                         rng.next_below(payload.size())),
+                   stray);
+    GroupDirectory dir;
+    dir.import_all(payload);
+    return dir;
+  };
+  return {build(mine), build(theirs)};
+}
+
+/// A kFull payload as it may arrive: shuffled, with gid-less strays.
+std::vector<TableEntry> mangled(std::vector<TableEntry> payload,
+                                common::RngStream& rng) {
+  for (std::size_t i = payload.size(); i > 1; --i) {
+    std::swap(payload[i - 1], payload[rng.next_below(i)]);
+  }
+  TableEntry stray{MemberRecord{Guid{1}, NodeId{1}, MemberStatus::kFailed},
+                   1'000'000, 1'000'000, GroupId{}};
+  payload.insert(payload.begin(), stray);
+  payload.push_back(stray);
+  return payload;
+}
+
+/// The whole-group exchange the reference keeps: `a` answers the peer's
+/// kDigest with a kFull of the differing groups, `b` imports it and diffs
+/// back, `a` imports the diff.
+void whole_group_exchange(GroupDirectory& a, GroupDirectory& b,
+                          common::RngStream& rng) {
+  const std::vector<GroupId> gids = a.differing_groups(b.packed_digests());
+  std::vector<TableEntry> diff;
+  b.import_and_diff(mangled(a.export_groups(gids), rng), gids, diff);
+  a.import_all(diff);
+}
+
+/// The same exchange one level down for every differing group: `a` sends
+/// its bucket digests, `b` ships a kFull of the buckets that differ, `a`
+/// imports it and diffs back within those buckets, `b` imports the diff.
+/// Returns the bucket scope.
+std::vector<BucketScope> bucketed_exchange(GroupDirectory& a,
+                                           GroupDirectory& b,
+                                           common::RngStream& rng) {
+  std::vector<BucketScope> scope;
+  for (const GroupId gid : a.differing_groups(b.packed_digests())) {
+    const BucketHashes theirs = a.bucket_digests(gid);
+    const BucketHashes mine = b.bucket_digests(gid);
+    BucketScope differing{gid, {}};
+    for (std::uint32_t bucket = 0; bucket < kBucketCount; ++bucket) {
+      if (mine[bucket] != theirs[bucket]) differing.buckets.push_back(bucket);
+    }
+    if (!differing.buckets.empty()) scope.push_back(std::move(differing));
+  }
+  std::vector<TableEntry> diff;
+  a.import_and_diff(mangled(b.export_buckets(scope), rng), {}, diff, scope);
+  b.import_all(diff);
+  return scope;
+}
+
+void expect_same_directory(const GroupDirectory& got,
+                           const GroupDirectory& want) {
+  EXPECT_EQ(tables_of(got), tables_of(want));
+  EXPECT_EQ(got.combined_digest(), want.combined_digest());
+  EXPECT_EQ(got.change_count(), want.change_count());
+}
+
+TEST(GroupDirectory, BucketedExchangeMatchesWholeGroupReference) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    common::RngStream rng{0xB0C7E7 + seed};
+    const auto [a, b] = random_large_pair(rng, 2 + rng.next_below(4));
+    ASSERT_NE(a.combined_digest(), b.combined_digest());
+
+    GroupDirectory ref_a = a;
+    GroupDirectory ref_b = b;
+    whole_group_exchange(ref_a, ref_b, rng);
+    GroupDirectory got_a = a;
+    GroupDirectory got_b = b;
+    const std::vector<BucketScope> scope = bucketed_exchange(got_a, got_b, rng);
+    ASSERT_FALSE(scope.empty());
+    expect_same_directory(got_a, ref_a);
+    expect_same_directory(got_b, ref_b);
+
+    // The scope may arrive out of order, split, repeated, with indices
+    // past kBucketCount and naming groups neither end holds: a receiver reads
+    // it as the clean scope.
+    std::vector<BucketScope> odd;
+    for (const BucketScope& s : scope) {
+      const auto half = s.buckets.begin() +
+                        static_cast<std::ptrdiff_t>(s.buckets.size() / 2);
+      odd.push_back(BucketScope{s.gid, {s.buckets.begin(), half}});
+      odd.push_back(BucketScope{s.gid, {half, s.buckets.end()}});
+      odd.push_back(BucketScope{s.gid, {s.buckets.front(), 128, 4000}});
+    }
+    odd.push_back(BucketScope{GroupId{777}, {1, 2, 3}});
+    std::reverse(odd.begin(), odd.end());
+    GroupDirectory odd_a = a;
+    const GroupDirectory plain_b = b;
+    std::vector<TableEntry> want;
+    std::vector<TableEntry> got;
+    GroupDirectory clean_a = a;
+    clean_a.import_and_diff(plain_b.export_buckets(scope), {}, want, scope);
+    odd_a.import_and_diff(plain_b.export_buckets(odd), {}, got, odd);
+    EXPECT_EQ(got, want);
+    expect_same_directory(odd_a, clean_a);
+    EXPECT_EQ(odd_a.group_count(), a.group_count())
+        << "a scope alone instantiates no group";
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(GroupDirectory, BucketDigestsXorToTheGroupDigest) {
+  GroupDirectory dir;
+  for (std::uint64_t m = 1; m <= 300; ++m) {
+    dir.apply(member_op(5, OpKind::kMemberJoin, m, m, 100));
+  }
+  std::uint64_t folded = 0;
+  for (const std::uint64_t h : dir.bucket_digests(GroupId{5})) folded ^= h;
+  EXPECT_EQ(folded, dir.table_if(GroupId{5})->digest().hash);
+  const std::uint64_t changes = dir.change_count();
+  EXPECT_EQ(dir.bucket_digests(GroupId{6}), BucketHashes{});
+  EXPECT_EQ(dir.table_if(GroupId{6}), nullptr)
+      << "reading an absent group's buckets must not instantiate it";
+  EXPECT_EQ(dir.change_count(), changes);
+}
+
 TEST(MemberGroups, StrideIsSortedDeterministicAndClamped) {
   // guid 7 with 10 groups, 3 per member: starts at 1 + 7 % 10 = 8, strides
   // cyclically — {8, then wraps}. Result is sorted gid-ascending.

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 namespace rgb::core {
 namespace {
 
@@ -329,6 +332,112 @@ TEST(MemberTableDigest, EqualTablesAgreeDifferingTablesDiverge) {
   EXPECT_EQ(a.digest(), b.digest());
   b.apply(op(OpKind::kMemberHandoff, 99, 25, 104));
   EXPECT_NE(a.digest(), b.digest());
+}
+
+// ---------------------------------------------------------------------------
+// Bucket digests (wire v5): one Merkle level under the table digest.
+// ---------------------------------------------------------------------------
+
+std::uint64_t xor_of(const BucketHashes& hashes) {
+  std::uint64_t out = 0;
+  for (const std::uint64_t h : hashes) out ^= h;
+  return out;
+}
+
+TEST(MemberTableBuckets, DigestsXorToTheTableDigestIndexedOrNot) {
+  MemberTable t;
+  for (std::uint64_t i = 1; i <= 600; ++i) {
+    t.apply(op(OpKind::kMemberJoin, i, i * 3, 100 + (i % 7)));
+  }
+  const BucketHashes walked = t.bucket_digests();
+  EXPECT_EQ(xor_of(walked), t.digest().hash);
+  t.index_buckets();
+  EXPECT_EQ(t.bucket_digests(), walked);
+  t.index_buckets();  // idempotent
+  EXPECT_EQ(t.bucket_digests(), walked);
+
+  // One changed record moves exactly its own bucket's digest.
+  t.apply(op(OpKind::kMemberFail, 700, 30, 100));
+  const BucketHashes after = t.bucket_digests();
+  for (std::size_t b = 0; b < kBucketCount; ++b) {
+    if (b == MemberTable::bucket_of(Guid{30})) {
+      EXPECT_NE(after[b], walked[b]);
+    } else {
+      EXPECT_EQ(after[b], walked[b]) << "bucket " << b;
+    }
+  }
+}
+
+TEST(MemberTableBuckets, IndexFollowsEveryMutation) {
+  // Index first, then every mutation path — apply (insert + overwrite),
+  // import, merge, upsert, remove: the kept bucket digests and the
+  // bucket-scoped export must equal those of an unindexed rebuild.
+  MemberTable t;
+  t.apply(op(OpKind::kMemberJoin, 1, 10, 100));
+  t.index_buckets();
+  for (std::uint64_t i = 2; i <= 300; ++i) {
+    t.apply(op(OpKind::kMemberJoin, i, i * 11, 100 + (i % 5)));
+  }
+  t.apply(op(OpKind::kMemberHandoff, 400, 10, 102));  // overwrite
+  MemberTable other;
+  other.apply(op(OpKind::kMemberJoin, 500, 33, 103));   // newer than t's
+  other.apply(op(OpKind::kMemberJoin, 501, 9999, 104));  // new to t
+  t.merge(other);
+  const std::vector<TableEntry> imported{TableEntry{
+      MemberRecord{Guid{8888}, NodeId{101}, proto::MemberStatus::kFailed}, 600,
+      600, GroupId{}}};
+  t.import_entries(imported);
+  t.upsert(MemberRecord{Guid{7777}, NodeId{105},
+                        proto::MemberStatus::kOperational});
+  t.remove(Guid{22});
+  t.remove(Guid{8888});
+
+  MemberTable rebuilt;
+  rebuilt.import_entries(t.export_entries());
+  EXPECT_EQ(t.bucket_digests(), rebuilt.bucket_digests());
+  BucketMask odd;
+  for (std::size_t b = 1; b < kBucketCount; b += 2) odd.set(b);
+  std::vector<TableEntry> indexed;
+  std::vector<TableEntry> walked;
+  t.append_entries(indexed, GroupId{4}, odd);
+  rebuilt.append_entries(walked, GroupId{4}, odd);
+  EXPECT_EQ(indexed, walked);
+  EXPECT_FALSE(indexed.empty());
+  for (const TableEntry& e : indexed) {
+    EXPECT_TRUE(odd.test(MemberTable::bucket_of(e.record.guid)));
+  }
+
+  t.clear();
+  EXPECT_EQ(t.bucket_digests(), BucketHashes{});
+  t.apply(op(OpKind::kMemberJoin, 900, 10, 100));
+  rebuilt.clear();
+  rebuilt.apply(op(OpKind::kMemberJoin, 900, 10, 100));
+  EXPECT_EQ(t.bucket_digests(), rebuilt.bucket_digests());
+}
+
+TEST(MemberTableBuckets, ScopedDiffLooksForAbsentRecordsInScopeOnly) {
+  MemberTable t;
+  for (std::uint64_t i = 1; i <= 400; ++i) {
+    t.apply(op(OpKind::kMemberJoin, i, i, 100));
+  }
+  const std::size_t scoped = MemberTable::bucket_of(Guid{5});
+  BucketMask scope;
+  scope.set(scoped);
+  // The sender knows none of the table: every record of the scoped bucket,
+  // and no other, is news to it.
+  std::vector<TableEntry> newer;
+  EXPECT_FALSE(t.import_and_diff({}, newer, scope));
+  ASSERT_FALSE(newer.empty());
+  for (const TableEntry& e : newer) {
+    EXPECT_EQ(MemberTable::bucket_of(e.record.guid), scoped);
+  }
+  EXPECT_TRUE(std::is_sorted(newer.begin(), newer.end(),
+                             [](const TableEntry& a, const TableEntry& b) {
+                               return a.record.guid < b.record.guid;
+                             }));
+  std::vector<TableEntry> bucket;
+  t.append_entries(bucket, GroupId{}, scope);
+  EXPECT_EQ(newer, bucket);
 }
 
 }  // namespace

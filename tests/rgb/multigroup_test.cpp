@@ -172,7 +172,9 @@ TEST_F(MultigroupTest, HandoffMovesTheMemberInAllItsGroups) {
 
   EXPECT_EQ(sys.group_view_divergence(), 0u);
   for (const auto& [gid, rec] : sys.grouped_expected_membership()) {
-    if (rec.guid == common::Guid{1}) EXPECT_EQ(rec.access_proxy, target);
+    if (rec.guid == common::Guid{1}) {
+      EXPECT_EQ(rec.access_proxy, target);
+    }
   }
 }
 

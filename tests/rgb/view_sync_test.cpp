@@ -259,6 +259,178 @@ TEST(ViewSyncFullReuse, DirectoryChangeBetweenDigestsGetsAFreshFull) {
             rig.dir(rig.leader).combined_digest());
 }
 
+// --- the bucket level (wire v5) ---------------------------------------------
+
+/// A three-AP ring with probing off whose leader and peer `a` both hold
+/// group 1 with 2,000 records, identical; every sync is hand-delivered and
+/// every kViewSync frame is recorded with its sender.
+struct BucketRig {
+  common::RngStream rng{0xB0C7E75};
+  sim::Simulator simulator;
+  net::Network network{simulator, rng.fork("net")};
+  RgbSystem sys{network, RgbConfig{}, HierarchyLayout{1, 3}};
+  NodeId leader = sys.aps()[0];
+  NodeId a = sys.aps()[1];
+  NodeId b = sys.aps()[2];
+  struct Frame {
+    NodeId src;
+    net::Payload payload;
+    const ViewSyncMsg* msg;
+  };
+  std::vector<Frame> frames;
+
+  static constexpr std::uint64_t kRecords = 2000;
+
+  BucketRig() {
+    std::vector<TableEntry> group;
+    for (std::uint64_t guid = 1; guid <= kRecords; ++guid) {
+      group.push_back(sync_entry(1, guid, 10));
+    }
+    inject(leader, group);
+    inject(a, group);
+    network.set_tap([this](const net::Envelope& env, bool) {
+      if (env.kind != kind::kViewSync) return;
+      frames.push_back(Frame{env.src, env.payload,
+                             &env.payload.get<ViewSyncMsg>()});
+    });
+  }
+
+  const GroupDirectory& dir(NodeId ne) {
+    return sys.entity(ne)->directory();
+  }
+
+  /// Lands `entries` in `ne`'s directory as a kDiff (imported, no reply).
+  void inject(NodeId ne, std::vector<TableEntry> entries) {
+    ViewSyncMsg msg;
+    msg.phase = ViewSyncMsg::Phase::kDiff;
+    msg.entries = std::move(entries);
+    send(ne == b ? a : b, ne, msg);
+  }
+
+  void send(NodeId from, NodeId to, const ViewSyncMsg& msg) {
+    network.send(
+        net::Envelope{from, to, kind::kViewSync, wire_size(msg), msg});
+    simulator.run();
+  }
+
+  /// `a`'s packed kDigest to the leader, as a kSummary mismatch draws it.
+  void digest_from_a() {
+    ViewSyncMsg msg;
+    msg.phase = ViewSyncMsg::Phase::kDigest;
+    msg.digest = dir(a).combined_digest().hash;
+    msg.entry_count =
+        static_cast<std::uint32_t>(dir(a).combined_digest().count);
+    msg.group_digests = dir(a).packed_digests();
+    send(a, leader, msg);
+  }
+
+  std::vector<const ViewSyncMsg*> sent(NodeId src, ViewSyncMsg::Phase phase) {
+    std::vector<const ViewSyncMsg*> out;
+    for (const Frame& f : frames) {
+      if (f.src == src && f.msg->phase == phase) out.push_back(f.msg);
+    }
+    return out;
+  }
+};
+
+TEST(ViewSyncBuckets, OneDifferingRecordShipsAtMostOneBucket) {
+  BucketRig rig;
+  const Guid changed{1234};
+  rig.inject(rig.leader, {sync_entry(1, changed.value(), 11)});
+  rig.frames.clear();
+  rig.digest_from_a();
+
+  using Phase = ViewSyncMsg::Phase;
+  const std::size_t bucket = MemberTable::bucket_of(changed);
+  ASSERT_EQ(rig.sent(rig.leader, Phase::kBuckets).size(), 1u);
+  EXPECT_TRUE(rig.sent(rig.leader, Phase::kFull).empty())
+      << "a 2,000-record group must not ship whole";
+  const auto fulls = rig.sent(rig.a, Phase::kFull);
+  ASSERT_EQ(fulls.size(), 1u);
+  const BucketScope one{GroupId{1}, {static_cast<std::uint32_t>(bucket)}};
+  EXPECT_EQ(fulls[0]->bucket_scope, (std::vector<BucketScope>{one}));
+  std::size_t in_bucket = 0;
+  for (std::uint64_t guid = 1; guid <= BucketRig::kRecords; ++guid) {
+    in_bucket += MemberTable::bucket_of(Guid{guid}) == bucket;
+  }
+  EXPECT_EQ(fulls[0]->entries.size(), in_bucket);
+  EXPECT_LT(in_bucket, 2 * BucketRig::kRecords / kBucketCount);
+  const auto diffs = rig.sent(rig.leader, Phase::kDiff);
+  ASSERT_EQ(diffs.size(), 1u);
+  ASSERT_EQ(diffs[0]->entries.size(), 1u);
+  EXPECT_EQ(diffs[0]->entries[0].record.guid, changed);
+  EXPECT_EQ(rig.dir(rig.a).combined_digest(),
+            rig.dir(rig.leader).combined_digest());
+}
+
+/// The bucket-level twin of CollidingDigestIsBenignAndNextTickHeals: the
+/// group digests differ, yet every bucket digest the kBuckets frame
+/// carries matches the receiver's (the observable effect of a collision).
+/// Nothing is shipped and nothing changes; the next change heals it.
+TEST(ViewSyncCollision, CollidingBucketDigestsAreBenignAndNextChangeHeals) {
+  BucketRig rig;
+  rig.inject(rig.leader, {sync_entry(1, 77, 11)});
+  ASSERT_NE(rig.dir(rig.a).combined_digest(),
+            rig.dir(rig.leader).combined_digest());
+  const ViewDigest before = rig.dir(rig.a).combined_digest();
+  const std::uint64_t changes = rig.dir(rig.a).change_count();
+
+  ViewSyncMsg colliding;
+  colliding.phase = ViewSyncMsg::Phase::kBuckets;
+  colliding.group_buckets.push_back(
+      GroupBuckets{GroupId{1},
+                   rig.dir(rig.a).table_if(GroupId{1})->bucket_digests()});
+  rig.frames.clear();
+  rig.send(rig.leader, rig.a, colliding);
+  EXPECT_EQ(rig.frames.size(), 1u) << "ours only: a ships nothing";
+  EXPECT_EQ(rig.dir(rig.a).combined_digest(), before) << "no state change";
+  EXPECT_EQ(rig.dir(rig.a).change_count(), changes);
+
+  // The next change moves a bucket digest, and one exchange heals both
+  // differences.
+  rig.inject(rig.leader, {sync_entry(1, 78, 11)});
+  rig.digest_from_a();
+  EXPECT_EQ(rig.dir(rig.a).combined_digest(),
+            rig.dir(rig.leader).combined_digest());
+  EXPECT_EQ(rig.dir(rig.a).lookup(GroupId{1}, Guid{77})->last_seq, 11u);
+}
+
+/// Hostile bucket fields that reach the handler without a decoder (an
+/// in-process payload): bucket indices of kBucketCount or more are ignored,
+/// and a scope naming a group the receiver lacks diffs nothing and
+/// instantiates nothing.
+TEST(ViewSyncBuckets, HostileScopesAreIgnoredByTheHandler) {
+  BucketRig rig;
+  const std::size_t groups = rig.dir(rig.leader).group_count();
+  const ViewDigest before = rig.dir(rig.leader).combined_digest();
+
+  ViewSyncMsg out_of_range;
+  out_of_range.phase = ViewSyncMsg::Phase::kFull;
+  out_of_range.reply_requested = true;
+  out_of_range.bucket_scope = {
+      BucketScope{GroupId{1}, {kBucketCount, 500, 0xFFFFFFFFu}}};
+  ViewSyncMsg absent_group = out_of_range;
+  absent_group.bucket_scope = {BucketScope{GroupId{99}, {0, 1, 2}}};
+  ViewSyncMsg absent_buckets;
+  absent_buckets.phase = ViewSyncMsg::Phase::kBuckets;
+  absent_buckets.group_buckets = {GroupBuckets{GroupId{99}, {}}};
+  absent_buckets.group_buckets[0].hashes[3] = 1;
+  rig.frames.clear();
+  rig.send(rig.a, rig.leader, out_of_range);
+  rig.send(rig.a, rig.leader, absent_group);
+  EXPECT_EQ(rig.frames.size(), 2u) << "nothing in scope: no kDiff";
+  rig.send(rig.a, rig.leader, absent_buckets);
+  // The leader lacks group 99: its bucket 3 differs, and its (empty) share
+  // of it ships, asking for the sender's.
+  const auto fulls = rig.sent(rig.leader, ViewSyncMsg::Phase::kFull);
+  ASSERT_EQ(fulls.size(), 1u);
+  EXPECT_TRUE(fulls[0]->entries.empty());
+  EXPECT_EQ(fulls[0]->bucket_scope,
+            (std::vector<BucketScope>{BucketScope{GroupId{99}, {3}}}));
+  EXPECT_EQ(rig.dir(rig.leader).group_count(), groups);
+  EXPECT_EQ(rig.dir(rig.leader).combined_digest(), before);
+}
+
 // --- steady-state traffic ----------------------------------------------------
 
 TEST(ViewSyncTraffic, SteadyStateBytesFlatInMemberCount) {
