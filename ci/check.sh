@@ -330,25 +330,28 @@ rm -f "$tr1" "$tr2" "$tr8"
 echo "== bench suite smoke =="
 python3 bench/suite/run.py smoke > /dev/null
 
-# AddressSanitizer + UndefinedBehaviorSanitizer gate over the unit and wire
-# suites (the wire suite feeds hostile frames to the real decoders): a
-# separate Debug build (asserts on, libstdc++ container checks on) in which
-# any memory error, UB or failed assert fails CI.
+# AddressSanitizer + UndefinedBehaviorSanitizer gate over the unit, wire
+# and obs suites (the wire suite feeds hostile frames to the real decoders;
+# the obs suite drives the tracer's bounded rings through wrap and merge):
+# a separate Debug build (asserts on, libstdc++ container checks on) in
+# which any memory error, UB or failed assert fails CI.
 echo "== asan+ubsan unit tests =="
 ASAN_DIR="${BUILD_DIR}-asan"
 cmake -B "$ASAN_DIR" -S . -DCMAKE_BUILD_TYPE=Debug \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" > /dev/null
 cmake --build "$ASAN_DIR" -j --target rgb_unit_tests rgb_wire_tests \
-    > /dev/null
-ctest --test-dir "$ASAN_DIR" --output-on-failure -L 'unit|wire'
+    rgb_obs_tests > /dev/null
+ctest --test-dir "$ASAN_DIR" --output-on-failure -L 'unit|wire|obs'
 
 # ThreadSanitizer gate over the concurrent kernel (sim worker pool +
 # cross-shard outboxes, net stripe metering, striped obs instruments,
 # atomic protocol counters): build the library and the two drivers with
 # -fsanitize=thread, then run bounded sharded smokes at 8 workers so shard
-# windows genuinely race. halt_on_error turns any finding into a CI
-# failure.
+# windows genuinely race. The trace export is the one smoke with spans on
+# (per-stripe span ids and causal contexts, rings that wrap); its output
+# must also match the Release build's byte for byte. halt_on_error turns
+# any finding into a CI failure.
 echo "== tsan sharded smoke =="
 TSAN_DIR="${BUILD_DIR}-tsan"
 cmake -B "$TSAN_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -368,6 +371,16 @@ TSAN_OPTIONS="halt_on_error=1" \
     "$TSAN_DIR/rgb_exp" bench --members 1000 --join both \
     --deterministic --shards 8 --json "$tsan_bench" 2> /dev/null
 test -s "$tsan_bench"
-rm -f "$tsan_bench"
+TSAN_OPTIONS="halt_on_error=1" \
+    "$TSAN_DIR/rgb_exp" trace --members 5000 --shards 8 --out "$tsan_bench" \
+    2> /dev/null
+tsan_ref="$(mktemp)"
+"$BUILD_DIR/rgb_exp" trace --members 5000 --shards 8 --out "$tsan_ref" \
+    2> /dev/null
+if ! cmp -s "$tsan_bench" "$tsan_ref"; then
+  echo "FAIL: trace export differs between the TSan and Release builds" >&2
+  exit 1
+fi
+rm -f "$tsan_bench" "$tsan_ref"
 
 echo "OK"

@@ -8,13 +8,18 @@
 #   BASE_BUILD, CHANGE_BUILD: build directories holding rgb_fuzz and rgb_exp.
 #   SEEDS=N (environment, default 40): fuzz seeds per profile, from seed 1.
 #
-# The matrix (26 artifacts):
+# The matrix (29 artifacts):
 #   - rgb_fuzz --flight-full over seeds 1..SEEDS at --shard-workers 0 and 8,
 #     in seven profiles: base, --partitions 1, --churn 1 --stability 1,
 #     --groups 4, --groups 4 --churn 1, --snapshot-join 1, and all modes at
 #     once (--groups 4 --churn 1 --stability 1 --snapshot-join 1
 #     --partitions 1) (report, flight ring dump and exit code must match);
 #   - rgb_exp trace --members 500 at --shards 1 and 8 (Chrome trace export);
+#   - rgb_exp trace --members 5000 at --shards 0 and 8: the only artifacts
+#     whose rings wrap (serial: both the span and the flight ring; 8 shards:
+#     the span rings of five stripes), so the overwrite-oldest order and the
+#     (time, stripe) merge of wrapped rings are compared too;
+#   - rgb_exp metrics --catalog (the registry's names, types and order);
 #   - rgb_exp bench --smoke --deterministic --detect --oscillation --json;
 #   - rgb_exp run --json --no-table for query.schemes, flashcrowd.agg,
 #     churn.converge, mobility.handoff and table2.proto: the only artifacts
@@ -109,6 +114,13 @@ for shards in 1 8; do
   compare "rgb_exp trace --members 500 --shards $shards" rgb_exp \
       trace --members 500 --shards "$shards" --out @OUT@
 done
+
+for shards in 0 8; do
+  compare "rgb_exp trace --members 5000 --shards $shards" rgb_exp \
+      trace --members 5000 --shards "$shards" --out @OUT@
+done
+
+compare "rgb_exp metrics --catalog" rgb_exp metrics --catalog
 
 compare "rgb_exp bench --smoke --deterministic --detect --oscillation" \
     rgb_exp bench --smoke --deterministic --detect --oscillation --json @OUT@

@@ -400,16 +400,14 @@ CheckRunResult run_schedule(const AdversarialConfig& cfg,
   result.schedule = schedule;
   result.events_applied = driver.events_applied();
   result.messages_sent = network.metrics().sent;
-  if (const obs::FlightRecorder* flight = fx.model->flight()) {
-    if (cfg.flight_full) {
-      // Full retained ring, pass or fail (rgb_fuzz --flight-full).
-      result.flight_trace = flight->format_tail_string(0);
-    } else if (!result.report.passed()) {
-      // Attach the causal trace to the repro: the last protocol-level
-      // events (rounds, repairs, reforms, detections) leading up to the
-      // violation.
-      result.flight_trace = flight->format_tail_string(48);
-    }
+  if (cfg.flight_full) {
+    // Full retained ring, pass or fail (rgb_fuzz --flight-full).
+    result.flight_trace = fx.model->flight(0);
+  } else if (!result.report.passed()) {
+    // Attach the causal trace to the repro: the last protocol-level
+    // events (rounds, repairs, reforms, detections) leading up to the
+    // violation.
+    result.flight_trace = fx.model->flight(48);
   }
   return result;
 }

@@ -146,8 +146,8 @@ std::vector<Guid> GroundTruth::uncertain() const {
 RgbModel::RgbModel(const core::RgbSystem& system, const GroundTruth* truth)
     : system_(system), truth_(truth) {}
 
-const obs::FlightRecorder* RgbModel::flight() const {
-  return &system_.obs().flight;
+std::string RgbModel::flight(std::size_t max_events) const {
+  return system_.obs().tracer.flight_tail(max_events);
 }
 
 std::vector<NodeView> RgbModel::node_views() const {

@@ -19,6 +19,7 @@
 // eventually be reported failed by the survivors.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -29,7 +30,6 @@
 
 #include "check/report.hpp"
 #include "net/network.hpp"
-#include "obs/flight.hpp"
 #include "proto/membership_service.hpp"
 
 namespace rgb::core {
@@ -123,11 +123,12 @@ class SystemModel {
   virtual void hierarchy_check(sim::Time now, std::size_t cell,
                                std::uint64_t trial, std::uint64_t& ordinal,
                                CheckReport& report) const;
-  /// The protocol's flight recorder, when it keeps one (RGB does). The
-  /// check driver dumps its tail next to a violating schedule so every
-  /// fuzz repro carries its causal trace.
-  [[nodiscard]] virtual const obs::FlightRecorder* flight() const {
-    return nullptr;
+  /// The newest `max_events` events of the protocol's flight recorder (0 =
+  /// all retained), formatted; empty when it keeps none (RGB keeps one).
+  /// The check driver dumps it next to a violating schedule so every fuzz
+  /// repro carries its causal trace.
+  [[nodiscard]] virtual std::string flight(std::size_t /*max_events*/) const {
+    return {};
   }
 };
 
@@ -191,7 +192,7 @@ class RgbModel final : public SystemModel {
   void hierarchy_check(sim::Time now, std::size_t cell, std::uint64_t trial,
                        std::uint64_t& ordinal,
                        CheckReport& report) const override;
-  [[nodiscard]] const obs::FlightRecorder* flight() const override;
+  [[nodiscard]] std::string flight(std::size_t max_events) const override;
 
  private:
   const core::RgbSystem& system_;

@@ -57,10 +57,10 @@ void write_latency_json(std::ostream& os, const LatencyStats& l) {
      << ", \"mean_us\": " << format_double(l.mean) << '}';
 }
 
-ProfileStats profile_from(const obs::HandlerProfiler& profiler) {
+ProfileStats profile_from(const obs::OpTracer& tracer) {
   ProfileStats out;
-  out.handled_total = profiler.handled_total();
-  const obs::HandlerProfiler::PerKind handled = profiler.handled_per_kind();
+  out.handled_total = tracer.handled_total();
+  const obs::OpTracer::HandledPerKind handled = tracer.handled_per_kind();
   for (std::size_t k = 0; k < handled.size(); ++k) {
     if (handled[k] != 0) {
       out.handled.emplace_back(static_cast<unsigned>(k), handled[k]);
@@ -95,7 +95,7 @@ ScaleStats run_scale_trial_impl(const ScaleConfig& config, bool timed,
   if (sharded) sys.configure_shards(shard_count);
   // Spans flip on before any traffic so every op gets a complete causal
   // tree.
-  sys.obs().spans.set_enabled(config.spans);
+  sys.obs().tracer.set_spans_enabled(config.spans);
 
   ScaleStats stats;
   stats.members = config.members;
@@ -199,9 +199,10 @@ ScaleStats run_scale_trial_impl(const ScaleConfig& config, bool timed,
   stats.steady_repairs = sys.metrics().repairs.value() - pre_steady_repairs;
   stats.series = sampler.points();
   stats.series_dropped = sampler.dropped();
-  stats.profile = profile_from(sys.obs().profiler);
-  stats.spans_recorded = sys.obs().spans.recorded();
-  stats.spans_dropped = sys.obs().spans.dropped();
+  stats.profile = profile_from(tracer);
+  const obs::OpTracer::RingCounts spans = tracer.span_counts();
+  stats.spans_recorded = spans.recorded;
+  stats.spans_dropped = spans.dropped;
 
   if (timed) {
     stats.join_wall_ms = ms_between(join_start, join_end);
@@ -209,7 +210,7 @@ ScaleStats run_scale_trial_impl(const ScaleConfig& config, bool timed,
     stats.peak_rss_kb = peak_rss_kb();
   }
   if (trace_out != nullptr) {
-    obs::write_chrome_trace(*trace_out, sys.obs().spans, sys.obs().flight);
+    obs::write_chrome_trace(*trace_out, tracer);
   }
   return stats;
 }

@@ -54,7 +54,7 @@ struct ScaleConfig {
   /// ring_size) — every positive worker count yields byte-identical
   /// deterministic metrics; the worker count only moves the wall clock.
   unsigned shard_workers = 0;
-  /// Causal-span recording (SpanRecorder) on for the trial. Off by default
+  /// Causal-span recording (OpTracer spans) on for the trial. Off by default
   /// so the perf trajectory measures the protocol, not the tracer; the
   /// spans A/B sweep (SweepModes::spans_ab) quantifies the overhead.
   bool spans = false;

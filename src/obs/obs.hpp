@@ -6,32 +6,23 @@
 // counts.
 #pragma once
 
-#include "obs/flight.hpp"
-#include "obs/hooks.hpp"
-#include "obs/profile.hpp"
 #include "obs/registry.hpp"
 #include "obs/series.hpp"
-#include "obs/span.hpp"
 #include "obs/trace.hpp"
 
 namespace rgb::obs {
 
 /// The per-instance observability bundle. Default-on and allocation
-/// bounded: the flight ring is preallocated, histograms are fixed-size
-/// bucket arrays, and the registry holds pointers into sibling members.
-/// The span layer is the one opt-in piece (SpanRecorder::set_enabled);
-/// `hooks` is what RgbSystem installs on its network to drive spans and
-/// the handler profiler.
+/// bounded: the flight rings are preallocated, histograms are fixed-size
+/// bucket arrays, and the registry holds pointers into the tracer. Spans
+/// are the one opt-in piece (OpTracer::set_spans_enabled); the tracer is
+/// also the net::TraceHooks RgbSystem installs on its network.
 struct ProtocolObs {
-  ProtocolObs() : tracer(flight, spans), hooks(spans, profiler) {}
+  ProtocolObs() = default;
   ProtocolObs(const ProtocolObs&) = delete;
   ProtocolObs& operator=(const ProtocolObs&) = delete;
 
-  FlightRecorder flight;
-  SpanRecorder spans;
-  HandlerProfiler profiler;
   OpTracer tracer;
-  ObsTraceHooks hooks;
   MetricsRegistry registry;
 };
 

@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "net/network.hpp"
-#include "obs/profile.hpp"
 #include "obs/trace.hpp"
 #include "rgb/metrics.hpp"
 
@@ -345,18 +344,13 @@ void register_tracer(MetricsRegistry& registry, const OpTracer& tracer) {
   registry.add_histogram(
       "obs.lat.detect.ne", [t] { return t->ne_detection(); },
       "crashed-NE detection latency (us)");
-}
-
-void register_profiler(MetricsRegistry& registry,
-                       const HandlerProfiler& profiler) {
-  const HandlerProfiler* p = &profiler;
   registry.add_gauge("obs.prof.handled.total",
-                     [p] { return p->handled_total(); },
+                     [t] { return t->handled_total(); },
                      "delivery handler invocations, all message kinds");
   registry.add_family(
       "obs.prof.handled.kind<K>",
-      [p]() {
-        const HandlerProfiler::PerKind handled = p->handled_per_kind();
+      [t]() {
+        const OpTracer::HandledPerKind handled = t->handled_per_kind();
         std::vector<MetricsRegistry::Sample> out;
         for (std::size_t k = 0; k < handled.size(); ++k) {
           if (handled[k] == 0) continue;

@@ -38,7 +38,6 @@ class Network;
 
 namespace rgb::obs {
 
-class HandlerProfiler;
 class OpTracer;
 
 class MetricsRegistry {
@@ -145,16 +144,13 @@ void register_rgb_metrics(MetricsRegistry& registry,
 void register_network_metrics(MetricsRegistry& registry,
                               const net::Network& network);
 
-/// Registers the tracer's view-change counter and latency histograms.
+/// Registers the tracer's view-change counter, latency histograms and
+/// handler profile: "obs.prof.handled.kind<K>" per-kind invocation counts
+/// (non-zero kinds only) and "obs.prof.handled.total". Wall-clock
+/// attribution is deliberately NOT registered — the registry surface
+/// stays deterministic; wall numbers live only in the clearly separated
+/// bench-JSON block.
 void register_tracer(MetricsRegistry& registry, const OpTracer& tracer);
-
-/// Registers the handler profiler: "obs.prof.handled.kind<K>" per-kind
-/// invocation counts (non-zero kinds only) and "obs.prof.handled.total".
-/// Wall-clock attribution is deliberately NOT registered — the registry
-/// surface stays deterministic; wall numbers live only in the clearly
-/// separated bench-JSON block.
-void register_profiler(MetricsRegistry& registry,
-                       const HandlerProfiler& profiler);
 
 /// Satellite guard: the registry-enumerated export must agree with the
 /// legacy hand-read fields while both exist. Checks every RgbMetrics

@@ -89,10 +89,9 @@ class EventWriter {
 
 }  // namespace
 
-void write_chrome_trace(std::ostream& os, const SpanRecorder& spans,
-                        const FlightRecorder& flight) {
-  const std::vector<Span> all_spans = spans.spans();
-  const std::vector<FlightEvent> all_flight = flight.events();
+void write_chrome_trace(std::ostream& os, const OpTracer& tracer) {
+  const std::vector<Span> all_spans = tracer.spans();
+  const std::vector<FlightEvent> all_flight = tracer.flight_events();
 
   // One track per NE that recorded anything, sorted by id so the metadata
   // block (and Perfetto's default track order) is deterministic.
@@ -169,11 +168,13 @@ void write_chrome_trace(std::ostream& os, const SpanRecorder& spans,
 
   // Drop counters make a truncated export honest: a ring overwrite shows
   // up here, not as a silently shorter timeline.
+  const OpTracer::RingCounts spans = tracer.span_counts();
+  const OpTracer::RingCounts flight = tracer.flight_counts();
   os << "\n],\n\"displayTimeUnit\":\"ms\",\n\"otherData\":{"
-     << "\"spans_recorded\":" << spans.recorded()
-     << ",\"spans_dropped\":" << spans.dropped()
-     << ",\"flight_recorded\":" << flight.recorded()
-     << ",\"flight_dropped\":" << flight.dropped() << "}}\n";
+     << "\"spans_recorded\":" << spans.recorded
+     << ",\"spans_dropped\":" << spans.dropped
+     << ",\"flight_recorded\":" << flight.recorded
+     << ",\"flight_dropped\":" << flight.dropped << "}}\n";
 }
 
 }  // namespace rgb::obs

@@ -1,5 +1,5 @@
-// Chrome trace-event exporter: renders the span layer (plus the flight
-// ring) as a JSON trace loadable in Perfetto / chrome://tracing.
+// Chrome trace-event exporter: renders an OpTracer's spans (plus its
+// flight events) as a JSON trace loadable in Perfetto / chrome://tracing.
 //
 // Mapping:
 //  * one track per NE (pid 1, tid = NE id, named via "M" metadata events);
@@ -18,12 +18,10 @@
 
 #include <iosfwd>
 
-#include "obs/flight.hpp"
-#include "obs/span.hpp"
+#include "obs/trace.hpp"
 
 namespace rgb::obs {
 
-void write_chrome_trace(std::ostream& os, const SpanRecorder& spans,
-                        const FlightRecorder& flight);
+void write_chrome_trace(std::ostream& os, const OpTracer& tracer);
 
 }  // namespace rgb::obs

@@ -124,7 +124,7 @@ void Attachments::reaffirm() {
         << mh.value() << " (group " << gid.value() << ", epoch " << claim
         << ")";
     ne_.metrics_.reconcile_reanchors.increment();
-    ne_.obs_.flight.record(ne_.now(), ne_.id(),
+    ne_.obs_.tracer.record(ne_.now(), ne_.id(),
                            obs::FlightKind::kReconcileReanchor, mh.value(),
                            claim);
     // Re-anchors the existing epoch with a fresh op sequence: the fresh
@@ -172,7 +172,7 @@ void Attachments::run_reconcile_round() {
     return;
   }
   ne_.metrics_.reconcile_rounds.increment();
-  ne_.obs_.flight.record(ne_.now(), ne_.id(), obs::FlightKind::kReconcileRound,
+  ne_.obs_.tracer.record(ne_.now(), ne_.id(), obs::FlightKind::kReconcileRound,
                          local_attached_.size(), target.value());
   const std::uint64_t rid = (ne_.id().value() << 24) | ++reconcile_counter_;
   ReconcileMsg msg{rid, local_claims()};

@@ -41,7 +41,6 @@ RgbSystem::RgbSystem(net::Network& network, RgbConfig config,
   obs::register_rgb_metrics(obs_.registry, metrics_);
   obs::register_network_metrics(obs_.registry, network_);
   obs::register_tracer(obs_.registry, obs_.tracer);
-  obs::register_profiler(obs_.registry, obs_.profiler);
   // Cost/queue gauges close the profiler picture: how much sim work is
   // outstanding and how much protocol work is parked in MQs right now.
   obs_.registry.add_gauge(
@@ -60,9 +59,9 @@ RgbSystem::RgbSystem(net::Network& network, RgbConfig config,
         return total;
       },
       "membership ops parked across all NE message queues");
-  // The delivery hooks drive the span layer and the handler profiler; the
+  // The tracer's delivery hooks drive spans and the handler profile; the
   // network keeps a raw pointer, so the dtor must detach it.
-  network_.set_trace_hooks(&obs_.hooks);
+  network_.set_trace_hooks(&obs_.tracer);
   build();
 }
 
@@ -73,10 +72,7 @@ void RgbSystem::configure_shards(std::uint32_t count) {
   assert(network_.simulator().shard_count() == count &&
          "configure the simulator's shards (count + epoch) first");
   network_.configure_shards(count);
-  obs_.flight.configure_shards(count);
   obs_.tracer.configure_shards(count);
-  obs_.spans.configure_shards(count);
-  obs_.profiler.configure_shards(count);
   attachments_.assign(count, {});
 
   // Region rule: tier-0 node at flattened position p anchors region p;

@@ -111,7 +111,7 @@ class RgbSystem : public proto::MembershipService {
   [[nodiscard]] net::Network& network() { return network_; }
   [[nodiscard]] const net::Network& network() const { return network_; }
 
-  /// Per-instance observability: flight recorder, op tracer and the
+  /// Per-instance observability: the op tracer (the one recorder) and the
   /// metrics registry (pre-registered with this system's RgbMetrics, the
   /// network metrics and the tracer instruments). Default-on.
   [[nodiscard]] obs::ProtocolObs& obs() { return obs_; }

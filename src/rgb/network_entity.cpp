@@ -169,8 +169,8 @@ void NetworkEntity::enqueue_local_op(MembershipOp op) {
   // enqueue triggers (token request/grant, the token hop itself) executes
   // under the birth's causal context so its hops inherit the op's trace.
   op.born = now();
-  const obs::SpanRecorder::Scope scope{
-      obs_.spans, obs_.tracer.on_op_born(op, id(), now())};
+  const obs::OpTracer::Scope scope{
+      obs_.tracer, obs_.tracer.on_op_born(op, id(), now())};
   enqueue_op(std::move(op), Contributor{});
 }
 
@@ -179,14 +179,14 @@ void NetworkEntity::enqueue_local_ops(std::vector<MembershipOp> ops) {
   const std::uint64_t collapsed_before = dir_.ops_collapsed();
   // A batch triggers one shared send chain; its hops are attributed to the
   // first op's trace (each op still gets its own root span).
-  obs::SpanRecorder::Context birth = obs_.spans.current();
+  obs::OpTracer::Context birth = obs_.tracer.current();
   for (std::size_t i = 0; i < ops.size(); ++i) {
     ops[i].born = now();
-    const obs::SpanRecorder::Context ctx =
+    const obs::OpTracer::Context ctx =
         obs_.tracer.on_op_born(ops[i], id(), now());
     if (i == 0) birth = ctx;
   }
-  const obs::SpanRecorder::Scope scope{obs_.spans, birth};
+  const obs::OpTracer::Scope scope{obs_.tracer, birth};
   dir_.insert_batch(std::move(ops));
   // One activity kick for the whole batch: at a leader with a free token
   // the per-op path would race the first op out in its own round while the
@@ -229,8 +229,8 @@ void NetworkEntity::enqueue_ne_op(OpKind kind, NodeId ne,
   op.born = now();
   // NE ops born inside a handler open their own trace (the join or leave
   // is new protocol work); the triggered sends execute under it.
-  const obs::SpanRecorder::Scope scope{
-      obs_.spans, obs_.tracer.on_op_born(op, id(), now())};
+  const obs::OpTracer::Scope scope{
+      obs_.tracer, obs_.tracer.on_op_born(op, id(), now())};
   enqueue_op(std::move(op), contributor);
 }
 
@@ -360,7 +360,7 @@ void NetworkEntity::start_round(std::uint64_t round_id) {
   Token token{config_.gid, id(), round_id, std::move(batch.ops)};
 
   metrics_.rounds_started.increment();
-  obs_.flight.record(now(), id(), obs::FlightKind::kRoundStarted,
+  obs_.tracer.record(now(), id(), obs::FlightKind::kRoundStarted,
                      token.round_id, token.ops.size());
   recent_rounds_.insert(token.round_id);
   apply_ops_and_notify(token);
@@ -534,7 +534,7 @@ void NetworkEntity::complete_round(const Token& token) {
     metrics_.empty_probe_rounds.increment();
   } else {
     metrics_.rounds_completed.increment();
-    obs_.flight.record(now(), id(), obs::FlightKind::kRoundCompleted,
+    obs_.tracer.record(now(), id(), obs::FlightKind::kRoundCompleted,
                        token.round_id, token.ops.size());
   }
 
@@ -623,7 +623,7 @@ void NetworkEntity::on_token_retx_timeout(std::uint64_t round_id) {
   PendingSend& hop = it->second;
   if (++hop.retx <= config_.max_retx) {
     metrics_.token_retransmits.increment();
-    obs_.flight.record(now(), id(), obs::FlightKind::kTokenRetx, round_id,
+    obs_.tracer.record(now(), id(), obs::FlightKind::kTokenRetx, round_id,
                        static_cast<std::uint64_t>(hop.retx));
     send_hop(round_id, hop);
     return;

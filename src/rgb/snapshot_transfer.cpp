@@ -143,7 +143,7 @@ void SnapshotTransfer::handle_snapshot(const SnapshotMsg& msg, NodeId from) {
   const auto decoded = rgb::wire::decode_snapshot(msg.blob);
   if (!decoded.ok()) {
     ne_.metrics_.snapshot_decode_errors.increment();
-    ne_.obs_.flight.record(ne_.now(), ne_.id(),
+    ne_.obs_.tracer.record(ne_.now(), ne_.id(),
                            obs::FlightKind::kSnapshotRejected, from.value(),
                            ne_.metrics_.snapshot_decode_errors.value());
     RGB_LOG(kWarn, "snapshot")
@@ -156,7 +156,7 @@ void SnapshotTransfer::handle_snapshot(const SnapshotMsg& msg, NodeId from) {
            SnapshotAckMsg{msg.digest, msg.entry_count});
   if (!ne_.import(decoded.value())) return;
   ne_.metrics_.snapshots_applied.increment();
-  ne_.obs_.flight.record(ne_.now(), ne_.id(), obs::FlightKind::kSnapshotApplied,
+  ne_.obs_.tracer.record(ne_.now(), ne_.id(), obs::FlightKind::kSnapshotApplied,
                          from.value(), decoded.value().size());
   if (!ne_.config_.snapshot_join) return;
   // Cascade: state learned by snapshot (not by a token round, which every

@@ -120,7 +120,7 @@ void StabilityPlane::raise_alert(NodeId suspect) {
                                 : ne_.leader_;
   pa.aggregator = aggregator;
   ne_.metrics_.stability_alerts.increment();
-  ne_.obs_.flight.record(ne_.now(), ne_.id(), obs::FlightKind::kAlertRaised,
+  ne_.obs_.tracer.record(ne_.now(), ne_.id(), obs::FlightKind::kAlertRaised,
                          suspect.value(), pa.alert_id);
   RGB_LOG(kDebug, "stability") << ne_.now() << " " << ne_.id()
                                << " alerts on " << suspect << " to "
@@ -175,7 +175,7 @@ void StabilityPlane::on_fallback(NodeId suspect, std::uint64_t alert_id) {
   // single-observer declare so detection latency stays bounded and
   // liveness never regresses below the pre-stability protocol.
   ne_.metrics_.stability_timeout_fallbacks.increment();
-  ne_.obs_.flight.record(ne_.now(), ne_.id(),
+  ne_.obs_.tracer.record(ne_.now(), ne_.id(),
                          obs::FlightKind::kStabilityFallback, suspect.value(),
                          alert_id);
   ne_.declare_cut({suspect});
@@ -267,7 +267,7 @@ void StabilityPlane::check_cut() {
     for (const NodeId suspect : cut.suspects) cancel_cut_verification(suspect);
     ne_.metrics_.stability_cuts.increment();
     ne_.metrics_.stability_batched_failures.increment(cut.suspects.size());
-    ne_.obs_.flight.record(ne_.now(), ne_.id(), obs::FlightKind::kCutApplied,
+    ne_.obs_.tracer.record(ne_.now(), ne_.id(), obs::FlightKind::kCutApplied,
                            cut.suspects.size(), cut.observers);
     RGB_LOG(kInfo, "stability")
         << ne_.now() << " " << ne_.id() << " applies a cut of "

@@ -1,69 +1,52 @@
-// Flight recorder + series sampler unit tests: bounded allocation, honest
-// drop accounting, oldest-to-newest ordering, deterministic formatting,
-// and the sampler's fixed-cadence / fixed-count contract.
+// Flight recorder + series sampler unit tests: the tracer's flight events
+// read back oldest-to-newest with honest drop accounting, the tail format
+// is deterministic, and the sampler keeps its fixed-cadence / fixed-count
+// contract.
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <string>
 
-#include "obs/flight.hpp"
 #include "obs/series.hpp"
+#include "obs/trace.hpp"
 #include "sim/simulator.hpp"
 
 namespace rgb::obs {
 namespace {
 
-TEST(FlightRecorder, RecordsInOrderBelowCapacity) {
-  FlightRecorder rec{8};
-  rec.record(10, common::NodeId{1}, FlightKind::kRoundStarted, 100, 2);
-  rec.record(20, common::NodeId{2}, FlightKind::kRoundCompleted, 100, 2);
-  ASSERT_EQ(rec.size(), 2u);
-  EXPECT_EQ(rec.dropped(), 0u);
-  const auto events = rec.events();
+TEST(OpTracerFlight, RecordsInOrderBelowCapacity) {
+  OpTracer tracer;
+  tracer.record(10, common::NodeId{1}, FlightKind::kRoundStarted, 100, 2);
+  tracer.record(20, common::NodeId{2}, FlightKind::kRoundCompleted, 100, 2);
+  const auto events = tracer.flight_events();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(tracer.flight_counts().dropped, 0u);
   EXPECT_EQ(events[0].at, 10u);
   EXPECT_EQ(events[0].kind, FlightKind::kRoundStarted);
   EXPECT_EQ(events[1].at, 20u);
   EXPECT_EQ(events[1].ne, common::NodeId{2});
 }
 
-TEST(FlightRecorder, RingOverwritesOldestAndCountsDrops) {
-  FlightRecorder rec{4};
-  for (std::uint64_t i = 0; i < 10; ++i) {
-    rec.record(i, common::NodeId{1}, FlightKind::kOpBorn, i, 0);
+TEST(OpTracerFlight, TailIsDeterministicAndHonest) {
+  // Two more events than the ring holds: the two oldest are overwritten.
+  constexpr std::uint64_t kEvents = OpTracer::kFlightCapacity + 2;
+  OpTracer tracer;
+  for (std::uint64_t i = 0; i < kEvents; ++i) {
+    tracer.record(i * 1000, common::NodeId{3}, FlightKind::kTokenRetx, 7, i);
   }
-  EXPECT_EQ(rec.size(), 4u);
-  EXPECT_EQ(rec.capacity(), 4u);
-  EXPECT_EQ(rec.recorded(), 10u);
-  EXPECT_EQ(rec.dropped(), 6u);
-  const auto events = rec.events();
-  ASSERT_EQ(events.size(), 4u);
-  // The four newest survive, oldest-to-newest.
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(events[i].a, 6 + i);
-  }
-}
-
-TEST(FlightRecorder, FormatTailIsDeterministicAndHonest) {
-  FlightRecorder rec{4};
-  for (std::uint64_t i = 0; i < 6; ++i) {
-    rec.record(i * 1000, common::NodeId{3}, FlightKind::kTokenRetx, 7, i);
-  }
-  const std::string once = rec.format_tail_string(2);
-  const std::string twice = rec.format_tail_string(2);
+  EXPECT_EQ(tracer.flight_counts().recorded, kEvents);
+  EXPECT_EQ(tracer.flight_counts().dropped, 2u);
+  const std::string once = tracer.flight_tail(2);
+  const std::string twice = tracer.flight_tail(2);
   EXPECT_EQ(once, twice);
-  // Header reports retained-vs-lifetime truncation; lines carry the
-  // decoded operand names.
-  EXPECT_NE(once.find("last 2 of 6"), std::string::npos) << once;
+  // Header reports shown-vs-lifetime truncation (overwritten events
+  // included); lines carry the decoded operand names.
   EXPECT_NE(once.find("token_retx"), std::string::npos) << once;
   EXPECT_NE(once.find("round=7"), std::string::npos) << once;
-}
-
-TEST(FlightRecorder, ClearResetsEverything) {
-  FlightRecorder rec{4};
-  rec.record(1, common::NodeId{1}, FlightKind::kRepair, 2, 0);
-  rec.clear();
-  EXPECT_EQ(rec.size(), 0u);
-  EXPECT_EQ(rec.recorded(), 0u);
-  EXPECT_TRUE(rec.events().empty());
+  EXPECT_EQ(once,
+            "flight recorder: last 2 of 4098 event(s) (4096 earlier not "
+            "shown)\n"
+            "  t=4096000us ne=3 token_retx round=7 retx=4096\n"
+            "  t=4097000us ne=3 token_retx round=7 retx=4097\n");
 }
 
 TEST(SeriesSampler, SamplesAtFixedCadenceWithoutKeepingTheRunAlive) {

@@ -5,8 +5,8 @@
 
 #include <sstream>
 
-#include "obs/profile.hpp"
 #include "obs/registry.hpp"
+#include "obs/trace.hpp"
 #include "test_util.hpp"
 
 namespace rgb::obs {
@@ -172,16 +172,16 @@ class ProfilerTest : public RgbSystemTest {};
 /// same totals.
 TEST_F(ProfilerTest, CountsDeliveriesPerKindUnderRealTraffic) {
   auto& sys = build(2, 3);
-  ASSERT_FALSE(sys.obs().spans.enabled());  // default-off spans
+  ASSERT_FALSE(sys.obs().tracer.spans_enabled());  // default-off spans
   sys.start_probing();
   for (std::uint64_t i = 1; i <= 12; ++i) {
     sys.join(common::Guid{i}, sys.aps()[i % sys.aps().size()]);
   }
   run_for_ms(2000);
 
-  const HandlerProfiler& prof = sys.obs().profiler;
+  const OpTracer& prof = sys.obs().tracer;
   EXPECT_GT(prof.handled_total(), 0u);
-  const HandlerProfiler::PerKind per_kind = prof.handled_per_kind();
+  const OpTracer::HandledPerKind per_kind = prof.handled_per_kind();
   std::uint64_t sum = 0;
   std::size_t kinds_seen = 0;
   for (const std::uint64_t n : per_kind) {

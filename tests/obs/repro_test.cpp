@@ -65,7 +65,7 @@ TEST(ViolationFlightTrace, PassingRunsCarryNoTrace) {
 }
 
 /// Baseline protocols keep no recorder: a violating run still works, the
-/// trace is just absent (SystemModel::flight() defaults to null).
+/// trace is just absent (SystemModel::flight() defaults to empty).
 TEST(ViolationFlightTrace, RecorderlessProtocolsYieldEmptyTrace) {
   AdversarialConfig cfg = rgb_config();
   cfg.protocol = Protocol::kGossip;

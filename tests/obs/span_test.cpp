@@ -1,4 +1,4 @@
-// Causal span layer: recorder semantics (contexts, rings, drops), the
+// Causal spans: the tracer's span semantics (off by default, contexts), the
 // single-connected-tree invariant for every traced op, and byte-identity
 // of the Chrome trace export across shard worker counts on a cross-shard
 // handoff schedule.
@@ -14,7 +14,6 @@
 #include "common/rng.hpp"
 #include "net/network.hpp"
 #include "obs/obs.hpp"
-#include "obs/span.hpp"
 #include "obs/trace_export.hpp"
 #include "rgb/rgb.hpp"
 #include "sim/simulator.hpp"
@@ -22,49 +21,36 @@
 namespace rgb::obs {
 namespace {
 
-TEST(SpanRecorder, DisabledByDefaultRecordsNothing) {
-  SpanRecorder rec;
-  EXPECT_FALSE(rec.enabled());
-  EXPECT_EQ(rec.record(1, common::NodeId{1}, SpanKind::kSend, 7, 0, 0, 0),
-            0u);
-  EXPECT_EQ(rec.size(), 0u);
-  EXPECT_EQ(rec.recorded(), 0u);
+TEST(OpTracerSpans, DisabledByDefaultRecordsNothing) {
+  OpTracer tracer;
+  EXPECT_FALSE(tracer.spans_enabled());
+  const auto send = [&tracer] {
+    return tracer.record_span(1, common::NodeId{1}, SpanKind::kSend, 7, 0, 0,
+                              0);
+  };
+  EXPECT_EQ(send(), 0u);
+  EXPECT_TRUE(tracer.spans().empty());
+  EXPECT_EQ(tracer.span_counts().recorded, 0u);
+  tracer.set_spans_enabled(true);
+  EXPECT_NE(send(), 0u);
+  EXPECT_EQ(tracer.span_counts().recorded, 1u);
 }
 
-TEST(SpanRecorder, ScopeInstallsAndRestoresContext) {
-  SpanRecorder rec;
-  rec.set_enabled(true);
-  EXPECT_EQ(rec.current().trace, 0u);
+TEST(OpTracerSpans, ScopeInstallsAndRestoresContext) {
+  OpTracer tracer;
+  tracer.set_spans_enabled(true);
+  EXPECT_EQ(tracer.current().trace, 0u);
   {
-    const SpanRecorder::Scope outer{rec, {42, 7}};
-    EXPECT_EQ(rec.current().trace, 42u);
-    EXPECT_EQ(rec.current().span, 7u);
+    const OpTracer::Scope outer{tracer, {42, 7}};
+    EXPECT_EQ(tracer.current().trace, 42u);
+    EXPECT_EQ(tracer.current().span, 7u);
     {
-      const SpanRecorder::Scope inner{rec, {43, 8}};
-      EXPECT_EQ(rec.current().trace, 43u);
+      const OpTracer::Scope inner{tracer, {43, 8}};
+      EXPECT_EQ(tracer.current().trace, 43u);
     }
-    EXPECT_EQ(rec.current().trace, 42u);
+    EXPECT_EQ(tracer.current().trace, 42u);
   }
-  EXPECT_EQ(rec.current().trace, 0u);
-}
-
-TEST(SpanRecorder, RingOverwritesOldestAndCountsDrops) {
-  SpanRecorder rec{4};
-  rec.set_enabled(true);
-  for (std::uint64_t i = 1; i <= 6; ++i) {
-    const std::uint64_t id =
-        rec.record(sim::Time{i}, common::NodeId{1}, SpanKind::kSend, 1, 0,
-                   /*a=*/i, /*b=*/0);
-    EXPECT_NE(id, 0u);
-  }
-  EXPECT_EQ(rec.size(), 4u);
-  EXPECT_EQ(rec.recorded(), 6u);
-  EXPECT_EQ(rec.dropped(), 2u);
-  const std::vector<Span> spans = rec.spans();
-  ASSERT_EQ(spans.size(), 4u);
-  // Oldest two were overwritten; the survivors stay time-ordered.
-  EXPECT_EQ(spans.front().a, 3u);
-  EXPECT_EQ(spans.back().a, 6u);
+  EXPECT_EQ(tracer.current().trace, 0u);
 }
 
 /// One sharded RGB run with spans on: members join round-robin over the
@@ -88,7 +74,7 @@ TracedRun run_handoff_trial(unsigned workers) {
   config.probe_period = sim::msec(100);
   core::RgbSystem sys{network, config, core::HierarchyLayout{2, 3}};
   sys.configure_shards(kShards);
-  sys.obs().spans.set_enabled(true);
+  sys.obs().tracer.set_spans_enabled(true);
 
   const std::vector<common::NodeId>& aps = sys.aps();
   constexpr std::uint64_t kMembers = 12;
@@ -116,10 +102,10 @@ TracedRun run_handoff_trial(unsigned workers) {
 
   TracedRun out;
   std::ostringstream os;
-  write_chrome_trace(os, sys.obs().spans, sys.obs().flight);
+  write_chrome_trace(os, sys.obs().tracer);
   out.chrome = os.str();
-  out.spans = sys.obs().spans.spans();
-  out.dropped = sys.obs().spans.dropped();
+  out.spans = sys.obs().tracer.spans();
+  out.dropped = sys.obs().tracer.span_counts().dropped;
   return out;
 }
 

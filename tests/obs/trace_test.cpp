@@ -74,7 +74,7 @@ TEST_F(TraceTest, NeCrashFeedsDetectionHistogramsAndViewChanges) {
   // crash-anchored latency.
   EXPECT_GE(tracer.member_detection().count(), 1u);
   // The flight recorder saw the repair.
-  const std::string tail = sys.obs().flight.format_tail_string();
+  const std::string tail = sys.obs().tracer.flight_tail();
   EXPECT_NE(tail.find("repair"), std::string::npos) << tail;
   EXPECT_NE(tail.find("detect_ne_fail"), std::string::npos) << tail;
 }
@@ -119,7 +119,7 @@ TEST(TraceDeterminism, ObservabilityOutputIsByteIdenticalAcrossRuns) {
     simulator.run_until(sim::sec(5));
     std::ostringstream out;
     sys.obs().registry.write_json(out);
-    out << sys.obs().flight.format_tail_string();
+    out << sys.obs().tracer.flight_tail();
     return out.str();
   };
   const std::string first = run_once();

@@ -118,7 +118,8 @@ int usage(const char* argv0, int code) {
      << "  --groups LIST  comma-separated group counts (with --multigroup)\n"
      << "  --group-members M  members per group (default 100)\n"
      << "trace options (causal-span Chrome trace export; spans forced on,\n"
-     << "untimed, byte-identical for any --shards value):\n"
+     << "untimed, byte-identical for any --shards W >= 1; --shards 0, the\n"
+     << "default, runs the serial trial, whose trace differs):\n"
      << "  --members N    members to join (default 2000)\n"
      << "  --tiers H / --ring R / --shards W / --seed S  as for bench\n"
      << "  --steady-ticks K / --warmup-ticks K           as for bench\n"
