@@ -1,14 +1,16 @@
 // Experiment E10 — google-benchmark micro-benchmarks of the building
-// blocks: event kernel, RNG, MQ aggregation, member-table apply, the
-// GroupDirectory operations a probe tick or an op intake performs (at
-// G = 1, 100 and 1000 groups; each should read flat in G), the kFull
-// exchange's two halves per entry (one group's export, one fused
-// import+diff) and their bucket-scoped counterparts with the bucket
-// digests a large differing group reads, codec encode/decode in ns/byte,
-// network send/deliver, and an end-to-end Member-Join round on a small
-// hierarchy.
+// blocks: event kernel, RNG, MQ aggregation, member-table apply, member
+// tables at two workload shapes (query_mix's cold snapshots, join_surge's
+// interleaved applies), the GroupDirectory operations a probe tick or an
+// op intake performs (at G = 1, 100 and 1000 groups; each should read
+// flat in G), the kFull exchange's two halves per entry (one group's
+// export, one fused import+diff) and their bucket-scoped counterparts
+// with the bucket digests a large differing group reads, codec
+// encode/decode in ns/byte, network send/deliver, and an end-to-end
+// Member-Join round on a small hierarchy.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -101,6 +103,63 @@ core::GroupDirectory populated_directory(std::uint64_t groups) {
   }
   return dir;
 }
+
+// --- member tables at workload shape ----------------------------------------
+
+/// query_mix's reads: 30 NEs x 100 groups = 3,000 tables of 160 records,
+/// filled round-robin as its joins arrive (guid g joins group g % 100 on
+/// every NE), so each table's fill is interleaved with every other's. Each
+/// iteration snapshots a pseudo-random table, mostly cold in cache.
+void BM_MemberTableSnapshotCold(benchmark::State& state) {
+  constexpr std::uint64_t kGroups = 100;
+  constexpr std::uint64_t kNes = 30;
+  constexpr std::uint64_t kRecords = 160;
+  std::vector<core::MemberTable> tables(kNes * kGroups);
+  for (std::uint64_t guid = 1; guid <= kGroups * kRecords; ++guid) {
+    const core::MembershipOp op = directory_join(1, guid, guid);
+    for (std::uint64_t ne = 0; ne < kNes; ++ne) {
+      tables[ne * kGroups + guid % kGroups].apply(op);
+    }
+  }
+  common::RngStream rng{7};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tables[rng.next_below(tables.size())].snapshot());
+  }
+}
+BENCHMARK(BM_MemberTableSnapshotCold);
+
+/// join_surge's writes: the 30 NEs' tables of its one group, fed ascending
+/// guids in 65-op batches (about a token round's worth) round-robin, up to
+/// 200,000 records each. An iteration fills 30 newly built tables, so each
+/// grows from no storage at all as on the workload; items are applies.
+void BM_MemberTableApplyInterleaved(benchmark::State& state) {
+  constexpr std::uint64_t kNes = 30;
+  constexpr std::size_t kBatch = 65;
+  constexpr std::uint64_t kRecords = 200'000;
+  std::vector<core::MembershipOp> ops;
+  ops.reserve(kRecords);
+  for (std::uint64_t guid = 1; guid <= kRecords; ++guid) {
+    ops.push_back(directory_join(1, guid, guid));
+  }
+  std::vector<core::MemberTable> tables;
+  for (auto _ : state) {
+    state.PauseTiming();
+    tables.clear();
+    tables.resize(kNes);
+    state.ResumeTiming();
+    for (std::size_t first = 0; first < ops.size(); first += kBatch) {
+      const std::size_t last = std::min(first + kBatch, ops.size());
+      for (core::MemberTable& table : tables) {
+        for (std::size_t i = first; i < last; ++i) {
+          benchmark::DoNotOptimize(table.apply(ops[i]));
+        }
+      }
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kNes * kRecords));
+}
+BENCHMARK(BM_MemberTableApplyInterleaved)->Unit(benchmark::kMillisecond);
 
 void BM_DirectoryCombinedDigest(benchmark::State& state) {
   const core::GroupDirectory dir =

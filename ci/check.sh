@@ -330,6 +330,18 @@ rm -f "$tr1" "$tr2" "$tr8"
 echo "== bench suite smoke =="
 python3 bench/suite/run.py smoke > /dev/null
 
+# Micro-benchmark smoke: the member-table and directory cells of
+# bench/bench_micro.cpp, which perf changes to those structures cite, run
+# once at a token run length, so a cell that breaks fails CI. bench_micro
+# is built only when google-benchmark is installed.
+echo "== bench_micro smoke (member table and directory cells) =="
+if [ -x "$BUILD_DIR/bench_micro" ]; then
+  "$BUILD_DIR/bench_micro" --benchmark_filter='MemberTable|Group|Directory' \
+      --benchmark_min_time=0.01
+else
+  echo "skip: bench_micro not built (google-benchmark not found)"
+fi
+
 # AddressSanitizer + UndefinedBehaviorSanitizer gate over the unit, wire
 # and obs suites (the wire suite feeds hostile frames to the real decoders;
 # the obs suite drives the tracer's bounded rings through wrap and merge):

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
+#include <stdexcept>
 
 namespace rgb::core {
 
@@ -19,6 +21,28 @@ std::uint64_t mix(std::uint64_t x) {
 bool by_guid(const TableEntry& a, const TableEntry& b) {
   return a.record.guid < b.record.guid;
 }
+
+bool by_record_guid(const MemberRecord& a, const MemberRecord& b) {
+  return a.guid < b.guid;
+}
+
+/// The index cell of a free slot.
+constexpr std::uint32_t kFree = 0;
+
+/// Index sizes: the least prime above each power of two from 2^3 to 2^33.
+/// A prime keeps guid % size from folding a stride onto a few slots; the
+/// last size holds the record cap at load 1/2.
+constexpr std::array<std::uint64_t, 31> kIndexSizes = {
+    11,         17,         37,         67,         131,
+    257,        521,        1031,       2053,       4099,
+    8209,       16411,      32771,      65537,      131101,
+    262147,     524309,     1048583,    2097169,    4194319,
+    8388617,    16777259,   33554467,   67108879,   134217757,
+    268435459,  536870923,  1073741827, 2147483659, 4294967311,
+    8589934609};
+
+/// Records one table can hold: a position plus one fits in an index cell.
+constexpr std::size_t kMaxRecords = std::numeric_limits<std::uint32_t>::max();
 }  // namespace
 
 std::uint64_t MemberTable::entry_hash(const MemberRecord& record,
@@ -39,18 +63,68 @@ std::size_t MemberTable::bucket_of(Guid guid) {
   return static_cast<std::size_t>(mix(guid.value()) % kBucketCount);
 }
 
+std::size_t MemberTable::probe(Guid guid) const {
+  const std::size_t size = index_.size();
+  std::size_t slot = static_cast<std::size_t>(guid.value() % size);
+  while (index_[slot] != kFree &&
+         entries_[index_[slot] - 1].record.guid != guid) {
+    if (++slot == size) slot = 0;
+  }
+  return slot;
+}
+
+const MemberTable::Entry* MemberTable::find_entry(Guid guid) const {
+  if (index_.empty()) return nullptr;
+  const std::uint32_t cell = index_[probe(guid)];
+  return cell == kFree ? nullptr : &entries_[cell - 1];
+}
+
+void MemberTable::grow() {
+  index_.assign(*std::upper_bound(kIndexSizes.begin(), kIndexSizes.end(),
+                                  index_.size()),
+                kFree);
+  for (std::size_t pos = 0; pos < entries_.size(); ++pos) {
+    index_[probe(entries_[pos].record.guid)] =
+        static_cast<std::uint32_t>(pos + 1);
+  }
+}
+
+std::pair<MemberTable::Entry&, bool> MemberTable::emplace(Guid guid) {
+  if (index_.empty()) grow();
+  const std::size_t slot = probe(guid);
+  if (index_[slot] != kFree) return {entries_[index_[slot] - 1], false};
+  return {append(guid, slot), true};
+}
+
+MemberTable::Entry& MemberTable::append(Guid guid, std::size_t slot) {
+  if (entries_.size() == kMaxRecords) {
+    throw std::length_error("MemberTable holds at most 2^32 - 1 records");
+  }
+  if ((entries_.size() + 1) * 4 > index_.size() * 3) {
+    grow();
+    slot = probe(guid);
+  }
+  const auto pos = static_cast<std::uint32_t>(entries_.size());
+  Entry& entry = entries_.emplace_back();
+  entry.record.guid = guid;
+  index_[slot] = pos + 1;
+  if (!buckets_.empty()) buckets_[bucket_of(guid)].positions.push_back(pos);
+  return entry;
+}
+
 void MemberTable::index_buckets() {
   if (!buckets_.empty()) return;
   std::array<std::size_t, kBucketCount> sizes{};
-  for (const auto& [guid, entry] : records_) ++sizes[bucket_of(guid)];
+  for (const Entry& entry : entries_) ++sizes[bucket_of(entry.record.guid)];
   buckets_.resize(kBucketCount);
   for (std::size_t b = 0; b < kBucketCount; ++b) {
-    buckets_[b].guids.reserve(sizes[b]);
+    buckets_[b].positions.reserve(sizes[b]);
   }
-  for (const auto& [guid, entry] : records_) {
-    Bucket& bucket = buckets_[bucket_of(guid)];
+  for (std::size_t pos = 0; pos < entries_.size(); ++pos) {
+    const Entry& entry = entries_[pos];
+    Bucket& bucket = buckets_[bucket_of(entry.record.guid)];
     bucket.hash ^= entry_hash(entry);
-    bucket.guids.push_back(guid);
+    bucket.positions.push_back(static_cast<std::uint32_t>(pos));
   }
 }
 
@@ -60,8 +134,8 @@ BucketHashes MemberTable::bucket_digests() const {
     for (std::size_t b = 0; b < kBucketCount; ++b) out[b] = buckets_[b].hash;
     return out;
   }
-  for (const auto& [guid, entry] : records_) {
-    out[bucket_of(guid)] ^= entry_hash(entry);
+  for (const Entry& entry : entries_) {
+    out[bucket_of(entry.record.guid)] ^= entry_hash(entry);
   }
   return out;
 }
@@ -72,15 +146,10 @@ void MemberTable::flip(const Entry& entry) {
   if (!buckets_.empty()) buckets_[bucket_of(entry.record.guid)].hash ^= h;
 }
 
-void MemberTable::track(Guid guid) {
-  if (!buckets_.empty()) buckets_[bucket_of(guid)].guids.push_back(guid);
-}
-
 bool MemberTable::apply(const MembershipOp& op) {
   if (!op.is_member_op()) return false;
 
-  const auto [it, inserted] = records_.try_emplace(op.member.guid);
-  Entry& entry = it->second;
+  auto [entry, inserted] = emplace(op.member.guid);
   // Idempotent lattice apply: an op that does not advance the record in
   // (claim, seq) order is a duplicate, a stale retransmission, or an
   // assertion derived from a superseded attachment epoch.
@@ -107,104 +176,71 @@ bool MemberTable::apply(const MembershipOp& op) {
       break;
   }
   flip(entry);
-  if (inserted) track(op.member.guid);
   return true;
 }
 
 void MemberTable::upsert(const MemberRecord& rec) {
-  const auto [it, inserted] = records_.try_emplace(rec.guid);
-  if (!inserted) flip(it->second);
-  it->second.record = rec;
-  flip(it->second);
-  if (inserted) track(rec.guid);
-}
-
-void MemberTable::remove(Guid guid) {
-  const auto it = records_.find(guid);
-  if (it == records_.end()) return;
-  flip(it->second);
-  records_.erase(it);
-  if (!buckets_.empty()) std::erase(buckets_[bucket_of(guid)].guids, guid);
+  auto [entry, inserted] = emplace(rec.guid);
+  if (!inserted) flip(entry);
+  entry.record = rec;
+  flip(entry);
 }
 
 std::optional<MemberRecord> MemberTable::find(Guid guid) const {
-  const auto it = records_.find(guid);
-  if (it == records_.end()) return std::nullopt;
-  return it->second.record;
+  const Entry* entry = find_entry(guid);
+  if (entry == nullptr) return std::nullopt;
+  return entry->record;
 }
 
 std::optional<TableEntry> MemberTable::lookup(Guid guid) const {
-  const auto it = records_.find(guid);
-  if (it == records_.end()) return std::nullopt;
-  return to_entry(it->second, GroupId{});
+  const Entry* entry = find_entry(guid);
+  if (entry == nullptr) return std::nullopt;
+  return to_entry(*entry, GroupId{});
 }
 
 bool MemberTable::contains(Guid guid) const {
-  const auto it = records_.find(guid);
-  return it != records_.end() &&
-         it->second.record.status == MemberStatus::kOperational;
+  const Entry* entry = find_entry(guid);
+  return entry != nullptr &&
+         entry->record.status == MemberStatus::kOperational;
 }
 
 std::uint64_t MemberTable::last_seq_of(Guid guid) const {
-  const auto it = records_.find(guid);
-  return it == records_.end() ? 0 : it->second.last_seq;
+  const Entry* entry = find_entry(guid);
+  return entry == nullptr ? 0 : entry->last_seq;
 }
 
 std::uint64_t MemberTable::claim_of(Guid guid) const {
-  const auto it = records_.find(guid);
-  return it == records_.end() ? 0 : it->second.claim_seq;
+  const Entry* entry = find_entry(guid);
+  return entry == nullptr ? 0 : entry->claim_seq;
 }
 
 std::vector<MemberRecord> MemberTable::snapshot() const {
   std::vector<MemberRecord> out;
-  out.reserve(records_.size());
-  for (const auto& [guid, entry] : records_) {
+  out.reserve(entries_.size());
+  for (const Entry& entry : entries_) {
     if (entry.record.status == MemberStatus::kOperational) {
       out.push_back(entry.record);
     }
   }
-  std::sort(out.begin(), out.end(),
-            [](const MemberRecord& a, const MemberRecord& b) {
-              return a.guid < b.guid;
-            });
+  std::sort(out.begin(), out.end(), by_record_guid);
   return out;
 }
 
 std::vector<MemberRecord> MemberTable::members_at(NodeId ap) const {
   std::vector<MemberRecord> out;
-  for (const auto& [guid, entry] : records_) {
+  for (const Entry& entry : entries_) {
     if (entry.record.status == MemberStatus::kOperational &&
         entry.record.access_proxy == ap) {
       out.push_back(entry.record);
     }
   }
-  std::sort(out.begin(), out.end(),
-            [](const MemberRecord& a, const MemberRecord& b) {
-              return a.guid < b.guid;
-            });
+  std::sort(out.begin(), out.end(), by_record_guid);
   return out;
-}
-
-void MemberTable::merge(const MemberTable& other) {
-  for (const auto& [guid, their] : other.records_) {
-    const auto [it, inserted] = records_.try_emplace(guid);
-    if (!inserted) {
-      if (!record_precedes(it->second.claim_seq, it->second.last_seq,
-                           their.claim_seq, their.last_seq)) {
-        continue;
-      }
-      flip(it->second);
-    } else {
-      track(guid);
-    }
-    it->second = their;
-    flip(it->second);
-  }
 }
 
 std::vector<TableEntry> MemberTable::export_entries() const {
   std::vector<TableEntry> out;
-  out.reserve(records_.size());
+  out.reserve(entries_.size());
   append_entries(out, GroupId{});
   return out;
 }
@@ -212,9 +248,7 @@ std::vector<TableEntry> MemberTable::export_entries() const {
 void MemberTable::append_entries(std::vector<TableEntry>& out,
                                  GroupId gid) const {
   const std::size_t first = out.size();
-  for (const auto& [guid, entry] : records_) {
-    out.push_back(to_entry(entry, gid));
-  }
+  for (const Entry& entry : entries_) out.push_back(to_entry(entry, gid));
   std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end(),
             by_guid);
 }
@@ -224,14 +258,16 @@ void MemberTable::append_entries(std::vector<TableEntry>& out, GroupId gid,
   if (buckets.all()) return append_entries(out, gid);
   const std::size_t first = out.size();
   if (buckets_.empty()) {
-    for (const auto& [guid, entry] : records_) {
-      if (buckets.test(bucket_of(guid))) out.push_back(to_entry(entry, gid));
+    for (const Entry& entry : entries_) {
+      if (buckets.test(bucket_of(entry.record.guid))) {
+        out.push_back(to_entry(entry, gid));
+      }
     }
   } else {
     for (std::size_t b = 0; b < kBucketCount; ++b) {
       if (!buckets.test(b)) continue;
-      for (const Guid guid : buckets_[b].guids) {
-        out.push_back(to_entry(records_.find(guid)->second, gid));
+      for (const std::uint32_t pos : buckets_[b].positions) {
+        out.push_back(to_entry(entries_[pos], gid));
       }
     }
   }
@@ -247,8 +283,7 @@ bool MemberTable::import(std::span<const TableEntry> entries,
                          std::vector<TableEntry>* newer) {
   bool changed = false;
   for (const TableEntry& incoming : entries) {
-    const auto [it, inserted] = records_.try_emplace(incoming.record.guid);
-    Entry& local = it->second;
+    auto [local, inserted] = emplace(incoming.record.guid);
     if (!inserted) {
       if (!record_precedes(local.claim_seq, local.last_seq,
                            incoming.claim_seq, incoming.last_seq)) {
@@ -260,8 +295,6 @@ bool MemberTable::import(std::span<const TableEntry> entries,
         continue;
       }
       flip(local);
-    } else {
-      track(incoming.record.guid);
     }
     local = Entry{incoming.record, incoming.last_seq, incoming.claim_seq};
     flip(local);
@@ -283,7 +316,7 @@ bool MemberTable::import_and_diff(std::span<const TableEntry> run,
   const bool changed = import(run, &newer);
   // The run's guids are all in the table now and distinct, so the table
   // holds exactly size() - run.size() records the run does not mention.
-  if (std::size_t absent = records_.size() - run.size(); absent != 0) {
+  if (std::size_t absent = entries_.size() - run.size(); absent != 0) {
     const std::size_t probed = newer.size();
     const auto in_run = [&](Guid guid) {
       const auto pos = std::lower_bound(
@@ -292,17 +325,18 @@ bool MemberTable::import_and_diff(std::span<const TableEntry> run,
       return pos != run.end() && pos->record.guid == guid;
     };
     if (whole) {
-      for (const auto& [guid, entry] : records_) {
-        if (in_run(guid)) continue;
+      for (const Entry& entry : entries_) {
+        if (in_run(entry.record.guid)) continue;
         newer.push_back(to_entry(entry, GroupId{}));
         if (--absent == 0) break;
       }
     } else {
       for (std::size_t b = 0; absent != 0 && b < kBucketCount; ++b) {
         if (!scope.test(b)) continue;
-        for (const Guid guid : buckets_[b].guids) {
-          if (in_run(guid)) continue;
-          newer.push_back(to_entry(records_.find(guid)->second, GroupId{}));
+        for (const std::uint32_t pos : buckets_[b].positions) {
+          const Entry& entry = entries_[pos];
+          if (in_run(entry.record.guid)) continue;
+          newer.push_back(to_entry(entry, GroupId{}));
           if (--absent == 0) break;
         }
       }
@@ -322,7 +356,8 @@ bool operator==(const MemberTable& a, const MemberTable& b) {
 }
 
 void MemberTable::clear() {
-  records_.clear();
+  entries_.clear();
+  std::fill(index_.begin(), index_.end(), kFree);
   digest_ = 0;
   std::vector<Bucket>().swap(buckets_);
 }

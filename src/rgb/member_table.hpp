@@ -5,6 +5,16 @@
 // Applying the same op twice is harmless (idempotent apply keyed by op
 // sequence), which lets retransmitted notifications and merged partitions
 // reconcile without special cases.
+//
+// Storage: every record lives in one dense vector in insertion order, and
+// an open-addressing index of 4-byte positions finds a guid's record.
+// Records are never erased (leave and fail are statuses), so the index is
+// insert-only: linear probing, load at most 3/4, sizes from a ladder of
+// primes just above powers of two. A guid's home slot is guid % size: a
+// token round's ops arrive in near-ascending guid order and land in
+// neighbouring slots, and one group's strided guids still spread over the
+// whole index. A position is 4 bytes, which caps a table at 2^32 - 1
+// records (insertion past that throws std::length_error).
 #pragma once
 
 #include <array>
@@ -12,8 +22,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "rgb/types.hpp"
@@ -109,9 +118,10 @@ class MemberTable {
   /// ignored (tables track mobile hosts only).
   bool apply(const MembershipOp& op);
 
-  /// Direct record insertion/removal (used by merge reconciliation).
+  /// Direct record insertion that bypasses sequencing: the record lands
+  /// whatever it replaces, keeping the guid's seq and claim (0 for a new
+  /// guid). Query fan-in uses it to union replies.
   void upsert(const MemberRecord& rec);
-  void remove(Guid guid);
 
   [[nodiscard]] std::optional<MemberRecord> find(Guid guid) const;
   /// Record, seq and claim epoch in one probe — the reaffirmation /
@@ -126,19 +136,14 @@ class MemberTable {
   [[nodiscard]] std::uint64_t last_seq_of(Guid guid) const;
   /// Attachment epoch of `guid`'s record (0 when unknown / epoch-less).
   [[nodiscard]] std::uint64_t claim_of(Guid guid) const;
-  [[nodiscard]] std::size_t size() const { return records_.size(); }
-  [[nodiscard]] bool empty() const { return records_.empty(); }
+  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  [[nodiscard]] bool empty() const { return entries_.empty(); }
 
   /// Operational members only, sorted by GUID for deterministic comparison.
   [[nodiscard]] std::vector<MemberRecord> snapshot() const;
 
   /// Members currently attached to `ap`, sorted by GUID.
   [[nodiscard]] std::vector<MemberRecord> members_at(NodeId ap) const;
-
-  /// Union-merge with another view (used by query fan-in and ring merge):
-  /// unknown members are inserted; conflicts keep `other`'s record when
-  /// its op sequence is newer.
-  void merge(const MemberTable& other);
 
   /// Every record (operational or not) with its sequence, sorted by guid —
   /// the anti-entropy sync payload.
@@ -159,7 +164,7 @@ class MemberTable {
   /// diff an anti-entropy receiver sends back: appends to `newer` every
   /// entry of this table that the import left strictly newer than its
   /// incoming copy or that the run does not mention (the appended part is
-  /// guid-ascending, gid unstamped). The same hash probe imports and
+  /// guid-ascending, gid unstamped). The same index probe imports and
   /// compares; records absent from the run are searched for only when the
   /// table holds more records than the run, only until all are found, and
   /// only in the buckets of `scope` (indexing the table's buckets when
@@ -173,13 +178,13 @@ class MemberTable {
   /// steady-state sync tick costs a comparison instead of an
   /// export-sort-ship of the whole table.
   [[nodiscard]] ViewDigest digest() const {
-    return ViewDigest{digest_, records_.size()};
+    return ViewDigest{digest_, entries_.size()};
   }
 
   /// The record's bucket: its guid hash mod kBucketCount.
   [[nodiscard]] static std::size_t bucket_of(Guid guid);
   /// Starts keeping bucket state: each bucket's digest, by the same xor as
-  /// digest(), and its guids, both updated with every later change. From
+  /// digest(), and its records, both updated with every later change. From
   /// then on bucket_digests() costs O(kBucketCount), and a bucket-scoped export
   /// or diff visits only the scoped buckets' records instead of the whole
   /// table. Idempotent; no entry, digest or answer changes.
@@ -195,6 +200,8 @@ class MemberTable {
 
   friend bool operator==(const MemberTable& a, const MemberTable& b);
 
+  /// Empties the table and drops its bucket state; the index keeps its
+  /// size for the refill.
   void clear();
 
  private:
@@ -209,6 +216,22 @@ class MemberTable {
   [[nodiscard]] static TableEntry to_entry(const Entry& entry, GroupId gid) {
     return TableEntry{entry.record, entry.last_seq, entry.claim_seq, gid};
   }
+  /// `guid`'s entry, or null.
+  [[nodiscard]] const Entry* find_entry(Guid guid) const;
+  /// `guid`'s entry and whether it is new (then appended).
+  std::pair<Entry&, bool> emplace(Guid guid);
+  /// Appends a new entry for `guid` (seq and claim 0, record default but
+  /// for its guid) at the free index slot `slot`, or where its probe ends
+  /// once the index has grown, and files it under its bucket once
+  /// indexed. Kept out of emplace so that a lookup that finds its guid,
+  /// the import hot path, stays small enough to inline.
+  Entry& append(Guid guid, std::size_t slot);
+  /// The index slot that holds `guid`, else the free slot its probe from
+  /// the home slot guid % index size ends on. The index is non-empty.
+  [[nodiscard]] std::size_t probe(Guid guid) const;
+  /// Moves the index to the next size of the ladder and places every
+  /// entry again.
+  void grow();
   /// The lattice merge behind import_entries / import_and_diff; with
   /// `newer` set, also appends each local entry left strictly newer than
   /// its incoming copy.
@@ -217,14 +240,16 @@ class MemberTable {
   /// Xors `entry`'s hash into (or out of) the digest and, once indexed,
   /// its bucket's digest.
   void flip(const Entry& entry);
-  /// Files a guid new to the table under its bucket, once indexed.
-  void track(Guid guid);
 
-  std::unordered_map<Guid, Entry> records_;
+  std::vector<Entry> entries_;  ///< every record, in insertion order
+  /// Open-addressing index over entries_: 0 marks a free slot, any other
+  /// value is an entry's position plus one. Empty until the first insert.
+  std::vector<std::uint32_t> index_;
   std::uint64_t digest_ = 0;  ///< xor-accumulated entry hashes
   struct Bucket {
-    std::uint64_t hash = 0;   ///< xor of the bucket's entry hashes
-    std::vector<Guid> guids;  ///< the bucket's records, unordered
+    std::uint64_t hash = 0;  ///< xor of the bucket's entry hashes
+    /// The bucket's records as entries_ positions, ascending.
+    std::vector<std::uint32_t> positions;
   };
   /// kBucketCount buckets from index_buckets() on, else empty: a table that
   /// never takes part in a bucket-level exchange (every small group, and

@@ -192,6 +192,34 @@ TEST(GroupDirectory, MergedViewsDeduplicateAcrossGroups) {
   EXPECT_EQ(grouped[1].first, GroupId{2});
 }
 
+TEST(GroupDirectory, MergedViewsKeepTheLowestGidsRecord) {
+  // Guid 10 is in groups 3 and 5 at different APs; group 5's record is
+  // applied first and carries the newer seq, yet the merged views answer
+  // group 3's.
+  GroupDirectory dir;
+  dir.apply(member_op(5, OpKind::kMemberJoin, 9, 10, 500));
+  dir.apply(member_op(5, OpKind::kMemberJoin, 2, 5, 300));
+  EXPECT_EQ(dir.merged_snapshot(), dir.table_if(GroupId{5})->snapshot());
+  dir.apply(member_op(3, OpKind::kMemberJoin, 1, 10, 300));
+  dir.apply(member_op(3, OpKind::kMemberJoin, 3, 20, 500));
+
+  const MemberRecord ten_at_300{Guid{10}, NodeId{300},
+                                proto::MemberStatus::kOperational};
+  const MemberRecord ten_at_500{Guid{10}, NodeId{500},
+                                proto::MemberStatus::kOperational};
+  const MemberRecord five{Guid{5}, NodeId{300},
+                          proto::MemberStatus::kOperational};
+  const MemberRecord twenty{Guid{20}, NodeId{500},
+                            proto::MemberStatus::kOperational};
+  EXPECT_EQ(dir.merged_snapshot(),
+            (std::vector<MemberRecord>{five, ten_at_300, twenty}));
+  EXPECT_EQ(dir.merged_members_at(NodeId{300}),
+            (std::vector<MemberRecord>{five, ten_at_300}));
+  // At AP 500 only group 5 holds guid 10, so its record is the answer.
+  EXPECT_EQ(dir.merged_members_at(NodeId{500}),
+            (std::vector<MemberRecord>{ten_at_500, twenty}));
+}
+
 TEST(GroupDirectory, QueueRoutesByGroupAndDrainsNeOpsFirst) {
   GroupDirectory dir;
   dir.insert(member_op(3, OpKind::kMemberJoin, 1, 10, 100));

@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <map>
+#include <span>
 #include <vector>
+
+#include "common/rng.hpp"
 
 namespace rgb::core {
 namespace {
@@ -117,7 +122,7 @@ TEST(MemberTable, MergeAdoptsNewerRecords) {
   a.apply(op(OpKind::kMemberJoin, 1, 7, 100));
   b.apply(op(OpKind::kMemberHandoff, 5, 7, 200, 100));
   b.apply(op(OpKind::kMemberJoin, 2, 8, 300));
-  a.merge(b);
+  a.import_entries(b.export_entries());
   EXPECT_EQ(a.find(Guid{7})->access_proxy, NodeId{200});
   EXPECT_TRUE(a.contains(Guid{8}));
 }
@@ -126,7 +131,7 @@ TEST(MemberTable, MergeKeepsOwnNewerRecords) {
   MemberTable a, b;
   a.apply(op(OpKind::kMemberHandoff, 9, 7, 500, 100));
   b.apply(op(OpKind::kMemberJoin, 1, 7, 100));
-  a.merge(b);
+  a.import_entries(b.export_entries());
   EXPECT_EQ(a.find(Guid{7})->access_proxy, NodeId{500});
 }
 
@@ -148,13 +153,10 @@ TEST(MemberTable, RejoinAfterLeaveWithHigherSeq) {
   EXPECT_EQ(t.find(Guid{7})->access_proxy, NodeId{200});
 }
 
-TEST(MemberTable, UpsertAndRemoveBypassSequencing) {
+TEST(MemberTable, UpsertBypassesSequencing) {
   MemberTable t;
   t.upsert(MemberRecord{Guid{1}, NodeId{9}, proto::MemberStatus::kOperational});
   EXPECT_TRUE(t.contains(Guid{1}));
-  t.remove(Guid{1});
-  EXPECT_FALSE(t.contains(Guid{1}));
-  EXPECT_FALSE(t.find(Guid{1}).has_value());
 }
 
 TEST(MemberTable, ClearEmptiesEverything) {
@@ -210,9 +212,9 @@ TEST(MemberTableDigest, SensitiveToSeqStatusApAndCount) {
 }
 
 TEST(MemberTableDigest, IncrementalMaintenanceMatchesRebuild) {
-  // Every mutation path — apply (insert + overwrite), import, merge,
-  // upsert, remove — must leave the incrementally-maintained digest equal
-  // to a from-scratch import of the same entries.
+  // Every mutation path — apply (insert + overwrite), import, upsert —
+  // must leave the incrementally-maintained digest equal to a
+  // from-scratch import of the same entries.
   MemberTable t;
   t.apply(op(OpKind::kMemberJoin, 1, 10, 100));
   t.apply(op(OpKind::kMemberJoin, 2, 20, 101));
@@ -223,11 +225,10 @@ TEST(MemberTableDigest, IncrementalMaintenanceMatchesRebuild) {
   MemberTable other;
   other.apply(op(OpKind::kMemberJoin, 9, 30, 103));
   other.apply(op(OpKind::kMemberJoin, 8, 10, 104));  // newer than t's
-  t.merge(other);
+  t.import_entries(other.export_entries());
   t.import_entries(other.export_entries());  // idempotent second pass
   t.upsert(proto::MemberRecord{Guid{40}, NodeId{105},
                                proto::MemberStatus::kOperational});
-  t.remove(Guid{20});
 
   MemberTable rebuilt;
   rebuilt.import_entries(t.export_entries());
@@ -304,8 +305,8 @@ TEST(MemberTableLattice, ImportAndMergeAndDiffUseLatticeOrder) {
   EXPECT_FALSE(b.import_and_diff(a.export_entries(), diff));
   ASSERT_EQ(diff.size(), 1u);
   EXPECT_EQ(diff[0].claim_seq, 20u);
-  // merge follows the same order.
-  a.merge(b);
+  // Importing b into a follows the same order.
+  a.import_entries(b.export_entries());
   EXPECT_EQ(a.find(Guid{1})->access_proxy, NodeId{200});
 }
 
@@ -370,8 +371,8 @@ TEST(MemberTableBuckets, DigestsXorToTheTableDigestIndexedOrNot) {
 
 TEST(MemberTableBuckets, IndexFollowsEveryMutation) {
   // Index first, then every mutation path — apply (insert + overwrite),
-  // import, merge, upsert, remove: the kept bucket digests and the
-  // bucket-scoped export must equal those of an unindexed rebuild.
+  // import, upsert: the kept bucket digests and the bucket-scoped export
+  // must equal those of an unindexed rebuild.
   MemberTable t;
   t.apply(op(OpKind::kMemberJoin, 1, 10, 100));
   t.index_buckets();
@@ -382,15 +383,13 @@ TEST(MemberTableBuckets, IndexFollowsEveryMutation) {
   MemberTable other;
   other.apply(op(OpKind::kMemberJoin, 500, 33, 103));   // newer than t's
   other.apply(op(OpKind::kMemberJoin, 501, 9999, 104));  // new to t
-  t.merge(other);
+  t.import_entries(other.export_entries());
   const std::vector<TableEntry> imported{TableEntry{
       MemberRecord{Guid{8888}, NodeId{101}, proto::MemberStatus::kFailed}, 600,
       600, GroupId{}}};
   t.import_entries(imported);
   t.upsert(MemberRecord{Guid{7777}, NodeId{105},
                         proto::MemberStatus::kOperational});
-  t.remove(Guid{22});
-  t.remove(Guid{8888});
 
   MemberTable rebuilt;
   rebuilt.import_entries(t.export_entries());
@@ -438,6 +437,301 @@ TEST(MemberTableBuckets, ScopedDiffLooksForAbsentRecordsInScopeOnly) {
   std::vector<TableEntry> bucket;
   t.append_entries(bucket, GroupId{}, scope);
   EXPECT_EQ(newer, bucket);
+}
+
+// ---------------------------------------------------------------------------
+// Differential test: a MemberTable against a reference that keeps one row
+// per guid in a std::map and applies the same lattice rule, through random
+// applies, upserts, imports, fused import+diffs (whole and bucket-scoped),
+// bucket indexing and a clear followed by reuse. The guid patterns stress
+// the table's index: guid % (prime size) placement, linear probing with
+// wrap-around, and growth through seven index sizes.
+// ---------------------------------------------------------------------------
+
+class ReferenceTable {
+ public:
+  bool apply(const MembershipOp& o) {
+    if (!o.is_member_op()) return false;
+    MemberRecord rec = o.member;
+    rec.status = proto::MemberStatus::kOperational;
+    if (o.kind == OpKind::kMemberLeave) {
+      rec.status = proto::MemberStatus::kDisconnected;
+    } else if (o.kind == OpKind::kMemberFail) {
+      rec.status = proto::MemberStatus::kFailed;
+    }
+    return land(TableEntry{rec, o.seq, o.claim_seq, GroupId{}});
+  }
+
+  void upsert(const MemberRecord& rec) { rows_[rec.guid].record = rec; }
+
+  bool import(std::span<const TableEntry> entries) {
+    bool changed = false;
+    for (const TableEntry& e : entries) changed |= land(e);
+    return changed;
+  }
+
+  /// MemberTable::import_and_diff's result for a guid-ascending `run`.
+  bool import_and_diff(std::span<const TableEntry> run,
+                       std::vector<TableEntry>& newer,
+                       const BucketMask& scope) {
+    const bool changed = import(run);
+    for (const auto& [guid, row] : rows_) {
+      const auto it = std::find_if(run.begin(), run.end(), [&](const auto& e) {
+        return e.record.guid == guid;
+      });
+      const bool wanted =
+          it == run.end()
+              ? scope.test(MemberTable::bucket_of(guid))
+              : record_precedes(it->claim_seq, it->last_seq, row.claim_seq,
+                                row.last_seq);
+      if (wanted) newer.push_back(row);
+    }
+    return changed;
+  }
+
+  void clear() { rows_.clear(); }
+
+  [[nodiscard]] const std::map<Guid, TableEntry>& rows() const { return rows_; }
+
+  [[nodiscard]] std::vector<MemberRecord> snapshot(
+      std::optional<NodeId> ap = std::nullopt) const {
+    std::vector<MemberRecord> out;
+    for (const auto& [guid, row] : rows_) {
+      if (row.record.status == proto::MemberStatus::kOperational &&
+          (!ap || row.record.access_proxy == *ap)) {
+        out.push_back(row.record);
+      }
+    }
+    return out;
+  }
+
+  [[nodiscard]] std::vector<TableEntry> entries(GroupId gid,
+                                                const BucketMask& mask) const {
+    std::vector<TableEntry> out;
+    for (const auto& [guid, row] : rows_) {
+      if (!mask.test(MemberTable::bucket_of(guid))) continue;
+      out.push_back(row);
+      out.back().gid = gid;
+    }
+    return out;
+  }
+
+  [[nodiscard]] BucketHashes bucket_digests() const {
+    BucketHashes out{};
+    for (const auto& [guid, row] : rows_) {
+      out[MemberTable::bucket_of(guid)] ^=
+          MemberTable::entry_hash(row.record, row.last_seq, row.claim_seq);
+    }
+    return out;
+  }
+
+ private:
+  bool land(const TableEntry& e) {
+    const auto it = rows_.find(e.record.guid);
+    if (it != rows_.end() &&
+        !record_precedes(it->second.claim_seq, it->second.last_seq,
+                         e.claim_seq, e.last_seq)) {
+      return false;
+    }
+    rows_[e.record.guid] = TableEntry{e.record, e.last_seq, e.claim_seq, {}};
+    return true;
+  }
+
+  std::map<Guid, TableEntry> rows_;
+};
+
+/// Every read of `t` against the reference: the sorted views, the exports
+/// (whole and restricted to `mask`), the digests, and the point reads of
+/// each guid in `probes`.
+testing::AssertionResult agrees(const MemberTable& t, const ReferenceTable& ref,
+                                std::span<const Guid> probes, NodeId ap,
+                                const BucketMask& mask) {
+  if (t.size() != ref.rows().size() || t.empty() != ref.rows().empty()) {
+    return testing::AssertionFailure()
+           << "size " << t.size() << " vs " << ref.rows().size();
+  }
+  if (t.snapshot() != ref.snapshot()) {
+    return testing::AssertionFailure() << "snapshot differs";
+  }
+  if (t.members_at(ap) != ref.snapshot(ap)) {
+    return testing::AssertionFailure() << "members_at(" << ap << ") differs";
+  }
+  if (t.export_entries() != ref.entries(GroupId{}, ~BucketMask{})) {
+    return testing::AssertionFailure() << "export_entries differs";
+  }
+  std::vector<TableEntry> scoped{TableEntry{}};  // appended after a prefix
+  t.append_entries(scoped, GroupId{7}, mask);
+  std::vector<TableEntry> expected{TableEntry{}};
+  for (const TableEntry& e : ref.entries(GroupId{7}, mask)) {
+    expected.push_back(e);
+  }
+  if (scoped != expected) {
+    return testing::AssertionFailure() << "bucket-scoped append differs";
+  }
+  const BucketHashes buckets = ref.bucket_digests();
+  std::uint64_t hash = 0;
+  for (const std::uint64_t h : buckets) hash ^= h;
+  if (t.digest() != ViewDigest{hash, ref.rows().size()}) {
+    return testing::AssertionFailure() << "digest differs";
+  }
+  if (t.bucket_digests() != buckets) {
+    return testing::AssertionFailure() << "bucket digests differ";
+  }
+  for (const Guid guid : probes) {
+    const auto it = ref.rows().find(guid);
+    const TableEntry* row = it == ref.rows().end() ? nullptr : &it->second;
+    const std::optional<TableEntry> entry = t.lookup(guid);
+    const std::optional<MemberRecord> record = t.find(guid);
+    const bool same =
+        row == nullptr
+            ? !entry && !record && !t.contains(guid) &&
+                  t.claim_of(guid) == 0 && t.last_seq_of(guid) == 0
+            : entry && *entry == *row && record && *record == row->record &&
+                  t.contains(guid) == (row->record.status ==
+                                       proto::MemberStatus::kOperational) &&
+                  t.claim_of(guid) == row->claim_seq &&
+                  t.last_seq_of(guid) == row->last_seq;
+    if (!same) {
+      return testing::AssertionFailure()
+             << "point reads of guid " << guid << " differ";
+    }
+  }
+  return testing::AssertionSuccess();
+}
+
+/// Every index size up to 521 divides kOneHome, so its multiples share one
+/// home slot until the index outgrows 521 slots.
+constexpr std::uint64_t kOneHome = 11ULL * 17 * 37 * 67 * 131 * 257 * 521;
+
+struct GuidPattern {
+  const char* name;
+  std::uint64_t (*guid)(std::uint64_t k);  ///< the pattern's k-th guid
+};
+
+void run_differential(const GuidPattern& pattern, std::uint64_t seed) {
+  SCOPED_TRACE(pattern.name);
+  common::RngStream rng{seed};
+  MemberTable table;
+  ReferenceTable ref;
+  std::uint64_t fresh = 0;  // the first pattern index never handed out
+  const auto pick = [&] {
+    if (rng.chance(0.45)) return Guid{pattern.guid(fresh++)};
+    return Guid{pattern.guid(rng.next_below(fresh + 2))};
+  };
+  const auto entry = [&](Guid guid) {
+    const auto status = static_cast<proto::MemberStatus>(rng.next_below(3));
+    const NodeId ap{100 + rng.next_below(4)};
+    return TableEntry{MemberRecord{guid, ap, status}, 1 + rng.next_below(40),
+                      rng.next_below(4), GroupId{}};
+  };
+  const auto mask = [&] {
+    BucketMask out;
+    for (std::size_t b = 0; b < kBucketCount; ++b) {
+      out.set(b, rng.chance(0.125));
+    }
+    return out;
+  };
+  std::size_t step = 0;
+  // 600 records grow the index 11 -> 17 -> 37 -> 67 -> 131 -> 257 -> 521
+  // -> 1031; then the table is cleared and refilled to 200 from the same
+  // guids.
+  for (const std::size_t target : {600U, 200U}) {
+    fresh = 0;
+    while (ref.rows().size() < target) {
+      std::vector<Guid> probes{Guid{0}, Guid{pattern.guid(fresh + 3)}};
+      const std::uint64_t r = rng.next_below(100);
+      if (r < 55) {
+        const TableEntry e = entry(pick());
+        MembershipOp o;
+        o.kind = static_cast<OpKind>(rng.next_below(5));  // kNeJoin: ignored
+        o.seq = e.last_seq;
+        o.claim_seq = e.claim_seq;
+        o.member = e.record;
+        ASSERT_EQ(table.apply(o), ref.apply(o)) << "apply, step " << step;
+        probes.push_back(e.record.guid);
+      } else if (r < 62) {
+        const MemberRecord rec = entry(pick()).record;
+        table.upsert(rec);
+        ref.upsert(rec);
+        probes.push_back(rec.guid);
+      } else if (r < 75) {
+        std::vector<TableEntry> batch;  // any order, guids may repeat
+        for (std::uint64_t n = rng.next_below(7); n > 0; --n) {
+          batch.push_back(entry(pick()));
+          probes.push_back(batch.back().record.guid);
+        }
+        ASSERT_EQ(table.import_entries(batch), ref.import(batch))
+            << "import_entries, step " << step;
+      } else if (r < 95) {
+        std::map<Guid, TableEntry> by_guid;
+        for (std::uint64_t n = rng.next_below(9); n > 0; --n) {
+          const TableEntry e = entry(pick());
+          by_guid.insert_or_assign(e.record.guid, e);
+          probes.push_back(e.record.guid);
+        }
+        std::vector<TableEntry> run;
+        for (const auto& [guid, e] : by_guid) run.push_back(e);
+        const BucketMask scope = rng.chance(0.5) ? ~BucketMask{} : mask();
+        std::vector<TableEntry> newer;
+        std::vector<TableEntry> expected;
+        if (rng.chance(0.5)) {  // the diff appends after what is there
+          newer.push_back(entry(Guid{1}));
+          expected.push_back(newer.back());
+        }
+        ASSERT_EQ(table.import_and_diff(run, newer, scope),
+                  ref.import_and_diff(run, expected, scope))
+            << "import_and_diff, step " << step;
+        ASSERT_EQ(newer, expected) << "import_and_diff, step " << step;
+      } else {
+        table.index_buckets();
+      }
+      if (step % 64 == 0 || ref.rows().size() == target) {
+        for (const auto& [guid, row] : ref.rows()) probes.push_back(guid);
+      }
+      ASSERT_TRUE(agrees(table, ref, probes, NodeId{100 + rng.next_below(4)},
+                         mask()))
+          << "step " << step;
+      ++step;
+    }
+    table.clear();
+    ref.clear();
+    ASSERT_TRUE(agrees(table, ref, {}, NodeId{100}, ~BucketMask{}));
+  }
+}
+
+TEST(MemberTableDifferential, AscendingGuids) {
+  run_differential({"ascending", [](std::uint64_t k) { return k + 1; }}, 1);
+}
+
+TEST(MemberTableDifferential, GuidsStridedBy100) {
+  run_differential({"stride 100", [](std::uint64_t k) { return 100 * k + 7; }},
+                   2);
+}
+
+TEST(MemberTableDifferential, GuidsStridedBy1000) {
+  run_differential(
+      {"stride 1000", [](std::uint64_t k) { return 1000 * k + 42; }}, 3);
+}
+
+TEST(MemberTableDifferential, GuidsSharingOneHomeSlot) {
+  run_differential(
+      {"one home slot", [](std::uint64_t k) { return kOneHome * (k + 1); }},
+      4);
+}
+
+TEST(MemberTableDifferential, GuidsHomedAtTheLastSlot) {
+  // Every probe starts at the index's last slot and wraps to slot 0.
+  run_differential({"last slot",
+                    [](std::uint64_t k) { return kOneHome * (k + 1) - 1; }},
+                   5);
+}
+
+TEST(MemberTableDifferential, GuidsNearTheTopOfTheRange) {
+  run_differential({"near 2^64 - 1",
+                    [](std::uint64_t k) {
+                      return std::numeric_limits<std::uint64_t>::max() - 3 * k;
+                    }},
+                   6);
 }
 
 }  // namespace
