@@ -1,11 +1,12 @@
 // Experiment E10 — google-benchmark micro-benchmarks of the building
 // blocks: event kernel, RNG, MQ aggregation, member-table apply, member
 // tables at two workload shapes (query_mix's cold snapshots, join_surge's
-// interleaved applies), the GroupDirectory operations a probe tick or an
-// op intake performs (at G = 1, 100 and 1000 groups; each should read
-// flat in G), the kFull exchange's two halves per entry (one group's
-// export, one fused import+diff) and their bucket-scoped counterparts
-// with the bucket digests a large differing group reads, codec
+// interleaved applies), the dedup sets at join_surge's uid shape and at
+// their worst case (sparse ids), the GroupDirectory operations a probe
+// tick or an op intake performs (at G = 1, 100 and 1000 groups; each
+// should read flat in G), the kFull exchange's two halves per entry (one
+// group's export, one fused import+diff) and their bucket-scoped
+// counterparts with the bucket digests a large differing group reads, codec
 // encode/decode in ns/byte, network send/deliver, and an end-to-end
 // Member-Join round on a small hierarchy.
 #include <benchmark/benchmark.h>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "common/bounded_id_set.hpp"
 #include "wire/registry.hpp"
 #include "workload/churn.hpp"
 
@@ -160,6 +162,60 @@ void BM_MemberTableApplyInterleaved(benchmark::State& state) {
                           static_cast<std::int64_t>(kNes * kRecords));
 }
 BENCHMARK(BM_MemberTableApplyInterleaved)->Unit(benchmark::kMillisecond);
+
+// --- dedup sets -------------------------------------------------------------
+
+/// join_surge's dedup writes: a token round records each of its op uids in
+/// the cap-8,192 dissemination set of every NE it visits (30 here). Uids
+/// come in 13-op batches from 25 origins taken in turn, each counting up
+/// as origin_scoped_id mints them. The sets start full, so every insert
+/// also forgets the oldest uid; items are inserts.
+void BM_BoundedIdSetJoinSurge(benchmark::State& state) {
+  constexpr std::size_t kNes = 30;
+  constexpr std::uint64_t kOrigins = 25;
+  constexpr std::size_t kBatch = 13;
+  constexpr std::size_t kCap = 8192;
+  std::vector<common::BoundedIdSet> sets(kNes, common::BoundedIdSet{kCap});
+  std::vector<std::uint64_t> counters(kOrigins, 0);
+  std::vector<std::uint64_t> batch(kBatch);
+  std::uint64_t origin = 0;
+  const auto round = [&] {
+    origin = (origin + 1) % kOrigins;
+    for (std::uint64_t& uid : batch) {
+      uid = core::origin_scoped_id(common::NodeId{origin + 1},
+                                   ++counters[origin]);
+    }
+    for (common::BoundedIdSet& set : sets) {
+      for (const std::uint64_t uid : batch) {
+        benchmark::DoNotOptimize(set.insert(uid));
+      }
+    }
+  };
+  for (std::size_t filled = 0; filled < kCap; filled += kBatch) round();
+  for (auto _ : state) round();
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kNes * kBatch));
+}
+BENCHMARK(BM_BoundedIdSetJoinSurge);
+
+/// The block index's worst case: uniform 64-bit ids, one per block, into
+/// one full set of cap 65,536 (the tracer's join dedup cap). Every insert
+/// adds a block and forgets one.
+void BM_BoundedIdSetSparse(benchmark::State& state) {
+  constexpr std::size_t kCap = 65536;
+  common::RngStream rng{7};
+  std::vector<std::uint64_t> ids(4 * kCap);
+  for (std::uint64_t& id : ids) id = rng.next_u64();
+  common::BoundedIdSet set{kCap};
+  std::size_t next = 0;
+  for (; next < kCap; ++next) set.insert(ids[next]);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(set.insert(ids[next]));
+    next = next + 1 == ids.size() ? 0 : next + 1;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_BoundedIdSetSparse);
 
 void BM_DirectoryCombinedDigest(benchmark::State& state) {
   const core::GroupDirectory dir =

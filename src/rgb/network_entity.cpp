@@ -103,17 +103,15 @@ std::uint64_t NetworkEntity::next_op_seq() {
 }
 
 std::uint64_t NetworkEntity::next_op_uid() {
-  // Globally unique by construction: origin NE id in the high bits, a
-  // per-node counter in the low 24 (16M ops per NE before wrap).
-  return (id().value() << 24) | (++op_uid_counter_ & 0xFFFFFFULL);
+  return origin_scoped_id(id(), ++op_uid_counter_);
 }
 
 std::uint64_t NetworkEntity::next_round_id() {
-  return (id().value() << 24) | ++round_counter_;
+  return origin_scoped_id(id(), ++round_counter_);
 }
 
 std::uint64_t NetworkEntity::next_notify_id() {
-  return (id().value() << 24) | ++notify_counter_;
+  return origin_scoped_id(id(), ++notify_counter_);
 }
 
 // --------------------------------------------------------------------------

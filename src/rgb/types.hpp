@@ -45,11 +45,25 @@ enum class OpKind : std::uint8_t {
 
 [[nodiscard]] const char* to_string(OpKind kind);
 
+/// An id unique across the deployment without coordination, as op uids,
+/// token round ids and notify ids are: `origin << 24 | counter mod 2^24`.
+/// The counter is masked so that past 2^24 ids it wraps within its
+/// origin's range: unmasked, it would carry into the origin bits, and NE
+/// k's id number 2^24 + j would equal NE k+1's id j for even k. Keeping
+/// the counter in the low bits also keeps one origin's ids close together,
+/// which common::BoundedIdSet's 64-id blocks rely on.
+[[nodiscard]] constexpr std::uint64_t origin_scoped_id(NodeId origin,
+                                                       std::uint64_t counter) {
+  constexpr int kCounterBits = 24;
+  constexpr std::uint64_t kCounterMask = (std::uint64_t{1} << kCounterBits) - 1;
+  return (origin.value() << kCounterBits) | (counter & kCounterMask);
+}
+
 /// One membership-change operation. Member ops carry the affected member
 /// record; NE ops carry the affected network entity.
 ///
 /// Two distinct identifiers with distinct jobs:
-///  * `uid`  — globally unique identity (origin NE id x local counter),
+///  * `uid`  — globally unique identity (origin_scoped_id),
 ///             used for idempotent dissemination/dedup bookkeeping;
 ///  * `seq`  — time-major sequence used to order conflicting ops on the
 ///             same member (e.g. a handoff supersedes the earlier join even
