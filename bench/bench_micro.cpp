@@ -426,6 +426,24 @@ CodecFrame codec_frame(std::int64_t which) {
   }
 }
 
+/// The size pass the metering hook runs on every send: the only codec pass
+/// on any workload's hot path.
+void BM_CodecSize(benchmark::State& state) {
+  const CodecFrame frame = codec_frame(state.range(0));
+  const auto& registry = wire::WireRegistry::global();
+  const std::uint32_t size = registry.encoded_size(frame.kind, frame.payload);
+  if (size == 0) {
+    state.SkipWithError("frame does not size");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(registry.encoded_size(frame.kind, frame.payload));
+  }
+  state.SetLabel(frame.label);
+  report_time_per_byte(state, size);
+}
+BENCHMARK(BM_CodecSize)->DenseRange(0, 3);
+
 void BM_CodecEncode(benchmark::State& state) {
   const CodecFrame frame = codec_frame(state.range(0));
   const auto& registry = wire::WireRegistry::global();

@@ -330,14 +330,14 @@ rm -f "$tr1" "$tr2" "$tr8"
 echo "== bench suite smoke =="
 python3 bench/suite/run.py smoke > /dev/null
 
-# Micro-benchmark smoke: the member-table, directory and dedup-set cells
-# of bench/bench_micro.cpp, which perf changes to those structures cite,
-# run once at a token run length, so a cell that breaks fails CI.
+# Micro-benchmark smoke: the member-table, directory, dedup-set and codec
+# cells of bench/bench_micro.cpp, which perf changes to those structures
+# cite, run once at a token run length, so a cell that breaks fails CI.
 # bench_micro is built only when google-benchmark is installed.
-echo "== bench_micro smoke (member table, directory and dedup set cells) =="
+echo "== bench_micro smoke (member table, directory, dedup set, codec cells) =="
 if [ -x "$BUILD_DIR/bench_micro" ]; then
   "$BUILD_DIR/bench_micro" \
-      --benchmark_filter='MemberTable|Group|Directory|BoundedIdSet' \
+      --benchmark_filter='MemberTable|Group|Directory|BoundedIdSet|Codec' \
       --benchmark_min_time=0.01
 else
   echo "skip: bench_micro not built (google-benchmark not found)"

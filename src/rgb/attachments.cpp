@@ -174,7 +174,7 @@ void Attachments::run_reconcile_round() {
   ne_.metrics_.reconcile_rounds.increment();
   ne_.obs_.tracer.record(ne_.now(), ne_.id(), obs::FlightKind::kReconcileRound,
                          local_attached_.size(), target.value());
-  const std::uint64_t rid = (ne_.id().value() << 24) | ++reconcile_counter_;
+  const std::uint64_t rid = origin_scoped_id(ne_.id(), ++reconcile_counter_);
   ReconcileMsg msg{rid, local_claims()};
   RGB_LOG(kInfo, "reconcile") << ne_.now() << " " << ne_.id() << " asserts "
                               << msg.claims.size() << " claim(s) to "
@@ -209,7 +209,7 @@ void Attachments::handle_reconcile(const ReconcileMsg& msg, NodeId from) {
   ack.reconcile_id = msg.reconcile_id;
   for (const AttachClaim& claim : msg.claims) {
     // Pre-v4 claims carry no group: answer against the default group.
-    const GroupId gid = claim.gid.valid() ? claim.gid : ne_.config_.gid;
+    const GroupId gid = claim.gid.valid() ? claim.gid : kDefaultGroup;
     const auto entry = ne_.dir_.lookup(gid, claim.mh);
     if (!entry) continue;
     // Return our entry whenever the claim's assertion (claim, claim)

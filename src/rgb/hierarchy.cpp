@@ -434,6 +434,37 @@ bool RgbSystem::rings_consistent() const {
   return true;
 }
 
+namespace {
+
+/// Size of the symmetric difference of two guid-sorted record lists. A
+/// record differing in AP or status counts on both sides (it is wrong here
+/// and missing there), which matches "records that disagree".
+std::uint64_t records_differing(const std::vector<MemberRecord>& view,
+                                const std::vector<MemberRecord>& want) {
+  std::uint64_t divergence = 0;
+  std::size_t i = 0, j = 0;
+  while (i < view.size() || j < want.size()) {
+    if (i < view.size() && j < want.size() && view[i] == want[j]) {
+      ++i;
+      ++j;
+    } else if (j == want.size() ||
+               (i < view.size() && view[i].guid < want[j].guid)) {
+      ++divergence;
+      ++i;
+    } else if (i == view.size() || want[j].guid < view[i].guid) {
+      ++divergence;
+      ++j;
+    } else {
+      divergence += 2;  // same guid, different record
+      ++i;
+      ++j;
+    }
+  }
+  return divergence;
+}
+
+}  // namespace
+
 std::uint64_t RgbSystem::view_divergence() const {
   const auto expected = expected_membership();
   const bool global_view =
@@ -444,29 +475,8 @@ std::uint64_t RgbSystem::view_divergence() const {
     // Without downward dissemination only the retained tier holds the
     // global view (IMS/BMS retain at config_.retain_tier, not at the top).
     if (!global_view && ne->tier() != config_.retain_tier) continue;
-    const auto view = ne->directory().merged_snapshot();
-    // Both sides are guid-sorted: linear symmetric-difference walk. A
-    // record differing in AP or status counts on both sides (it is wrong
-    // here and missing there), which matches "records that disagree".
-    std::size_t i = 0, j = 0;
-    while (i < view.size() || j < expected.size()) {
-      if (i < view.size() && j < expected.size() &&
-          view[i] == expected[j]) {
-        ++i;
-        ++j;
-      } else if (j == expected.size() ||
-                 (i < view.size() && view[i].guid < expected[j].guid)) {
-        ++divergence;
-        ++i;
-      } else if (i == view.size() || expected[j].guid < view[i].guid) {
-        ++divergence;
-        ++j;
-      } else {
-        divergence += 2;  // same guid, different record
-        ++i;
-        ++j;
-      }
-    }
+    divergence += records_differing(ne->directory().merged_snapshot(),
+                                    expected);
   }
   return divergence;
 }
@@ -498,29 +508,6 @@ std::uint64_t RgbSystem::group_view_divergence() const {
   }
   const bool global_view =
       config_.disseminate_down && config_.retain_tier == 0;
-  const auto diff_count = [](const std::vector<MemberRecord>& view,
-                             const std::vector<MemberRecord>& want) {
-    std::uint64_t divergence = 0;
-    std::size_t i = 0, j = 0;
-    while (i < view.size() || j < want.size()) {
-      if (i < view.size() && j < want.size() && view[i] == want[j]) {
-        ++i;
-        ++j;
-      } else if (j == want.size() ||
-                 (i < view.size() && view[i].guid < want[j].guid)) {
-        ++divergence;
-        ++i;
-      } else if (i == view.size() || want[j].guid < view[i].guid) {
-        ++divergence;
-        ++j;
-      } else {
-        divergence += 2;  // same guid, different record
-        ++i;
-        ++j;
-      }
-    }
-    return divergence;
-  };
   static const std::vector<MemberRecord> kNone;
   std::uint64_t divergence = 0;
   for (const auto& ne : entities_) {
@@ -530,11 +517,12 @@ std::uint64_t RgbSystem::group_view_divergence() const {
     // the truth never populated is divergence too.
     for (const auto& [gid, want] : expected) {
       const MemberTable* tab = ne->directory().table_if(gid);
-      divergence += diff_count(tab == nullptr ? kNone : tab->snapshot(), want);
+      divergence +=
+          records_differing(tab == nullptr ? kNone : tab->snapshot(), want);
     }
     for (const auto& [gid, st] : ne->directory().groups()) {
       if (expected.count(gid) != 0) continue;
-      divergence += diff_count(st.table.snapshot(), kNone);
+      divergence += records_differing(st.table.snapshot(), kNone);
     }
   }
   return divergence;

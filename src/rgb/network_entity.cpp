@@ -355,7 +355,7 @@ void NetworkEntity::start_round(std::uint64_t round_id) {
   holding_round_ = true;
   my_round_id_ = round_id;
   round_contributors_ = std::move(batch.contributors);
-  Token token{config_.gid, id(), round_id, std::move(batch.ops)};
+  Token token{kDefaultGroup, id(), round_id, std::move(batch.ops)};
 
   metrics_.rounds_started.increment();
   obs_.tracer.record(now(), id(), obs::FlightKind::kRoundStarted,
@@ -411,7 +411,7 @@ void NetworkEntity::start_probe_round() {
   my_round_id_ = take_token();
   holding_round_ = true;
   round_contributors_.clear();
-  Token token{config_.gid, id(), my_round_id_, {}};
+  Token token{kDefaultGroup, id(), my_round_id_, {}};
   recent_rounds_.insert(token.round_id);
   ring_ok_ = true;
   pending_round_ops_.clear();
@@ -1366,7 +1366,7 @@ void NetworkEntity::deliver(const net::Envelope& env) {
     case kind::kMhRequest: {
       const MhRequestMsg& req = env.payload.get<MhRequestMsg>();
       // Pre-v4 hosts send no gid; they mean the NE's default group.
-      const GroupId gid = req.gid.valid() ? req.gid : config_.gid;
+      const GroupId gid = req.gid.valid() ? req.gid : kDefaultGroup;
       switch (req.kind) {
         case MhRequestKind::kJoin:
           local_member_join(gid, req.mh);

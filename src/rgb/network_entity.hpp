@@ -146,12 +146,12 @@ class NetworkEntity : public proto::Process {
   [[nodiscard]] bool is_leader() const { return leader_ == id(); }
   [[nodiscard]] const std::vector<NodeId>& roster() const { return roster_; }
 
-  /// The paper's ListOfRingMembers for the NE's configured default group
-  /// (config.gid): all members within the coverage of this NE's ring. The
-  /// pre-v4 single-group view — multi-group callers go through directory().
+  /// The paper's ListOfRingMembers for the default group (kDefaultGroup):
+  /// all members within the coverage of this NE's ring. The pre-v4
+  /// single-group view — multi-group callers go through directory().
   [[nodiscard]] const MemberTable& ring_members() const {
     static const MemberTable kEmptyTable;
-    const MemberTable* table = dir_.table_if(config_.gid);
+    const MemberTable* table = dir_.table_if(kDefaultGroup);
     return table != nullptr ? *table : kEmptyTable;
   }
   /// Per-group membership state (multi-group serving).

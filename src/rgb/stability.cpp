@@ -111,7 +111,7 @@ void StabilityPlane::raise_alert(NodeId suspect) {
   }
   if (pending_alerts_.count(suspect) != 0) return;  // already filed
   PendingAlert pa;
-  pa.alert_id = (ne_.id().value() << 24) | ++alert_counter_;
+  pa.alert_id = origin_scoped_id(ne_.id(), ++alert_counter_);
   // Alerts converge at the ring leader's aggregator; when the leader
   // itself is the suspect they converge at the presumptive next leader
   // instead, so the NE-level cut decision survives leader death.
@@ -282,7 +282,7 @@ void StabilityPlane::start_cut_verifications() {
   for (const NodeId suspect : aggregator_.suspects()) {
     if (pending_verifies_.count(suspect) != 0) continue;
     PendingVerify pv;
-    pv.alert_id = (ne_.id().value() << 24) | ++alert_counter_;
+    pv.alert_id = origin_scoped_id(ne_.id(), ++alert_counter_);
     pv.pings_left = ne_.config_.max_retx;
     RGB_LOG(kDebug, "stability") << ne_.now() << " " << ne_.id()
                                  << " verifies suspect " << suspect

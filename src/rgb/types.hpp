@@ -46,7 +46,8 @@ enum class OpKind : std::uint8_t {
 [[nodiscard]] const char* to_string(OpKind kind);
 
 /// An id unique across the deployment without coordination, as op uids,
-/// token round ids and notify ids are: `origin << 24 | counter mod 2^24`.
+/// token round, notify, alert and reconcile ids are:
+/// `origin << 24 | counter mod 2^24`.
 /// The counter is masked so that past 2^24 ids it wraps within its
 /// origin's range: unmasked, it would carry into the origin bits, and NE
 /// k's id number 2^24 + j would equal NE k+1's id j for even k. Keeping
@@ -135,13 +136,16 @@ struct QueryPlan {
   std::vector<NodeId> targets;          ///< the leaders to contact
 };
 
+/// The default group: the one the single-group views read, the group of
+/// token rounds, and the group a pre-v4 claim or request without a gid
+/// means.
+inline constexpr GroupId kDefaultGroup{1};
+
 /// Protocol configuration. Defaults reproduce the paper's setting: TMS
 /// maintenance (global membership kept at the top), full downward
 /// dissemination (every NE learns every change — the cost model behind
 /// formula (6)), aggregation enabled.
 struct RgbConfig {
-  GroupId gid{1};
-
   /// Number of groups multiplexed over the one hierarchy (multi-group
   /// serving). Groups are identified GroupId{1}..GroupId{groups}; the
   /// probe/token/stability/detection machinery is shared per-link while

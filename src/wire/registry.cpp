@@ -16,17 +16,16 @@ WireRegistry::Codec make_codec(const char* name) {
   return WireRegistry::Codec{
       name,
       +[](const net::Payload& payload) -> std::uint32_t {
-        Writer<CountingSink> w;
-        write_body(w, payload.get<M>());
-        return static_cast<std::uint32_t>(w.sink().size());
+        Encoder<CountingSink> io;
+        io(payload.get<M>());
+        return static_cast<std::uint32_t>(io.writer().sink().size());
       },
       +[](const net::Payload& payload, std::vector<std::uint8_t>& out) {
-        Writer<VectorSink> w{VectorSink{out}};
-        write_body(w, payload.get<M>());
+        Encoder<VectorSink>{VectorSink{out}}(payload.get<M>());
       },
       +[](Reader& reader, net::Payload& out) -> DecodeStatus {
         M value{};
-        read_body(reader, value);
+        Decoder{reader}(value);
         if (!reader.ok()) return reader.error().status;
         out = net::Payload{std::move(value)};
         return DecodeStatus::kOk;
