@@ -34,7 +34,7 @@ Outcome run_burst(bool aggregate, int burst, bool cancelling_pairs) {
   }
   simulator.run();
   return Outcome{sys.metrics().rounds_completed.value(),
-                 bench::proposal_hops(network), sim::to_ms(simulator.now())};
+                 core::proposal_hops(network), sim::to_ms(simulator.now())};
 }
 
 }  // namespace

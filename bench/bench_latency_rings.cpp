@@ -36,7 +36,7 @@ Outcome run_rgb(int tiers, int ring_size) {
   sys.join(common::Guid{1}, sys.aps().front());
   simulator.run();
   return Outcome{sim::to_ms(simulator.now()),
-                 bench::proposal_hops(network)};
+                 core::proposal_hops(network)};
 }
 
 Outcome run_flat(int nodes) {
@@ -46,7 +46,7 @@ Outcome run_flat(int nodes) {
   sys.join(common::Guid{1}, sys.aps().front());
   simulator.run();
   return Outcome{sim::to_ms(simulator.now()),
-                 bench::sent_of_kind(network, flatring::kRingToken)};
+                 network.metrics().sent_of(flatring::kRingToken)};
 }
 
 }  // namespace

@@ -21,7 +21,7 @@ std::uint64_t simulate_ring(int h, int r) {
   core::RgbSystem sys{network, core::RgbConfig{}, core::HierarchyLayout{h, r}};
   sys.join(common::Guid{1}, sys.aps().front());
   simulator.run();
-  return bench::proposal_hops(network);
+  return core::proposal_hops(network);
 }
 
 std::uint64_t simulate_tree(int h, int r) {
@@ -30,7 +30,7 @@ std::uint64_t simulate_tree(int h, int r) {
   tree::TreeSystem sys{network, tree::TreeConfig{h, r, true}};
   sys.join(common::Guid{1}, sys.leaves().front());
   simulator.run();
-  return bench::sent_of_kind(network, tree::kTreeProposal);
+  return network.metrics().sent_of(tree::kTreeProposal);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
-// Shared helpers for the bench binaries: proposal-hop counting and run
-// harness glue. Every bench prints the paper-style table it regenerates
-// plus a short header naming the experiment id from DESIGN.md.
+// Shared helpers for the bench binaries. Every bench prints the paper-style
+// table it regenerates plus a short header naming the experiment id from
+// DESIGN.md.
 #pragma once
 
 #include <cstdint>
@@ -12,19 +12,6 @@
 #include "rgb/rgb.hpp"
 
 namespace rgb::bench {
-
-/// Sum of proposal-plane sends (token circulation + inter-ring
-/// notifications) — the quantity the paper's HopCount analysis prices.
-inline std::uint64_t proposal_hops(const net::Network& network) {
-  return core::proposal_hops(network);
-}
-
-/// Sends metered under one specific kind.
-inline std::uint64_t sent_of_kind(const net::Network& network,
-                                  net::MessageKind kind) {
-  const auto it = network.metrics().sent_per_kind.find(kind);
-  return it == network.metrics().sent_per_kind.end() ? 0 : it->second;
-}
 
 inline void banner(const std::string& experiment,
                    const std::string& description) {

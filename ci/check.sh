@@ -8,7 +8,7 @@
 #   check       — invariant oracles, schedule replay, baseline conformance
 #   wire        — wire codec primitives, per-kind round-trip, snapshot codec,
 #                 estimate-vs-encoded metering band
-#   obs         — metrics registry/parity, op tracing, tick series, flight
+#   obs         — golden metric catalog, op tracing, tick series, flight
 #                 recorder, violation-trace determinism
 set -euo pipefail
 

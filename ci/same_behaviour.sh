@@ -19,7 +19,7 @@
 #     whose rings wrap (serial: both the span and the flight ring; 8 shards:
 #     the span rings of five stripes), so the overwrite-oldest order and the
 #     (time, stripe) merge of wrapped rings are compared too;
-#   - rgb_exp metrics --catalog (the registry's names, types and order);
+#   - rgb_exp metrics --catalog (the catalog's names, types and order);
 #   - rgb_exp bench --smoke --deterministic --detect --oscillation --json;
 #   - rgb_exp run --json --no-table for query.schemes, flashcrowd.agg,
 #     churn.converge, mobility.handoff and table2.proto: the only artifacts

@@ -1,7 +1,6 @@
 #include "check/model.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 #include "flatring/flat_ring.hpp"
 #include "gossip/gossip_membership.hpp"
@@ -151,8 +150,6 @@ std::string RgbModel::flight(std::size_t max_events) const {
 }
 
 std::vector<NodeView> RgbModel::node_views() const {
-  const core::RgbConfig& config = system_.config();
-  const bool all_global = config.disseminate_down && config.retain_tier == 0;
   std::vector<NodeView> out;
   for (const NodeId id : system_.all_nes()) {
     const core::NetworkEntity* ne = system_.entity(id);
@@ -160,8 +157,7 @@ std::vector<NodeView> RgbModel::node_views() const {
     NodeView view;
     view.id = id;
     view.alive = !system_.network().is_crashed(id);
-    view.holds_global =
-        all_global || (config.retain_tier == 0 && ne->tier() == 0);
+    view.holds_global = system_.holds_global_view(*ne);
     view.entries = entries_of(ne->directory());
     out.push_back(std::move(view));
   }
@@ -201,90 +197,9 @@ NetMeters RgbModel::meters() const {
 void RgbModel::hierarchy_check(sim::Time now, std::size_t cell,
                                std::uint64_t trial, std::uint64_t& ordinal,
                                CheckReport& report) const {
-  const auto fire = [&](std::string detail) {
-    report.add(Violation{"hierarchy", now, std::move(detail), cell, trial,
-                         ordinal++});
-  };
-  for (int tier = 0; tier < system_.tier_count(); ++tier) {
-    const auto& rings = system_.rings(tier);
-    for (std::size_t ring_idx = 0; ring_idx < rings.size(); ++ring_idx) {
-      const auto& ring = rings[ring_idx];
-      const auto where = [&] {
-        std::ostringstream os;
-        os << "tier " << tier << " ring " << ring_idx;
-        return os.str();
-      }();
-
-      // Alive members must agree on roster and leader, and the leader must
-      // be a roster member.
-      const core::NetworkEntity* reference = nullptr;
-      for (const NodeId id : ring) {
-        if (system_.network().is_crashed(id)) continue;
-        const core::NetworkEntity* ne = system_.entity(id);
-        if (ne == nullptr || ne->roster().empty()) continue;
-        if (reference == nullptr) {
-          reference = ne;
-          continue;
-        }
-        if (ne->roster() != reference->roster()) {
-          const auto render = [](const std::vector<NodeId>& roster) {
-            std::ostringstream os;
-            os << '{';
-            for (std::size_t i = 0; i < roster.size(); ++i) {
-              if (i > 0) os << ' ';
-              os << roster[i].value();
-            }
-            os << '}';
-            return os.str();
-          };
-          std::ostringstream os;
-          os << where << ": node " << id.value() << " roster "
-             << render(ne->roster()) << " disagrees with node "
-             << reference->id().value() << " roster "
-             << render(reference->roster());
-          fire(os.str());
-        } else if (ne->leader() != reference->leader()) {
-          std::ostringstream os;
-          os << where << ": node " << id.value() << " leader "
-             << ne->leader().value() << " != node "
-             << reference->id().value() << " leader "
-             << reference->leader().value();
-          fire(os.str());
-        }
-      }
-      if (reference == nullptr) continue;
-      const auto& roster = reference->roster();
-      if (std::find(roster.begin(), roster.end(), reference->leader()) ==
-          roster.end()) {
-        std::ostringstream os;
-        os << where << ": leader " << reference->leader().value()
-           << " not in the agreed roster";
-        fire(os.str());
-      }
-
-      // Next-pointers must form a single cycle covering the roster once.
-      std::size_t steps = 0;
-      NodeId cursor = roster.front();
-      bool cycle_ok = true;
-      do {
-        const core::NetworkEntity* ne = system_.entity(cursor);
-        if (ne == nullptr) {
-          cycle_ok = false;
-          break;
-        }
-        cursor = ne->next_node();
-        if (++steps > roster.size()) {
-          cycle_ok = false;
-          break;
-        }
-      } while (cursor != roster.front());
-      if (!cycle_ok || steps != roster.size()) {
-        std::ostringstream os;
-        os << where << ": next-pointers do not form a single "
-           << roster.size() << "-cycle over the roster";
-        fire(os.str());
-      }
-    }
+  for (std::string& fault : system_.ring_faults()) {
+    report.add(
+        Violation{"hierarchy", now, std::move(fault), cell, trial, ordinal++});
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -102,5 +103,28 @@ class Counter {
  private:
   std::atomic<std::uint64_t> value_{0};
 };
+
+/// One exported field of a metric struct: its export name, the member that
+/// holds it and a one-line description. A metric struct lists its fields
+/// once, in a constexpr array of these beside the struct
+/// (core::kRgbMetricFields, net::kNetMetricFields); the metric catalog and
+/// every code path that walks the fields read that list.
+template <typename Struct, typename Value>
+struct MetricField {
+  const char* name;
+  Value Struct::*member;
+  const char* description;
+};
+
+/// True when no two rows of `fields` name the same member.
+template <typename Struct, typename Value, std::size_t N>
+constexpr bool distinct_members(const MetricField<Struct, Value> (&fields)[N]) {
+  for (std::size_t i = 0; i < N; ++i) {
+    for (std::size_t j = i + 1; j < N; ++j) {
+      if (fields[i].member == fields[j].member) return false;
+    }
+  }
+  return true;
+}
 
 }  // namespace rgb::common

@@ -13,14 +13,9 @@ namespace {
 /// merge in the fixed stripe order, so the result is a function of the
 /// logical shard count alone — never of worker interleaving.
 void merge_metrics(Network::Metrics& out, const Network::Metrics& in) {
-  out.sent += in.sent;
-  out.delivered += in.delivered;
-  out.dropped_loss += in.dropped_loss;
-  out.dropped_crash += in.dropped_crash;
-  out.dropped_src_crash += in.dropped_src_crash;
-  out.dropped_partition += in.dropped_partition;
-  out.dropped_unattached += in.dropped_unattached;
-  out.bytes_sent += in.bytes_sent;
+  for (const auto& field : kNetMetricFields) {
+    out.*field.member += in.*field.member;
+  }
   for (const auto& [kind, count] : in.sent_per_kind) {
     out.sent_per_kind[kind] += count;
   }

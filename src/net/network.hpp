@@ -106,8 +106,8 @@ class Network {
     std::uint64_t sent = 0;
     std::uint64_t delivered = 0;
     std::uint64_t dropped_loss = 0;
-    std::uint64_t dropped_crash = 0;      ///< in flight, destination crashed
-    std::uint64_t dropped_src_crash = 0;  ///< attempt by a crashed source
+    std::uint64_t dropped_crash = 0;
+    std::uint64_t dropped_src_crash = 0;
     std::uint64_t dropped_partition = 0;
     std::uint64_t dropped_unattached = 0;
     std::uint64_t bytes_sent = 0;
@@ -245,5 +245,29 @@ class Network {
   Sizer sizer_;
   TraceHooks* trace_hooks_ = nullptr;
 };
+
+/// The Network::Metrics totals, in catalog order: the one description of
+/// each. The sharded stripe merge sums exactly these.
+inline constexpr common::MetricField<Network::Metrics, std::uint64_t>
+    kNetMetricFields[] = {
+        {"net.sent", &Network::Metrics::sent,
+         "messages admitted into the network"},
+        {"net.delivered", &Network::Metrics::delivered,
+         "messages delivered to an endpoint"},
+        {"net.dropped_loss", &Network::Metrics::dropped_loss,
+         "messages dropped by the loss model"},
+        {"net.dropped_crash", &Network::Metrics::dropped_crash,
+         "messages dropped at a crashed destination"},
+        {"net.dropped_src_crash", &Network::Metrics::dropped_src_crash,
+         "sends refused because the source had crashed"},
+        {"net.dropped_partition", &Network::Metrics::dropped_partition,
+         "messages dropped by an active partition"},
+        {"net.dropped_unattached", &Network::Metrics::dropped_unattached,
+         "messages to endpoints never attached"},
+        {"net.bytes_sent", &Network::Metrics::bytes_sent,
+         "total payload bytes admitted"},
+};
+static_assert(common::distinct_members(kNetMetricFields),
+              "a kNetMetricFields row repeats a total");
 
 }  // namespace rgb::net

@@ -6,24 +6,22 @@
 // counts.
 #pragma once
 
-#include "obs/registry.hpp"
 #include "obs/series.hpp"
 #include "obs/trace.hpp"
 
 namespace rgb::obs {
 
 /// The per-instance observability bundle. Default-on and allocation
-/// bounded: the flight rings are preallocated, histograms are fixed-size
-/// bucket arrays, and the registry holds pointers into the tracer. Spans
-/// are the one opt-in piece (OpTracer::set_spans_enabled); the tracer is
-/// also the net::TraceHooks RgbSystem installs on its network.
+/// bounded: the flight rings are preallocated and histograms are
+/// fixed-size bucket arrays. Spans are the one opt-in piece
+/// (OpTracer::set_spans_enabled); the tracer is also the net::TraceHooks
+/// RgbSystem installs on its network.
 struct ProtocolObs {
   ProtocolObs() = default;
   ProtocolObs(const ProtocolObs&) = delete;
   ProtocolObs& operator=(const ProtocolObs&) = delete;
 
   OpTracer tracer;
-  MetricsRegistry registry;
 };
 
 }  // namespace rgb::obs

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <map>
+#include <sstream>
 
 #include "wire/metering.hpp"
 
@@ -36,29 +37,6 @@ RgbSystem::RgbSystem(net::Network& network, RgbConfig config,
   assert(layout_.ring_tiers >= 1);
   assert(layout_.ring_size >= 1);
   if (config_.wire_metering) rgb::wire::attach_encoded_metering(network_);
-  // One registration pass wires the enumerable export; exporters iterate
-  // the registry instead of hand-listing RgbMetrics/Network fields.
-  obs::register_rgb_metrics(obs_.registry, metrics_);
-  obs::register_network_metrics(obs_.registry, network_);
-  obs::register_tracer(obs_.registry, obs_.tracer);
-  // Cost/queue gauges close the profiler picture: how much sim work is
-  // outstanding and how much protocol work is parked in MQs right now.
-  obs_.registry.add_gauge(
-      "obs.prof.sim_pending",
-      [this] { return network_.simulator().pending_events(); },
-      "simulator events currently pending");
-  obs_.registry.add_gauge(
-      "obs.prof.sim_executed",
-      [this] { return network_.simulator().executed_events(); },
-      "simulator events executed so far");
-  obs_.registry.add_gauge(
-      "obs.prof.mq_depth",
-      [this] {
-        std::uint64_t total = 0;
-        for (const auto& ne : entities_) total += ne->queue_size();
-        return total;
-      },
-      "membership ops parked across all NE message queues");
   // The tracer's delivery hooks drive spans and the handler profile; the
   // network keeps a raw pointer, so the dtor must detach it.
   network_.set_trace_hooks(&obs_.tracer);
@@ -372,16 +350,16 @@ std::vector<proto::MemberRecord> RgbSystem::expected_membership() const {
   return out;
 }
 
+bool RgbSystem::holds_global_view(const NetworkEntity& ne) const {
+  return config_.retain_tier == 0 &&
+         (config_.disseminate_down || ne.tier() == 0);
+}
+
 bool RgbSystem::membership_converged() const {
   const auto expected = expected_membership();
   for (const auto& ne : entities_) {
     if (network_.is_crashed(ne->id())) continue;
-    // Under TMS with downward dissemination every NE converges to the
-    // global view; under IMS/BMS only tiers at/below the retention tier see
-    // everything that concerns them, so restrict the strict check.
-    const bool should_hold_global =
-        config_.disseminate_down && config_.retain_tier == 0;
-    if (should_hold_global) {
+    if (holds_global_view(*ne)) {
       if (ne->directory().merged_snapshot() != expected) return false;
     } else if (ne->tier() == layout_.ring_tiers - 1) {
       // APs always know their own local members.
@@ -396,10 +374,16 @@ bool RgbSystem::membership_converged() const {
   return true;
 }
 
-bool RgbSystem::rings_consistent() const {
-  for (const auto& tier : tiers_) {
-    for (const auto& ring : tier) {
-      // Collect alive members and check they agree on roster & leader.
+std::vector<std::string> RgbSystem::ring_faults() const {
+  std::vector<std::string> faults;
+  for (std::size_t tier = 0; tier < tiers_.size(); ++tier) {
+    for (std::size_t ring_idx = 0; ring_idx < tiers_[tier].size(); ++ring_idx) {
+      const auto& ring = tiers_[tier][ring_idx];
+      const std::string where =
+          "tier " + std::to_string(tier) + " ring " + std::to_string(ring_idx);
+
+      // Alive members must agree on roster and leader, and the leader must
+      // be a roster member.
       const NetworkEntity* reference = nullptr;
       for (const NodeId id : ring) {
         if (network_.is_crashed(id)) continue;
@@ -409,29 +393,69 @@ bool RgbSystem::rings_consistent() const {
           reference = ne;
           continue;
         }
-        if (ne->roster() != reference->roster() ||
-            ne->leader() != reference->leader()) {
-          return false;
+        if (ne->roster() != reference->roster()) {
+          const auto render = [](const std::vector<NodeId>& roster) {
+            std::ostringstream os;
+            os << '{';
+            for (std::size_t i = 0; i < roster.size(); ++i) {
+              if (i > 0) os << ' ';
+              os << roster[i].value();
+            }
+            os << '}';
+            return os.str();
+          };
+          std::ostringstream os;
+          os << where << ": node " << id.value() << " roster "
+             << render(ne->roster()) << " disagrees with node "
+             << reference->id().value() << " roster "
+             << render(reference->roster());
+          faults.push_back(os.str());
+        } else if (ne->leader() != reference->leader()) {
+          std::ostringstream os;
+          os << where << ": node " << id.value() << " leader "
+             << ne->leader().value() << " != node "
+             << reference->id().value() << " leader "
+             << reference->leader().value();
+          faults.push_back(os.str());
         }
       }
       if (reference == nullptr) continue;
-      // The agreed roster must contain only alive nodes... it may lag by a
-      // round, so we only require that pointers form a cycle covering the
-      // roster exactly once.
       const auto& roster = reference->roster();
-      if (roster.empty()) continue;
+      if (std::find(roster.begin(), roster.end(), reference->leader()) ==
+          roster.end()) {
+        std::ostringstream os;
+        os << where << ": leader " << reference->leader().value()
+           << " not in the agreed roster";
+        faults.push_back(os.str());
+      }
+
+      // Next-pointers must form a single cycle covering the roster once.
+      // The roster may lag a crash by a round, so it may still name a
+      // crashed node.
       std::size_t steps = 0;
       NodeId cursor = roster.front();
+      bool cycle_ok = true;
       do {
         const NetworkEntity* ne = entity(cursor);
-        if (ne == nullptr) return false;
+        if (ne == nullptr) {
+          cycle_ok = false;
+          break;
+        }
         cursor = ne->next_node();
-        if (++steps > roster.size()) return false;
+        if (++steps > roster.size()) {
+          cycle_ok = false;
+          break;
+        }
       } while (cursor != roster.front());
-      if (steps != roster.size()) return false;
+      if (!cycle_ok || steps != roster.size()) {
+        std::ostringstream os;
+        os << where << ": next-pointers do not form a single "
+           << roster.size() << "-cycle over the roster";
+        faults.push_back(os.str());
+      }
     }
   }
-  return true;
+  return faults;
 }
 
 namespace {
@@ -467,14 +491,9 @@ std::uint64_t records_differing(const std::vector<MemberRecord>& view,
 
 std::uint64_t RgbSystem::view_divergence() const {
   const auto expected = expected_membership();
-  const bool global_view =
-      config_.disseminate_down && config_.retain_tier == 0;
   std::uint64_t divergence = 0;
   for (const auto& ne : entities_) {
-    if (network_.is_crashed(ne->id())) continue;
-    // Without downward dissemination only the retained tier holds the
-    // global view (IMS/BMS retain at config_.retain_tier, not at the top).
-    if (!global_view && ne->tier() != config_.retain_tier) continue;
+    if (network_.is_crashed(ne->id()) || !holds_global_view(*ne)) continue;
     divergence += records_differing(ne->directory().merged_snapshot(),
                                     expected);
   }
@@ -506,13 +525,10 @@ std::uint64_t RgbSystem::group_view_divergence() const {
   for (auto& [gid, rec] : grouped_expected_membership()) {
     expected[gid].push_back(rec);
   }
-  const bool global_view =
-      config_.disseminate_down && config_.retain_tier == 0;
   static const std::vector<MemberRecord> kNone;
   std::uint64_t divergence = 0;
   for (const auto& ne : entities_) {
-    if (network_.is_crashed(ne->id())) continue;
-    if (!global_view && ne->tier() != config_.retain_tier) continue;
+    if (network_.is_crashed(ne->id()) || !holds_global_view(*ne)) continue;
     // Union of the groups either side knows: a record parked in a group
     // the truth never populated is divergence too.
     for (const auto& [gid, want] : expected) {
@@ -534,13 +550,6 @@ NodeId RgbSystem::ap_of(Guid mh) const {
     if (it != stripe.end()) return it->second;
   }
   return NodeId{};
-}
-
-std::vector<obs::MetricsRegistry::Sample> RgbSystem::metrics_snapshot()
-    const {
-  assert(obs::registry_parity_ok(obs_.registry, metrics_, network_) &&
-         "registry-enumerated export drifted from the legacy metric fields");
-  return obs_.registry.snapshot();
 }
 
 }  // namespace rgb::core

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -111,32 +112,33 @@ class RgbSystem : public proto::MembershipService {
   [[nodiscard]] net::Network& network() { return network_; }
   [[nodiscard]] const net::Network& network() const { return network_; }
 
-  /// Per-instance observability: the op tracer (the one recorder) and the
-  /// metrics registry (pre-registered with this system's RgbMetrics, the
-  /// network metrics and the tracer instruments). Default-on.
+  /// Per-instance observability: the op tracer, the one recorder.
+  /// Default-on.
   [[nodiscard]] obs::ProtocolObs& obs() { return obs_; }
   [[nodiscard]] const obs::ProtocolObs& obs() const { return obs_; }
-
-  /// Registry-enumerated snapshot of every scalar metric. Debug-asserts
-  /// registry/legacy parity so the enumerated export can never silently
-  /// drift from the hand-written RgbMetrics/Network fields.
-  [[nodiscard]] std::vector<obs::MetricsRegistry::Sample> metrics_snapshot()
-      const;
 
   /// The membership the system *should* converge to (all joins minus
   /// leaves/fails, at their latest APs), derived from the calls made
   /// through this facade.
   [[nodiscard]] std::vector<proto::MemberRecord> expected_membership() const;
 
-  /// True when every alive NE that is supposed to hold the global view
-  /// (every NE under the default TMS + downward dissemination; only tiers
-  /// <= retain_tier otherwise... see implementation) agrees with
-  /// `expected_membership()`.
+  /// Whether `ne` is meant to hold the global view: every NE under TMS
+  /// with downward dissemination, only the top tier under TMS without it,
+  /// and no NE under IMS/BMS (retain_tier > 0), where each tier keeps only
+  /// what concerns it. The convergence and divergence checks below and
+  /// the check layer's oracles all apply this one rule.
+  [[nodiscard]] bool holds_global_view(const NetworkEntity& ne) const;
+
+  /// True when every alive NE that holds the global view agrees with
+  /// `expected_membership()` and every alive AP knows its own members.
   [[nodiscard]] bool membership_converged() const;
 
-  /// True when every ring's alive members agree on roster and leader and
-  /// the pointers form a single cycle.
-  [[nodiscard]] bool rings_consistent() const;
+  /// Structural faults of the rings, one line each (empty when sound):
+  /// per ring, alive members that disagree with the first alive member on
+  /// roster or leader, a leader outside the agreed roster, and
+  /// next-pointers that do not form a single cycle over that roster. The
+  /// check layer's hierarchy oracle reports each line as a violation.
+  [[nodiscard]] std::vector<std::string> ring_faults() const;
 
   /// Total view divergence: the number of (NE, member-record) disagreements
   /// between each alive global-view NE's operational snapshot and

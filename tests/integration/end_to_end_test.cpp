@@ -36,7 +36,7 @@ TEST(EndToEnd, ConferenceScenarioConverges) {
   simulator.run();
   EXPECT_GT(churn.stats().total(), 50u);
   EXPECT_EQ(sys.membership(), churn.expected_membership());
-  EXPECT_TRUE(sys.rings_consistent());
+  EXPECT_EQ(sys.ring_faults(), std::vector<std::string>{});
   EXPECT_TRUE(sys.membership_converged());
 }
 

@@ -1,8 +1,10 @@
 // Causal op tracing over live RGB runs: dissemination / join-to-root /
-// detection latency histograms, the view-change counter, and byte-identity
-// of the whole observability surface across replays.
+// detection latency histograms, the view-change counter, the per-kind
+// handler profile, and byte-identity of the whole observability surface
+// across replays.
 #include <gtest/gtest.h>
 
+#include <iomanip>
 #include <sstream>
 #include <string>
 
@@ -16,6 +18,7 @@ namespace {
 using rgb::testing::RgbSystemTest;
 
 class TraceTest : public RgbSystemTest {};
+class ProfilerTest : public RgbSystemTest {};
 
 TEST_F(TraceTest, FaultFreeJoinsFillDisseminationAndJoinHistograms) {
   auto& sys = build(2, 3);
@@ -100,9 +103,33 @@ TEST_F(TraceTest, SilentMemberSweepMeasuresSilenceLatency) {
   EXPECT_LE(tracer.member_detection().max(), 1'500'000.0);
 }
 
-/// The whole observability surface — registry JSON (counters + histogram
-/// digests) and the flight-recorder dump — is a pure function of the
-/// (config, workload, seed) triple.
+/// The handler profile counts every delivery by message kind with spans off
+/// (the default), and the per-kind counts sum to the total.
+TEST_F(ProfilerTest, CountsDeliveriesPerKindUnderRealTraffic) {
+  auto& sys = build(2, 3);
+  ASSERT_FALSE(sys.obs().tracer.spans_enabled());  // default-off spans
+  sys.start_probing();
+  for (std::uint64_t i = 1; i <= 12; ++i) {
+    sys.join(common::Guid{i}, sys.aps()[i % sys.aps().size()]);
+  }
+  run_for_ms(2000);
+
+  const OpTracer& prof = sys.obs().tracer;
+  EXPECT_GT(prof.handled_total(), 0u);
+  std::uint64_t sum = 0;
+  std::size_t kinds_seen = 0;
+  for (const std::uint64_t n : prof.handled_per_kind()) {
+    sum += n;
+    kinds_seen += n != 0;
+  }
+  EXPECT_EQ(sum, prof.handled_total());
+  EXPECT_GT(kinds_seen, 3u);  // probes, tokens, view sync, ...
+}
+
+/// The whole observability surface — every counter, read through the
+/// metric structs' field lists, the tracer's histogram digests and the
+/// flight-recorder dump — is a pure function of the (config, workload,
+/// seed) triple.
 TEST(TraceDeterminism, ObservabilityOutputIsByteIdenticalAcrossRuns) {
   const auto run_once = []() {
     sim::Simulator simulator;
@@ -118,14 +145,35 @@ TEST(TraceDeterminism, ObservabilityOutputIsByteIdenticalAcrossRuns) {
     sys.crash_ne(sys.aps()[0]);
     simulator.run_until(sim::sec(5));
     std::ostringstream out;
-    sys.obs().registry.write_json(out);
-    out << sys.obs().tracer.flight_tail();
+    for (const auto& field : core::kRgbMetricFields) {
+      out << field.name << ' ' << (sys.metrics().*field.member).value() << '\n';
+    }
+    for (const auto& field : net::kNetMetricFields) {
+      out << field.name << ' ' << network.metrics().*field.member << '\n';
+    }
+    const OpTracer& tracer = sys.obs().tracer;
+    out << "obs.view_changes " << tracer.view_changes().value() << '\n';
+    const auto digest = [&out](const std::string& name,
+                               const common::Histogram& h) {
+      out << name << std::setprecision(17) << ' ' << h.count() << ' '
+          << h.p50() << ' ' << h.p90() << ' ' << h.p99() << ' ' << h.p999()
+          << ' ' << h.max() << ' ' << h.mean() << '\n';
+    };
+    for (std::size_t k = 0; k < kOpKindCount; ++k) {
+      digest("dissemination." + std::to_string(k),
+             tracer.dissemination(static_cast<core::OpKind>(k)));
+    }
+    digest("join_to_root", tracer.join_latency());
+    digest("detect.member", tracer.member_detection());
+    digest("detect.ne", tracer.ne_detection());
+    out << tracer.flight_tail();
     return out.str();
   };
   const std::string first = run_once();
   const std::string second = run_once();
   EXPECT_EQ(first, second);
-  EXPECT_NE(first.find("obs.view_changes"), std::string::npos);
+  EXPECT_NE(first.find("rgb.rounds_started"), std::string::npos);
+  EXPECT_NE(first.find("net.bytes_sent"), std::string::npos);
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 // Configuration-point coverage: aggregation disabled end-to-end, layout
-// arithmetic, and upward-only propagation.
+// arithmetic, upward-only propagation, and the global-view rule under every
+// retention mode.
 #include <gtest/gtest.h>
+
+#include <tuple>
 
 #include "test_util.hpp"
 
@@ -55,6 +58,33 @@ TEST_F(ConfigTest, UpwardOnlyPropagationWithoutDissemination) {
                   .contains(common::Guid{1}));
   EXPECT_FALSE(sys.entity(ap_last)->ring_members().contains(common::Guid{1}));
 }
+
+/// RgbSystem::holds_global_view decides which NEs the convergence and
+/// divergence checks compare with the global view. Under IMS/BMS
+/// (retain_tier > 0) no NE is meant to hold it, so a quiescent run reads
+/// converged with zero divergence in every retention and dissemination
+/// mode.
+class GlobalViewRule
+    : public RgbSystemTest,
+      public ::testing::WithParamInterface<std::tuple<int, bool>> {};
+
+TEST_P(GlobalViewRule, QuiescentRunConvergesWithZeroDivergence) {
+  RgbConfig config;
+  config.retain_tier = std::get<0>(GetParam());
+  config.disseminate_down = std::get<1>(GetParam());
+  auto& sys = build(3, 3, config);
+  for (std::uint64_t g = 1; g <= 27; ++g) {
+    sys.join(common::Guid{g}, sys.aps()[g % sys.aps().size()]);
+  }
+  run_all();
+  EXPECT_TRUE(sys.membership_converged());
+  EXPECT_EQ(sys.view_divergence(), 0u);
+  EXPECT_EQ(sys.group_view_divergence(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(RetentionModes, GlobalViewRule,
+                         ::testing::Combine(::testing::Values(0, 1, 2),
+                                            ::testing::Bool()));
 
 TEST_F(ConfigTest, MergeAcceptPathDirect) {
   // A leader receiving a MergeAccept from a singleton fragment absorbs it;

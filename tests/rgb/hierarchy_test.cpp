@@ -137,7 +137,7 @@ TEST_F(HierarchyTest, ManyJoinsAcrossApsConverge) {
   run_all();
   EXPECT_TRUE(sys.membership_converged());
   EXPECT_EQ(sys.membership().size(), 27u);
-  EXPECT_TRUE(sys.rings_consistent());
+  EXPECT_EQ(sys.ring_faults(), std::vector<std::string>{});
 }
 
 TEST_F(HierarchyTest, FailRemovesMemberEverywhere) {

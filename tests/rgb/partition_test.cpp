@@ -67,7 +67,7 @@ TEST_P(PartitionHealConvergence, HierarchyReconvergesAfterHeal) {
   network.clear_partitions();
   simulator.run_until(sim::sec(30));
 
-  EXPECT_TRUE(sys.rings_consistent());
+  EXPECT_EQ(sys.ring_faults(), std::vector<std::string>{});
   // Every alive NE converged to the full four-member view: no member lost
   // to the cut, no zombie left behind.
   const auto expected = sys.expected_membership();
@@ -258,7 +258,7 @@ TEST(PartitionHeal, ThreeWayStaggeredHealConvergesAtScale) {
   simulator.schedule_at(sim::sec(16), [&] { network.clear_partitions(); });
   simulator.run_until(sim::sec(45));
 
-  EXPECT_TRUE(sys.rings_consistent());
+  EXPECT_EQ(sys.ring_faults(), std::vector<std::string>{});
   // The post-heal pin: zero (NE, record) disagreements against the
   // expected membership across every alive NE at N >= 2000.
   EXPECT_EQ(sys.view_divergence(), 0u);

@@ -22,7 +22,7 @@ namespace {
 struct FaultyRunResult {
   std::vector<std::vector<proto::MemberRecord>> views;  ///< per NE, id order
   bool converged = false;
-  bool rings_consistent = false;
+  std::vector<std::string> ring_faults;
 };
 
 FaultyRunResult run_faulty() {
@@ -72,7 +72,7 @@ FaultyRunResult run_faulty() {
     result.views.push_back(sys.entity(ne)->ring_members().snapshot());
   }
   result.converged = sys.membership_converged();
-  result.rings_consistent = sys.rings_consistent();
+  result.ring_faults = sys.ring_faults();
   return result;
 }
 
@@ -80,7 +80,7 @@ TEST(ViewSyncConvergence, FaultyRunConvergesEverywhere) {
   const FaultyRunResult run = run_faulty();
 
   ASSERT_TRUE(run.converged) << "anti-entropy failed to converge";
-  EXPECT_TRUE(run.rings_consistent);
+  EXPECT_EQ(run.ring_faults, std::vector<std::string>{});
   // All NEs agree with each other (TMS + downward dissemination).
   ASSERT_FALSE(run.views.empty());
   for (std::size_t i = 1; i < run.views.size(); ++i) {

@@ -185,7 +185,7 @@ TEST_F(ChurnTest, DrivesRealRgbSystem) {
   simulator_.run();
   // After quiescence the protocol's view equals the workload ground truth.
   EXPECT_EQ(sys.membership(), w.expected_membership());
-  EXPECT_TRUE(sys.rings_consistent());
+  EXPECT_EQ(sys.ring_faults(), std::vector<std::string>{});
 }
 
 }  // namespace

@@ -34,11 +34,8 @@
 #include <vector>
 
 #include "check/check.hpp"
-#include "common/rng.hpp"
 #include "exp/exp.hpp"
-#include "net/network.hpp"
-#include "rgb/rgb.hpp"
-#include "sim/simulator.hpp"
+#include "obs/catalog.hpp"
 
 namespace {
 
@@ -126,7 +123,7 @@ int usage(const char* argv0, int code) {
      << "  --out PATH     trace JSON destination (default '-': stdout);\n"
      << "                 load it in Perfetto or chrome://tracing\n"
      << "metrics options:\n"
-     << "  --catalog      print every registered metric: name, type and\n"
+     << "  --catalog      print every exported metric: name, type and\n"
      << "                 one-line description\n";
   return code;
 }
@@ -193,15 +190,7 @@ int run_metrics(int argc, char** argv) {
     std::cerr << "rgb_exp: metrics needs --catalog\n";
     return usage(argv[0], 2);
   }
-  // A minimal system is enough: registration happens in the RgbSystem
-  // constructor, so the catalog lists every metric the repo exports
-  // without running any protocol traffic.
-  rgb::common::RngStream rng{1};
-  rgb::sim::Simulator simulator;
-  rgb::net::Network network{simulator, rng.fork("net")};
-  rgb::core::RgbSystem sys{network, rgb::core::RgbConfig{},
-                           rgb::core::HierarchyLayout{1, 3}};
-  sys.obs().registry.write_catalog(std::cout);
+  rgb::obs::write_catalog(std::cout);
   return 0;
 }
 
