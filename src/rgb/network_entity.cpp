@@ -840,6 +840,7 @@ void NetworkEntity::handle_repair(const RepairMsg& msg) {
     if (!in_roster(f)) continue;  // already excluded
     const bool was_leader = (f == leader_);
     remove_from_roster(f);
+    stability_.forget(f);
     obs_.tracer.on_view_change(obs::FlightKind::kRepair, id(), f.value(), 0,
                                now());
     if (was_leader) replace_leader(f, /*counted=*/true);
@@ -871,6 +872,7 @@ void NetworkEntity::apply_ne_op(const MembershipOp& op) {
       if (!in_roster(op.ne)) return;
       const bool was_leader = (op.ne == leader_);
       remove_from_roster(op.ne);
+      stability_.forget(op.ne);
       obs_.tracer.on_view_change(op.kind == OpKind::kNeFail
                                      ? obs::FlightKind::kRepair
                                      : obs::FlightKind::kNeLeave,

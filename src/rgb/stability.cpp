@@ -97,6 +97,8 @@ void StabilityPlane::forget(NodeId node) {
   aggregator_.forget(node);
   cancel_alert(node);
   cancel_cut_verification(node);
+  // A passed deadline may have waited on this node's verification alone.
+  arm_cut_timer();
 }
 
 void StabilityPlane::ping(NodeId suspect, std::uint64_t alert_id) {
@@ -331,6 +333,10 @@ void StabilityPlane::arm_cut_timer() {
   const sim::Time deadline = aggregator_.deadline(ne_.config_.stability_window);
   if (deadline == 0) return;
   const sim::Time now = ne_.now();
+  // A passed deadline that waits on verifications needs no timer: every
+  // answer, expiry and forget() re-checks the cut. (Polling it re-armed the
+  // timer every microsecond until the last verification resolved.)
+  if (deadline <= now && cut_verifies_in_flight()) return;
   const sim::Duration delay = deadline > now ? deadline - now : 1;
   cut_timer_ = ne_.set_timer(delay, [this]() { check_cut(); });
 }

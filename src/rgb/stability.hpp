@@ -108,7 +108,8 @@ class StabilityPlane {
   /// stability layer, an alert with it.
   void report_suspect(NodeId suspect);
   /// Consumes every pending piece of evidence about `node` (its verdict is
-  /// in: it was cut) rather than leaving it to fire again.
+  /// in: it was cut, repaired out by a peer or removed by an NE op) rather
+  /// than leaving it to fire again, and re-arms the cut timer.
   void forget(NodeId node);
   /// Cancels every pending alert and pending cut (the NE left its ring: the
   /// evidence references a roster it no longer has).
@@ -132,7 +133,9 @@ class StabilityPlane {
   /// retraction was lost would otherwise fire a single-observation cut at
   /// the window deadline. The aggregator pings each pending suspect with
   /// the normal alert/ack exchange (retx budget as any hop); an answer
-  /// forgets the suspect, silence lets the cut proceed.
+  /// forgets the suspect, silence lets the cut proceed. A passed deadline
+  /// waits on its verifications without a timer: each answer, expiry and
+  /// forget() re-checks the cut.
   void start_cut_verifications();
   [[nodiscard]] bool cut_verifies_in_flight() const;
   void on_verify_ping_timeout(NodeId suspect);

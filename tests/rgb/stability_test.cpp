@@ -1,10 +1,12 @@
 // Multi-observer cut detection (the stability layer): K-alert aggregation
 // into one batched reconfiguration, flap suppression under loss bursts via
 // alert retraction, the bounded stability-timeout fallback that preserves
-// the single-observer liveness bound, and batched silent-member flushes on
-// the MH detection path.
+// the single-observer liveness bound, batched silent-member flushes on the
+// MH detection path, a deadline cut that waits on its verifications
+// without a timer, and a peer's repair consuming pending evidence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -228,6 +230,79 @@ TEST_F(StabilityTest, LiveMemberAnswersCounterProbeAndIsKept) {
     EXPECT_TRUE(sys.entity(id)->ring_members().contains(common::Guid{1}))
         << "node " << id.value();
   }
+}
+
+/// A deadline-path cut of one crashed non-leader: the ring leader holds a
+/// single observation, and when the window closes it verifies the suspect
+/// with (max_retx + 1) pings, retx_timeout apart. Waiting on them costs the
+/// pings and their timers, not one simulator event per microsecond.
+TEST_F(StabilityTest, CutVerificationRunsOPingsEvents) {
+  RgbConfig config = stability_config();
+  config.max_retx = 3;  // an 80ms verification: 80,000 polls at 1us
+  auto& sys = build(1, 5, config);
+  const auto& ring = sys.rings(0).front();
+  sys.start_probing();
+  run_for_ms(530);
+  sys.crash_ne(ring[2]);
+  while (sys.metrics().stability_alerts.value() == 0) run_for_ms(1);
+  // From the first alert to the cut: the window, the verification, and
+  // the probe, ping and alert traffic of five NEs around them.
+  std::uint64_t events = 0;
+  int waited_ms = 0;
+  while (sys.metrics().stability_cuts.value() == 0 && waited_ms < 2000) {
+    events += run_for_ms(1);
+    ++waited_ms;
+  }
+  ASSERT_EQ(sys.metrics().stability_cuts.value(), 1u);
+  EXPECT_GE(waited_ms, 150 + 80) << "the window, then the verification";
+  EXPECT_LT(events, 1000u) << events << " events run over " << waited_ms << "ms";
+  run_for_ms(10);  // the cut's RepairMsg reaches the survivors
+  for (const auto id : {ring[0], ring[1], ring[3], ring[4]}) {
+    EXPECT_EQ(sys.entity(id)->roster().size(), 4u) << "node " << id.value();
+  }
+}
+
+/// The aggregator holds an alert against a crashed NE when a peer's
+/// RepairMsg splices that NE out. The repair is the verdict: the alert
+/// must not ride out the window into a cut of a node already gone, and
+/// the observer must stop pinging it.
+TEST_F(StabilityTest, PeerRepairConsumesPendingAlert) {
+  auto& sys = build(1, 5, stability_config());
+  const auto& ring = sys.rings(0).front();
+  const NodeId suspect = ring[2];
+  sys.start_probing();
+  run_for_ms(530);
+  sys.crash_ne(suspect);
+  while (sys.metrics().stability_alerts.value() == 0) run_for_ms(1);
+  run_for_ms(2);  // the alert lands at the leader's aggregator
+  ASSERT_EQ(sys.metrics().stability_cuts.value(), 0u);
+
+  // A peer's repair of the suspect reaches every survivor.
+  const std::vector<NodeId> survivors{ring[0], ring[1], ring[3], ring[4]};
+  for (const NodeId to : survivors) {
+    const NodeId from = to == ring[3] ? ring[4] : ring[3];
+    const RepairMsg repair{from, {suspect}};
+    network_.send(
+        net::Envelope{from, to, kind::kRepair, wire_size(repair), repair});
+  }
+  run_for_ms(2);
+  for (const NodeId id : survivors) {
+    ASSERT_EQ(sys.entity(id)->roster().size(), 4u) << "node " << id.value();
+  }
+
+  std::uint64_t pings = 0;
+  network_.set_tap([&](const net::Envelope& env, bool) {
+    if (env.kind == kind::kAlert && env.dst == suspect) ++pings;
+  });
+  run_for_ms(2000);
+  EXPECT_EQ(sys.metrics().stability_cuts.value(), 0u);
+  const auto events = sys.obs().tracer.flight_events();
+  EXPECT_EQ(std::count_if(events.begin(), events.end(),
+                          [](const obs::FlightEvent& e) {
+                            return e.kind == obs::FlightKind::kCutApplied;
+                          }),
+            0);
+  EXPECT_EQ(pings, 0u) << "no observer or aggregator pings a repaired NE";
 }
 
 }  // namespace
