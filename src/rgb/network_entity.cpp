@@ -877,7 +877,12 @@ void NetworkEntity::apply_ne_op(const MembershipOp& op) {
                                      ? obs::FlightKind::kRepair
                                      : obs::FlightKind::kNeLeave,
                                  id(), op.ne.value(), 0, now());
-      if (was_leader) replace_leader(op.ne, /*counted=*/false);
+      // An NE-Failure op is how a follower whose RepairMsg was lost learns
+      // of its leader's failure: that is a failover as much as the repair
+      // broadcast's. A graceful leave is not.
+      if (was_leader) {
+        replace_leader(op.ne, /*counted=*/op.kind == OpKind::kNeFail);
+      }
       recompute_pointers();
       if (op.kind == OpKind::kNeLeave) metrics_.ne_leaves.increment();
       return;

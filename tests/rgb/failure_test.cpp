@@ -3,6 +3,8 @@
 // and the partition/merge extension (the paper's future work).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "test_util.hpp"
 
 namespace rgb::core {
@@ -74,6 +76,47 @@ TEST_F(FailureTest, LeaderCrashTriggersFailover) {
   for (const auto id : {ring[1], ring[2], ring[3], ring[4]}) {
     EXPECT_TRUE(sys.entity(id)->ring_members().contains(common::Guid{1}));
   }
+}
+
+TEST_F(FailureTest, FollowerThatMissedTheRepairCountsTheFailover) {
+  RgbConfig config = fast_failure_config();
+  config.probe_period = 0;  // no kSummary shape adoption: the op decides
+  auto& sys = build(1, 5, config);
+  const auto& ring = sys.rings(0).front();
+  const NodeId detector = ring[3];
+  const NodeId follower = ring[4];
+  sys.crash_ne(ring[0]);  // the leader
+  // ring[3]'s token requests time out against the dead leader; its
+  // RepairMsg to ring[4] is lost, so ring[4] learns of the failure only
+  // from the NE-Failure op that the next round carries.
+  net::LinkConfig lossy;
+  lossy.drop_probability = 1.0;
+  network_.set_link(detector, follower, lossy);
+  sys.join(common::Guid{1}, detector);
+  int waited_ms = 0;
+  while (sys.metrics().repairs.value() == 0 && waited_ms < 4000) {
+    run_for_ms(1);
+    ++waited_ms;
+  }
+  ASSERT_EQ(sys.metrics().repairs.value(), 1u);
+  network_.set_link(detector, follower, net::LinkConfig{});
+  ASSERT_EQ(sys.entity(follower)->leader(), ring[0]) << "repair was lost";
+  run_for_ms(2000);
+
+  EXPECT_EQ(sys.entity(follower)->leader(), ring[1]);
+  EXPECT_TRUE(
+      sys.entity(follower)->ring_members().contains(common::Guid{1}));
+  const auto events = sys.obs().tracer.flight_events();
+  EXPECT_EQ(std::count_if(events.begin(), events.end(),
+                          [&](const obs::FlightEvent& e) {
+                            return e.kind ==
+                                       obs::FlightKind::kLeaderFailover &&
+                                   e.ne == follower;
+                          }),
+            1);
+  // The detector, both repair receivers and the follower: one failover
+  // each of the four survivors.
+  EXPECT_EQ(sys.metrics().leader_failovers.value(), 4u);
 }
 
 TEST_F(FailureTest, ApCrashFailsItsAttachedMembers) {
