@@ -61,9 +61,17 @@ void ViewSync::handle_view_sync(const ViewSyncMsg& msg, NodeId from) {
   const ViewDigest mine = dir.combined_digest();
   const bool in_sync = mine.hash == msg.digest && mine.count == msg.entry_count;
   if (msg.phase == ViewSyncMsg::Phase::kSummary) {
-    // On mismatch, pull: answer with our packed per-group digests so the
-    // sender can scope its kFull to just the differing groups.
-    if (in_sync) return;
+    if (in_sync) {
+      if (!mismatches_.empty()) {
+        std::erase_if(mismatches_,
+                      [from](const Mismatch& m) { return m.sender == from; });
+      }
+      return;
+    }
+    // A mismatch that survives a quiet tick (or the give-up horizon)
+    // pulls: answer with our packed per-group digests so the sender can
+    // scope its kFull to just the differing groups.
+    if (!escalate(from)) return;
     ViewSyncMsg reply;
     reply.phase = ViewSyncMsg::Phase::kDigest;
     reply.digest = mine.hash;
@@ -168,6 +176,29 @@ void ViewSync::handle_view_sync(const ViewSyncMsg& msg, NodeId from) {
   reply.bucket_scope = msg.bucket_scope;
   const auto reply_bytes = wire_size(reply);
   ne_.send(from, kind::kViewSync, std::move(reply), reply_bytes);
+}
+
+bool ViewSync::escalate(NodeId from) {
+  const std::uint64_t changes = ne_.dir_.change_count();
+  const sim::Time now = ne_.now();
+  const auto it =
+      std::find_if(mismatches_.begin(), mismatches_.end(),
+                   [from](const Mismatch& m) { return m.sender == from; });
+  if (it == mismatches_.end()) {
+    mismatches_.push_back(Mismatch{from, now, changes});
+    return false;
+  }
+  // Past this horizon a notification has exhausted its retransmissions:
+  // whatever still differs is not in flight any more.
+  const sim::Duration horizon =
+      ne_.config_.notify_timeout *
+      static_cast<sim::Duration>(ne_.config_.max_notify_retx + 1);
+  if (it->changes == changes || now - it->since >= horizon) {
+    mismatches_.erase(it);
+    return true;
+  }
+  it->changes = changes;
+  return false;
 }
 
 void ViewSync::send_bucket_digests(std::vector<GroupId>& gids,

@@ -12,10 +12,20 @@
 // diff. Each tick ships one kSummary frame per link carrying only the
 // combined digest over every group — O(1) bytes per link per tick however
 // many groups the directory serves; a receiver whose view agrees answers
-// nothing. On mismatch the receiver pulls with a kDigest of its packed
-// per-group digests, the sender answers with a kFull scoped to the groups
-// that differ, and the receiver imports it and sends back a kDiff of what
-// it holds newer. A differing group that both ends hold more than
+// nothing. A mismatch is not answered at once: anti-entropy is the
+// backstop, and most mismatches under load are ops still in flight, which
+// dissemination delivers anyway. The receiver keeps one record per summary
+// sender (when the mismatch began, and its own change_count() at that
+// sender's last mismatching summary) and escalates on the sender's next
+// mismatching summary that finds change_count() unchanged — a tick with no
+// local table change — or once the mismatch has lasted notify_timeout x
+// (max_notify_retx + 1), where a notification's retransmissions give up,
+// so a ring that is never quiet still reconciles. A matching summary or an
+// escalation clears the record; with no record open, the at-rest path is
+// one digest comparison. To escalate, the receiver pulls with a kDigest of
+// its packed per-group digests, the sender answers with a kFull scoped to
+// the groups that differ, and the receiver imports it and sends back a
+// kDiff of what it holds newer. A differing group that both ends hold more than
 // kBucketThreshold records of goes down one level (wire v5, one level of
 // Dynamo's Merkle-tree anti-entropy): the sender answers with its bucket
 // digests of the group in a kBuckets frame instead, the receiver ships a
@@ -39,6 +49,7 @@
 
 #include "rgb/messages.hpp"
 #include "rgb/types.hpp"
+#include "sim/time.hpp"
 
 namespace rgb::core {
 
@@ -67,6 +78,9 @@ class ViewSync {
  private:
   void attempt_merge();
   void send_summaries();
+  /// Whether a kSummary from `from` that mismatches our view escalates to
+  /// a kDigest now: updates or clears `from`'s open mismatch record.
+  [[nodiscard]] bool escalate(NodeId from);
   /// Takes out of `gids` (groups that differ from a kDigest's sender)
   /// those both ends hold more than kBucketThreshold records of, and sends
   /// their bucket digests to `to` in one kBuckets frame.
@@ -86,6 +100,15 @@ class ViewSync {
     std::uint32_t bytes = 0;
   };
   std::optional<FullReply> last_full_;
+  /// One open kSummary mismatch per sender: when it began, and
+  /// dir_.change_count() when that sender's summary last mismatched. A
+  /// handful of senders (the ring leader, parent and child), so a vector.
+  struct Mismatch {
+    NodeId sender;
+    sim::Time since = 0;
+    std::uint64_t changes = 0;
+  };
+  std::vector<Mismatch> mismatches_;
   std::size_t merge_probe_cursor_ = 0;
 };
 

@@ -1,8 +1,8 @@
 // Digest-first anti-entropy (PR3): convergence through a faulty run, the
-// digest-collision path, a leader's kFull reused across one kSummary
-// fan-out, steady-state traffic that stays flat in the member count, and
-// replay determinism of the bench.scale scenario across worker-thread
-// counts.
+// digest-collision path, when a kSummary mismatch escalates to a kDigest,
+// a leader's kFull reused across one kSummary fan-out, steady-state
+// traffic that stays flat in the member count, and replay determinism of
+// the bench.scale scenario across worker-thread counts.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -139,6 +139,119 @@ TEST(ViewSyncCollision, CollidingDigestIsBenignAndNextTickHeals) {
   simulator.run();
   EXPECT_GE(viewsync_sends(), sends_before + 3)  // ours + the kFull reply
       << "a digest mismatch must provoke a reconciliation reply";
+}
+
+// --- kSummary escalation -----------------------------------------------------
+
+/// The collision test's rig: a three-AP ring with probing off and one
+/// member. kSummary frames are hand-delivered to `receiver` from `sender`
+/// (cross-ring style: no roster, so no ring-shape adoption), and every
+/// kDigest the receiver answers with is counted.
+struct EscalationRig {
+  common::RngStream rng{0xE5CA1A7E};
+  sim::Simulator simulator;
+  net::Network network{simulator, rng.fork("net")};
+  RgbConfig config;  // notify_timeout 1.5s, max_notify_retx 3: a 6s horizon
+  RgbSystem sys{network, config, HierarchyLayout{1, 3}};
+  NodeId receiver = sys.aps()[1];
+  NodeId sender = sys.aps()[2];
+  std::size_t digests = 0;
+  std::uint64_t next_guid = 100;
+
+  EscalationRig() {
+    sys.join(Guid{1}, sys.aps()[0]);
+    simulator.run();
+    network.set_tap([this](const net::Envelope& env, bool) {
+      if (env.kind == kind::kViewSync && env.src == receiver &&
+          env.payload.get<ViewSyncMsg>().phase == ViewSyncMsg::Phase::kDigest) {
+        ++digests;
+      }
+    });
+  }
+
+  /// Sends a kSummary at `at` (it lands 1ms later) whose digest matches
+  /// the receiver's view or not.
+  void summary_at(sim::Time at, bool matching) {
+    simulator.run_until(at);
+    const ViewDigest mine =
+        sys.entity(receiver)->directory().combined_digest();
+    ViewSyncMsg msg;
+    msg.phase = ViewSyncMsg::Phase::kSummary;
+    msg.digest = matching ? mine.hash : mine.hash ^ 1;
+    msg.entry_count = static_cast<std::uint32_t>(mine.count);
+    network.send(net::Envelope{sender, receiver, kind::kViewSync,
+                               wire_size(msg), msg});
+    simulator.run();
+  }
+
+  /// A local table change at the receiver, as an op landing would make.
+  void change() {
+    ViewSyncMsg msg;
+    msg.phase = ViewSyncMsg::Phase::kDiff;
+    msg.entries = {TableEntry{
+        proto::MemberRecord{Guid{next_guid++}, NodeId{4},
+                            proto::MemberStatus::kOperational},
+        900, 900, GroupId{1}}};
+    network.send(net::Envelope{sender, receiver, kind::kViewSync,
+                               wire_size(msg), msg});
+    simulator.run();
+  }
+};
+
+TEST(ViewSyncEscalation, MismatchThatClearsByTheNextSummaryDrawsNoDigest) {
+  EscalationRig rig;
+  const sim::Time t0 = rig.simulator.now();
+  rig.summary_at(t0, false);
+  rig.summary_at(t0 + sim::msec(100), true);
+  EXPECT_EQ(rig.digests, 0u);
+  // The matching summary closed the record: the next mismatch is a first
+  // one again.
+  rig.summary_at(t0 + sim::msec(200), false);
+  EXPECT_EQ(rig.digests, 0u);
+}
+
+TEST(ViewSyncEscalation, QuietMismatchEscalatesOnItsSecondSummary) {
+  EscalationRig rig;
+  const sim::Time t0 = rig.simulator.now();
+  rig.summary_at(t0, false);
+  EXPECT_EQ(rig.digests, 0u);
+  rig.summary_at(t0 + sim::msec(100), false);
+  EXPECT_EQ(rig.digests, 1u);
+  // Escalating closed the record: the exchange gets a tick to land.
+  rig.summary_at(t0 + sim::msec(200), false);
+  EXPECT_EQ(rig.digests, 1u);
+}
+
+TEST(ViewSyncEscalation, LocalTableChangeBetweenSummariesDefersEscalation) {
+  EscalationRig rig;
+  const sim::Time t0 = rig.simulator.now();
+  rig.summary_at(t0, false);
+  rig.change();
+  rig.summary_at(t0 + sim::msec(100), false);
+  EXPECT_EQ(rig.digests, 0u) << "the view moved: the op may be in flight";
+  rig.summary_at(t0 + sim::msec(200), false);
+  EXPECT_EQ(rig.digests, 1u) << "a quiet tick escalates";
+}
+
+TEST(ViewSyncEscalation, DeferralEndsAtTheGiveUpHorizon) {
+  EscalationRig rig;
+  const sim::Duration horizon =
+      rig.config.notify_timeout *
+      static_cast<sim::Duration>(rig.config.max_notify_retx + 1);
+  ASSERT_EQ(horizon, sim::sec(6));
+  const sim::Time t0 = rig.simulator.now();
+  rig.summary_at(t0, false);
+  // The view changes before every summary: never a quiet tick.
+  for (sim::Time at = t0 + sim::sec(1); at < t0 + horizon; at += sim::sec(1)) {
+    rig.change();
+    rig.summary_at(at, false);
+  }
+  rig.change();
+  rig.summary_at(t0 + horizon - 1, false);
+  EXPECT_EQ(rig.digests, 0u);
+  rig.change();
+  rig.summary_at(t0 + horizon, false);
+  EXPECT_EQ(rig.digests, 1u) << "the mismatch has lasted the horizon";
 }
 
 // --- kFull reuse across one kSummary fan-out ---------------------------------
