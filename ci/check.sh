@@ -94,22 +94,29 @@ echo "== rgb_fuzz snapshot-join lossy profile =="
 # both ends) and no exchange takes the bucket-level anti-entropy path of
 # wire v5. At 600 members, in one group and in four, differing groups go
 # down to bucket level under partition faults; both must stay at zero
-# violating seeds.
+# violating seeds. At 250 members the one group stays under the threshold,
+# so a differing group ships whole: kFulls of hundreds of records, the
+# exchange that a deferred kSummary escalation (ViewSync::escalate) starts
+# later and larger than the 8-member gates ever see.
 echo "== rgb_fuzz large-group gates (bucket-level anti-entropy) =="
 "$BUILD_DIR/rgb_fuzz" --members 600 --partitions 1 --seeds 20 --start 1 \
     --quiet
 "$BUILD_DIR/rgb_fuzz" --members 600 --groups 4 --partitions 1 --seeds 20 \
     --start 1 --quiet
+"$BUILD_DIR/rgb_fuzz" --members 250 --partitions 1 --seeds 20 --start 1 \
+    --quiet
 
 # Sustained-churn conformance gate (the PR8 stability layer). The churn
 # profile adds 0.5–3%-per-tick member churn windows to the base fault mix;
 # both detector modes must hold every oracle at zero violations — the
 # single-observer baseline (stability off) and the multi-observer cut
 # detector (stability on), serially and on the sharded runner at 8
-# workers. Fixed seeds, bounded time.
+# workers. Fixed seeds, bounded time. The serial stability profile runs 40
+# seeds, the range over which the cut timer's verification wait and the
+# repair path's evidence consumption (StabilityPlane::forget) were checked.
 echo "== rgb_fuzz churn gate (stability off/on, serial + sharded) =="
 "$BUILD_DIR/rgb_fuzz" --churn 1 --seeds 15 --start 1 --quiet
-"$BUILD_DIR/rgb_fuzz" --churn 1 --stability 1 --seeds 15 --start 1 --quiet
+"$BUILD_DIR/rgb_fuzz" --churn 1 --stability 1 --seeds 40 --start 1 --quiet
 "$BUILD_DIR/rgb_fuzz" --churn 1 --seeds 8 --start 1 --shard-workers 8 --quiet
 "$BUILD_DIR/rgb_fuzz" --churn 1 --stability 1 --seeds 8 --start 1 \
     --shard-workers 8 --quiet

@@ -334,8 +334,7 @@ void StabilityPlane::arm_cut_timer() {
   if (deadline == 0) return;
   const sim::Time now = ne_.now();
   // A passed deadline that waits on verifications needs no timer: every
-  // answer, expiry and forget() re-checks the cut. (Polling it re-armed the
-  // timer every microsecond until the last verification resolved.)
+  // answer, expiry and forget() re-checks the cut.
   if (deadline <= now && cut_verifies_in_flight()) return;
   const sim::Duration delay = deadline > now ? deadline - now : 1;
   cut_timer_ = ne_.set_timer(delay, [this]() { check_cut(); });

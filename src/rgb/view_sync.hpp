@@ -25,12 +25,12 @@
 // one digest comparison. To escalate, the receiver pulls with a kDigest of
 // its packed per-group digests, the sender answers with a kFull scoped to
 // the groups that differ, and the receiver imports it and sends back a
-// kDiff of what it holds newer. A differing group that both ends hold more than
-// kBucketThreshold records of goes down one level (wire v5, one level of
-// Dynamo's Merkle-tree anti-entropy): the sender answers with its bucket
-// digests of the group in a kBuckets frame instead, the receiver ships a
-// kFull of just the buckets that differ, and the sender's kDiff is scoped
-// to the same buckets. Repair traffic then follows how far two views
+// kDiff of what it holds newer. A differing group that both ends hold
+// more than kBucketThreshold records of goes down one level (wire v5, one
+// level of Dynamo's Merkle-tree anti-entropy): the sender answers with its
+// bucket digests of the group in a kBuckets frame instead, the receiver
+// ships a kFull of just the buckets that differ, and the sender's kDiff is
+// scoped to the same buckets. Repair traffic then follows how far two views
 // diverge, not how large the group is; bucket digests travel only for
 // groups already found to differ. The ring-internal kSummary also carries
 // the ring shape: members adopt it when their (roster, leader) drifted —

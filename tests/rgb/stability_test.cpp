@@ -255,7 +255,7 @@ TEST_F(StabilityTest, CutVerificationRunsOPingsEvents) {
   }
   ASSERT_EQ(sys.metrics().stability_cuts.value(), 1u);
   EXPECT_GE(waited_ms, 150 + 80) << "the window, then the verification";
-  EXPECT_LT(events, 1000u) << events << " events run over " << waited_ms << "ms";
+  EXPECT_LT(events, 1000u) << "over " << waited_ms << "ms";
   run_for_ms(10);  // the cut's RepairMsg reaches the survivors
   for (const auto id : {ring[0], ring[1], ring[3], ring[4]}) {
     EXPECT_EQ(sys.entity(id)->roster().size(), 4u) << "node " << id.value();

@@ -143,10 +143,10 @@ TEST(ViewSyncCollision, CollidingDigestIsBenignAndNextTickHeals) {
 
 // --- kSummary escalation -----------------------------------------------------
 
-/// The collision test's rig: a three-AP ring with probing off and one
-/// member. kSummary frames are hand-delivered to `receiver` from `sender`
-/// (cross-ring style: no roster, so no ring-shape adoption), and every
-/// kDigest the receiver answers with is counted.
+/// The collision test's setup as a rig: a three-AP ring with probing off
+/// and one member. kSummary frames are hand-delivered to `receiver` from
+/// `sender` (cross-ring style: no roster, so no ring-shape adoption), and
+/// every kDigest the receiver answers with is counted.
 struct EscalationRig {
   common::RngStream rng{0xE5CA1A7E};
   sim::Simulator simulator;
