@@ -96,14 +96,6 @@ NodeId GroundTruth::ap_of(Guid mh) const {
   return it == live_.end() ? NodeId{} : it->second;
 }
 
-std::vector<Guid> GroundTruth::live_members() const {
-  std::vector<Guid> out;
-  out.reserve(live_.size());
-  for (const auto& [guid, ap] : live_) out.push_back(guid);
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 std::vector<MemberRecord> GroundTruth::expected() const {
   std::vector<MemberRecord> out;
   out.reserve(live_.size());

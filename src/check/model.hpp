@@ -149,7 +149,6 @@ class GroundTruth {
 
   [[nodiscard]] bool is_live(Guid mh) const;
   [[nodiscard]] NodeId ap_of(Guid mh) const;
-  [[nodiscard]] std::vector<Guid> live_members() const;  ///< sorted
   /// Live members as records, sorted by guid — comparable to snapshots.
   [[nodiscard]] std::vector<MemberRecord> expected() const;
   /// Group assignment for live members (multi-group serving). Unset means
@@ -163,7 +162,6 @@ class GroundTruth {
   [[nodiscard]] std::vector<std::pair<GroupId, MemberRecord>>
   grouped_expected() const;
   [[nodiscard]] std::vector<Guid> uncertain() const;  ///< sorted
-  [[nodiscard]] std::size_t live_count() const { return live_.size(); }
 
  private:
   std::unordered_map<Guid, NodeId> live_;

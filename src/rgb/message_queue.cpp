@@ -58,10 +58,6 @@ void MessageQueue::insert(MembershipOp op, Contributor contributor) {
   queue_.push_back(std::move(pending));
 }
 
-void MessageQueue::insert_batch(std::vector<MembershipOp> ops) {
-  for (MembershipOp& op : ops) insert(std::move(op), Contributor{});
-}
-
 bool MessageQueue::try_aggregate(const MembershipOp& op,
                                  const std::vector<Contributor>& contribs) {
   // Scan from the back: aggregation applies to *successive* ops on the same

@@ -38,13 +38,6 @@ class MessageQueue {
   /// ops).
   void insert(MembershipOp op, Contributor contributor = {});
 
-  /// Enqueues a correlated batch of locally originated ops (a stability
-  /// cut's NE-Failure + stranded Member-Failure set, a batched silent-
-  /// member flush): per-op aggregation rules still apply, the queue just
-  /// absorbs everything in one call so the caller can kick the round
-  /// engine once for the whole batch.
-  void insert_batch(std::vector<MembershipOp> ops);
-
   [[nodiscard]] bool empty() const { return queue_.empty(); }
   [[nodiscard]] std::size_t size() const { return queue_.size(); }
 
@@ -64,8 +57,6 @@ class MessageQueue {
   [[nodiscard]] bool has_orphaned_acks() const {
     return !orphaned_acks_.empty();
   }
-
-  [[nodiscard]] bool aggregation_enabled() const { return aggregate_; }
 
   /// Lifetime counters for the aggregation ablation bench.
   [[nodiscard]] std::uint64_t ops_inserted() const { return ops_inserted_; }

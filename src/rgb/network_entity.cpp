@@ -694,9 +694,6 @@ void NetworkEntity::declare_cut(const std::vector<NodeId>& suspects) {
                                stranded, now());
     was_leader = was_leader || (faulty == leader_);
     remove_from_roster(faulty);
-    // The verdict is in: any pending stability evidence about this node is
-    // consumed (the alert resolved) rather than left to fire again.
-    stability_.forget(faulty);
   }
 
   if (was_leader) replace_leader(cut.front(), /*counted=*/true);
@@ -832,6 +829,9 @@ void NetworkEntity::remove_from_roster(NodeId node) {
   roster_.erase(std::remove(roster_.begin(), roster_.end(), node),
                 roster_.end());
   roster_set_.erase(node);
+  // The verdict is in: any pending stability evidence about this node is
+  // consumed (the alert resolved) rather than left to fire again.
+  stability_.forget(node);
 }
 
 void NetworkEntity::handle_repair(const RepairMsg& msg) {
@@ -840,7 +840,6 @@ void NetworkEntity::handle_repair(const RepairMsg& msg) {
     if (!in_roster(f)) continue;  // already excluded
     const bool was_leader = (f == leader_);
     remove_from_roster(f);
-    stability_.forget(f);
     obs_.tracer.on_view_change(obs::FlightKind::kRepair, id(), f.value(), 0,
                                now());
     if (was_leader) replace_leader(f, /*counted=*/true);
@@ -872,7 +871,6 @@ void NetworkEntity::apply_ne_op(const MembershipOp& op) {
       if (!in_roster(op.ne)) return;
       const bool was_leader = (op.ne == leader_);
       remove_from_roster(op.ne);
-      stability_.forget(op.ne);
       obs_.tracer.on_view_change(op.kind == OpKind::kNeFail
                                      ? obs::FlightKind::kRepair
                                      : obs::FlightKind::kNeLeave,

@@ -249,6 +249,9 @@ class NetworkEntity : public proto::Process {
   void replace_leader(NodeId departed, bool counted);
   void recompute_pointers();
   void adopt_leadership();
+  /// Splices `node` out of the roster and consumes the pending stability
+  /// evidence about it: every roster removal (cut, RepairMsg, NE op) ends
+  /// the node's suspicion the same way.
   void remove_from_roster(NodeId node);
   /// The shape install that reform, shape adoption and merge share: roster,
   /// its index, leader and pointers; `remember` adds the members to

@@ -116,7 +116,6 @@ struct MembershipOp {
     return kind == OpKind::kMemberJoin || kind == OpKind::kMemberLeave ||
            kind == OpKind::kMemberHandoff || kind == OpKind::kMemberFail;
   }
-  [[nodiscard]] bool is_ne_op() const { return !is_member_op(); }
 };
 
 /// The token circulating a logical ring (paper Section 4.2). One round =
