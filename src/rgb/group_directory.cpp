@@ -158,23 +158,15 @@ void GroupDirectory::insert(MembershipOp op, Contributor contributor) {
   MessageQueue& mq = grouped ? state(gid).mq : ne_queue_;
   const std::size_t size_before = mq.size();
   const std::uint64_t collapsed_before = mq.ops_collapsed();
-  const bool orphans_before = mq.has_orphaned_acks();
   mq.insert(std::move(op), contributor);
   queued_ = queued_ - size_before + mq.size();
   ++ops_inserted_;
   ops_collapsed_ += mq.ops_collapsed() - collapsed_before;
   if (!grouped) return;  // the NE queue is checked directly, not listed
-  // An insert can fill a queue or, by annihilating a pending join, empty it.
-  const auto pos = std::lower_bound(queued_groups_.begin(),
-                                    queued_groups_.end(), gid);
-  if (size_before == 0 && !mq.empty()) {
-    queued_groups_.insert(pos, gid);
-  } else if (size_before != 0 && mq.empty()) {
-    queued_groups_.erase(pos);
-  }
-  if (!orphans_before && mq.has_orphaned_acks()) {
-    orphan_groups_.insert(std::lower_bound(orphan_groups_.begin(),
-                                           orphan_groups_.end(), gid),
+  // An insert can fill a queue; only a drain empties one.
+  if (size_before == 0) {
+    queued_groups_.insert(std::lower_bound(queued_groups_.begin(),
+                                           queued_groups_.end(), gid),
                           gid);
   }
 }
@@ -213,19 +205,6 @@ MessageQueue::Batch GroupDirectory::drain() {
                        queued_groups_.begin() +
                            static_cast<std::ptrdiff_t>(emptied));
   return batch;
-}
-
-std::vector<Contributor> GroupDirectory::take_orphaned_acks() {
-  std::vector<Contributor> out = ne_queue_.take_orphaned_acks();
-  for (const GroupId gid : orphan_groups_) {
-    for (Contributor& c : groups_.find(gid)->second.mq.take_orphaned_acks()) {
-      if (std::find(out.begin(), out.end(), c) == out.end()) {
-        out.push_back(c);
-      }
-    }
-  }
-  orphan_groups_.clear();
-  return out;
 }
 
 const MemberTable* GroupDirectory::table_if(GroupId gid) const {
@@ -443,7 +422,6 @@ void GroupDirectory::clear() {
   ops_inserted_ = 0;
   ops_collapsed_ = 0;
   queued_groups_.clear();
-  orphan_groups_.clear();
 }
 
 }  // namespace rgb::core

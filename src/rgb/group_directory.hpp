@@ -56,10 +56,6 @@ class GroupDirectory {
   /// total, like the single queue did. Visits only queues that hold ops.
   MessageQueue::Batch drain();
 
-  /// Orphaned acks aggregated across every queue (NE queue first, then
-  /// groups in gid order). Visits only queues that hold orphaned acks.
-  std::vector<Contributor> take_orphaned_acks();
-
   [[nodiscard]] bool queue_empty() const { return queued_ == 0; }
   [[nodiscard]] std::size_t queue_size() const { return queued_; }
   [[nodiscard]] std::uint64_t ops_inserted() const { return ops_inserted_; }
@@ -186,11 +182,10 @@ class GroupDirectory {
   std::size_t queued_ = 0;      ///< ops queued across every queue
   std::uint64_t ops_inserted_ = 0;
   std::uint64_t ops_collapsed_ = 0;
-  /// gid-sorted: groups whose queue holds ops, and groups whose queue
-  /// holds orphaned acks. Vectors, not sets: a queue that fills and drains
-  /// every round must not cost an allocation each time.
+  /// gid-sorted: groups whose queue holds ops. A vector, not a set: a
+  /// queue that fills and drains every round must not cost an allocation
+  /// each time.
   std::vector<GroupId> queued_groups_;
-  std::vector<GroupId> orphan_groups_;
 };
 
 }  // namespace rgb::core

@@ -49,13 +49,7 @@ void MessageQueue::insert(MembershipOp op, Contributor contributor) {
     return;
   }
 
-  Pending pending;
-  pending.local_origin = !contributor.ne.valid() &&
-                         !op.from_child_of.valid() &&
-                         !op.from_parent_of.valid();
-  pending.op = std::move(op);
-  pending.contributors = std::move(contribs);
-  queue_.push_back(std::move(pending));
+  queue_.push_back(Pending{std::move(op), std::move(contribs)});
 }
 
 bool MessageQueue::try_aggregate(const MembershipOp& op,
@@ -70,12 +64,12 @@ bool MessageQueue::try_aggregate(const MembershipOp& op,
     }
 
     // A stale op — a disseminated copy of an *older* change racing a newer
-    // pending one — must not chain with (let alone cancel) the newer op:
-    // last-writer-wins in the record_precedes lattice the table applies
-    // by, so the MQ can never absorb an op the table would have preferred
-    // (e.g. a newer attachment epoch racing a detector-inferred failure
-    // that carries a fresher seq). Absorb it; its information is
-    // superseded by the pending op.
+    // pending one — must not chain with the newer op: last-writer-wins in
+    // the record_precedes lattice the table applies by, so the MQ can never
+    // absorb an op the table would have preferred (e.g. a newer attachment
+    // epoch racing a detector-inferred failure that carries a fresher seq).
+    // Absorb it; its information is superseded by the pending op. Every
+    // rule below therefore sees an op that out-ranks the pending one.
     if (!record_precedes(pending.op.claim_seq, pending.op.seq, op.claim_seq,
                          op.seq)) {
       append_contributors(pending.contributors, contribs);
@@ -85,19 +79,14 @@ bool MessageQueue::try_aggregate(const MembershipOp& op,
     const OpKind prev = pending.op.kind;
     const OpKind next = op.kind;
 
-    // Join then Leave/Fail: the member appeared and vanished before anyone
-    // else heard of it — cancel both. Valid ONLY for locally originated,
-    // never-disseminated *birth* joins (claim_seq == seq); a disseminated
-    // copy is already known elsewhere and the leave must propagate to erase
-    // it. A re-anchoring join (seq > claim_seq, a reaffirm repair) refreshes
-    // an epoch other tables already hold, so cancelling it with the
-    // departure would strand the earlier operational record everywhere.
-    if (prev == OpKind::kMemberJoin && pending.local_origin &&
-        pending.op.claim_seq == pending.op.seq &&
+    // Join then Leave/Fail: the departure alone. It out-ranks the join, so
+    // a table that applies it ends where applying both would.
+    if (prev == OpKind::kMemberJoin &&
         (next == OpKind::kMemberLeave || next == OpKind::kMemberFail)) {
-      append_contributors(orphaned_acks_, pending.contributors);
-      append_contributors(orphaned_acks_, contribs);
-      queue_.erase(std::next(it).base());
+      MembershipOp departure = op;
+      merge_provenance(departure, pending.op);
+      pending.op = std::move(departure);
+      append_contributors(pending.contributors, contribs);
       return true;
     }
 
@@ -147,10 +136,6 @@ MessageQueue::Batch MessageQueue::drain() {
     queue_.pop_front();
   }
   return batch;
-}
-
-std::vector<Contributor> MessageQueue::take_orphaned_acks() {
-  return std::exchange(orphaned_acks_, {});
 }
 
 }  // namespace rgb::core

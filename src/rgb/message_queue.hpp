@@ -3,14 +3,17 @@
 // successive messages into one for further processing").
 //
 // Aggregation rules (applied while ops wait for the ring token):
-//   * duplicate ops (same seq) are dropped;
-//   * Join(g) followed by Leave/Fail(g) cancels out entirely — the change
-//     never needs to leave this node;
+//   * duplicate ops (same uid) are dropped;
+//   * an op that does not out-rank the newest pending op on its member in
+//     record_precedes order is absorbed by it (stale);
+//   * Join(g) followed by Leave/Fail(g) collapses to the departure;
 //   * Handoff(g, a->b) followed by Handoff(g, b->c) collapses to
 //     Handoff(g, a->c);
 //   * Join(g) followed by Handoff(g, ->b) collapses to Join(g at b).
-// Contributors (NEs awaiting a Holder-Acknowledgement) survive collapsing:
-// if their op was cancelled the ack is owed immediately ("orphaned acks").
+// Every rule is apply-equivalent: applying the drained batch to a table
+// leaves the same records as applying each inserted op in order. An
+// absorbed op's contributors (NEs awaiting a Holder-Acknowledgement) move
+// to the op that absorbed it and are acked when that op's round completes.
 #pragma once
 
 #include <cstdint>
@@ -51,13 +54,6 @@ class MessageQueue {
   /// when aggregating, exactly one op otherwise.
   Batch drain();
 
-  /// Contributors whose ops were cancelled by aggregation since the last
-  /// call; they are owed an immediate ack.
-  std::vector<Contributor> take_orphaned_acks();
-  [[nodiscard]] bool has_orphaned_acks() const {
-    return !orphaned_acks_.empty();
-  }
-
   /// Lifetime counters for the aggregation ablation bench.
   [[nodiscard]] std::uint64_t ops_inserted() const { return ops_inserted_; }
   [[nodiscard]] std::uint64_t ops_collapsed() const { return ops_collapsed_; }
@@ -66,22 +62,15 @@ class MessageQueue {
   struct Pending {
     MembershipOp op;
     std::vector<Contributor> contributors;
-    /// True when the op originated at this node and has never been
-    /// disseminated anywhere (no provenance, no contributor). Only such
-    /// joins may be annihilated by a following leave/fail: a disseminated
-    /// copy is already known elsewhere, so its cancellation would erase the
-    /// leave's observable effect globally.
-    bool local_origin = false;
   };
 
   /// Attempts to merge `op` into an existing pending entry. Returns true if
-  /// the op was absorbed (possibly cancelling the entry).
+  /// the op was absorbed.
   bool try_aggregate(const MembershipOp& op,
                      const std::vector<Contributor>& contributors);
 
   bool aggregate_;
   std::deque<Pending> queue_;
-  std::vector<Contributor> orphaned_acks_;
   std::uint64_t ops_inserted_ = 0;
   std::uint64_t ops_collapsed_ = 0;
 };

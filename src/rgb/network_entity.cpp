@@ -201,10 +201,6 @@ void NetworkEntity::enqueue_op(MembershipOp op, Contributor contributor) {
 void NetworkEntity::after_insert(std::uint64_t collapsed_before) {
   note_group_count();
   metrics_.ops_aggregated.increment(dir_.ops_collapsed() - collapsed_before);
-  // Ops cancelled by aggregation still owe their contributors an ack.
-  for (const Contributor& orphan : dir_.take_orphaned_acks()) {
-    send_holder_ack(orphan.ne, {orphan.notify_id});
-  }
   on_mq_activity();
 }
 
@@ -326,7 +322,9 @@ void NetworkEntity::handle_token_grant(const TokenGrantMsg& msg) {
   cancel_timer(request_retx_timer_);
   token_requested_ = false;
   if (dir_.queue_empty()) {
-    // Nothing left to send (aggregation may have cancelled everything).
+    // Nothing left to send: an earlier round of this node (an earlier
+    // grant's, e.g. before a retransmitted request drew this one) already
+    // took the ops.
     send(leader_, kind::kTokenRelease, TokenReleaseMsg{msg.round_id});
     return;
   }

@@ -181,7 +181,7 @@ class NetworkEntity : public proto::Process {
   /// instead of the first op racing a round out ahead of the rest.
   void enqueue_local_ops(std::vector<MembershipOp> ops);
   void enqueue_op(MembershipOp op, Contributor contributor);
-  /// Intake tail: meters aggregation, acks what it cancelled, kicks rounds.
+  /// Intake tail: meters aggregation, kicks rounds.
   void after_insert(std::uint64_t collapsed_before);
   void send_holder_ack(NodeId to, std::vector<std::uint64_t> notify_ids);
   void on_mq_activity();

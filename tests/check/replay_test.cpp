@@ -171,6 +171,43 @@ INSTANTIATE_TEST_SUITE_P(
                     "at 9698148us partition ne 1 1\n"
                     "at 10100ms heal\n"}));
 
+/// The AP-side crash zombie of the 100-member churn profile
+/// (`rgb_fuzz --members 100 --churn 1`), minimized by rgb_fuzz, pinned as
+/// converging repros. A member stranded at a crashed AP re-joins at
+/// another AP of the same ring, under a new epoch, and fails there; both
+/// ops wait in that AP's queue behind a dead ring leader. While the queue
+/// cancelled a join and a following departure outright, nothing ever
+/// ended the stranded epoch: its AP recovered still claiming the member,
+/// and anti-entropy copied the Operational record to every NE. The
+/// departure now absorbs the join and still propagates.
+class FormerApCrashZombieRepros
+    : public ::testing::TestWithParam<PinnedRepro> {};
+
+TEST_P(FormerApCrashZombieRepros, MinimizedScheduleConverges) {
+  AdversarialConfig cfg;  // the rgb_fuzz default shape (tiers 2, ring 3)
+  cfg.initial_members = 100;
+  const FaultSchedule schedule = parse_schedule(GetParam().schedule);
+  const CheckRunResult result = run_schedule(cfg, schedule, GetParam().seed);
+  EXPECT_TRUE(result.passed())
+      << "seed " << GetParam().seed << ":\n" << result.report.format();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, FormerApCrashZombieRepros,
+    ::testing::Values(
+        PinnedRepro{20,
+                    "schedule rand-20-min\n"
+                    "at 1998732us crash ne 3\n"
+                    "at 6527273us crash ne 6\n"
+                    "at 7281502us churn 0.0246 2906431us\n"
+                    "at 8010351us recover ne 6\n"},
+        PinnedRepro{35,
+                    "schedule rand-35-min\n"
+                    "at 4391349us churn 0.02219571898665312 2771340us\n"
+                    "at 5327158us crash ne 9\n"
+                    "at 5723838us crash ne 10\n"
+                    "at 7011319us recover ne 10\n"}));
+
 TEST(ScheduleReplay, MinimizeReturnsPassingScheduleUnchanged) {
   const AdversarialConfig cfg = small_config();
   const FaultSchedule schedule = random_schedule_for(cfg, 7);

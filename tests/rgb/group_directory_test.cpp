@@ -297,10 +297,9 @@ OpKey key_of(const MembershipOp& op) {
           op.member.access_proxy};
 }
 
-/// The per-group queues, drained and orphan-collected by visiting every
-/// group in gid order — the reference the directory's tracked lists of
-/// queues holding work must reproduce. (No NE queue: every op here carries
-/// a gid.)
+/// The per-group queues, drained by visiting every group in gid order —
+/// the reference the directory's tracked list of queues holding ops must
+/// reproduce. (No NE queue: every op here carries a gid.)
 class WalkingQueues {
  public:
   explicit WalkingQueues(bool aggregate) : aggregate_(aggregate) {}
@@ -327,18 +326,6 @@ class WalkingQueues {
     return batch;
   }
 
-  std::vector<Contributor> take_orphaned_acks() {
-    std::vector<Contributor> out;
-    for (auto& [gid, mq] : queues_) {
-      for (const Contributor& c : mq.take_orphaned_acks()) {
-        if (std::find(out.begin(), out.end(), c) == out.end()) {
-          out.push_back(c);
-        }
-      }
-    }
-    return out;
-  }
-
   void clear() { queues_.clear(); }
 
  private:
@@ -348,9 +335,8 @@ class WalkingQueues {
 
 /// Seeded random walk over every directory mutation point, checking after
 /// each step that the O(1) aggregates equal a walk over groups(), that
-/// drains and orphaned acks come out exactly as the per-group walk yields
-/// them (gid order), and that change_count() moves exactly when a table
-/// does.
+/// drains come out exactly as the per-group walk yields them (gid order),
+/// and that change_count() moves exactly when a table does.
 void run_random_directory_walk(std::uint64_t seed, bool aggregate) {
   constexpr std::uint64_t kGroups = 72;
   constexpr std::uint64_t kGuids = 6;
@@ -377,7 +363,7 @@ void run_random_directory_walk(std::uint64_t seed, bool aggregate) {
   };
   const auto random_contributor = [&](std::uint64_t gid) {
     if (rng.chance(0.5)) return Contributor{};
-    // notify_id encodes the gid so orphan order can be checked against it.
+    // notify_id encodes the gid, so a contributor names its group.
     return Contributor{NodeId{500 + rng.next_below(4)}, gid * 1000 + ++notify};
   };
   const auto queue_both = [&](const MembershipOp& op, Contributor c) {
@@ -388,7 +374,7 @@ void run_random_directory_walk(std::uint64_t seed, bool aggregate) {
   for (int step = 0; step < 400; ++step) {
     const std::uint64_t changes_before = dir.change_count();
     bool table_may_change = false;
-    switch (rng.next_below(9)) {
+    switch (rng.next_below(8)) {
       case 0:
       case 1: {  // apply
         const bool changed = dir.apply(random_op(random_gid()));
@@ -424,8 +410,8 @@ void run_random_directory_walk(std::uint64_t seed, bool aggregate) {
         queue_both(random_op(gid), random_contributor(gid));
         break;
       }
-      case 4: {  // insert_batch with a local join+leave pair: the leave's
-                 // contributor is orphaned when the pair annihilates
+      case 4: {  // insert_batch with a local join, then a notified leave
+                 // that collapses it into one departure
         const std::uint64_t gid = random_gid();
         const std::uint64_t guid = 1 + rng.next_below(kGuids);
         MembershipOp join =
@@ -456,16 +442,6 @@ void run_random_directory_walk(std::uint64_t seed, bool aggregate) {
         if (!aggregate) {
           EXPECT_LE(got.ops.size(), 1u);
         }
-        break;
-      }
-      case 7: {  // take_orphaned_acks
-        const std::vector<Contributor> got = dir.take_orphaned_acks();
-        EXPECT_EQ(got, walk.take_orphaned_acks());
-        EXPECT_TRUE(std::is_sorted(got.begin(), got.end(),
-                                   [](const auto& a, const auto& b) {
-                                     return a.notify_id / 1000 <
-                                            b.notify_id / 1000;
-                                   }));
         break;
       }
       default: {  // clear, rarely

@@ -120,9 +120,10 @@ NodeId ap_off_leader_path(RgbSystem& sys) {
 // A host that goes silent while its join still waits in the AP's queue (the
 // AP's token request was lost) is the AP's to fail: the sweep asks the AP's
 // own claims, not its table, which has not applied the join yet. The fail
-// op meets the queued birth join and the MQ cancels both, so the host never
-// becomes visible anywhere. Before the fix the sweep dropped it from
-// monitoring and the join later applied as Operational everywhere.
+// op meets the queued birth join and the MQ collapses the pair into the
+// fail, so every NE holds the host Failed and none ever Operational.
+// Before the fix the sweep dropped it from monitoring and the join later
+// applied as Operational everywhere.
 TEST_F(LivenessTest, SilentBeforeQueuedJoinAppliesIsNeverOperational) {
   auto& sys = build(1, 5, monitored_config());
   const NodeId ap = ap_off_leader_path(sys);
@@ -140,8 +141,8 @@ TEST_F(LivenessTest, SilentBeforeQueuedJoinAppliesIsNeverOperational) {
   EXPECT_EQ(sys.obs().tracer.member_detection().count(), 1u);
   for (const NodeId ne : sys.all_nes()) {
     const auto rec = sys.entity(ne)->ring_members().find(common::Guid{7});
-    EXPECT_FALSE(rec && rec->status == proto::MemberStatus::kOperational)
-        << "NE " << ne.value() << " holds the silent host Operational";
+    ASSERT_TRUE(rec.has_value()) << "NE " << ne.value();
+    EXPECT_EQ(rec->status, proto::MemberStatus::kFailed) << "NE " << ne.value();
   }
 }
 

@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <optional>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "rgb/member_table.hpp"
+
 namespace rgb::core {
 namespace {
 
@@ -60,32 +68,46 @@ TEST(MessageQueue, DuplicateSeqDropped) {
   EXPECT_EQ(mq.ops_collapsed(), 1u);
 }
 
-TEST(MessageQueue, JoinThenLeaveCancels) {
+/// Drains `mq` and expects exactly one op: the departure of guid 9 with
+/// `kind`, `seq` and `claim`.
+void expect_one_departure(MessageQueue& mq, OpKind kind, std::uint64_t seq,
+                          std::uint64_t claim) {
+  ASSERT_EQ(mq.size(), 1u);
+  const auto batch = mq.drain();
+  ASSERT_EQ(batch.ops.size(), 1u);
+  EXPECT_EQ(batch.ops[0].kind, kind);
+  EXPECT_EQ(batch.ops[0].member.guid, Guid{9});
+  EXPECT_EQ(batch.ops[0].seq, seq);
+  EXPECT_EQ(batch.ops[0].uid, seq);
+  EXPECT_EQ(batch.ops[0].claim_seq, claim);
+}
+
+TEST(MessageQueue, JoinThenLeaveCollapsesToTheLeave) {
+  // The leave out-ranks the join, so it alone leaves every table where the
+  // pair would: nothing is cancelled, and the departure still propagates.
   MessageQueue mq{true};
   mq.insert(op(OpKind::kMemberJoin, 1, 9, 100));
   mq.insert(op(OpKind::kMemberLeave, 2, 9, 100, 0, /*claim=*/1));
-  EXPECT_TRUE(mq.empty());
   EXPECT_EQ(mq.ops_collapsed(), 1u);
+  expect_one_departure(mq, OpKind::kMemberLeave, 2, /*claim=*/1);
 }
 
-TEST(MessageQueue, JoinThenFailCancels) {
+TEST(MessageQueue, JoinThenFailCollapsesToTheFail) {
   MessageQueue mq{true};
   mq.insert(op(OpKind::kMemberJoin, 1, 9, 100));
   mq.insert(op(OpKind::kMemberFail, 2, 9, 100, 0, /*claim=*/1));
-  EXPECT_TRUE(mq.empty());
+  expect_one_departure(mq, OpKind::kMemberFail, 2, /*claim=*/1);
 }
 
-TEST(MessageQueue, ReanchoringJoinIsNotCancelledByDeparture) {
+TEST(MessageQueue, ReanchoringJoinCollapsesIntoDeparture) {
   // A reaffirm repair re-anchors an existing attachment epoch (claim_seq <
-  // seq), so the epoch is already in tables elsewhere even though the op is
-  // locally originated. A following departure must NOT annihilate with it:
-  // cancelling the pair would strand the previously disseminated
-  // operational record as a permanent zombie.
+  // seq), which other tables already hold. The departure that follows must
+  // still reach them to end that epoch; it rides alone.
   MessageQueue mq{true};
   mq.insert(op(OpKind::kMemberJoin, 5, 9, 100, 0, /*claim=*/3));
   mq.insert(op(OpKind::kMemberFail, 6, 9, 100, 0, /*claim=*/3));
-  EXPECT_EQ(mq.size(), 2u);
-  EXPECT_EQ(mq.ops_collapsed(), 0u);
+  EXPECT_EQ(mq.ops_collapsed(), 1u);
+  expect_one_departure(mq, OpKind::kMemberFail, 6, /*claim=*/3);
 }
 
 TEST(MessageQueue, HandoffChainCollapses) {
@@ -154,19 +176,18 @@ TEST(MessageQueue, ContributorsSurviveCollapse) {
   EXPECT_EQ(batch.contributors[1].ne, NodeId{51});
 }
 
-TEST(MessageQueue, CancelledOpsOrphanTheirContributors) {
+TEST(MessageQueue, CollapsedDepartureCarriesBothContributors) {
+  // A notified join collapsed into a notified fail: the departure's round
+  // acks both notifications when it completes.
   MessageQueue mq{true};
-  // A locally originated join (cancellable) annihilated by a notified fail:
-  // the fail's contributor is owed an immediate ack.
-  mq.insert(op(OpKind::kMemberJoin, 1, 9, 100));
+  mq.insert(op(OpKind::kMemberJoin, 1, 9, 100), Contributor{NodeId{50}, 501});
   mq.insert(op(OpKind::kMemberFail, 2, 9, 100, 0, /*claim=*/1),
             Contributor{NodeId{51}, 502});
-  EXPECT_TRUE(mq.empty());
-  const auto orphans = mq.take_orphaned_acks();
-  ASSERT_EQ(orphans.size(), 1u);
-  EXPECT_EQ(orphans[0].notify_id, 502u);
-  // Second call returns nothing.
-  EXPECT_TRUE(mq.take_orphaned_acks().empty());
+  const auto batch = mq.drain();
+  ASSERT_EQ(batch.ops.size(), 1u);
+  EXPECT_EQ(batch.ops[0].kind, OpKind::kMemberFail);
+  EXPECT_EQ(batch.contributors,
+            (std::vector<Contributor>{{NodeId{50}, 501}, {NodeId{51}, 502}}));
 }
 
 TEST(MessageQueue, DuplicateContributorNotRepeated) {
@@ -199,7 +220,7 @@ TEST(MessageQueue, StaleOpIsAbsorbedNotChained) {
 }
 
 TEST(MessageQueue, StaleLeaveCannotCancelNewerJoin) {
-  // Regression companion: an old leave must not annihilate a newer rejoin.
+  // Regression companion: an old leave must not displace a newer rejoin.
   MessageQueue mq{true};
   mq.insert(op(OpKind::kMemberJoin, 9, 7, 100));
   mq.insert(op(OpKind::kMemberLeave, 5, 7, 100));
@@ -247,35 +268,44 @@ TEST(MessageQueue, CollapseKeepsSharedProvenance) {
   EXPECT_EQ(batch.ops[0].from_parent_of, NodeId{13});  // still suppressed
 }
 
-TEST(MessageQueue, DisseminatedJoinCopyIsNotCancelledByLeave) {
-  // Regression: a join that arrived via notification (contributor set) is
-  // already known elsewhere in the hierarchy; a following leave must
-  // propagate rather than annihilate locally.
+TEST(MessageQueue, DisseminatedJoinCopyCollapsesIntoLeave) {
+  // A join that arrived via notification (contributor set) is already known
+  // elsewhere in the hierarchy; the leave that follows carries on in its
+  // place and still owes the join's contributor its ack.
   MessageQueue mq{true};
   mq.insert(op(OpKind::kMemberJoin, 1, 9, 100), Contributor{NodeId{50}, 501});
   mq.insert(op(OpKind::kMemberLeave, 2, 9, 100, 0, /*claim=*/1));
-  ASSERT_EQ(mq.size(), 2u);  // both queued, nothing cancelled
+  ASSERT_EQ(mq.size(), 1u);
   const auto batch = mq.drain();
-  EXPECT_EQ(batch.ops[1].kind, OpKind::kMemberLeave);
+  ASSERT_EQ(batch.ops.size(), 1u);
+  EXPECT_EQ(batch.ops[0].kind, OpKind::kMemberLeave);
+  EXPECT_EQ(batch.contributors,
+            (std::vector<Contributor>{{NodeId{50}, 501}}));
 }
 
-TEST(MessageQueue, ProvenancedJoinCopyIsNotCancelledByLeave) {
+TEST(MessageQueue, ProvenancedJoinCopyCollapsesIntoFail) {
+  // The join came down from the parent, the fail is local: the departure
+  // must propagate everywhere, so the echo suppression is cleared.
   MessageQueue mq{true};
   MembershipOp join = op(OpKind::kMemberJoin, 1, 9, 100);
   join.from_parent_of = NodeId{7};  // disseminated downwards to this node
   mq.insert(std::move(join));
   mq.insert(op(OpKind::kMemberFail, 2, 9, 100, 0, /*claim=*/1));
-  EXPECT_EQ(mq.size(), 2u);
+  ASSERT_EQ(mq.size(), 1u);
+  const auto batch = mq.drain();
+  EXPECT_EQ(batch.ops[0].kind, OpKind::kMemberFail);
+  EXPECT_FALSE(batch.ops[0].from_parent_of.valid());
+  EXPECT_FALSE(batch.ops[0].from_child_of.valid());
 }
 
-TEST(MessageQueue, CollapsedLocalJoinRemainsCancellable) {
-  // Local join + local handoff collapse; a leave may still annihilate the
-  // result because nothing ever left this node.
+TEST(MessageQueue, CollapsedLocalJoinCollapsesIntoLeave) {
+  // Local join + local handoff collapse to a join at 200; the leave of
+  // that epoch then collapses the result into the leave alone.
   MessageQueue mq{true};
   mq.insert(op(OpKind::kMemberJoin, 1, 9, 100));
   mq.insert(op(OpKind::kMemberHandoff, 2, 9, 200, 100));
   mq.insert(op(OpKind::kMemberLeave, 3, 9, 200, 0, /*claim=*/2));
-  EXPECT_TRUE(mq.empty());
+  expect_one_departure(mq, OpKind::kMemberLeave, 3, /*claim=*/2);
 }
 
 TEST(MessageQueue, DrainPreservesFifoOrder) {
@@ -288,6 +318,183 @@ TEST(MessageQueue, DrainPreservesFifoOrder) {
   EXPECT_EQ(batch.ops[0].member.guid, Guid{1});
   EXPECT_EQ(batch.ops[1].member.guid, Guid{2});
   EXPECT_EQ(batch.ops[2].member.guid, Guid{3});
+}
+
+// --- op algebra: aggregation is apply-equivalent ----------------------------
+
+/// One member's running attachment while a sequence of ops is generated:
+/// the AP and epoch it is attached under now, and the ones before.
+struct Attachment {
+  std::uint64_t ap = 0;
+  std::uint64_t epoch = 0;  ///< claim of the current attachment (0: none)
+  std::uint64_t prev_ap = 0;
+  std::uint64_t prev_epoch = 0;
+};
+
+/// The op templates, each relative to the running attachment.
+enum class Step {
+  kJoinAtA,    ///< join at AP a: a new epoch
+  kJoinAtB,    ///< join at AP b: a new epoch
+  kHandoff,    ///< handoff to the other AP: a new epoch
+  kLeave,      ///< leave ending the current epoch
+  kFail,       ///< fail ending the current epoch
+  kReanchor,   ///< join re-asserting the current epoch with a fresh seq
+  kStaleFail,  ///< detector fail naming the previous epoch
+  kDuplicate,  ///< the previous op delivered again (same uid)
+};
+constexpr int kSteps = 8;
+constexpr std::uint64_t kApA = 100;
+constexpr std::uint64_t kApB = 200;
+constexpr std::uint64_t kGuid = 9;
+
+MembershipOp member_op(OpKind kind, std::uint64_t seq, std::uint64_t claim,
+                       std::uint64_t ap) {
+  MembershipOp o;
+  o.kind = kind;
+  o.seq = seq;
+  o.uid = seq;
+  o.claim_seq = claim;
+  o.member = MemberRecord{Guid{kGuid}, NodeId{ap},
+                          proto::MemberStatus::kOperational};
+  return o;
+}
+
+/// Turns step codes into ops, drawing fresh seqs from `next_seq`. A
+/// duplicate with no op before it in the sequence adds nothing.
+std::vector<MembershipOp> ops_for(const std::vector<int>& steps,
+                                  Attachment at, std::uint64_t next_seq) {
+  std::vector<MembershipOp> ops;
+  for (const int code : steps) {
+    const std::uint64_t seq = next_seq++;
+    switch (static_cast<Step>(code)) {
+      case Step::kJoinAtA:
+      case Step::kJoinAtB:
+      case Step::kHandoff: {
+        const bool handoff = static_cast<Step>(code) == Step::kHandoff;
+        const std::uint64_t ap = handoff ? (at.ap == kApA ? kApB : kApA)
+                                 : static_cast<Step>(code) == Step::kJoinAtA
+                                     ? kApA
+                                     : kApB;
+        MembershipOp o = member_op(
+            handoff ? OpKind::kMemberHandoff : OpKind::kMemberJoin, seq, seq,
+            ap);
+        if (handoff) o.old_ap = NodeId{at.ap};
+        ops.push_back(o);
+        at = Attachment{ap, seq, at.ap, at.epoch};
+        break;
+      }
+      case Step::kLeave:
+        ops.push_back(member_op(OpKind::kMemberLeave, seq, at.epoch, at.ap));
+        break;
+      case Step::kFail:
+        ops.push_back(member_op(OpKind::kMemberFail, seq, at.epoch, at.ap));
+        break;
+      case Step::kReanchor:
+        ops.push_back(member_op(OpKind::kMemberJoin, seq, at.epoch, at.ap));
+        break;
+      case Step::kStaleFail:
+        ops.push_back(
+            member_op(OpKind::kMemberFail, seq, at.prev_epoch, at.prev_ap));
+        break;
+      case Step::kDuplicate:
+        if (!ops.empty()) ops.push_back(ops.back());
+        break;
+    }
+  }
+  return ops;
+}
+
+/// A record the member may already hold when the sequence starts: the ops
+/// that put it in the table, and the attachment they leave running.
+struct StartRecord {
+  const char* name;
+  std::vector<MembershipOp> ops;
+  Attachment at;
+};
+
+std::string describe(const std::vector<MembershipOp>& ops) {
+  std::ostringstream out;
+  for (const MembershipOp& o : ops) {
+    out << " " << static_cast<int>(o.kind) << "(seq " << o.seq << ", claim "
+        << o.claim_seq << ", ap " << o.member.access_proxy << ")";
+  }
+  return out.str();
+}
+
+std::string describe(const std::optional<TableEntry>& e) {
+  if (!e) return "none";
+  std::ostringstream out;
+  out << "status " << static_cast<int>(e->record.status) << " ap "
+      << e->record.access_proxy << " seq " << e->last_seq << " claim "
+      << e->claim_seq;
+  return out.str();
+}
+
+TEST(MessageQueueAlgebra, AggregationThenApplyEqualsApplyingEachOp) {
+  // Every sequence of 1-4 ops on one (gid, guid), drawn from the eight
+  // templates, from each of four starting records: applying the drained
+  // aggregated batch must leave the record that applying the inserted ops
+  // one by one leaves. The queue never sees the table, so any rule that
+  // drops an op the table would have applied (a join and departure
+  // cancelling out, say) shows here as a differing record.
+  const std::vector<StartRecord> starts = {
+      {"none", {}, Attachment{kApA, 0, kApA, 0}},
+      {"operational",
+       {member_op(OpKind::kMemberJoin, 1, 1, kApA)},
+       Attachment{kApA, 1, kApA, 0}},
+      {"disconnected",
+       {member_op(OpKind::kMemberJoin, 1, 1, kApA),
+        member_op(OpKind::kMemberLeave, 2, 1, kApA)},
+       Attachment{kApA, 1, kApA, 0}},
+      {"failed",
+       {member_op(OpKind::kMemberJoin, 1, 1, kApA),
+        member_op(OpKind::kMemberFail, 2, 1, kApA)},
+       Attachment{kApA, 1, kApA, 0}},
+  };
+  std::size_t cases = 0;
+  std::array<std::size_t, 4> mismatches{};
+  for (std::size_t s = 0; s < starts.size(); ++s) {
+    const StartRecord& start = starts[s];
+    MemberTable base;
+    for (const MembershipOp& o : start.ops) base.apply(o);
+    for (int len = 1; len <= 4; ++len) {
+      int total = 1;
+      for (int i = 0; i < len; ++i) total *= kSteps;
+      for (int code = 0; code < total; ++code) {
+        std::vector<int> steps;
+        for (int i = 0, c = code; i < len; ++i, c /= kSteps) {
+          steps.push_back(c % kSteps);
+        }
+        const std::vector<MembershipOp> ops =
+            ops_for(steps, start.at, /*next_seq=*/3);
+        ++cases;
+
+        MemberTable in_order = base;
+        MessageQueue mq{true};
+        for (const MembershipOp& o : ops) {
+          in_order.apply(o);
+          mq.insert(o);
+        }
+        const MessageQueue::Batch batch = mq.drain();
+        EXPECT_TRUE(mq.empty());
+        MemberTable aggregated = base;
+        for (const MembershipOp& o : batch.ops) aggregated.apply(o);
+
+        const auto want = in_order.lookup(Guid{kGuid});
+        const auto got = aggregated.lookup(Guid{kGuid});
+        if (got != want && ++mismatches[s] <= 3) {
+          ADD_FAILURE() << "start " << start.name << ", ops" << describe(ops)
+                        << ", batch" << describe(batch.ops) << ": in order "
+                        << describe(want) << ", aggregated " << describe(got);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 4u * (8u + 64u + 512u + 4096u));
+  EXPECT_EQ(mismatches, (std::array<std::size_t, 4>{}))
+      << "mismatches from none / operational / disconnected / failed: "
+      << mismatches[0] << " / " << mismatches[1] << " / " << mismatches[2]
+      << " / " << mismatches[3];
 }
 
 }  // namespace
