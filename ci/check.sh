@@ -121,6 +121,18 @@ echo "== rgb_fuzz churn gate (stability off/on, serial + sharded) =="
 "$BUILD_DIR/rgb_fuzz" --churn 1 --stability 1 --seeds 8 --start 1 \
     --shard-workers 8 --quiet
 
+# AP-crash churn gates. At 100, 250 and 600 members, churn strands members
+# at crashed APs and re-joins them at another AP of the same ring while
+# that ring's leader is down. These profiles found dead members left
+# Operational on every NE while the MQ cancelled a join against the
+# departure that followed it (5, 10 and 5 violating seeds); the departure
+# now absorbs the join, and all three must stay at zero violating seeds.
+echo "== rgb_fuzz AP-crash churn gates (100, 250 and 600 members) =="
+"$BUILD_DIR/rgb_fuzz" --members 100 --churn 1 --seeds 40 --start 1 --quiet
+"$BUILD_DIR/rgb_fuzz" --members 600 --churn 1 --seeds 20 --start 1 --quiet
+"$BUILD_DIR/rgb_fuzz" --members 250 --churn 1 --stability 1 --seeds 40 \
+    --start 1 --quiet
+
 # Sharded-runner determinism gates. The sharded kernel's contract is that
 # the trajectory depends only on the *logical* shard count (fixed by
 # ring_size), never on the worker-thread count: the same fuzz profile and

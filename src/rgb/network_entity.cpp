@@ -322,9 +322,7 @@ void NetworkEntity::handle_token_grant(const TokenGrantMsg& msg) {
   cancel_timer(request_retx_timer_);
   token_requested_ = false;
   if (dir_.queue_empty()) {
-    // Nothing left to send: an earlier round of this node (an earlier
-    // grant's, e.g. before a retransmitted request drew this one) already
-    // took the ops.
+    // Nothing left to send: an earlier round of this node took the ops.
     send(leader_, kind::kTokenRelease, TokenReleaseMsg{msg.round_id});
     return;
   }

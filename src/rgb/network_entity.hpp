@@ -250,8 +250,7 @@ class NetworkEntity : public proto::Process {
   void recompute_pointers();
   void adopt_leadership();
   /// Splices `node` out of the roster and consumes the pending stability
-  /// evidence about it: every roster removal (cut, RepairMsg, NE op) ends
-  /// the node's suspicion the same way.
+  /// evidence about it (cut, RepairMsg and NE op alike).
   void remove_from_roster(NodeId node);
   /// The shape install that reform, shape adoption and merge share: roster,
   /// its index, leader and pointers; `remember` adds the members to

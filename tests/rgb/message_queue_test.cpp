@@ -366,15 +366,15 @@ std::vector<MembershipOp> ops_for(const std::vector<int>& steps,
   std::vector<MembershipOp> ops;
   for (const int code : steps) {
     const std::uint64_t seq = next_seq++;
-    switch (static_cast<Step>(code)) {
+    const Step step = static_cast<Step>(code);
+    switch (step) {
       case Step::kJoinAtA:
       case Step::kJoinAtB:
       case Step::kHandoff: {
-        const bool handoff = static_cast<Step>(code) == Step::kHandoff;
+        const bool handoff = step == Step::kHandoff;
         const std::uint64_t ap = handoff ? (at.ap == kApA ? kApB : kApA)
-                                 : static_cast<Step>(code) == Step::kJoinAtA
-                                     ? kApA
-                                     : kApB;
+                                 : step == Step::kJoinAtA ? kApA
+                                                          : kApB;
         MembershipOp o = member_op(
             handoff ? OpKind::kMemberHandoff : OpKind::kMemberJoin, seq, seq,
             ap);
