@@ -42,8 +42,8 @@ void for_each_run(std::span<const TableEntry> entries, const Fn& fn) {
 
 /// `entries` itself when it is gid-major and guid-ascending without
 /// repeats; otherwise `storage` holding that shape, with each (gid, guid)
-/// kept as the first of its newest copies in record_precedes order (the
-/// copy a lattice import of every copy would leave).
+/// kept as its highest-ranked copy (record_precedes: the copy a lattice
+/// import of every copy would leave).
 std::span<const TableEntry> canonical(std::span<const TableEntry> entries,
                                       std::vector<TableEntry>& storage) {
   const auto out_of_order = [](const TableEntry& a, const TableEntry& b) {
@@ -60,10 +60,7 @@ std::span<const TableEntry> canonical(std::span<const TableEntry> entries,
     auto newest = it;
     auto next = it + 1;
     for (; next != storage.end() && !by_gid_guid(*it, *next); ++next) {
-      if (record_precedes(newest->claim_seq, newest->last_seq,
-                          next->claim_seq, next->last_seq)) {
-        newest = next;
-      }
+      if (record_precedes(*newest, *next)) newest = next;
     }
     *out++ = *newest;
     it = next;

@@ -148,35 +148,8 @@ void MemberTable::flip(const Entry& entry) {
 
 bool MemberTable::apply(const MembershipOp& op) {
   if (!op.is_member_op()) return false;
-
-  auto [entry, inserted] = emplace(op.member.guid);
-  // Idempotent lattice apply: an op that does not advance the record in
-  // (claim, seq) order is a duplicate, a stale retransmission, or an
-  // assertion derived from a superseded attachment epoch.
-  if (!inserted &&
-      !record_precedes(entry.claim_seq, entry.last_seq, op.claim_seq,
-                       op.seq)) {
-    return false;
-  }
-  if (!inserted) flip(entry);
-  entry.last_seq = op.seq;
-  entry.claim_seq = op.claim_seq;
-  entry.record = op.member;
-
-  switch (op.kind) {
-    case OpKind::kMemberJoin:
-    case OpKind::kMemberHandoff:
-      entry.record.status = MemberStatus::kOperational;
-      break;
-    case OpKind::kMemberLeave:
-      entry.record.status = MemberStatus::kDisconnected;
-      break;
-    default:  // kMemberFail (is_member_op() admits no other kind)
-      entry.record.status = MemberStatus::kFailed;
-      break;
-  }
-  flip(entry);
-  return true;
+  const TableEntry entry = entry_of(op);
+  return import({&entry, 1}, nullptr);
 }
 
 void MemberTable::upsert(const MemberRecord& rec) {
@@ -285,12 +258,13 @@ bool MemberTable::import(std::span<const TableEntry> entries,
   for (const TableEntry& incoming : entries) {
     auto [local, inserted] = emplace(incoming.record.guid);
     if (!inserted) {
-      if (!record_precedes(local.claim_seq, local.last_seq,
-                           incoming.claim_seq, incoming.last_seq)) {
-        if (newer != nullptr &&
-            record_precedes(incoming.claim_seq, incoming.last_seq,
-                            local.claim_seq, local.last_seq)) {
-          newer->push_back(to_entry(local, GroupId{}));
+      // Idempotent lattice merge: an entry that does not out-rank the held
+      // one is a duplicate, a stale retransmission, or an assertion derived
+      // from a superseded attachment epoch.
+      const TableEntry held = to_entry(local, GroupId{});
+      if (!record_precedes(held, incoming)) {
+        if (newer != nullptr && record_precedes(incoming, held)) {
+          newer->push_back(held);
         }
         continue;
       }

@@ -2,9 +2,9 @@
 // ListOfLocalMembers / ListOfRingMembers / ListOfNeighborMembers are all
 // instances of this table with different scopes.
 //
-// Applying the same op twice is harmless (idempotent apply keyed by op
-// sequence), which lets retransmitted notifications and merged partitions
-// reconcile without special cases.
+// Applying the same op twice is harmless (idempotent apply keyed by the
+// record rank, record_precedes), which lets retransmitted notifications and
+// merged partitions reconcile without special cases.
 //
 // Storage: every record lives in one dense vector in insertion order, and
 // an open-addressing index of 4-byte positions finds a guid's record.
@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -32,8 +33,8 @@ namespace rgb::core {
 /// One reconciliation unit of a member table: the record plus the newest
 /// op sequence that produced it and the attachment epoch it belongs to.
 /// Exchanged by the anti-entropy view sync (kViewSync), ring reforms,
-/// merges and snapshots, and applied with the same (claim_seq, seq)
-/// lattice rule as ops.
+/// merges and snapshots, and merged by the same rank as ops (an op lands
+/// as its entry_of).
 struct TableEntry {
   MemberRecord record;
   std::uint64_t last_seq = 0;
@@ -48,18 +49,59 @@ struct TableEntry {
   friend bool operator==(const TableEntry&, const TableEntry&) = default;
 };
 
-/// The conflict-resolution order of member records: attachment epochs
-/// order first (a newer physical join/handoff beats anything derived from
-/// an older epoch — detector-inferred failures, repair re-assertions —
+/// The epoch order of two (claim_seq, seq) pairs: attachment epochs order
+/// first (a newer physical join/handoff beats anything derived from an
+/// older epoch — detector-inferred failures, repair re-assertions —
 /// regardless of raw seq), and within one epoch the op sequence orders
-/// events. This is a join-semilattice: the same set of ops/entries applied
-/// in any order converges to the same table, which is what anti-entropy's
-/// digest comparison relies on.
+/// events. Seqs may collide (types.hpp), so this order is not total on
+/// records; the rank below is. Attachments compares a claim's epoch with a
+/// held record by it.
 [[nodiscard]] constexpr bool record_precedes(std::uint64_t claim_a,
                                              std::uint64_t seq_a,
                                              std::uint64_t claim_b,
                                              std::uint64_t seq_b) {
   return claim_a != claim_b ? claim_a < claim_b : seq_a < seq_b;
+}
+
+/// The rank of two versions of one member's record: the epoch order, then,
+/// on an equal (claim_seq, seq), the content — Failed over Disconnected
+/// over Operational (the MemberStatus order), then the higher access proxy.
+/// It is total on distinct versions, and equal versions never precede each
+/// other. Every merge of two versions keeps the higher-ranked one:
+/// MemberTable::apply and import, the MQ's aggregation and the
+/// GroupDirectory's canonical payload. So member records form a
+/// join-semilattice: the same set of ops/entries merged in any order, with
+/// any repeats, converges to the same table, which is what anti-entropy's
+/// digest comparison relies on. The group does not take part (one table
+/// holds one group).
+[[nodiscard]] constexpr bool record_precedes(const TableEntry& a,
+                                             const TableEntry& b) {
+  return std::tie(a.claim_seq, a.last_seq, a.record.status,
+                  a.record.access_proxy) <
+         std::tie(b.claim_seq, b.last_seq, b.record.status,
+                  b.record.access_proxy);
+}
+
+/// The status a member op leaves its record in: Operational after a join
+/// or handoff, Disconnected after a leave, Failed after a fail.
+[[nodiscard]] constexpr MemberStatus status_of(OpKind kind) {
+  switch (kind) {
+    case OpKind::kMemberLeave:
+      return MemberStatus::kDisconnected;
+    case OpKind::kMemberFail:
+      return MemberStatus::kFailed;
+    default:
+      return MemberStatus::kOperational;
+  }
+}
+
+/// The entry a member op leaves in a table: its record with the status of
+/// its kind, its seq and its claim epoch, stamped with its group. An op is
+/// ranked against another op or an entry through it.
+[[nodiscard]] constexpr TableEntry entry_of(const MembershipOp& op) {
+  return TableEntry{
+      MemberRecord{op.member.guid, op.member.access_proxy, status_of(op.kind)},
+      op.seq, op.claim_seq, op.gid};
 }
 
 /// Compact summary of a table for digest-first anti-entropy: an
@@ -114,8 +156,8 @@ struct BucketScope {
 
 class MemberTable {
  public:
-  /// Applies a member op. Returns true if the table changed. NE ops are
-  /// ignored (tables track mobile hosts only).
+  /// Applies a member op: imports its entry_of. Returns true if the table
+  /// changed. NE ops are ignored (tables track mobile hosts only).
   bool apply(const MembershipOp& op);
 
   /// Direct record insertion that bypasses sequencing: the record lands
@@ -130,9 +172,9 @@ class MemberTable {
   [[nodiscard]] std::optional<TableEntry> lookup(Guid guid) const;
   [[nodiscard]] bool contains(Guid guid) const;
   /// Newest op sequence applied to `guid` (0 when unknown). The pair
-  /// (claim_of, last_seq_of) is monotone per guid in `record_precedes`
-  /// order by construction of `apply`; the check-layer monotone oracle
-  /// asserts that observed views never regress it.
+  /// (claim_of, last_seq_of) never falls per guid in the epoch order, as
+  /// every merge keeps the higher-ranked record; the check-layer monotone
+  /// oracle asserts that observed views never regress it.
   [[nodiscard]] std::uint64_t last_seq_of(Guid guid) const;
   /// Attachment epoch of `guid`'s record (0 when unknown / epoch-less).
   [[nodiscard]] std::uint64_t claim_of(Guid guid) const;
@@ -155,15 +197,15 @@ class MemberTable {
   void append_entries(std::vector<TableEntry>& out, GroupId gid,
                       const BucketMask& buckets) const;
 
-  /// Lattice merge of exported entries: an entry lands only when it is
-  /// newer than what this table reflects for the guid in
-  /// `record_precedes` order. Returns true when anything changed.
+  /// Lattice merge of exported entries: an entry lands only when it
+  /// out-ranks what this table holds for the guid (`record_precedes`).
+  /// Returns true when anything changed.
   bool import_entries(std::span<const TableEntry> entries);
 
   /// import_entries for a strictly guid-ascending `run`, fused with the
   /// diff an anti-entropy receiver sends back: appends to `newer` every
-  /// entry of this table that the import left strictly newer than its
-  /// incoming copy or that the run does not mention (the appended part is
+  /// entry of this table that the import left out-ranking its incoming
+  /// copy or that the run does not mention (the appended part is
   /// guid-ascending, gid unstamped). The same index probe imports and
   /// compares; records absent from the run are searched for only when the
   /// table holds more records than the run, only until all are found, and
@@ -232,9 +274,9 @@ class MemberTable {
   /// Moves the index to the next size of the ladder and places every
   /// entry again.
   void grow();
-  /// The lattice merge behind import_entries / import_and_diff; with
-  /// `newer` set, also appends each local entry left strictly newer than
-  /// its incoming copy.
+  /// The lattice merge behind apply, import_entries and import_and_diff;
+  /// with `newer` set, also appends each local entry left out-ranking its
+  /// incoming copy.
   bool import(std::span<const TableEntry> entries,
               std::vector<TableEntry>* newer);
   /// Xors `entry`'s hash into (or out of) the digest and, once indexed,

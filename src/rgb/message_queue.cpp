@@ -70,8 +70,7 @@ bool MessageQueue::try_aggregate(const MembershipOp& op,
     // epoch racing a detector-inferred failure that carries a fresher seq).
     // Absorb it; its information is superseded by the pending op. Every
     // rule below therefore sees an op that out-ranks the pending one.
-    if (!record_precedes(pending.op.claim_seq, pending.op.seq, op.claim_seq,
-                         op.seq)) {
+    if (!record_precedes(entry_of(pending.op), entry_of(op))) {
       append_contributors(pending.contributors, contribs);
       return true;
     }

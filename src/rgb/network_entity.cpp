@@ -126,12 +126,7 @@ MembershipOp NetworkEntity::member_op(OpKind kind, GroupId gid, Guid mh,
   op.uid = next_op_uid();
   op.claim_seq = claim_seq;
   op.gid = gid;
-  const MemberStatus status = kind == OpKind::kMemberLeave
-                                  ? MemberStatus::kDisconnected
-                              : kind == OpKind::kMemberFail
-                                  ? MemberStatus::kFailed
-                                  : MemberStatus::kOperational;
-  op.member = MemberRecord{mh, ap, status};
+  op.member = MemberRecord{mh, ap, status_of(kind)};
   return op;
 }
 

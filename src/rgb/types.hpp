@@ -70,7 +70,9 @@ enum class OpKind : std::uint8_t {
 ///             same member (e.g. a handoff supersedes the earlier join even
 ///             when deliveries reorder across rings). Seqs of ops emitted
 ///             at the same virtual microsecond by different NEs may
-///             collide; uniqueness there is uid's job, not seq's.
+///             collide; uniqueness there is uid's job, not seq's. Two
+///             versions of a record at an equal (claim_seq, seq) order by
+///             content (record_precedes in member_table.hpp).
 struct MembershipOp {
   OpKind kind = OpKind::kMemberJoin;
   std::uint64_t uid = 0;

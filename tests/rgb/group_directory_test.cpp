@@ -487,8 +487,7 @@ TEST(GroupDirectory, IncrementalAggregatesMatchAWalkNonAggregating) {
 /// Brute-force reference for GroupDirectory::import_and_diff: imports every
 /// entry (one gid at a time, in payload order), then looks each local entry
 /// of the scope up among the incoming ones. A local entry is news to the
-/// sender when no incoming copy exists or it is strictly newer than every
-/// copy.
+/// sender when no incoming copy exists or it out-ranks every copy.
 bool reference_import_and_diff(GroupDirectory& dir,
                                const std::vector<TableEntry>& entries,
                                const std::vector<GroupId>& gids,
@@ -510,8 +509,7 @@ bool reference_import_and_diff(GroupDirectory& dir,
       if (copies != incoming.end()) {
         for (const TableEntry& e : copies->second) {
           if (e.record.guid == local.record.guid &&
-              !record_precedes(e.claim_seq, e.last_seq, local.claim_seq,
-                               local.last_seq)) {
+              !record_precedes(e, local)) {
             news = false;
           }
         }

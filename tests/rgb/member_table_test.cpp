@@ -6,6 +6,7 @@
 #include <limits>
 #include <map>
 #include <span>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -441,12 +442,25 @@ TEST(MemberTableBuckets, ScopedDiffLooksForAbsentRecordsInScopeOnly) {
 
 // ---------------------------------------------------------------------------
 // Differential test: a MemberTable against a reference that keeps one row
-// per guid in a std::map and applies the same lattice rule, through random
+// per guid in a std::map and applies the same total rank, written out on
+// its own (`outranks` below), through random
 // applies, upserts, imports, fused import+diffs (whole and bucket-scoped),
 // bucket indexing and a clear followed by reuse. The guid patterns stress
 // the table's index: guid % (prime size) placement, linear probing with
 // wrap-around, and growth through seven index sizes.
 // ---------------------------------------------------------------------------
+
+/// The record rank, independently of record_precedes: `a` out-ranks `b`
+/// when its (claim, seq, status, access proxy) is lexicographically
+/// greater.
+bool outranks(const TableEntry& a, const TableEntry& b) {
+  const auto key = [](const TableEntry& e) {
+    return std::make_tuple(e.claim_seq, e.last_seq,
+                           static_cast<int>(e.record.status),
+                           e.record.access_proxy.value());
+  };
+  return key(a) > key(b);
+}
 
 class ReferenceTable {
  public:
@@ -482,8 +496,7 @@ class ReferenceTable {
       const bool wanted =
           it == run.end()
               ? scope.test(MemberTable::bucket_of(guid))
-              : record_precedes(it->claim_seq, it->last_seq, row.claim_seq,
-                                row.last_seq);
+              : outranks(row, *it);
       if (wanted) newer.push_back(row);
     }
     return changed;
@@ -528,11 +541,7 @@ class ReferenceTable {
  private:
   bool land(const TableEntry& e) {
     const auto it = rows_.find(e.record.guid);
-    if (it != rows_.end() &&
-        !record_precedes(it->second.claim_seq, it->second.last_seq,
-                         e.claim_seq, e.last_seq)) {
-      return false;
-    }
+    if (it != rows_.end() && !outranks(e, it->second)) return false;
     rows_[e.record.guid] = TableEntry{e.record, e.last_seq, e.claim_seq, {}};
     return true;
   }
