@@ -2,18 +2,21 @@
 // MessageQueue. Message queue which is self-optimized for aggregating some
 // successive messages into one for further processing").
 //
-// Aggregation rules (applied while ops wait for the ring token):
-//   * duplicate ops (same uid) are dropped;
-//   * an op that does not out-rank the newest pending op on its member in
-//     record_precedes order is absorbed by it (stale);
-//   * Join(g) followed by Leave/Fail(g) collapses to the departure;
-//   * Handoff(g, a->b) followed by Handoff(g, b->c) collapses to
-//     Handoff(g, a->c);
-//   * Join(g) followed by Handoff(g, ->b) collapses to Join(g at b).
-// Every rule is apply-equivalent: applying the drained batch to a table
-// leaves the same records as applying each inserted op in order. An
-// absorbed op's contributors (NEs awaiting a Holder-Acknowledgement) move
-// to the op that absorbed it and are acked when that op's round completes.
+// One aggregation rule, applied while ops wait for the ring token: the
+// queue holds at most one pending op per member, and of that op and an
+// arriving op on the same member, the one higher in record_precedes rank
+// stays. An arriving op that out-ranks the pending one takes its place,
+// keeping only the echo suppression both ops share; any other (a
+// retransmitted copy, a stale dissemination of an older change) is
+// absorbed. The contributors of both (NEs awaiting a
+// Holder-Acknowledgement) ride with the op that stays and are acked when
+// its round completes. A retransmitted copy (same uid) is absorbed even
+// when aggregation is off.
+//
+// The rule is apply-equivalent: a table merges ops by the same rank
+// (MemberTable::apply imports entry_of(op)), so applying each inserted op
+// in order ends at each member's highest-ranked op, which is the op the
+// drained batch holds for it. Nothing is cancelled.
 #pragma once
 
 #include <cstdint>
@@ -64,10 +67,11 @@ class MessageQueue {
     std::vector<Contributor> contributors;
   };
 
-  /// Attempts to merge `op` into an existing pending entry. Returns true if
-  /// the op was absorbed.
-  bool try_aggregate(const MembershipOp& op,
-                     const std::vector<Contributor>& contributors);
+  /// Merges `op` into the pending op it meets (a copy of it, or, when
+  /// aggregating, the pending op on its member) by the one rule, moving
+  /// from `op` when it takes that op's place. Returns false, leaving `op`
+  /// as it was, when it meets none.
+  bool try_aggregate(MembershipOp& op, const Contributor& contributor);
 
   bool aggregate_;
   std::deque<Pending> queue_;

@@ -110,43 +110,67 @@ TEST(MessageQueue, ReanchoringJoinCollapsesIntoDeparture) {
   expect_one_departure(mq, OpKind::kMemberFail, 6, /*claim=*/3);
 }
 
-TEST(MessageQueue, HandoffChainCollapses) {
+/// Drains `mq` and expects exactly one op on guid 9: `kind` at `ap` with
+/// `seq`.
+void expect_one_op(MessageQueue& mq, OpKind kind, std::uint64_t ap,
+                   std::uint64_t seq) {
+  ASSERT_EQ(mq.size(), 1u);
+  const auto batch = mq.drain();
+  ASSERT_EQ(batch.ops.size(), 1u);
+  EXPECT_EQ(batch.ops[0].kind, kind);
+  EXPECT_EQ(batch.ops[0].member.guid, Guid{9});
+  EXPECT_EQ(batch.ops[0].member.access_proxy, NodeId{ap});
+  EXPECT_EQ(batch.ops[0].seq, seq);
+}
+
+TEST(MessageQueue, HandoffChainCollapsesToTheLaterHop) {
   MessageQueue mq{true};
   mq.insert(op(OpKind::kMemberHandoff, 1, 9, 200, 100));  // 100 -> 200
   mq.insert(op(OpKind::kMemberHandoff, 2, 9, 300, 200));  // 200 -> 300
+  EXPECT_EQ(mq.ops_collapsed(), 1u);
   ASSERT_EQ(mq.size(), 1u);
   const auto batch = mq.drain();
-  EXPECT_EQ(batch.ops[0].kind, OpKind::kMemberHandoff);
   EXPECT_EQ(batch.ops[0].member.access_proxy, NodeId{300});
-  EXPECT_EQ(batch.ops[0].old_ap, NodeId{100});  // net movement 100 -> 300
-  EXPECT_EQ(batch.ops[0].seq, 2u);              // newest seq wins
+  EXPECT_EQ(batch.ops[0].old_ap, NodeId{200});  // the later hop's op
+  EXPECT_EQ(batch.ops[0].seq, 2u);
 }
 
-TEST(MessageQueue, NonAdjacentHandoffDoesNotCollapse) {
+TEST(MessageQueue, NonAdjacentHandoffsCollapseToTheLater) {
+  // The hops need not chain: the later epoch out-ranks the earlier one.
   MessageQueue mq{true};
   mq.insert(op(OpKind::kMemberHandoff, 1, 9, 200, 100));
   mq.insert(op(OpKind::kMemberHandoff, 2, 9, 400, 300));  // gap: not b->c
-  EXPECT_EQ(mq.size(), 2u);
+  expect_one_op(mq, OpKind::kMemberHandoff, 400, 2);
 }
 
-TEST(MessageQueue, JoinThenHandoffBecomesJoinAtNewAp) {
+TEST(MessageQueue, JoinThenHandoffCollapsesToTheHandoff) {
   MessageQueue mq{true};
   mq.insert(op(OpKind::kMemberJoin, 1, 9, 100));
   mq.insert(op(OpKind::kMemberHandoff, 2, 9, 300, 100));
-  ASSERT_EQ(mq.size(), 1u);
-  const auto batch = mq.drain();
-  EXPECT_EQ(batch.ops[0].kind, OpKind::kMemberJoin);
-  EXPECT_EQ(batch.ops[0].member.access_proxy, NodeId{300});
+  expect_one_op(mq, OpKind::kMemberHandoff, 300, 2);
 }
 
-TEST(MessageQueue, LeaveThenJoinStaysOrdered) {
+TEST(MessageQueue, LeaveThenJoinCollapsesToTheJoin) {
+  // The rejoin starts a newer epoch, so every table ends at it whether or
+  // not the leave was applied first.
   MessageQueue mq{true};
   mq.insert(op(OpKind::kMemberLeave, 1, 9, 100));
   mq.insert(op(OpKind::kMemberJoin, 2, 9, 200));
-  ASSERT_EQ(mq.size(), 2u);
-  const auto batch = mq.drain();
-  EXPECT_EQ(batch.ops[0].kind, OpKind::kMemberLeave);
-  EXPECT_EQ(batch.ops[1].kind, OpKind::kMemberJoin);
+  expect_one_op(mq, OpKind::kMemberJoin, 200, 2);
+}
+
+TEST(MessageQueue, TiedDeparturesKeepTheFailInEitherOrder) {
+  // A fail and a leave at an equal (claim, seq) order by status: the fail
+  // stays whichever arrives first, as it does in a table.
+  for (const bool fail_first : {true, false}) {
+    MessageQueue mq{true};
+    MembershipOp fail = op(OpKind::kMemberFail, 4, 9, 100, 0, /*claim=*/2);
+    MembershipOp leave = op(OpKind::kMemberLeave, 4, 9, 100, 0, /*claim=*/2);
+    leave.uid = 5;  // a distinct op
+    mq.insert(fail_first ? fail : leave);
+    mq.insert(fail_first ? leave : fail);
+    expect_one_op(mq, OpKind::kMemberFail, 100, 4);
+  }
 }
 
 TEST(MessageQueue, NoAggregationAcrossDifferentMembers) {
@@ -341,8 +365,9 @@ enum class Step {
   kReanchor,   ///< join re-asserting the current epoch with a fresh seq
   kStaleFail,  ///< detector fail naming the previous epoch
   kDuplicate,  ///< the previous op delivered again (same uid)
+  kTie,        ///< the previous op's (claim, seq), as the other departure
 };
-constexpr int kSteps = 8;
+constexpr int kSteps = 9;
 constexpr std::uint64_t kApA = 100;
 constexpr std::uint64_t kApB = 200;
 constexpr std::uint64_t kGuid = 9;
@@ -360,7 +385,9 @@ MembershipOp member_op(OpKind kind, std::uint64_t seq, std::uint64_t claim,
 }
 
 /// Turns step codes into ops, drawing fresh seqs from `next_seq`. A
-/// duplicate with no op before it in the sequence adds nothing.
+/// duplicate or tie with no op before it in the sequence adds nothing. A
+/// tie is a Fail after a Leave and a Leave after anything else, under a
+/// fresh uid.
 std::vector<MembershipOp> ops_for(const std::vector<int>& steps,
                                   Attachment at, std::uint64_t next_seq) {
   std::vector<MembershipOp> ops;
@@ -399,6 +426,15 @@ std::vector<MembershipOp> ops_for(const std::vector<int>& steps,
       case Step::kDuplicate:
         if (!ops.empty()) ops.push_back(ops.back());
         break;
+      case Step::kTie:
+        if (!ops.empty()) {
+          MembershipOp o = ops.back();
+          o.kind = o.kind == OpKind::kMemberLeave ? OpKind::kMemberFail
+                                                  : OpKind::kMemberLeave;
+          o.uid = seq;
+          ops.push_back(o);
+        }
+        break;
     }
   }
   return ops;
@@ -431,7 +467,7 @@ std::string describe(const std::optional<TableEntry>& e) {
 }
 
 TEST(MessageQueueAlgebra, AggregationThenApplyEqualsApplyingEachOp) {
-  // Every sequence of 1-4 ops on one (gid, guid), drawn from the eight
+  // Every sequence of 1-4 ops on one (gid, guid), drawn from the nine
   // templates, from each of four starting records: applying the drained
   // aggregated batch must leave the record that applying the inserted ops
   // one by one leaves. The queue never sees the table, so any rule that
@@ -490,7 +526,7 @@ TEST(MessageQueueAlgebra, AggregationThenApplyEqualsApplyingEachOp) {
       }
     }
   }
-  EXPECT_EQ(cases, 4u * (8u + 64u + 512u + 4096u));
+  EXPECT_EQ(cases, 4u * (9u + 81u + 729u + 6561u));
   EXPECT_EQ(mismatches, (std::array<std::size_t, 4>{}))
       << "mismatches from none / operational / disconnected / failed: "
       << mismatches[0] << " / " << mismatches[1] << " / " << mismatches[2]
