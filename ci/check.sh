@@ -180,6 +180,28 @@ all_modes=(--groups 4 --churn 1 --stability 1 --snapshot-join 1 --partitions 1)
 "$BUILD_DIR/rgb_fuzz" "${all_modes[@]}" --seeds 8 --start 1 \
     --shard-workers 8 --quiet
 
+# Mode cross-product gate: rgb_fuzz over members {8, 100, 250, 600} x
+# groups {1, 4} x churn x stability x snapshot-join x partitions, 128
+# profiles at seeds 1-40, in 4 parallel processes. The gates above sample
+# this space one profile at a time; this one holds the whole product to
+# zero violating seeds, the end-to-end coverage behind the MQ's one
+# aggregation rule (message_queue.hpp). A violating profile prints its
+# flags and report.
+echo "== rgb_fuzz mode cross-product (128 profiles x 40 seeds) =="
+sizes=("--members "{8,100,250,600}" --groups "{1,4})
+detect=("--churn "{0,1}" --stability "{0,1})
+modes=("--snapshot-join "{0,1}" --partitions "{0,1})
+for size in "${sizes[@]}"; do
+  for d in "${detect[@]}"; do
+    for mode in "${modes[@]}"; do echo "$size $d $mode"; done
+  done
+done |
+  xargs -P 4 -L 1 sh -c \
+    'out="$("$0" --seeds 40 --start 1 --quiet "$@")" || {
+       echo "FAIL: rgb_fuzz $* --seeds 40 --start 1"; echo "$out"; exit 1; }' \
+    "$BUILD_DIR/rgb_fuzz"
+echo "rgb_fuzz mode cross-product: 0 violating seeds in 128 profiles"
+
 echo "== sharded bench determinism gate =="
 "$BUILD_DIR/rgb_exp" bench --smoke --deterministic --shards 1 --json "$sw1" \
     2> /dev/null

@@ -28,9 +28,9 @@
 #   - bench_suite on every BENCHMARK.json workload at seed 11, --seconds 2,
 #     with its timing fields stripped (setup_s, window_s, rss_b_per_member,
 #     slices, slowdown, wall): every exact metric, count and outcome must
-#     match. A side's bench_suite is BUILD/bench_suite when that exists;
-#     otherwise it is built from the build's source tree (its CMakeCache)
-#     into BUILD/bench_suite_build.
+#     match. A side's bench_suite is always built from that build's source
+#     tree (its CMakeCache) into BUILD/bench_suite_build, incrementally, so
+#     no binary left by an older tree is ever compared.
 # Each pair runs base and change side by side; exits 1 on any difference.
 set -uo pipefail
 
@@ -131,14 +131,10 @@ for scenario in query.schemes flashcrowd.agg churn.converge mobility.handoff \
       --no-table
 done
 
-# suite_of BUILD — prints the path of BUILD's bench_suite, building it from
-# BUILD's source tree when it is not there yet.
+# suite_of BUILD — builds bench_suite from BUILD's source tree into
+# BUILD/bench_suite_build (incrementally) and prints its path.
 suite_of() {
   local dir="$1" src
-  if [ -x "$dir/bench_suite" ]; then
-    echo "$dir/bench_suite"
-    return 0
-  fi
   src="$(sed -n 's/^CMAKE_HOME_DIRECTORY:INTERNAL=//p' "$dir/CMakeCache.txt" \
       2> /dev/null)"
   [ -n "$src" ] && [ -d "$src/bench/suite" ] || return 1

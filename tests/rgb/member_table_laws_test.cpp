@@ -114,24 +114,17 @@ const Version& version_at(const Space& space, std::size_t g, int v) {
   return space.versions[g][static_cast<std::size_t>(v)];
 }
 
-TableEntry entry_at(const Space& space, std::size_t g, int v) {
-  const Version& version = version_at(space, g, v);
-  return TableEntry{
-      MemberRecord{space.guids[g], NodeId{version.ap}, version.status},
-      version.seq, version.claim, GroupId{}};
-}
-
-std::vector<TableEntry> entries_of(const Space& space, const State& state) {
-  std::vector<TableEntry> out;
-  for (std::size_t g = 0; g < state.size(); ++g) {
-    if (state[g] >= 0) out.push_back(entry_at(space, g, state[g]));
-  }
-  return out;
-}
-
 MemberTable table_of(const Space& space, const State& state) {
+  std::vector<TableEntry> entries;
+  for (std::size_t g = 0; g < state.size(); ++g) {
+    if (state[g] < 0) continue;
+    const Version& v = version_at(space, g, state[g]);
+    entries.push_back(TableEntry{
+        MemberRecord{space.guids[g], NodeId{v.ap}, v.status}, v.seq,
+        v.claim, GroupId{}});
+  }
   MemberTable table;
-  table.import_entries(entries_of(space, state));
+  table.import_entries(entries);
   return table;
 }
 
@@ -190,7 +183,9 @@ class Failures {
   /// Fails the test with the count of each broken law, if any.
   void expect_none() const {
     std::ostringstream out;
-    for (const auto& [law, count] : per_law_) out << law << " " << count << "; ";
+    for (const auto& [law, count] : per_law_) {
+      out << law << " " << count << "; ";
+    }
     EXPECT_EQ(total_, 0u) << out.str();
   }
 
@@ -278,16 +273,18 @@ TEST(MemberTableLaws, ApplyingAnOpImportsItsEntry) {
           op.seq = seq;
           op.uid = seq;
           op.claim_seq = claim;
+          // A status the kind overrides.
           op.member =
               MemberRecord{space.guids[0], NodeId{ap}, MemberStatus::kFailed};
           const TableEntry entry = entry_of(op);
+          const MemberRecord want{space.guids[0], NodeId{ap}, status};
           MemberTable applied = table_of(space, state);
           MemberTable imported = applied;
           const bool apply_changed = applied.apply(op);
           const bool import_changed = imported.import_entries({&entry, 1});
           ++cases;
-          if (entry.record != MemberRecord{space.guids[0], NodeId{ap}, status} ||
-              entry.last_seq != seq || entry.claim_seq != claim ||
+          if (entry.record != want || entry.last_seq != seq ||
+              entry.claim_seq != claim ||
               apply_changed != import_changed ||
               applied.export_entries() != imported.export_entries() ||
               applied.digest() != imported.digest()) {

@@ -68,15 +68,16 @@ TEST(MessageQueue, DuplicateSeqDropped) {
   EXPECT_EQ(mq.ops_collapsed(), 1u);
 }
 
-/// Drains `mq` and expects exactly one op: the departure of guid 9 with
-/// `kind`, `seq` and `claim`.
-void expect_one_departure(MessageQueue& mq, OpKind kind, std::uint64_t seq,
-                          std::uint64_t claim) {
+/// Drains `mq` and expects exactly one op: `kind` on guid 9 at `ap`, with
+/// `seq` (also its uid) and `claim`.
+void expect_one_op(MessageQueue& mq, OpKind kind, std::uint64_t seq,
+                   std::uint64_t claim, std::uint64_t ap) {
   ASSERT_EQ(mq.size(), 1u);
   const auto batch = mq.drain();
   ASSERT_EQ(batch.ops.size(), 1u);
   EXPECT_EQ(batch.ops[0].kind, kind);
   EXPECT_EQ(batch.ops[0].member.guid, Guid{9});
+  EXPECT_EQ(batch.ops[0].member.access_proxy, NodeId{ap});
   EXPECT_EQ(batch.ops[0].seq, seq);
   EXPECT_EQ(batch.ops[0].uid, seq);
   EXPECT_EQ(batch.ops[0].claim_seq, claim);
@@ -89,14 +90,14 @@ TEST(MessageQueue, JoinThenLeaveCollapsesToTheLeave) {
   mq.insert(op(OpKind::kMemberJoin, 1, 9, 100));
   mq.insert(op(OpKind::kMemberLeave, 2, 9, 100, 0, /*claim=*/1));
   EXPECT_EQ(mq.ops_collapsed(), 1u);
-  expect_one_departure(mq, OpKind::kMemberLeave, 2, /*claim=*/1);
+  expect_one_op(mq, OpKind::kMemberLeave, 2, /*claim=*/1, 100);
 }
 
 TEST(MessageQueue, JoinThenFailCollapsesToTheFail) {
   MessageQueue mq{true};
   mq.insert(op(OpKind::kMemberJoin, 1, 9, 100));
   mq.insert(op(OpKind::kMemberFail, 2, 9, 100, 0, /*claim=*/1));
-  expect_one_departure(mq, OpKind::kMemberFail, 2, /*claim=*/1);
+  expect_one_op(mq, OpKind::kMemberFail, 2, /*claim=*/1, 100);
 }
 
 TEST(MessageQueue, ReanchoringJoinCollapsesIntoDeparture) {
@@ -107,20 +108,7 @@ TEST(MessageQueue, ReanchoringJoinCollapsesIntoDeparture) {
   mq.insert(op(OpKind::kMemberJoin, 5, 9, 100, 0, /*claim=*/3));
   mq.insert(op(OpKind::kMemberFail, 6, 9, 100, 0, /*claim=*/3));
   EXPECT_EQ(mq.ops_collapsed(), 1u);
-  expect_one_departure(mq, OpKind::kMemberFail, 6, /*claim=*/3);
-}
-
-/// Drains `mq` and expects exactly one op on guid 9: `kind` at `ap` with
-/// `seq`.
-void expect_one_op(MessageQueue& mq, OpKind kind, std::uint64_t ap,
-                   std::uint64_t seq) {
-  ASSERT_EQ(mq.size(), 1u);
-  const auto batch = mq.drain();
-  ASSERT_EQ(batch.ops.size(), 1u);
-  EXPECT_EQ(batch.ops[0].kind, kind);
-  EXPECT_EQ(batch.ops[0].member.guid, Guid{9});
-  EXPECT_EQ(batch.ops[0].member.access_proxy, NodeId{ap});
-  EXPECT_EQ(batch.ops[0].seq, seq);
+  expect_one_op(mq, OpKind::kMemberFail, 6, /*claim=*/3, 100);
 }
 
 TEST(MessageQueue, HandoffChainCollapsesToTheLaterHop) {
@@ -140,14 +128,14 @@ TEST(MessageQueue, NonAdjacentHandoffsCollapseToTheLater) {
   MessageQueue mq{true};
   mq.insert(op(OpKind::kMemberHandoff, 1, 9, 200, 100));
   mq.insert(op(OpKind::kMemberHandoff, 2, 9, 400, 300));  // gap: not b->c
-  expect_one_op(mq, OpKind::kMemberHandoff, 400, 2);
+  expect_one_op(mq, OpKind::kMemberHandoff, 2, /*claim=*/2, 400);
 }
 
 TEST(MessageQueue, JoinThenHandoffCollapsesToTheHandoff) {
   MessageQueue mq{true};
   mq.insert(op(OpKind::kMemberJoin, 1, 9, 100));
   mq.insert(op(OpKind::kMemberHandoff, 2, 9, 300, 100));
-  expect_one_op(mq, OpKind::kMemberHandoff, 300, 2);
+  expect_one_op(mq, OpKind::kMemberHandoff, 2, /*claim=*/2, 300);
 }
 
 TEST(MessageQueue, LeaveThenJoinCollapsesToTheJoin) {
@@ -156,7 +144,7 @@ TEST(MessageQueue, LeaveThenJoinCollapsesToTheJoin) {
   MessageQueue mq{true};
   mq.insert(op(OpKind::kMemberLeave, 1, 9, 100));
   mq.insert(op(OpKind::kMemberJoin, 2, 9, 200));
-  expect_one_op(mq, OpKind::kMemberJoin, 200, 2);
+  expect_one_op(mq, OpKind::kMemberJoin, 2, /*claim=*/2, 200);
 }
 
 TEST(MessageQueue, TiedDeparturesKeepTheFailInEitherOrder) {
@@ -169,7 +157,7 @@ TEST(MessageQueue, TiedDeparturesKeepTheFailInEitherOrder) {
     leave.uid = 5;  // a distinct op
     mq.insert(fail_first ? fail : leave);
     mq.insert(fail_first ? leave : fail);
-    expect_one_op(mq, OpKind::kMemberFail, 100, 4);
+    expect_one_op(mq, OpKind::kMemberFail, 4, /*claim=*/2, 100);
   }
 }
 
@@ -329,7 +317,7 @@ TEST(MessageQueue, CollapsedLocalJoinCollapsesIntoLeave) {
   mq.insert(op(OpKind::kMemberJoin, 1, 9, 100));
   mq.insert(op(OpKind::kMemberHandoff, 2, 9, 200, 100));
   mq.insert(op(OpKind::kMemberLeave, 3, 9, 200, 0, /*claim=*/2));
-  expect_one_departure(mq, OpKind::kMemberLeave, 3, /*claim=*/2);
+  expect_one_op(mq, OpKind::kMemberLeave, 3, /*claim=*/2, 200);
 }
 
 TEST(MessageQueue, DrainPreservesFifoOrder) {
