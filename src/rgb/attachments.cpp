@@ -42,7 +42,7 @@ std::uint64_t Attachments::take_claim(GroupId gid, Guid mh) {
   return claim != 0 ? claim : ne_.dir_.claim_of(gid, mh);
 }
 
-void Attachments::on_handoff_away(const MembershipOp& op) {
+void Attachments::on_departure(const MembershipOp& op) {
   const auto it = local_attached_.find(op.member.guid);
   if (it == local_attached_.end()) return;
   const auto git = it->second.find(op.gid);
@@ -98,7 +98,7 @@ void Attachments::reaffirm() {
       if (rec_claim == claim_seq && rec_seq > claim_seq) {
         // Our own epoch was ended or overridden by something we never saw
         // locally — a genuine departure goes through local_member_leave /
-        // fail / the handoff-away guard, all of which erase the claim
+        // fail / the departure guard, all of which erase the claim
         // first. So this is a false accusation (failure-detector false
         // positive elsewhere, typically a cross-partition splice). The
         // hosting AP is authoritative: re-anchor the epoch with a fresh op.
@@ -213,7 +213,8 @@ void Attachments::handle_reconcile(const ReconcileMsg& msg, NodeId from) {
     const auto entry = ne_.dir_.lookup(gid, claim.mh);
     if (!entry) continue;
     // Return our entry whenever the claim's assertion (claim, claim)
-    // loses to it in record_precedes order: a newer epoch supersedes the
+    // loses to it in epoch order (claim_seq, then seq — the prefix of the
+    // record rank; the claim has no content): a newer epoch supersedes the
     // claim outright, and a same-epoch ending means the claim was
     // falsified somewhere — either way the asker needs the record to
     // decide. Entries the claim out-ranks are omitted (the claim stands),
@@ -221,8 +222,8 @@ void Attachments::handle_reconcile(const ReconcileMsg& msg, NodeId from) {
     // operational at the asker confirms the claim, it does not supersede
     // it, and echoing it back would cost superseding bytes on every
     // round after any repair.
-    if (record_precedes(claim.claim_seq, claim.claim_seq, entry->claim_seq,
-                        entry->last_seq) &&
+    if (std::pair{claim.claim_seq, claim.claim_seq} <
+            std::pair{entry->claim_seq, entry->last_seq} &&
         !(entry->claim_seq == claim.claim_seq &&
           entry->record.status == MemberStatus::kOperational &&
           entry->record.access_proxy == from)) {

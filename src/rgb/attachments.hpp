@@ -65,14 +65,17 @@ class Attachments {
   /// whatever epoch the group's table reflects (a departure injected for a
   /// member we never claimed).
   std::uint64_t take_claim(GroupId gid, Guid mh);
-  /// A handoff away from this AP is authoritative departure evidence:
-  /// without it, a racing (false) failure record could hide the member's
-  /// new attachment and trick reaffirmation into re-claiming a member that
-  /// physically moved. Keyed per (member, group) — the member moved in
-  /// THAT group only — and guarded by the claim epoch: a stale handoff-away
-  /// replayed after the member re-attached here must not drop the newer
-  /// claim.
-  void on_handoff_away(const MembershipOp& op);
+  /// An applied handoff, leave or fail op of a newer epoch than our claim
+  /// is authoritative departure evidence: the member attached elsewhere
+  /// after we claimed it, whichever AP the op names (MQ aggregation may
+  /// fold the handoff away from us into a later hop, leave or fail of the
+  /// member). Without it, a racing (false) failure record could hide the
+  /// member's new attachment and trick reaffirmation into re-claiming a
+  /// member that physically moved, and a monitoring AP would fail the host
+  /// it stops hearing. Keyed per (member, group) — the member moved in
+  /// THAT group only — and guarded by the claim epoch: a stale op replayed
+  /// after the member re-attached here must not drop the newer claim.
+  void on_departure(const MembershipOp& op);
   /// Re-checks every claim against the tables (see the header comment).
   void reaffirm();
   /// Debounced start of a reconcile round (a heal path completed).

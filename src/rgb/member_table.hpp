@@ -49,31 +49,20 @@ struct TableEntry {
   friend bool operator==(const TableEntry&, const TableEntry&) = default;
 };
 
-/// The epoch order of two (claim_seq, seq) pairs: attachment epochs order
-/// first (a newer physical join/handoff beats anything derived from an
-/// older epoch — detector-inferred failures, repair re-assertions —
+/// The rank of two versions of one member's record. Attachment epochs
+/// order first (a newer physical join/handoff beats anything derived from
+/// an older epoch — detector-inferred failures, repair re-assertions —
 /// regardless of raw seq), and within one epoch the op sequence orders
-/// events. Seqs may collide (types.hpp), so this order is not total on
-/// records; the rank below is. Attachments compares a claim's epoch with a
-/// held record by it.
-[[nodiscard]] constexpr bool record_precedes(std::uint64_t claim_a,
-                                             std::uint64_t seq_a,
-                                             std::uint64_t claim_b,
-                                             std::uint64_t seq_b) {
-  return claim_a != claim_b ? claim_a < claim_b : seq_a < seq_b;
-}
-
-/// The rank of two versions of one member's record: the epoch order, then,
-/// on an equal (claim_seq, seq), the content — Failed over Disconnected
-/// over Operational (the MemberStatus order), then the higher access proxy.
-/// It is total on distinct versions, and equal versions never precede each
-/// other. Every merge of two versions keeps the higher-ranked one:
-/// MemberTable::apply and import, the MQ's aggregation and the
-/// GroupDirectory's canonical payload. So member records form a
-/// join-semilattice: the same set of ops/entries merged in any order, with
-/// any repeats, converges to the same table, which is what anti-entropy's
-/// digest comparison relies on. The group does not take part (one table
-/// holds one group).
+/// events. Seqs may collide (types.hpp), so on an equal (claim_seq, seq)
+/// the content decides: Failed over Disconnected over Operational (the
+/// MemberStatus order), then the higher access proxy. The rank is total on
+/// distinct versions, and equal versions never precede each other. Every
+/// merge of two versions keeps the higher-ranked one: MemberTable::apply
+/// and import, the MQ's aggregation and the GroupDirectory's canonical
+/// payload. So member records form a join-semilattice: the same set of
+/// ops/entries merged in any order, with any repeats, converges to the same
+/// table, which is what anti-entropy's digest comparison relies on. The
+/// group does not take part (one table holds one group).
 [[nodiscard]] constexpr bool record_precedes(const TableEntry& a,
                                              const TableEntry& b) {
   return std::tie(a.claim_seq, a.last_seq, a.record.status,
@@ -172,7 +161,7 @@ class MemberTable {
   [[nodiscard]] std::optional<TableEntry> lookup(Guid guid) const;
   [[nodiscard]] bool contains(Guid guid) const;
   /// Newest op sequence applied to `guid` (0 when unknown). The pair
-  /// (claim_of, last_seq_of) never falls per guid in the epoch order, as
+  /// (claim_of, last_seq_of) never falls per guid in (claim, seq) order, as
   /// every merge keeps the higher-ranked record; the check-layer monotone
   /// oracle asserts that observed views never regress it.
   [[nodiscard]] std::uint64_t last_seq_of(Guid guid) const;

@@ -17,6 +17,21 @@
 // (MemberTable::apply imports entry_of(op)), so applying each inserted op
 // in order ends at each member's highest-ranked op, which is the op the
 // drained batch holds for it. Nothing is cancelled.
+//
+// Two effects of an applied op reach past the table, and only the op that
+// rides has them:
+//  * Claims. An AP ends its claim on a member when it applies a handoff,
+//    leave or fail of a newer epoch, whichever AP the op names
+//    (Attachments::on_departure). The op that stays has the newest epoch
+//    of the ops it absorbed, so when it is one of these kinds it ends the
+//    claims they would have ended: a chain a -> b -> c rides as the b -> c
+//    handoff and still ends a's claim. A join ends no claim, so a
+//    departure folded into a later join (a handoff, then a leave or fail,
+//    then a rejoin, all before one drain) leaves the claim it ended to the
+//    next reaffirmation pass, which runs on the probe tick.
+//  * Join latency. The benchmark probe samples a join when a Join op
+//    reaches the top ring. A join that a handoff, leave or fail out-ranks
+//    in a queue reaches it as that op and is not sampled.
 #pragma once
 
 #include <cstdint>

@@ -461,9 +461,10 @@ void NetworkEntity::apply_ops_and_notify(const Token& token) {
         metrics_.ops_disseminated.increment();
         obs_.tracer.on_op_applied(op, id(), tier_, now());
       }
-      if (op.kind == OpKind::kMemberHandoff && op.old_ap == id()) {
-        attachments_.on_handoff_away(op);
-      }
+      // Joins are skipped: a claim lookup per join at every AP would tax
+      // the join path. A join that out-ranked a departure in an MQ leaves
+      // the claim it ended to reaffirmation (message_queue.hpp).
+      if (op.kind != OpKind::kMemberJoin) attachments_.on_departure(op);
     } else {
       apply_ne_op(op);
     }

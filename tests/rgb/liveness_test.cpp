@@ -178,6 +178,70 @@ TEST_F(LivenessTest, SilentBeforeQueuedHandoffAppliesIsFailedEverywhere) {
   }
 }
 
+// A host at AP a (AP ring 0) moves to AP b (AP ring 2) and 2 ms later moves
+// on to c or leaves. The two ops meet in one queue and the later one rides
+// on alone; it names b, so a never applies an op naming it. The later op's
+// newer epoch must end a's claim all the same, or a fails the host whose
+// heartbeats it stops hearing. Probing is off, so no reaffirmation pass
+// drops the claim.
+class FoldedDepartureTest : public RgbSystemTest {
+ protected:
+  /// Runs the scenario, the second move being a leave at b when `leave`,
+  /// and checks the collapse, the detections and every NE's record.
+  void run_scenario(bool leave) {
+    auto& sys = build(2, 4, monitored_config());
+    // b's ring hangs off the third top-ring NE, whose link to the leader
+    // (not a ring neighbour, so no token hop crosses it) is slowed: an op
+    // rising from b's ring waits there for a grant, and the later op finds
+    // it still queued, if it did not already meet it in b's own queue.
+    const NodeId top_leader = sys.rings(0).front().front();
+    const NodeId parent = sys.rings(0).front()[2];
+    net::LinkConfig slow;
+    slow.latency = net::LatencyModel::fixed(sim::msec(20));
+    network_.set_link(parent, top_leader, slow);
+    const NodeId a = sys.rings(1)[0][1];
+    const NodeId b = sys.rings(1)[2][1];
+    const NodeId c = sys.rings(1)[2][2];
+    MobileHost mh{NodeId{900001}, common::Guid{7}, common::GroupId{1},
+                  network_, sim::msec(100)};
+    mh.join_via(a);
+    run_for_ms(500);
+    ASSERT_TRUE(sys.entity(b)->ring_members().contains(common::Guid{7}));
+
+    const std::uint64_t collapsed = sys.metrics().ops_aggregated.value();
+    mh.handoff_to(b);
+    run_for_ms(2);
+    if (leave) {
+      mh.leave();
+    } else {
+      mh.handoff_to(c);
+    }
+    run_for_ms(3000);
+
+    EXPECT_EQ(sys.metrics().ops_aggregated.value(), collapsed + 1)
+        << "the two ops did not meet in one queue";
+    // a's sweep found the host silent for 3 s: had a still claimed it, a
+    // would have failed it.
+    EXPECT_EQ(sys.obs().tracer.member_detection().count(), 0u);
+    const auto status = leave ? proto::MemberStatus::kDisconnected
+                              : proto::MemberStatus::kOperational;
+    for (const NodeId ne : sys.all_nes()) {
+      const auto rec = sys.entity(ne)->ring_members().find(common::Guid{7});
+      ASSERT_TRUE(rec.has_value()) << "NE " << ne.value();
+      EXPECT_EQ(rec->status, status) << "NE " << ne.value();
+      EXPECT_EQ(rec->access_proxy, leave ? b : c) << "NE " << ne.value();
+    }
+  }
+};
+
+TEST_F(FoldedDepartureTest, CrossRingHandoffChainEndsTheFirstApsClaim) {
+  run_scenario(/*leave=*/false);
+}
+
+TEST_F(FoldedDepartureTest, CrossRingHandoffThenLeaveEndsTheFirstApsClaim) {
+  run_scenario(/*leave=*/true);
+}
+
 // Claims outlive an AP crash, but silence heard through the AP's own
 // downtime is not evidence: a host that kept heartbeating to a crashed AP
 // must not be failed by that AP's first sweep after recovery.

@@ -69,9 +69,10 @@ TEST(MessageQueue, DuplicateSeqDropped) {
 }
 
 /// Drains `mq` and expects exactly one op: `kind` on guid 9 at `ap`, with
-/// `seq` (also its uid) and `claim`.
+/// `seq` (also its uid), `claim` and `old_ap` (0: none).
 void expect_one_op(MessageQueue& mq, OpKind kind, std::uint64_t seq,
-                   std::uint64_t claim, std::uint64_t ap) {
+                   std::uint64_t claim, std::uint64_t ap,
+                   std::uint64_t old_ap = 0) {
   ASSERT_EQ(mq.size(), 1u);
   const auto batch = mq.drain();
   ASSERT_EQ(batch.ops.size(), 1u);
@@ -81,6 +82,7 @@ void expect_one_op(MessageQueue& mq, OpKind kind, std::uint64_t seq,
   EXPECT_EQ(batch.ops[0].seq, seq);
   EXPECT_EQ(batch.ops[0].uid, seq);
   EXPECT_EQ(batch.ops[0].claim_seq, claim);
+  EXPECT_EQ(batch.ops[0].old_ap, old_ap != 0 ? NodeId{old_ap} : NodeId{});
 }
 
 TEST(MessageQueue, JoinThenLeaveCollapsesToTheLeave) {
@@ -116,11 +118,9 @@ TEST(MessageQueue, HandoffChainCollapsesToTheLaterHop) {
   mq.insert(op(OpKind::kMemberHandoff, 1, 9, 200, 100));  // 100 -> 200
   mq.insert(op(OpKind::kMemberHandoff, 2, 9, 300, 200));  // 200 -> 300
   EXPECT_EQ(mq.ops_collapsed(), 1u);
-  ASSERT_EQ(mq.size(), 1u);
-  const auto batch = mq.drain();
-  EXPECT_EQ(batch.ops[0].member.access_proxy, NodeId{300});
-  EXPECT_EQ(batch.ops[0].old_ap, NodeId{200});  // the later hop's op
-  EXPECT_EQ(batch.ops[0].seq, 2u);
+  // The later hop's op, whole: its old AP is 200, not the chain's start.
+  expect_one_op(mq, OpKind::kMemberHandoff, 2, /*claim=*/2, 300,
+                /*old_ap=*/200);
 }
 
 TEST(MessageQueue, NonAdjacentHandoffsCollapseToTheLater) {
@@ -128,14 +128,16 @@ TEST(MessageQueue, NonAdjacentHandoffsCollapseToTheLater) {
   MessageQueue mq{true};
   mq.insert(op(OpKind::kMemberHandoff, 1, 9, 200, 100));
   mq.insert(op(OpKind::kMemberHandoff, 2, 9, 400, 300));  // gap: not b->c
-  expect_one_op(mq, OpKind::kMemberHandoff, 2, /*claim=*/2, 400);
+  expect_one_op(mq, OpKind::kMemberHandoff, 2, /*claim=*/2, 400,
+                /*old_ap=*/300);
 }
 
 TEST(MessageQueue, JoinThenHandoffCollapsesToTheHandoff) {
   MessageQueue mq{true};
   mq.insert(op(OpKind::kMemberJoin, 1, 9, 100));
   mq.insert(op(OpKind::kMemberHandoff, 2, 9, 300, 100));
-  expect_one_op(mq, OpKind::kMemberHandoff, 2, /*claim=*/2, 300);
+  expect_one_op(mq, OpKind::kMemberHandoff, 2, /*claim=*/2, 300,
+                /*old_ap=*/100);
 }
 
 TEST(MessageQueue, LeaveThenJoinCollapsesToTheJoin) {
@@ -311,8 +313,8 @@ TEST(MessageQueue, ProvenancedJoinCopyCollapsesIntoFail) {
 }
 
 TEST(MessageQueue, CollapsedLocalJoinCollapsesIntoLeave) {
-  // Local join + local handoff collapse to a join at 200; the leave of
-  // that epoch then collapses the result into the leave alone.
+  // Local join + local handoff collapse to the handoff to 200; the leave
+  // of that epoch then out-ranks it and stays alone.
   MessageQueue mq{true};
   mq.insert(op(OpKind::kMemberJoin, 1, 9, 100));
   mq.insert(op(OpKind::kMemberHandoff, 2, 9, 200, 100));
