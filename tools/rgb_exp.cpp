@@ -23,6 +23,7 @@
 // (events, kViewSync messages/bytes, convergence) are deterministic. See
 // EXPERIMENTS.md for the catalogue, the invariant suite and the BENCH
 // schema.
+#include <climits>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -63,6 +64,18 @@ std::uint64_t next_arg_u64(int argc, char** argv, int& i,
     std::exit(2);
   }
   return value;
+}
+
+/// A ring size or tier count: a zero topology has no NE to build, so it is
+/// a usage error, not a trial.
+int next_arg_count(int argc, char** argv, int& i, const std::string& flag) {
+  const std::uint64_t value = next_arg_u64(argc, argv, i, flag);
+  if (value < 1 || value > INT_MAX) {
+    std::cerr << "rgb_exp: " << flag << " must be in [1, " << INT_MAX
+              << "], got " << value << '\n';
+    std::exit(2);
+  }
+  return static_cast<int>(value);
 }
 
 int usage(const char* argv0, int code) {
@@ -139,9 +152,9 @@ int run_trace(int argc, char** argv) {
     if (arg == "--members") {
       config.members = next_u64();
     } else if (arg == "--tiers") {
-      config.tiers = static_cast<int>(next_u64());
+      config.tiers = next_arg_count(argc, argv, i, arg);
     } else if (arg == "--ring") {
-      config.ring_size = static_cast<int>(next_u64());
+      config.ring_size = next_arg_count(argc, argv, i, arg);
     } else if (arg == "--shards") {
       config.shard_workers = static_cast<unsigned>(next_u64());
     } else if (arg == "--seed") {
@@ -273,10 +286,10 @@ int run_bench(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--tiers") {
-      base.tiers = static_cast<int>(next_u64());
+      base.tiers = next_arg_count(argc, argv, i, arg);
       saw_tiers = true;
     } else if (arg == "--ring") {
-      base.ring_size = static_cast<int>(next_u64());
+      base.ring_size = next_arg_count(argc, argv, i, arg);
       saw_ring = true;
     } else if (arg == "--steady-ticks") {
       base.steady_ticks = static_cast<int>(next_u64());

@@ -5,15 +5,17 @@
 //            [--tiers H] [--ring R] [--members M] [--groups G] [--events E]
 //            [--crashes 0|1] [--partitions 0|1] [--bursts 0|1]
 //            [--handoffs 0|1] [--churn 0|1] [--stability 0|1]
-//            [--mask BITS] [--shard-workers W] [--schedule FILE] [--quiet]
-//            [--flight-full]
+//            [--snapshot-join 0|1] [--mask BITS] [--shard-workers W]
+//            [--schedule FILE] [--quiet] [--flight-full]
 //
 // For each seed in [start, start+N) the tool generates a random fault
 // schedule, replays it against the chosen protocol, and runs the invariant
 // oracles. On a violation it greedily minimizes the schedule to a smallest
 // still-violating repro and prints it in the declarative format together
-// with the exact replay command. Exit code: 0 when every seed passes, 1
-// when any violation was found, 2 on usage errors.
+// with the exact replay command: the search's own flags (all but --seeds,
+// --start, --quiet and --flight-full) plus --start and --schedule. Exit
+// code: 0 when every seed passes, 1 when any violation was found, 2 on
+// usage errors (a ring size or tier count below 1 among them).
 //
 // With --schedule FILE the tool skips generation and replays the given
 // schedule file (e.g. a minimized repro from a previous run) under seed
@@ -28,6 +30,7 @@
 // recovery + message loss bursts + handoff churn); `--partitions 1` adds
 // reachability splits (healed before quiescence), exercising the
 // partition-merge extension.
+#include <climits>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -83,8 +86,11 @@ int main(int argc, char** argv) {
   std::uint64_t start = 1;
   std::string schedule_path;
   bool quiet = false;
+  // The flags that shape a run, as given: the replay line repeats them.
+  std::string run_flags;
 
   for (int i = 1; i < argc; ++i) {
+    const int flag_at = i;
     const std::string arg = argv[i];
     const auto next = [&]() -> const char* {
       if (i + 1 >= argc) {
@@ -104,6 +110,16 @@ int main(int argc, char** argv) {
       }
       return value;
     };
+    // A ring size or tier count: a zero topology has no NE to build.
+    const auto next_count = [&]() -> int {
+      const std::uint64_t value = next_u64();
+      if (value < 1 || value > INT_MAX) {
+        std::cerr << "rgb_fuzz: " << arg << " must be in [1, " << INT_MAX
+                  << "], got " << value << '\n';
+        std::exit(2);
+      }
+      return static_cast<int>(value);
+    };
     try {
       if (arg == "--help" || arg == "-h") return usage(argv[0], 0);
       if (arg == "--proto") {
@@ -113,9 +129,9 @@ int main(int argc, char** argv) {
       } else if (arg == "--start") {
         start = next_u64();
       } else if (arg == "--tiers") {
-        cfg.tiers = static_cast<int>(next_u64());
+        cfg.tiers = next_count();
       } else if (arg == "--ring") {
-        cfg.ring_size = static_cast<int>(next_u64());
+        cfg.ring_size = next_count();
       } else if (arg == "--members") {
         cfg.initial_members = static_cast<int>(next_u64());
       } else if (arg == "--groups") {
@@ -153,6 +169,13 @@ int main(int argc, char** argv) {
     } catch (const std::exception& e) {
       std::cerr << "rgb_fuzz: " << e.what() << '\n';
       return 2;
+    }
+    if (arg != "--seeds" && arg != "--start" && arg != "--quiet" &&
+        arg != "--flight-full") {
+      for (int k = flag_at; k <= i; ++k) {
+        run_flags += ' ';
+        run_flags += argv[k];
+      }
     }
   }
 
@@ -209,14 +232,8 @@ int main(int argc, char** argv) {
               << schedule.events.size() << " events after " << replays
               << " replays) ---\n"
               << minimized.serialize()
-              << "--- replay with: rgb_fuzz --proto "
-              << rgb::check::to_string(cfg.protocol) << " --tiers "
-              << cfg.tiers << " --ring " << cfg.ring_size << " --members "
-              << cfg.initial_members << " --start " << seed
-              << (cfg.stability ? " --stability 1" : "")
-              << (cfg.groups > 1 ? " --groups " + std::to_string(cfg.groups)
-                                 : "")
-              << " --schedule <file> ---\n";
+              << "--- replay with: rgb_fuzz" << run_flags << " --start "
+              << seed << " --schedule <file> ---\n";
   }
 
   std::cout << "rgb_fuzz [" << rgb::check::to_string(cfg.protocol) << "]: "
