@@ -57,11 +57,24 @@ if ! cmp -s "$tmp1" "$tmp8"; then
 fi
 "$BUILD_DIR/rgb_exp" run table2.proto > /dev/null 2>&1
 
+# A zero topology is a usage error (exit 2), not a crash.
+echo "== usage errors =="
+expect_usage_error() {  # TOOL ARGS...
+  local rc=0
+  "$BUILD_DIR/$1" "${@:2}" > /dev/null 2>&1 || rc=$?
+  if [ "$rc" != 2 ]; then
+    echo "FAIL: $* exited $rc, not 2" >&2
+    exit 1
+  fi
+}
+for flag in --ring --tiers; do
+  expect_usage_error rgb_fuzz "$flag" 0
+  expect_usage_error rgb_exp bench "$flag" 0
+  expect_usage_error rgb_exp trace "$flag" 0
+done
+
 # Invariant conformance: the adversarial scenario must hold every oracle
-# (exit 1 on any violation), and a bounded rgb_fuzz smoke over a fixed seed
-# range must find zero violations in the RGB scenarios — the paper's fault
-# model (crash/recover + loss bursts + handoff churn) is machine-checked
-# green on every CI run. Fixed seeds keep this deterministic, not flaky.
+# (exit 1 on any violation).
 echo "== rgb_exp --check smoke =="
 check_log="$(mktemp)"
 if ! "$BUILD_DIR/rgb_exp" run check.adversarial --check --no-table \
@@ -73,136 +86,13 @@ if ! "$BUILD_DIR/rgb_exp" run check.adversarial --check --no-table \
 fi
 rm -f "$check_log"
 
-echo "== rgb_fuzz smoke =="
-"$BUILD_DIR/rgb_fuzz" --seeds 12 --start 1 --quiet
-"$BUILD_DIR/rgb_fuzz" --seeds 6 --start 1 --bursts 0 --handoffs 0 --quiet
-
-# Partition/heal conformance gate: the full 60-seed profile with partition
-# faults enabled (the ROADMAP open item closed by the post-heal
-# reconciliation round) must stay at zero violating seeds — this was 8/60
-# before the reconcile subsystem and the claim-epoch lattice landed. The
-# lossy-surge snapshot-join profile holds the bulk-join path (with its
-# flush-edge ack/retx) to the same bar. Fixed seeds, bounded time (~2 min).
-echo "== rgb_fuzz partition gate (60 seeds) =="
-"$BUILD_DIR/rgb_fuzz" --partitions 1 --seeds 60 --start 1 --quiet
-echo "== rgb_fuzz snapshot-join lossy profile =="
-"$BUILD_DIR/rgb_fuzz" --partitions 1 --snapshot-join 1 --seeds 20 --start 1 \
-    --quiet
-
-# Large-group gates: every other gate runs 8 members, so no group there
-# exceeds the bucket threshold (ViewSync::kBucketThreshold, 256 records on
-# both ends) and no exchange takes the bucket-level anti-entropy path of
-# wire v5. At 600 members, in one group and in four, differing groups go
-# down to bucket level under partition faults; both must stay at zero
-# violating seeds. At 250 members the one group stays under the threshold,
-# so a differing group ships whole: kFulls of hundreds of records, the
-# exchange that a deferred kSummary escalation (ViewSync::escalate) starts
-# later and larger than the 8-member gates ever see.
-echo "== rgb_fuzz large-group gates (bucket-level anti-entropy) =="
-"$BUILD_DIR/rgb_fuzz" --members 600 --partitions 1 --seeds 20 --start 1 \
-    --quiet
-"$BUILD_DIR/rgb_fuzz" --members 600 --groups 4 --partitions 1 --seeds 20 \
-    --start 1 --quiet
-"$BUILD_DIR/rgb_fuzz" --members 250 --partitions 1 --seeds 20 --start 1 \
-    --quiet
-
-# Sustained-churn conformance gate (the PR8 stability layer). The churn
-# profile adds 0.5–3%-per-tick member churn windows to the base fault mix;
-# both detector modes must hold every oracle at zero violations — the
-# single-observer baseline (stability off) and the multi-observer cut
-# detector (stability on), serially and on the sharded runner at 8
-# workers. Fixed seeds, bounded time. The serial stability profile runs 40
-# seeds, the range over which the cut timer's verification wait and the
-# repair path's evidence consumption (StabilityPlane::forget) were checked.
-echo "== rgb_fuzz churn gate (stability off/on, serial + sharded) =="
-"$BUILD_DIR/rgb_fuzz" --churn 1 --seeds 15 --start 1 --quiet
-"$BUILD_DIR/rgb_fuzz" --churn 1 --stability 1 --seeds 40 --start 1 --quiet
-"$BUILD_DIR/rgb_fuzz" --churn 1 --seeds 8 --start 1 --shard-workers 8 --quiet
-"$BUILD_DIR/rgb_fuzz" --churn 1 --stability 1 --seeds 8 --start 1 \
-    --shard-workers 8 --quiet
-
-# AP-crash churn gates. At 100, 250 and 600 members, churn strands members
-# at crashed APs and re-joins them at another AP of the same ring while
-# that ring's leader is down. These profiles found dead members left
-# Operational on every NE while the MQ cancelled a join against the
-# departure that followed it (5, 10 and 5 violating seeds); the departure
-# now absorbs the join, and all three must stay at zero violating seeds.
-echo "== rgb_fuzz AP-crash churn gates (100, 250 and 600 members) =="
-"$BUILD_DIR/rgb_fuzz" --members 100 --churn 1 --seeds 40 --start 1 --quiet
-"$BUILD_DIR/rgb_fuzz" --members 600 --churn 1 --seeds 20 --start 1 --quiet
-"$BUILD_DIR/rgb_fuzz" --members 250 --churn 1 --stability 1 --seeds 40 \
-    --start 1 --quiet
-
-# Sharded-runner determinism gates. The sharded kernel's contract is that
-# the trajectory depends only on the *logical* shard count (fixed by
-# ring_size), never on the worker-thread count: the same fuzz profile and
-# the same deterministic bench must be byte-identical at 1, 2 and 8 shard
-# workers, and the fuzz profiles must stay at zero violations on the
-# sharded runner too.
-echo "== sharded fuzz smoke + worker-identity gate =="
-sw1="$(mktemp)"; sw2="$(mktemp)"; sw8="$(mktemp)"
-"$BUILD_DIR/rgb_fuzz" --seeds 12 --start 1 --shard-workers 1 --quiet > "$sw1"
-"$BUILD_DIR/rgb_fuzz" --seeds 12 --start 1 --shard-workers 2 --quiet > "$sw2"
-"$BUILD_DIR/rgb_fuzz" --seeds 12 --start 1 --shard-workers 8 --quiet > "$sw8"
-if ! cmp -s "$sw1" "$sw2" || ! cmp -s "$sw1" "$sw8"; then
-  echo "FAIL: sharded fuzz output differs across 1/2/8 shard workers" >&2
-  exit 1
-fi
-"$BUILD_DIR/rgb_fuzz" --partitions 1 --seeds 12 --start 1 --shard-workers 2 \
-    --quiet
-
-# Multi-group conformance gates (PR10). The adversarial profiles re-run
-# with the hierarchy multiplexing several groups (members fan out over the
-# deterministic member_groups() stride): every oracle now quantifies over
-# (group, guid) and must stay at zero violations, serially and on the
-# sharded runner — with the serial and 8-worker outputs byte-identical.
-echo "== multi-group fuzz gate (serial + sharded worker-identity) =="
-mg0="$(mktemp)"; mg8="$(mktemp)"
-"$BUILD_DIR/rgb_fuzz" --groups 4 --seeds 12 --start 1 --quiet > "$mg0"
-"$BUILD_DIR/rgb_fuzz" --groups 4 --seeds 12 --start 1 --shard-workers 8 \
-    --quiet > "$mg8"
-if ! cmp -s "$mg0" "$mg8"; then
-  echo "FAIL: multi-group fuzz output differs between serial and 8 workers" >&2
-  exit 1
-fi
-"$BUILD_DIR/rgb_fuzz" --groups 8 --partitions 1 --seeds 8 --start 1 --quiet
-"$BUILD_DIR/rgb_fuzz" --groups 8 --churn 1 --stability 1 --seeds 6 --start 1 \
-    --quiet
-rm -f "$mg0" "$mg8"
-
-# All-modes gate: every protocol mode the fuzz driver can switch on at once
-# (groups, sustained churn, the stability layer, snapshot bulk-join and
-# partition faults), so the modes' interactions are held to zero violations
-# serially and on the sharded runner, not one profile at a time.
-echo "== all-modes fuzz gate (serial + sharded) =="
-all_modes=(--groups 4 --churn 1 --stability 1 --snapshot-join 1 --partitions 1)
-"$BUILD_DIR/rgb_fuzz" "${all_modes[@]}" --seeds 20 --start 1 --quiet
-"$BUILD_DIR/rgb_fuzz" "${all_modes[@]}" --seeds 8 --start 1 \
-    --shard-workers 8 --quiet
-
-# Mode cross-product gate: rgb_fuzz over members {8, 100, 250, 600} x
-# groups {1, 4} x churn x stability x snapshot-join x partitions, 128
-# profiles at seeds 1-40, in 4 parallel processes. The gates above sample
-# this space one profile at a time; this one holds the whole product to
-# zero violating seeds, the end-to-end coverage behind the MQ's one
-# aggregation rule (message_queue.hpp). A violating profile prints its
-# flags and report.
-echo "== rgb_fuzz mode cross-product (128 profiles x 40 seeds) =="
-sizes=("--members "{8,100,250,600}" --groups "{1,4})
-detect=("--churn "{0,1}" --stability "{0,1})
-modes=("--snapshot-join "{0,1}" --partitions "{0,1})
-for size in "${sizes[@]}"; do
-  for d in "${detect[@]}"; do
-    for mode in "${modes[@]}"; do echo "$size $d $mode"; done
-  done
-done |
-  xargs -P 4 -L 1 sh -c \
-    'out="$("$0" --seeds 40 --start 1 --quiet "$@")" || {
-       echo "FAIL: rgb_fuzz $* --seeds 40 --start 1"; echo "$out"; exit 1; }' \
-    "$BUILD_DIR/rgb_fuzz"
-echo "rgb_fuzz mode cross-product: 0 violating seeds in 128 profiles"
+# Fuzz: the worker-identity checks and the generated rgb_fuzz matrix (see
+# ci/fuzz_matrix.sh), zero violating seeds in every cell. Fixed seeds keep
+# it deterministic, not flaky.
+ci/fuzz_matrix.sh "$BUILD_DIR"
 
 echo "== sharded bench determinism gate =="
+sw1="$(mktemp)"; sw2="$(mktemp)"; sw8="$(mktemp)"
 "$BUILD_DIR/rgb_exp" bench --smoke --deterministic --shards 1 --json "$sw1" \
     2> /dev/null
 "$BUILD_DIR/rgb_exp" bench --smoke --deterministic --shards 2 --json "$sw2" \
@@ -318,6 +208,32 @@ if ! cmp -s "$obs1" "$obs2"; then
 fi
 if ! grep -q "flight recorder:" "$obs1"; then
   echo "FAIL: violating replay did not dump a flight-recorder trace" >&2
+  exit 1
+fi
+
+# A violating search prints a minimized repro and the command that replays
+# it; that command must replay it exactly as the search's own flags do. The
+# tree baseline violates at seed 1, and the non-default --mask shapes the
+# report, so a replay line that drops a flag prints a different replay.
+echo "== rgb_fuzz replay line =="
+search=(--proto tree --mask 62)
+"$BUILD_DIR/rgb_fuzz" "${search[@]}" --seeds 1 --start 1 --quiet > "$obs1" \
+    || true
+awk '/^--- replay with:/ { f = 0 } f; /^--- minimized repro/ { f = 1 }' \
+    "$obs1" > "$sched"
+replay="$(sed -n 's/^--- replay with: rgb_fuzz \(.*\) --schedule .*/\1/p' \
+    "$obs1")"
+if [ -z "$replay" ]; then
+  echo "FAIL: rgb_fuzz ${search[*]} --seeds 1 printed no replay line" >&2
+  exit 1
+fi
+# shellcheck disable=SC2086  # the replay line's flags, one word each
+"$BUILD_DIR/rgb_fuzz" $replay --schedule "$sched" > "$obs1" || true
+"$BUILD_DIR/rgb_fuzz" "${search[@]}" --start 1 --schedule "$sched" \
+    > "$obs2" || true
+if ! cmp -s "$obs1" "$obs2"; then
+  echo "FAIL: 'rgb_fuzz $replay' replays the repro differently from" \
+      "rgb_fuzz ${search[*]} --start 1" >&2
   exit 1
 fi
 rm -f "$obs1" "$obs2" "$sched"

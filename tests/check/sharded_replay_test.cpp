@@ -84,18 +84,29 @@ TEST(ShardedReplay, RandomSchedulesIdenticalAcrossWorkerCounts) {
 TEST(ShardedReplay, ChurnWithStabilityIdenticalAcrossWorkerCounts) {
   // The stability layer's alert/cut machinery plus sustained churn windows:
   // alert timers, batched cuts and the churn expansion must all stay on the
-  // deterministic sharded path.
-  AdversarialConfig gen_cfg = sharded_config(1);
-  gen_cfg.stability = true;
-  gen_cfg.gen.churn = true;
-  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    const FaultSchedule schedule = random_schedule_for(gen_cfg, seed);
-    AdversarialConfig cfg = gen_cfg;
-    const RunDigest one = digest(cfg, schedule, seed);
-    cfg.shard_workers = 2;
-    EXPECT_EQ(digest(cfg, schedule, seed), one) << "seed " << seed;
-    cfg.shard_workers = 8;
-    EXPECT_EQ(digest(cfg, schedule, seed), one) << "seed " << seed;
+  // deterministic sharded path. Two sizes: 8 members, and 100 members with
+  // every other mode on too (4 groups, snapshot joins, partitions), since
+  // the fuzz matrix runs 1 worker in place of threads at every size.
+  AdversarialConfig small = sharded_config(1);
+  small.stability = true;
+  small.gen.churn = true;
+  AdversarialConfig large = small;
+  large.initial_members = 100;
+  large.groups = 4;
+  large.snapshot_join = true;
+  large.gen.partitions = true;
+  for (const AdversarialConfig& gen_cfg : {small, large}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      const FaultSchedule schedule = random_schedule_for(gen_cfg, seed);
+      AdversarialConfig cfg = gen_cfg;
+      const RunDigest one = digest(cfg, schedule, seed);
+      cfg.shard_workers = 2;
+      EXPECT_EQ(digest(cfg, schedule, seed), one)
+          << cfg.initial_members << " members, seed " << seed;
+      cfg.shard_workers = 8;
+      EXPECT_EQ(digest(cfg, schedule, seed), one)
+          << cfg.initial_members << " members, seed " << seed;
+    }
   }
 }
 
