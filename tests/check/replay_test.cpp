@@ -29,8 +29,8 @@ AdversarialConfig small_config() {
 /// (~25/60 seeds; seed 2 was the pinned deterministic repro). The
 /// post-heal reconciliation round — claim-epoch ordering plus the
 /// kReconcile re-anchoring exchange — closed the gap: the same profile now
-/// asserts *convergence*, and the 60-seed sweep is a CI gate
-/// (ci/check.sh).
+/// asserts *convergence*, and the `--partitions 1` sweep is a CI gate
+/// (a cell of ci/fuzz_matrix.sh, seeds 1-100).
 AdversarialConfig partition_profile() {
   AdversarialConfig cfg = small_config();
   cfg.gen.crashes = false;
