@@ -22,9 +22,9 @@ trap 'rm -rf "$work"' EXIT
 # Worker identity. The sharded kernel's trajectory depends only on the
 # logical shard count (one shard per tier-0 region), never on the number of
 # worker threads, so the matrix runs the sharded kernel at 1 worker, where
-# it costs what a serial run costs. Each profile CI runs on threads runs
-# here at 1 worker and at its thread count, per-seed lines and exit code
-# included, and the two outputs must be the same bytes.
+# it costs what a serial run costs. Each profile below runs at 1 worker
+# and on 2 or 8 threads, per-seed lines and exit code included, and the
+# two outputs must be the same bytes.
 echo "== rgb_fuzz worker identity (1 worker vs 2 or 8) =="
 # same_on_threads W FLAGS... — rgb_fuzz FLAGS at 1 and at W shard workers.
 same_on_threads() {
