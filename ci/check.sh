@@ -57,21 +57,50 @@ if ! cmp -s "$tmp1" "$tmp8"; then
 fi
 "$BUILD_DIR/rgb_exp" run table2.proto > /dev/null 2>&1
 
-# A zero topology is a usage error (exit 2), not a crash.
+# Usage errors exit 2 where the flag or schedule line is read: a zero
+# topology, and any number that is not plain decimal digits or does not fit
+# its flag (no sign, no space, no wrap into a narrower type). Each probe runs
+# under a timeout: a build that accepts one of them runs a search or bench
+# instead, and must fail here fast. Probes that a lax parser would turn into
+# a huge loop or thread count (a `-1`-style value, a large valid --threads)
+# are deliberately absent.
 echo "== usage errors =="
-expect_usage_error() {  # TOOL ARGS...
+expect_exit() {  # CODE TOOL ARGS...
   local rc=0
-  "$BUILD_DIR/$1" "${@:2}" > /dev/null 2>&1 || rc=$?
-  if [ "$rc" != 2 ]; then
-    echo "FAIL: $* exited $rc, not 2" >&2
+  timeout 10 "$BUILD_DIR/$2" "${@:3}" > /dev/null 2>&1 || rc=$?
+  if [ "$rc" != "$1" ]; then
+    echo "FAIL: ${*:2} exited $rc, not $1" >&2
     exit 1
   fi
 }
+expect_usage_error() { expect_exit 2 "$@"; }  # TOOL ARGS...
 for flag in --ring --tiers; do
   expect_usage_error rgb_fuzz "$flag" 0
   expect_usage_error rgb_exp bench "$flag" 0
   expect_usage_error rgb_exp trace "$flag" 0
 done
+expect_usage_error rgb_fuzz --mask 4294967296
+expect_usage_error rgb_fuzz --start 18446744073709551615 --seeds 2
+expect_usage_error rgb_fuzz --start " -1"
+expect_usage_error rgb_fuzz --members 4294967304
+expect_usage_error rgb_fuzz --shard-workers 4294967296
+expect_usage_error rgb_fuzz --churn 2
+expect_usage_error rgb_exp bench --steady-ticks 4294967297
+expect_usage_error rgb_exp bench --members " 1"
+expect_usage_error rgb_exp run table2.proto --threads 4294967297
+expect_usage_error rgb_wire roundtrip --iters -0
+usage_sched="$(mktemp)"
+printf 'at 18446744073710s heal\n' > "$usage_sched"
+expect_usage_error rgb_fuzz --schedule "$usage_sched"
+rm -f "$usage_sched"
+# --help after a command prints its usage and exits 0.
+for command in run bench trace metrics; do
+  expect_exit 0 rgb_exp "$command" --help
+done
+for command in list roundtrip fuzz; do
+  expect_exit 0 rgb_wire "$command" --help
+done
+expect_exit 0 rgb_fuzz --help
 
 # Invariant conformance: the adversarial scenario must hold every oracle
 # (exit 1 on any violation).

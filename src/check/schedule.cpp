@@ -1,11 +1,14 @@
 #include "check/schedule.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdlib>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
+#include "common/parse.hpp"
 #include "exp/scenario.hpp"  // format_double: round-tripping probabilities
 
 namespace rgb::check {
@@ -41,40 +44,34 @@ std::string format_time(sim::Time t) {
   return os.str();
 }
 
+/// Digits, then a unit: us, ms or s. A time past the end of sim::Time is
+/// rejected, not wrapped.
 sim::Time parse_time(const std::string& token, int line_no) {
-  std::size_t pos = 0;
-  unsigned long long value = 0;
-  try {
-    // stoull silently negates '-5'; accept only a leading digit.
-    if (token.empty() || !std::isdigit(static_cast<unsigned char>(token[0]))) {
-      throw std::invalid_argument{token};
-    }
-    value = std::stoull(token, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  const std::string unit = token.substr(pos);
-  const auto fail = [&] {
+  const std::string_view text{token};
+  const std::size_t split =
+      std::min(text.find_first_not_of("0123456789"), text.size());
+  const std::optional<std::uint64_t> value =
+      common::parse_u64(text.substr(0, split));
+  const std::string_view unit = text.substr(split);
+  const sim::Duration scale = unit == "us"   ? sim::kMicrosecond
+                              : unit == "ms" ? sim::kMillisecond
+                              : unit == "s"  ? sim::kSecond
+                                             : 0;
+  if (!value || scale == 0 ||
+      *value > std::numeric_limits<sim::Time>::max() / scale) {
     throw std::invalid_argument("schedule line " + std::to_string(line_no) +
                                 ": bad time '" + token + "'");
-  };
-  if (pos == 0) fail();
-  if (unit == "us") return sim::usec(value);
-  if (unit == "ms") return sim::msec(value);
-  if (unit == "s") return sim::sec(value);
-  fail();
-  return 0;
+  }
+  return *value * scale;
 }
 
 std::uint64_t parse_u64(const std::string& token, int line_no) {
-  char* end = nullptr;
-  const std::uint64_t value = std::strtoull(token.c_str(), &end, 10);
-  // strtoull wraps negatives into huge values; reject them too.
-  if (end == token.c_str() || *end != '\0' || token[0] == '-') {
+  const std::optional<std::uint64_t> value = common::parse_u64(token);
+  if (!value) {
     throw std::invalid_argument("schedule line " + std::to_string(line_no) +
                                 ": bad number '" + token + "'");
   }
-  return value;
+  return *value;
 }
 
 double parse_probability(const std::string& token, int line_no) {

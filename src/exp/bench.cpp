@@ -69,7 +69,17 @@ ProfileStats profile_from(const obs::OpTracer& tracer) {
   return out;
 }
 
-/// The one trial body behind run_scale_trial and run_trace_trial:
+/// kViewSync frames per steady probe tick = synced links (each steady frame
+/// is one link-tick; none is a reply once converged).
+std::uint64_t links_per_tick(const ScaleStats& stats,
+                             const ScaleConfig& config) {
+  return config.steady_ticks > 0
+             ? stats.viewsync_msgs /
+                   static_cast<std::uint64_t>(config.steady_ticks)
+             : 0;
+}
+
+/// The one trial body behind scale, trace and multi-group cells:
 /// `trace_out`, when set, receives the Chrome trace export of the trial.
 ScaleStats run_scale_trial_impl(const ScaleConfig& config, bool timed,
                                 std::ostream* trace_out) {
@@ -90,6 +100,7 @@ ScaleStats run_scale_trial_impl(const ScaleConfig& config, bool timed,
   core::RgbConfig rgb_config;
   rgb_config.probe_period = config.probe_period;
   rgb_config.snapshot_join = config.snapshot_join;
+  rgb_config.groups = config.groups;
   core::RgbSystem sys{network, rgb_config,
                       core::HierarchyLayout{config.tiers, config.ring_size}};
   if (sharded) sys.configure_shards(shard_count);
@@ -99,6 +110,7 @@ ScaleStats run_scale_trial_impl(const ScaleConfig& config, bool timed,
 
   ScaleStats stats;
   stats.members = config.members;
+  stats.groups = config.groups;
   stats.ne_count = sys.layout().ne_count();
   stats.snapshot_join = config.snapshot_join;
   stats.spans = config.spans;
@@ -189,6 +201,11 @@ ScaleStats run_scale_trial_impl(const ScaleConfig& config, bool timed,
   stats.viewsync_bytes = metrics.bytes_of(core::kind::kViewSync);
   stats.total_bytes = metrics.bytes_sent;
   stats.converged = sys.membership_converged();
+  stats.group_divergence = sys.group_view_divergence();
+  stats.groups_created = sys.metrics().groups_created.value();
+  stats.digests_packed = sys.metrics().digest_groups_packed.value();
+  stats.group_fulls = sys.metrics().group_fulls_sent.value();
+  stats.group_diffs = sys.metrics().group_diffs_sent.value();
 
   const obs::OpTracer& tracer = sys.obs().tracer;
   stats.dissemination_latency =
@@ -376,138 +393,52 @@ OscillationStats run_oscillation_cell(bool stability,
   return cell;
 }
 
-MultigroupStats run_multigroup_trial(const MultigroupConfig& config,
-                                     bool timed) {
-  common::RngStream rng{config.seed};
-  sim::Simulator simulator;
-  const bool sharded = config.shard_workers > 0;
-  const auto shard_count = static_cast<std::uint32_t>(config.ring_size);
-  if (sharded) {
-    simulator.configure_shards(shard_count,
-                               net::LinkConfig{}.latency.min_delay());
-    simulator.set_workers(config.shard_workers);
-  }
-  net::Network network{simulator, rng.fork("net")};
-  core::RgbConfig rgb_config;
-  rgb_config.probe_period = config.probe_period;
-  rgb_config.groups = config.groups;
-  rgb_config.groups_per_member = 1;
-  core::RgbSystem sys{network, rgb_config,
-                      core::HierarchyLayout{config.tiers, config.ring_size}};
-  if (sharded) sys.configure_shards(shard_count);
-
-  MultigroupStats stats;
-  stats.groups = config.groups;
-  stats.members_per_group = config.members_per_group;
-  stats.total_members = config.groups * config.members_per_group;
-  stats.ne_count = sys.layout().ne_count();
-
-  // G*M distinct guids, one group each: guid -> GroupId{1 + guid % G}
-  // (member_groups with groups_per_member = 1), so consecutive guids land
-  // round-robin over the groups and every group ends up with exactly M.
-  const auto& aps = sys.aps();
-  const auto join_start = std::chrono::steady_clock::now();
-  for (std::uint64_t i = 0; i < stats.total_members; ++i) {
-    const auto ap = aps[i % aps.size()];
-    auto join = [&sys, ap, i]() { sys.join(common::Guid{i + 1}, ap); };
-    if (sharded) {
-      simulator.schedule_on(sys.shard_of(ap), config.join_spacing * i,
-                            std::move(join));
-    } else {
-      simulator.schedule_at(config.join_spacing * i, std::move(join));
-    }
-  }
-  simulator.run();
-  const auto join_end = std::chrono::steady_clock::now();
-  stats.join_events = simulator.executed_events();
-  stats.join_bytes = network.metrics().bytes_sent;
-
-  // Warm-up, then one measured steady window (as in run_scale_trial).
-  sys.start_probing();
-  simulator.run_until(simulator.now() +
-                      config.probe_period *
-                          static_cast<std::uint64_t>(config.warmup_ticks));
-  const std::uint64_t pre_steady_events = simulator.executed_events();
-  network.reset_metrics();
-  const auto steady_start = std::chrono::steady_clock::now();
-  simulator.run_until(simulator.now() +
-                      config.probe_period *
-                          static_cast<std::uint64_t>(config.steady_ticks));
-  const auto steady_end = std::chrono::steady_clock::now();
-
-  stats.steady_events = simulator.executed_events() - pre_steady_events;
-  const auto& metrics = network.metrics();
-  stats.viewsync_msgs = metrics.sent_of(core::kind::kViewSync);
-  stats.viewsync_bytes = metrics.bytes_of(core::kind::kViewSync);
-  stats.total_bytes = metrics.bytes_sent;
-  stats.links = config.steady_ticks > 0
-                    ? stats.viewsync_msgs /
-                          static_cast<std::uint64_t>(config.steady_ticks)
-                    : 0;
-  stats.bytes_per_link_tick =
-      stats.viewsync_msgs > 0
-          ? static_cast<double>(stats.viewsync_bytes) /
-                static_cast<double>(stats.viewsync_msgs)
-          : 0.0;
-  stats.converged = sys.membership_converged();
-  stats.group_divergence = sys.group_view_divergence();
-  stats.groups_created = sys.metrics().groups_created.value();
-  stats.digests_packed = sys.metrics().digest_groups_packed.value();
-  stats.group_fulls = sys.metrics().group_fulls_sent.value();
-  stats.group_diffs = sys.metrics().group_diffs_sent.value();
-
-  if (timed) {
-    stats.join_wall_ms = ms_between(join_start, join_end);
-    stats.steady_wall_ms = ms_between(steady_start, steady_end);
-    stats.peak_rss_kb = peak_rss_kb();
-  }
-  return stats;
-}
-
-std::vector<MultigroupStats> run_multigroup_sweep(
-    const MultigroupConfig& base, const std::vector<std::uint64_t>& group_counts,
+std::vector<ScaleStats> run_multigroup_sweep(
+    const ScaleConfig& base, const std::vector<std::uint64_t>& group_counts,
     std::ostream& log, bool timed) {
-  std::vector<MultigroupStats> all;
+  std::vector<ScaleStats> all;
   for (const std::uint64_t groups : group_counts) {
-    MultigroupConfig config = base;
+    ScaleConfig config = base;
     config.groups = groups;
-    log << "bench.multigroup: groups=" << groups << " x "
-        << config.members_per_group << " members ...\n";
-    const MultigroupStats stats = run_multigroup_trial(config, timed);
+    config.members = groups * base.members;
+    log << "bench.multigroup: groups=" << groups << " x " << base.members
+        << " members ...\n";
+    const ScaleStats stats = run_scale_trial(config, timed);
     log << "  join " << stats.join_events << " events in "
         << stats.join_wall_ms << " ms; steady " << stats.steady_events
         << " events, kViewSync " << stats.viewsync_msgs << " msgs / "
-        << stats.viewsync_bytes << " bytes over " << stats.links
-        << " links (" << stats.bytes_per_link_tick
-        << " B/link/tick); group_divergence " << stats.group_divergence
+        << stats.viewsync_bytes << " bytes over "
+        << links_per_tick(stats, base) << " links ("
+        << stats.bytes_per_link_tick() << " B/link/tick); group_divergence "
+        << stats.group_divergence
         << "; converged=" << (stats.converged ? "yes" : "NO") << std::endl;
     all.push_back(stats);
   }
   return all;
 }
 
-bool all_multigroup_clean(const std::vector<MultigroupStats>& stats) {
-  for (const MultigroupStats& s : stats) {
+bool all_multigroup_clean(const std::vector<ScaleStats>& stats) {
+  for (const ScaleStats& s : stats) {
     if (!s.converged || s.group_divergence != 0) return false;
   }
   return true;
 }
 
-void write_multigroup_json(const MultigroupConfig& base,
-                           const std::vector<MultigroupStats>& stats,
+void write_multigroup_json(const ScaleConfig& base,
+                           const std::vector<ScaleStats>& stats,
                            std::ostream& os) {
   // The sublinearity baseline: what G *independent single-group
   // hierarchies* of the same shape would spend per link per tick (the G=1
   // cell, scaled by G).
   double g1_bytes = 0.0;
-  for (const MultigroupStats& s : stats) {
-    if (s.groups == 1) g1_bytes = s.bytes_per_link_tick;
+  for (const ScaleStats& s : stats) {
+    if (s.groups == 1) g1_bytes = s.bytes_per_link_tick();
   }
   os << "{\n"
      << "  \"bench\": \"bench_multigroup\",\n"
      << "  \"layout\": {\"tiers\": " << base.tiers
      << ", \"ring_size\": " << base.ring_size << "},\n"
-     << "  \"members_per_group\": " << base.members_per_group << ",\n"
+     << "  \"members_per_group\": " << base.members << ",\n"
      << "  \"probe_period_us\": " << base.probe_period << ",\n"
      << "  \"warmup_ticks\": " << base.warmup_ticks << ",\n"
      << "  \"steady_ticks\": " << base.steady_ticks << ",\n"
@@ -517,10 +448,10 @@ void write_multigroup_json(const MultigroupConfig& base,
      << ",\n"
      << "  \"cells\": [\n";
   for (std::size_t i = 0; i < stats.size(); ++i) {
-    const MultigroupStats& s = stats[i];
+    const ScaleStats& s = stats[i];
     os << "    {\"groups\": " << s.groups
-       << ", \"members_per_group\": " << s.members_per_group
-       << ", \"total_members\": " << s.total_members
+       << ", \"members_per_group\": " << base.members
+       << ", \"total_members\": " << s.members
        << ", \"ne_count\": " << s.ne_count
        << ", \"converged\": " << (s.converged ? "true" : "false")
        << ", \"group_divergence\": " << s.group_divergence << ",\n"
@@ -532,15 +463,16 @@ void write_multigroup_json(const MultigroupConfig& base,
        << ", \"viewsync_msgs\": " << s.viewsync_msgs
        << ", \"viewsync_bytes\": " << s.viewsync_bytes
        << ", \"total_bytes\": " << s.total_bytes
-       << ", \"links\": " << s.links << ", \"bytes_per_link_tick\": "
-       << format_double(s.bytes_per_link_tick) << "},\n"
+       << ", \"links\": " << links_per_tick(s, base)
+       << ", \"bytes_per_link_tick\": "
+       << format_double(s.bytes_per_link_tick()) << "},\n"
        << "     \"directory\": {\"groups_created\": " << s.groups_created
        << ", \"digests_packed\": " << s.digests_packed
        << ", \"group_fulls\": " << s.group_fulls
        << ", \"group_diffs\": " << s.group_diffs << "},\n";
     if (g1_bytes > 0.0) {
       os << "     \"packing_ratio\": "
-         << format_double(s.bytes_per_link_tick /
+         << format_double(s.bytes_per_link_tick() /
                           (static_cast<double>(s.groups) * g1_bytes))
          << ",\n";
     }

@@ -31,6 +31,10 @@ struct ScaleConfig {
   int tiers = 2;      ///< ring tiers (h)
   int ring_size = 5;  ///< nodes per ring (r)
   std::uint64_t members = 1000;
+  /// Groups the one hierarchy serves (RgbConfig::groups). Member guid g
+  /// joins the one group 1 + g % groups, so `members` = G*M puts exactly M
+  /// in each group.
+  std::uint64_t groups = 1;
   /// Join-phase mode: per-op downward dissemination (false, the paper's
   /// protocol) vs kSnapshot bulk state transfer (true: NotifyChild is
   /// replaced by debounced framed MemberTable snapshots).
@@ -84,6 +88,7 @@ struct ProfileStats {
 struct ScaleStats {
   // Echo of the cell.
   std::uint64_t members = 0;
+  std::uint64_t groups = 0;
   std::uint64_t ne_count = 0;
   bool snapshot_join = false;
   bool spans = false;  ///< causal-span recording was on for this cell
@@ -102,7 +107,16 @@ struct ScaleStats {
   std::uint64_t viewsync_msgs = 0;  ///< kViewSync sends over the window
   std::uint64_t viewsync_bytes = 0; ///< kViewSync bytes over the window
   std::uint64_t total_bytes = 0;    ///< all bytes over the window
-  bool converged = false;
+  bool converged = false;           ///< merged-view convergence
+  /// Sum over groups of per-NE record disagreement vs the grouped expected
+  /// membership (RgbSystem::group_view_divergence) at trial end. Must be 0
+  /// at quiescence: a merged-view zero can mask a record parked in the
+  /// wrong group, so this is the multi-group convergence gate.
+  std::uint64_t group_divergence = 0;
+  std::uint64_t groups_created = 0;   ///< rgb.groups_created at trial end
+  std::uint64_t digests_packed = 0;   ///< rgb.digest_groups_packed total
+  std::uint64_t group_fulls = 0;      ///< rgb.group_fulls_sent total
+  std::uint64_t group_diffs = 0;      ///< rgb.group_diffs_sent total
 
   // Observability (deterministic): causal-latency digests from the op
   // tracer and the per-phase tick time-series from the SeriesSampler.
@@ -138,6 +152,15 @@ struct ScaleStats {
   [[nodiscard]] double steady_events_per_sec() const {
     return steady_wall_ms > 0 ? steady_events / (steady_wall_ms / 1000.0)
                               : 0.0;
+  }
+  /// Steady kViewSync bytes per link per tick. Once converged, each steady
+  /// frame is one link-tick (none is a reply), so this is bytes per frame.
+  /// Flat in `groups` under kSummary packing; ~linear for unpacked
+  /// per-group syncing.
+  [[nodiscard]] double bytes_per_link_tick() const {
+    return viewsync_msgs > 0 ? static_cast<double>(viewsync_bytes) /
+                                   static_cast<double>(viewsync_msgs)
+                             : 0.0;
   }
 };
 
@@ -203,83 +226,26 @@ struct OscillationStats {
                                                0x05C113ULL});
 
 /// Multi-group serving bench (PR10): G groups x M members each multiplexed
-/// over ONE hierarchy. One trial joins G*M distinct-guid members (guid ->
-/// group via the deterministic member_groups stride, exactly M per group),
-/// lets the directory converge, then measures a steady-state anti-entropy
-/// window. The headline is bytes per link per tick as a function of G: the
-/// kSummary combined-digest tick keeps it O(1), so the curve is flat where
-/// G independent single-group hierarchies would pay G full frames.
-struct MultigroupConfig {
-  int tiers = 2;
-  int ring_size = 3;
-  std::uint64_t groups = 1000;
-  std::uint64_t members_per_group = 100;
-  sim::Duration join_spacing = sim::usec(200);
-  sim::Duration probe_period = sim::msec(250);
-  int warmup_ticks = 10;
-  int steady_ticks = 10;
-  std::uint64_t seed = 0x96B0DF5ULL;
-  /// As ScaleConfig::shard_workers: 0 = serial, > 0 = sharded trial with
-  /// byte-identical deterministic metrics for every positive worker count.
-  unsigned shard_workers = 0;
-};
-
-struct MultigroupStats {
-  // Echo of the cell.
-  std::uint64_t groups = 0;
-  std::uint64_t members_per_group = 0;
-  std::uint64_t total_members = 0;
-  std::uint64_t ne_count = 0;
-
-  // Deterministic protocol metrics.
-  std::uint64_t join_events = 0;
-  std::uint64_t join_bytes = 0;
-  std::uint64_t steady_events = 0;
-  std::uint64_t viewsync_msgs = 0;   ///< kViewSync sends over the window
-  std::uint64_t viewsync_bytes = 0;  ///< kViewSync bytes over the window
-  std::uint64_t total_bytes = 0;     ///< all bytes over the window
-  /// kViewSync frames per probe tick = synced links (each steady-state
-  /// frame is one link-tick; no frame is a reply once converged).
-  std::uint64_t links = 0;
-  /// Steady-state kViewSync bytes per link per tick — the headline. Flat
-  /// in G under kSummary packing; ~linear for unpacked per-group syncing.
-  double bytes_per_link_tick = 0.0;
-  /// Sum over groups of per-NE record disagreement vs the grouped expected
-  /// membership (RgbSystem::group_view_divergence). Must be 0 at
-  /// quiescence — the per-group convergence acceptance gate.
-  std::uint64_t group_divergence = 0;
-  std::uint64_t groups_created = 0;   ///< rgb.groups_created at trial end
-  std::uint64_t digests_packed = 0;   ///< rgb.digest_groups_packed total
-  std::uint64_t group_fulls = 0;      ///< rgb.group_fulls_sent total
-  std::uint64_t group_diffs = 0;      ///< rgb.group_diffs_sent total
-  bool converged = false;             ///< merged-view convergence
-
-  // Wall-clock metrics (zero when only the deterministic part ran).
-  double join_wall_ms = 0.0;
-  double steady_wall_ms = 0.0;
-  long peak_rss_kb = 0;
-};
-
-/// Runs one multi-group trial. `timed` as in run_scale_trial.
-[[nodiscard]] MultigroupStats run_multigroup_trial(
-    const MultigroupConfig& config, bool timed = true);
-
-/// Runs the group-count sweep (one cell per entry of `group_counts`),
-/// logging one summary line per cell to `log`.
-[[nodiscard]] std::vector<MultigroupStats> run_multigroup_sweep(
-    const MultigroupConfig& base, const std::vector<std::uint64_t>& group_counts,
+/// over ONE hierarchy. Each cell is a scale trial of `base` with `groups` =
+/// G and `members` = G*M, where M is `base.members`: one cell per entry of
+/// `group_counts`, one summary line per cell to `log`. The headline is
+/// bytes_per_link_tick() as a function of G: the kSummary combined-digest
+/// tick keeps it O(1), so the curve is flat where G independent
+/// single-group hierarchies would pay G full frames.
+[[nodiscard]] std::vector<ScaleStats> run_multigroup_sweep(
+    const ScaleConfig& base, const std::vector<std::uint64_t>& group_counts,
     std::ostream& log, bool timed = true);
 
 /// Every cell converged with zero per-group divergence — the bench's gate.
-[[nodiscard]] bool all_multigroup_clean(
-    const std::vector<MultigroupStats>& stats);
+[[nodiscard]] bool all_multigroup_clean(const std::vector<ScaleStats>& stats);
 
-/// Writes the multi-group BENCH json artifact. When the sweep contains a
-/// G=1 cell, every cell also carries `packing_ratio` = bytes_per_link_tick
-/// / (G * G=1-cell bytes_per_link_tick) — the sublinearity headline (the
-/// PR10 acceptance bar is < 0.25 at G=1000).
-void write_multigroup_json(const MultigroupConfig& base,
-                           const std::vector<MultigroupStats>& stats,
+/// Writes the multi-group BENCH json artifact of a run_multigroup_sweep over
+/// `base`. When the sweep contains a G=1 cell, every cell also carries
+/// `packing_ratio` = bytes_per_link_tick / (G * G=1-cell
+/// bytes_per_link_tick) — the sublinearity headline (the PR10 acceptance
+/// bar is < 0.25 at G=1000).
+void write_multigroup_json(const ScaleConfig& base,
+                           const std::vector<ScaleStats>& stats,
                            std::ostream& os);
 
 /// Which join modes a sweep runs.

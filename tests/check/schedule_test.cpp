@@ -66,6 +66,13 @@ TEST(ScheduleFormat, RejectsMalformedInput) {
                std::invalid_argument);
   EXPECT_THROW(parse_schedule("at 1s churn 2.0 1s\n"), std::invalid_argument);
   EXPECT_THROW(parse_schedule("crash ne 1\n"), std::invalid_argument);
+  // Numbers are decimal digits within range: no sign, no saturation, and
+  // no time whose unit scaling wraps past the end of sim::Time.
+  EXPECT_THROW(parse_schedule("at 18446744073710s heal\n"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_schedule("at 1s crash ne 99999999999999999999\n"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_schedule("at 1s crash ne +5\n"), std::invalid_argument);
 }
 
 TEST(ScheduleGenerator, IsAPureFunctionOfConfigAndSeed) {

@@ -4,6 +4,9 @@
 // steady-state kViewSync bytes per link per tick must stay flat as the
 // group count grows (the kSummary push-pull keeps the steady frame O(1) in
 // G, which is the whole point of multi-group serving on one hierarchy).
+// Each cell is a scale trial with `groups` set; `rgb_exp bench
+// --multigroup`'s shape (ring 3, 200us join spacing, its seed) at 20
+// members per group and short windows.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -15,9 +18,12 @@
 namespace rgb::exp {
 namespace {
 
-MultigroupConfig small_base(unsigned shard_workers) {
-  MultigroupConfig base;
-  base.members_per_group = 20;
+ScaleConfig small_base(unsigned shard_workers) {
+  ScaleConfig base;
+  base.ring_size = 3;
+  base.join_spacing = sim::usec(200);
+  base.seed = 0x96B0DF5ULL;
+  base.members = 20;  // per group
   base.warmup_ticks = 4;
   base.steady_ticks = 4;
   base.shard_workers = shard_workers;
@@ -47,25 +53,25 @@ TEST(MultigroupBench, SteadyBytesPerLinkStayFlatInGroupCount) {
       run_multigroup_sweep(small_base(0), {1, 8}, log, /*timed=*/false);
   ASSERT_EQ(cells.size(), 2u);
   ASSERT_TRUE(all_multigroup_clean(cells));
-  const MultigroupStats& g1 = cells[0];
-  const MultigroupStats& g8 = cells[1];
-  EXPECT_EQ(g8.total_members, 8 * g1.total_members);
-  ASSERT_GT(g1.bytes_per_link_tick, 0.0);
+  const ScaleStats& g1 = cells[0];
+  const ScaleStats& g8 = cells[1];
+  EXPECT_EQ(g8.members, 8 * g1.members);
+  ASSERT_GT(g1.bytes_per_link_tick(), 0.0);
   // Acceptance shape: G groups on one hierarchy must beat G independent
   // single-group hierarchies by at least 4x on steady bytes per link; the
   // kSummary fast path actually keeps the per-tick frame near-constant.
-  EXPECT_LT(g8.bytes_per_link_tick,
-            0.25 * 8.0 * g1.bytes_per_link_tick);
-  EXPECT_LT(g8.bytes_per_link_tick, 2.0 * g1.bytes_per_link_tick);
+  EXPECT_LT(g8.bytes_per_link_tick(), 0.25 * 8.0 * g1.bytes_per_link_tick());
+  EXPECT_LT(g8.bytes_per_link_tick(), 2.0 * g1.bytes_per_link_tick());
 }
 
 TEST(MultigroupBench, TrialReportsPerGroupConvergence) {
-  MultigroupConfig config = small_base(2);
+  ScaleConfig config = small_base(2);
   config.groups = 5;
-  const MultigroupStats stats = run_multigroup_trial(config, /*timed=*/false);
+  config.members = 5 * 20;
+  const ScaleStats stats = run_scale_trial(config, /*timed=*/false);
   EXPECT_TRUE(stats.converged);
   EXPECT_EQ(stats.group_divergence, 0u);
-  EXPECT_EQ(stats.total_members, 100u);
+  EXPECT_EQ(stats.members, 100u);
   // Every NE in the 2-tier ring-3 hierarchy hosts all 5 groups.
   EXPECT_EQ(stats.groups_created, 5u * stats.ne_count);
   // Untimed runs zero the wall-clock fields (the determinism contract).

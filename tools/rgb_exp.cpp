@@ -9,11 +9,16 @@
 //                 [--tiers H] [--ring R] [--steady-ticks K] [--seed S]
 //                 [--warmup-ticks K] [--join-spacing US] [--shards W]
 //                 [--json PATH|-] [--smoke] [--series PATH|-] [--detect]
-//                 [--deterministic] [--spans-ab]
+//                 [--oscillation] [--deterministic] [--spans-ab]
+//                 [--multigroup [--groups G[,G...]] [--group-members M]]
 //   rgb_exp trace [--members N] [--tiers H] [--ring R] [--shards W]
 //                 [--seed S] [--steady-ticks K] [--warmup-ticks K]
 //                 [--out PATH|-]
 //   rgb_exp metrics --catalog
+//
+// Every number is decimal digits: no sign, no space, no 0x prefix, and a
+// value out of its flag's range is a usage error (exit 2). `--help` after a
+// command prints that command's options.
 //
 // Aggregate output of `run` (table / CSV / JSON on stdout) is a pure
 // function of (scenario, seed, trials): byte-identical for any --threads
@@ -23,28 +28,28 @@
 // (events, kViewSync messages/bytes, convergence) are deterministic. See
 // EXPERIMENTS.md for the catalogue, the invariant suite and the BENCH
 // schema.
-#include <climits>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "check/check.hpp"
+#include "common/parse.hpp"
 #include "exp/exp.hpp"
 #include "obs/catalog.hpp"
 
 namespace {
 
-/// Shared strict argument helpers for both the `run` and `bench` parsers.
-/// `next_arg` consumes the value of a flag or exits; `next_arg_u64`
-/// additionally enforces a strict numeric parse — a typo like "2OO" must
-/// error, not silently parse to 0 (which the option structs read as "use
-/// the default"), and strtoull's silent negative wrap is rejected too.
+/// Shared strict argument helpers for the command parsers. `next_arg`
+/// consumes the value of a flag or exits; `next_arg_u64` additionally
+/// enforces a strict decimal parse (common::parse_u64) — a typo like "2OO",
+/// a sign or an overflow must error, not run some other number.
 const char* next_arg(int argc, char** argv, int& i, const std::string& flag) {
   if (i + 1 >= argc) {
     std::cerr << "rgb_exp: " << flag << " needs a value\n";
@@ -56,88 +61,130 @@ const char* next_arg(int argc, char** argv, int& i, const std::string& flag) {
 std::uint64_t next_arg_u64(int argc, char** argv, int& i,
                            const std::string& flag) {
   const char* text = next_arg(argc, argv, i, flag);
-  char* end = nullptr;
-  const std::uint64_t value = std::strtoull(text, &end, 0);
-  if (end == text || *end != '\0' || text[0] == '-') {
-    std::cerr << "rgb_exp: " << flag << " needs a number, got '" << text
-              << "'\n";
+  const std::optional<std::uint64_t> value = rgb::common::parse_u64(text);
+  if (!value) {
+    std::cerr << "rgb_exp: " << flag << " needs a decimal number, got '"
+              << text << "'\n";
     std::exit(2);
   }
-  return value;
+  return *value;
 }
 
-/// A ring size or tier count: a zero topology has no NE to build, so it is
-/// a usage error, not a trial.
-int next_arg_count(int argc, char** argv, int& i, const std::string& flag) {
+/// A flag whose value must lie in [lo, hi] (by default the whole of T), as
+/// T: a value outside it is a usage error, never a silent narrowing.
+template <typename T>
+T next_arg_in(int argc, char** argv, int& i, const std::string& flag,
+              std::uint64_t lo = 0,
+              std::uint64_t hi = std::numeric_limits<T>::max()) {
   const std::uint64_t value = next_arg_u64(argc, argv, i, flag);
-  if (value < 1 || value > INT_MAX) {
-    std::cerr << "rgb_exp: " << flag << " must be in [1, " << INT_MAX
+  if (value < lo || value > hi) {
+    std::cerr << "rgb_exp: " << flag << " must be in [" << lo << ", " << hi
               << "], got " << value << '\n';
     std::exit(2);
   }
-  return static_cast<int>(value);
+  return static_cast<T>(value);
 }
 
-int usage(const char* argv0, int code) {
+/// A comma-separated list of positive counts, e.g. `--members 1000,10000`.
+std::vector<std::uint64_t> next_arg_counts(int argc, char** argv, int& i,
+                                           const std::string& flag) {
+  std::stringstream list{next_arg(argc, argv, i, flag)};
+  std::vector<std::uint64_t> counts;
+  for (std::string item; std::getline(list, item, ',');) {
+    const std::optional<std::uint64_t> value = rgb::common::parse_u64(item);
+    if (!value || *value == 0) {
+      std::cerr << "rgb_exp: " << flag << " needs positive decimal counts, "
+                << "got '" << item << "'\n";
+      std::exit(2);
+    }
+    counts.push_back(*value);
+  }
+  if (counts.empty()) {
+    std::cerr << "rgb_exp: " << flag << " needs at least one count\n";
+    std::exit(2);
+  }
+  return counts;
+}
+
+bool is_help(const std::string& arg) { return arg == "--help" || arg == "-h"; }
+
+/// Prints the synopsis and the options of `command`, or of every command
+/// when it is empty.
+int usage(const char* argv0, int code, const std::string& command = "") {
   std::ostream& os = code == 0 ? std::cout : std::cerr;
+  const auto shows = [&command](const char* name) {
+    return command.empty() || command == name;
+  };
   os << "usage: " << argv0 << " --list\n"
      << "       " << argv0 << " run <scenario-id> [options]\n"
      << "       " << argv0 << " bench [bench options]\n"
      << "       " << argv0 << " trace [trace options]\n"
      << "       " << argv0 << " metrics --catalog\n"
-     << "run options:\n"
-     << "  --threads N    worker threads (default: hardware concurrency)\n"
-     << "  --trials N     override trials per cell (default: scenario's)\n"
-     << "  --seed S       base seed (default: 0xE5EED)\n"
-     << "  --csv PATH     write CSV ('-' for stdout)\n"
-     << "  --json PATH    write JSON ('-' for stdout)\n"
-     << "  --no-table     suppress the default table on stdout\n"
-     << "  --check        run the invariant-oracle suite over every trial;\n"
-     << "                 exit 1 when any scenario invariant is violated\n"
-     << "bench options:\n"
-     << "  --members LIST comma-separated member counts\n"
-     << "                 (default: 1000,10000,100000)\n"
-     << "  --join J       dissem | snapshot | both (default: dissem)\n"
-     << "  --tiers H      ring tiers (default 2)\n"
-     << "  --ring R       ring size (default 5)\n"
-     << "  --steady-ticks K  probe ticks in the steady window (default 10)\n"
-     << "  --warmup-ticks K  probe ticks of pre-window warm-up (default 10)\n"
-     << "  --join-spacing US virtual us between member arrivals (default 500)\n"
-     << "  --shards W     sharded trial: one logical shard per tier-0\n"
-     << "                 region, W worker threads on the windows; the\n"
-     << "                 deterministic output is identical for any W >= 1\n"
-     << "  --seed S       trial seed (default 0xBE7C4)\n"
-     << "  --json PATH    write the BENCH json artifact ('-' for stdout)\n"
-     << "  --smoke        bounded CI profile (members=200, both join modes)\n"
-     << "  --series PATH  write the first cell's tick series as CSV\n"
-     << "                 ('-' for stdout)\n"
-     << "  --detect       append the failure-detection latency micro-trial\n"
-     << "  --oscillation  append the stability A/B flap-suppression cells\n"
-     << "                 (churn + loss window, stability off vs on)\n"
-     << "  --deterministic  zero the wall-clock fields: the JSON becomes a\n"
-     << "                 pure function of (config, seed) — the CI\n"
-     << "                 byte-identity gate\n"
-     << "  --spans-ab     run every cell twice, causal spans off then on,\n"
-     << "                 so the JSON carries the span overhead A/B\n"
-     << "  --multigroup   run the multi-group serving cell instead of the\n"
-     << "                 scale sweep: G groups x M members on ONE shared\n"
-     << "                 hierarchy, measuring steady-state kViewSync bytes\n"
-     << "                 per link per tick as G grows (defaults: ring 3,\n"
-     << "                 join spacing 200us, groups 1,10,100,1000;\n"
-     << "                 --smoke bounds it to groups 1,8)\n"
-     << "  --groups LIST  comma-separated group counts (with --multigroup)\n"
-     << "  --group-members M  members per group (default 100)\n"
-     << "trace options (causal-span Chrome trace export; spans forced on,\n"
-     << "untimed, byte-identical for any --shards W >= 1; --shards 0, the\n"
-     << "default, runs the serial trial, whose trace differs):\n"
-     << "  --members N    members to join (default 2000)\n"
-     << "  --tiers H / --ring R / --shards W / --seed S  as for bench\n"
-     << "  --steady-ticks K / --warmup-ticks K           as for bench\n"
-     << "  --out PATH     trace JSON destination (default '-': stdout);\n"
-     << "                 load it in Perfetto or chrome://tracing\n"
-     << "metrics options:\n"
-     << "  --catalog      print every exported metric: name, type and\n"
-     << "                 one-line description\n";
+     << "Numbers are decimal digits (no sign, no 0x prefix). --help after a\n"
+     << "command prints its options.\n";
+  if (shows("run")) {
+    os << "run options:\n"
+       << "  --threads N    worker threads (default: hardware concurrency)\n"
+       << "  --trials N     override trials per cell (default: scenario's)\n"
+       << "  --seed S       base seed (default: 941805 = 0xE5EED)\n"
+       << "  --csv PATH     write CSV ('-' for stdout)\n"
+       << "  --json PATH    write JSON ('-' for stdout)\n"
+       << "  --no-table     suppress the default table on stdout\n"
+       << "  --check        run the invariant-oracle suite over every trial;\n"
+       << "                 exit 1 when any scenario invariant is violated\n";
+  }
+  if (shows("bench")) {
+    os << "bench options:\n"
+       << "  --members LIST comma-separated member counts\n"
+       << "                 (default: 1000,10000,100000)\n"
+       << "  --join J       dissem | snapshot | both (default: dissem)\n"
+       << "  --tiers H      ring tiers (default 2)\n"
+       << "  --ring R       ring size (default 5)\n"
+       << "  --steady-ticks K  probe ticks in the steady window (default 10)\n"
+       << "  --warmup-ticks K  probe ticks of pre-window warm-up (default 10)\n"
+       << "  --join-spacing US  virtual us between member arrivals\n"
+       << "                 (default 500)\n"
+       << "  --shards W     sharded trial: one logical shard per tier-0\n"
+       << "                 region, W worker threads on the windows; the\n"
+       << "                 deterministic output is identical for any W >= 1\n"
+       << "  --seed S       trial seed (default 780228 = 0xBE7C4)\n"
+       << "  --json PATH    write the BENCH json artifact ('-' for stdout)\n"
+       << "  --smoke        bounded CI profile (members=200, both join modes)\n"
+       << "  --series PATH  write the first cell's tick series as CSV\n"
+       << "                 ('-' for stdout)\n"
+       << "  --detect       append the failure-detection latency micro-trial\n"
+       << "  --oscillation  append the stability A/B flap-suppression cells\n"
+       << "                 (churn + loss window, stability off vs on)\n"
+       << "  --deterministic  zero the wall-clock fields: the JSON becomes a\n"
+       << "                 pure function of (config, seed) — the CI\n"
+       << "                 byte-identity gate\n"
+       << "  --spans-ab     run every cell twice, causal spans off then on,\n"
+       << "                 so the JSON carries the span overhead A/B\n"
+       << "  --multigroup   run the multi-group serving cell instead of the\n"
+       << "                 scale sweep: G groups x M members on ONE shared\n"
+       << "                 hierarchy, measuring steady-state kViewSync bytes\n"
+       << "                 per link per tick as G grows (defaults: ring 3,\n"
+       << "                 join spacing 200us, seed 158010869 = 0x96B0DF5,\n"
+       << "                 groups 1,10,100,1000; --smoke bounds it to\n"
+       << "                 groups 1,8)\n"
+       << "  --groups LIST  comma-separated group counts (with --multigroup)\n"
+       << "  --group-members M  members per group (default 100)\n";
+  }
+  if (shows("trace")) {
+    os << "trace options (causal-span Chrome trace export; spans forced on,\n"
+       << "untimed, byte-identical for any --shards W >= 1; --shards 0, the\n"
+       << "default, runs the serial trial, whose trace differs):\n"
+       << "  --members N    members to join (default 2000)\n"
+       << "  --tiers H / --ring R / --shards W / --seed S  as for bench\n"
+       << "  --steady-ticks K / --warmup-ticks K           as for bench\n"
+       << "  --out PATH     trace JSON destination (default '-': stdout);\n"
+       << "                 load it in Perfetto or chrome://tracing\n";
+  }
+  if (shows("metrics")) {
+    os << "metrics options:\n"
+       << "  --catalog      print every exported metric: name, type and\n"
+       << "                 one-line description\n";
+  }
   return code;
 }
 
@@ -149,20 +196,22 @@ int run_trace(int argc, char** argv) {
     const std::string arg = argv[i];
     const auto next = [&]() { return next_arg(argc, argv, i, arg); };
     const auto next_u64 = [&]() { return next_arg_u64(argc, argv, i, arg); };
+    if (is_help(arg)) return usage(argv[0], 0, "trace");
     if (arg == "--members") {
       config.members = next_u64();
     } else if (arg == "--tiers") {
-      config.tiers = next_arg_count(argc, argv, i, arg);
+      // A zero topology has no NE to build: a usage error, not a trial.
+      config.tiers = next_arg_in<int>(argc, argv, i, arg, 1);
     } else if (arg == "--ring") {
-      config.ring_size = next_arg_count(argc, argv, i, arg);
+      config.ring_size = next_arg_in<int>(argc, argv, i, arg, 1);
     } else if (arg == "--shards") {
-      config.shard_workers = static_cast<unsigned>(next_u64());
+      config.shard_workers = next_arg_in<unsigned>(argc, argv, i, arg);
     } else if (arg == "--seed") {
       config.seed = next_u64();
     } else if (arg == "--steady-ticks") {
-      config.steady_ticks = static_cast<int>(next_u64());
+      config.steady_ticks = next_arg_in<int>(argc, argv, i, arg);
     } else if (arg == "--warmup-ticks") {
-      config.warmup_ticks = static_cast<int>(next_u64());
+      config.warmup_ticks = next_arg_in<int>(argc, argv, i, arg);
     } else if (arg == "--out") {
       out_path = next();
     } else {
@@ -192,6 +241,7 @@ int run_metrics(int argc, char** argv) {
   bool catalog = false;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
+    if (is_help(arg)) return usage(argv[0], 0, "metrics");
     if (arg == "--catalog") {
       catalog = true;
     } else {
@@ -220,37 +270,21 @@ int run_bench(int argc, char** argv) {
   std::string json_path;
   std::string series_path;
   // Multi-group cell (bench.multigroup): G x M sweep measuring steady-state
-  // kViewSync bytes per link per tick as the group count grows. Flags shared
-  // with the scale sweep (--tiers, --ring, ...) apply to it only when given
-  // explicitly, because the two cells have different defaults.
+  // kViewSync bytes per link per tick as the group count grows. Its shape
+  // differs from the scale sweep's in three defaults, which an explicit
+  // flag overrides in any argument order.
   bool multigroup = false;
   std::vector<std::uint64_t> group_counts;
   std::uint64_t group_members = 0;
-  bool saw_tiers = false, saw_ring = false, saw_steady = false;
-  bool saw_warmup = false, saw_spacing = false, saw_shards = false;
-  bool saw_seed = false;
+  bool saw_ring = false, saw_spacing = false, saw_seed = false;
 
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto next = [&]() { return next_arg(argc, argv, i, arg); };
     const auto next_u64 = [&]() { return next_arg_u64(argc, argv, i, arg); };
+    if (is_help(arg)) return usage(argv[0], 0, "bench");
     if (arg == "--members") {
-      member_counts.clear();
-      std::stringstream list{next()};
-      std::string item;
-      while (std::getline(list, item, ',')) {
-        char* end = nullptr;
-        const std::uint64_t value = std::strtoull(item.c_str(), &end, 0);
-        if (end == item.c_str() || *end != '\0' || value == 0) {
-          std::cerr << "rgb_exp: bad member count '" << item << "'\n";
-          return 2;
-        }
-        member_counts.push_back(value);
-      }
-      if (member_counts.empty()) {
-        std::cerr << "rgb_exp: --members needs at least one count\n";
-        return 2;
-      }
+      member_counts = next_arg_counts(argc, argv, i, arg);
     } else if (arg == "--join") {
       join_flag_seen = true;
       const std::string join = next();
@@ -263,46 +297,23 @@ int run_bench(int argc, char** argv) {
     } else if (arg == "--multigroup") {
       multigroup = true;
     } else if (arg == "--groups") {
-      group_counts.clear();
-      std::stringstream list{next()};
-      std::string item;
-      while (std::getline(list, item, ',')) {
-        char* end = nullptr;
-        const std::uint64_t value = std::strtoull(item.c_str(), &end, 0);
-        if (end == item.c_str() || *end != '\0' || value == 0) {
-          std::cerr << "rgb_exp: bad group count '" << item << "'\n";
-          return 2;
-        }
-        group_counts.push_back(value);
-      }
-      if (group_counts.empty()) {
-        std::cerr << "rgb_exp: --groups needs at least one count\n";
-        return 2;
-      }
+      group_counts = next_arg_counts(argc, argv, i, arg);
     } else if (arg == "--group-members") {
-      group_members = next_u64();
-      if (group_members == 0) {
-        std::cerr << "rgb_exp: --group-members must be positive\n";
-        return 2;
-      }
+      group_members = next_arg_in<std::uint64_t>(argc, argv, i, arg, 1);
     } else if (arg == "--tiers") {
-      base.tiers = next_arg_count(argc, argv, i, arg);
-      saw_tiers = true;
+      base.tiers = next_arg_in<int>(argc, argv, i, arg, 1);
     } else if (arg == "--ring") {
-      base.ring_size = next_arg_count(argc, argv, i, arg);
+      base.ring_size = next_arg_in<int>(argc, argv, i, arg, 1);
       saw_ring = true;
     } else if (arg == "--steady-ticks") {
-      base.steady_ticks = static_cast<int>(next_u64());
-      saw_steady = true;
+      base.steady_ticks = next_arg_in<int>(argc, argv, i, arg);
     } else if (arg == "--warmup-ticks") {
-      base.warmup_ticks = static_cast<int>(next_u64());
-      saw_warmup = true;
+      base.warmup_ticks = next_arg_in<int>(argc, argv, i, arg);
     } else if (arg == "--join-spacing") {
       base.join_spacing = next_u64();
       saw_spacing = true;
     } else if (arg == "--shards") {
-      base.shard_workers = static_cast<unsigned>(next_u64());
-      saw_shards = true;
+      base.shard_workers = next_arg_in<unsigned>(argc, argv, i, arg);
     } else if (arg == "--seed") {
       base.seed = next_u64();
       saw_seed = true;
@@ -330,25 +341,20 @@ int run_bench(int argc, char** argv) {
     return 2;
   }
   if (multigroup) {
-    rgb::exp::MultigroupConfig mg;
-    if (saw_tiers) mg.tiers = base.tiers;
-    if (saw_ring) mg.ring_size = base.ring_size;
-    if (saw_steady) mg.steady_ticks = base.steady_ticks;
-    if (saw_warmup) mg.warmup_ticks = base.warmup_ticks;
-    if (saw_spacing) mg.join_spacing = base.join_spacing;
-    if (saw_shards) mg.shard_workers = base.shard_workers;
-    if (saw_seed) mg.seed = base.seed;
-    if (group_members != 0) mg.members_per_group = group_members;
+    if (!saw_ring) base.ring_size = 3;
+    if (!saw_spacing) base.join_spacing = rgb::sim::usec(200);
+    if (!saw_seed) base.seed = 0x96B0DF5ULL;
+    base.members = group_members != 0 ? group_members : 100;  // per group
     if (group_counts.empty()) {
       group_counts = smoke ? std::vector<std::uint64_t>{1, 8}
                            : std::vector<std::uint64_t>{1, 10, 100, 1000};
     }
-    const std::vector<rgb::exp::MultigroupStats> cells =
-        rgb::exp::run_multigroup_sweep(mg, group_counts, std::cerr,
+    const std::vector<rgb::exp::ScaleStats> cells =
+        rgb::exp::run_multigroup_sweep(base, group_counts, std::cerr,
                                        /*timed=*/!deterministic);
     if (!json_path.empty()) {
       if (json_path == "-") {
-        rgb::exp::write_multigroup_json(mg, cells, std::cout);
+        rgb::exp::write_multigroup_json(base, cells, std::cout);
       } else {
         std::ofstream file{json_path};
         if (!file) {
@@ -356,7 +362,7 @@ int run_bench(int argc, char** argv) {
                     << "' for writing\n";
           return 1;
         }
-        rgb::exp::write_multigroup_json(mg, cells, file);
+        rgb::exp::write_multigroup_json(base, cells, file);
         std::cerr << "wrote " << json_path << '\n';
       }
     }
@@ -456,7 +462,7 @@ bool write_to(const std::string& path, const rgb::exp::RunResult& result,
 int main(int argc, char** argv) {
   if (argc < 2) return usage(argv[0], 2);
   const std::string command = argv[1];
-  if (command == "--help" || command == "-h") return usage(argv[0], 0);
+  if (is_help(command)) return usage(argv[0], 0);
   if (command == "--list" || command == "list") return list_scenarios();
   if (command == "bench") return run_bench(argc, argv);
   if (command == "trace") return run_trace(argc, argv);
@@ -467,6 +473,7 @@ int main(int argc, char** argv) {
   }
   if (argc < 3) return usage(argv[0], 2);
   const std::string id = argv[2];
+  if (is_help(id)) return usage(argv[0], 0, "run");
 
   rgb::exp::RunnerOptions options;
   std::string csv_path, json_path;
@@ -476,8 +483,9 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     const auto next = [&]() { return next_arg(argc, argv, i, arg); };
     const auto next_u64 = [&]() { return next_arg_u64(argc, argv, i, arg); };
+    if (is_help(arg)) return usage(argv[0], 0, "run");
     if (arg == "--threads") {
-      options.threads = static_cast<unsigned>(next_u64());
+      options.threads = next_arg_in<unsigned>(argc, argv, i, arg);
     } else if (arg == "--trials") {
       options.trials_override = next_u64();
     } else if (arg == "--seed") {

@@ -15,7 +15,10 @@
 // with the exact replay command: the search's own flags (all but --seeds,
 // --start, --quiet and --flight-full) plus --start and --schedule. Exit
 // code: 0 when every seed passes, 1 when any violation was found, 2 on
-// usage errors (a ring size or tier count below 1 among them).
+// usage errors: every number is decimal digits (no sign, no space, no 0x
+// prefix) within its flag's range — a ring size or tier count of at least
+// 1, a mode flag of 0 or 1, a mask within the oracle bits — and the last
+// seed, start + N - 1, must not pass 2^64 - 1.
 //
 // With --schedule FILE the tool skips generation and replays the given
 // schedule file (e.g. a minimized repro from a previous run) under seed
@@ -30,18 +33,32 @@
 // recovery + message loss bursts + handoff churn); `--partitions 1` adds
 // reachability splits (healed before quiescence), exercising the
 // partition-merge extension.
-#include <climits>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 
 #include "check/check.hpp"
+#include "common/parse.hpp"
 
 namespace {
+
+/// `value` of `flag` as T when it lies in [lo, hi] (by default the whole of
+/// T): anything else is a usage error, never a silent narrowing.
+template <typename T>
+T in_range(const std::string& flag, std::uint64_t value, std::uint64_t lo = 0,
+           std::uint64_t hi = std::numeric_limits<T>::max()) {
+  if (value < lo || value > hi) {
+    std::cerr << "rgb_fuzz: " << flag << " must be in [" << lo << ", " << hi
+              << "], got " << value << '\n';
+    std::exit(2);
+  }
+  return static_cast<T>(value);
+}
 
 int usage(const char* argv0, int code) {
   std::ostream& os = code == 0 ? std::cout : std::cerr;
@@ -69,7 +86,8 @@ int usage(const char* argv0, int code) {
      << "  --shard-workers W  RGB: run sharded with W worker threads\n"
      << "                 (default 0 = serial; reports are byte-identical\n"
      << "                 for every W >= 1)\n"
-     << "  --mask BITS    invariant mask (default all; see EXPERIMENTS.md)\n"
+     << "  --mask BITS    invariant mask, 1-63 (default 63, all; see\n"
+     << "                 EXPERIMENTS.md)\n"
      << "  --schedule F   replay schedule file F under seed --start\n"
      << "  --quiet        only report violations and the final summary\n"
      << "  --flight-full  dump the complete retained flight ring for every\n"
@@ -101,24 +119,13 @@ int main(int argc, char** argv) {
     };
     const auto next_u64 = [&]() -> std::uint64_t {
       const char* text = next();
-      char* end = nullptr;
-      const std::uint64_t value = std::strtoull(text, &end, 0);
-      if (end == text || *end != '\0' || text[0] == '-') {
-        std::cerr << "rgb_fuzz: " << arg << " needs a number, got '" << text
-                  << "'\n";
+      const std::optional<std::uint64_t> value = rgb::common::parse_u64(text);
+      if (!value) {
+        std::cerr << "rgb_fuzz: " << arg << " needs a decimal number, got '"
+                  << text << "'\n";
         std::exit(2);
       }
-      return value;
-    };
-    // A ring size or tier count: a zero topology has no NE to build.
-    const auto next_count = [&]() -> int {
-      const std::uint64_t value = next_u64();
-      if (value < 1 || value > INT_MAX) {
-        std::cerr << "rgb_fuzz: " << arg << " must be in [1, " << INT_MAX
-                  << "], got " << value << '\n';
-        std::exit(2);
-      }
-      return static_cast<int>(value);
+      return *value;
     };
     try {
       if (arg == "--help" || arg == "-h") return usage(argv[0], 0);
@@ -129,33 +136,35 @@ int main(int argc, char** argv) {
       } else if (arg == "--start") {
         start = next_u64();
       } else if (arg == "--tiers") {
-        cfg.tiers = next_count();
+        // A zero topology has no NE to build.
+        cfg.tiers = in_range<int>(arg, next_u64(), 1);
       } else if (arg == "--ring") {
-        cfg.ring_size = next_count();
+        cfg.ring_size = in_range<int>(arg, next_u64(), 1);
       } else if (arg == "--members") {
-        cfg.initial_members = static_cast<int>(next_u64());
+        cfg.initial_members = in_range<int>(arg, next_u64());
       } else if (arg == "--groups") {
         cfg.groups = next_u64();
       } else if (arg == "--events") {
-        cfg.gen.events = static_cast<int>(next_u64());
+        cfg.gen.events = in_range<int>(arg, next_u64());
       } else if (arg == "--crashes") {
-        cfg.gen.crashes = next_u64() != 0;
+        cfg.gen.crashes = in_range<bool>(arg, next_u64());
       } else if (arg == "--partitions") {
-        cfg.gen.partitions = next_u64() != 0;
+        cfg.gen.partitions = in_range<bool>(arg, next_u64());
       } else if (arg == "--bursts") {
-        cfg.gen.drop_bursts = next_u64() != 0;
+        cfg.gen.drop_bursts = in_range<bool>(arg, next_u64());
       } else if (arg == "--handoffs") {
-        cfg.gen.handoffs = next_u64() != 0;
+        cfg.gen.handoffs = in_range<bool>(arg, next_u64());
       } else if (arg == "--churn") {
-        cfg.gen.churn = next_u64() != 0;
+        cfg.gen.churn = in_range<bool>(arg, next_u64());
       } else if (arg == "--stability") {
-        cfg.stability = next_u64() != 0;
+        cfg.stability = in_range<bool>(arg, next_u64());
       } else if (arg == "--snapshot-join") {
-        cfg.snapshot_join = next_u64() != 0;
+        cfg.snapshot_join = in_range<bool>(arg, next_u64());
       } else if (arg == "--shard-workers") {
-        cfg.shard_workers = static_cast<unsigned>(next_u64());
+        cfg.shard_workers = in_range<unsigned>(arg, next_u64());
       } else if (arg == "--mask") {
-        cfg.check_mask = static_cast<unsigned>(next_u64());
+        cfg.check_mask =
+            in_range<unsigned>(arg, next_u64(), 1, rgb::exp::kCheckAll);
       } else if (arg == "--schedule") {
         schedule_path = next();
       } else if (arg == "--quiet") {
@@ -206,8 +215,15 @@ int main(int argc, char** argv) {
     return result.passed() ? 0 : 1;
   }
 
+  // The last seed, start + seeds - 1, must exist: no wrap back to seed 0.
+  if (seeds > 0 && seeds - 1 > UINT64_MAX - start) {
+    std::cerr << "rgb_fuzz: --start " << start << " with --seeds " << seeds
+              << " runs past seed " << UINT64_MAX << '\n';
+    return 2;
+  }
   std::uint64_t violations_found = 0;
-  for (std::uint64_t seed = start; seed < start + seeds; ++seed) {
+  for (std::uint64_t k = 0; k < seeds; ++k) {
+    const std::uint64_t seed = start + k;
     const rgb::check::FaultSchedule schedule =
         rgb::check::random_schedule_for(cfg, seed);
     const auto result = rgb::check::run_schedule(cfg, schedule, seed);

@@ -13,14 +13,17 @@
 //       must re-encode decodably (decode is a normalizing total function on
 //       its accepted set).
 //
-// Exit code 0 = all good; 1 = a property failed; 2 = usage error.
+// Exit code 0 = all good; 1 = a property failed; 2 = usage error (N and S
+// are decimal digits: no sign, no space, no 0x prefix). `--help` after a
+// command prints the usage.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/parse.hpp"
 #include "common/rng.hpp"
 #include "wire/arbitrary.hpp"
 #include "wire/codec.hpp"
@@ -36,13 +39,14 @@ std::uint64_t arg_u64(int argc, char** argv, int& i, const char* flag) {
     std::fprintf(stderr, "rgb_wire: %s needs a value\n", flag);
     std::exit(2);
   }
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(argv[++i], &end, 0);
-  if (end == argv[i] || *end != '\0') {
-    std::fprintf(stderr, "rgb_wire: %s needs a number\n", flag);
+  const char* text = argv[++i];
+  const std::optional<std::uint64_t> value = rgb::common::parse_u64(text);
+  if (!value) {
+    std::fprintf(stderr, "rgb_wire: %s needs a decimal number, got '%s'\n",
+                 flag, text);
     std::exit(2);
   }
-  return v;
+  return *value;
 }
 
 int list_kinds(std::uint64_t seed) {
@@ -168,7 +172,7 @@ int fuzz(std::uint64_t iters, std::uint64_t seed) {
 
 int usage(int code) {
   std::fprintf(code == 0 ? stdout : stderr,
-               "usage: rgb_wire list\n"
+               "usage: rgb_wire list [--seed S]\n"
                "       rgb_wire roundtrip [--iters N] [--seed S]\n"
                "       rgb_wire fuzz [--iters N] [--seed S]\n");
   return code;
@@ -182,9 +186,11 @@ int main(int argc, char** argv) {
   std::uint64_t iters = command == "fuzz" ? 20000 : 200;
   std::uint64_t seed = 0x31125EEDULL;
   for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--iters") == 0) {
+    const std::string arg = argv[i];
+    if (arg == "--help" || arg == "-h") return usage(0);
+    if (arg == "--iters") {
       iters = arg_u64(argc, argv, i, "--iters");
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
+    } else if (arg == "--seed") {
       seed = arg_u64(argc, argv, i, "--seed");
     } else {
       std::fprintf(stderr, "rgb_wire: unknown option '%s'\n", argv[i]);
