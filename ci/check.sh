@@ -15,6 +15,20 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
 
+# The library prints nothing: src/ reports through return values, the
+# streams its callers hand it and the flight ring, so every byte on a
+# process stream comes from a tool, bench or example. A non-comment line of
+# src/ that names a standard stream fails the check.
+echo "== lint: src/ names no standard stream =="
+streams="$(grep -rnE --include='*.hpp' --include='*.cpp' \
+    '\b(std::(cout|cerr|clog)|stdout|stderr)\b' src \
+    | grep -vE '^[^:]+:[0-9]+:[[:space:]]*(//|/\*|\*)' || true)"
+if [ -n "$streams" ]; then
+  echo "FAIL: src/ names a standard stream:" >&2
+  echo "$streams" >&2
+  exit 1
+fi
+
 # Warnings are errors in the check build: the project's -Wall -Wextra
 # build stays at zero warnings.
 echo "== configure =="
@@ -59,11 +73,12 @@ fi
 
 # Usage errors exit 2 where the flag or schedule line is read: a zero
 # topology, and any number that is not plain decimal digits or does not fit
-# its flag (no sign, no space, no wrap into a narrower type). Each probe runs
-# under a timeout: a build that accepts one of them runs a search or bench
-# instead, and must fail here fast. Probes that a lax parser would turn into
-# a huge loop or thread count (a `-1`-style value, a large valid --threads)
-# are deliberately absent.
+# its flag (no sign, no space, no wrap into a narrower type). A flag that the
+# selected mode has nothing to apply to exits 2 once all flags are read. Each
+# probe runs under a timeout: a build that accepts one of them runs a search
+# or bench instead, and must fail here fast. Probes that a lax parser would
+# turn into a huge loop or thread count (a `-1`-style value, a large valid
+# --threads) are deliberately absent.
 echo "== usage errors =="
 expect_exit() {  # CODE TOOL ARGS...
   local rc=0
@@ -93,6 +108,21 @@ usage_sched="$(mktemp)"
 printf 'at 18446744073710s heal\n' > "$usage_sched"
 expect_usage_error rgb_fuzz --schedule "$usage_sched"
 rm -f "$usage_sched"
+# Scale-sweep flags that a multi-group cell has nothing to apply to, before
+# or after --multigroup.
+for flag in "--members 7" "--join snapshot" --detect --oscillation --spans-ab; do
+  # shellcheck disable=SC2086  # a flag and its value, one word each
+  expect_usage_error rgb_exp bench --multigroup --smoke --group-members 5 $flag
+done
+expect_usage_error rgb_exp bench --detect --multigroup --smoke --group-members 5
+# RGB-only fixture flags beside a baseline protocol, in either order, and a
+# group count of zero.
+expect_usage_error rgb_fuzz --proto gossip --groups 4 --seeds 1
+expect_usage_error rgb_fuzz --proto tree --stability 1 --seeds 1
+expect_usage_error rgb_fuzz --proto flatring --snapshot-join 1 --seeds 1
+expect_usage_error rgb_fuzz --shard-workers 2 --proto gossip --seeds 1
+expect_usage_error rgb_fuzz --stability 0 --proto tree --seeds 1
+expect_usage_error rgb_fuzz --groups 0 --seeds 1
 # --help after a command prints its usage and exits 0.
 for command in run bench trace metrics; do
   expect_exit 0 rgb_exp "$command" --help
@@ -160,6 +190,14 @@ top = max(cells, key=lambda c: c["groups"])
 assert top["groups"] > 1 and top["packing_ratio"] < 0.25, (
     f"G={top['groups']} packing_ratio {top['packing_ratio']} >= 0.25")
 EOF
+# --series with --multigroup writes the first cell's tick series: a header
+# and at least one row.
+"$BUILD_DIR/rgb_exp" bench --multigroup --smoke --group-members 5 \
+    --deterministic --series "$sw1" 2> /dev/null
+if [ "$(wc -l < "$sw1")" -lt 2 ] || ! head -1 "$sw1" | grep -q '^at_us,'; then
+  echo "FAIL: bench --multigroup --series wrote no header and row" >&2
+  exit 1
+fi
 rm -f "$sw1" "$sw2" "$sw8"
 
 # Wire codec conformance: every registered kind must round-trip

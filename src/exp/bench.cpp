@@ -21,6 +21,10 @@ namespace rgb::exp {
 
 namespace {
 
+/// The scale trial's probe tick: the warm-up and steady windows are counted
+/// in it.
+constexpr sim::Duration kProbePeriod = sim::msec(250);
+
 long peak_rss_kb() {
 #if defined(__unix__) || defined(__APPLE__)
   struct rusage usage {};
@@ -98,7 +102,7 @@ ScaleStats run_scale_trial_impl(const ScaleConfig& config, bool timed,
   }
   net::Network network{simulator, rng.fork("net")};
   core::RgbConfig rgb_config;
-  rgb_config.probe_period = config.probe_period;
+  rgb_config.probe_period = kProbePeriod;
   rgb_config.snapshot_join = config.snapshot_join;
   rgb_config.groups = config.groups;
   core::RgbSystem sys{network, rgb_config,
@@ -174,10 +178,10 @@ ScaleStats run_scale_trial_impl(const ScaleConfig& config, bool timed,
   // join surge left behind (anti-entropy mop-up); only then is the system
   // in steady state.
   sys.start_probing();
-  sampler.arm(simulator, simulator.now(), config.probe_period,
-              config.warmup_ticks, /*with_divergence=*/true);
+  sampler.arm(simulator, simulator.now(), kProbePeriod, config.warmup_ticks,
+              /*with_divergence=*/true);
   simulator.run_until(simulator.now() +
-                      config.probe_period *
+                      kProbePeriod *
                           static_cast<std::uint64_t>(config.warmup_ticks));
   const std::uint64_t pre_steady_events = simulator.executed_events();
   const std::uint64_t pre_steady_vc = sys.obs().tracer.view_changes().value();
@@ -187,11 +191,11 @@ ScaleStats run_scale_trial_impl(const ScaleConfig& config, bool timed,
   // series rides along WITHOUT divergence sampling: the O(NE*N) walk would
   // distort the window's wall clock, the headline perf number.
   network.reset_metrics();
-  sampler.arm(simulator, simulator.now(), config.probe_period,
-              config.steady_ticks, /*with_divergence=*/false);
+  sampler.arm(simulator, simulator.now(), kProbePeriod, config.steady_ticks,
+              /*with_divergence=*/false);
   const auto steady_start = std::chrono::steady_clock::now();
   simulator.run_until(simulator.now() +
-                      config.probe_period *
+                      kProbePeriod *
                           static_cast<std::uint64_t>(config.steady_ticks));
   const auto steady_end = std::chrono::steady_clock::now();
 
@@ -439,7 +443,7 @@ void write_multigroup_json(const ScaleConfig& base,
      << "  \"layout\": {\"tiers\": " << base.tiers
      << ", \"ring_size\": " << base.ring_size << "},\n"
      << "  \"members_per_group\": " << base.members << ",\n"
-     << "  \"probe_period_us\": " << base.probe_period << ",\n"
+     << "  \"probe_period_us\": " << kProbePeriod << ",\n"
      << "  \"warmup_ticks\": " << base.warmup_ticks << ",\n"
      << "  \"steady_ticks\": " << base.steady_ticks << ",\n"
      << "  \"join_spacing_us\": " << base.join_spacing << ",\n"
@@ -536,7 +540,7 @@ void write_bench_json(const ScaleConfig& base,
      << "  \"bench\": \"bench_scale\",\n"
      << "  \"layout\": {\"tiers\": " << base.tiers
      << ", \"ring_size\": " << base.ring_size << "},\n"
-     << "  \"probe_period_us\": " << base.probe_period << ",\n"
+     << "  \"probe_period_us\": " << kProbePeriod << ",\n"
      << "  \"warmup_ticks\": " << base.warmup_ticks << ",\n"
      << "  \"steady_ticks\": " << base.steady_ticks << ",\n"
      << "  \"join_spacing_us\": " << base.join_spacing << ",\n"

@@ -41,11 +41,10 @@ struct ScaleConfig {
   bool snapshot_join = false;
   /// Virtual time between member arrivals.
   sim::Duration join_spacing = sim::usec(500);
-  sim::Duration probe_period = sim::msec(250);
-  /// Reconciliation warm-up before the measured window, in probe periods:
-  /// a large join surge leaves residual view divergence that the first
-  /// anti-entropy ticks repair, so the measured window starts only after
-  /// one full sweep of the hierarchy (this is what makes the measured
+  /// Reconciliation warm-up before the measured window, in probe periods
+  /// (250 ms each): a large join surge leaves residual view divergence that
+  /// the first anti-entropy ticks repair, so the measured window starts only
+  /// after one full sweep of the hierarchy (this is what makes the measured
   /// window *steady* state rather than mop-up).
   int warmup_ticks = 10;
   /// Steady-state measurement window, in probe periods.

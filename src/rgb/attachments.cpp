@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/log.hpp"
 #include "rgb/network_entity.hpp"
 
 namespace rgb::core {
@@ -119,10 +118,6 @@ void Attachments::reaffirm() {
   if (!reannounce.empty()) reaffirm_due_ = true;
   for (const auto& [mh, gid] : reannounce) {
     const std::uint64_t claim = local_attached_.at(mh).at(gid);
-    RGB_LOG(kInfo, "reaffirm")
-        << ne_.id() << " re-anchors falsely failed local member "
-        << mh.value() << " (group " << gid.value() << ", epoch " << claim
-        << ")";
     ne_.metrics_.reconcile_reanchors.increment();
     ne_.obs_.tracer.record(ne_.now(), ne_.id(),
                            obs::FlightKind::kReconcileReanchor, mh.value(),
@@ -176,9 +171,6 @@ void Attachments::run_reconcile_round() {
                          local_attached_.size(), target.value());
   const std::uint64_t rid = origin_scoped_id(ne_.id(), ++reconcile_counter_);
   ReconcileMsg msg{rid, local_claims()};
-  RGB_LOG(kInfo, "reconcile") << ne_.now() << " " << ne_.id() << " asserts "
-                              << msg.claims.size() << " claim(s) to "
-                              << target;
   const auto bytes = wire_size(msg);
   PendingSend& pending = pending_reconciles_[rid] =
       PendingSend{target, kind::kReconcile, std::move(msg), bytes};

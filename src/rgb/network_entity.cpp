@@ -4,8 +4,6 @@
 #include <cassert>
 #include <utility>
 
-#include "common/log.hpp"
-
 namespace rgb::core {
 
 NodeId elect_leader(const std::vector<NodeId>& roster, NodeId excluded) {
@@ -265,8 +263,6 @@ void NetworkEntity::send_token_request() {
     token_requested_ = false;
     return;
   }
-  RGB_LOG(kDebug, "grant") << now() << " " << id() << " requests token from "
-                           << leader_ << " retx=" << request_retx_count_;
   last_request_activity_ = now();
   send(leader_, kind::kTokenRequest, TokenRequestMsg{id(), false});
   request_retx_timer_ = set_timer(config_.round_timeout, [this]() {
@@ -300,10 +296,6 @@ void NetworkEntity::handle_token_request(const TokenRequestMsg& msg,
       return;
     }
   }
-  RGB_LOG(kDebug, "grant") << now() << " " << id() << " token request from "
-                           << msg.requester << " free=" << token_free_
-                           << " holding=" << holding_round_
-                           << " active=" << active_round_id_;
   if (token_free_) {
     send(msg.requester, kind::kTokenGrant, TokenGrantMsg{take_token()});
     arm_round_watchdog(active_round_id_);
@@ -380,9 +372,6 @@ void NetworkEntity::arm_holder_watchdog(std::uint64_t round_id) {
 
 void NetworkEntity::abandon_round(std::uint64_t round_id) {
   if (!holding_round_ || my_round_id_ != round_id) return;
-  RGB_LOG(kWarn, "watchdog")
-      << id() << " abandons lost round " << round_id
-      << " and requeues its " << pending_round_ops_.size() << " op(s)";
   holding_round_ = false;
   // Un-ack'd contributors keep retransmitting their notifications, so only
   // the ops themselves need to re-enter the queue. Dissemination dedup and
@@ -567,8 +556,6 @@ void NetworkEntity::arm_round_watchdog(std::uint64_t round_id) {
     if (token_free_ || active_round_id_ != round_id) return;
     // The granted round never released: holder presumed dead. Reclaim; the
     // contributors of the lost round will retransmit their notifications.
-    RGB_LOG(kWarn, "watchdog")
-        << id() << " reclaims the token from an unresponsive holder";
     token_free_ = true;
     grant_next();
   });
@@ -669,8 +656,6 @@ void NetworkEntity::declare_cut(const std::vector<NodeId>& suspects) {
   metrics_.repairs.increment();
   bool was_leader = false;
   for (const NodeId faulty : cut) {
-    RGB_LOG(kInfo, "repair") << now() << " " << id() << " declares " << faulty
-                             << " faulty and splices it out";
     // Detection latency ground truth: how long the crash went unnoticed.
     // Read-only observability — the repair decision itself never consults
     // it.
@@ -788,8 +773,6 @@ void NetworkEntity::replace_leader(NodeId departed, bool counted) {
 }
 
 void NetworkEntity::adopt_leadership() {
-  RGB_LOG(kInfo, "failover") << now() << " " << id()
-                             << " adopts ring leadership";
   leader_ = id();
   token_requested_ = false;
   cancel_timer(request_retx_timer_);
@@ -952,8 +935,6 @@ void NetworkEntity::handle_ring_reform(const RingReformMsg& msg, NodeId from) {
 
 void NetworkEntity::adopt_shape(NodeId from, const std::vector<NodeId>& roster,
                                 NodeId leader) {
-  RGB_LOG(kInfo, "sync") << id() << " adopts ring shape from leader " << from
-                         << " (" << roster.size() << " members)";
   obs_.tracer.on_view_change(obs::FlightKind::kShapeAdopt, id(), from.value(),
                              roster.size(), now());
   install_shape(roster, leader, /*remember=*/true);
@@ -982,9 +963,6 @@ void NetworkEntity::merge_fragment(const std::vector<NodeId>& their_roster,
                              their_roster.empty() ? 0
                                                   : their_roster.front().value(),
                              merged.size(), now());
-  RGB_LOG(kInfo, "merge") << now() << " " << id()
-                          << " merges fragments into a ring of "
-                          << merged.size() << " under " << new_leader;
   install_shape(std::move(merged), new_leader, /*remember=*/false);
   broadcast_ring_reform(roster_, leader_);
   settle_token();
@@ -1069,11 +1047,6 @@ void NetworkEntity::on_notify_retx_timeout(std::uint64_t notify_id) {
   // The inter-ring edge is down: reflect it in ParentOK/ChildOK (paper
   // Section 4.2 semantics). Probing/merge may later restore the flag.
   const bool downward = pending.kind == kind::kNotifyChild;
-  RGB_LOG(kWarn, "notify") << now() << " " << id() << " gives up notify "
-                           << notify_id << " to " << pending.dest << " ("
-                           << pending.payload.get<NotifyMsg>().ops.size()
-                           << " ops, " << (downward ? "down" : "up")
-                           << "); marking edge down";
   (downward ? child_ok_ : parent_ok_) = false;
   pending_notifies_.erase(it);
 }

@@ -1,6 +1,5 @@
 #include "rgb/snapshot_transfer.hpp"
 
-#include "common/log.hpp"
 #include "rgb/network_entity.hpp"
 #include "wire/snapshot.hpp"
 
@@ -146,10 +145,6 @@ void SnapshotTransfer::handle_snapshot(const SnapshotMsg& msg, NodeId from) {
     ne_.obs_.tracer.record(ne_.now(), ne_.id(),
                            obs::FlightKind::kSnapshotRejected, from.value(),
                            ne_.metrics_.snapshot_decode_errors.value());
-    RGB_LOG(kWarn, "snapshot")
-        << ne_.id() << " rejects corrupt snapshot from " << from << ": "
-        << rgb::wire::to_string(decoded.error().status) << " at offset "
-        << decoded.error().offset;
     return;
   }
   ne_.send(from, kind::kSnapshotAck,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/log.hpp"
 #include "rgb/network_entity.hpp"
 
 namespace rgb::core {
@@ -124,9 +123,6 @@ void StabilityPlane::raise_alert(NodeId suspect) {
   ne_.metrics_.stability_alerts.increment();
   ne_.obs_.tracer.record(ne_.now(), ne_.id(), obs::FlightKind::kAlertRaised,
                          suspect.value(), pa.alert_id);
-  RGB_LOG(kDebug, "stability") << ne_.now() << " " << ne_.id()
-                               << " alerts on " << suspect << " to "
-                               << aggregator;
   if (aggregator == ne_.id()) {
     observe(suspect, ne_.id());
   } else if (aggregator.valid()) {
@@ -211,9 +207,6 @@ void StabilityPlane::handle_alert_ack(const AlertAckMsg& msg) {
     // Pre-cut verification answered: the suspect is alive, its pending
     // observation was a stale flap (a lost retraction) — drop it outright.
     ne_.metrics_.stability_suppressed_flaps.increment();
-    RGB_LOG(kDebug, "stability") << ne_.now() << " " << ne_.id()
-                                 << " verified " << msg.responder
-                                 << " live; cut averted";
     cancel_cut_verification(msg.responder);
     aggregator_.forget(msg.responder);
     arm_cut_timer();
@@ -271,10 +264,6 @@ void StabilityPlane::check_cut() {
     ne_.metrics_.stability_batched_failures.increment(cut.suspects.size());
     ne_.obs_.tracer.record(ne_.now(), ne_.id(), obs::FlightKind::kCutApplied,
                            cut.suspects.size(), cut.observers);
-    RGB_LOG(kInfo, "stability")
-        << ne_.now() << " " << ne_.id() << " applies a cut of "
-        << cut.suspects.size() << " suspect(s) from " << cut.observers
-        << " observer(s)";
     ne_.declare_cut(cut.suspects);
   }
   arm_cut_timer();
@@ -286,9 +275,6 @@ void StabilityPlane::start_cut_verifications() {
     PendingVerify pv;
     pv.alert_id = origin_scoped_id(ne_.id(), ++alert_counter_);
     pv.pings_left = ne_.config_.max_retx;
-    RGB_LOG(kDebug, "stability") << ne_.now() << " " << ne_.id()
-                                 << " verifies suspect " << suspect
-                                 << " before a deadline cut";
     ping(suspect, pv.alert_id);
     pv.ping_timer = ne_.set_timer(ne_.config_.retx_timeout, [this, suspect]() {
       on_verify_ping_timeout(suspect);

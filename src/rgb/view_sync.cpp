@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/log.hpp"
 #include "rgb/network_entity.hpp"
 
 namespace rgb::core {
@@ -146,8 +145,6 @@ void ViewSync::handle_view_sync(const ViewSyncMsg& msg, NodeId from) {
     return;
   }
 
-  RGB_LOG(kDebug, "sync") << ne_.now() << " " << ne_.id() << " imports "
-                          << msg.entries.size() << " entries from " << from;
   if (!msg.reply_requested) {
     ne_.import(msg.entries);
     return;

@@ -64,6 +64,35 @@ TEST(MultigroupBench, SteadyBytesPerLinkStayFlatInGroupCount) {
   EXPECT_LT(g8.bytes_per_link_tick(), 2.0 * g1.bytes_per_link_tick());
 }
 
+// The tick series `rgb_exp bench --multigroup --series` writes: 16 points
+// over the join surge, then one per warm-up and one per steady tick, with
+// divergence sampled in the untimed warm-up alone.
+TEST(MultigroupBench, SeriesCsvCoversEveryPhase) {
+  const ScaleConfig base = small_base(0);
+  std::ostringstream log, csv;
+  const auto cells = run_multigroup_sweep(base, {4}, log, /*timed=*/false);
+  ASSERT_EQ(cells.size(), 1u);
+  EXPECT_EQ(cells[0].series_dropped, 0u);
+  write_series_csv(cells[0], csv);
+  std::vector<std::string> rows;
+  std::istringstream lines{csv.str()};
+  for (std::string row; std::getline(lines, row);) rows.push_back(row);
+
+  constexpr std::size_t kJoinRows = 16;
+  const std::size_t warmup = static_cast<std::size_t>(base.warmup_ticks);
+  const std::size_t steady = static_cast<std::size_t>(base.steady_ticks);
+  ASSERT_EQ(rows.size(), 1 + kJoinRows + warmup + steady);
+  EXPECT_EQ(rows[0],
+            "at_us,events,msgs,bytes,ops,reconcile_rounds,view_changes,"
+            "repairs,divergence");
+  for (std::size_t r = 1; r < rows.size(); ++r) {
+    // Divergence is the last column, empty where it was not sampled.
+    const bool in_warmup = r > kJoinRows && r <= kJoinRows + warmup;
+    EXPECT_EQ(rows[r].back() != ',', in_warmup) << "row " << r << ": "
+                                                 << rows[r];
+  }
+}
+
 TEST(MultigroupBench, TrialReportsPerGroupConvergence) {
   ScaleConfig config = small_base(2);
   config.groups = 5;

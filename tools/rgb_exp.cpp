@@ -11,6 +11,8 @@
 //                 [--json PATH|-] [--smoke] [--series PATH|-] [--detect]
 //                 [--oscillation] [--deterministic] [--spans-ab]
 //                 [--multigroup [--groups G[,G...]] [--group-members M]]
+//                 (--multigroup rejects --members, --join, --detect,
+//                 --oscillation and --spans-ab)
 //   rgb_exp trace [--members N] [--tiers H] [--ring R] [--shards W]
 //                 [--seed S] [--steady-ticks K] [--warmup-ticks K]
 //                 [--out PATH|-]
@@ -37,6 +39,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/check.hpp"
@@ -108,6 +111,24 @@ std::vector<std::uint64_t> next_arg_counts(int argc, char** argv, int& i,
 
 bool is_help(const std::string& arg) { return arg == "--help" || arg == "-h"; }
 
+/// Hands `write` the stream for `path` ('-' is stdout); false when the file
+/// cannot be opened.
+template <typename Write>
+bool write_to(const std::string& path, const Write& write) {
+  if (path == "-") {
+    write(std::cout);
+    return true;
+  }
+  std::ofstream file{path};
+  if (!file) {
+    std::cerr << "rgb_exp: cannot open '" << path << "' for writing\n";
+    return false;
+  }
+  write(file);
+  std::cerr << "wrote " << path << '\n';
+  return true;
+}
+
 /// Prints the synopsis and the options of `command`, or of every command
 /// when it is empty.
 int usage(const char* argv0, int code, const std::string& command = "") {
@@ -166,7 +187,10 @@ int usage(const char* argv0, int code, const std::string& command = "") {
        << "                 per link per tick as G grows (defaults: ring 3,\n"
        << "                 join spacing 200us, seed 158010869 = 0x96B0DF5,\n"
        << "                 groups 1,10,100,1000; --smoke bounds it to\n"
-       << "                 groups 1,8)\n"
+       << "                 groups 1,8). --members, --join, --detect,\n"
+       << "                 --oscillation and --spans-ab do not apply to it\n"
+       << "                 (exit 2); every other bench option does, and\n"
+       << "                 --series writes its first cell's series\n"
        << "  --groups LIST  comma-separated group counts (with --multigroup)\n"
        << "  --group-members M  members per group (default 100)\n";
   }
@@ -219,22 +243,15 @@ int run_trace(int argc, char** argv) {
       return usage(argv[0], 2);
     }
   }
-  const auto run = [&config](std::ostream& os) {
+  bool converged = false;
+  const bool written = write_to(out_path, [&](std::ostream& os) {
     const rgb::exp::ScaleStats stats = rgb::exp::run_trace_trial(config, os);
     std::cerr << "trace: " << stats.spans_recorded << " span(s) ("
               << stats.spans_dropped << " dropped), converged="
               << (stats.converged ? "yes" : "NO") << '\n';
-    return stats.converged;
-  };
-  if (out_path == "-") return run(std::cout) ? 0 : 1;
-  std::ofstream file{out_path};
-  if (!file) {
-    std::cerr << "rgb_exp: cannot open '" << out_path << "' for writing\n";
-    return 1;
-  }
-  const bool ok = run(file);
-  std::cerr << "wrote " << out_path << '\n';
-  return ok ? 0 : 1;
+    converged = stats.converged;
+  });
+  return written && converged ? 0 : 1;
 }
 
 int run_metrics(int argc, char** argv) {
@@ -340,7 +357,27 @@ int run_bench(int argc, char** argv) {
     std::cerr << "rgb_exp: --groups/--group-members need --multigroup\n";
     return 2;
   }
+  using Cells = std::vector<rgb::exp::ScaleStats>;
+  const auto write_series = [&series_path](const Cells& cells) {
+    return series_path.empty() || cells.empty() ||
+           write_to(series_path, [&cells](std::ostream& os) {
+             rgb::exp::write_series_csv(cells.front(), os);
+           });
+  };
   if (multigroup) {
+    // A multi-group cell takes its members from --groups x --group-members,
+    // runs the dissemination join alone and no side trial: these scale-sweep
+    // flags would have nothing to set.
+    for (const auto& [flag, given] :
+         {std::pair{"--members", !member_counts.empty()},
+          std::pair{"--join", join_flag_seen}, std::pair{"--detect", detect},
+          std::pair{"--oscillation", oscillation},
+          std::pair{"--spans-ab", modes.spans_ab}}) {
+      if (given) {
+        std::cerr << "rgb_exp: " << flag << " does not apply to --multigroup\n";
+        return 2;
+      }
+    }
     if (!saw_ring) base.ring_size = 3;
     if (!saw_spacing) base.join_spacing = rgb::sim::usec(200);
     if (!saw_seed) base.seed = 0x96B0DF5ULL;
@@ -352,20 +389,13 @@ int run_bench(int argc, char** argv) {
     const std::vector<rgb::exp::ScaleStats> cells =
         rgb::exp::run_multigroup_sweep(base, group_counts, std::cerr,
                                        /*timed=*/!deterministic);
-    if (!json_path.empty()) {
-      if (json_path == "-") {
-        rgb::exp::write_multigroup_json(base, cells, std::cout);
-      } else {
-        std::ofstream file{json_path};
-        if (!file) {
-          std::cerr << "rgb_exp: cannot open '" << json_path
-                    << "' for writing\n";
-          return 1;
-        }
-        rgb::exp::write_multigroup_json(base, cells, file);
-        std::cerr << "wrote " << json_path << '\n';
-      }
+    if (!json_path.empty() &&
+        !write_to(json_path, [&](std::ostream& os) {
+          rgb::exp::write_multigroup_json(base, cells, os);
+        })) {
+      return 1;
     }
+    if (!write_series(cells)) return 1;
     return rgb::exp::all_multigroup_clean(cells) ? 0 : 1;
   }
   // --smoke bounds the sweep; explicit --members / --join override it (in
@@ -397,37 +427,16 @@ int run_bench(int argc, char** argv) {
     }
   }
 
-  if (!json_path.empty()) {
-    const rgb::exp::DetectStats* dp = detect ? &detect_stats : nullptr;
-    const std::vector<rgb::exp::OscillationStats>* op =
-        oscillation ? &oscillation_stats : nullptr;
-    if (json_path == "-") {
-      rgb::exp::write_bench_json(base, all, std::cout, dp, op);
-    } else {
-      std::ofstream file{json_path};
-      if (!file) {
-        std::cerr << "rgb_exp: cannot open '" << json_path
-                  << "' for writing\n";
-        return 1;
-      }
-      rgb::exp::write_bench_json(base, all, file, dp, op);
-      std::cerr << "wrote " << json_path << '\n';
-    }
+  const rgb::exp::DetectStats* dp = detect ? &detect_stats : nullptr;
+  const std::vector<rgb::exp::OscillationStats>* op =
+      oscillation ? &oscillation_stats : nullptr;
+  if (!json_path.empty() &&
+      !write_to(json_path, [&](std::ostream& os) {
+        rgb::exp::write_bench_json(base, all, os, dp, op);
+      })) {
+    return 1;
   }
-  if (!series_path.empty() && !all.empty()) {
-    if (series_path == "-") {
-      rgb::exp::write_series_csv(all.front(), std::cout);
-    } else {
-      std::ofstream file{series_path};
-      if (!file) {
-        std::cerr << "rgb_exp: cannot open '" << series_path
-                  << "' for writing\n";
-        return 1;
-      }
-      rgb::exp::write_series_csv(all.front(), file);
-      std::cerr << "wrote " << series_path << '\n';
-    }
-  }
+  if (!write_series(all)) return 1;
   return rgb::exp::all_converged(all) ? 0 : 1;
 }
 
@@ -439,22 +448,6 @@ int list_scenarios() {
               << " trials\n";
   }
   return 0;
-}
-
-bool write_to(const std::string& path, const rgb::exp::RunResult& result,
-              void (*writer)(const rgb::exp::RunResult&, std::ostream&)) {
-  if (path == "-") {
-    writer(result, std::cout);
-    return true;
-  }
-  std::ofstream file{path};
-  if (!file) {
-    std::cerr << "rgb_exp: cannot open '" << path << "' for writing\n";
-    return false;
-  }
-  writer(result, file);
-  std::cerr << "wrote " << path << '\n';
-  return true;
 }
 
 }  // namespace
@@ -526,11 +519,16 @@ int main(int argc, char** argv) {
               << scenario->paper_ref << "] ===\n";
     rgb::exp::to_table(result).print(std::cout);
   }
-  if (!csv_path.empty() && !write_to(csv_path, result, rgb::exp::write_csv)) {
+  if (!csv_path.empty() &&
+      !write_to(csv_path, [&result](std::ostream& os) {
+        rgb::exp::write_csv(result, os);
+      })) {
     return 1;
   }
   if (!json_path.empty() &&
-      !write_to(json_path, result, rgb::exp::write_json)) {
+      !write_to(json_path, [&result](std::ostream& os) {
+        rgb::exp::write_json(result, os);
+      })) {
     return 1;
   }
   std::cerr << result.total_trials << " trials on " << result.threads_used

@@ -8,6 +8,10 @@
 //            [--snapshot-join 0|1] [--mask BITS] [--shard-workers W]
 //            [--schedule FILE] [--quiet] [--flight-full]
 //
+// --groups, --stability, --snapshot-join and --shard-workers shape the RGB
+// fixture only: beside another --proto they are a usage error, in any
+// argument order.
+//
 // For each seed in [start, start+N) the tool generates a random fault
 // schedule, replays it against the chosen protocol, and runs the invariant
 // oracles. On a violation it greedily minimizes the schedule to a smallest
@@ -16,9 +20,9 @@
 // --start, --quiet and --flight-full) plus --start and --schedule. Exit
 // code: 0 when every seed passes, 1 when any violation was found, 2 on
 // usage errors: every number is decimal digits (no sign, no space, no 0x
-// prefix) within its flag's range — a ring size or tier count of at least
-// 1, a mode flag of 0 or 1, a mask within the oracle bits — and the last
-// seed, start + N - 1, must not pass 2^64 - 1.
+// prefix) within its flag's range — a ring size, tier count or group count
+// of at least 1, a mode flag of 0 or 1, a mask within the oracle bits — and
+// the last seed, start + N - 1, must not pass 2^64 - 1.
 //
 // With --schedule FILE the tool skips generation and replays the given
 // schedule file (e.g. a minimized repro from a previous run) under seed
@@ -70,9 +74,9 @@ int usage(const char* argv0, int code) {
      << "  --tiers H      ring tiers (default 2)\n"
      << "  --ring R       ring size / branching (default 3)\n"
      << "  --members M    initial members (default 8)\n"
-     << "  --groups G     RGB: groups served by the one hierarchy (default\n"
-     << "                 1); members join min(2, G) groups each and every\n"
-     << "                 oracle quantifies over (group, guid)\n"
+     << "  --groups G     RGB: groups served by the one hierarchy, at least\n"
+     << "                 1 (default 1); members join min(2, G) groups each\n"
+     << "                 and every oracle quantifies over (group, guid)\n"
      << "  --events E     schedule events per seed (default 10)\n"
      << "  --crashes B    enable NE crash/recover faults (default 1)\n"
      << "  --partitions B enable partition/heal faults (default 0)\n"
@@ -92,7 +96,8 @@ int usage(const char* argv0, int code) {
      << "  --quiet        only report violations and the final summary\n"
      << "  --flight-full  dump the complete retained flight ring for every\n"
      << "                 run, pass or fail (byte-identical for any\n"
-     << "                 --shard-workers value)\n";
+     << "                 --shard-workers value)\n"
+     << "The RGB: flags are a usage error with --proto tree|flatring|gossip.\n";
   return code;
 }
 
@@ -106,6 +111,8 @@ int main(int argc, char** argv) {
   bool quiet = false;
   // The flags that shape a run, as given: the replay line repeats them.
   std::string run_flags;
+  // The first flag given that only the RGB fixture reads.
+  std::string rgb_only_flag;
 
   for (int i = 1; i < argc; ++i) {
     const int flag_at = i;
@@ -143,7 +150,7 @@ int main(int argc, char** argv) {
       } else if (arg == "--members") {
         cfg.initial_members = in_range<int>(arg, next_u64());
       } else if (arg == "--groups") {
-        cfg.groups = next_u64();
+        cfg.groups = in_range<std::uint64_t>(arg, next_u64(), 1);
       } else if (arg == "--events") {
         cfg.gen.events = in_range<int>(arg, next_u64());
       } else if (arg == "--crashes") {
@@ -179,6 +186,11 @@ int main(int argc, char** argv) {
       std::cerr << "rgb_fuzz: " << e.what() << '\n';
       return 2;
     }
+    if (rgb_only_flag.empty() &&
+        (arg == "--groups" || arg == "--stability" ||
+         arg == "--snapshot-join" || arg == "--shard-workers")) {
+      rgb_only_flag = arg;
+    }
     if (arg != "--seeds" && arg != "--start" && arg != "--quiet" &&
         arg != "--flight-full") {
       for (int k = flag_at; k <= i; ++k) {
@@ -186,6 +198,12 @@ int main(int argc, char** argv) {
         run_flags += argv[k];
       }
     }
+  }
+
+  if (cfg.protocol != rgb::check::Protocol::kRgb && !rgb_only_flag.empty()) {
+    std::cerr << "rgb_fuzz: " << rgb_only_flag << " applies only to --proto "
+              << "rgb, not " << rgb::check::to_string(cfg.protocol) << '\n';
+    return 2;
   }
 
   // Replay mode: one schedule file, one seed.
