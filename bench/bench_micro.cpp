@@ -1,5 +1,7 @@
 // Experiment E10 — google-benchmark micro-benchmarks of the building
-// blocks: event kernel, RNG, MQ aggregation, member-table apply, member
+// blocks: the event kernel (its heap alone, and churn_faults' shape of
+// periodic timers in lanes beside heap deliveries), RNG, MQ aggregation,
+// member-table apply, member
 // tables at two workload shapes (query_mix's cold snapshots, join_surge's
 // interleaved applies), the dedup sets at join_surge's uid shape and at
 // their worst case (sparse ids), the GroupDirectory operations a probe
@@ -23,6 +25,7 @@ namespace {
 
 using namespace rgb;  // NOLINT
 
+/// The heap alone: schedule_at never joins a timer lane.
 void BM_SimulatorScheduleRun(benchmark::State& state) {
   const auto events = static_cast<std::uint64_t>(state.range(0));
   for (auto _ : state) {
@@ -36,6 +39,40 @@ void BM_SimulatorScheduleRun(benchmark::State& state) {
                           static_cast<std::int64_t>(events));
 }
 BENCHMARK(BM_SimulatorScheduleRun)->Arg(1000)->Arg(10000);
+
+/// churn_faults' kernel shape: 2,000 heartbeat timers re-arm themselves
+/// every 250 ms with schedule_after (one timer lane), and each tick sends
+/// one message, a delivery scheduled by absolute time at a uniform 1-3 ms
+/// latency (the heap), as net::Network::send does. One iteration is one
+/// period: 2,000 timer fires and 2,000 deliveries.
+void BM_SimulatorPeriodicTimers(benchmark::State& state) {
+  constexpr int kTimers = 2000;
+  constexpr sim::Duration kPeriod = sim::msec(250);
+  struct Heartbeat {
+    sim::Simulator* simulator;
+    common::RngStream* rng;
+    void tick() {
+      const sim::Time at =
+          simulator->now() + sim::usec(1000 + rng->next_below(2001));
+      simulator->schedule_at(at, [] {});
+      simulator->schedule_after(kPeriod, [this] { tick(); });
+    }
+  };
+  sim::Simulator simulator;
+  common::RngStream rng{7};
+  std::vector<Heartbeat> timers(kTimers, Heartbeat{&simulator, &rng});
+  for (std::size_t i = 0; i < timers.size(); ++i) {
+    simulator.schedule_at(kPeriod * i / timers.size(),
+                          [&timers, i] { timers[i].tick(); });
+  }
+  simulator.run_until(kPeriod);  // every timer armed, deliveries in flight
+  for (auto _ : state) {
+    simulator.run_until(simulator.now() + kPeriod);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2 *
+                          kTimers);
+}
+BENCHMARK(BM_SimulatorPeriodicTimers);
 
 void BM_RngNextBelow(benchmark::State& state) {
   common::RngStream rng{42};

@@ -107,6 +107,11 @@ expect_usage_error rgb_wire roundtrip --iters -0
 usage_sched="$(mktemp)"
 printf 'at 18446744073710s heal\n' > "$usage_sched"
 expect_usage_error rgb_fuzz --schedule "$usage_sched"
+# A replay runs the one seed --start: --seeds beside --schedule, in either
+# order, is a usage error (the schedule itself is valid).
+printf 'at 1s heal\n' > "$usage_sched"
+expect_usage_error rgb_fuzz --schedule "$usage_sched" --seeds 5
+expect_usage_error rgb_fuzz --seeds 1 --schedule "$usage_sched"
 rm -f "$usage_sched"
 # Scale-sweep flags that a multi-group cell has nothing to apply to, before
 # or after --multigroup.
@@ -354,14 +359,15 @@ rm -f "$tr1" "$tr2" "$tr8"
 echo "== bench suite smoke =="
 python3 bench/suite/run.py smoke > /dev/null
 
-# Micro-benchmark smoke: the member-table, directory, dedup-set and codec
-# cells of bench/bench_micro.cpp, which perf changes to those structures
-# cite, run once at a token run length, so a cell that breaks fails CI.
-# bench_micro is built only when google-benchmark is installed.
-echo "== bench_micro smoke (member table, directory, dedup set, codec cells) =="
+# Micro-benchmark smoke: the event-kernel, member-table, directory,
+# dedup-set and codec cells of bench/bench_micro.cpp, which perf changes to
+# those structures cite, run once at a token run length, so a cell that
+# breaks fails CI. bench_micro is built only when google-benchmark is
+# installed.
+echo "== bench_micro smoke (kernel, member table, directory, dedup set, codec cells) =="
 if [ -x "$BUILD_DIR/bench_micro" ]; then
   "$BUILD_DIR/bench_micro" \
-      --benchmark_filter='MemberTable|Group|Directory|BoundedIdSet|Codec' \
+      --benchmark_filter='Simulator|MemberTable|Group|Directory|BoundedIdSet|Codec' \
       --benchmark_min_time=0.01
 else
   echo "skip: bench_micro not built (google-benchmark not found)"

@@ -37,10 +37,7 @@ int main() {
   std::cout << "sec | handoffs | rounds | proposal msgs\n";
   for (int second = 5; second <= 20; second += 5) {
     simulator.run_until(sim::sec(static_cast<std::uint64_t>(second)));
-    std::uint64_t proposal = 0;
-    for (const auto& [kind, count] : network.metrics().sent_per_kind) {
-      if (core::kind::is_proposal_kind(kind)) proposal += count;
-    }
+    const std::uint64_t proposal = core::proposal_hops(network);
     std::cout << "  " << second << " | " << mobility.handoffs_issued()
               << " | " << rgb.metrics().rounds_completed.value() << " | "
               << proposal << "\n";

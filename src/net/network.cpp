@@ -8,19 +8,23 @@ namespace rgb::net {
 
 namespace {
 
-/// Shard-order merge of one stripe into the running totals. Counters are
-/// plain sums (commutative); the latency accumulator and the per-kind maps
-/// merge in the fixed stripe order, so the result is a function of the
-/// logical shard count alone — never of worker interleaving.
+/// Shard-order merge of one stripe into the running totals. Counters,
+/// per-kind ones included, are plain sums (commutative); the latency
+/// accumulator merges in the fixed stripe order, so the result is a
+/// function of the logical shard count alone — never of worker
+/// interleaving.
 void merge_metrics(Network::Metrics& out, const Network::Metrics& in) {
   for (const auto& field : kNetMetricFields) {
     out.*field.member += in.*field.member;
   }
-  for (const auto& [kind, count] : in.sent_per_kind) {
-    out.sent_per_kind[kind] += count;
+  const std::size_t kinds = in.sent_per_kind.size();
+  if (out.sent_per_kind.size() < kinds) {
+    out.sent_per_kind.resize(kinds);
+    out.bytes_per_kind.resize(kinds);
   }
-  for (const auto& [kind, bytes] : in.bytes_per_kind) {
-    out.bytes_per_kind[kind] += bytes;
+  for (std::size_t kind = 0; kind < kinds; ++kind) {
+    out.sent_per_kind[kind] += in.sent_per_kind[kind];
+    out.bytes_per_kind[kind] += in.bytes_per_kind[kind];
   }
   out.delivery_latency_us.merge(in.delivery_latency_us);
 }
@@ -178,6 +182,10 @@ void Network::send(Envelope env) {
 
   ++st.metrics.sent;
   st.metrics.bytes_sent += env.size_bytes;
+  if (env.kind >= st.metrics.sent_per_kind.size()) {
+    st.metrics.sent_per_kind.resize(env.kind + std::size_t{1});
+    st.metrics.bytes_per_kind.resize(env.kind + std::size_t{1});
+  }
   ++st.metrics.sent_per_kind[env.kind];
   st.metrics.bytes_per_kind[env.kind] += env.size_bytes;
 
@@ -234,14 +242,12 @@ void Network::send(Envelope env) {
     }
   };
 
-  if (sim_.is_sharded()) {
-    // Route to the destination's home shard; same-shard sends take the
-    // direct path, cross-shard ones ride the barrier outbox (the link
-    // latency >= epoch contract keeps them beyond the current window).
-    sim_.schedule_on(shard_of(dst), sent_at + delay, std::move(deliver));
-  } else {
-    sim_.schedule_after(delay, std::move(deliver));
-  }
+  // Route to the destination's home shard (shard 0 serially); same-shard
+  // sends take the direct path, cross-shard ones ride the barrier outbox
+  // (the link latency >= epoch contract keeps them beyond the current
+  // window). An absolute time keeps deliveries in the kernel's heap: each
+  // sampled latency would make a timer lane of its own.
+  sim_.schedule_on(shard_of(dst), sent_at + delay, std::move(deliver));
 }
 
 }  // namespace rgb::net

@@ -111,19 +111,21 @@ class Network {
     std::uint64_t dropped_partition = 0;
     std::uint64_t dropped_unattached = 0;
     std::uint64_t bytes_sent = 0;
-    std::unordered_map<MessageKind, std::uint64_t> sent_per_kind;
-    std::unordered_map<MessageKind, std::uint64_t> bytes_per_kind;
+    /// Messages and bytes metered per kind, indexed by kind. Kinds are
+    /// small protocol-defined integers, so both vectors (always of one
+    /// length) grow to the largest kind sent, and a send costs two array
+    /// increments; a kind that never sent reads 0.
+    std::vector<std::uint64_t> sent_per_kind;
+    std::vector<std::uint64_t> bytes_per_kind;
     common::Accumulator delivery_latency_us;
 
     /// Bytes metered under `kind` (0 when the kind never sent).
     [[nodiscard]] std::uint64_t bytes_of(MessageKind kind) const {
-      const auto it = bytes_per_kind.find(kind);
-      return it == bytes_per_kind.end() ? 0 : it->second;
+      return kind < bytes_per_kind.size() ? bytes_per_kind[kind] : 0;
     }
     /// Messages metered under `kind` (0 when the kind never sent).
     [[nodiscard]] std::uint64_t sent_of(MessageKind kind) const {
-      const auto it = sent_per_kind.find(kind);
-      return it == sent_per_kind.end() ? 0 : it->second;
+      return kind < sent_per_kind.size() ? sent_per_kind[kind] : 0;
     }
   };
 

@@ -142,9 +142,10 @@ static_assert(common::distinct_members(kRgbMetricFields),
 /// HopCount analysis prices. Shared by benches, the experiment harness and
 /// examples so the proposal-kind set has a single definition site.
 inline std::uint64_t proposal_hops(const net::Network& network) {
+  const std::vector<std::uint64_t>& sent = network.metrics().sent_per_kind;
   std::uint64_t hops = 0;
-  for (const auto& [kind, count] : network.metrics().sent_per_kind) {
-    if (kind::is_proposal_kind(kind)) hops += count;
+  for (net::MessageKind k = 0; k < sent.size(); ++k) {
+    if (kind::is_proposal_kind(k)) hops += sent[k];
   }
   return hops;
 }

@@ -26,6 +26,25 @@ struct ShardContextGuard {
   std::uint32_t prev;
 };
 
+/// Replaces a min-heap's top with `e`, no earlier than the entry it
+/// replaces, and sifts it down: one pass where a pop and a push take two.
+/// A lane's next entry is often among the earliest, so the pass usually
+/// stops within a level or two.
+template <typename Entry>
+void replace_top(std::vector<Entry>& heap, const Entry e) {
+  const std::size_t n = heap.size();
+  std::size_t hole = 0;
+  for (;;) {
+    std::size_t child = 2 * hole + 1;
+    if (child >= n) break;
+    if (child + 1 < n && heap[child] > heap[child + 1]) ++child;
+    if (!(e > heap[child])) break;
+    heap[hole] = heap[child];
+    hole = child;
+  }
+  heap[hole] = e;
+}
+
 }  // namespace
 
 std::uint32_t current_executing_shard() {
@@ -146,8 +165,8 @@ Time Simulator::now() const {
   return is_sharded() ? global_now_ : shards_[0].now;
 }
 
-EventId Simulator::push_event(std::uint32_t shard_idx, Time t, Callback cb) {
-  Shard& sh = shards_[shard_idx];
+Simulator::Entry Simulator::store(Shard& sh, Time t, Callback cb,
+                                  std::uint32_t lane) {
   assert(t >= sh.now && "cannot schedule into the past");
   assert(cb && "empty callback");
   const std::uint64_t seq = sh.next_seq++;
@@ -161,10 +180,79 @@ EventId Simulator::push_event(std::uint32_t shard_idx, Time t, Callback cb) {
   }
   sh.slots[slot].cb = std::move(cb);
   sh.slots[slot].seq = seq;
-  sh.heap.push_back(Entry{t, seq, slot});
-  std::push_heap(sh.heap.begin(), sh.heap.end(), std::greater<>{});
   ++sh.live;
-  return EventId{seq, slot, shard_idx};
+  return Entry{t, seq, slot, lane};
+}
+
+EventId Simulator::push_event(std::uint32_t shard_idx, Time t, Callback cb) {
+  Shard& sh = shards_[shard_idx];
+  const Entry e = store(sh, t, std::move(cb), kNoLane);
+  sh.heap.push_back(e);
+  std::push_heap(sh.heap.begin(), sh.heap.end(), std::greater<>{});
+  return EventId{e.seq, e.slot, shard_idx};
+}
+
+void Simulator::Lane::push_back(const Entry& e) {
+  if (size == ring.size()) {
+    std::vector<Entry> grown(ring.empty() ? 4 : 2 * ring.size());
+    for (std::uint32_t i = 0; i < size; ++i) {
+      grown[i] = ring[(head + i) & (ring.size() - 1)];
+    }
+    ring.swap(grown);
+    head = 0;
+  }
+  ring[(head + size) & (ring.size() - 1)] = e;
+  ++size;
+}
+
+std::uint32_t Simulator::lane_for(Shard& sh, Duration delay) {
+  // Most lookups repeat the last delay (a heartbeat fleet re-arming).
+  if (sh.last_lane != kNoLane && sh.last_delay == delay) return sh.last_lane;
+  sh.last_delay = delay;
+  if (const auto it = sh.lane_of.find(delay); it != sh.lane_of.end()) {
+    sh.last_lane = it->second;
+    return it->second;
+  }
+  if (sh.lane_of.size() >= sh.lane_sweep_at) {
+    // Empty lanes stay mapped, so a timer that re-arms from its own
+    // callback finds its lane again; computed one-off delays (a deadline
+    // minus now) leave empty lanes behind, and this sweep returns them.
+    for (auto it = sh.lane_of.begin(); it != sh.lane_of.end();) {
+      if (sh.lanes[it->second].empty()) {
+        sh.free_lanes.push_back(it->second);
+        it = sh.lane_of.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    sh.lane_sweep_at = std::max(kCompactFloor, 2 * sh.lane_of.size());
+  }
+  std::uint32_t lane;
+  if (!sh.free_lanes.empty()) {
+    lane = sh.free_lanes.back();
+    sh.free_lanes.pop_back();
+  } else {
+    lane = static_cast<std::uint32_t>(sh.lanes.size());
+    sh.lanes.emplace_back();
+  }
+  sh.lane_of.emplace(delay, lane);
+  sh.last_lane = lane;
+  return lane;
+}
+
+EventId Simulator::push_lane(std::uint32_t shard_idx, Duration delay,
+                             Callback cb) {
+  Shard& sh = shards_[shard_idx];
+  const std::uint32_t lane_idx = lane_for(sh, delay);
+  const Entry e = store(sh, sh.now + delay, std::move(cb), lane_idx);
+  Lane& lane = sh.lanes[lane_idx];
+  assert((lane.empty() || e > lane.back()) && "lane out of (time, seq) order");
+  if (lane.empty()) {
+    sh.heap.push_back(e);
+    std::push_heap(sh.heap.begin(), sh.heap.end(), std::greater<>{});
+  }
+  lane.push_back(e);
+  return EventId{e.seq, e.slot, shard_idx};
 }
 
 EventId Simulator::schedule_at(Time t, Callback cb) {
@@ -176,7 +264,11 @@ EventId Simulator::schedule_at(Time t, Callback cb) {
 }
 
 EventId Simulator::schedule_after(Duration delay, Callback cb) {
-  return schedule_at(now() + delay, std::move(cb));
+  if (tls_shard != kNoShard && tls_shard < shards_.size()) {
+    return push_lane(tls_shard, delay, std::move(cb));
+  }
+  if (is_sharded()) return schedule_global(global_now_ + delay, std::move(cb));
+  return push_lane(0, delay, std::move(cb));
 }
 
 EventId Simulator::schedule_on(std::uint32_t shard, Time t, Callback cb) {
@@ -227,13 +319,15 @@ void Simulator::cancel(EventId id) {
   Slot& slot = sh.slots[id.slot];
   if (slot.seq != id.seq) return;  // already fired or cancelled
   slot.cb = nullptr;
-  slot.seq = 0;  // tombstone: the heap entry no longer matches
+  slot.seq = 0;  // tombstone: the queued entry no longer matches
   --sh.live;
   ++sh.tombstones;
   // Cancel-heavy churn (retransmission timers armed and disarmed per
-  // message) would otherwise pile tombstones up until their heap entries
-  // pop naturally — for long-lived timers, effectively never.
-  if (sh.tombstones > sh.live && sh.tombstones > 64) purge_tombstones(sh);
+  // message) would otherwise pile tombstones up until their entries reach
+  // the heap's top or their lane's head: for long-lived timers, never.
+  if (sh.tombstones > sh.live && sh.tombstones > kCompactFloor) {
+    purge_tombstones(sh);
+  }
 }
 
 void Simulator::release_slot(Shard& sh, std::uint32_t slot) {
@@ -246,50 +340,75 @@ void Simulator::purge_tombstones(Shard& sh) {
   const auto is_tombstone = [&sh](const Entry& e) {
     return sh.slots[e.slot].seq != e.seq;
   };
+  // Lane heads leave the heap with the tombstones; each lane's first live
+  // entry re-enters it below.
   for (const Entry& e : sh.heap) {
-    if (is_tombstone(e)) sh.free_slots.push_back(e.slot);
+    if (e.lane == kNoLane && is_tombstone(e)) sh.free_slots.push_back(e.slot);
   }
-  sh.heap.erase(
-      std::remove_if(sh.heap.begin(), sh.heap.end(), is_tombstone),
-      sh.heap.end());
+  std::erase_if(sh.heap, [&](const Entry& e) {
+    return e.lane != kNoLane || is_tombstone(e);
+  });
+  for (Lane& lane : sh.lanes) {
+    // In-place and in order: the write index never passes the read index.
+    const std::uint32_t mask = static_cast<std::uint32_t>(lane.ring.size() - 1);
+    std::uint32_t kept = 0;
+    for (std::uint32_t i = 0; i < lane.size; ++i) {
+      const Entry e = lane.ring[(lane.head + i) & mask];
+      if (is_tombstone(e)) {
+        sh.free_slots.push_back(e.slot);
+      } else {
+        lane.ring[(lane.head + kept++) & mask] = e;
+      }
+    }
+    lane.size = kept;
+    if (!lane.empty()) sh.heap.push_back(lane.front());
+  }
   std::make_heap(sh.heap.begin(), sh.heap.end(), std::greater<>{});
   sh.tombstones = 0;
+}
+
+void Simulator::pop_top(Shard& sh) {
+  const std::uint32_t lane_idx = sh.heap.front().lane;
+  if (lane_idx != kNoLane) {
+    Lane& lane = sh.lanes[lane_idx];
+    lane.pop_front();
+    if (!lane.empty()) {
+      replace_top(sh.heap, lane.front());
+      return;
+    }
+  }
+  std::pop_heap(sh.heap.begin(), sh.heap.end(), std::greater<>{});
+  sh.heap.pop_back();
 }
 
 const Simulator::Entry* Simulator::peek_live(Shard& sh) {
   while (!sh.heap.empty()) {
     const Entry& top = sh.heap.front();
-    if (sh.slots[top.slot].seq == top.seq) return &sh.heap.front();
+    if (sh.slots[top.slot].seq == top.seq) return &top;
     sh.free_slots.push_back(top.slot);
     --sh.tombstones;
-    std::pop_heap(sh.heap.begin(), sh.heap.end(), std::greater<>{});
-    sh.heap.pop_back();
+    pop_top(sh);
   }
   return nullptr;
+}
+
+void Simulator::fire_top(Shard& sh) {
+  const Entry top = sh.heap.front();
+  pop_top(sh);
+  Callback cb = std::move(sh.slots[top.slot].cb);
+  release_slot(sh, top.slot);
+  --sh.live;
+  sh.now = top.time;
+  ++sh.executed;
+  cb();
 }
 
 bool Simulator::step() {
   assert(!is_sharded() && "step() drives the serial scheduler only");
   Shard& sh = shards_[0];
-  while (!sh.heap.empty()) {
-    const Entry top = sh.heap.front();
-    std::pop_heap(sh.heap.begin(), sh.heap.end(), std::greater<>{});
-    sh.heap.pop_back();
-    Slot& slot = sh.slots[top.slot];
-    if (slot.seq != top.seq) {  // cancelled tombstone
-      sh.free_slots.push_back(top.slot);
-      --sh.tombstones;
-      continue;
-    }
-    Callback cb = std::move(slot.cb);
-    release_slot(sh, top.slot);
-    --sh.live;
-    sh.now = top.time;
-    ++sh.executed;
-    cb();
-    return true;
-  }
-  return false;
+  if (peek_live(sh) == nullptr) return false;
+  fire_top(sh);
+  return true;
 }
 
 std::uint64_t Simulator::run(std::uint64_t max_events) {
@@ -317,7 +436,7 @@ std::uint64_t Simulator::run_until_serial(Time deadline,
   while (n < max_events) {
     const Entry* top = peek_live(sh);
     if (top == nullptr || top->time > deadline) break;
-    step();
+    fire_top(sh);
     ++n;
   }
   // Advance the clock through the quiet remainder only when nothing due
@@ -337,15 +456,7 @@ void Simulator::run_window(std::uint32_t shard_idx, Time window_end) {
   for (;;) {
     const Entry* top = peek_live(sh);
     if (top == nullptr || top->time > window_end) return;
-    const Entry entry = *top;
-    std::pop_heap(sh.heap.begin(), sh.heap.end(), std::greater<>{});
-    sh.heap.pop_back();
-    Callback cb = std::move(sh.slots[entry.slot].cb);
-    release_slot(sh, entry.slot);
-    --sh.live;
-    sh.now = entry.time;
-    ++sh.executed;
-    cb();
+    fire_top(sh);
   }
 }
 
@@ -440,7 +551,12 @@ std::uint64_t Simulator::executed_events() const {
 
 std::size_t Simulator::queued_entries() const {
   std::size_t total = 0;
-  for (const Shard& sh : shards_) total += sh.heap.size();
+  for (const Shard& sh : shards_) {
+    total += sh.heap.size();
+    for (const Lane& lane : sh.lanes) {
+      if (!lane.empty()) total += lane.size - 1;  // the head is in the heap
+    }
+  }
   return total;
 }
 

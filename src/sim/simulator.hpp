@@ -6,11 +6,28 @@
 // (FIFO by a monotonically increasing sequence number), which makes every
 // run a deterministic function of (seed, scenario).
 //
-// Storage is allocation-light on the hot path: callbacks live in a
-// free-listed slot vector addressed directly by the heap entries, so one
-// schedule/fire cycle costs two heap pushes and zero hash-table traffic
-// (the previous design paid an unordered_map insert+erase per event plus
-// an unordered_set round trip per cancellation).
+// Storage is allocation-light on the hot path. Callbacks live in a
+// free-listed slot vector, and each queued event is one (time, seq, slot)
+// entry that names its slot directly. An entry waits in one of two places:
+//   * the heap, a binary min-heap by (time, seq): every schedule_at,
+//     schedule_on and schedule_global event, message deliveries among
+//     them (their sampled latencies differ per message);
+//   * a timer lane: schedule_after(d, cb) from a shard's own clock appends
+//     to that shard's FIFO lane for delay d, a contiguous ring of entries.
+//     The clock never runs backwards and seq only grows, so a lane is
+//     already in (time, seq) order. Only each lane's head holds a heap
+//     entry; firing a head replaces it with the lane's next entry in one
+//     sift-down, so a periodic timer (heartbeat, probe tick, sweep,
+//     retransmission) re-arms without a heap push and pop, and the heap
+//     holds the deliveries plus one entry per busy lane.
+// The heap's top is therefore always the earliest pending event, and the
+// firing order is exactly (time, seq), the order of one heap holding every
+// event. A cancel only marks its slot dead. Dead entries are reaped when
+// they reach the heap's top or a lane's head, and the heap and every lane
+// are compacted together once dead entries outnumber live ones. A lane
+// that empties stays in its shard's table (its timer usually re-arms from
+// the callback) until a sweep on the table's growth returns it, so
+// computed one-off delays cannot grow the table without bound.
 //
 // Sharded mode (configure_shards): the event space splits into K logical
 // shards, each with its own heap, clock and sequence counter, advancing in
@@ -35,6 +52,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -119,7 +137,9 @@ class Simulator {
   /// event in sharded mode (exactly schedule_global), shard 0 serially.
   EventId schedule_at(Time t, Callback cb);
 
-  /// Schedules `cb` after `delay` from now.
+  /// Schedules `cb` after `delay` from now. Inside a shard (or serially)
+  /// the event joins the shard's timer lane for `delay`; outside any shard
+  /// context in sharded mode it is a global event, as schedule_at makes it.
   EventId schedule_after(Duration delay, Callback cb);
 
   /// Schedules onto a specific shard. From a different shard's window the
@@ -161,23 +181,52 @@ class Simulator {
   [[nodiscard]] std::size_t pending_events() const;
   [[nodiscard]] std::uint64_t executed_events() const;
 
-  /// Heap entries currently held, cancelled tombstones included. Exposed so
-  /// tests can assert that timer-cancel churn cannot grow memory without
-  /// bound (tombstones are compacted away once they outnumber live events).
+  /// Queued entries currently held, heap and timer lanes together (a
+  /// lane's head, which the heap also holds, counted once), cancelled
+  /// tombstones included. Exposed so tests can assert that timer-cancel
+  /// churn cannot grow memory without bound (tombstones are compacted away
+  /// once they outnumber live events).
   [[nodiscard]] std::size_t queued_entries() const;
 
   /// Safety valve: simulations in tests should never need more.
   static constexpr std::uint64_t kDefaultMaxEvents = 500'000'000ULL;
 
  private:
+  static constexpr std::uint32_t kNoLane = 0xFFFFFFFFu;
+  /// Dead entries are compacted once they outnumber live ones and exceed
+  /// this; the lane table is swept once it grows past twice its size at
+  /// the last sweep and this.
+  static constexpr std::size_t kCompactFloor = 64;
+
   struct Entry {
     Time time;
     std::uint64_t seq;
     std::uint32_t slot;
+    std::uint32_t lane;  ///< the timer lane this entry heads, or kNoLane
     // Ordered min-heap: earliest time first, FIFO within a timestamp.
     bool operator>(const Entry& other) const {
       if (time != other.time) return time > other.time;
       return seq > other.seq;
+    }
+  };
+
+  /// One delay's timer lane: a FIFO ring of entries in (time, seq) order.
+  /// The entries themselves, not links through their slots, so refilling
+  /// the heap from a lane reads memory the lane already holds.
+  struct Lane {
+    std::vector<Entry> ring;  ///< capacity 0 or a power of two
+    std::uint32_t head = 0;
+    std::uint32_t size = 0;
+
+    [[nodiscard]] bool empty() const { return size == 0; }
+    [[nodiscard]] const Entry& front() const { return ring[head]; }
+    [[nodiscard]] const Entry& back() const {
+      return ring[(head + size - 1) & (ring.size() - 1)];
+    }
+    void push_back(const Entry& e);
+    void pop_front() {
+      head = (head + 1) & static_cast<std::uint32_t>(ring.size() - 1);
+      --size;
     }
   };
 
@@ -196,8 +245,9 @@ class Simulator {
     Callback cb;
   };
 
-  /// One logical shard: its own heap, slots, clock and FIFO numbering, so
-  /// a shard's trajectory is independent of its siblings within a window.
+  /// One logical shard: its own heap, lanes, slots, clock and FIFO
+  /// numbering, so a shard's trajectory is independent of its siblings
+  /// within a window.
   struct Shard {
     Time now = 0;
     std::uint64_t next_seq = 1;
@@ -206,7 +256,13 @@ class Simulator {
     std::vector<Slot> slots;
     std::vector<std::uint32_t> free_slots;
     std::size_t live = 0;        ///< scheduled, not fired, not cancelled
-    std::size_t tombstones = 0;  ///< cancelled entries still in heap
+    std::size_t tombstones = 0;  ///< cancelled entries in heap or lanes
+    std::vector<Lane> lanes;
+    std::unordered_map<Duration, std::uint32_t> lane_of;  ///< delay -> lane
+    std::vector<std::uint32_t> free_lanes;  ///< swept lanes, for reuse
+    std::size_t lane_sweep_at = kCompactFloor;  ///< lane_of size to sweep at
+    Duration last_delay = 0;  ///< lane_for's last answer: delay -> lane
+    std::uint32_t last_lane = kNoLane;
     std::vector<Handoff> outbox;
   };
 
@@ -214,10 +270,21 @@ class Simulator {
 
   static constexpr Time kNever = std::numeric_limits<Time>::max();
 
+  /// Stores `cb` in a slot under the shard's next seq: the entry to queue.
+  Entry store(Shard& sh, Time t, Callback cb, std::uint32_t lane);
   EventId push_event(std::uint32_t shard_idx, Time t, Callback cb);
+  /// Appends to the shard's lane for `delay` (schedule_after's path).
+  EventId push_lane(std::uint32_t shard_idx, Duration delay, Callback cb);
+  /// The shard's lane for `delay`, made (or reused from a swept one) on
+  /// first use.
+  std::uint32_t lane_for(Shard& sh, Duration delay);
   /// Earliest live entry of a shard, reaping front tombstones; nullptr
   /// when the shard has nothing pending.
   const Entry* peek_live(Shard& sh);
+  /// Removes the heap's top; a lane head is replaced by its lane's next.
+  void pop_top(Shard& sh);
+  /// Pops and runs the heap's top, which peek_live found live.
+  void fire_top(Shard& sh);
   void purge_tombstones(Shard& sh);
   void release_slot(Shard& sh, std::uint32_t slot);
   /// Executes one shard's events with time <= window_end.

@@ -10,8 +10,7 @@ namespace {
 class FlatRingTest : public rgb::testing::SimNetTest {
  protected:
   std::uint64_t token_hops() const {
-    const auto it = network_.metrics().sent_per_kind.find(kRingToken);
-    return it == network_.metrics().sent_per_kind.end() ? 0 : it->second;
+    return network_.metrics().sent_of(kRingToken);
   }
 };
 

@@ -16,12 +16,7 @@ class GossipTest : public rgb::testing::SimNetTest {
   }
 
   std::uint64_t gossip_messages() const {
-    std::uint64_t total = 0;
-    for (const auto kind : {kPing, kAck}) {
-      const auto it = network_.metrics().sent_per_kind.find(kind);
-      if (it != network_.metrics().sent_per_kind.end()) total += it->second;
-    }
-    return total;
+    return network_.metrics().sent_of(kPing) + network_.metrics().sent_of(kAck);
   }
 };
 

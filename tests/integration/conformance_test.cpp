@@ -28,10 +28,7 @@ TEST_P(TableIConformance, RingMeasuredEqualsFormula) {
   sys.join(common::Guid{1}, sys.aps().front());
   simulator.run();
 
-  std::uint64_t hops = 0;
-  for (const auto& [kind, count] : network.metrics().sent_per_kind) {
-    if (core::kind::is_proposal_kind(kind)) hops += count;
-  }
+  const std::uint64_t hops = core::proposal_hops(network);
   EXPECT_EQ(hops, analysis::hcn_ring(p.ring_h, p.r));
   EXPECT_TRUE(sys.membership_converged());
 }
@@ -43,9 +40,7 @@ TEST_P(TableIConformance, TreeMeasuredEqualsFormula) {
   tree::TreeSystem sys{network, tree::TreeConfig{p.ring_h + 1, p.r, true}};
   sys.join(common::Guid{1}, sys.leaves().front());
   simulator.run();
-  const auto it = network.metrics().sent_per_kind.find(tree::kTreeProposal);
-  const std::uint64_t hops =
-      it == network.metrics().sent_per_kind.end() ? 0 : it->second;
+  const std::uint64_t hops = network.metrics().sent_of(tree::kTreeProposal);
   EXPECT_EQ(hops, analysis::hcn_tree(p.ring_h + 1, p.r));
 }
 
@@ -70,10 +65,7 @@ TEST(Conformance, LargestSimulatedRow1000Aps) {
                       core::HierarchyLayout{3, 10}};
   sys.join(common::Guid{1}, sys.aps().front());
   simulator.run();
-  std::uint64_t hops = 0;
-  for (const auto& [kind, count] : network.metrics().sent_per_kind) {
-    if (core::kind::is_proposal_kind(kind)) hops += count;
-  }
+  const std::uint64_t hops = core::proposal_hops(network);
   EXPECT_EQ(hops, 1220u);  // the paper's printed HCN_Ring
 }
 
@@ -88,10 +80,7 @@ TEST(Conformance, AggregatedChangesCostLessThanFormulaPerChange) {
     sys.join(common::Guid{g}, sys.aps().front());
   }
   simulator.run();
-  std::uint64_t hops = 0;
-  for (const auto& [kind, count] : network.metrics().sent_per_kind) {
-    if (core::kind::is_proposal_kind(kind)) hops += count;
-  }
+  const std::uint64_t hops = core::proposal_hops(network);
   EXPECT_LT(hops, 10 * analysis::hcn_ring(2, 5));
   EXPECT_EQ(sys.membership().size(), 10u);
 }
@@ -103,10 +92,8 @@ TEST(Conformance, ControlTrafficExistsButIsNotCounted) {
                       core::HierarchyLayout{2, 3}};
   sys.join(common::Guid{1}, sys.aps().back());
   simulator.run();
-  std::uint64_t proposal = 0, control = 0;
-  for (const auto& [kind, count] : network.metrics().sent_per_kind) {
-    (core::kind::is_proposal_kind(kind) ? proposal : control) += count;
-  }
+  const std::uint64_t proposal = core::proposal_hops(network);
+  const std::uint64_t control = network.metrics().sent - proposal;
   EXPECT_EQ(proposal, analysis::hcn_ring(2, 3));
   EXPECT_GT(control, 0u);  // acks, grants, releases exist on the wire
 }

@@ -58,8 +58,12 @@ TEST_F(NetworkTest, MetersPerKind) {
   send_ab(7);
   send_ab(9);
   sim_.run();
-  EXPECT_EQ(network_.metrics().sent_per_kind.at(7), 2u);
-  EXPECT_EQ(network_.metrics().sent_per_kind.at(9), 1u);
+  EXPECT_EQ(network_.metrics().sent_of(7), 2u);
+  EXPECT_EQ(network_.metrics().sent_of(9), 1u);
+  EXPECT_EQ(network_.metrics().sent_of(8), 0u);
+  EXPECT_EQ(network_.metrics().sent_of(1000), 0u);
+  EXPECT_EQ(network_.metrics().bytes_of(7), 128u);
+  EXPECT_EQ(network_.metrics().bytes_of(9), 64u);
 }
 
 TEST_F(NetworkTest, CrashedDestinationDropsInFlight) {

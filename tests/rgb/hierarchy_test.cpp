@@ -104,10 +104,7 @@ TEST_F(HierarchyTest, ChangeOriginDoesNotAffectHopCount) {
                   HierarchyLayout{.ring_tiers = 2, .ring_size = 5}};
     sys.join(common::Guid{1}, sys.aps()[origin]);
     fresh_sim.run();
-    std::uint64_t hops = 0;
-    for (const auto& [kind, count] : fresh_net.metrics().sent_per_kind) {
-      if (kind::is_proposal_kind(kind)) hops += count;
-    }
+    const std::uint64_t hops = core::proposal_hops(fresh_net);
     EXPECT_EQ(hops, analysis::hcn_ring(2, 5)) << "origin " << origin;
   }
 }
@@ -205,10 +202,7 @@ TEST_F(HierarchyTest, BmsCostsFewerHopsThanTms) {
   RgbSystem sys_b{net_b, bms, HierarchyLayout{.ring_tiers = 3, .ring_size = 3}};
   sys_b.join(common::Guid{1}, sys_b.aps().front());
   sim_b.run();
-  std::uint64_t hops_b = 0;
-  for (const auto& [kind, count] : net_b.metrics().sent_per_kind) {
-    if (kind::is_proposal_kind(kind)) hops_b += count;
-  }
+  const std::uint64_t hops_b = core::proposal_hops(net_b);
 
   auto& sys_t = build(3, 3);  // TMS default
   sys_t.join(common::Guid{1}, sys_t.aps().front());

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <set>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -154,6 +157,167 @@ TEST(Simulator, TombstonePurgeBoundsHeapUnderCancelChurn) {
   // tiny; 64 covers the purge's minimum-size hysteresis.
   EXPECT_LE(max_queued, 70u);
   EXPECT_LE(s.queued_entries(), 70u);
+}
+
+TEST(Simulator, LaneTombstonePurgeBoundsQueueUnderCancelChurn) {
+  // The same churn through a timer lane (schedule_after, as a
+  // retransmission timer arms): the cancelled entries wait in the lane
+  // behind its head, and the purge must compact them as it does the heap's.
+  Simulator s;
+  const EventId keeper = s.schedule_at(sec(3600), [] {});
+  (void)keeper;
+  std::size_t max_queued = 0;
+  for (int i = 0; i < 100000; ++i) {
+    const EventId id = s.schedule_after(sec(60), [] {});
+    s.cancel(id);
+    max_queued = std::max(max_queued, s.queued_entries());
+  }
+  EXPECT_EQ(s.pending_events(), 1u);
+  EXPECT_LE(max_queued, 70u);
+  EXPECT_LE(s.queued_entries(), 70u);
+  bool fired = false;
+  s.schedule_after(sec(60), [&] { fired = true; });
+  s.run();
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(s.now(), sec(3600));
+}
+
+TEST(Simulator, TimerLanesFireInReferenceOrder) {
+  // Model check of the lanes against one sorted set. A random mix of
+  // schedule_after over a few fixed delays (lanes), computed one-off delays
+  // (a lane each, swept once empty), schedule_at (the heap), cancels of
+  // live, fired and already-cancelled ids, and callbacks that re-arm
+  // themselves like periodic timers, must fire in exactly the order of a
+  // reference sort by (time, seq), with pending_events() equal to the
+  // reference's live set after every operation. Cancel-heavy phases make
+  // tombstones outnumber live events, so purges run mid-flight too.
+  Simulator s;
+  common::RngStream rng{0x1A7E5};
+  constexpr Duration kDelays[] = {0, usec(250), msec(1), msec(3)};
+  std::set<std::pair<Time, std::uint64_t>> live;  // (time, seq)
+  std::vector<std::pair<EventId, Time>> history;
+  std::vector<std::pair<Time, std::uint64_t>> fired;
+
+  // Schedules one event with `delay` (a lane) or at `at` (the heap); odd
+  // seqs re-arm themselves once fired, as a periodic timer does.
+  std::function<void(bool, Duration)> add = [&](bool lane, Duration d) {
+    auto seq_cell = std::make_shared<std::uint64_t>(0);
+    auto cb = [&, seq_cell, lane, d] {
+      fired.emplace_back(s.now(), *seq_cell);
+      if (*seq_cell % 2 == 1 && lane) add(true, d);
+    };
+    const Time t = s.now() + d;
+    const EventId id = lane ? s.schedule_after(d, cb) : s.schedule_at(t, cb);
+    *seq_cell = id.seq;
+    live.emplace(t, id.seq);
+    history.emplace_back(id, t);
+  };
+
+  for (int op = 0; op < 30000; ++op) {
+    // Cancel phases mostly cancel recent ids, which are mostly live.
+    const bool cancel_phase = (op / 3000) % 2 == 1;
+    const auto pick = rng.next_below(100);
+    if (history.empty() || pick < (cancel_phase ? 20u : 55u)) {
+      switch (rng.next_below(4)) {
+        case 0:
+        case 1:
+          add(true, kDelays[rng.next_below(4)]);
+          break;
+        case 2:
+          add(true, usec(5000) + rng.next_below(100000));  // one-off delay
+          break;
+        default:
+          add(false, rng.next_below(4000));
+          break;
+      }
+    } else if (pick < (cancel_phase ? 95u : 75u)) {
+      const std::size_t span =
+          cancel_phase ? std::min<std::size_t>(history.size(), 16)
+                       : history.size();
+      const auto& [id, t] = history[history.size() - 1 -
+                                    static_cast<std::size_t>(
+                                        rng.next_below(span))];
+      live.erase({t, id.seq});
+      s.cancel(id);
+    } else {
+      const std::size_t before = fired.size();
+      if (live.empty()) {
+        ASSERT_FALSE(s.step()) << "op " << op;
+      } else {
+        const auto expected = *live.begin();
+        live.erase(live.begin());
+        ASSERT_TRUE(s.step()) << "op " << op;
+        ASSERT_EQ(fired.size(), before + 1);
+        ASSERT_EQ(fired.back(), expected) << "op " << op;
+      }
+    }
+    ASSERT_EQ(s.pending_events(), live.size()) << "after op " << op;
+  }
+  // Drain: a re-arming chain ends at its first even seq.
+  while (!live.empty()) {
+    const auto expected = *live.begin();
+    live.erase(live.begin());
+    ASSERT_TRUE(s.step());
+    ASSERT_EQ(fired.back(), expected);
+    ASSERT_EQ(s.pending_events(), live.size());
+  }
+  EXPECT_FALSE(s.step());
+  EXPECT_GT(fired.size(), 5000u);
+}
+
+/// Lane timers on 4 shards: each shard runs three self-re-arming timers at
+/// fixed delays, arms and cancels a retransmission-style timer on every
+/// tick, and hands a short timer chain to the next shard every third round
+/// (2 epochs out, within the lookahead contract). Each fire appends to its
+/// shard's own trace, so recording is race-free at any worker count.
+std::vector<std::vector<std::pair<Time, int>>> run_lane_shards(
+    unsigned workers) {
+  constexpr std::uint32_t kShards = 4;
+  constexpr Duration kPeriods[] = {usec(250), usec(700), msec(1)};
+  Simulator s;
+  s.configure_shards(kShards, msec(1));
+  s.set_workers(workers);
+  std::vector<std::vector<std::pair<Time, int>>> trace(kShards);
+  std::vector<EventId> retx(kShards);
+  std::function<void(int, int)> tick = [&](int timer, int round) {
+    const std::uint32_t shard = current_executing_shard();
+    trace[shard].emplace_back(s.now(), timer);
+    s.cancel(retx[shard]);
+    retx[shard] = s.schedule_after(msec(5), [&trace, shard, &s] {
+      trace[shard].emplace_back(s.now(), -1);
+    });
+    if (round >= 40) return;
+    s.schedule_after(kPeriods[timer % 3],
+                     [&tick, timer, round] { tick(timer, round + 1); });
+    if (timer < 3 && round % 3 == 0) {
+      s.schedule_on((shard + 1) % kShards, s.now() + msec(2),
+                    [&tick, timer, round] { tick(timer + 3, round + 1); });
+    }
+  };
+  for (std::uint32_t shard = 0; shard < kShards; ++shard) {
+    for (int timer = 0; timer < 3; ++timer) {
+      s.schedule_on(shard, msec(1) + usec(shard * 111 + timer * 37),
+                    [&tick, timer] { tick(timer, 0); });
+    }
+  }
+  s.run();
+  EXPECT_EQ(s.pending_events(), 0u);
+  return trace;
+}
+
+TEST(Simulator, ShardedLaneTimersIndependentOfWorkerCount) {
+  const auto serial = run_lane_shards(1);
+  for (const auto& t : serial) {
+    EXPECT_GT(t.size(), 200u);
+    EXPECT_TRUE(std::is_sorted(t.begin(), t.end(),
+                               [](const auto& a, const auto& b) {
+                                 return a.first < b.first;
+                               }));
+    EXPECT_EQ(std::count_if(t.begin(), t.end(),
+                            [](const auto& e) { return e.second == -1; }),
+              1);  // only the last tick's retransmission timer survives
+  }
+  EXPECT_EQ(run_lane_shards(4), serial);
 }
 
 TEST(Simulator, PurgeKeepsOrderingAndCancelSemantics) {

@@ -50,11 +50,7 @@ class RgbSystemTest : public SimNetTest {
   /// Total proposal-plane hops (token + notifications) since the last
   /// metrics reset — the quantity Table I counts.
   [[nodiscard]] std::uint64_t proposal_hops() const {
-    std::uint64_t hops = 0;
-    for (const auto& [kind, count] : network_.metrics().sent_per_kind) {
-      if (core::kind::is_proposal_kind(kind)) hops += count;
-    }
-    return hops;
+    return core::proposal_hops(network_);
   }
 
   std::unique_ptr<core::RgbSystem> system_;

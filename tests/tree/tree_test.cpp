@@ -21,8 +21,7 @@ class TreeTest : public rgb::testing::SimNetTest {
   }
 
   std::uint64_t proposal_hops() const {
-    const auto it = network_.metrics().sent_per_kind.find(kTreeProposal);
-    return it == network_.metrics().sent_per_kind.end() ? 0 : it->second;
+    return network_.metrics().sent_of(kTreeProposal);
   }
 };
 
@@ -70,8 +69,7 @@ class TreeHopConformance
       public ::testing::WithParamInterface<TreeHopCase> {
  protected:
   std::uint64_t proposal_hops() const {
-    const auto it = network_.metrics().sent_per_kind.find(kTreeProposal);
-    return it == network_.metrics().sent_per_kind.end() ? 0 : it->second;
+    return network_.metrics().sent_of(kTreeProposal);
   }
 };
 
@@ -120,9 +118,7 @@ TEST_F(TreeTest, DeepTreeFormula2SlightlyOvercountsVsPhysicalModel) {
     TreeSystem sys{network, config};
     sys.join(common::Guid{1}, sys.leaves().front());
     simulator.run();
-    const auto it = network.metrics().sent_per_kind.find(kTreeProposal);
-    const std::uint64_t hops =
-        it == network.metrics().sent_per_kind.end() ? 0 : it->second;
+    const std::uint64_t hops = network.metrics().sent_of(kTreeProposal);
     const std::uint64_t formula = analysis::hcn_tree(5, r);
     EXPECT_LE(hops, formula) << "r=" << r;
     EXPECT_GE(hops + 4, formula) << "r=" << r;  // off by O(h) edges only

@@ -26,7 +26,8 @@
 //
 // With --schedule FILE the tool skips generation and replays the given
 // schedule file (e.g. a minimized repro from a previous run) under seed
-// `start` — deterministic down to the violation report bytes.
+// `start` — deterministic down to the violation report bytes. A replay runs
+// that one seed, so --seeds beside --schedule is a usage error.
 //
 // `--churn 1` adds sustained-churn windows (per-tick membership toggling
 // for 1-3s stretches) to the generated schedules — the stability-layer
@@ -92,7 +93,8 @@ int usage(const char* argv0, int code) {
      << "                 for every W >= 1)\n"
      << "  --mask BITS    invariant mask, 1-63 (default 63, all; see\n"
      << "                 EXPERIMENTS.md)\n"
-     << "  --schedule F   replay schedule file F under seed --start\n"
+     << "  --schedule F   replay schedule file F under seed --start (not\n"
+     << "                 with --seeds: a replay runs that one seed)\n"
      << "  --quiet        only report violations and the final summary\n"
      << "  --flight-full  dump the complete retained flight ring for every\n"
      << "                 run, pass or fail (byte-identical for any\n"
@@ -106,6 +108,7 @@ int usage(const char* argv0, int code) {
 int main(int argc, char** argv) {
   rgb::check::AdversarialConfig cfg;
   std::uint64_t seeds = 10;
+  bool seeds_given = false;
   std::uint64_t start = 1;
   std::string schedule_path;
   bool quiet = false;
@@ -140,6 +143,7 @@ int main(int argc, char** argv) {
         cfg.protocol = rgb::check::protocol_from_name(next());
       } else if (arg == "--seeds") {
         seeds = next_u64();
+        seeds_given = true;
       } else if (arg == "--start") {
         start = next_u64();
       } else if (arg == "--tiers") {
@@ -208,6 +212,11 @@ int main(int argc, char** argv) {
 
   // Replay mode: one schedule file, one seed.
   if (!schedule_path.empty()) {
+    if (seeds_given) {
+      std::cerr << "rgb_fuzz: --seeds does not apply to --schedule: a replay "
+                   "runs the one seed --start\n";
+      return 2;
+    }
     std::ifstream file{schedule_path};
     if (!file) {
       std::cerr << "rgb_fuzz: cannot read '" << schedule_path << "'\n";
