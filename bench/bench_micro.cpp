@@ -1,16 +1,16 @@
 // Experiment E10 — google-benchmark micro-benchmarks of the building
 // blocks: the event kernel (its heap alone, and churn_faults' shape of
 // periodic timers in lanes beside heap deliveries), RNG, MQ aggregation,
-// member-table apply, member
-// tables at two workload shapes (query_mix's cold snapshots, join_surge's
-// interleaved applies), the dedup sets at join_surge's uid shape and at
-// their worst case (sparse ids), the GroupDirectory operations a probe
-// tick or an op intake performs (at G = 1, 100 and 1000 groups; each
-// should read flat in G), the kFull exchange's two halves per entry (one
-// group's export, one fused import+diff) and their bucket-scoped
-// counterparts with the bucket digests a large differing group reads, codec
-// encode/decode in ns/byte, network send/deliver, and an end-to-end
-// Member-Join round on a small hierarchy.
+// member-table apply, member tables at two workload shapes (query_mix's
+// cold snapshots, join_surge's interleaved applies), the dedup sets at
+// join_surge's uid shape and at their worst case (sparse ids), the
+// GroupDirectory operations a probe tick or an op intake performs (at
+// G = 1, 100 and 1000 groups; each should read flat in G), the kFull
+// exchange's two halves per entry (one group's export, one fused
+// import+diff) and their bucket-scoped counterparts with the bucket
+// digests a large differing group reads, codec encode/decode in ns/byte,
+// network send/deliver, and an end-to-end Member-Join round on a small
+// hierarchy.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
