@@ -19,7 +19,7 @@
 //     entry; firing a head replaces it with the lane's next entry in one
 //     sift-down, so a periodic timer (heartbeat, probe tick, sweep,
 //     retransmission) re-arms without a heap push and pop, and the heap
-//     holds the deliveries plus one entry per busy lane.
+//     holds the events above plus one entry per busy lane.
 // The heap's top is therefore always the earliest pending event, and the
 // firing order is exactly (time, seq), the order of one heap holding every
 // event. A cancel only marks its slot dead. Dead entries are reaped when
