@@ -9,8 +9,8 @@
 // exchange's two halves per entry (one group's export, one fused
 // import+diff) and their bucket-scoped counterparts with the bucket
 // digests a large differing group reads, codec encode/decode in ns/byte,
-// network send/deliver, and an end-to-end Member-Join round on a small
-// hierarchy.
+// network send/deliver at churn_faults' shape, and an end-to-end
+// Member-Join round on a small hierarchy.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -510,21 +510,55 @@ void BM_CodecDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_CodecDecode)->DenseRange(0, 3);
 
+/// churn_faults' network shape: 30 NEs with all 435 NE-NE link overrides
+/// (2% loss, as the workload installs them) and 2,000 hosts (ids from
+/// 100,000) on the default 1-3 ms link. One iteration is one heartbeat
+/// period: every host sends to its NE and every NE to the next one on a
+/// ring, then the deliveries run. Every other iteration runs with one NE
+/// crashed, so half the messages see a crash in force. Reported per message.
 void BM_NetworkSendDeliver(benchmark::State& state) {
   class Sink : public net::Endpoint {
    public:
     void deliver(const net::Envelope&) override {}
   };
+  constexpr std::uint64_t kNes = 30;
+  constexpr std::uint64_t kHosts = 2000;
+  constexpr std::uint64_t kHostIds = 100'000;
+  net::LinkConfig host_link;
+  host_link.latency = net::LatencyModel::uniform(sim::msec(1), sim::msec(3));
+  net::LinkConfig ne_link = host_link;
+  ne_link.drop_probability = 0.02;
   sim::Simulator simulator;
-  net::Network network{simulator, common::RngStream{1}};
-  Sink a, b;
-  network.attach(common::NodeId{1}, &a);
-  network.attach(common::NodeId{2}, &b);
-  for (auto _ : state) {
-    network.send(net::Envelope{common::NodeId{1}, common::NodeId{2}, 0, 64, 0});
-    simulator.run();
+  net::Network network{simulator, common::RngStream{1}, host_link};
+  Sink sink;
+  for (std::uint64_t i = 1; i <= kNes; ++i) {
+    network.attach(common::NodeId{i}, &sink);
+    for (std::uint64_t j = 1; j < i; ++j) {
+      network.set_link(common::NodeId{j}, common::NodeId{i}, ne_link);
+    }
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  for (std::uint64_t h = 0; h < kHosts; ++h) {
+    network.attach(common::NodeId{kHostIds + h}, &sink);
+  }
+  const common::NodeId crashed{1};
+  bool crash = false;
+  for (auto _ : state) {
+    if (crash) network.crash(crashed);
+    for (std::uint64_t h = 0; h < kHosts; ++h) {
+      network.send(net::Envelope{common::NodeId{kHostIds + h},
+                                 common::NodeId{1 + h % kNes}, 0, 64, 0});
+    }
+    for (std::uint64_t i = 1; i <= kNes; ++i) {
+      network.send(net::Envelope{common::NodeId{i},
+                                 common::NodeId{1 + i % kNes}, 0, 64, 0});
+    }
+    simulator.run();
+    if (crash) network.recover(crashed);
+    crash = !crash;
+  }
+  state.counters["per_msg"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * (kHosts + kNes),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_NetworkSendDeliver);
 

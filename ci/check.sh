@@ -360,13 +360,13 @@ echo "== bench suite smoke =="
 python3 bench/suite/run.py smoke > /dev/null
 
 # Micro-benchmark smoke: the event-kernel, member-table, directory,
-# dedup-set and codec cells of bench/bench_micro.cpp, which perf changes to
-# those structures cite, run once at a token run length, so a cell that
-# breaks fails CI. bench_micro is built only when google-benchmark is
-# installed.
-echo "== bench_micro smoke (kernel, table, directory, dedup set, codec) =="
+# dedup-set, codec and network cells of bench/bench_micro.cpp, which perf
+# changes to those structures cite, run once at a token run length, so a
+# cell that breaks fails CI. bench_micro is built only when
+# google-benchmark is installed.
+echo "== bench_micro smoke (kernel, table, directory, dedup set, codec, network) =="
 if [ -x "$BUILD_DIR/bench_micro" ]; then
-  micro_cells='Simulator|MemberTable|Group|Directory|BoundedIdSet|Codec'
+  micro_cells='Simulator|MemberTable|Group|Directory|BoundedIdSet|Codec|Network'
   "$BUILD_DIR/bench_micro" --benchmark_filter="$micro_cells" \
       --benchmark_min_time=0.01
 else
