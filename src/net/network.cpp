@@ -1,5 +1,6 @@
 #include "net/network.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <string>
 #include <utility>
@@ -56,13 +57,11 @@ void Network::configure_shards(std::uint32_t count) {
 
 void Network::assign_shard(NodeId id, std::uint32_t shard) {
   assert(shard < stripes_.size());
-  node_shard_[id] = shard;
+  nodes_[id].shard = shard;
 }
 
 std::uint32_t Network::shard_of(NodeId id) const {
-  if (node_shard_.empty()) return 0;
-  const auto it = node_shard_.find(id);
-  return it == node_shard_.end() ? 0 : it->second;
+  return record_of(id).shard;
 }
 
 Network::ShardState& Network::stripe() {
@@ -70,75 +69,71 @@ Network::ShardState& Network::stripe() {
   return stripes_[s < stripes_.size() ? s : 0];
 }
 
+const Network::Node Network::kNoRecord{};
+
+const Network::Node& Network::record_of(NodeId id) const {
+  const auto it = nodes_.find(id);
+  return it == nodes_.end() ? kNoRecord : it->second;
+}
+
 void Network::attach(NodeId id, Endpoint* endpoint) {
   assert(id.valid());
   assert(endpoint != nullptr);
-  endpoints_[id] = endpoint;
+  nodes_[id].endpoint = endpoint;
 }
 
-void Network::detach(NodeId id) { endpoints_.erase(id); }
+void Network::detach(NodeId id) { nodes_[id].endpoint = nullptr; }
 
 bool Network::is_attached(NodeId id) const {
-  return endpoints_.count(id) != 0;
-}
-
-LinkKey Network::link_key(NodeId a, NodeId b) {
-  auto lo = a.value(), hi = b.value();
-  if (lo > hi) std::swap(lo, hi);
-  return LinkKey{lo, hi};
+  return record_of(id).endpoint != nullptr;
 }
 
 void Network::set_link(NodeId a, NodeId b, LinkConfig cfg) {
-  links_[link_key(a, b)] = cfg;
+  for (const auto& [from, to] : {std::pair{a, b}, std::pair{b, a}}) {
+    std::vector<Link>& links = nodes_[from].links;
+    const auto it = std::lower_bound(links.begin(), links.end(), to);
+    if (it != links.end() && it->peer == to) {
+      it->config = cfg;
+    } else {
+      links.insert(it, Link{to, cfg});
+    }
+  }
 }
 
 void Network::set_default_drop_probability(double p) {
   default_link_.drop_probability = p;
 }
 
-const LinkConfig& Network::link_between(NodeId a, NodeId b) const {
-  // Most deployments never override a link: skip the key build + hash probe
-  // entirely and hand back the default (the `send` hot path hits this once
-  // per message).
-  if (links_.empty()) return default_link_;
-  const auto it = links_.find(link_key(a, b));
-  return it == links_.end() ? default_link_ : it->second;
+const LinkConfig& Network::link_from(const Node& a, NodeId b) const {
+  const auto it = std::lower_bound(a.links.begin(), a.links.end(), b);
+  return it != a.links.end() && it->peer == b ? it->config : default_link_;
 }
 
 void Network::crash(NodeId id) {
-  if (!is_crashed(id)) crashed_at_[id] = sim_.now();
-  crashed_[id] = true;
+  Node& node = nodes_[id];
+  if (!node.crashed_at) node.crashed_at = sim_.now();
 }
 
-void Network::recover(NodeId id) {
-  crashed_.erase(id);
-  crashed_at_.erase(id);
-}
+void Network::recover(NodeId id) { nodes_[id].crashed_at.reset(); }
 
 bool Network::is_crashed(NodeId id) const {
-  // Fast path for the common fault-free run: no hash probe at all.
-  if (crashed_.empty()) return false;
-  const auto it = crashed_.find(id);
-  return it != crashed_.end() && it->second;
+  return record_of(id).crashed_at.has_value();
 }
 
 std::optional<sim::Time> Network::crashed_since(NodeId id) const {
-  if (!is_crashed(id)) return std::nullopt;
-  const auto it = crashed_at_.find(id);
-  if (it == crashed_at_.end()) return std::nullopt;
-  return it->second;
+  return record_of(id).crashed_at;
 }
 
 void Network::set_partition(NodeId id, int partition) {
-  partitions_[id] = partition;
+  nodes_[id].partition = partition;
 }
 
-void Network::clear_partitions() { partitions_.clear(); }
+void Network::clear_partitions() {
+  for (auto& [id, node] : nodes_) node.partition = 0;
+}
 
 int Network::partition_of(NodeId id) const {
-  if (partitions_.empty()) return 0;  // fast path: no partitions configured
-  const auto it = partitions_.find(id);
-  return it == partitions_.end() ? 0 : it->second;
+  return record_of(id).partition;
 }
 
 void Network::reset_metrics() {
@@ -169,7 +164,8 @@ void Network::send(Envelope env) {
 
   // A crashed source produces nothing at all — the attempt never enters the
   // network, so it is metered apart from `sent` and the in-network drops.
-  if (is_crashed(env.src)) {
+  const Node& src = record_of(env.src);
+  if (src.crashed_at) {
     ++st.metrics.dropped_src_crash;
     if (tap_) tap_(env, false);
     return;
@@ -189,9 +185,10 @@ void Network::send(Envelope env) {
   ++st.metrics.sent_per_kind[env.kind];
   st.metrics.bytes_per_kind[env.kind] += env.size_bytes;
 
-  const LinkConfig& link = link_between(env.src, env.dst);
+  const Node& dst = record_of(env.dst);
+  const LinkConfig& link = link_from(src, env.dst);
 
-  if (partition_of(env.src) != partition_of(env.dst)) {
+  if (src.partition != dst.partition) {
     ++st.metrics.dropped_partition;
     if (tap_) tap_(env, false);
     return;
@@ -204,29 +201,31 @@ void Network::send(Envelope env) {
 
   const sim::Duration delay = link.latency.sample(st.rng);
   const sim::Time sent_at = sim_.now();
-  const NodeId dst = env.dst;
 
-  auto deliver = [this, env = std::move(env), sent_at]() {
+  auto deliver = [this, env = std::move(env), sent_at, src = &src,
+                  dst = &dst]() {
     // Runs inside the destination's shard window (or the serial loop), so
     // it meters into the destination's stripe. Re-check at delivery time:
     // the destination may have crashed, a partition may have formed, or the
     // endpoint may have detached while the message was in flight. The
     // checks are ordered early-returns so a message failing several of them
     // (e.g. a destination that is both crashed and partitioned away) is
-    // counted in exactly one drop bucket.
+    // counted in exactly one drop bucket. An end that had no record at
+    // send may have gained one since.
+    const Node& from = src == &kNoRecord ? record_of(env.src) : *src;
+    const Node& to = dst == &kNoRecord ? record_of(env.dst) : *dst;
     ShardState& at_dst = stripe();
-    if (is_crashed(env.dst)) {
+    if (to.crashed_at) {
       ++at_dst.metrics.dropped_crash;
       if (tap_) tap_(env, false);
       return;
     }
-    if (partition_of(env.src) != partition_of(env.dst)) {
+    if (from.partition != to.partition) {
       ++at_dst.metrics.dropped_partition;
       if (tap_) tap_(env, false);
       return;
     }
-    const auto it = endpoints_.find(env.dst);
-    if (it == endpoints_.end()) {
+    if (to.endpoint == nullptr) {
       ++at_dst.metrics.dropped_unattached;
       if (tap_) tap_(env, false);
       return;
@@ -236,9 +235,9 @@ void Network::send(Envelope env) {
         static_cast<double>(sim_.now() - sent_at));
     if (tap_) tap_(env, true);
     if (trace_hooks_ != nullptr) {
-      trace_hooks_->on_deliver(env, sim_.now(), *it->second);
+      trace_hooks_->on_deliver(env, sim_.now(), *to.endpoint);
     } else {
-      it->second->deliver(env);
+      to.endpoint->deliver(env);
     }
   };
 
@@ -247,7 +246,7 @@ void Network::send(Envelope env) {
   // (the link latency >= epoch contract keeps them beyond the current
   // window). An absolute time keeps deliveries in the kernel's heap: each
   // sampled latency would make a timer lane of its own.
-  sim_.schedule_on(shard_of(dst), sent_at + delay, std::move(deliver));
+  sim_.schedule_on(dst.shard, sent_at + delay, std::move(deliver));
 }
 
 }  // namespace rgb::net

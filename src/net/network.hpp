@@ -27,32 +27,6 @@
 
 namespace rgb::net {
 
-/// Unordered node-id pair identifying a symmetric link override. Both ids
-/// are kept at full 64-bit width: the previous single-word key packed the
-/// pair as `(lo << 32) | hi` without masking `lo`, so once ids crossed 32
-/// bits distinct pairs silently collided onto one override (e.g. {1, 2}
-/// and {1, 2^32 + 2}).
-struct LinkKey {
-  std::uint64_t lo = 0;
-  std::uint64_t hi = 0;
-  bool operator==(const LinkKey&) const = default;
-};
-
-struct LinkKeyHash {
-  std::size_t operator()(const LinkKey& k) const {
-    // splitmix64-style mix of each half; shift-xor combine keeps the pair
-    // order-sensitive (lo <= hi by construction, so that is irrelevant
-    // here, but it costs nothing).
-    auto mix = [](std::uint64_t x) {
-      x += 0x9E3779B97F4A7C15ULL;
-      x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-      x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-      return x ^ (x >> 31);
-    };
-    return static_cast<std::size_t>(mix(k.lo) ^ (mix(k.hi) << 1));
-  }
-};
-
 /// Anything attachable to the network: protocol processes, hosts, probes.
 class Endpoint {
  public:
@@ -226,8 +200,31 @@ class Network {
     Metrics metrics;
   };
 
-  [[nodiscard]] const LinkConfig& link_between(NodeId a, NodeId b) const;
-  static LinkKey link_key(NodeId a, NodeId b);
+  /// A link override; `set_link` stores one in each end's record.
+  struct Link {
+    NodeId peer;
+    LinkConfig config;
+    bool operator<(NodeId id) const { return peer < id; }  ///< by peer
+  };
+
+  /// Everything the network knows about one node: one record per node,
+  /// written only between shard windows and never erased (detach clears
+  /// the endpoint), so a message in flight holds pointers to its two ends'
+  /// records and its delivery re-checks them without a lookup.
+  struct Node {
+    Endpoint* endpoint = nullptr;  ///< nullptr once detached
+    int partition = 0;
+    std::uint32_t shard = 0;
+    std::optional<sim::Time> crashed_at;  ///< set while crashed
+    std::vector<Link> links;              ///< sorted by peer
+  };
+
+  /// All defaults: the record of a node nothing was ever set for.
+  static const Node kNoRecord;
+
+  /// The node's record, or kNoRecord.
+  [[nodiscard]] const Node& record_of(NodeId id) const;
+  [[nodiscard]] const LinkConfig& link_from(const Node& a, NodeId b) const;
   /// The stripe belonging to the shard window the calling thread executes
   /// (stripe 0 outside any window, and always in serial mode).
   [[nodiscard]] ShardState& stripe();
@@ -235,12 +232,7 @@ class Network {
   sim::Simulator& sim_;
   common::RngStream base_rng_;  ///< stripes fork from this; unused after
   LinkConfig default_link_;
-  std::unordered_map<NodeId, Endpoint*> endpoints_;
-  std::unordered_map<NodeId, int> partitions_;
-  std::unordered_map<NodeId, bool> crashed_;
-  std::unordered_map<NodeId, sim::Time> crashed_at_;
-  std::unordered_map<LinkKey, LinkConfig, LinkKeyHash> links_;
-  std::unordered_map<NodeId, std::uint32_t> node_shard_;
+  std::unordered_map<NodeId, Node> nodes_;  ///< node-based: stable addresses
   std::vector<ShardState> stripes_;
   mutable Metrics merged_;  ///< metrics() merge target in sharded mode
   Tap tap_;

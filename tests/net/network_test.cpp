@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -312,6 +313,90 @@ TEST_F(NetworkTest, AttachReplacesEndpoint) {
   sim_.run();
   EXPECT_TRUE(rb_.received.empty());
   EXPECT_EQ(rb2.received.size(), 1u);
+}
+
+TEST_F(NetworkTest, InFlightMessageReachesEndpointAttachedBeforeDelivery) {
+  // Addressed to an id with no endpoint at send, attached while in flight.
+  const NodeId late{99};
+  Recorder rlate;
+  network_.send(Envelope{a_, late, 0, 64, 0});
+  network_.attach(late, &rlate);
+  // Re-attached to a new endpoint while in flight.
+  Recorder rb2;
+  send_ab();
+  network_.attach(b_, &rb2);
+  sim_.run();
+  EXPECT_EQ(rlate.received.size(), 1u);
+  EXPECT_TRUE(rb_.received.empty());
+  EXPECT_EQ(rb2.received.size(), 1u);
+  EXPECT_EQ(network_.metrics().delivered, 2u);
+  EXPECT_EQ(network_.metrics().dropped_unattached, 0u);
+}
+
+TEST_F(NetworkTest, DetachWhileInFlightCountsUnattached) {
+  send_ab();
+  network_.detach(b_);
+  sim_.run();
+  EXPECT_TRUE(rb_.received.empty());
+  EXPECT_EQ(network_.metrics().sent, 1u);
+  EXPECT_EQ(network_.metrics().dropped_unattached, 1u);
+  EXPECT_EQ(network_.metrics().delivered, 0u);
+}
+
+TEST_F(NetworkTest, CrashedBeforeAttachRefusesFirstSend) {
+  const NodeId c{7};
+  Recorder rc;
+  network_.crash(c);
+  network_.attach(c, &rc);
+  network_.send(Envelope{c, b_, 0, 64, 0});
+  sim_.run();
+  EXPECT_TRUE(rb_.received.empty());
+  EXPECT_EQ(network_.metrics().dropped_src_crash, 1u);
+  EXPECT_EQ(network_.metrics().sent, 0u);
+}
+
+TEST_F(NetworkTest, CrashedSinceKeepsFirstCrashTime) {
+  EXPECT_EQ(network_.crashed_since(b_), std::nullopt);
+  sim_.run_until(sim::msec(5));
+  network_.crash(b_);
+  sim_.run_until(sim::msec(9));
+  network_.crash(b_);
+  EXPECT_EQ(network_.crashed_since(b_), std::optional{sim::msec(5)});
+  network_.recover(b_);
+  EXPECT_FALSE(network_.is_crashed(b_));
+  EXPECT_EQ(network_.crashed_since(b_), std::nullopt);
+}
+
+TEST_F(NetworkTest, ClearPartitionsHealsPartitionSetBeforeAttach) {
+  const NodeId c{7};
+  Recorder rc;
+  network_.set_partition(c, 3);
+  network_.attach(c, &rc);
+  EXPECT_EQ(network_.partition_of(c), 3);
+  network_.send(Envelope{a_, c, 0, 64, 0});
+  sim_.run();
+  EXPECT_EQ(network_.metrics().dropped_partition, 1u);
+  network_.clear_partitions();
+  EXPECT_EQ(network_.partition_of(c), 0);
+  network_.send(Envelope{a_, c, 0, 64, 0});
+  sim_.run();
+  EXPECT_EQ(rc.received.size(), 1u);
+}
+
+TEST_F(NetworkTest, LinkOverrideSetBeforeAttachAppliesBothWays) {
+  const NodeId c{7}, d{8};
+  Recorder rc, rd;
+  network_.set_link(c, d, LinkConfig{LatencyModel::fixed(sim::msec(50)), 0.0});
+  network_.attach(c, &rc);
+  network_.attach(d, &rd);
+  network_.send(Envelope{c, d, 0, 64, 0});
+  sim_.run();
+  EXPECT_EQ(sim_.now(), sim::msec(50));
+  network_.send(Envelope{d, c, 0, 64, 0});
+  sim_.run();
+  EXPECT_EQ(sim_.now(), sim::msec(100));
+  EXPECT_EQ(rc.received.size(), 1u);
+  EXPECT_EQ(rd.received.size(), 1u);
 }
 
 }  // namespace
