@@ -1,9 +1,8 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <barrier>
 #include <cassert>
-#include <condition_variable>
-#include <mutex>
 #include <thread>
 #include <utility>
 
@@ -53,86 +52,68 @@ std::uint32_t current_executing_shard() {
 
 bool in_shard_context() { return tls_shard != kNoShard; }
 
-/// Worker pool for parallel windows: generation-counted dispatch, shards
-/// assigned round-robin by index so the work split is static and the
-/// barrier (mutex + condvars) gives the happens-before edge between a
-/// window's shard-local writes and the owning thread's barrier reads.
+/// Worker pool for parallel windows: the owning thread runs shard share 0
+/// and `count - 1` threads run the others, shares assigned round-robin by
+/// index so the work split is static. Two barriers bracket each window:
+/// `start` hands the window end to the threads, and `done` gives the
+/// happens-before edge between a window's shard-local writes and the
+/// owning thread's barrier reads.
 struct Simulator::Pool {
-  explicit Pool(Simulator& sim, unsigned count) {
-    threads.reserve(count);
-    for (unsigned i = 0; i < count; ++i) {
-      threads.emplace_back([this, &sim, i, count] { worker(sim, i, count); });
+  Pool(Simulator& simulator, unsigned count)
+      : sim(simulator), count(count), start(count), done(count) {
+    threads.reserve(count - 1);
+    for (unsigned i = 1; i < count; ++i) {
+      threads.emplace_back([this, i] { worker(i); });
     }
+  }
+
+  ~Pool() {
+    stopping = true;
+    start.arrive_and_wait();
+    for (std::thread& t : threads) t.join();
   }
 
   void run_generation(Time window_end) {
-    std::unique_lock lock{mu};
     end = window_end;
-    pending = static_cast<unsigned>(threads.size());
-    ++generation;
-    cv_work.notify_all();
-    cv_done.wait(lock, [this] { return pending == 0; });
-  }
-
-  void stop() {
-    {
-      std::lock_guard lock{mu};
-      stopping = true;
-      cv_work.notify_all();
-    }
-    for (std::thread& t : threads) t.join();
-    threads.clear();
+    start.arrive_and_wait();
+    run_share(0);
+    done.arrive_and_wait();
   }
 
  private:
-  void worker(Simulator& sim, unsigned id, unsigned count) {
-    std::uint64_t seen = 0;
+  void worker(unsigned id) {
     for (;;) {
-      Time window_end;
-      {
-        std::unique_lock lock{mu};
-        cv_work.wait(lock, [&] { return stopping || generation != seen; });
-        if (stopping) return;
-        seen = generation;
-        window_end = end;
-      }
-      const std::uint32_t shard_total = sim.shard_count();
-      for (std::uint32_t s = id; s < shard_total; s += count) {
-        ShardContextGuard ctx{s};
-        sim.run_window(s, window_end);
-      }
-      {
-        std::lock_guard lock{mu};
-        if (--pending == 0) cv_done.notify_one();
-      }
+      start.arrive_and_wait();
+      if (stopping) return;
+      run_share(id);
+      done.arrive_and_wait();
     }
   }
 
-  std::vector<std::thread> threads;
-  std::mutex mu;
-  std::condition_variable cv_work, cv_done;
-  std::uint64_t generation = 0;
-  Time end = 0;
-  unsigned pending = 0;
+  void run_share(unsigned id) {
+    for (std::uint32_t s = id; s < sim.shard_count(); s += count) {
+      ShardContextGuard ctx{s};
+      sim.run_window(s, end);
+    }
+  }
+
+  Simulator& sim;
+  const unsigned count;
+  std::barrier<> start, done;
+  Time end = 0;  ///< written before `start`, read after it
   bool stopping = false;
+  std::vector<std::thread> threads;
 };
 
 Simulator::Simulator() = default;
-Simulator::~Simulator() { stop_pool(); }
-
-void Simulator::stop_pool() {
-  if (pool_) {
-    pool_->stop();
-    pool_.reset();
-  }
-}
+Simulator::~Simulator() = default;
 
 void Simulator::configure_shards(std::uint32_t count, Duration epoch) {
   assert(count >= 1);
   assert(epoch >= 1 && "epoch must be a positive lookahead window");
   assert(executed_events() == 0 && pending_events() == 0 &&
          global_events_.empty() && "configure_shards before any scheduling");
-  stop_pool();
+  pool_.reset();
   shards_.clear();
   shards_.resize(count);
   epoch_ = epoch;
@@ -140,7 +121,7 @@ void Simulator::configure_shards(std::uint32_t count, Duration epoch) {
 
 void Simulator::set_workers(unsigned workers) {
   workers_ = std::max(1u, workers);
-  stop_pool();  // re-created lazily at the next parallel window
+  pool_.reset();  // re-created lazily at the next parallel window
 }
 
 void Simulator::run_as(std::uint32_t shard, const std::function<void()>& fn) {

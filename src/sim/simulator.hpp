@@ -109,9 +109,10 @@ class Simulator {
   /// `epoch`, never on the worker count.
   void configure_shards(std::uint32_t count, Duration epoch);
 
-  /// Worker threads that execute shard windows (clamped to the shard
-  /// count; 1 = run windows inline). Purely an execution knob: any value
-  /// produces byte-identical results.
+  /// Workers that execute shard windows (clamped to the shard count; 1 =
+  /// run windows inline). The owning thread is one of them, so W workers
+  /// start W - 1 threads. Purely an execution knob: any value produces
+  /// byte-identical results.
   void set_workers(unsigned workers);
 
   [[nodiscard]] std::uint32_t shard_count() const {
@@ -292,7 +293,6 @@ class Simulator {
   /// Runs all shard windows [.., window_end], inline or on the pool, then
   /// drains the outboxes in (source shard, enqueue order).
   void dispatch_window(Time window_end);
-  void stop_pool();
 
   std::uint64_t run_until_serial(Time deadline, std::uint64_t max_events);
   std::uint64_t run_until_sharded(Time deadline, std::uint64_t max_events,
