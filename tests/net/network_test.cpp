@@ -124,12 +124,17 @@ TEST_F(NetworkTest, ClearPartitionsHeals) {
 
 TEST_F(NetworkTest, PartitionFormedMidFlightDropsInFlight) {
   send_ab();
-  // The partition forms while the message is in the air: links are cut, so
-  // the delivery-time re-check must drop it.
+  // From a sender nothing was ever set for, until its partition below.
+  const NodeId stranger{42};
+  network_.send(Envelope{stranger, a_, 0, 64, 0});
+  // The partition forms while the messages are in the air: links are cut,
+  // so the delivery-time re-check must drop both.
   network_.set_partition(b_, 2);
+  network_.set_partition(stranger, 3);
   sim_.run();
   EXPECT_TRUE(rb_.received.empty());
-  EXPECT_EQ(network_.metrics().dropped_partition, 1u);
+  EXPECT_TRUE(ra_.received.empty());
+  EXPECT_EQ(network_.metrics().dropped_partition, 2u);
   EXPECT_EQ(network_.metrics().delivered, 0u);
 }
 
