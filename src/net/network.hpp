@@ -10,6 +10,9 @@
 //   * network partitions (reachability classes),
 //   * metering: messages sent/delivered/dropped, bytes, per-kind counters —
 //     this is what the scalability benches read to count "message hops".
+//
+// All per-node state is one record per node id (Network::Node), written
+// only between shard windows and never erased.
 #pragma once
 
 #include <cstdint>
