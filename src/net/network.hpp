@@ -210,10 +210,10 @@ class Network {
     bool operator<(NodeId id) const { return peer < id; }  ///< by peer
   };
 
-  /// Everything the network knows about one node: one record per node,
-  /// written only between shard windows and never erased (detach clears
-  /// the endpoint), so a message in flight holds pointers to its two ends'
-  /// records and its delivery re-checks them without a lookup.
+  /// Everything the network knows about one node. A record is never
+  /// erased (detach clears the endpoint), so a message in flight holds
+  /// pointers to its two ends' records and its delivery re-checks them
+  /// without a lookup.
   struct Node {
     Endpoint* endpoint = nullptr;  ///< nullptr once detached
     int partition = 0;
