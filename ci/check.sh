@@ -98,7 +98,7 @@ expect_usage_error rgb_fuzz --mask 4294967296
 expect_usage_error rgb_fuzz --start 18446744073709551615 --seeds 2
 expect_usage_error rgb_fuzz --start " -1"
 expect_usage_error rgb_fuzz --members 4294967304
-expect_usage_error rgb_fuzz --shard-workers 4294967296
+expect_usage_error rgb_fuzz --sharded 2
 expect_usage_error rgb_fuzz --churn 2
 expect_usage_error rgb_exp bench --steady-ticks 4294967297
 expect_usage_error rgb_exp bench --members " 1"
@@ -125,7 +125,7 @@ expect_usage_error rgb_exp bench --detect --multigroup --smoke --group-members 5
 expect_usage_error rgb_fuzz --proto gossip --groups 4 --seeds 1
 expect_usage_error rgb_fuzz --proto tree --stability 1 --seeds 1
 expect_usage_error rgb_fuzz --proto flatring --snapshot-join 1 --seeds 1
-expect_usage_error rgb_fuzz --shard-workers 2 --proto gossip --seeds 1
+expect_usage_error rgb_fuzz --sharded 1 --proto gossip --seeds 1
 expect_usage_error rgb_fuzz --stability 0 --proto tree --seeds 1
 expect_usage_error rgb_fuzz --groups 0 --seeds 1
 # --help after a command prints its usage and exits 0.
@@ -150,41 +150,33 @@ if ! "$BUILD_DIR/rgb_exp" run check.adversarial --check --no-table \
 fi
 rm -f "$check_log"
 
-# Fuzz: the worker-identity checks and the generated rgb_fuzz matrix (see
-# ci/fuzz_matrix.sh), zero violating seeds in every cell. Fixed seeds keep
-# it deterministic, not flaky.
+# Fuzz: the generated rgb_fuzz matrix (see ci/fuzz_matrix.sh), zero
+# violating seeds in every cell. Fixed seeds keep it deterministic, not
+# flaky.
 ci/fuzz_matrix.sh "$BUILD_DIR"
 
+# The sharded kernel's replay identity: the deterministic sharded bench
+# JSON must be byte-identical run to run.
 echo "== sharded bench determinism gate =="
-sw1="$(mktemp)"; sw2="$(mktemp)"; sw8="$(mktemp)"
-"$BUILD_DIR/rgb_exp" bench --smoke --deterministic --shards 1 --json "$sw1" \
+sw1="$(mktemp)"; sw2="$(mktemp)"
+"$BUILD_DIR/rgb_exp" bench --smoke --deterministic --sharded --json "$sw1" \
     2> /dev/null
-"$BUILD_DIR/rgb_exp" bench --smoke --deterministic --shards 2 --json "$sw2" \
+"$BUILD_DIR/rgb_exp" bench --smoke --deterministic --sharded --json "$sw2" \
     2> /dev/null
-"$BUILD_DIR/rgb_exp" bench --smoke --deterministic --shards 8 --json "$sw8" \
-    2> /dev/null
-if ! cmp -s "$sw1" "$sw2" || ! cmp -s "$sw1" "$sw8"; then
-  echo "FAIL: deterministic bench JSON differs across 1/2/8 shard workers" >&2
+if ! cmp -s "$sw1" "$sw2"; then
+  echo "FAIL: deterministic sharded bench JSON differs between runs" >&2
   exit 1
 fi
 
-# bench.multigroup determinism + sublinearity gate (PR10): the multi-group
-# serving cell must be byte-identical at 1/2/8 shard workers, every cell
-# must converge with zero per-group divergence (exit code), and the G-cell
-# steady bytes per link must beat G independent hierarchies by >= 4x
-# (packing_ratio < 0.25 — the committed BENCH_PR10.json holds the full
-# G=1000 x 100 sweep; this smoke re-proves the shape on a bounded cell).
-echo "== bench.multigroup determinism gate =="
+# bench.multigroup sublinearity gate: on the sharded kernel every cell of
+# the multi-group serving sweep must converge with zero per-group
+# divergence (exit code), and the G-cell steady bytes per link must beat G
+# independent hierarchies by >= 4x (packing_ratio < 0.25 — the committed
+# BENCH_PR10.json holds the full G=1000 x 100 sweep; this smoke re-proves
+# the shape on a bounded cell).
+echo "== bench.multigroup gate =="
 "$BUILD_DIR/rgb_exp" bench --multigroup --smoke --group-members 20 \
-    --deterministic --shards 1 --json "$sw1" 2> /dev/null
-"$BUILD_DIR/rgb_exp" bench --multigroup --smoke --group-members 20 \
-    --deterministic --shards 2 --json "$sw2" 2> /dev/null
-"$BUILD_DIR/rgb_exp" bench --multigroup --smoke --group-members 20 \
-    --deterministic --shards 8 --json "$sw8" 2> /dev/null
-if ! cmp -s "$sw1" "$sw2" || ! cmp -s "$sw1" "$sw8"; then
-  echo "FAIL: multigroup bench JSON differs across 1/2/8 shard workers" >&2
-  exit 1
-fi
+    --deterministic --sharded --json "$sw1" 2> /dev/null
 python3 - "$sw1" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
@@ -203,7 +195,7 @@ if [ "$(wc -l < "$sw1")" -lt 2 ] || ! head -1 "$sw1" | grep -q '^at_us,'; then
   echo "FAIL: bench --multigroup --series wrote no header and row" >&2
   exit 1
 fi
-rm -f "$sw1" "$sw2" "$sw8"
+rm -f "$sw1" "$sw2"
 
 # Wire codec conformance: every registered kind must round-trip
 # byte-identically on randomized messages — since wire v4 that includes the
@@ -310,20 +302,13 @@ if ! cmp -s "$obs1" "$obs2"; then
 fi
 rm -f "$obs1" "$obs2" "$sched"
 
-# Causal trace export gate (PR9). `rgb_exp trace` must emit valid Chrome
-# trace-event JSON with cross-NE flow events, and the export — spans,
-# flow binding ids, track metadata, everything — must be byte-identical
-# at 1, 2 and 8 shard workers (the span layer's determinism contract).
-# The full flight-ring dump holds the same bar on the fuzz driver.
+# Causal trace export gate. On the sharded kernel, `rgb_exp trace` must
+# emit valid Chrome trace-event JSON with balanced cross-NE flow events
+# and no dropped span, and the full flight-ring dump of the fuzz driver
+# must be present.
 echo "== trace export gate =="
-tr1="$(mktemp)"; tr2="$(mktemp)"; tr8="$(mktemp)"
-"$BUILD_DIR/rgb_exp" trace --members 500 --shards 1 --out "$tr1" 2> /dev/null
-"$BUILD_DIR/rgb_exp" trace --members 500 --shards 2 --out "$tr2" 2> /dev/null
-"$BUILD_DIR/rgb_exp" trace --members 500 --shards 8 --out "$tr8" 2> /dev/null
-if ! cmp -s "$tr1" "$tr2" || ! cmp -s "$tr1" "$tr8"; then
-  echo "FAIL: trace export differs across 1/2/8 shard workers" >&2
-  exit 1
-fi
+tr1="$(mktemp)"
+"$BUILD_DIR/rgb_exp" trace --members 500 --sharded --out "$tr1" 2> /dev/null
 python3 - "$tr1" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
@@ -336,21 +321,13 @@ assert phases.get("s") == phases.get("f"), "unbalanced flow start/finish"
 assert phases.get("X", 0) > 0, "no handler complete events"
 assert doc["otherData"]["spans_dropped"] == 0, "span ring overflowed"
 EOF
-"$BUILD_DIR/rgb_fuzz" --seeds 3 --start 1 --flight-full --shard-workers 1 \
+"$BUILD_DIR/rgb_fuzz" --seeds 3 --start 1 --flight-full --sharded 1 \
     --quiet > "$tr1"
-"$BUILD_DIR/rgb_fuzz" --seeds 3 --start 1 --flight-full --shard-workers 2 \
-    --quiet > "$tr2"
-"$BUILD_DIR/rgb_fuzz" --seeds 3 --start 1 --flight-full --shard-workers 8 \
-    --quiet > "$tr8"
-if ! cmp -s "$tr1" "$tr2" || ! cmp -s "$tr1" "$tr8"; then
-  echo "FAIL: --flight-full dump differs across 1/2/8 shard workers" >&2
-  exit 1
-fi
 if ! grep -q "flight recorder:" "$tr1"; then
   echo "FAIL: --flight-full did not dump the flight ring" >&2
   exit 1
 fi
-rm -f "$tr1" "$tr2" "$tr8"
+rm -f "$tr1"
 
 # Benchmark suite smoke: every bench/suite workload at ~2% size, the traced
 # run's self-checks (the wire-sizer call count among them), and the check
@@ -387,43 +364,39 @@ cmake --build "$ASAN_DIR" -j --target rgb_unit_tests rgb_wire_tests \
     rgb_obs_tests > /dev/null
 ctest --test-dir "$ASAN_DIR" --output-on-failure -L 'unit|wire|obs'
 
-# ThreadSanitizer gate over the concurrent kernel (sim worker pool +
-# cross-shard outboxes, net stripe metering, striped obs instruments,
-# atomic protocol counters): build the library and the two drivers with
-# -fsanitize=thread, then run bounded sharded smokes at 8 workers so shard
-# windows genuinely race. The trace export is the one smoke with spans on
-# (per-stripe span ids and causal contexts, rings that wrap); its output
-# must also match the Release build's byte for byte. halt_on_error turns
-# any finding into a CI failure.
-echo "== tsan sharded smoke =="
+# ThreadSanitizer gate over the threads the program runs: the TrialRunner
+# pool (src/exp/runner.cpp), which runs one trial per thread, and the
+# --check observer (src/check/observer.hpp), whose mutex guards the merged
+# report. Build rgb_exp with -fsanitize=thread and run three scenarios on 8
+# runner threads: check.adversarial under the oracles, churn.converge and
+# table2.proto. halt_on_error turns any finding into a CI failure, and
+# each CSV aggregate must match the Release build's at 1 thread byte for
+# byte.
+echo "== tsan trial runner =="
 TSAN_DIR="${BUILD_DIR}-tsan"
 cmake -B "$TSAN_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -O1 -g" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" > /dev/null
-cmake --build "$TSAN_DIR" -j --target rgb_fuzz rgb_exp > /dev/null
-tsan_bench="$(mktemp)"
-TSAN_OPTIONS="halt_on_error=1" \
-    "$TSAN_DIR/rgb_fuzz" --seeds 4 --start 1 --shard-workers 8 --quiet
-TSAN_OPTIONS="halt_on_error=1" \
-    "$TSAN_DIR/rgb_fuzz" --partitions 1 --seeds 3 --start 1 \
-    --shard-workers 8 --quiet
-TSAN_OPTIONS="halt_on_error=1" \
-    "$TSAN_DIR/rgb_fuzz" --churn 1 --stability 1 --seeds 3 --start 1 \
-    --shard-workers 8 --quiet
-TSAN_OPTIONS="halt_on_error=1" \
-    "$TSAN_DIR/rgb_exp" bench --members 1000 --join both \
-    --deterministic --shards 8 --json "$tsan_bench" 2> /dev/null
-test -s "$tsan_bench"
-TSAN_OPTIONS="halt_on_error=1" \
-    "$TSAN_DIR/rgb_exp" trace --members 5000 --shards 8 --out "$tsan_bench" \
-    2> /dev/null
-tsan_ref="$(mktemp)"
-"$BUILD_DIR/rgb_exp" trace --members 5000 --shards 8 --out "$tsan_ref" \
-    2> /dev/null
-if ! cmp -s "$tsan_bench" "$tsan_ref"; then
-  echo "FAIL: trace export differs between the TSan and Release builds" >&2
-  exit 1
-fi
-rm -f "$tsan_bench" "$tsan_ref"
+cmake --build "$TSAN_DIR" -j --target rgb_exp > /dev/null
+tsan_csv="$(mktemp)"; tsan_ref="$(mktemp)"; tsan_log="$(mktemp)"
+for run in "check.adversarial --check" churn.converge table2.proto; do
+  # shellcheck disable=SC2086  # a scenario id and its flags, one word each
+  if ! TSAN_OPTIONS="halt_on_error=1" "$TSAN_DIR/rgb_exp" run $run \
+      --threads 8 --no-table --csv "$tsan_csv" \
+      > /dev/null 2> "$tsan_log"; then
+    echo "FAIL: rgb_exp run $run --threads 8 under TSan:" >&2
+    cat "$tsan_log" >&2
+    exit 1
+  fi
+  # shellcheck disable=SC2086
+  "$BUILD_DIR/rgb_exp" run $run --threads 1 --no-table --csv "$tsan_ref" \
+      > /dev/null 2>&1
+  if ! cmp -s "$tsan_csv" "$tsan_ref"; then
+    echo "FAIL: rgb_exp run $run differs between TSan at 8 threads and" \
+        "Release at 1" >&2
+    exit 1
+  fi
+done
+rm -f "$tsan_csv" "$tsan_ref" "$tsan_log"
 
 echo "OK"

@@ -258,7 +258,7 @@ Fixture build_fixture(const AdversarialConfig& cfg, net::Network& network,
       // ring_size logical shards (before anything was scheduled); mirror
       // that split onto the hierarchy/network/obs before the first probe
       // event exists. RGB-only — the baseline protocols stay serial.
-      if (cfg.shard_workers > 0) {
+      if (cfg.sharded) {
         fx.rgb->configure_shards(static_cast<std::uint32_t>(cfg.ring_size));
       }
       fx.rgb->start_probing();
@@ -343,12 +343,11 @@ CheckRunResult run_schedule(const AdversarialConfig& cfg,
   sim::Simulator simulator;
   net::LinkConfig link;
   link.latency = net::LatencyModel::uniform(sim::msec(1), sim::msec(3));
-  if (cfg.protocol == Protocol::kRgb && cfg.shard_workers > 0) {
+  if (cfg.protocol == Protocol::kRgb && cfg.sharded) {
     // Epoch = the minimum cross-shard link latency (the conservative
     // lookahead bound); must precede any scheduling.
     simulator.configure_shards(static_cast<std::uint32_t>(cfg.ring_size),
                                link.latency.min_delay());
-    simulator.set_workers(cfg.shard_workers);
   }
   net::Network network{simulator, rng.fork("net"), link};
 

@@ -112,15 +112,14 @@ struct AdversarialConfig {
   /// Fault classes for random generation; counts are filled from the
   /// topology by random_schedule_for.
   ScheduleGenConfig gen;
-  /// RGB only: 0 = classic serial run. > 0 = sharded run — the simulator
-  /// splits into ring_size logical shards (fixed by topology, one per
-  /// tier-0 region) with this many worker threads. The report is
-  /// byte-identical for every positive value; the knob exists so the fuzz
-  /// profiles can exercise the sharded kernel's handoff/merge paths.
-  unsigned shard_workers = 0;
+  /// RGB only: false = classic serial run. true = sharded run — the
+  /// simulator splits into ring_size logical shards (fixed by topology,
+  /// one per tier-0 region), so the fuzz profiles exercise the sharded
+  /// kernel's handoff/merge paths.
+  bool sharded = false;
   /// Dump the complete retained flight ring into CheckRunResult even when
   /// the run passes (rgb_fuzz --flight-full). Like everything else in the
-  /// result, the dump is byte-identical across worker counts.
+  /// result, the dump is byte-identical across replays.
   bool flight_full = false;
 };
 

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -76,32 +75,15 @@ class Histogram {
   double max_ = 0.0;
 };
 
-/// A named monotonically increasing counter. Increments are relaxed
-/// atomics: protocol counters shared across shard windows (e.g. one
-/// RgbMetrics for all NEs) are bumped from concurrent worker threads, and
-/// integer sums commute — the total is deterministic even though the
-/// interleaving is not. Reads are meaningful between windows.
+/// A named monotonically increasing counter.
 class Counter {
  public:
-  Counter() = default;
-  Counter(const Counter& other)
-      : value_(other.value_.load(std::memory_order_relaxed)) {}
-  Counter& operator=(const Counter& other) {
-    value_.store(other.value_.load(std::memory_order_relaxed),
-                 std::memory_order_relaxed);
-    return *this;
-  }
-
-  void increment(std::uint64_t by = 1) {
-    value_.fetch_add(by, std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t value() const {
-    return value_.load(std::memory_order_relaxed);
-  }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
+  void increment(std::uint64_t by = 1) { value_ += by; }
+  [[nodiscard]] std::uint64_t value() const { return value_; }
+  void reset() { value_ = 0; }
 
  private:
-  std::atomic<std::uint64_t> value_{0};
+  std::uint64_t value_ = 0;
 };
 
 /// One exported field of a metric struct: its export name, the member that

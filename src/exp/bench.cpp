@@ -93,12 +93,10 @@ ScaleStats run_scale_trial_impl(const ScaleConfig& config, bool timed,
   // the epoch window set to the minimum cross-shard link latency so every
   // cross-shard message lands beyond the window it was sent in. Configured
   // before anything schedules.
-  const bool sharded = config.shard_workers > 0;
   const auto shard_count = static_cast<std::uint32_t>(config.ring_size);
-  if (sharded) {
+  if (config.sharded) {
     simulator.configure_shards(shard_count,
                                net::LinkConfig{}.latency.min_delay());
-    simulator.set_workers(config.shard_workers);
   }
   net::Network network{simulator, rng.fork("net")};
   core::RgbConfig rgb_config;
@@ -107,7 +105,7 @@ ScaleStats run_scale_trial_impl(const ScaleConfig& config, bool timed,
   rgb_config.groups = config.groups;
   core::RgbSystem sys{network, rgb_config,
                       core::HierarchyLayout{config.tiers, config.ring_size}};
-  if (sharded) sys.configure_shards(shard_count);
+  if (config.sharded) sys.configure_shards(shard_count);
   // Spans flip on before any traffic so every op gets a complete causal
   // tree.
   sys.obs().tracer.set_spans_enabled(config.spans);
@@ -144,10 +142,10 @@ ScaleStats run_scale_trial_impl(const ScaleConfig& config, bool timed,
   for (std::uint64_t i = 0; i < config.members; ++i) {
     const auto ap = aps[i % aps.size()];
     auto join = [&sys, ap, i]() { sys.join(common::Guid{i + 1}, ap); };
-    if (sharded) {
+    if (config.sharded) {
       // Joins land directly on the joining AP's home shard, so the surge
-      // runs inside the parallel windows instead of serializing a million
-      // barrier events.
+      // runs inside the shard windows instead of as a million global
+      // events.
       simulator.schedule_on(sys.shard_of(ap), config.join_spacing * i,
                             std::move(join));
     } else {
@@ -448,8 +446,7 @@ void write_multigroup_json(const ScaleConfig& base,
      << "  \"steady_ticks\": " << base.steady_ticks << ",\n"
      << "  \"join_spacing_us\": " << base.join_spacing << ",\n"
      << "  \"seed\": " << base.seed << ",\n"
-     << "  \"sharded\": " << (base.shard_workers > 0 ? "true" : "false")
-     << ",\n"
+     << "  \"sharded\": " << (base.sharded ? "true" : "false") << ",\n"
      << "  \"cells\": [\n";
   for (std::size_t i = 0; i < stats.size(); ++i) {
     const ScaleStats& s = stats[i];
@@ -545,10 +542,7 @@ void write_bench_json(const ScaleConfig& base,
      << "  \"steady_ticks\": " << base.steady_ticks << ",\n"
      << "  \"join_spacing_us\": " << base.join_spacing << ",\n"
      << "  \"seed\": " << base.seed << ",\n"
-     // Deliberately a bool, not the worker count: outputs must stay
-     // byte-identical across worker counts (the shard determinism gate).
-     << "  \"sharded\": " << (base.shard_workers > 0 ? "true" : "false")
-     << ",\n"
+     << "  \"sharded\": " << (base.sharded ? "true" : "false") << ",\n"
      << "  \"cells\": [\n";
   for (std::size_t i = 0; i < stats.size(); ++i) {
     const ScaleStats& s = stats[i];

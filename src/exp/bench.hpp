@@ -50,13 +50,11 @@ struct ScaleConfig {
   /// Steady-state measurement window, in probe periods.
   int steady_ticks = 10;
   std::uint64_t seed = 0xBE7C4ULL;
-  /// 0 = classic serial trial. > 0 = sharded trial: the hierarchy splits
-  /// into ring_size logical shards (one per tier-0 region) advancing in
-  /// epoch windows, with this many worker threads executing the windows.
-  /// The trajectory is a function of the *logical* shard count (i.e. of
-  /// ring_size) — every positive worker count yields byte-identical
-  /// deterministic metrics; the worker count only moves the wall clock.
-  unsigned shard_workers = 0;
+  /// false = classic serial trial. true = sharded trial: the hierarchy
+  /// splits into ring_size logical shards (one per tier-0 region)
+  /// advancing in epoch windows; the trajectory is a function of the
+  /// *logical* shard count (i.e. of ring_size).
+  bool sharded = false;
   /// Causal-span recording (OpTracer spans) on for the trial. Off by default
   /// so the perf trajectory measures the protocol, not the tracer; the
   /// spans A/B sweep (SweepModes::spans_ab) quantifies the overhead.
@@ -171,7 +169,7 @@ struct ScaleStats {
 /// Runs one untimed scale trial with causal spans forced on and writes the
 /// Chrome trace-event JSON export (Perfetto / chrome://tracing) of the
 /// trial's span layer + flight ring to `trace_out`. The export is a pure
-/// function of (config, seed): byte-identical for any shard worker count.
+/// function of (config, seed).
 /// Backs `rgb_exp trace`.
 [[nodiscard]] ScaleStats run_trace_trial(const ScaleConfig& config,
                                          std::ostream& trace_out);

@@ -3,7 +3,7 @@
 // A scenario's (cell, trial) grid is embarrassingly parallel: every trial
 // owns its Simulator / Network / RngStream, seeded only from
 // (base_seed, scenario id, cell, trial). The runner therefore executes
-// trials on a `std::thread` worker pool pulling from an atomic work index,
+// trials on a pool of worker threads pulling from an atomic work index,
 // stores each raw trial output at its precomputed slot, and folds the
 // results into per-cell summaries *sequentially in trial order* afterwards.
 // That final sequential fold is what makes the aggregate bit-identical
@@ -20,7 +20,7 @@
 namespace rgb::exp {
 
 struct RunnerOptions {
-  /// Worker threads; 0 means std::thread::hardware_concurrency().
+  /// Worker threads; 0 means the hardware concurrency.
   unsigned threads = 0;
   /// Master seed the per-trial seeds derive from.
   std::uint64_t base_seed = 0xE5EEDULL;

@@ -7,56 +7,30 @@
 
 namespace rgb::net {
 
-namespace {
-
-/// Shard-order merge of one stripe into the running totals. Counters,
-/// per-kind ones included, are plain sums (commutative); the latency
-/// accumulator merges in the fixed stripe order, so the result is a
-/// function of the logical shard count alone — never of worker
-/// interleaving.
-void merge_metrics(Network::Metrics& out, const Network::Metrics& in) {
-  for (const auto& field : kNetMetricFields) {
-    out.*field.member += in.*field.member;
-  }
-  const std::size_t kinds = in.sent_per_kind.size();
-  if (out.sent_per_kind.size() < kinds) {
-    out.sent_per_kind.resize(kinds);
-    out.bytes_per_kind.resize(kinds);
-  }
-  for (std::size_t kind = 0; kind < kinds; ++kind) {
-    out.sent_per_kind[kind] += in.sent_per_kind[kind];
-    out.bytes_per_kind[kind] += in.bytes_per_kind[kind];
-  }
-  out.delivery_latency_us.merge(in.delivery_latency_us);
-}
-
-}  // namespace
-
 Network::Network(sim::Simulator& simulator, common::RngStream rng,
                  LinkConfig default_link)
-    : sim_(simulator), base_rng_(std::move(rng)), default_link_(default_link) {
-  stripes_.push_back(ShardState{base_rng_, Metrics{}});
-}
+    : sim_(simulator),
+      base_rng_(std::move(rng)),
+      default_link_(default_link),
+      rngs_{base_rng_} {}
 
 void Network::configure_shards(std::uint32_t count) {
   assert(count >= 1);
-  assert(metrics().sent == 0 && metrics().dropped_src_crash == 0 &&
+  assert(metrics_.sent == 0 && metrics_.dropped_src_crash == 0 &&
          "configure_shards before any traffic");
-  stripes_.clear();
-  stripes_.reserve(count);
+  rngs_.clear();
   if (count == 1) {
     // Serial: the base stream itself, byte-identical to the unsharded path.
-    stripes_.push_back(ShardState{base_rng_, Metrics{}});
+    rngs_.push_back(base_rng_);
     return;
   }
   for (std::uint32_t i = 0; i < count; ++i) {
-    stripes_.push_back(ShardState{
-        base_rng_.fork("shard" + std::to_string(i)), Metrics{}});
+    rngs_.push_back(base_rng_.fork("shard" + std::to_string(i)));
   }
 }
 
 void Network::assign_shard(NodeId id, std::uint32_t shard) {
-  assert(shard < stripes_.size());
+  assert(shard < rngs_.size());
   nodes_[id].shard = shard;
 }
 
@@ -64,9 +38,9 @@ std::uint32_t Network::shard_of(NodeId id) const {
   return record_of(id).shard;
 }
 
-Network::ShardState& Network::stripe() {
+common::RngStream& Network::rng() {
   const std::uint32_t s = sim::current_executing_shard();
-  return stripes_[s < stripes_.size() ? s : 0];
+  return rngs_[s < rngs_.size() ? s : 0];
 }
 
 const Network::Node Network::kNoRecord{};
@@ -136,22 +110,8 @@ int Network::partition_of(NodeId id) const {
   return record_of(id).partition;
 }
 
-void Network::reset_metrics() {
-  for (ShardState& s : stripes_) s.metrics = Metrics{};
-  merged_ = Metrics{};
-}
-
-const Network::Metrics& Network::metrics() const {
-  if (stripes_.size() == 1) return stripes_[0].metrics;
-  merged_ = Metrics{};
-  for (const ShardState& s : stripes_) merge_metrics(merged_, s.metrics);
-  return merged_;
-}
-
 void Network::send(Envelope env) {
   assert(env.src.valid() && env.dst.valid());
-
-  ShardState& st = stripe();
 
   // Encoded-size hook: re-price the envelope before anything else — byte
   // counters, taps (including the src-crash drop tap below) and delivery
@@ -166,7 +126,7 @@ void Network::send(Envelope env) {
   // network, so it is metered apart from `sent` and the in-network drops.
   const Node& src = record_of(env.src);
   if (src.crashed_at) {
-    ++st.metrics.dropped_src_crash;
+    ++metrics_.dropped_src_crash;
     if (tap_) tap_(env, false);
     return;
   }
@@ -176,62 +136,61 @@ void Network::send(Envelope env) {
   // delivery closure below must capture the stamped envelope.
   if (trace_hooks_ != nullptr) trace_hooks_->on_send(env, sim_.now());
 
-  ++st.metrics.sent;
-  st.metrics.bytes_sent += env.size_bytes;
-  if (env.kind >= st.metrics.sent_per_kind.size()) {
-    st.metrics.sent_per_kind.resize(env.kind + std::size_t{1});
-    st.metrics.bytes_per_kind.resize(env.kind + std::size_t{1});
+  ++metrics_.sent;
+  metrics_.bytes_sent += env.size_bytes;
+  if (env.kind >= metrics_.sent_per_kind.size()) {
+    metrics_.sent_per_kind.resize(env.kind + std::size_t{1});
+    metrics_.bytes_per_kind.resize(env.kind + std::size_t{1});
   }
-  ++st.metrics.sent_per_kind[env.kind];
-  st.metrics.bytes_per_kind[env.kind] += env.size_bytes;
+  ++metrics_.sent_per_kind[env.kind];
+  metrics_.bytes_per_kind[env.kind] += env.size_bytes;
 
   const Node& dst = record_of(env.dst);
   const LinkConfig& link = link_from(src, env.dst);
 
   if (src.partition != dst.partition) {
-    ++st.metrics.dropped_partition;
+    ++metrics_.dropped_partition;
     if (tap_) tap_(env, false);
     return;
   }
-  if (link.drop_probability > 0.0 && st.rng.chance(link.drop_probability)) {
-    ++st.metrics.dropped_loss;
+  common::RngStream& draws = rng();
+  if (link.drop_probability > 0.0 && draws.chance(link.drop_probability)) {
+    ++metrics_.dropped_loss;
     if (tap_) tap_(env, false);
     return;
   }
 
-  const sim::Duration delay = link.latency.sample(st.rng);
+  const sim::Duration delay = link.latency.sample(draws);
   const sim::Time sent_at = sim_.now();
 
   auto deliver = [this, env = std::move(env), sent_at, src = &src,
                   dst = &dst]() {
-    // Runs inside the destination's shard window (or the serial loop), so
-    // it meters into the destination's stripe. Re-check at delivery time:
-    // the destination may have crashed, a partition may have formed, or the
-    // endpoint may have detached while the message was in flight. The
-    // checks are ordered early-returns so a message failing several of them
-    // (e.g. a destination that is both crashed and partitioned away) is
-    // counted in exactly one drop bucket. An end that had no record at
-    // send may have gained one since.
+    // Runs inside the destination's shard window (or the serial loop).
+    // Re-check at delivery time: the destination may have crashed, a
+    // partition may have formed, or the endpoint may have detached while
+    // the message was in flight. The checks are ordered early-returns so a
+    // message failing several of them (e.g. a destination that is both
+    // crashed and partitioned away) is counted in exactly one drop bucket.
+    // An end that had no record at send may have gained one since.
     const Node& from = src == &kNoRecord ? record_of(env.src) : *src;
     const Node& to = dst == &kNoRecord ? record_of(env.dst) : *dst;
-    ShardState& at_dst = stripe();
     if (to.crashed_at) {
-      ++at_dst.metrics.dropped_crash;
+      ++metrics_.dropped_crash;
       if (tap_) tap_(env, false);
       return;
     }
     if (from.partition != to.partition) {
-      ++at_dst.metrics.dropped_partition;
+      ++metrics_.dropped_partition;
       if (tap_) tap_(env, false);
       return;
     }
     if (to.endpoint == nullptr) {
-      ++at_dst.metrics.dropped_unattached;
+      ++metrics_.dropped_unattached;
       if (tap_) tap_(env, false);
       return;
     }
-    ++at_dst.metrics.delivered;
-    at_dst.metrics.delivery_latency_us.add(
+    ++metrics_.delivered;
+    metrics_.delivery_latency_us.add(
         static_cast<double>(sim_.now() - sent_at));
     if (tap_) tap_(env, true);
     if (trace_hooks_ != nullptr) {

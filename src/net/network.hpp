@@ -135,13 +135,11 @@ class Network {
 
   // --- sharding ------------------------------------------------------------
 
-  /// Splits the metering and the loss/latency RNG into `count` per-shard
-  /// stripes (stripe i forked from the base stream as "shard<i>") so that
-  /// concurrent shard windows never touch shared mutable state; a send
-  /// meters into the stripe of the shard executing it, a delivery into the
-  /// destination's stripe. Call before any traffic, paired with the
-  /// simulator's configure_shards. `metrics()` merges the stripes in shard
-  /// order, so totals are a function of the logical shard count alone.
+  /// Splits the loss/latency RNG into `count` per-shard streams (stream i
+  /// forked from the base stream as "shard<i>"); a send draws from the
+  /// stream of the shard executing it, so each shard's draws are its own
+  /// whatever its siblings send. Call before any traffic, paired with the
+  /// simulator's configure_shards.
   void configure_shards(std::uint32_t count);
 
   /// Homes `id` on `shard`: its message deliveries execute inside that
@@ -168,10 +166,8 @@ class Network {
 
   // --- metering ------------------------------------------------------------
 
-  /// Metering totals. Sharded: stripes merged in shard order on each call
-  /// (cheap — callers sample between windows, not per message).
-  [[nodiscard]] const Metrics& metrics() const;
-  void reset_metrics();
+  [[nodiscard]] const Metrics& metrics() const { return metrics_; }
+  void reset_metrics() { metrics_ = Metrics{}; }
 
   /// Test/trace hook, called for every send attempt with the final verdict.
   using Tap = std::function<void(const Envelope&, bool delivered)>;
@@ -196,13 +192,6 @@ class Network {
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
 
  private:
-  /// Per-shard mutable state: everything the send/delivery hot path writes.
-  /// One stripe (the default) is the classic serial network, byte-for-byte.
-  struct ShardState {
-    common::RngStream rng;
-    Metrics metrics;
-  };
-
   /// A link override; `set_link` stores one in each end's record.
   struct Link {
     NodeId peer;
@@ -228,23 +217,23 @@ class Network {
   /// The node's record, or kNoRecord.
   [[nodiscard]] const Node& record_of(NodeId id) const;
   [[nodiscard]] const LinkConfig& link_from(const Node& a, NodeId b) const;
-  /// The stripe belonging to the shard window the calling thread executes
-  /// (stripe 0 outside any window, and always in serial mode).
-  [[nodiscard]] ShardState& stripe();
+  /// The RNG stream of the shard the calling thread executes (stream 0
+  /// outside any shard context, and always in serial mode).
+  [[nodiscard]] common::RngStream& rng();
 
   sim::Simulator& sim_;
-  common::RngStream base_rng_;  ///< stripes fork from this; unused after
+  common::RngStream base_rng_;  ///< the per-shard streams fork from this
   LinkConfig default_link_;
   std::unordered_map<NodeId, Node> nodes_;  ///< node-based: stable addresses
-  std::vector<ShardState> stripes_;
-  mutable Metrics merged_;  ///< metrics() merge target in sharded mode
+  std::vector<common::RngStream> rngs_;     ///< one per shard
+  Metrics metrics_;
   Tap tap_;
   Sizer sizer_;
   TraceHooks* trace_hooks_ = nullptr;
 };
 
 /// The Network::Metrics totals, in catalog order: the one description of
-/// each. The sharded stripe merge sums exactly these.
+/// each.
 inline constexpr common::MetricField<Network::Metrics, std::uint64_t>
     kNetMetricFields[] = {
         {"net.sent", &Network::Metrics::sent,

@@ -55,7 +55,7 @@ class BoundedRing {
 /// (time `at`, stripe index, record order). Concatenating the stripes in
 /// index order and sorting stably by time alone yields exactly that order.
 /// Each stripe is written only from its shard's windows, so the result is
-/// a function of the logical shard count, never of the worker count.
+/// a function of the logical shard count.
 template <typename T, typename Stripe>
 [[nodiscard]] std::vector<T> merge_by_time(const std::vector<Stripe>& stripes,
                                            BoundedRing<T> Stripe::*ring) {

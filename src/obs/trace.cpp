@@ -133,7 +133,7 @@ std::uint64_t OpTracer::record_span(sim::Time at, common::NodeId ne,
   Stripe& st = stripe();
   // Stripe index in the high bits keeps ids unique across stripes without
   // shared state; both halves are deterministic (the stripe executing a
-  // given event is the logical shard, never the worker thread).
+  // given event is its logical shard).
   const auto stripe_idx = static_cast<std::uint64_t>(&st - stripes_.data());
   const std::uint64_t id = ((stripe_idx + 1) << 40) | ++st.last_span_id;
   st.spans.push(Span{at, ne, kind, id, parent, trace, a, b});

@@ -40,9 +40,8 @@
 // that shard's windows. Span ids carry the stripe index in their high
 // bits. Reads merge the stripes in shard order — the rings by (time,
 // stripe, record order), the histograms and counts by summing — so every
-// output is a function of the logical shard count alone, byte-identical
-// for any worker count and across replays. The view-change counter stays
-// shared (common::Counter is a relaxed atomic; sums commute).
+// output is a function of the logical shard count alone and repeats
+// byte for byte across replays. The view-change counter stays shared.
 #pragma once
 
 #include <array>
@@ -281,8 +280,8 @@ class OpTracer final : public net::TraceHooks {
     common::Histogram ne_detection;
   };
 
-  /// One shard's share of every instrument. The context is safe
-  /// un-synchronised: one thread executes one shard's window at a time.
+  /// One shard's share of every instrument, written only while its shard
+  /// executes.
   struct Stripe {
     BoundedRing<FlightEvent> flight{kFlightCapacity, kFlightCapacity};
     BoundedRing<Span> spans{kSpanCapacity, 256};
@@ -293,8 +292,8 @@ class OpTracer final : public net::TraceHooks {
     HandledPerKind handled{};
   };
 
-  /// The stripe of the shard window the calling thread executes (stripe 0
-  /// outside any window, and always in serial mode).
+  /// The stripe of the shard the calling thread executes (stripe 0
+  /// outside any shard context, and always in serial mode).
   [[nodiscard]] Stripe& stripe();
   /// Installs `next` as the stripe context, returning the previous one.
   Context exchange(Context next);

@@ -12,8 +12,8 @@
 //    timeline as the hops they explain.
 //
 // Output is a pure function of the recorded spans/events: integer-only
-// values, fixed field order, '\n' separators — byte-identical across
-// worker counts whenever the recorded data is.
+// values, fixed field order, '\n' separators — byte-identical whenever
+// the recorded data is.
 #pragma once
 
 #include <iosfwd>

@@ -51,7 +51,6 @@ void RgbSystem::configure_shards(std::uint32_t count) {
          "configure the simulator's shards (count + epoch) first");
   network_.configure_shards(count);
   obs_.tracer.configure_shards(count);
-  attachments_.assign(count, {});
 
   // Region rule: tier-0 node at flattened position p anchors region p;
   // a tier-t ring (t >= 1) with index ridx hangs transitively under
@@ -167,16 +166,7 @@ void RgbSystem::build() {
 void RgbSystem::join(Guid mh, NodeId ap) {
   NetworkEntity* ne = entity(ap);
   assert(ne != nullptr && "join via unknown AP");
-  const std::uint32_t home = shard_of(ap);
-  if (attachments_.size() > 1 && !sim::in_shard_context()) {
-    // Re-join via an AP homed elsewhere: retire the stale record. Only
-    // safe single-threaded — inside shard windows joins must be fresh
-    // guids (the concurrent-join contract in configure_shards).
-    for (std::uint32_t s = 0; s < attachments_.size(); ++s) {
-      if (s != home) attachments_[s].erase(mh);
-    }
-  }
-  attachments_[home][mh] = ap;
+  attachments_[mh] = ap;
   // One wireless attachment, one membership op per subscribed group: the
   // facade mirrors what a multi-group MobileHost sends over its link.
   with_entity_shard(ap, [&] {
@@ -187,58 +177,48 @@ void RgbSystem::join(Guid mh, NodeId ap) {
 }
 
 void RgbSystem::leave(Guid mh) {
-  for (auto& stripe : attachments_) {
-    const auto it = stripe.find(mh);
-    if (it == stripe.end()) continue;
-    const NodeId ap = it->second;
-    NetworkEntity* ne = entity(ap);
-    stripe.erase(it);
-    if (ne != nullptr) {
-      with_entity_shard(ap, [&] {
-        for (const GroupId gid : member_groups(mh, config_)) {
-          ne->local_member_leave(gid, mh);
-        }
-      });
-    }
-    return;
+  const auto it = attachments_.find(mh);
+  if (it == attachments_.end()) return;
+  const NodeId ap = it->second;
+  NetworkEntity* ne = entity(ap);
+  attachments_.erase(it);
+  if (ne != nullptr) {
+    with_entity_shard(ap, [&] {
+      for (const GroupId gid : member_groups(mh, config_)) {
+        ne->local_member_leave(gid, mh);
+      }
+    });
   }
 }
 
 void RgbSystem::handoff(Guid mh, NodeId new_ap) {
-  for (auto& stripe : attachments_) {
-    const auto it = stripe.find(mh);
-    if (it == stripe.end()) continue;
-    const NodeId old_ap = it->second;
-    if (old_ap == new_ap) return;
-    NetworkEntity* ne = entity(new_ap);
-    assert(ne != nullptr && "handoff to unknown AP");
-    stripe.erase(it);
-    attachments_[shard_of(new_ap)][mh] = new_ap;
-    with_entity_shard(new_ap, [&] {
-      for (const GroupId gid : member_groups(mh, config_)) {
-        ne->local_member_handoff_in(gid, mh, old_ap);
-      }
-    });
-    return;
-  }
+  const auto it = attachments_.find(mh);
+  if (it == attachments_.end()) return;
+  const NodeId old_ap = it->second;
+  if (old_ap == new_ap) return;
+  NetworkEntity* ne = entity(new_ap);
+  assert(ne != nullptr && "handoff to unknown AP");
+  it->second = new_ap;
+  with_entity_shard(new_ap, [&] {
+    for (const GroupId gid : member_groups(mh, config_)) {
+      ne->local_member_handoff_in(gid, mh, old_ap);
+    }
+  });
 }
 
 void RgbSystem::fail(Guid mh) {
-  for (auto& stripe : attachments_) {
-    const auto it = stripe.find(mh);
-    if (it == stripe.end()) continue;
-    const NodeId ap = it->second;
-    NetworkEntity* ne = entity(ap);
-    stripe.erase(it);
-    // The failure is detected and reported at the member's access proxy.
-    if (ne != nullptr) {
-      with_entity_shard(ap, [&] {
-        for (const GroupId gid : member_groups(mh, config_)) {
-          ne->local_member_fail(gid, mh);
-        }
-      });
-    }
-    return;
+  const auto it = attachments_.find(mh);
+  if (it == attachments_.end()) return;
+  const NodeId ap = it->second;
+  NetworkEntity* ne = entity(ap);
+  attachments_.erase(it);
+  // The failure is detected and reported at the member's access proxy.
+  if (ne != nullptr) {
+    with_entity_shard(ap, [&] {
+      for (const GroupId gid : member_groups(mh, config_)) {
+        ne->local_member_fail(gid, mh);
+      }
+    });
   }
 }
 
@@ -333,15 +313,11 @@ void RgbSystem::start_probing() {
 
 std::vector<proto::MemberRecord> RgbSystem::expected_membership() const {
   std::vector<proto::MemberRecord> out;
-  std::size_t total = 0;
-  for (const auto& stripe : attachments_) total += stripe.size();
-  out.reserve(total);
-  // Stripe iteration order is irrelevant: the sort below canonicalizes.
-  for (const auto& stripe : attachments_) {
-    for (const auto& [guid, ap] : stripe) {
-      out.push_back(
-          proto::MemberRecord{guid, ap, proto::MemberStatus::kOperational});
-    }
+  out.reserve(attachments_.size());
+  // Map iteration order is irrelevant: the sort below canonicalizes.
+  for (const auto& [guid, ap] : attachments_) {
+    out.push_back(
+        proto::MemberRecord{guid, ap, proto::MemberStatus::kOperational});
   }
   std::sort(out.begin(), out.end(),
             [](const proto::MemberRecord& a, const proto::MemberRecord& b) {
@@ -503,12 +479,10 @@ std::uint64_t RgbSystem::view_divergence() const {
 std::vector<std::pair<GroupId, proto::MemberRecord>>
 RgbSystem::grouped_expected_membership() const {
   std::vector<std::pair<GroupId, proto::MemberRecord>> out;
-  for (const auto& stripe : attachments_) {
-    for (const auto& [guid, ap] : stripe) {
-      for (const GroupId gid : member_groups(guid, config_)) {
-        out.emplace_back(gid, proto::MemberRecord{
-                                  guid, ap, proto::MemberStatus::kOperational});
-      }
+  for (const auto& [guid, ap] : attachments_) {
+    for (const GroupId gid : member_groups(guid, config_)) {
+      out.emplace_back(gid, proto::MemberRecord{
+                                guid, ap, proto::MemberStatus::kOperational});
     }
   }
   std::sort(out.begin(), out.end(),
@@ -545,11 +519,8 @@ std::uint64_t RgbSystem::group_view_divergence() const {
 }
 
 NodeId RgbSystem::ap_of(Guid mh) const {
-  for (const auto& stripe : attachments_) {
-    const auto it = stripe.find(mh);
-    if (it != stripe.end()) return it->second;
-  }
-  return NodeId{};
+  const auto it = attachments_.find(mh);
+  return it == attachments_.end() ? NodeId{} : it->second;
 }
 
 }  // namespace rgb::core

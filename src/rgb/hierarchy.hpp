@@ -55,12 +55,11 @@ class RgbSystem : public proto::MembershipService {
   /// of rings transitively hanging under it — and regions are assigned
   /// round-robin over shards, so intra-ring traffic below tier 0 stays
   /// shard-local and only tier-0 token/notify hops cross shards. Also
-  /// stripes the network metering/RNG and the obs instruments. Call after
-  /// construction, after the simulator's own configure_shards, and before
-  /// any traffic. Facade calls from outside shard contexts are wrapped in
-  /// run_as(home shard); concurrent facade *joins* are safe when scheduled
-  /// on the joining AP's home shard (schedule_on), provided each guid joins
-  /// once.
+  /// splits the network's RNG and the obs instruments per shard. Call
+  /// after construction, after the simulator's own configure_shards, and
+  /// before any traffic. Facade calls from outside shard contexts are
+  /// wrapped in run_as(home shard); a facade join may also run inside a
+  /// window, scheduled on the joining AP's home shard (schedule_on).
   void configure_shards(std::uint32_t count);
 
   /// Home shard of an NE (0 when unsharded).
@@ -185,10 +184,8 @@ class RgbSystem : public proto::MembershipService {
   std::unordered_map<NodeId, NetworkEntity*> by_id_;
   std::vector<std::vector<std::vector<NodeId>>> tiers_;  // [tier][ring][pos]
   std::vector<NodeId> aps_;
-  /// Member -> current AP, striped by the AP's home shard so concurrent
-  /// joins on different shards touch different maps (one stripe when
-  /// unsharded). A member's record lives in its current AP's stripe.
-  std::vector<std::unordered_map<Guid, NodeId>> attachments_{1};
+  /// Member -> current AP.
+  std::unordered_map<Guid, NodeId> attachments_;
 };
 
 }  // namespace rgb::core

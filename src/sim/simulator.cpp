@@ -1,19 +1,16 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
-#include <barrier>
 #include <cassert>
-#include <thread>
 #include <utility>
 
 namespace rgb::sim {
 
 namespace {
 
-/// Shard context of the calling thread. A worker (or a run_as/inline
-/// window on the owning thread) belongs to exactly one simulator at a
-/// time, so a flat thread-local is unambiguous even with trial-parallel
-/// runners each owning their own simulator.
+/// Shard context of the calling thread. A thread runs one simulator's
+/// window or run_as at a time, so a flat thread-local is unambiguous even
+/// with trial-parallel runners each owning their own simulator.
 constexpr std::uint32_t kNoShard = 0xFFFFFFFEu;
 thread_local std::uint32_t tls_shard = kNoShard;
 
@@ -52,76 +49,14 @@ std::uint32_t current_executing_shard() {
 
 bool in_shard_context() { return tls_shard != kNoShard; }
 
-/// Worker pool for parallel windows: the owning thread runs shard share 0
-/// and `count - 1` threads run the others, shares assigned round-robin by
-/// index so the work split is static. Two barriers bracket each window:
-/// `start` hands the window end to the threads, and `done` gives the
-/// happens-before edge between a window's shard-local writes and the
-/// owning thread's barrier reads.
-struct Simulator::Pool {
-  Pool(Simulator& simulator, unsigned count)
-      : sim(simulator), count(count), start(count), done(count) {
-    threads.reserve(count - 1);
-    for (unsigned i = 1; i < count; ++i) {
-      threads.emplace_back([this, i] { worker(i); });
-    }
-  }
-
-  ~Pool() {
-    stopping = true;
-    start.arrive_and_wait();
-    for (std::thread& t : threads) t.join();
-  }
-
-  void run_generation(Time window_end) {
-    end = window_end;
-    start.arrive_and_wait();
-    run_share(0);
-    done.arrive_and_wait();
-  }
-
- private:
-  void worker(unsigned id) {
-    for (;;) {
-      start.arrive_and_wait();
-      if (stopping) return;
-      run_share(id);
-      done.arrive_and_wait();
-    }
-  }
-
-  void run_share(unsigned id) {
-    for (std::uint32_t s = id; s < sim.shard_count(); s += count) {
-      ShardContextGuard ctx{s};
-      sim.run_window(s, end);
-    }
-  }
-
-  Simulator& sim;
-  const unsigned count;
-  std::barrier<> start, done;
-  Time end = 0;  ///< written before `start`, read after it
-  bool stopping = false;
-  std::vector<std::thread> threads;
-};
-
-Simulator::Simulator() = default;
-Simulator::~Simulator() = default;
-
 void Simulator::configure_shards(std::uint32_t count, Duration epoch) {
   assert(count >= 1);
   assert(epoch >= 1 && "epoch must be a positive lookahead window");
   assert(executed_events() == 0 && pending_events() == 0 &&
          global_events_.empty() && "configure_shards before any scheduling");
-  pool_.reset();
   shards_.clear();
   shards_.resize(count);
   epoch_ = epoch;
-}
-
-void Simulator::set_workers(unsigned workers) {
-  workers_ = std::max(1u, workers);
-  pool_.reset();  // re-created lazily at the next parallel window
 }
 
 void Simulator::run_as(std::uint32_t shard, const std::function<void()>& fn) {
@@ -294,7 +229,8 @@ void Simulator::cancel(EventId id) {
   }
   if (id.shard >= shards_.size()) return;
   assert((!in_window_ || tls_shard == id.shard) &&
-         "cross-shard cancel inside a window would race the owner");
+         "cross-shard cancel inside a window: a shard's window may touch "
+         "only its own events");
   Shard& sh = shards_[id.shard];
   if (id.slot >= sh.slots.size()) return;
   Slot& slot = sh.slots[id.slot];
@@ -444,21 +380,14 @@ void Simulator::run_window(std::uint32_t shard_idx, Time window_end) {
 void Simulator::dispatch_window(Time window_end) {
   in_window_ = true;
   window_end_ = window_end;
-  const unsigned workers =
-      std::min<unsigned>(workers_, static_cast<unsigned>(shards_.size()));
-  if (workers <= 1) {
-    for (std::uint32_t s = 0; s < shards_.size(); ++s) {
-      ShardContextGuard ctx{s};
-      run_window(s, window_end);
-    }
-  } else {
-    if (!pool_) pool_ = std::make_unique<Pool>(*this, workers);
-    pool_->run_generation(window_end);
+  for (std::uint32_t s = 0; s < shards_.size(); ++s) {
+    ShardContextGuard ctx{s};
+    run_window(s, window_end);
   }
   in_window_ = false;
   // Barrier: drain cross-shard handoffs in (source shard, enqueue order),
-  // renumbering each into its destination's FIFO space — the fixed drain
-  // order is what makes the merge independent of worker interleaving.
+  // renumbering each into its destination's FIFO space, so a shard never
+  // sees a sibling's sends before the window that follows them.
   for (Shard& src : shards_) {
     for (Handoff& h : src.outbox) {
       assert(h.time > window_end);

@@ -32,17 +32,16 @@
 // Sharded mode (configure_shards): the event space splits into K logical
 // shards, each with its own heap, clock and sequence counter, advancing in
 // lock-step epoch windows of at most `epoch` virtual time. Within a window
-// shards execute independently (optionally on worker threads); an event
-// that schedules onto another shard goes into its source shard's outbox
-// and is drained at the window barrier in (source shard, enqueue order) —
-// a conservative parallel DES with the epoch as lookahead, so the
-// trajectory is a function of the *logical* shard count alone and is
-// byte-identical for any worker-thread count. The scheduling contract:
-// cross-shard events must land strictly after the current window
-// (guaranteed when epoch <= the minimum cross-shard link latency).
-// Events scheduled from outside any shard context (setup code, oracle
-// sampling, fault injection) become *global* events that run
-// single-threaded between windows, in (time, seq) order — the natural
+// each shard runs its own events, one shard after another in shard order,
+// without seeing its siblings' work; an event that schedules onto another
+// shard goes into its source shard's outbox and is drained at the window
+// barrier in (source shard, enqueue order) — a conservative DES with the
+// epoch as lookahead, so the trajectory is a function of the *logical*
+// shard count. The scheduling contract: cross-shard events must land
+// strictly after the current window (guaranteed when epoch <= the minimum
+// cross-shard link latency). Events scheduled from outside any shard
+// context (setup code, oracle sampling, fault injection) become *global*
+// events that run between windows, in (time, seq) order — the natural
 // barrier-action hook. With K == 1 (the default) every path reduces
 // exactly to the classic serial scheduler.
 #pragma once
@@ -51,7 +50,6 @@
 #include <functional>
 #include <limits>
 #include <map>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -76,9 +74,9 @@ struct EventId {
 
 /// The shard whose window the calling thread is currently executing (also
 /// set inside Simulator::run_as), or 0 when the thread is outside any
-/// shard context. Lets per-shard striped state (network metrics/RNG, obs
-/// instruments) pick its stripe without threading a simulator reference
-/// everywhere. Serial simulations always report 0.
+/// shard context. Lets per-shard state (the network's RNG streams, the obs
+/// stripes) pick its shard's share without threading a simulator
+/// reference everywhere. Serial simulations always report 0.
 [[nodiscard]] std::uint32_t current_executing_shard();
 
 /// True when the calling thread is inside a shard context (a shard window
@@ -88,7 +86,7 @@ struct EventId {
 [[nodiscard]] bool in_shard_context();
 
 /// Discrete-event scheduler: serial by default, optionally sharded (see
-/// the file header for the parallel-window contract).
+/// the file header for the window contract).
 class Simulator {
  public:
   using Callback = std::function<void()>;
@@ -96,8 +94,7 @@ class Simulator {
   /// EventId::shard value marking a global (between-windows) event.
   static constexpr std::uint32_t kGlobalShard = 0xFFFFFFFFu;
 
-  Simulator();  // out-of-line: members reference the fwd-declared Pool
-  ~Simulator();
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -106,14 +103,8 @@ class Simulator {
   /// Splits the event space into `count` logical shards advancing in
   /// epoch windows of at most `epoch` (> 0) virtual time. Must be called
   /// before anything is scheduled. The trajectory depends on `count` and
-  /// `epoch`, never on the worker count.
+  /// `epoch`.
   void configure_shards(std::uint32_t count, Duration epoch);
-
-  /// Workers that execute shard windows (clamped to the shard count; 1 =
-  /// run windows inline). The owning thread is one of them, so W workers
-  /// start W - 1 threads. Purely an execution knob: any value produces
-  /// byte-identical results.
-  void set_workers(unsigned workers);
 
   [[nodiscard]] std::uint32_t shard_count() const {
     return static_cast<std::uint32_t>(shards_.size());
@@ -149,9 +140,9 @@ class Simulator {
   /// when `shard` is the executing shard.
   EventId schedule_on(std::uint32_t shard, Time t, Callback cb);
 
-  /// Schedules a single-threaded between-windows event (fault injection,
-  /// series/oracle sampling, facade workload). Serial mode: identical to
-  /// schedule_at, byte-for-byte.
+  /// Schedules a between-windows event (fault injection, series/oracle
+  /// sampling, facade workload). Serial mode: identical to schedule_at,
+  /// byte-for-byte.
   EventId schedule_global(Time t, Callback cb);
 
   /// Cancels a pending event. Cancelling an already-fired or invalid id is a
@@ -267,8 +258,6 @@ class Simulator {
     std::vector<Handoff> outbox;
   };
 
-  struct Pool;  // worker threads (sharded mode, workers > 1)
-
   static constexpr Time kNever = std::numeric_limits<Time>::max();
 
   /// Stores `cb` in a slot under the shard's next seq: the entry to queue.
@@ -290,7 +279,7 @@ class Simulator {
   void release_slot(Shard& sh, std::uint32_t slot);
   /// Executes one shard's events with time <= window_end.
   void run_window(std::uint32_t shard_idx, Time window_end);
-  /// Runs all shard windows [.., window_end], inline or on the pool, then
+  /// Runs every shard's window [.., window_end] in shard order, then
   /// drains the outboxes in (source shard, enqueue order).
   void dispatch_window(Time window_end);
 
@@ -311,9 +300,6 @@ class Simulator {
   std::map<std::pair<Time, std::uint64_t>, Callback> global_events_;
   std::uint64_t next_global_seq_ = 1;
   std::uint64_t globals_executed_ = 0;
-
-  unsigned workers_ = 1;
-  std::unique_ptr<Pool> pool_;
 };
 
 }  // namespace rgb::sim

@@ -1,8 +1,8 @@
-// Shard-axis determinism for conformance runs: the same (config, schedule,
-// seed) must produce byte-identical reports for every shard worker count
-// (1, 2, 8), alone and through the experiment harness at 1 and 8 trial
-// threads — including a crash+partition+handoff schedule that forces
-// cross-shard outbox handoff and post-heal reconciliation.
+// Determinism of sharded conformance runs: the same (config, schedule,
+// seed) must produce byte-identical reports on every run, alone and
+// through the experiment harness at 1 and 8 trial threads — including a
+// crash+partition+handoff schedule that forces cross-shard outbox handoff
+// and post-heal reconciliation.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -15,14 +15,14 @@
 namespace rgb::check {
 namespace {
 
-AdversarialConfig sharded_config(unsigned shard_workers) {
+AdversarialConfig sharded_config() {
   AdversarialConfig cfg;
   cfg.protocol = Protocol::kRgb;
   cfg.tiers = 2;
   cfg.ring_size = 3;  // 3 logical shards, one per tier-0 region
   cfg.initial_members = 8;
   cfg.settle = sim::sec(10);
-  cfg.shard_workers = shard_workers;
+  cfg.sharded = true;
   return cfg;
 }
 
@@ -56,38 +56,37 @@ RunDigest digest(const AdversarialConfig& cfg, const FaultSchedule& schedule,
                    r.passed()};
 }
 
-TEST(ShardedReplay, CrossShardScheduleIdenticalAcrossWorkerCounts) {
+TEST(ShardedReplay, CrossShardScheduleRepeatsOnASecondRun) {
   const FaultSchedule schedule = cross_shard_schedule();
-  const RunDigest one = digest(sharded_config(1), schedule, 11);
-  EXPECT_TRUE(one.passed) << one.report;
-  EXPECT_EQ(digest(sharded_config(2), schedule, 11), one);
-  EXPECT_EQ(digest(sharded_config(8), schedule, 11), one);
+  const RunDigest first = digest(sharded_config(), schedule, 11);
+  EXPECT_TRUE(first.passed) << first.report;
+  EXPECT_EQ(digest(sharded_config(), schedule, 11), first);
+  // The flag really selects the sharded kernel: its per-shard RNG streams
+  // and epoch windows give a different trajectory from the serial run's.
+  AdversarialConfig serial = sharded_config();
+  serial.sharded = false;
+  EXPECT_NE(digest(serial, schedule, 11), first);
 }
 
-TEST(ShardedReplay, RandomSchedulesIdenticalAcrossWorkerCounts) {
+TEST(ShardedReplay, RandomSchedulesRepeatOnASecondRun) {
   // Random full-profile schedules (crashes + bursts + handoffs +
   // partitions), a few seeds deep: the sharded trajectory may differ from
-  // serial (striped RNG) but never across worker counts.
-  AdversarialConfig gen_cfg = sharded_config(1);
-  gen_cfg.gen.partitions = true;
+  // serial (per-shard RNG streams) but never from run to run.
+  AdversarialConfig cfg = sharded_config();
+  cfg.gen.partitions = true;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    const FaultSchedule schedule = random_schedule_for(gen_cfg, seed);
-    AdversarialConfig cfg = gen_cfg;
-    const RunDigest one = digest(cfg, schedule, seed);
-    cfg.shard_workers = 2;
-    EXPECT_EQ(digest(cfg, schedule, seed), one) << "seed " << seed;
-    cfg.shard_workers = 8;
-    EXPECT_EQ(digest(cfg, schedule, seed), one) << "seed " << seed;
+    const FaultSchedule schedule = random_schedule_for(cfg, seed);
+    const RunDigest first = digest(cfg, schedule, seed);
+    EXPECT_EQ(digest(cfg, schedule, seed), first) << "seed " << seed;
   }
 }
 
-TEST(ShardedReplay, ChurnWithStabilityIdenticalAcrossWorkerCounts) {
+TEST(ShardedReplay, ChurnWithStabilityRepeatsOnASecondRun) {
   // The stability layer's alert/cut machinery plus sustained churn windows:
   // alert timers, batched cuts and the churn expansion must all stay on the
   // deterministic sharded path. Two sizes: 8 members, and 100 members with
-  // every other mode on too (4 groups, snapshot joins, partitions), since
-  // the fuzz matrix runs 1 worker in place of threads at every size.
-  AdversarialConfig small = sharded_config(1);
+  // every other mode on too (4 groups, snapshot joins, partitions).
+  AdversarialConfig small = sharded_config();
   small.stability = true;
   small.gen.churn = true;
   AdversarialConfig large = small;
@@ -95,55 +94,48 @@ TEST(ShardedReplay, ChurnWithStabilityIdenticalAcrossWorkerCounts) {
   large.groups = 4;
   large.snapshot_join = true;
   large.gen.partitions = true;
-  for (const AdversarialConfig& gen_cfg : {small, large}) {
+  for (const AdversarialConfig& cfg : {small, large}) {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-      const FaultSchedule schedule = random_schedule_for(gen_cfg, seed);
-      AdversarialConfig cfg = gen_cfg;
-      const RunDigest one = digest(cfg, schedule, seed);
-      cfg.shard_workers = 2;
-      EXPECT_EQ(digest(cfg, schedule, seed), one)
-          << cfg.initial_members << " members, seed " << seed;
-      cfg.shard_workers = 8;
-      EXPECT_EQ(digest(cfg, schedule, seed), one)
+      const FaultSchedule schedule = random_schedule_for(cfg, seed);
+      const RunDigest first = digest(cfg, schedule, seed);
+      EXPECT_EQ(digest(cfg, schedule, seed), first)
           << cfg.initial_members << " members, seed " << seed;
     }
   }
 }
 
 TEST(ShardedReplay, RetxAlertThatCompletesACutKeepsTheHopAlive) {
-  // The `rgb_fuzz --churn 1 --stability 1 --shard-workers 1` profile at
-  // seed 40: a token hop's retx alert completes a stability cut at the
+  // The `rgb_fuzz --churn 1 --stability 1 --sharded 1` profile at seed
+  // 40: a token hop's retx alert completes a stability cut at the
   // aggregating leader, and the cut reroutes and erases the very hop being
   // retransmitted. This used to read the freed hop and crash.
   AdversarialConfig cfg;
   cfg.gen.churn = true;
   cfg.stability = true;
-  cfg.shard_workers = 1;
+  cfg.sharded = true;
   const CheckRunResult result =
       run_schedule(cfg, random_schedule_for(cfg, 40), 40);
   EXPECT_TRUE(result.passed()) << result.report.format();
 }
 
-TEST(ShardedReplay, ViolatingRunReportsIdenticallyAcrossWorkerCounts) {
+TEST(ShardedReplay, ViolatingRunReportsIdenticallyOnASecondRun) {
   // An unhealed split violates convergence by design; the violation report
-  // (message counts, sampled timestamps, flight tail) must not depend on
-  // the worker count either.
+  // (message counts, sampled timestamps, flight tail) must repeat too.
   const FaultSchedule schedule = parse_schedule(
       "schedule unhealed\n"
       "at 1s partition ne 0 1\n"
       "at 2s handoff mh 1 ap 7\n");
-  const RunDigest one = digest(sharded_config(1), schedule, 4);
-  ASSERT_FALSE(one.passed);
-  EXPECT_GT(one.report.size(), 0u);
-  EXPECT_EQ(digest(sharded_config(2), schedule, 4), one);
-  EXPECT_EQ(digest(sharded_config(8), schedule, 4), one);
+  const RunDigest first = digest(sharded_config(), schedule, 4);
+  ASSERT_FALSE(first.passed);
+  EXPECT_GT(first.report.size(), 0u);
+  EXPECT_EQ(digest(sharded_config(), schedule, 4), first);
 }
 
-TEST(ShardedReplay, HarnessOutputIdenticalAcrossShardAndThreadCounts) {
-  // The full grid: {1, 2, 8} shard workers x {1, 8} exp-runner threads,
-  // driven through the real TrialRunner + CheckObserver plumbing. All six
-  // (CSV, check report) pairs must be byte-identical.
-  const auto scenario_for = [](unsigned shard_workers) {
+TEST(ShardedReplay, HarnessOutputIdenticalAcrossThreadCounts) {
+  // Sharded trials at 1 and 8 exp-runner threads, driven through the real
+  // TrialRunner + CheckObserver plumbing: both (CSV, check report) pairs
+  // must be byte-identical.
+  const auto scenario = [] {
     exp::Scenario scenario;
     scenario.id = "replay.sharded";
     scenario.title = "sharded schedule replay under the runner";
@@ -153,9 +145,8 @@ TEST(ShardedReplay, HarnessOutputIdenticalAcrossShardAndThreadCounts) {
     scenario.cells.push_back(exp::ParamSet{{"mode", 1.0}});
     scenario.trials_per_cell = 2;
     scenario.check_mask = exp::kCheckAll;
-    scenario.run =
-        [shard_workers](const exp::TrialContext& ctx) -> std::vector<double> {
-      AdversarialConfig cfg = sharded_config(shard_workers);
+    scenario.run = [](const exp::TrialContext& ctx) -> std::vector<double> {
+      AdversarialConfig cfg = sharded_config();
       cfg.settle = sim::sec(8);
       cfg.gen.partitions = ctx.params.get_int("mode") == 1;
       auto chk = exp::begin_check(ctx);
@@ -167,29 +158,22 @@ TEST(ShardedReplay, HarnessOutputIdenticalAcrossShardAndThreadCounts) {
               double(result.messages_sent)};
     };
     return scenario;
-  };
+  }();
 
-  const auto run_grid = [&](unsigned shard_workers, unsigned threads) {
+  const auto run_on_threads = [&](unsigned threads) {
     CheckObserver observer{exp::kCheckAll};
     exp::RunnerOptions options;
     options.threads = threads;
     options.base_seed = 99;
     options.observer = &observer;
     const exp::TrialRunner runner{options};
-    const exp::RunResult result = runner.run(scenario_for(shard_workers));
+    const exp::RunResult result = runner.run(scenario);
     std::ostringstream csv;
     exp::write_csv(result, csv);
     return csv.str() + "\n===\n" + observer.report().format();
   };
 
-  const std::string baseline = run_grid(1, 1);
-  for (const unsigned shard_workers : {1u, 2u, 8u}) {
-    for (const unsigned threads : {1u, 8u}) {
-      if (shard_workers == 1 && threads == 1) continue;
-      EXPECT_EQ(run_grid(shard_workers, threads), baseline)
-          << "shard_workers=" << shard_workers << " threads=" << threads;
-    }
-  }
+  EXPECT_EQ(run_on_threads(8), run_on_threads(1));
 }
 
 }  // namespace

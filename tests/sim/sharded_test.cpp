@@ -1,7 +1,7 @@
 // Sharded-kernel contract tests: shard routing and clocks, global
 // (between-windows) events, cross-shard outbox handoff at the barrier, and
-// the core determinism claim — the trajectory is a function of the logical
-// shard count alone, byte-identical for every worker-thread count.
+// the core determinism claim — a cross-shard workload's trajectory repeats
+// exactly from run to run.
 #include "sim/simulator.hpp"
 
 #include <gtest/gtest.h>
@@ -38,7 +38,7 @@ TEST(ShardedSimulator, ScheduleOnRoutesToItsShard) {
     });
   }
   s.run();
-  // Workers default to 1: windows execute shards in index order.
+  // A window executes its shards in index order.
   EXPECT_EQ(ran_on, (std::vector<std::uint32_t>{0, 1, 2}));
   EXPECT_FALSE(in_shard_context());
 }
@@ -141,14 +141,11 @@ TEST(ShardedSimulator, PerShardClocksAndCountersAggregate) {
 
 /// One deterministic mini-workload: K shards each run a local event chain
 /// and periodically hand work to the next shard; every fire appends to its
-/// shard's own trace (single writer per shard, so recording is race-free
-/// under any worker count). Returns the per-shard traces.
-std::vector<std::vector<std::pair<Time, int>>> run_workload(
-    unsigned workers) {
+/// shard's own trace. Returns the per-shard traces.
+std::vector<std::vector<std::pair<Time, int>>> run_workload() {
   constexpr std::uint32_t kShards = 4;
   Simulator s;
   s.configure_shards(kShards, msec(1));
-  s.set_workers(workers);
   std::vector<std::vector<std::pair<Time, int>>> trace(kShards);
 
   std::function<void(int)> tick = [&](int step) {
@@ -170,16 +167,15 @@ std::vector<std::vector<std::pair<Time, int>>> run_workload(
   return trace;
 }
 
-TEST(ShardedSimulator, TrajectoryIndependentOfWorkerCount) {
-  const auto serial = run_workload(1);
+TEST(ShardedSimulator, TrajectoryRepeatsOnASecondRun) {
+  const auto first = run_workload();
   std::size_t fired = 0;
-  for (const auto& t : serial) {
+  for (const auto& t : first) {
     fired += t.size();
     EXPECT_TRUE(std::is_sorted(t.begin(), t.end()));
   }
   EXPECT_GT(fired, 50u);  // the workload actually spread across shards
-  EXPECT_EQ(run_workload(2), serial);
-  EXPECT_EQ(run_workload(8), serial);
+  EXPECT_EQ(run_workload(), first);
 }
 
 TEST(ShardedSimulator, RunUntilCapHoldsInShardedModeToo) {

@@ -7,13 +7,13 @@
 //                             [--check]
 //   rgb_exp bench [--members N[,N...]] [--join dissem|snapshot|both]
 //                 [--tiers H] [--ring R] [--steady-ticks K] [--seed S]
-//                 [--warmup-ticks K] [--join-spacing US] [--shards W]
+//                 [--warmup-ticks K] [--join-spacing US] [--sharded]
 //                 [--json PATH|-] [--smoke] [--series PATH|-] [--detect]
 //                 [--oscillation] [--deterministic] [--spans-ab]
 //                 [--multigroup [--groups G[,G...]] [--group-members M]]
 //                 (--multigroup rejects --members, --join, --detect,
 //                 --oscillation and --spans-ab)
-//   rgb_exp trace [--members N] [--tiers H] [--ring R] [--shards W]
+//   rgb_exp trace [--members N] [--tiers H] [--ring R] [--sharded]
 //                 [--seed S] [--steady-ticks K] [--warmup-ticks K]
 //                 [--out PATH|-]
 //   rgb_exp metrics --catalog
@@ -165,9 +165,8 @@ int usage(const char* argv0, int code, const std::string& command = "") {
        << "  --warmup-ticks K  probe ticks of pre-window warm-up (default 10)\n"
        << "  --join-spacing US  virtual us between member arrivals\n"
        << "                 (default 500)\n"
-       << "  --shards W     sharded trial: one logical shard per tier-0\n"
-       << "                 region, W worker threads on the windows; the\n"
-       << "                 deterministic output is identical for any W >= 1\n"
+       << "  --sharded      sharded trial: one logical shard per tier-0\n"
+       << "                 region, advancing in epoch windows\n"
        << "  --seed S       trial seed (default 780228 = 0xBE7C4)\n"
        << "  --json PATH    write the BENCH json artifact ('-' for stdout)\n"
        << "  --smoke        bounded CI profile (members=200, both join modes)\n"
@@ -196,11 +195,11 @@ int usage(const char* argv0, int code, const std::string& command = "") {
   }
   if (shows("trace")) {
     os << "trace options (causal-span Chrome trace export; spans forced on,\n"
-       << "untimed, byte-identical for any --shards W >= 1; --shards 0, the\n"
-       << "default, runs the serial trial, whose trace differs):\n"
+       << "untimed; without --sharded it runs the serial trial, whose trace\n"
+       << "differs from the sharded one):\n"
        << "  --members N    members to join (default 2000)\n"
-       << "  --tiers H / --ring R / --shards W / --seed S  as for bench\n"
-       << "  --steady-ticks K / --warmup-ticks K           as for bench\n"
+       << "  --tiers H / --ring R / --sharded / --seed S  as for bench\n"
+       << "  --steady-ticks K / --warmup-ticks K          as for bench\n"
        << "  --out PATH     trace JSON destination (default '-': stdout);\n"
        << "                 load it in Perfetto or chrome://tracing\n";
   }
@@ -228,8 +227,8 @@ int run_trace(int argc, char** argv) {
       config.tiers = next_arg_in<int>(argc, argv, i, arg, 1);
     } else if (arg == "--ring") {
       config.ring_size = next_arg_in<int>(argc, argv, i, arg, 1);
-    } else if (arg == "--shards") {
-      config.shard_workers = next_arg_in<unsigned>(argc, argv, i, arg);
+    } else if (arg == "--sharded") {
+      config.sharded = true;
     } else if (arg == "--seed") {
       config.seed = next_u64();
     } else if (arg == "--steady-ticks") {
@@ -329,8 +328,8 @@ int run_bench(int argc, char** argv) {
     } else if (arg == "--join-spacing") {
       base.join_spacing = next_u64();
       saw_spacing = true;
-    } else if (arg == "--shards") {
-      base.shard_workers = next_arg_in<unsigned>(argc, argv, i, arg);
+    } else if (arg == "--sharded") {
+      base.sharded = true;
     } else if (arg == "--seed") {
       base.seed = next_u64();
       saw_seed = true;

@@ -5,10 +5,10 @@
 //            [--tiers H] [--ring R] [--members M] [--groups G] [--events E]
 //            [--crashes 0|1] [--partitions 0|1] [--bursts 0|1]
 //            [--handoffs 0|1] [--churn 0|1] [--stability 0|1]
-//            [--snapshot-join 0|1] [--mask BITS] [--shard-workers W]
+//            [--snapshot-join 0|1] [--mask BITS] [--sharded 0|1]
 //            [--schedule FILE] [--quiet] [--flight-full]
 //
-// --groups, --stability, --snapshot-join and --shard-workers shape the RGB
+// --groups, --stability, --snapshot-join and --sharded shape the RGB
 // fixture only: beside another --proto they are a usage error, in any
 // argument order.
 //
@@ -88,17 +88,15 @@ int usage(const char* argv0, int code) {
      << "  --stability B  RGB: multi-observer cut detection (default 0)\n"
      << "  --snapshot-join B  RGB: snapshot bulk-join mode (default 0) —\n"
      << "                 the lossy-surge snapshot-join conformance profile\n"
-     << "  --shard-workers W  RGB: run sharded with W worker threads\n"
-     << "                 (default 0 = serial; reports are byte-identical\n"
-     << "                 for every W >= 1)\n"
+     << "  --sharded B    RGB: run the sharded kernel, one logical shard\n"
+     << "                 per tier-0 region (default 0 = serial)\n"
      << "  --mask BITS    invariant mask, 1-63 (default 63, all; see\n"
      << "                 EXPERIMENTS.md)\n"
      << "  --schedule F   replay schedule file F under seed --start (not\n"
      << "                 with --seeds: a replay runs that one seed)\n"
      << "  --quiet        only report violations and the final summary\n"
      << "  --flight-full  dump the complete retained flight ring for every\n"
-     << "                 run, pass or fail (byte-identical for any\n"
-     << "                 --shard-workers value)\n"
+     << "                 run, pass or fail\n"
      << "The RGB: flags are a usage error with --proto tree|flatring|gossip.\n";
   return code;
 }
@@ -171,8 +169,8 @@ int main(int argc, char** argv) {
         cfg.stability = in_range<bool>(arg, next_u64());
       } else if (arg == "--snapshot-join") {
         cfg.snapshot_join = in_range<bool>(arg, next_u64());
-      } else if (arg == "--shard-workers") {
-        cfg.shard_workers = in_range<unsigned>(arg, next_u64());
+      } else if (arg == "--sharded") {
+        cfg.sharded = in_range<bool>(arg, next_u64());
       } else if (arg == "--mask") {
         cfg.check_mask =
             in_range<unsigned>(arg, next_u64(), 1, rgb::exp::kCheckAll);
@@ -192,7 +190,7 @@ int main(int argc, char** argv) {
     }
     if (rgb_only_flag.empty() &&
         (arg == "--groups" || arg == "--stability" ||
-         arg == "--snapshot-join" || arg == "--shard-workers")) {
+         arg == "--snapshot-join" || arg == "--sharded")) {
       rgb_only_flag = arg;
     }
     if (arg != "--seeds" && arg != "--start" && arg != "--quiet" &&
