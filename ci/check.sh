@@ -98,7 +98,6 @@ expect_usage_error rgb_fuzz --mask 4294967296
 expect_usage_error rgb_fuzz --start 18446744073709551615 --seeds 2
 expect_usage_error rgb_fuzz --start " -1"
 expect_usage_error rgb_fuzz --members 4294967304
-expect_usage_error rgb_fuzz --sharded 2
 expect_usage_error rgb_fuzz --churn 2
 expect_usage_error rgb_exp bench --steady-ticks 4294967297
 expect_usage_error rgb_exp bench --members " 1"
@@ -125,9 +124,12 @@ expect_usage_error rgb_exp bench --detect --multigroup --smoke --group-members 5
 expect_usage_error rgb_fuzz --proto gossip --groups 4 --seeds 1
 expect_usage_error rgb_fuzz --proto tree --stability 1 --seeds 1
 expect_usage_error rgb_fuzz --proto flatring --snapshot-join 1 --seeds 1
-expect_usage_error rgb_fuzz --sharded 1 --proto gossip --seeds 1
 expect_usage_error rgb_fuzz --stability 0 --proto tree --seeds 1
 expect_usage_error rgb_fuzz --groups 0 --seeds 1
+# The simulator has one event order: --sharded is an unknown option.
+expect_usage_error rgb_fuzz --sharded 1 --seeds 1
+expect_usage_error rgb_exp bench --sharded
+expect_usage_error rgb_exp trace --sharded
 # --help after a command prints its usage and exits 0.
 for command in run bench trace metrics; do
   expect_exit 0 rgb_exp "$command" --help
@@ -155,28 +157,25 @@ rm -f "$check_log"
 # flaky.
 ci/fuzz_matrix.sh "$BUILD_DIR"
 
-# The sharded kernel's replay identity: the deterministic sharded bench
-# JSON must be byte-identical run to run.
-echo "== sharded bench determinism gate =="
+# Replay identity: the deterministic bench JSON must be byte-identical run
+# to run.
+echo "== bench determinism gate =="
 sw1="$(mktemp)"; sw2="$(mktemp)"
-"$BUILD_DIR/rgb_exp" bench --smoke --deterministic --sharded --json "$sw1" \
-    2> /dev/null
-"$BUILD_DIR/rgb_exp" bench --smoke --deterministic --sharded --json "$sw2" \
-    2> /dev/null
+"$BUILD_DIR/rgb_exp" bench --smoke --deterministic --json "$sw1" 2> /dev/null
+"$BUILD_DIR/rgb_exp" bench --smoke --deterministic --json "$sw2" 2> /dev/null
 if ! cmp -s "$sw1" "$sw2"; then
-  echo "FAIL: deterministic sharded bench JSON differs between runs" >&2
+  echo "FAIL: deterministic bench JSON differs between runs" >&2
   exit 1
 fi
 
-# bench.multigroup sublinearity gate: on the sharded kernel every cell of
-# the multi-group serving sweep must converge with zero per-group
-# divergence (exit code), and the G-cell steady bytes per link must beat G
-# independent hierarchies by >= 4x (packing_ratio < 0.25 — the committed
-# BENCH_PR10.json holds the full G=1000 x 100 sweep; this smoke re-proves
-# the shape on a bounded cell).
+# bench.multigroup sublinearity gate: every cell of the multi-group serving
+# sweep must converge with zero per-group divergence (exit code), and the
+# G-cell steady bytes per link must beat G independent hierarchies by >= 4x
+# (packing_ratio < 0.25 — the committed BENCH_PR10.json holds the full
+# G=1000 x 100 sweep; this smoke re-proves the shape on a bounded cell).
 echo "== bench.multigroup gate =="
 "$BUILD_DIR/rgb_exp" bench --multigroup --smoke --group-members 20 \
-    --deterministic --sharded --json "$sw1" 2> /dev/null
+    --deterministic --json "$sw1" 2> /dev/null
 python3 - "$sw1" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
@@ -302,13 +301,12 @@ if ! cmp -s "$obs1" "$obs2"; then
 fi
 rm -f "$obs1" "$obs2" "$sched"
 
-# Causal trace export gate. On the sharded kernel, `rgb_exp trace` must
-# emit valid Chrome trace-event JSON with balanced cross-NE flow events
-# and no dropped span, and the full flight-ring dump of the fuzz driver
-# must be present.
+# Causal trace export gate. `rgb_exp trace` must emit valid Chrome
+# trace-event JSON with balanced cross-NE flow events and no dropped span,
+# and the full flight-ring dump of the fuzz driver must be present.
 echo "== trace export gate =="
 tr1="$(mktemp)"
-"$BUILD_DIR/rgb_exp" trace --members 500 --sharded --out "$tr1" 2> /dev/null
+"$BUILD_DIR/rgb_exp" trace --members 500 --out "$tr1" 2> /dev/null
 python3 - "$tr1" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
@@ -321,8 +319,7 @@ assert phases.get("s") == phases.get("f"), "unbalanced flow start/finish"
 assert phases.get("X", 0) > 0, "no handler complete events"
 assert doc["otherData"]["spans_dropped"] == 0, "span ring overflowed"
 EOF
-"$BUILD_DIR/rgb_fuzz" --seeds 3 --start 1 --flight-full --sharded 1 \
-    --quiet > "$tr1"
+"$BUILD_DIR/rgb_fuzz" --seeds 3 --start 1 --flight-full --quiet > "$tr1"
 if ! grep -q "flight recorder:" "$tr1"; then
   echo "FAIL: --flight-full did not dump the flight ring" >&2
   exit 1
@@ -352,7 +349,8 @@ fi
 
 # AddressSanitizer + UndefinedBehaviorSanitizer gate over the unit, wire
 # and obs suites (the wire suite feeds hostile frames to the real decoders;
-# the obs suite drives the tracer's bounded rings through wrap and merge):
+# the obs suite drives the tracer's bounded rings through wrap; the unit
+# suite replays the fuzz seeds whose token-retx alert completes a cut):
 # a separate Debug build (asserts on, libstdc++ container checks on) in
 # which any memory error, UB or failed assert fails CI.
 echo "== asan+ubsan unit tests =="

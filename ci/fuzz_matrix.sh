@@ -22,26 +22,25 @@ trap 'rm -rf "$work"' EXIT
 #   members {600, 250, 100, 8} x groups {1, 4, 8}
 #     x churn x stability x snapshot-join x partitions,
 # plus the crash-only fault mix (--bursts 0 --handoffs 0) at 8 members:
-# 240 profiles. Each runs serially (seeds 1-40; 1-100 at 8 members under
-# the full mix) and on the sharded kernel (seeds 1-20): 480 cells. Size
-# matters: 600 members in 1 or 4 groups cross the 256-record bucket
-# threshold into bucket-level anti-entropy, a differing group of 250 ships
-# whole, and churn at 100-600 members strands members at crashed APs. The
-# cells run in 4 processes, largest first; their lines print in this order
-# once all are done.
+# 240 cells, each over seeds 1-60 (1-120 at 8 members under the full
+# mix). Size matters: 600 members in 1 or 4 groups cross the 256-record
+# bucket threshold into bucket-level anti-entropy, a differing group of 250
+# ships whole, and churn at 100-600 members strands members at crashed APs.
+# The cells run in 4 processes, largest first; their lines print in this
+# order once all are done.
 echo "== rgb_fuzz matrix =="
 detect=("--churn "{0,1}" --stability "{0,1})
 modes=("--snapshot-join "{0,1}" --partitions "{0,1})
 cells=()
-# members, serial seeds, fault-mix flags
-for profile in "600 40" "250 40" "100 40" "8 100" \
-    "8 40 --bursts 0 --handoffs 0"; do
+# members, seeds, fault-mix flags
+for profile in "600 60" "250 60" "100 60" "8 120" \
+    "8 60 --bursts 0 --handoffs 0"; do
   read -r members seeds mix <<< "$profile"
   for groups in 1 4 8; do
     for d in "${detect[@]}"; do
       for mode in "${modes[@]}"; do
         cell="--members $members --groups $groups $d $mode${mix:+ $mix}"
-        cells+=("$cell --seeds $seeds" "$cell --sharded 1 --seeds 20")
+        cells+=("$cell --seeds $seeds")
       done
     done
   done

@@ -8,17 +8,15 @@
 #   BASE_BUILD, CHANGE_BUILD: build directories holding rgb_fuzz and rgb_exp.
 #   SEEDS=N (environment, default 40): fuzz seeds per profile, from seed 1.
 #
-# The matrix (28 artifacts):
-#   - rgb_fuzz --flight-full over seeds 1..SEEDS at --sharded 0 and 1, in
-#     seven profiles: base, --partitions 1, --churn 1 --stability 1,
-#     --groups 4, --groups 4 --churn 1, --snapshot-join 1, and all modes at
-#     once (--groups 4 --churn 1 --stability 1 --snapshot-join 1
-#     --partitions 1) (report, flight ring dump and exit code must match);
-#   - rgb_exp trace --members 500 --sharded (Chrome trace export);
-#   - rgb_exp trace --members 5000, serial and --sharded: the only
-#     artifacts whose rings wrap (serial: both the span and the flight ring;
-#     sharded: the span rings of five stripes), so the overwrite-oldest
-#     order and the (time, stripe) merge of wrapped rings are compared too;
+# The matrix (20 artifacts):
+#   - rgb_fuzz --flight-full over seeds 1..SEEDS in seven profiles: base,
+#     --partitions 1, --churn 1 --stability 1, --groups 4, --groups 4
+#     --churn 1, --snapshot-join 1, and all modes at once (--groups 4
+#     --churn 1 --stability 1 --snapshot-join 1 --partitions 1) (report,
+#     flight ring dump and exit code must match);
+#   - rgb_exp trace --members 500 (Chrome trace export);
+#   - rgb_exp trace --members 5000: the only artifact whose span and
+#     flight rings wrap, so the overwrite-oldest order is compared too;
 #   - rgb_exp metrics --catalog (the catalog's names, types and order);
 #   - rgb_exp bench --smoke --deterministic --detect --oscillation --json;
 #   - rgb_exp run --json --no-table for query.schemes, flashcrowd.agg,
@@ -101,22 +99,15 @@ profiles=(
   "--snapshot-join 1"
   "--groups 4 --churn 1 --stability 1 --snapshot-join 1 --partitions 1"
 )
-for sharded in 0 1; do
-  for profile in "${profiles[@]}"; do
-    # shellcheck disable=SC2086  # a profile is a list of flags
-    compare "rgb_fuzz ${profile:-(base)} --sharded $sharded" rgb_fuzz \
-        --seeds "$SEEDS" --start 1 --flight-full --sharded "$sharded" \
-        $profile
-  done
+for profile in "${profiles[@]}"; do
+  # shellcheck disable=SC2086  # a profile is a list of flags
+  compare "rgb_fuzz ${profile:-(base)}" rgb_fuzz \
+      --seeds "$SEEDS" --start 1 --flight-full $profile
 done
 
-compare "rgb_exp trace --members 500 --sharded" rgb_exp \
-    trace --members 500 --sharded --out @OUT@
-
-for sharded in "" --sharded; do
-  # shellcheck disable=SC2086  # empty for the serial trial
-  compare "rgb_exp trace --members 5000${sharded:+ $sharded}" rgb_exp \
-      trace --members 5000 $sharded --out @OUT@
+for members in 500 5000; do
+  compare "rgb_exp trace --members $members" rgb_exp \
+      trace --members "$members" --out @OUT@
 done
 
 compare "rgb_exp metrics --catalog" rgb_exp metrics --catalog

@@ -160,8 +160,10 @@ void ScheduleDriver::apply(const FaultEvent& event) {
           common::RngStream{event.at + event.duration}.fork("churn"));
       const sim::Time end = sim_.now() + event.duration;
       const double rate = event.probability;
+      // The step holds itself weakly and each pending tick strongly, so it
+      // is freed after its last tick instead of keeping itself alive.
       const auto step = std::make_shared<std::function<void()>>();
-      *step = [this, rng, end, rate, step]() {
+      *step = [this, rng, end, rate, self = std::weak_ptr(step)]() {
         for (std::uint64_t g = 1; g <= topology_.max_guid; ++g) {
           if (rng->uniform(0.0, 1.0) >= rate) continue;
           const common::Guid mh{g};
@@ -184,7 +186,7 @@ void ScheduleDriver::apply(const FaultEvent& event) {
           ++events_applied_;
         }
         if (sim_.now() + kChurnTick <= end) {
-          sim_.schedule_after(kChurnTick, [step] { (*step)(); });
+          sim_.schedule_after(kChurnTick, [next = self.lock()] { (*next)(); });
         }
       };
       (*step)();
@@ -254,13 +256,6 @@ Fixture build_fixture(const AdversarialConfig& cfg, net::Network& network,
       fx.rgb = std::make_unique<core::RgbSystem>(
           network, config,
           core::HierarchyLayout{cfg.tiers, cfg.ring_size});
-      // Sharded conformance runs: the simulator was already split into
-      // ring_size logical shards (before anything was scheduled); mirror
-      // that split onto the hierarchy/network/obs before the first probe
-      // event exists. RGB-only — the baseline protocols stay serial.
-      if (cfg.sharded) {
-        fx.rgb->configure_shards(static_cast<std::uint32_t>(cfg.ring_size));
-      }
       fx.rgb->start_probing();
       fx.service = fx.rgb.get();
       fx.model = std::make_unique<RgbModel>(*fx.rgb, &truth);
@@ -343,12 +338,6 @@ CheckRunResult run_schedule(const AdversarialConfig& cfg,
   sim::Simulator simulator;
   net::LinkConfig link;
   link.latency = net::LatencyModel::uniform(sim::msec(1), sim::msec(3));
-  if (cfg.protocol == Protocol::kRgb && cfg.sharded) {
-    // Epoch = the minimum cross-shard link latency (the conservative
-    // lookahead bound); must precede any scheduling.
-    simulator.configure_shards(static_cast<std::uint32_t>(cfg.ring_size),
-                               link.latency.min_delay());
-  }
   net::Network network{simulator, rng.fork("net"), link};
 
   GroundTruth truth;

@@ -112,11 +112,6 @@ struct AdversarialConfig {
   /// Fault classes for random generation; counts are filled from the
   /// topology by random_schedule_for.
   ScheduleGenConfig gen;
-  /// RGB only: false = classic serial run. true = sharded run — the
-  /// simulator splits into ring_size logical shards (fixed by topology,
-  /// one per tier-0 region), so the fuzz profiles exercise the sharded
-  /// kernel's handoff/merge paths.
-  bool sharded = false;
   /// Dump the complete retained flight ring into CheckRunResult even when
   /// the run passes (rgb_fuzz --flight-full). Like everything else in the
   /// result, the dump is byte-identical across replays.

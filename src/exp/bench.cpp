@@ -89,15 +89,6 @@ ScaleStats run_scale_trial_impl(const ScaleConfig& config, bool timed,
                                 std::ostream* trace_out) {
   common::RngStream rng{config.seed};
   sim::Simulator simulator;
-  // Sharded trial: one logical shard per tier-0 region (= ring_size), with
-  // the epoch window set to the minimum cross-shard link latency so every
-  // cross-shard message lands beyond the window it was sent in. Configured
-  // before anything schedules.
-  const auto shard_count = static_cast<std::uint32_t>(config.ring_size);
-  if (config.sharded) {
-    simulator.configure_shards(shard_count,
-                               net::LinkConfig{}.latency.min_delay());
-  }
   net::Network network{simulator, rng.fork("net")};
   core::RgbConfig rgb_config;
   rgb_config.probe_period = kProbePeriod;
@@ -105,7 +96,6 @@ ScaleStats run_scale_trial_impl(const ScaleConfig& config, bool timed,
   rgb_config.groups = config.groups;
   core::RgbSystem sys{network, rgb_config,
                       core::HierarchyLayout{config.tiers, config.ring_size}};
-  if (config.sharded) sys.configure_shards(shard_count);
   // Spans flip on before any traffic so every op gets a complete causal
   // tree.
   sys.obs().tracer.set_spans_enabled(config.spans);
@@ -141,16 +131,9 @@ ScaleStats run_scale_trial_impl(const ScaleConfig& config, bool timed,
   const auto& aps = sys.aps();
   for (std::uint64_t i = 0; i < config.members; ++i) {
     const auto ap = aps[i % aps.size()];
-    auto join = [&sys, ap, i]() { sys.join(common::Guid{i + 1}, ap); };
-    if (config.sharded) {
-      // Joins land directly on the joining AP's home shard, so the surge
-      // runs inside the shard windows instead of as a million global
-      // events.
-      simulator.schedule_on(sys.shard_of(ap), config.join_spacing * i,
-                            std::move(join));
-    } else {
-      simulator.schedule_at(config.join_spacing * i, std::move(join));
-    }
+    simulator.schedule_at(config.join_spacing * i, [&sys, ap, i]() {
+      sys.join(common::Guid{i + 1}, ap);
+    });
   }
   // The join window is timed (it feeds the join-events/s headline), so its
   // samples skip the O(NE*N) divergence walk just like the steady window's;
@@ -333,8 +316,10 @@ OscillationStats run_oscillation_trial(bool stability, std::uint64_t seed) {
   const auto churn_rng =
       std::make_shared<common::RngStream>(rng.fork("churn"));
   std::vector<bool> live(kMembers, true);
+  // The step holds itself weakly and each pending tick strongly, so it is
+  // freed after its last tick instead of keeping itself alive.
   const auto step = std::make_shared<std::function<void()>>();
-  *step = [&, churn_rng, window_end, step]() {
+  *step = [&, churn_rng, window_end, self = std::weak_ptr(step)]() {
     for (std::uint64_t i = 0; i < kMembers; ++i) {
       if (churn_rng->uniform(0.0, 1.0) >= 0.02) continue;
       const common::Guid mh{i + 1};
@@ -352,7 +337,8 @@ OscillationStats run_oscillation_trial(bool stability, std::uint64_t seed) {
       ++stats.churn_events;
     }
     if (simulator.now() + sim::msec(100) <= window_end) {
-      simulator.schedule_after(sim::msec(100), [step] { (*step)(); });
+      simulator.schedule_after(sim::msec(100),
+                               [next = self.lock()] { (*next)(); });
     }
   };
   (*step)();
@@ -446,7 +432,6 @@ void write_multigroup_json(const ScaleConfig& base,
      << "  \"steady_ticks\": " << base.steady_ticks << ",\n"
      << "  \"join_spacing_us\": " << base.join_spacing << ",\n"
      << "  \"seed\": " << base.seed << ",\n"
-     << "  \"sharded\": " << (base.sharded ? "true" : "false") << ",\n"
      << "  \"cells\": [\n";
   for (std::size_t i = 0; i < stats.size(); ++i) {
     const ScaleStats& s = stats[i];
@@ -542,7 +527,6 @@ void write_bench_json(const ScaleConfig& base,
      << "  \"steady_ticks\": " << base.steady_ticks << ",\n"
      << "  \"join_spacing_us\": " << base.join_spacing << ",\n"
      << "  \"seed\": " << base.seed << ",\n"
-     << "  \"sharded\": " << (base.sharded ? "true" : "false") << ",\n"
      << "  \"cells\": [\n";
   for (std::size_t i = 0; i < stats.size(); ++i) {
     const ScaleStats& s = stats[i];

@@ -50,11 +50,6 @@ struct ScaleConfig {
   /// Steady-state measurement window, in probe periods.
   int steady_ticks = 10;
   std::uint64_t seed = 0xBE7C4ULL;
-  /// false = classic serial trial. true = sharded trial: the hierarchy
-  /// splits into ring_size logical shards (one per tier-0 region)
-  /// advancing in epoch windows; the trajectory is a function of the
-  /// *logical* shard count (i.e. of ring_size).
-  bool sharded = false;
   /// Causal-span recording (OpTracer spans) on for the trial. Off by default
   /// so the perf trajectory measures the protocol, not the tracer; the
   /// spans A/B sweep (SweepModes::spans_ab) quantifies the overhead.

@@ -30,9 +30,6 @@ class LatencyModel {
   /// Draws one delay sample.
   [[nodiscard]] sim::Duration sample(common::RngStream& rng) const;
 
-  /// The minimum possible delay of the model (used by tests).
-  [[nodiscard]] sim::Duration min_delay() const { return a_; }
-
  private:
   enum class Kind : std::uint8_t { kFixed, kUniform, kShiftedExp };
 

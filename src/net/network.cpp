@@ -2,46 +2,13 @@
 
 #include <algorithm>
 #include <cassert>
-#include <string>
 #include <utility>
 
 namespace rgb::net {
 
 Network::Network(sim::Simulator& simulator, common::RngStream rng,
                  LinkConfig default_link)
-    : sim_(simulator),
-      base_rng_(std::move(rng)),
-      default_link_(default_link),
-      rngs_{base_rng_} {}
-
-void Network::configure_shards(std::uint32_t count) {
-  assert(count >= 1);
-  assert(metrics_.sent == 0 && metrics_.dropped_src_crash == 0 &&
-         "configure_shards before any traffic");
-  rngs_.clear();
-  if (count == 1) {
-    // Serial: the base stream itself, byte-identical to the unsharded path.
-    rngs_.push_back(base_rng_);
-    return;
-  }
-  for (std::uint32_t i = 0; i < count; ++i) {
-    rngs_.push_back(base_rng_.fork("shard" + std::to_string(i)));
-  }
-}
-
-void Network::assign_shard(NodeId id, std::uint32_t shard) {
-  assert(shard < rngs_.size());
-  nodes_[id].shard = shard;
-}
-
-std::uint32_t Network::shard_of(NodeId id) const {
-  return record_of(id).shard;
-}
-
-common::RngStream& Network::rng() {
-  const std::uint32_t s = sim::current_executing_shard();
-  return rngs_[s < rngs_.size() ? s : 0];
-}
+    : sim_(simulator), rng_(std::move(rng)), default_link_(default_link) {}
 
 const Network::Node Network::kNoRecord{};
 
@@ -153,19 +120,17 @@ void Network::send(Envelope env) {
     if (tap_) tap_(env, false);
     return;
   }
-  common::RngStream& draws = rng();
-  if (link.drop_probability > 0.0 && draws.chance(link.drop_probability)) {
+  if (link.drop_probability > 0.0 && rng_.chance(link.drop_probability)) {
     ++metrics_.dropped_loss;
     if (tap_) tap_(env, false);
     return;
   }
 
-  const sim::Duration delay = link.latency.sample(draws);
+  const sim::Duration delay = link.latency.sample(rng_);
   const sim::Time sent_at = sim_.now();
 
   auto deliver = [this, env = std::move(env), sent_at, src = &src,
                   dst = &dst]() {
-    // Runs inside the destination's shard window (or the serial loop).
     // Re-check at delivery time: the destination may have crashed, a
     // partition may have formed, or the endpoint may have detached while
     // the message was in flight. The checks are ordered early-returns so a
@@ -200,12 +165,9 @@ void Network::send(Envelope env) {
     }
   };
 
-  // Route to the destination's home shard (shard 0 serially); same-shard
-  // sends take the direct path, cross-shard ones ride the barrier outbox
-  // (the link latency >= epoch contract keeps them beyond the current
-  // window). An absolute time keeps deliveries in the kernel's heap: each
-  // sampled latency would make a timer lane of its own.
-  sim_.schedule_on(dst.shard, sent_at + delay, std::move(deliver));
+  // An absolute time keeps deliveries in the kernel's heap: each sampled
+  // latency would make a timer lane of its own.
+  sim_.schedule_at(sent_at + delay, std::move(deliver));
 }
 
 }  // namespace rgb::net

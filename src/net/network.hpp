@@ -11,8 +11,8 @@
 //   * metering: messages sent/delivered/dropped, bytes, per-kind counters —
 //     this is what the scalability benches read to count "message hops".
 //
-// All per-node state is one record per node id (Network::Node), written
-// only between shard windows and never erased.
+// All per-node state is one record per node id (Network::Node), never
+// erased.
 #pragma once
 
 #include <cstdint>
@@ -50,9 +50,8 @@ class TraceHooks {
   /// sender). May stamp env.trace / env.span; the delivery closure and
   /// taps see the stamped envelope.
   virtual void on_send(Envelope& env, sim::Time now) = 0;
-  /// Wraps the endpoint's deliver call at delivery time, inside the
-  /// destination's shard window. The hook must invoke
-  /// `endpoint.deliver(env)` exactly once.
+  /// Wraps the endpoint's deliver call at delivery time. The hook must
+  /// invoke `endpoint.deliver(env)` exactly once.
   virtual void on_deliver(const Envelope& env, sim::Time now,
                           Endpoint& endpoint) = 0;
 };
@@ -133,20 +132,6 @@ class Network {
   /// crashed. Loss/partition/crash checks happen per the rules above.
   void send(Envelope env);
 
-  // --- sharding ------------------------------------------------------------
-
-  /// Splits the loss/latency RNG into `count` per-shard streams (stream i
-  /// forked from the base stream as "shard<i>"); a send draws from the
-  /// stream of the shard executing it, so each shard's draws are its own
-  /// whatever its siblings send. Call before any traffic, paired with the
-  /// simulator's configure_shards.
-  void configure_shards(std::uint32_t count);
-
-  /// Homes `id` on `shard`: its message deliveries execute inside that
-  /// shard's windows. Unassigned nodes live on shard 0.
-  void assign_shard(NodeId id, std::uint32_t shard);
-  [[nodiscard]] std::uint32_t shard_of(NodeId id) const;
-
   // --- fault injection -----------------------------------------------------
 
   /// Crashes a node: it stops sending and receiving until `recover`.
@@ -206,7 +191,6 @@ class Network {
   struct Node {
     Endpoint* endpoint = nullptr;  ///< nullptr once detached
     int partition = 0;
-    std::uint32_t shard = 0;
     std::optional<sim::Time> crashed_at;  ///< set while crashed
     std::vector<Link> links;              ///< sorted by peer
   };
@@ -217,15 +201,11 @@ class Network {
   /// The node's record, or kNoRecord.
   [[nodiscard]] const Node& record_of(NodeId id) const;
   [[nodiscard]] const LinkConfig& link_from(const Node& a, NodeId b) const;
-  /// The RNG stream of the shard the calling thread executes (stream 0
-  /// outside any shard context, and always in serial mode).
-  [[nodiscard]] common::RngStream& rng();
 
   sim::Simulator& sim_;
-  common::RngStream base_rng_;  ///< the per-shard streams fork from this
+  common::RngStream rng_;  ///< loss and latency draws
   LinkConfig default_link_;
   std::unordered_map<NodeId, Node> nodes_;  ///< node-based: stable addresses
-  std::vector<common::RngStream> rngs_;     ///< one per shard
   Metrics metrics_;
   Tap tap_;
   Sizer sizer_;

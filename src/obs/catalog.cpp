@@ -25,7 +25,8 @@ std::vector<Row> catalog_rows() {
   for (const auto& field : core::kRgbMetricFields) {
     rows.push_back({field.name, "counter", field.description});
   }
-  // Gauges: a sharded network merges its stripes on each metrics() read.
+  // Gauges: Network::reset_metrics() zeroes these totals, as the scale
+  // bench does between its phases, so a read can fall.
   for (const auto& field : net::kNetMetricFields) {
     rows.push_back({field.name, "gauge", field.description});
   }

@@ -1,6 +1,5 @@
 // The bounded ring behind both OpTracer record streams (flight events and
-// causal spans), and the one merge that reads per-shard rings back as a
-// single deterministic stream.
+// causal spans).
 #pragma once
 
 #include <algorithm>
@@ -43,6 +42,14 @@ class BoundedRing {
     return items_[(next_ + i) % items_.size()];
   }
 
+  /// Every retained entry, oldest to newest.
+  [[nodiscard]] std::vector<T> items() const {
+    std::vector<T> out;
+    out.reserve(items_.size());
+    for (std::size_t i = 0; i < items_.size(); ++i) out.push_back((*this)[i]);
+    return out;
+  }
+
  private:
   std::vector<T> items_;
   std::size_t capacity_;
@@ -50,23 +57,5 @@ class BoundedRing {
   std::size_t next_ = 0;  ///< overwrite cursor once full
   std::uint64_t recorded_ = 0;
 };
-
-/// Reads the `ring` of every stripe oldest-to-newest and merges them by
-/// (time `at`, stripe index, record order). Concatenating the stripes in
-/// index order and sorting stably by time alone yields exactly that order.
-/// Each stripe is written only from its shard's windows, so the result is
-/// a function of the logical shard count.
-template <typename T, typename Stripe>
-[[nodiscard]] std::vector<T> merge_by_time(const std::vector<Stripe>& stripes,
-                                           BoundedRing<T> Stripe::*ring) {
-  std::vector<T> out;
-  for (const Stripe& s : stripes) {
-    const BoundedRing<T>& r = s.*ring;
-    for (std::size_t i = 0; i < r.size(); ++i) out.push_back(r[i]);
-  }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const T& lhs, const T& rhs) { return lhs.at < rhs.at; });
-  return out;
-}
 
 }  // namespace rgb::obs

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "sim/simulator.hpp"
-
 namespace rgb::obs {
 
 const char* to_string(FlightKind kind) {
@@ -111,18 +109,9 @@ const char* to_string(SpanKind kind) {
   return "?";
 }
 
-void OpTracer::configure_shards(std::uint32_t count) {
-  stripes_ = std::vector<Stripe>(count == 0 ? 1 : count);
-}
-
-OpTracer::Stripe& OpTracer::stripe() {
-  const std::uint32_t s = sim::current_executing_shard();
-  return stripes_[s < stripes_.size() ? s : 0];
-}
-
 void OpTracer::record(sim::Time at, common::NodeId ne, FlightKind kind,
                       std::uint64_t a, std::uint64_t b) {
-  stripe().flight.push(FlightEvent{at, ne, kind, a, b});
+  flight_.push(FlightEvent{at, ne, kind, a, b});
 }
 
 std::uint64_t OpTracer::record_span(sim::Time at, common::NodeId ne,
@@ -130,22 +119,14 @@ std::uint64_t OpTracer::record_span(sim::Time at, common::NodeId ne,
                                     std::uint64_t parent, std::uint64_t a,
                                     std::uint64_t b) {
   if (!spans_enabled_) return 0;
-  Stripe& st = stripe();
-  // Stripe index in the high bits keeps ids unique across stripes without
-  // shared state; both halves are deterministic (the stripe executing a
-  // given event is its logical shard).
-  const auto stripe_idx = static_cast<std::uint64_t>(&st - stripes_.data());
-  const std::uint64_t id = ((stripe_idx + 1) << 40) | ++st.last_span_id;
-  st.spans.push(Span{at, ne, kind, id, parent, trace, a, b});
+  const std::uint64_t id = kSpanIdBase | ++last_span_id_;
+  spans_.push(Span{at, ne, kind, id, parent, trace, a, b});
   return id;
 }
 
-OpTracer::Context OpTracer::current() { return stripe().ctx; }
-
 OpTracer::Context OpTracer::exchange(Context next) {
-  Stripe& st = stripe();
-  const Context prev = st.ctx;
-  st.ctx = next;
+  const Context prev = ctx_;
+  ctx_ = next;
   return prev;
 }
 
@@ -181,35 +162,24 @@ void OpTracer::on_op_applied(const core::MembershipOp& op, common::NodeId at,
   // RGB fixture) carry born == 0 with a non-zero apply tick; a stamp is
   // only trustworthy when it is <= now.
   if (op.born > now) return;
-  Stripe& st = stripe();
   const auto latency = static_cast<double>(now - op.born);
-  st.latency.dissemination[static_cast<std::size_t>(op.kind)].add(latency);
-  if (op.kind == core::OpKind::kMemberJoin && tier == 0) {
-    // First root-tier apply per uid = the join became visible "at root".
-    // Sharded: every root-tier NE applies the join eventually, and root
-    // NEs of one ring live on different shards — per-stripe dedup alone
-    // would record the sample once per shard. Each uid therefore has one
-    // designated recording stripe (uid mod shard count): exactly one
-    // sample per join, picked deterministically.
-    const auto stripe_idx = static_cast<std::size_t>(&st - stripes_.data());
-    if (stripes_.size() > 1 && op.uid % stripes_.size() != stripe_idx) {
-      return;
-    }
-    if (st.joins_seen_at_root.insert(op.uid)) {
-      st.latency.join_latency.add(latency);
-    }
+  dissemination_[static_cast<std::size_t>(op.kind)].add(latency);
+  // First root-tier apply per uid = the join became visible "at root".
+  if (op.kind == core::OpKind::kMemberJoin && tier == 0 &&
+      joins_seen_at_root_.insert(op.uid)) {
+    join_latency_.add(latency);
   }
 }
 
 void OpTracer::on_member_detected(common::Guid mh, common::NodeId detector,
                                   sim::Duration latency, sim::Time now) {
-  stripe().latency.member_detection.add(static_cast<double>(latency));
+  member_detection_.add(static_cast<double>(latency));
   record(now, detector, FlightKind::kDetectMemberFail, mh.value(), latency);
 }
 
 void OpTracer::on_ne_detected(common::NodeId ne, common::NodeId detector,
                               sim::Duration latency, sim::Time now) {
-  stripe().latency.ne_detection.add(static_cast<double>(latency));
+  ne_detection_.add(static_cast<double>(latency));
   record(now, detector, FlightKind::kDetectNeFail, ne.value(), latency);
 }
 
@@ -236,46 +206,20 @@ void OpTracer::on_deliver(const net::Envelope& env, sim::Time now,
   if (!spans_enabled_) {
     // Default-on profile path: the handler, then one array bump.
     endpoint.deliver(env);
-    ++stripe().handled[slot];
+    ++handled_[slot];
     return;
   }
   // Traced path: the handler span parents under the envelope's send span
   // (0 for untraced traffic) and becomes the causal context for sends and
   // applies inside the handler. Deliveries never nest — every message is
   // re-delivered through a scheduled event — so a single save/restore
-  // scope per stripe is sound.
+  // scope is sound.
   const std::uint64_t handler =
       record_span(now, env.dst, SpanKind::kHandler, env.trace, env.span,
                   env.kind, env.src.value());
   const Scope scope{*this, Context{env.trace, handler}};
   endpoint.deliver(env);
-  ++stripe().handled[slot];
-}
-
-std::vector<FlightEvent> OpTracer::flight_events() const {
-  return merge_by_time(stripes_, &Stripe::flight);
-}
-
-std::vector<Span> OpTracer::spans() const {
-  return merge_by_time(stripes_, &Stripe::spans);
-}
-
-template <typename T>
-OpTracer::RingCounts OpTracer::counts(BoundedRing<T> Stripe::*ring) const {
-  RingCounts out;
-  for (const Stripe& s : stripes_) {
-    out.recorded += (s.*ring).recorded();
-    out.dropped += (s.*ring).dropped();
-  }
-  return out;
-}
-
-OpTracer::RingCounts OpTracer::flight_counts() const {
-  return counts(&Stripe::flight);
-}
-
-OpTracer::RingCounts OpTracer::span_counts() const {
-  return counts(&Stripe::spans);
+  ++handled_[slot];
 }
 
 std::string OpTracer::flight_tail(std::size_t max_events) const {
@@ -299,36 +243,6 @@ std::string OpTracer::flight_tail(std::size_t max_events) const {
   return os.str();
 }
 
-const common::Histogram& OpTracer::merged(common::Histogram Latency::*member,
-                                          common::Histogram& cache) const {
-  if (stripes_.size() == 1) return stripes_[0].latency.*member;
-  cache = common::Histogram{};
-  for (const Stripe& s : stripes_) cache.merge(s.latency.*member);
-  return cache;
-}
-
-const common::Histogram& OpTracer::dissemination(core::OpKind kind) const {
-  const auto k = static_cast<std::size_t>(kind);
-  if (stripes_.size() == 1) return stripes_[0].latency.dissemination[k];
-  merge_cache_.dissemination[k] = common::Histogram{};
-  for (const Stripe& s : stripes_) {
-    merge_cache_.dissemination[k].merge(s.latency.dissemination[k]);
-  }
-  return merge_cache_.dissemination[k];
-}
-
-const common::Histogram& OpTracer::join_latency() const {
-  return merged(&Latency::join_latency, merge_cache_.join_latency);
-}
-
-const common::Histogram& OpTracer::member_detection() const {
-  return merged(&Latency::member_detection, merge_cache_.member_detection);
-}
-
-const common::Histogram& OpTracer::ne_detection() const {
-  return merged(&Latency::ne_detection, merge_cache_.ne_detection);
-}
-
 common::Histogram OpTracer::merged_member_dissemination() const {
   common::Histogram merged;
   for (const core::OpKind kind :
@@ -339,19 +253,9 @@ common::Histogram OpTracer::merged_member_dissemination() const {
   return merged;
 }
 
-OpTracer::HandledPerKind OpTracer::handled_per_kind() const {
-  HandledPerKind out{};
-  for (const Stripe& s : stripes_) {
-    for (std::size_t k = 0; k < kMaxMessageKinds; ++k) out[k] += s.handled[k];
-  }
-  return out;
-}
-
 std::uint64_t OpTracer::handled_total() const {
   std::uint64_t total = 0;
-  for (const Stripe& s : stripes_) {
-    for (const std::uint64_t n : s.handled) total += n;
-  }
+  for (const std::uint64_t n : handled_) total += n;
   return total;
 }
 

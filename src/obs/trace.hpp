@@ -27,21 +27,16 @@
 // counts the delivery and, with spans on, wraps the handler in a causal
 // scope. Spans off, every hook costs one branch.
 //
-// Causality is threaded through a per-stripe context {trace, span}: an op
-// birth installs {uid, root span} around the send chain it triggers (token
+// Causality is threaded through one context {trace, span}: an op birth
+// installs {uid, root span} around the send chain it triggers (token
 // request -> grant -> token hops), and a delivery installs {env.trace,
 // handler span} around the handler, so sends and applies inside it parent
-// under the handler span. Shard windows execute one event at a time per
-// shard and deliveries never nest, so one save/restore slot per stripe
-// suffices.
+// under the handler span. The simulator executes one event at a time and
+// deliveries never nest, so one save/restore slot suffices.
 //
-// Determinism: all values are sim-time microseconds. Sharded trials
-// (configure_shards) give every shard its own stripe, written only from
-// that shard's windows. Span ids carry the stripe index in their high
-// bits. Reads merge the stripes in shard order — the rings by (time,
-// stripe, record order), the histograms and counts by summing — so every
-// output is a function of the logical shard count alone and repeats
-// byte for byte across replays. The view-change counter stays shared.
+// Determinism: all values are sim-time microseconds, and every record is
+// appended in event order, so every output repeats byte for byte across
+// replays.
 #pragma once
 
 #include <array>
@@ -138,8 +133,8 @@ inline constexpr std::size_t kOpKindCount = 7;
 
 class OpTracer final : public net::TraceHooks {
  public:
-  /// Per-stripe ring capacities. Spans are ~4x denser than flight events
-  /// (every traced hop records one), so their ring is deeper.
+  /// Ring capacities. Spans are ~4x denser than flight events (every
+  /// traced hop records one), so their ring is deeper.
   static constexpr std::size_t kFlightCapacity = 4096;
   static constexpr std::size_t kSpanCapacity = 1 << 15;
   /// Fixed per-kind delivery-count slots (message kinds top out at 41
@@ -176,11 +171,7 @@ class OpTracer final : public net::TraceHooks {
     Context prev_;
   };
 
-  /// One stripe per shard, paired with the simulator's configure_shards.
-  /// Call before anything records.
-  void configure_shards(std::uint32_t count);
-
-  /// Appends one event to the executing stripe's flight ring.
+  /// Appends one event to the flight ring.
   void record(sim::Time at, common::NodeId ne, FlightKind kind,
               std::uint64_t a = 0, std::uint64_t b = 0);
 
@@ -197,8 +188,8 @@ class OpTracer final : public net::TraceHooks {
                             std::uint64_t trace, std::uint64_t parent,
                             std::uint64_t a, std::uint64_t b);
 
-  /// The executing stripe's context ({0, 0} outside any causal scope).
-  [[nodiscard]] Context current();
+  /// The executing context ({0, 0} outside any causal scope).
+  [[nodiscard]] Context current() const { return ctx_; }
 
   /// The originating NE stamped `op.born` and is about to disseminate it.
   /// Records the birth and opens the op's causal trace (trace id = uid,
@@ -237,34 +228,42 @@ class OpTracer final : public net::TraceHooks {
   void on_deliver(const net::Envelope& env, sim::Time now,
                   net::Endpoint& endpoint) override;
 
-  /// Flight events / spans merged oldest-to-newest by (time, stripe,
-  /// record order).
-  [[nodiscard]] std::vector<FlightEvent> flight_events() const;
-  [[nodiscard]] std::vector<Span> spans() const;
-  [[nodiscard]] RingCounts flight_counts() const;
-  [[nodiscard]] RingCounts span_counts() const;
+  /// Retained flight events / spans, oldest to newest.
+  [[nodiscard]] std::vector<FlightEvent> flight_events() const {
+    return flight_.items();
+  }
+  [[nodiscard]] std::vector<Span> spans() const { return spans_.items(); }
+  [[nodiscard]] RingCounts flight_counts() const { return counts(flight_); }
+  [[nodiscard]] RingCounts span_counts() const { return counts(spans_); }
 
   /// The newest `max_events` flight events (0 = all retained),
   /// oldest-to-newest, one line each, under a header noting how many
   /// earlier events are not shown.
   [[nodiscard]] std::string flight_tail(std::size_t max_events = 0) const;
 
-  /// Histogram references stay valid until the next accessor call on the
-  /// same instrument: sharded tracers merge stripes into an internal cache
-  /// on each read (serial tracers hand out the live histogram directly).
   [[nodiscard]] const common::Histogram& dissemination(
-      core::OpKind kind) const;
+      core::OpKind kind) const {
+    return dissemination_[static_cast<std::size_t>(kind)];
+  }
   /// All member-op classes merged into one histogram (for summary export).
   [[nodiscard]] common::Histogram merged_member_dissemination() const;
-  [[nodiscard]] const common::Histogram& join_latency() const;
-  [[nodiscard]] const common::Histogram& member_detection() const;
-  [[nodiscard]] const common::Histogram& ne_detection() const;
+  [[nodiscard]] const common::Histogram& join_latency() const {
+    return join_latency_;
+  }
+  [[nodiscard]] const common::Histogram& member_detection() const {
+    return member_detection_;
+  }
+  [[nodiscard]] const common::Histogram& ne_detection() const {
+    return ne_detection_;
+  }
   [[nodiscard]] const common::Counter& view_changes() const {
     return view_changes_;
   }
 
   /// Delivery handler invocations per message kind / in total.
-  [[nodiscard]] HandledPerKind handled_per_kind() const;
+  [[nodiscard]] const HandledPerKind& handled_per_kind() const {
+    return handled_;
+  }
   [[nodiscard]] std::uint64_t handled_total() const;
 
  private:
@@ -273,40 +272,29 @@ class OpTracer final : public net::TraceHooks {
   /// one join sample; memory stays bounded on million-member runs.
   static constexpr std::size_t kJoinDedupCap = 1 << 16;
 
-  struct Latency {
-    std::array<common::Histogram, kOpKindCount> dissemination;
-    common::Histogram join_latency;
-    common::Histogram member_detection;
-    common::Histogram ne_detection;
-  };
+  /// The n-th span's id is kSpanIdBase | n. Span ids appear in the trace
+  /// exports, so the offset stays: it keeps every exported id unchanged.
+  static constexpr std::uint64_t kSpanIdBase = std::uint64_t{1} << 40;
 
-  /// One shard's share of every instrument, written only while its shard
-  /// executes.
-  struct Stripe {
-    BoundedRing<FlightEvent> flight{kFlightCapacity, kFlightCapacity};
-    BoundedRing<Span> spans{kSpanCapacity, 256};
-    std::uint64_t last_span_id = 0;
-    Context ctx;
-    Latency latency;
-    common::BoundedIdSet joins_seen_at_root{kJoinDedupCap};
-    HandledPerKind handled{};
-  };
-
-  /// The stripe of the shard the calling thread executes (stripe 0
-  /// outside any shard context, and always in serial mode).
-  [[nodiscard]] Stripe& stripe();
-  /// Installs `next` as the stripe context, returning the previous one.
+  /// Installs `next` as the context, returning the previous one.
   Context exchange(Context next);
-  [[nodiscard]] const common::Histogram& merged(
-      common::Histogram Latency::*member, common::Histogram& cache) const;
   template <typename T>
-  [[nodiscard]] RingCounts counts(BoundedRing<T> Stripe::*ring) const;
+  [[nodiscard]] static RingCounts counts(const BoundedRing<T>& ring) {
+    return RingCounts{ring.recorded(), ring.dropped()};
+  }
 
   bool spans_enabled_ = false;
   common::Counter view_changes_;
-  std::vector<Stripe> stripes_ = std::vector<Stripe>(1);
-  /// Merge targets for the sharded accessors (see the accessor contract).
-  mutable Latency merge_cache_;
+  BoundedRing<FlightEvent> flight_{kFlightCapacity, kFlightCapacity};
+  BoundedRing<Span> spans_{kSpanCapacity, 256};
+  std::uint64_t last_span_id_ = 0;
+  Context ctx_;
+  std::array<common::Histogram, kOpKindCount> dissemination_;
+  common::Histogram join_latency_;
+  common::Histogram member_detection_;
+  common::Histogram ne_detection_;
+  common::BoundedIdSet joins_seen_at_root_{kJoinDedupCap};
+  HandledPerKind handled_{};
 };
 
 }  // namespace rgb::obs

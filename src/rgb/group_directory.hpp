@@ -8,8 +8,8 @@
 // The directory is a routing facade, not a protocol layer: probe ticks,
 // token rounds, alerts/stability, reconcile and failure detection all stay
 // per-link in NetworkEntity — they just read and write group-scoped state
-// through here. Iteration is gid-ascending everywhere (std::map), which is
-// what keeps sharded runs byte-identical.
+// through here. Iteration is gid-ascending everywhere (std::map), so a run
+// never depends on hash order.
 //
 // The cross-group aggregates a probe tick or an op intake reads (combined
 // digest, entry count, queue occupancy, MQ counters) are kept up to date at

@@ -45,59 +45,6 @@ RgbSystem::RgbSystem(net::Network& network, RgbConfig config,
 
 RgbSystem::~RgbSystem() { network_.set_trace_hooks(nullptr); }
 
-void RgbSystem::configure_shards(std::uint32_t count) {
-  assert(count >= 1);
-  assert(network_.simulator().shard_count() == count &&
-         "configure the simulator's shards (count + epoch) first");
-  network_.configure_shards(count);
-  obs_.tracer.configure_shards(count);
-
-  // Region rule: tier-0 node at flattened position p anchors region p;
-  // a tier-t ring (t >= 1) with index ridx hangs transitively under
-  // position ridx / r^(t-1), so all its members join that region. Regions
-  // map round-robin onto shards.
-  {
-    std::uint32_t p = 0;
-    for (const auto& ring : tiers_.front()) {
-      for (const NodeId id : ring) network_.assign_shard(id, p++ % count);
-    }
-  }
-  std::uint64_t rings_per_region = 1;
-  for (int tier = 1; tier < layout_.ring_tiers; ++tier) {
-    const auto& rings = tiers_[static_cast<std::size_t>(tier)];
-    for (std::size_t ridx = 0; ridx < rings.size(); ++ridx) {
-      const auto shard =
-          static_cast<std::uint32_t>((ridx / rings_per_region) % count);
-      for (const NodeId id : rings[ridx]) network_.assign_shard(id, shard);
-    }
-    rings_per_region *= static_cast<std::uint64_t>(layout_.ring_size);
-  }
-}
-
-std::uint32_t RgbSystem::shard_of(NodeId id) const {
-  return network_.shard_of(id);
-}
-
-void RgbSystem::with_entity_shard(NodeId id,
-                                  const std::function<void()>& fn) {
-  sim::Simulator& simulator = network_.simulator();
-  if (!simulator.is_sharded()) {
-    fn();
-    return;
-  }
-  const std::uint32_t home = network_.shard_of(id);
-  if (sim::in_shard_context()) {
-    // Already executing inside a shard window (e.g. a join scheduled onto
-    // its AP's home shard): the context must match — entity state is owned
-    // by its home shard.
-    assert(sim::current_executing_shard() == home &&
-           "facade entity call from a foreign shard's window");
-    fn();
-    return;
-  }
-  simulator.run_as(home, fn);
-}
-
 namespace {
 NeRole role_for_tier(int tier, int tiers) {
   if (tier == 0) return NeRole::kBorderRouter;
@@ -169,11 +116,9 @@ void RgbSystem::join(Guid mh, NodeId ap) {
   attachments_[mh] = ap;
   // One wireless attachment, one membership op per subscribed group: the
   // facade mirrors what a multi-group MobileHost sends over its link.
-  with_entity_shard(ap, [&] {
-    for (const GroupId gid : member_groups(mh, config_)) {
-      ne->local_member_join(gid, mh);
-    }
-  });
+  for (const GroupId gid : member_groups(mh, config_)) {
+    ne->local_member_join(gid, mh);
+  }
 }
 
 void RgbSystem::leave(Guid mh) {
@@ -183,11 +128,9 @@ void RgbSystem::leave(Guid mh) {
   NetworkEntity* ne = entity(ap);
   attachments_.erase(it);
   if (ne != nullptr) {
-    with_entity_shard(ap, [&] {
-      for (const GroupId gid : member_groups(mh, config_)) {
-        ne->local_member_leave(gid, mh);
-      }
-    });
+    for (const GroupId gid : member_groups(mh, config_)) {
+      ne->local_member_leave(gid, mh);
+    }
   }
 }
 
@@ -199,11 +142,9 @@ void RgbSystem::handoff(Guid mh, NodeId new_ap) {
   NetworkEntity* ne = entity(new_ap);
   assert(ne != nullptr && "handoff to unknown AP");
   it->second = new_ap;
-  with_entity_shard(new_ap, [&] {
-    for (const GroupId gid : member_groups(mh, config_)) {
-      ne->local_member_handoff_in(gid, mh, old_ap);
-    }
-  });
+  for (const GroupId gid : member_groups(mh, config_)) {
+    ne->local_member_handoff_in(gid, mh, old_ap);
+  }
 }
 
 void RgbSystem::fail(Guid mh) {
@@ -214,11 +155,9 @@ void RgbSystem::fail(Guid mh) {
   attachments_.erase(it);
   // The failure is detected and reported at the member's access proxy.
   if (ne != nullptr) {
-    with_entity_shard(ap, [&] {
-      for (const GroupId gid : member_groups(mh, config_)) {
-        ne->local_member_fail(gid, mh);
-      }
-    });
+    for (const GroupId gid : member_groups(mh, config_)) {
+      ne->local_member_fail(gid, mh);
+    }
   }
 }
 
@@ -306,9 +245,7 @@ void RgbSystem::crash_ne(NodeId id) { network_.crash(id); }
 void RgbSystem::recover_ne(NodeId id) { network_.recover(id); }
 
 void RgbSystem::start_probing() {
-  for (const auto& ne : entities_) {
-    with_entity_shard(ne->id(), [&] { ne->start_probing(); });
-  }
+  for (const auto& ne : entities_) ne->start_probing();
 }
 
 std::vector<proto::MemberRecord> RgbSystem::expected_membership() const {

@@ -48,23 +48,6 @@ class RgbSystem : public proto::MembershipService {
 
   ~RgbSystem() override;
 
-  // --- sharding ------------------------------------------------------------
-
-  /// Splits the system across `count` logical shards. Each tier-0 node (by
-  /// flattened ring position) anchors a *region* — itself plus the subtree
-  /// of rings transitively hanging under it — and regions are assigned
-  /// round-robin over shards, so intra-ring traffic below tier 0 stays
-  /// shard-local and only tier-0 token/notify hops cross shards. Also
-  /// splits the network's RNG and the obs instruments per shard. Call
-  /// after construction, after the simulator's own configure_shards, and
-  /// before any traffic. Facade calls from outside shard contexts are
-  /// wrapped in run_as(home shard); a facade join may also run inside a
-  /// window, scheduled on the joining AP's home shard (schedule_on).
-  void configure_shards(std::uint32_t count);
-
-  /// Home shard of an NE (0 when unsharded).
-  [[nodiscard]] std::uint32_t shard_of(NodeId id) const;
-
   // --- MembershipService -----------------------------------------------------
 
   void join(Guid mh, NodeId ap) override;
@@ -168,10 +151,6 @@ class RgbSystem : public proto::MembershipService {
 
  private:
   void build();
-  /// Runs `fn` in `id`'s home-shard context (so events it schedules — retx
-  /// timers, probe ticks — land on, and are cancellable from, that shard).
-  /// Inside a shard window this asserts the context already matches.
-  void with_entity_shard(NodeId id, const std::function<void()>& fn);
 
   net::Network& network_;
   RgbConfig config_;

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "check/check.hpp"
 #include "exp/exp.hpp"
@@ -62,14 +64,60 @@ FaultSchedule unhealed_partition_schedule() {
       "at 3s join mh 9 ap 2\n");
 }
 
+/// A crash, a partition and a handoff of member 1 from AP index 0 to AP
+/// index 7 (an AP ring under another tier-0 node), then recovery and
+/// heal, so post-heal reconciliation runs too.
+FaultSchedule cross_region_schedule() {
+  return parse_schedule(
+      "schedule cross-region\n"
+      "at 1s crash ne 5\n"
+      "at 2s partition ne 0 1\n"
+      "at 3s handoff mh 1 ap 7\n"
+      "at 4s recover ne 5\n"
+      "at 5s heal\n");
+}
+
+/// Every mode at once on 100 members: stability with churn windows,
+/// 4 groups, snapshot joins and partitions beside the default crashes,
+/// bursts and handoffs.
+AdversarialConfig all_modes_profile() {
+  AdversarialConfig cfg;
+  cfg.initial_members = 100;
+  cfg.settle = sim::sec(10);
+  cfg.stability = true;
+  cfg.gen.churn = true;
+  cfg.groups = 4;
+  cfg.snapshot_join = true;
+  cfg.gen.partitions = true;
+  return cfg;
+}
+
 TEST(ScheduleReplay, SameSeedAndScheduleGiveIdenticalResults) {
-  const AdversarialConfig cfg = small_config();
-  const FaultSchedule schedule = random_schedule_for(cfg, 7);
-  const CheckRunResult a = run_schedule(cfg, schedule, 7);
-  const CheckRunResult b = run_schedule(cfg, schedule, 7);
-  EXPECT_EQ(a.report.format(), b.report.format());
-  EXPECT_EQ(a.events_applied, b.events_applied);
-  EXPECT_EQ(a.messages_sent, b.messages_sent);
+  struct Input {
+    AdversarialConfig cfg;
+    FaultSchedule schedule;
+    std::uint64_t seed;
+  };
+  std::vector<Input> inputs{
+      {small_config(), random_schedule_for(small_config(), 7), 7},
+      {small_config(), cross_region_schedule(), 11}};
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    inputs.push_back(
+        {all_modes_profile(), random_schedule_for(all_modes_profile(), seed),
+         seed});
+  }
+  for (const Input& in : inputs) {
+    const CheckRunResult a = run_schedule(in.cfg, in.schedule, in.seed);
+    const CheckRunResult b = run_schedule(in.cfg, in.schedule, in.seed);
+    const std::string where = in.schedule.id + " seed " +
+                              std::to_string(in.seed);
+    EXPECT_EQ(a.report.format(), b.report.format()) << where;
+    EXPECT_EQ(a.events_applied, b.events_applied) << where;
+    EXPECT_EQ(a.messages_sent, b.messages_sent) << where;
+  }
+  // The cross-region schedule heals before quiescence: it converges.
+  EXPECT_TRUE(run_schedule(small_config(), cross_region_schedule(), 11)
+                  .passed());
 }
 
 TEST(ScheduleReplay, FormerlyViolatingPartitionSeedNowConverges) {

@@ -1,5 +1,5 @@
 // bench.multigroup determinism and sublinearity: the deterministic
-// (timed=false) sharded artifact must be byte-identical from run to run,
+// (timed=false) artifact must be byte-identical from run to run,
 // every cell must converge with zero per-group divergence, and the
 // steady-state kViewSync bytes per link per tick must stay flat as the
 // group count grows (the kSummary push-pull keeps the steady frame O(1) in
@@ -18,7 +18,7 @@
 namespace rgb::exp {
 namespace {
 
-ScaleConfig small_base(bool sharded) {
+ScaleConfig small_base() {
   ScaleConfig base;
   base.ring_size = 3;
   base.join_spacing = sim::usec(200);
@@ -26,31 +26,29 @@ ScaleConfig small_base(bool sharded) {
   base.members = 20;  // per group
   base.warmup_ticks = 4;
   base.steady_ticks = 4;
-  base.sharded = sharded;
   return base;
 }
 
-std::string sharded_multigroup_json() {
+std::string multigroup_json() {
   std::ostringstream log, json;
-  const auto cells = run_multigroup_sweep(small_base(true), {1, 6}, log,
-                                          /*timed=*/false);
+  const auto cells =
+      run_multigroup_sweep(small_base(), {1, 6}, log, /*timed=*/false);
   EXPECT_TRUE(all_multigroup_clean(cells));
-  write_multigroup_json(small_base(true), cells, json);
+  write_multigroup_json(small_base(), cells, json);
   return json.str();
 }
 
 TEST(MultigroupBench, ArtifactByteIdenticalOnASecondRun) {
-  const std::string first = sharded_multigroup_json();
+  const std::string first = multigroup_json();
   EXPECT_NE(first.find("\"bench\": \"bench_multigroup\""),
             std::string::npos);
-  EXPECT_NE(first.find("\"sharded\": true"), std::string::npos);
-  EXPECT_EQ(sharded_multigroup_json(), first);
+  EXPECT_EQ(multigroup_json(), first);
 }
 
 TEST(MultigroupBench, SteadyBytesPerLinkStayFlatInGroupCount) {
   std::ostringstream log;
   const auto cells =
-      run_multigroup_sweep(small_base(false), {1, 8}, log, /*timed=*/false);
+      run_multigroup_sweep(small_base(), {1, 8}, log, /*timed=*/false);
   ASSERT_EQ(cells.size(), 2u);
   ASSERT_TRUE(all_multigroup_clean(cells));
   const ScaleStats& g1 = cells[0];
@@ -68,7 +66,7 @@ TEST(MultigroupBench, SteadyBytesPerLinkStayFlatInGroupCount) {
 // over the join surge, then one per warm-up and one per steady tick, with
 // divergence sampled in the untimed warm-up alone.
 TEST(MultigroupBench, SeriesCsvCoversEveryPhase) {
-  const ScaleConfig base = small_base(false);
+  const ScaleConfig base = small_base();
   std::ostringstream log, csv;
   const auto cells = run_multigroup_sweep(base, {4}, log, /*timed=*/false);
   ASSERT_EQ(cells.size(), 1u);
@@ -94,7 +92,7 @@ TEST(MultigroupBench, SeriesCsvCoversEveryPhase) {
 }
 
 TEST(MultigroupBench, TrialReportsPerGroupConvergence) {
-  ScaleConfig config = small_base(true);
+  ScaleConfig config = small_base();
   config.groups = 5;
   config.members = 5 * 20;
   const ScaleStats stats = run_scale_trial(config, /*timed=*/false);

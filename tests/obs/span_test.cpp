@@ -1,7 +1,6 @@
 // Causal spans: the tracer's span semantics (off by default, contexts), the
 // single-connected-tree invariant for every traced op, and byte-identity
-// of the Chrome trace export across runs of a sharded cross-shard handoff
-// schedule.
+// of the Chrome trace export across runs of a join and handoff schedule.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -53,10 +52,9 @@ TEST(OpTracerSpans, ScopeInstallsAndRestoresContext) {
   EXPECT_EQ(tracer.current().trace, 0u);
 }
 
-/// One sharded RGB run with spans on: members join round-robin over the
-/// APs (cross-shard dissemination), then a batch of members hand off to an
-/// AP one region over (cross-shard handoffs). Returns the Chrome trace
-/// export plus the merged span list.
+/// One RGB run with spans on: members join round-robin over the APs, then
+/// a batch of members hand off to an AP under another tier-0 node. Returns
+/// the Chrome trace export plus the span list.
 struct TracedRun {
   std::string chrome;
   std::vector<Span> spans;
@@ -66,13 +64,10 @@ struct TracedRun {
 TracedRun run_handoff_trial() {
   common::RngStream rng{7};
   sim::Simulator simulator;
-  constexpr std::uint32_t kShards = 3;
-  simulator.configure_shards(kShards, net::LinkConfig{}.latency.min_delay());
   net::Network network{simulator, rng.fork("net")};
   core::RgbConfig config;
   config.probe_period = sim::msec(100);
   core::RgbSystem sys{network, config, core::HierarchyLayout{2, 3}};
-  sys.configure_shards(kShards);
   sys.obs().tracer.set_spans_enabled(true);
 
   const std::vector<common::NodeId>& aps = sys.aps();
@@ -82,20 +77,15 @@ TracedRun run_handoff_trial() {
     simulator.schedule_at(sim::msec(10) * i,
                           [&sys, ap, i]() { sys.join(common::Guid{i}, ap); });
   }
-  // Handoffs jump a full tier-0 region so the leave/join op pair crosses a
-  // shard boundary (asserted below — the schedule exists to exercise the
-  // cross-shard hop merge).
-  const std::size_t region_stride = aps.size() / kShards;
-  bool crossed = false;
+  // Handoffs move a member to the same position in the next AP ring, which
+  // hangs under another tier-0 node.
+  const std::size_t ring_stride = aps.size() / 3;
   for (std::uint64_t i = 1; i <= 4; ++i) {
-    const common::NodeId from = aps[i % aps.size()];
-    const common::NodeId to = aps[(i + region_stride) % aps.size()];
-    crossed = crossed || sys.shard_of(from) != sys.shard_of(to);
+    const common::NodeId to = aps[(i + ring_stride) % aps.size()];
     simulator.schedule_at(
         sim::msec(400) + sim::msec(20) * i,
         [&sys, to, i]() { sys.handoff(common::Guid{i}, to); });
   }
-  EXPECT_TRUE(crossed);
   sys.start_probing();
   simulator.run_until(sim::sec(3));
 
@@ -108,9 +98,9 @@ TracedRun run_handoff_trial() {
   return out;
 }
 
-/// The acceptance schedule: the exported trace is a function of the
-/// logical shard count and the seed — byte-identical on a second run.
-TEST(SpanShardedDeterminism, HandoffTraceByteIdenticalOnASecondRun) {
+/// The exported trace is a function of the seed: byte-identical on a
+/// second run.
+TEST(SpanDeterminism, HandoffTraceByteIdenticalOnASecondRun) {
   const TracedRun first = run_handoff_trial();
   EXPECT_FALSE(first.chrome.empty());
   EXPECT_EQ(run_handoff_trial().chrome, first.chrome);
@@ -121,9 +111,9 @@ TEST(SpanShardedDeterminism, HandoffTraceByteIdenticalOnASecondRun) {
 
 /// Every traced op's parent links form a single connected tree: exactly
 /// one root (the kOpRoot with parent 0), every other span's parent
-/// recorded within the same trace. Parents always precede children in the
-/// merged order, so parent-resolution + unique root implies connectivity.
-TEST(SpanShardedDeterminism, ParentLinksFormOneConnectedTreePerOp) {
+/// recorded within the same trace. Parents always precede children in
+/// record order, so parent-resolution + unique root implies connectivity.
+TEST(SpanDeterminism, ParentLinksFormOneConnectedTreePerOp) {
   const TracedRun run = run_handoff_trial();
   ASSERT_EQ(run.dropped, 0u) << "ring overflow would sever parent links";
   ASSERT_FALSE(run.spans.empty());

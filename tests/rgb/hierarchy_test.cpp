@@ -324,24 +324,18 @@ TEST_F(HierarchyTest, ExpectedMembershipTracksFacadeCalls) {
   EXPECT_FALSE(sys.ap_of(common::Guid{1}).valid());
 }
 
-// A guid re-joins through an AP homed on another shard, both joins
-// scheduled onto their AP's home shard so that they run inside shard
-// windows: the facade keeps the one record of the latest AP, as it does
-// when the same joins run as global events between windows.
-TEST_F(HierarchyTest, ReJoinInsideShardWindowsKeepsOneRecord) {
-  constexpr std::uint32_t kShards = 3;
-  simulator_.configure_shards(kShards, sim::msec(1));
+// A guid re-joins through an AP under another tier-0 node, both joins
+// running as scheduled events: the facade keeps the one record of the
+// latest AP, and every view agrees with it.
+TEST_F(HierarchyTest, ReJoinAtAnotherApKeepsOneRecord) {
   auto& sys = build(2, 3);
-  sys.configure_shards(kShards);
   const common::Guid mh{42};
   const NodeId first = sys.aps()[0];
   const NodeId second = sys.aps()[3];
   ASSERT_EQ(first, NodeId{4});
   ASSERT_EQ(second, NodeId{7});
-  ASSERT_EQ(sys.shard_of(first), 0u);
-  ASSERT_EQ(sys.shard_of(second), 1u);
-  simulator_.schedule_on(0, sim::msec(1), [&] { sys.join(mh, first); });
-  simulator_.schedule_on(1, sim::msec(500), [&] { sys.join(mh, second); });
+  simulator_.schedule_at(sim::msec(1), [&] { sys.join(mh, first); });
+  simulator_.schedule_at(sim::msec(500), [&] { sys.join(mh, second); });
   run_all();
   EXPECT_EQ(sys.ap_of(mh), second);
   EXPECT_EQ(sys.expected_membership().size(), 1u);

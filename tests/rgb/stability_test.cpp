@@ -3,13 +3,16 @@
 // alert retraction, the bounded stability-timeout fallback that preserves
 // the single-observer liveness bound, batched silent-member flushes on the
 // MH detection path, a deadline cut that waits on its verifications
-// without a timer, and a peer's repair consuming pending evidence.
+// without a timer, a peer's repair consuming pending evidence, and a
+// token-retx alert that completes a cut.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "check/check.hpp"
 #include "rgb/mobile_host.hpp"
 #include "test_util.hpp"
 
@@ -304,6 +307,29 @@ TEST_F(StabilityTest, PeerRepairConsumesPendingAlert) {
             0);
   EXPECT_EQ(pings, 0u) << "no observer or aggregator pings a repaired NE";
 }
+
+/// The `rgb_fuzz --churn 1 --stability 1` seeds at which a token hop's
+/// retx timeout files an alert that completes a cut at the aggregating
+/// leader on the spot. The cut reroutes that very hop and erases its
+/// entry, so the retransmission must look the hop up again rather than
+/// resend through the freed one. Without the re-lookup seeds 35 and 67
+/// crash a Release build, and the sanitizer build, which runs this suite,
+/// flags all four.
+class RetxAlertThatCompletesACut
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(RetxAlertThatCompletesACut, FuzzSeedPasses) {
+  check::AdversarialConfig cfg;
+  cfg.stability = true;
+  cfg.gen.churn = true;
+  const std::uint64_t seed = GetParam();
+  const check::CheckRunResult result =
+      check::run_schedule(cfg, check::random_schedule_for(cfg, seed), seed);
+  EXPECT_TRUE(result.passed()) << result.report.format();
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RetxAlertThatCompletesACut,
+                         ::testing::Values(35, 36, 40, 67));
 
 }  // namespace
 }  // namespace rgb::core

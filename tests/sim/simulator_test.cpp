@@ -265,59 +265,6 @@ TEST(Simulator, TimerLanesFireInReferenceOrder) {
   EXPECT_GT(fired.size(), 5000u);
 }
 
-/// Lane timers on 4 shards: each shard runs three self-re-arming timers at
-/// fixed delays, arms and cancels a retransmission-style timer on every
-/// tick, and hands a short timer chain to the next shard every third round
-/// (2 epochs out, within the lookahead contract). Each fire appends to its
-/// shard's own trace.
-std::vector<std::vector<std::pair<Time, int>>> run_lane_shards() {
-  constexpr std::uint32_t kShards = 4;
-  constexpr Duration kPeriods[] = {usec(250), usec(700), msec(1)};
-  Simulator s;
-  s.configure_shards(kShards, msec(1));
-  std::vector<std::vector<std::pair<Time, int>>> trace(kShards);
-  std::vector<EventId> retx(kShards);
-  std::function<void(int, int)> tick = [&](int timer, int round) {
-    const std::uint32_t shard = current_executing_shard();
-    trace[shard].emplace_back(s.now(), timer);
-    s.cancel(retx[shard]);
-    retx[shard] = s.schedule_after(msec(5), [&trace, shard, &s] {
-      trace[shard].emplace_back(s.now(), -1);
-    });
-    if (round >= 40) return;
-    s.schedule_after(kPeriods[timer % 3],
-                     [&tick, timer, round] { tick(timer, round + 1); });
-    if (timer < 3 && round % 3 == 0) {
-      s.schedule_on((shard + 1) % kShards, s.now() + msec(2),
-                    [&tick, timer, round] { tick(timer + 3, round + 1); });
-    }
-  };
-  for (std::uint32_t shard = 0; shard < kShards; ++shard) {
-    for (int timer = 0; timer < 3; ++timer) {
-      s.schedule_on(shard, msec(1) + usec(shard * 111 + timer * 37),
-                    [&tick, timer] { tick(timer, 0); });
-    }
-  }
-  s.run();
-  EXPECT_EQ(s.pending_events(), 0u);
-  return trace;
-}
-
-TEST(Simulator, ShardedLaneTimersRepeatOnASecondRun) {
-  const auto first = run_lane_shards();
-  for (const auto& t : first) {
-    EXPECT_GT(t.size(), 200u);
-    EXPECT_TRUE(std::is_sorted(t.begin(), t.end(),
-                               [](const auto& a, const auto& b) {
-                                 return a.first < b.first;
-                               }));
-    EXPECT_EQ(std::count_if(t.begin(), t.end(),
-                            [](const auto& e) { return e.second == -1; }),
-              1);  // only the last tick's retransmission timer survives
-  }
-  EXPECT_EQ(run_lane_shards(), first);
-}
-
 TEST(Simulator, PurgeKeepsOrderingAndCancelSemantics) {
   // A purge rebuilds the heap mid-flight; ordering, cancellation and
   // pending counts must be unaffected.

@@ -7,15 +7,14 @@
 //                             [--check]
 //   rgb_exp bench [--members N[,N...]] [--join dissem|snapshot|both]
 //                 [--tiers H] [--ring R] [--steady-ticks K] [--seed S]
-//                 [--warmup-ticks K] [--join-spacing US] [--sharded]
-//                 [--json PATH|-] [--smoke] [--series PATH|-] [--detect]
-//                 [--oscillation] [--deterministic] [--spans-ab]
+//                 [--warmup-ticks K] [--join-spacing US] [--json PATH|-]
+//                 [--smoke] [--series PATH|-] [--detect] [--oscillation]
+//                 [--deterministic] [--spans-ab]
 //                 [--multigroup [--groups G[,G...]] [--group-members M]]
 //                 (--multigroup rejects --members, --join, --detect,
 //                 --oscillation and --spans-ab)
-//   rgb_exp trace [--members N] [--tiers H] [--ring R] [--sharded]
-//                 [--seed S] [--steady-ticks K] [--warmup-ticks K]
-//                 [--out PATH|-]
+//   rgb_exp trace [--members N] [--tiers H] [--ring R] [--seed S]
+//                 [--steady-ticks K] [--warmup-ticks K] [--out PATH|-]
 //   rgb_exp metrics --catalog
 //
 // Every number is decimal digits: no sign, no space, no 0x prefix, and a
@@ -165,8 +164,6 @@ int usage(const char* argv0, int code, const std::string& command = "") {
        << "  --warmup-ticks K  probe ticks of pre-window warm-up (default 10)\n"
        << "  --join-spacing US  virtual us between member arrivals\n"
        << "                 (default 500)\n"
-       << "  --sharded      sharded trial: one logical shard per tier-0\n"
-       << "                 region, advancing in epoch windows\n"
        << "  --seed S       trial seed (default 780228 = 0xBE7C4)\n"
        << "  --json PATH    write the BENCH json artifact ('-' for stdout)\n"
        << "  --smoke        bounded CI profile (members=200, both join modes)\n"
@@ -195,11 +192,10 @@ int usage(const char* argv0, int code, const std::string& command = "") {
   }
   if (shows("trace")) {
     os << "trace options (causal-span Chrome trace export; spans forced on,\n"
-       << "untimed; without --sharded it runs the serial trial, whose trace\n"
-       << "differs from the sharded one):\n"
+       << "untimed):\n"
        << "  --members N    members to join (default 2000)\n"
-       << "  --tiers H / --ring R / --sharded / --seed S  as for bench\n"
-       << "  --steady-ticks K / --warmup-ticks K          as for bench\n"
+       << "  --tiers H / --ring R / --seed S      as for bench\n"
+       << "  --steady-ticks K / --warmup-ticks K  as for bench\n"
        << "  --out PATH     trace JSON destination (default '-': stdout);\n"
        << "                 load it in Perfetto or chrome://tracing\n";
   }
@@ -227,8 +223,6 @@ int run_trace(int argc, char** argv) {
       config.tiers = next_arg_in<int>(argc, argv, i, arg, 1);
     } else if (arg == "--ring") {
       config.ring_size = next_arg_in<int>(argc, argv, i, arg, 1);
-    } else if (arg == "--sharded") {
-      config.sharded = true;
     } else if (arg == "--seed") {
       config.seed = next_u64();
     } else if (arg == "--steady-ticks") {
@@ -328,8 +322,6 @@ int run_bench(int argc, char** argv) {
     } else if (arg == "--join-spacing") {
       base.join_spacing = next_u64();
       saw_spacing = true;
-    } else if (arg == "--sharded") {
-      base.sharded = true;
     } else if (arg == "--seed") {
       base.seed = next_u64();
       saw_seed = true;

@@ -5,12 +5,11 @@
 //            [--tiers H] [--ring R] [--members M] [--groups G] [--events E]
 //            [--crashes 0|1] [--partitions 0|1] [--bursts 0|1]
 //            [--handoffs 0|1] [--churn 0|1] [--stability 0|1]
-//            [--snapshot-join 0|1] [--mask BITS] [--sharded 0|1]
+//            [--snapshot-join 0|1] [--mask BITS]
 //            [--schedule FILE] [--quiet] [--flight-full]
 //
-// --groups, --stability, --snapshot-join and --sharded shape the RGB
-// fixture only: beside another --proto they are a usage error, in any
-// argument order.
+// --groups, --stability and --snapshot-join shape the RGB fixture only:
+// beside another --proto they are a usage error, in any argument order.
 //
 // For each seed in [start, start+N) the tool generates a random fault
 // schedule, replays it against the chosen protocol, and runs the invariant
@@ -88,8 +87,6 @@ int usage(const char* argv0, int code) {
      << "  --stability B  RGB: multi-observer cut detection (default 0)\n"
      << "  --snapshot-join B  RGB: snapshot bulk-join mode (default 0) —\n"
      << "                 the lossy-surge snapshot-join conformance profile\n"
-     << "  --sharded B    RGB: run the sharded kernel, one logical shard\n"
-     << "                 per tier-0 region (default 0 = serial)\n"
      << "  --mask BITS    invariant mask, 1-63 (default 63, all; see\n"
      << "                 EXPERIMENTS.md)\n"
      << "  --schedule F   replay schedule file F under seed --start (not\n"
@@ -169,8 +166,6 @@ int main(int argc, char** argv) {
         cfg.stability = in_range<bool>(arg, next_u64());
       } else if (arg == "--snapshot-join") {
         cfg.snapshot_join = in_range<bool>(arg, next_u64());
-      } else if (arg == "--sharded") {
-        cfg.sharded = in_range<bool>(arg, next_u64());
       } else if (arg == "--mask") {
         cfg.check_mask =
             in_range<unsigned>(arg, next_u64(), 1, rgb::exp::kCheckAll);
@@ -190,7 +185,7 @@ int main(int argc, char** argv) {
     }
     if (rgb_only_flag.empty() &&
         (arg == "--groups" || arg == "--stability" ||
-         arg == "--snapshot-join" || arg == "--sharded")) {
+         arg == "--snapshot-join")) {
       rgb_only_flag = arg;
     }
     if (arg != "--seeds" && arg != "--start" && arg != "--quiet" &&
