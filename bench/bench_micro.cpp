@@ -14,6 +14,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <numeric>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -147,20 +148,25 @@ core::GroupDirectory populated_directory(std::uint64_t groups) {
 
 /// query_mix's reads: 30 NEs x 100 groups = 3,000 tables of 160 records,
 /// filled round-robin as its joins arrive (guid g joins group g % 100 on
-/// every NE), so each table's fill is interleaved with every other's. Each
-/// iteration snapshots a pseudo-random table, mostly cold in cache.
+/// every NE), so each table's fill is interleaved with every other's. The
+/// guids arrive in a seeded shuffle: on query_mix a table's records reach
+/// it out of guid order, so a snapshot sorts them. Each iteration
+/// snapshots a pseudo-random table, mostly cold in cache.
 void BM_MemberTableSnapshotCold(benchmark::State& state) {
   constexpr std::uint64_t kGroups = 100;
   constexpr std::uint64_t kNes = 30;
   constexpr std::uint64_t kRecords = 160;
   std::vector<core::MemberTable> tables(kNes * kGroups);
-  for (std::uint64_t guid = 1; guid <= kGroups * kRecords; ++guid) {
+  std::vector<std::uint64_t> guids(kGroups * kRecords);
+  std::iota(guids.begin(), guids.end(), 1);
+  common::RngStream rng{7};
+  rng.shuffle(guids);
+  for (const std::uint64_t guid : guids) {
     const core::MembershipOp op = directory_join(1, guid, guid);
     for (std::uint64_t ne = 0; ne < kNes; ++ne) {
       tables[ne * kGroups + guid % kGroups].apply(op);
     }
   }
-  common::RngStream rng{7};
   for (auto _ : state) {
     benchmark::DoNotOptimize(tables[rng.next_below(tables.size())].snapshot());
   }
