@@ -389,6 +389,13 @@ bool GroupDirectory::contains(Guid guid) const {
   return false;
 }
 
+std::vector<MemberRecord> GroupDirectory::group_snapshot(GroupId gid) {
+  const auto it = groups_.find(gid);
+  if (it == groups_.end()) return {};
+  it->second.table.index_order();
+  return it->second.table.snapshot();
+}
+
 std::vector<MemberRecord> GroupDirectory::merged_snapshot() const {
   return merged_view(groups_,
                      [](const MemberTable& tab) { return tab.snapshot(); });

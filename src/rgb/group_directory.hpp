@@ -16,7 +16,7 @@
 // the directory's own mutation points, so those reads cost O(1) however
 // many groups the directory serves. Every table write goes through apply /
 // import_all / import_and_diff / clear; there is deliberately no mutable
-// table accessor (bucket_digests only indexes a table's buckets).
+// table accessor (bucket_digests and group_snapshot only index a table).
 #pragma once
 
 #include <cstdint>
@@ -133,6 +133,13 @@ class GroupDirectory {
 
   /// True when any group's table holds a record for `guid`.
   [[nodiscard]] bool contains(Guid guid) const;
+
+  /// Operational members of group `gid`, guid-sorted (none when the
+  /// directory lacks it) — what a group-scoped query answers. The group's
+  /// table keeps its guid order from then on (MemberTable::index_order), so
+  /// the answer walks it instead of sorting; no entry, digest or
+  /// change_count() moves.
+  std::vector<MemberRecord> group_snapshot(GroupId gid);
 
   /// Operational members across every group, deduplicated by guid and
   /// guid-sorted — the pre-v4 "merged view" a group-less query answers.

@@ -5,6 +5,7 @@
 #include <map>
 #include <sstream>
 
+#include "rgb/query.hpp"
 #include "wire/metering.hpp"
 
 namespace rgb::core {
@@ -164,18 +165,16 @@ void RgbSystem::fail(Guid mh) {
 std::vector<proto::MemberRecord> RgbSystem::membership(
     proto::QueryScheme scheme) const {
   const QueryPlan plan = query_plan(scheme);
-  MemberTable combined;
+  MemberUnion combined;
   for (const NodeId target : plan.targets) {
     const NetworkEntity* ne = entity(target);
     if (ne == nullptr || network_.is_crashed(target)) continue;
     // Merged across every group the NE serves, deduplicated by guid: the
     // scheme comparison asks "who is in the system", not "who is in group
     // g" — issue_group() on the query client answers the latter.
-    for (const auto& rec : ne->directory().merged_snapshot()) {
-      if (!combined.find(rec.guid)) combined.upsert(rec);
-    }
+    combined.add(ne->directory().merged_snapshot());
   }
-  return combined.snapshot();
+  return combined.take();
 }
 
 // --------------------------------------------------------------------------

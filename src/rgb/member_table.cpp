@@ -152,13 +152,6 @@ bool MemberTable::apply(const MembershipOp& op) {
   return import({&entry, 1}, nullptr);
 }
 
-void MemberTable::upsert(const MemberRecord& rec) {
-  auto [entry, inserted] = emplace(rec.guid);
-  if (!inserted) flip(entry);
-  entry.record = rec;
-  flip(entry);
-}
-
 std::optional<MemberRecord> MemberTable::find(Guid guid) const {
   const Entry* entry = find_entry(guid);
   if (entry == nullptr) return std::nullopt;
@@ -187,14 +180,35 @@ std::uint64_t MemberTable::claim_of(Guid guid) const {
   return entry == nullptr ? 0 : entry->claim_seq;
 }
 
+void MemberTable::index_order() {
+  const auto kept = static_cast<std::ptrdiff_t>(order_.size());
+  for (std::size_t pos = order_.size(); pos < entries_.size(); ++pos) {
+    order_.push_back(static_cast<std::uint32_t>(pos));
+  }
+  const auto appended = order_.begin() + kept;
+  if (appended == order_.end()) return;
+  const auto by_guid_at = [this](std::uint32_t a, std::uint32_t b) {
+    return entries_[a].record.guid < entries_[b].record.guid;
+  };
+  std::sort(appended, order_.end(), by_guid_at);
+  if (kept != 0 && by_guid_at(*appended, *(appended - 1))) {
+    std::inplace_merge(order_.begin(), appended, order_.end(), by_guid_at);
+  }
+}
+
 std::vector<MemberRecord> MemberTable::snapshot() const {
   std::vector<MemberRecord> out;
   out.reserve(entries_.size());
-  for (const Entry& entry : entries_) {
+  const auto keep = [&out](const Entry& entry) {
     if (entry.record.status == MemberStatus::kOperational) {
       out.push_back(entry.record);
     }
+  };
+  if (order_.size() == entries_.size()) {
+    for (const std::uint32_t pos : order_) keep(entries_[pos]);
+    return out;
   }
+  for (const Entry& entry : entries_) keep(entry);
   std::sort(out.begin(), out.end(), by_record_guid);
   return out;
 }
@@ -334,6 +348,7 @@ void MemberTable::clear() {
   std::fill(index_.begin(), index_.end(), kFree);
   digest_ = 0;
   std::vector<Bucket>().swap(buckets_);
+  std::vector<std::uint32_t>().swap(order_);
 }
 
 }  // namespace rgb::core

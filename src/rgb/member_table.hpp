@@ -14,7 +14,10 @@
 // token round's ops arrive in near-ascending guid order and land in
 // neighbouring slots, and one group's strided guids still spread over the
 // whole index. A position is 4 bytes, which caps a table at 2^32 - 1
-// records (insertion past that throws std::length_error).
+// records (insertion past that throws std::length_error). A table that
+// answers queries also keeps its records' guid order, as positions
+// (index_order): a query's snapshot walks it instead of sorting, and a
+// refresh sorts only the records appended since the last one.
 #pragma once
 
 #include <array>
@@ -149,11 +152,6 @@ class MemberTable {
   /// changed. NE ops are ignored (tables track mobile hosts only).
   bool apply(const MembershipOp& op);
 
-  /// Direct record insertion that bypasses sequencing: the record lands
-  /// whatever it replaces, keeping the guid's seq and claim (0 for a new
-  /// guid). Query fan-in uses it to union replies.
-  void upsert(const MemberRecord& rec);
-
   [[nodiscard]] std::optional<MemberRecord> find(Guid guid) const;
   /// Record, seq and claim epoch in one probe — the reaffirmation /
   /// reconcile hot path reads all three per attached member per tick, and
@@ -171,6 +169,8 @@ class MemberTable {
   [[nodiscard]] bool empty() const { return entries_.empty(); }
 
   /// Operational members only, sorted by GUID for deterministic comparison.
+  /// Walks the kept guid order when it covers every record (index_order),
+  /// else copies the records and sorts them.
   [[nodiscard]] std::vector<MemberRecord> snapshot() const;
 
   /// Members currently attached to `ap`, sorted by GUID.
@@ -223,6 +223,14 @@ class MemberTable {
   /// Each bucket's digest: O(kBucketCount) once indexed, else one pass.
   [[nodiscard]] BucketHashes bucket_digests() const;
 
+  /// Starts keeping the records' guid order, 4 bytes a record, and brings
+  /// it up to date: the positions appended since the last call are sorted
+  /// and merged in. Until the next append, snapshot() walks the order.
+  /// Only a table that answers queries calls this
+  /// (GroupDirectory::group_snapshot). Idempotent; no entry, digest or
+  /// answer changes.
+  void index_order();
+
   /// The hash one entry contributes to the digest (exposed for tests that
   /// need to predict or collide digests).
   [[nodiscard]] static std::uint64_t entry_hash(const MemberRecord& record,
@@ -231,8 +239,8 @@ class MemberTable {
 
   friend bool operator==(const MemberTable& a, const MemberTable& b);
 
-  /// Empties the table and drops its bucket state; the index keeps its
-  /// size for the refill.
+  /// Empties the table and drops its bucket state and its guid order; the
+  /// index keeps its size for the refill.
   void clear();
 
  private:
@@ -286,6 +294,9 @@ class MemberTable {
   /// never takes part in a bucket-level exchange (every small group, and
   /// every group that is never probed) carries no bucket state.
   std::vector<Bucket> buckets_;
+  /// entries_ positions in guid order, covering the first order_.size()
+  /// records: empty until index_order(), which extends it to all of them.
+  std::vector<std::uint32_t> order_;
 };
 
 }  // namespace rgb::core

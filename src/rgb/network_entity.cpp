@@ -1230,15 +1230,9 @@ void NetworkEntity::handle_query(const QueryRequestMsg& msg, NodeId from) {
   // Group-scoped queries (v4) answer from that group's table alone; a
   // group-less query keeps the pre-v4 meaning — every member this NE
   // knows, deduplicated across groups.
-  std::vector<MemberRecord> members;
-  if (msg.gid.valid()) {
-    if (const MemberTable* tab = dir_.table_if(msg.gid)) {
-      members = tab->snapshot();
-    }
-  } else {
-    members = dir_.merged_snapshot();
-  }
-  QueryReplyMsg reply{msg.query_id, std::move(members)};
+  QueryReplyMsg reply{msg.query_id, msg.gid.valid()
+                                        ? dir_.group_snapshot(msg.gid)
+                                        : dir_.merged_snapshot()};
   const auto reply_bytes = wire_size(reply);
   send(reply_to, kind::kQueryReply, std::move(reply), reply_bytes);
 }

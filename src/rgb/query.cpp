@@ -1,9 +1,52 @@
 #include "rgb/query.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <utility>
 
 namespace rgb::core {
+
+namespace {
+bool by_guid(const MemberRecord& a, const MemberRecord& b) {
+  return a.guid < b.guid;
+}
+}  // namespace
+
+void MemberUnion::add(std::span<const MemberRecord> view) {
+  std::vector<MemberRecord> sorted;
+  const auto not_ascending = [](const MemberRecord& a, const MemberRecord& b) {
+    return !by_guid(a, b);
+  };
+  if (std::adjacent_find(view.begin(), view.end(), not_ascending) !=
+      view.end()) {
+    sorted.assign(view.begin(), view.end());
+    std::stable_sort(sorted.begin(), sorted.end(), by_guid);
+    sorted.erase(std::unique(sorted.begin(), sorted.end(),
+                             [](const MemberRecord& a, const MemberRecord& b) {
+                               return a.guid == b.guid;
+                             }),
+                 sorted.end());
+    view = sorted;
+  }
+  if (records_.empty()) {
+    records_.assign(view.begin(), view.end());
+    return;
+  }
+  // On a shared guid std::set_union copies the first range's element: the
+  // earlier replies' record stays.
+  merged_.clear();
+  std::set_union(records_.begin(), records_.end(), view.begin(), view.end(),
+                 std::back_inserter(merged_), by_guid);
+  records_.swap(merged_);
+}
+
+std::vector<MemberRecord> MemberUnion::take() {
+  std::erase_if(records_, [](const MemberRecord& rec) {
+    return rec.status != MemberStatus::kOperational;
+  });
+  return std::exchange(records_, {});
+}
 
 QueryClient::QueryClient(NodeId id, net::Network& network)
     : proto::Process(id, network) {}
@@ -22,7 +65,6 @@ void QueryClient::issue_group(const QueryPlan& plan, GroupId gid,
   expected_replies_ = plan.targets.size();
   pending_result_ = Result{};
   pending_result_.targets = plan.targets.size();
-  collected_.clear();
   on_done_ = std::move(on_done);
 
   if (plan.targets.empty()) {
@@ -46,9 +88,7 @@ void QueryClient::deliver(const net::Envelope& env) {
 
   ++pending_result_.messages;
   ++pending_result_.replies;
-  for (const MemberRecord& rec : reply.members) {
-    if (!collected_.find(rec.guid)) collected_.upsert(rec);
-  }
+  collected_.add(reply.members);
   if (pending_result_.replies >= expected_replies_) finish(true);
 }
 
@@ -57,7 +97,7 @@ void QueryClient::finish(bool complete) {
   active_query_ = 0;
   pending_result_.complete = complete;
   pending_result_.latency = now() - issued_at_;
-  pending_result_.members = collected_.snapshot();
+  pending_result_.members = collected_.take();
   if (on_done_) {
     auto cb = std::move(on_done_);
     on_done_ = nullptr;

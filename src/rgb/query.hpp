@@ -5,19 +5,38 @@
 // bottommost AP-ring leader), unions the replies and reports cost metrics
 // (messages and latency), which is exactly the trade-off the paper
 // discusses: TMS queries are cheap but maintenance is expensive; BMS the
-// reverse.
+// reverse. Each reply arrives guid-sorted (MemberTable::snapshot), so the
+// union is a sorted merge (MemberUnion), the same rule the systems'
+// membership() applies to their query targets' views.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "proto/process.hpp"
-#include "rgb/member_table.hpp"
 #include "rgb/messages.hpp"
 #include "rgb/types.hpp"
 
 namespace rgb::core {
+
+/// The union of a query's replies, added in arrival order. On a guid that
+/// several replies hold, the earliest reply's record is kept, whatever its
+/// status; take() then keeps the Operational records.
+class MemberUnion {
+ public:
+  /// Merges `view` in. A guid-ascending view without repeats (a snapshot)
+  /// is merged as it is; any other is first stable-sorted by guid, keeping
+  /// each guid's first record.
+  void add(std::span<const MemberRecord> view);
+  /// The union's Operational records, guid-sorted; leaves the union empty.
+  [[nodiscard]] std::vector<MemberRecord> take();
+
+ private:
+  std::vector<MemberRecord> records_;  ///< guid-ascending, one per guid
+  std::vector<MemberRecord> merged_;   ///< the next merge's output
+};
 
 class QueryClient : public proto::Process {
  public:
@@ -55,7 +74,7 @@ class QueryClient : public proto::Process {
   sim::Time issued_at_ = 0;
   std::size_t expected_replies_ = 0;
   Result pending_result_;
-  MemberTable collected_;
+  MemberUnion collected_;
   std::function<void(Result)> on_done_;
   sim::EventId timeout_timer_{};
 };

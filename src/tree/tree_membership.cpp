@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "rgb/messages.hpp"
+#include "rgb/query.hpp"
 #include "wire/metering.hpp"
 
 namespace rgb::tree {
@@ -152,14 +153,11 @@ void TreeSystem::fail(Guid mh) {
 std::vector<MemberRecord> TreeSystem::membership(
     proto::QueryScheme scheme) const {
   if (scheme == proto::QueryScheme::kBottommost) {
-    MemberTable combined;
+    core::MemberUnion combined;
     for (const NodeId leaf : leaves_) {
-      const auto it = by_id_.find(leaf);
-      for (const auto& rec : it->second->members().snapshot()) {
-        if (!combined.find(rec.guid)) combined.upsert(rec);
-      }
+      combined.add(by_id_.find(leaf)->second->members().snapshot());
     }
-    return combined.snapshot();
+    return combined.take();
   }
   return root_->members().snapshot();
 }

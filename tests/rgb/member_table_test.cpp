@@ -154,12 +154,6 @@ TEST(MemberTable, RejoinAfterLeaveWithHigherSeq) {
   EXPECT_EQ(t.find(Guid{7})->access_proxy, NodeId{200});
 }
 
-TEST(MemberTable, UpsertBypassesSequencing) {
-  MemberTable t;
-  t.upsert(MemberRecord{Guid{1}, NodeId{9}, proto::MemberStatus::kOperational});
-  EXPECT_TRUE(t.contains(Guid{1}));
-}
-
 TEST(MemberTable, ClearEmptiesEverything) {
   MemberTable t;
   t.apply(op(OpKind::kMemberJoin, 1, 7, 100));
@@ -213,8 +207,7 @@ TEST(MemberTableDigest, SensitiveToSeqStatusApAndCount) {
 }
 
 TEST(MemberTableDigest, IncrementalMaintenanceMatchesRebuild) {
-  // Every mutation path — apply (insert + overwrite), import, upsert —
-  // must leave the incrementally-maintained digest equal to a
+  // Every mutation path — apply (insert + overwrite), import — must leave the incrementally-maintained digest equal to a
   // from-scratch import of the same entries.
   MemberTable t;
   t.apply(op(OpKind::kMemberJoin, 1, 10, 100));
@@ -228,8 +221,6 @@ TEST(MemberTableDigest, IncrementalMaintenanceMatchesRebuild) {
   other.apply(op(OpKind::kMemberJoin, 8, 10, 104));  // newer than t's
   t.import_entries(other.export_entries());
   t.import_entries(other.export_entries());  // idempotent second pass
-  t.upsert(proto::MemberRecord{Guid{40}, NodeId{105},
-                               proto::MemberStatus::kOperational});
 
   MemberTable rebuilt;
   rebuilt.import_entries(t.export_entries());
@@ -372,7 +363,7 @@ TEST(MemberTableBuckets, DigestsXorToTheTableDigestIndexedOrNot) {
 
 TEST(MemberTableBuckets, IndexFollowsEveryMutation) {
   // Index first, then every mutation path — apply (insert + overwrite),
-  // import, upsert: the kept bucket digests and the bucket-scoped export
+  // import: the kept bucket digests and the bucket-scoped export
   // must equal those of an unindexed rebuild.
   MemberTable t;
   t.apply(op(OpKind::kMemberJoin, 1, 10, 100));
@@ -389,8 +380,6 @@ TEST(MemberTableBuckets, IndexFollowsEveryMutation) {
       MemberRecord{Guid{8888}, NodeId{101}, proto::MemberStatus::kFailed}, 600,
       600, GroupId{}}};
   t.import_entries(imported);
-  t.upsert(MemberRecord{Guid{7777}, NodeId{105},
-                        proto::MemberStatus::kOperational});
 
   MemberTable rebuilt;
   rebuilt.import_entries(t.export_entries());
@@ -444,10 +433,13 @@ TEST(MemberTableBuckets, ScopedDiffLooksForAbsentRecordsInScopeOnly) {
 // Differential test: a MemberTable against a reference that keeps one row
 // per guid in a std::map and applies the same total rank, written out on
 // its own (`outranks` below), through random
-// applies, upserts, imports, fused import+diffs (whole and bucket-scoped),
-// bucket indexing and a clear followed by reuse. The guid patterns stress
-// the table's index: guid % (prime size) placement, linear probing with
-// wrap-around, and growth through seven index sizes.
+// applies, imports, fused import+diffs (whole and bucket-scoped), bucket
+// indexing, guid-order refreshes and clears followed by reuse. The guid
+// patterns stress the table's index: guid % (prime size) placement, linear
+// probing with wrap-around, and growth through seven index sizes. The
+// order refreshes land before and after appends, status changes, imports
+// and clears, so the snapshot every step checks is often read through the
+// kept order.
 // ---------------------------------------------------------------------------
 
 /// The record rank, independently of record_precedes: `a` out-ranks `b`
@@ -475,8 +467,6 @@ class ReferenceTable {
     }
     return land(TableEntry{rec, o.seq, o.claim_seq, GroupId{}});
   }
-
-  void upsert(const MemberRecord& rec) { rows_[rec.guid].record = rec; }
 
   bool import(std::span<const TableEntry> entries) {
     bool changed = false;
@@ -643,9 +633,11 @@ void run_differential(const GuidPattern& pattern, std::uint64_t seed) {
   std::size_t step = 0;
   // 600 records grow the index 11 -> 17 -> 37 -> 67 -> 131 -> 257 -> 521
   // -> 1031; then the table is cleared and refilled to 200 from the same
-  // guids.
-  for (const std::size_t target : {600U, 200U}) {
+  // guids, and cleared and refilled to 600 again, past the size of any
+  // order kept before a clear.
+  for (const std::size_t target : {600U, 200U, 600U}) {
     fresh = 0;
+    if (rng.chance(0.5)) table.index_order();  // after a clear
     while (ref.rows().size() < target) {
       std::vector<Guid> probes{Guid{0}, Guid{pattern.guid(fresh + 3)}};
       const std::uint64_t r = rng.next_below(100);
@@ -659,10 +651,7 @@ void run_differential(const GuidPattern& pattern, std::uint64_t seed) {
         ASSERT_EQ(table.apply(o), ref.apply(o)) << "apply, step " << step;
         probes.push_back(e.record.guid);
       } else if (r < 62) {
-        const MemberRecord rec = entry(pick()).record;
-        table.upsert(rec);
-        ref.upsert(rec);
-        probes.push_back(rec.guid);
+        table.index_order();
       } else if (r < 75) {
         std::vector<TableEntry> batch;  // any order, guids may repeat
         for (std::uint64_t n = rng.next_below(7); n > 0; --n) {
@@ -702,6 +691,7 @@ void run_differential(const GuidPattern& pattern, std::uint64_t seed) {
           << "step " << step;
       ++step;
     }
+    if (rng.chance(0.5)) table.index_order();  // before a clear
     table.clear();
     ref.clear();
     ASSERT_TRUE(agrees(table, ref, {}, NodeId{100}, ~BucketMask{}));
