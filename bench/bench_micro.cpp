@@ -2,7 +2,8 @@
 // blocks: the event kernel (its heap alone, and churn_faults' shape of
 // periodic timers in lanes beside heap deliveries), RNG, MQ aggregation,
 // member-table apply, member tables at two workload shapes (query_mix's
-// cold snapshots, join_surge's interleaved applies), the dedup sets at
+// cold snapshots, sorted and through the query path's kept guid order;
+// join_surge's interleaved applies), the dedup sets at
 // join_surge's uid shape and at their worst case (sparse ids), the
 // GroupDirectory operations a probe tick or an op intake performs (at
 // G = 1, 100 and 1000 groups; each should read flat in G), the kFull
@@ -172,6 +173,44 @@ void BM_MemberTableSnapshotCold(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MemberTableSnapshotCold);
+
+/// The same 3,000 tables read as a group-scoped query reads them, through
+/// GroupDirectory::group_snapshot: each table keeps its guid order, so a
+/// read walks it instead of sorting. Before every fourth read a fresh guid
+/// joins the table about to be read, and that read merges it into the
+/// order first. Every order is built before timing starts.
+void BM_MemberTableSnapshotServed(benchmark::State& state) {
+  constexpr std::uint64_t kGroups = 100;
+  constexpr std::uint64_t kNes = 30;
+  constexpr std::uint64_t kRecords = 160;
+  std::vector<core::GroupDirectory> dirs(kNes);
+  std::vector<std::uint64_t> guids(kGroups * kRecords);
+  std::iota(guids.begin(), guids.end(), 1);
+  common::RngStream rng{7};
+  rng.shuffle(guids);
+  for (const std::uint64_t guid : guids) {
+    const core::MembershipOp op =
+        directory_join(1 + guid % kGroups, guid, guid);
+    for (core::GroupDirectory& dir : dirs) dir.apply(op);
+  }
+  for (core::GroupDirectory& dir : dirs) {
+    for (std::uint64_t gid = 1; gid <= kGroups; ++gid) {
+      benchmark::DoNotOptimize(dir.group_snapshot(common::GroupId{gid}));
+    }
+  }
+  std::uint64_t fresh = guids.size();
+  std::uint64_t reads = 0;
+  for (auto _ : state) {
+    core::GroupDirectory& dir = dirs[rng.next_below(kNes)];
+    const std::uint64_t gid = 1 + rng.next_below(kGroups);
+    if (++reads % 4 == 0) {
+      ++fresh;
+      dir.apply(directory_join(gid, fresh, fresh));
+    }
+    benchmark::DoNotOptimize(dir.group_snapshot(common::GroupId{gid}));
+  }
+}
+BENCHMARK(BM_MemberTableSnapshotServed);
 
 /// join_surge's writes: the 30 NEs' tables of its one group, fed ascending
 /// guids in 65-op batches (about a token round's worth) round-robin, up to
