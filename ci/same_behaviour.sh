@@ -30,6 +30,20 @@
 #     tree (its CMakeCache) into BUILD/bench_suite_build, incrementally, so
 #     no binary left by an older tree is ever compared.
 # Each pair runs base and change side by side; exits 1 on any difference.
+#
+# What this matrix proves about the query plane (handle_query, QueryClient,
+# MemberUnion, the systems' membership() unions):
+#   - the rgb_fuzz profiles, like ci/fuzz_matrix.sh, send no query
+#     messages; their oracles read RgbSystem::membership(kTopmost), a union
+#     of one view;
+#   - bench_suite query_mix is the only artifact that answers group-scoped
+#     queries (TMS and BMS while writes run), and it compares their content
+#     only through its stale count;
+#   - rgb_exp run query.schemes is the only artifact that issues group-less
+#     queries and the only one that runs IMS, but it compares result sizes,
+#     not records.
+# The check on the records themselves is the union-rule tests in
+# tests/rgb/query_test.cpp (QueryUnionTest, MemberUnion).
 set -uo pipefail
 
 if [ $# -ne 2 ]; then

@@ -226,9 +226,10 @@ class MemberTable {
   /// Starts keeping the records' guid order, 4 bytes a record, and brings
   /// it up to date: the positions appended since the last call are sorted
   /// and merged in. Until the next append, snapshot() walks the order.
-  /// Only a table that answers queries calls this
-  /// (GroupDirectory::group_snapshot). Idempotent; no entry, digest or
-  /// answer changes.
+  /// Only a table that answers queries keeps one
+  /// (GroupDirectory::group_snapshot); snapshot() starts none, or every
+  /// table that a whole-system check reads would carry one. Idempotent; no
+  /// entry, digest or answer changes.
   void index_order();
 
   /// The hash one entry contributes to the digest (exposed for tests that
