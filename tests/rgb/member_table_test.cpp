@@ -207,8 +207,9 @@ TEST(MemberTableDigest, SensitiveToSeqStatusApAndCount) {
 }
 
 TEST(MemberTableDigest, IncrementalMaintenanceMatchesRebuild) {
-  // Every mutation path — apply (insert + overwrite), import — must leave the incrementally-maintained digest equal to a
-  // from-scratch import of the same entries.
+  // Every mutation path — apply (insert + overwrite), import — must leave
+  // the incrementally-maintained digest equal to a from-scratch import of
+  // the same entries.
   MemberTable t;
   t.apply(op(OpKind::kMemberJoin, 1, 10, 100));
   t.apply(op(OpKind::kMemberJoin, 2, 20, 101));

@@ -196,8 +196,7 @@ class QueryUnionTest : public testing::SimNetTest {
   /// answering i + 1 ms after its request arrives) and runs until the
   /// query resolves.
   QueryClient::Result query(
-      const std::vector<std::vector<MemberRecord>>& replies,
-      sim::Duration timeout = sim::sec(5)) {
+      const std::vector<std::vector<MemberRecord>>& replies) {
     std::vector<std::unique_ptr<CannedResponder>> responders;
     QueryPlan plan;
     for (std::size_t i = 0; i < replies.size(); ++i) {
@@ -206,7 +205,7 @@ class QueryUnionTest : public testing::SimNetTest {
           id, network_, sim::msec(1 + i), replies[i]));
       plan.targets.push_back(id);
     }
-    return issue(plan, timeout);
+    return issue(plan, sim::sec(5));
   }
 
   QueryClient::Result issue(const QueryPlan& plan, sim::Duration timeout) {
@@ -257,8 +256,8 @@ TEST_F(QueryUnionTest, TimeoutReportsTheUnionOfTheRepliesThatArrived) {
   EXPECT_FALSE(result.complete);
   EXPECT_EQ(result.replies, 2u);
   EXPECT_EQ(result.latency, sim::msec(50));
-  EXPECT_EQ(result.members,
-            (std::vector<MemberRecord>{rec(2, 100), rec(6, 100), rec(11, 200)}));
+  EXPECT_EQ(result.members, (std::vector<MemberRecord>{
+                                rec(2, 100), rec(6, 100), rec(11, 200)}));
 }
 
 TEST(MemberUnion, ALoneSortedViewIsTheResult) {
@@ -284,7 +283,8 @@ TEST(MemberUnion, UnsortedViewKeepsEachGuidsFirstRecord) {
   MemberUnion all;
   all.add(std::vector<MemberRecord>{
       rec(7, 100), rec(3, 100), rec(7, 101),
-      rec(5, 100, proto::MemberStatus::kDisconnected), rec(5, 102), rec(3, 103)});
+      rec(5, 100, proto::MemberStatus::kDisconnected), rec(5, 102),
+      rec(3, 103)});
   EXPECT_EQ(all.take(), (std::vector<MemberRecord>{rec(3, 100), rec(7, 100)}));
 }
 
