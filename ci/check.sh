@@ -114,7 +114,7 @@ expect_usage_error rgb_fuzz --seeds 1 --schedule "$usage_sched"
 rm -f "$usage_sched"
 # Scale-sweep flags that a multi-group cell has nothing to apply to, before
 # or after --multigroup.
-for flag in "--members 7" "--join snapshot" --detect --oscillation --spans-ab; do
+for flag in "--members 7" "--join snapshot" --detect --oscillation; do
   # shellcheck disable=SC2086  # a flag and its value, one word each
   expect_usage_error rgb_exp bench --multigroup --smoke --group-members 5 $flag
 done
@@ -130,6 +130,10 @@ expect_usage_error rgb_fuzz --groups 0 --seeds 1
 expect_usage_error rgb_fuzz --sharded 1 --seeds 1
 expect_usage_error rgb_exp bench --sharded
 expect_usage_error rgb_exp trace --sharded
+# The bench has no clock and no spans A/B: its artifact is deterministic
+# without a flag.
+expect_usage_error rgb_exp bench --deterministic
+expect_usage_error rgb_exp bench --spans-ab
 # --help after a command prints its usage and exits 0.
 for command in run bench trace metrics; do
   expect_exit 0 rgb_exp "$command" --help
@@ -157,44 +161,76 @@ rm -f "$check_log"
 # flaky.
 ci/fuzz_matrix.sh "$BUILD_DIR"
 
-# Replay identity: the deterministic bench JSON must be byte-identical run
-# to run.
-echo "== bench determinism gate =="
-sw1="$(mktemp)"; sw2="$(mktemp)"
-"$BUILD_DIR/rgb_exp" bench --smoke --deterministic --json "$sw1" 2> /dev/null
-"$BUILD_DIR/rgb_exp" bench --smoke --deterministic --json "$sw2" 2> /dev/null
-if ! cmp -s "$sw1" "$sw2"; then
-  echo "FAIL: deterministic bench JSON differs between runs" >&2
+# Bench gate: the smoke sweep (200 members, both join modes) with the
+# failure-detection trial and the stability A/B runs twice. Both runs must
+# exit 0 (every cell converged with zero per-group divergence), their JSON
+# artifacts must be byte-identical (the latency histograms, the tick series
+# and the detect and oscillation blocks ride in it), the series CSV must
+# carry a header and rows, and the oscillation A/B must hold: both cells
+# converge after the churn window, the stability cell cuts view changes by
+# at least the ROADMAP's 10x bar and suppresses flaps. Every field is a pure
+# function of the seed, so exact-threshold gating is not flaky.
+echo "== bench gate =="
+bench_a="$(mktemp)"; bench_b="$(mktemp)"; series="$(mktemp)"
+bench_log="$(mktemp)"
+for out in "$bench_a" "$bench_b"; do
+  if ! "$BUILD_DIR/rgb_exp" bench --smoke --detect --oscillation \
+      --json "$out" --series "$series" 2> "$bench_log"; then
+    echo "FAIL: bench smoke did not run clean:" >&2
+    cat "$bench_log" >&2
+    exit 1
+  fi
+done
+if ! cmp -s "$bench_a" "$bench_b"; then
+  echo "FAIL: bench JSON differs between runs" >&2
   exit 1
 fi
+if [ "$(wc -l < "$series")" -lt 2 ] || ! head -1 "$series" | grep -q '^at_us,'; then
+  echo "FAIL: bench --series wrote no header and row" >&2
+  exit 1
+fi
+python3 - "$bench_a" <<'EOF'
+import json, sys
+cells = {c["stability"]: c for c in json.load(open(sys.argv[1]))["oscillation"]}
+off, on = cells[False], cells[True]
+assert off["converged"] and on["converged"], "oscillation cell did not converge"
+assert on["view_changes"] * 10 <= off["view_changes"], (
+    f"stability gave only {off['view_changes']}/{max(on['view_changes'], 1)}x "
+    "fewer view changes (need >= 10x)")
+assert on["suppressed_flaps"] > 0, "stability cell suppressed no flaps"
+EOF
 
 # bench.multigroup sublinearity gate: every cell of the multi-group serving
-# sweep must converge with zero per-group divergence (exit code), and the
-# G-cell steady bytes per link must beat G independent hierarchies by >= 4x
-# (packing_ratio < 0.25 — the committed BENCH_PR10.json holds the full
-# G=1000 x 100 sweep; this smoke re-proves the shape on a bounded cell).
+# sweep must converge with zero per-group divergence (exit code and JSON),
+# the top cell's steady bytes per link must beat G independent hierarchies
+# by >= 4x (packing_ratio = bytes_per_link_tick / (G x the G=1 cell's)
+# < 0.25; the committed BENCH_PR10.json holds the full G=1000 x 100 sweep,
+# this smoke re-proves the shape on a bounded cell), and --series writes
+# the first cell's tick series: a header and at least one row.
 echo "== bench.multigroup gate =="
-"$BUILD_DIR/rgb_exp" bench --multigroup --smoke --group-members 20 \
-    --deterministic --json "$sw1" 2> /dev/null
-python3 - "$sw1" <<'EOF'
+if ! "$BUILD_DIR/rgb_exp" bench --multigroup --smoke --group-members 20 \
+    --json "$bench_a" --series "$series" 2> "$bench_log"; then
+  echo "FAIL: bench --multigroup smoke did not run clean:" >&2
+  cat "$bench_log" >&2
+  exit 1
+fi
+python3 - "$bench_a" <<'EOF'
 import json, sys
-doc = json.load(open(sys.argv[1]))
-cells = doc["cells"]
+cells = json.load(open(sys.argv[1]))["cells"]
 assert all(c["converged"] and c["group_divergence"] == 0 for c in cells), \
     "multigroup cell failed per-group convergence"
+g1 = next(c for c in cells if c["groups"] == 1)["steady"]["bytes_per_link_tick"]
 top = max(cells, key=lambda c: c["groups"])
-assert top["groups"] > 1 and top["packing_ratio"] < 0.25, (
-    f"G={top['groups']} packing_ratio {top['packing_ratio']} >= 0.25")
+packing_ratio = top["steady"]["bytes_per_link_tick"] / (top["groups"] * g1)
+assert top["groups"] > 1 and packing_ratio < 0.25, (
+    f"G={top['groups']} packing_ratio {packing_ratio} >= 0.25")
+print(f"G={top['groups']} packing_ratio {packing_ratio:.6g}")
 EOF
-# --series with --multigroup writes the first cell's tick series: a header
-# and at least one row.
-"$BUILD_DIR/rgb_exp" bench --multigroup --smoke --group-members 5 \
-    --deterministic --series "$sw1" 2> /dev/null
-if [ "$(wc -l < "$sw1")" -lt 2 ] || ! head -1 "$sw1" | grep -q '^at_us,'; then
+if [ "$(wc -l < "$series")" -lt 2 ] || ! head -1 "$series" | grep -q '^at_us,'; then
   echo "FAIL: bench --multigroup --series wrote no header and row" >&2
   exit 1
 fi
-rm -f "$sw1" "$sw2"
+rm -f "$bench_a" "$bench_b" "$series" "$bench_log"
 
 # Wire codec conformance: every registered kind must round-trip
 # byte-identically on randomized messages — since wire v4 that includes the
@@ -207,59 +243,11 @@ echo "== rgb_wire smoke =="
 "$BUILD_DIR/rgb_wire" roundtrip --iters 50 --seed 1 > /dev/null
 "$BUILD_DIR/rgb_wire" fuzz --iters 5000 --seed 1 > /dev/null
 
-# Perf trajectory: a bounded scale-bench smoke must run clean (converged
-# steady-state cells) and emit the BENCH json artifact, so every CI run
-# keeps a point on the trajectory next to the committed BENCH_PR*.json
-# (full sweeps: `rgb_exp bench --members 1000,20000,100000 --join both`).
-echo "== rgb_exp bench smoke =="
-bench_log="$(mktemp)"
-if ! "$BUILD_DIR/rgb_exp" bench --smoke --json "$BUILD_DIR/BENCH_PR6.json" \
-    --series "$BUILD_DIR/BENCH_PR6_series.csv" --detect 2> "$bench_log"; then
-  echo "FAIL: bench smoke did not run clean:" >&2
-  cat "$bench_log" >&2
-  rm -f "$bench_log"
-  exit 1
-fi
-rm -f "$bench_log"
-test -s "$BUILD_DIR/BENCH_PR6.json"
-# The series artifact must carry actual points (header + rows).
-test "$(wc -l < "$BUILD_DIR/BENCH_PR6_series.csv")" -gt 1
-
-# Stability A/B oscillation smoke (PR8): the flap-suppression comparison
-# must run clean, both cells must converge after the churn window, and the
-# stability cell must cut steady view changes by at least the ROADMAP's
-# 10x bar. The trial is fully deterministic, so exact-threshold gating is
-# not flaky.
-echo "== oscillation A/B smoke =="
-osc_json="$(mktemp)"
-"$BUILD_DIR/rgb_exp" bench --smoke --deterministic --oscillation \
-    --json "$osc_json" 2> /dev/null
-python3 - "$osc_json" <<'EOF'
-import json, sys
-cells = {c["stability"]: c for c in json.load(open(sys.argv[1]))["oscillation"]}
-off, on = cells[False], cells[True]
-assert off["converged"] and on["converged"], "oscillation cell did not converge"
-assert on["view_changes"] * 10 <= off["view_changes"], (
-    f"stability gave only {off['view_changes']}/{max(on['view_changes'], 1)}x "
-    "fewer view changes (need >= 10x)")
-assert on["suppressed_flaps"] > 0, "stability cell suppressed no flaps"
-EOF
-rm -f "$osc_json"
-
-# Observability determinism gates. The deterministic bench (wall-clock
-# fields zeroed) must be byte-identical run-to-run — that covers the
-# latency histograms and the tick series riding in the JSON. A violating
-# fuzz replay must print a byte-identical report + flight-recorder trace.
-echo "== obs determinism gates =="
+# Observability determinism gate (the bench gate above covers the bench
+# JSON): a violating fuzz replay must print a byte-identical report +
+# flight-recorder trace.
+echo "== obs determinism gate =="
 obs1="$(mktemp)"; obs2="$(mktemp)"
-"$BUILD_DIR/rgb_exp" bench --smoke --deterministic --detect --json "$obs1" \
-    2> /dev/null
-"$BUILD_DIR/rgb_exp" bench --smoke --deterministic --detect --json "$obs2" \
-    2> /dev/null
-if ! cmp -s "$obs1" "$obs2"; then
-  echo "FAIL: deterministic bench JSON differs between runs" >&2
-  exit 1
-fi
 sched="$(mktemp)"
 printf 'schedule ci-unhealed-partition\nat 1s partition ne 0 1\nat 2s handoff mh 2 ap 1\n' \
     > "$sched"

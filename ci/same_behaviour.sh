@@ -18,7 +18,8 @@
 #   - rgb_exp trace --members 5000: the only artifact whose span and
 #     flight rings wrap, so the overwrite-oldest order is compared too;
 #   - rgb_exp metrics --catalog (the catalog's names, types and order);
-#   - rgb_exp bench --smoke --deterministic --detect --oscillation --json;
+#   - rgb_exp bench --smoke --detect --oscillation --json (the bench JSON
+#     has no host-dependent field);
 #   - rgb_exp run --json --no-table for query.schemes, flashcrowd.agg,
 #     churn.converge, mobility.handoff and table2.proto: the only artifacts
 #     that run aggregate_mq = false, retain_tier 1 and 2 and
@@ -126,8 +127,8 @@ done
 
 compare "rgb_exp metrics --catalog" rgb_exp metrics --catalog
 
-compare "rgb_exp bench --smoke --deterministic --detect --oscillation" \
-    rgb_exp bench --smoke --deterministic --detect --oscillation --json @OUT@
+compare "rgb_exp bench --smoke --detect --oscillation" \
+    rgb_exp bench --smoke --detect --oscillation --json @OUT@
 
 for scenario in query.schemes flashcrowd.agg churn.converge mobility.handoff \
     table2.proto; do

@@ -1,13 +1,8 @@
 #include "exp/bench.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <memory>
 #include <ostream>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/resource.h>
-#endif
 
 #include "common/rng.hpp"
 #include "exp/scenario.hpp"
@@ -24,21 +19,6 @@ namespace {
 /// The scale trial's probe tick: the warm-up and steady windows are counted
 /// in it.
 constexpr sim::Duration kProbePeriod = sim::msec(250);
-
-long peak_rss_kb() {
-#if defined(__unix__) || defined(__APPLE__)
-  struct rusage usage {};
-  getrusage(RUSAGE_SELF, &usage);
-  return usage.ru_maxrss;  // KiB on Linux (bytes on macOS; close enough)
-#else
-  return 0;
-#endif
-}
-
-double ms_between(std::chrono::steady_clock::time_point a,
-                  std::chrono::steady_clock::time_point b) {
-  return std::chrono::duration<double, std::milli>(b - a).count();
-}
 
 LatencyStats latency_from(const common::Histogram& h) {
   LatencyStats out;
@@ -84,8 +64,9 @@ std::uint64_t links_per_tick(const ScaleStats& stats,
 }
 
 /// The one trial body behind scale, trace and multi-group cells:
-/// `trace_out`, when set, receives the Chrome trace export of the trial.
-ScaleStats run_scale_trial_impl(const ScaleConfig& config, bool timed,
+/// `trace_out`, when set, turns causal spans on and receives the Chrome
+/// trace export of the trial.
+ScaleStats run_scale_trial_impl(const ScaleConfig& config,
                                 std::ostream* trace_out) {
   common::RngStream rng{config.seed};
   sim::Simulator simulator;
@@ -98,14 +79,13 @@ ScaleStats run_scale_trial_impl(const ScaleConfig& config, bool timed,
                       core::HierarchyLayout{config.tiers, config.ring_size}};
   // Spans flip on before any traffic so every op gets a complete causal
   // tree.
-  sys.obs().tracer.set_spans_enabled(config.spans);
+  sys.obs().tracer.set_spans_enabled(trace_out != nullptr);
 
   ScaleStats stats;
   stats.members = config.members;
   stats.groups = config.groups;
   stats.ne_count = sys.layout().ne_count();
   stats.snapshot_join = config.snapshot_join;
-  stats.spans = config.spans;
 
   // Tick time-series: cumulative counters probed at a fixed sim-time
   // cadence (armed per phase below; see SeriesSampler's header for why the
@@ -135,18 +115,15 @@ ScaleStats run_scale_trial_impl(const ScaleConfig& config, bool timed,
       sys.join(common::Guid{i + 1}, ap);
     });
   }
-  // The join window is timed (it feeds the join-events/s headline), so its
-  // samples skip the O(NE*N) divergence walk just like the steady window's;
-  // divergence series points come from the untimed warm-up phase below plus
-  // the explicit post-drain measurement.
+  // Join and steady samples skip the O(NE*N) divergence walk; divergence
+  // series points come from the warm-up phase below, whose repair they
+  // show, plus the explicit post-drain measurement.
   constexpr int kJoinSamples = 16;
   const sim::Duration arrival_window = config.join_spacing * config.members;
   sampler.arm(simulator, 0,
               std::max<sim::Duration>(arrival_window / kJoinSamples, 1),
               kJoinSamples, /*with_divergence=*/false);
-  const auto join_start = std::chrono::steady_clock::now();
   simulator.run();
-  const auto join_end = std::chrono::steady_clock::now();
   stats.join_events = simulator.executed_events();
   stats.join_bytes = network.metrics().bytes_sent;
   stats.join_snapshot_msgs = network.metrics().sent_of(core::kind::kSnapshot);
@@ -168,17 +145,13 @@ ScaleStats run_scale_trial_impl(const ScaleConfig& config, bool timed,
   const std::uint64_t pre_steady_vc = sys.obs().tracer.view_changes().value();
   const std::uint64_t pre_steady_repairs = sys.metrics().repairs.value();
 
-  // Steady state: probing + anti-entropy only; measure one window. The
-  // series rides along WITHOUT divergence sampling: the O(NE*N) walk would
-  // distort the window's wall clock, the headline perf number.
+  // Steady state: probing + anti-entropy only; measure one window.
   network.reset_metrics();
   sampler.arm(simulator, simulator.now(), kProbePeriod, config.steady_ticks,
               /*with_divergence=*/false);
-  const auto steady_start = std::chrono::steady_clock::now();
   simulator.run_until(simulator.now() +
                       kProbePeriod *
                           static_cast<std::uint64_t>(config.steady_ticks));
-  const auto steady_end = std::chrono::steady_clock::now();
 
   stats.steady_events = simulator.executed_events() - pre_steady_events;
   const auto& metrics = network.metrics();
@@ -206,11 +179,6 @@ ScaleStats run_scale_trial_impl(const ScaleConfig& config, bool timed,
   stats.spans_recorded = spans.recorded;
   stats.spans_dropped = spans.dropped;
 
-  if (timed) {
-    stats.join_wall_ms = ms_between(join_start, join_end);
-    stats.steady_wall_ms = ms_between(steady_start, steady_end);
-    stats.peak_rss_kb = peak_rss_kb();
-  }
   if (trace_out != nullptr) {
     obs::write_chrome_trace(*trace_out, tracer);
   }
@@ -219,15 +187,13 @@ ScaleStats run_scale_trial_impl(const ScaleConfig& config, bool timed,
 
 }  // namespace
 
-ScaleStats run_scale_trial(const ScaleConfig& config, bool timed) {
-  return run_scale_trial_impl(config, timed, nullptr);
+ScaleStats run_scale_trial(const ScaleConfig& config) {
+  return run_scale_trial_impl(config, nullptr);
 }
 
 ScaleStats run_trace_trial(const ScaleConfig& config,
                            std::ostream& trace_out) {
-  ScaleConfig traced = config;
-  traced.spans = true;
-  return run_scale_trial_impl(traced, /*timed=*/false, &trace_out);
+  return run_scale_trial_impl(config, &trace_out);
 }
 
 DetectStats run_detect_trial(std::uint64_t seed) {
@@ -381,22 +347,47 @@ OscillationStats run_oscillation_cell(bool stability,
   return cell;
 }
 
-std::vector<ScaleStats> run_multigroup_sweep(
-    const ScaleConfig& base, const std::vector<std::uint64_t>& group_counts,
-    std::ostream& log, bool timed) {
-  std::vector<ScaleStats> all;
+std::vector<ScaleConfig> scale_cells(
+    const ScaleConfig& base, const std::vector<std::uint64_t>& member_counts,
+    const SweepModes& modes) {
+  std::vector<ScaleConfig> cells;
+  for (const std::uint64_t members : member_counts) {
+    for (const bool snapshot : {false, true}) {
+      if (snapshot ? !modes.snapshot : !modes.dissemination) continue;
+      ScaleConfig config = base;
+      config.members = members;
+      config.snapshot_join = snapshot;
+      cells.push_back(config);
+    }
+  }
+  return cells;
+}
+
+std::vector<ScaleConfig> multigroup_cells(
+    const ScaleConfig& base, const std::vector<std::uint64_t>& group_counts) {
+  std::vector<ScaleConfig> cells;
   for (const std::uint64_t groups : group_counts) {
     ScaleConfig config = base;
     config.groups = groups;
     config.members = groups * base.members;
-    log << "bench.multigroup: groups=" << groups << " x " << base.members
-        << " members ...\n";
-    const ScaleStats stats = run_scale_trial(config, timed);
-    log << "  join " << stats.join_events << " events in "
-        << stats.join_wall_ms << " ms; steady " << stats.steady_events
-        << " events, kViewSync " << stats.viewsync_msgs << " msgs / "
-        << stats.viewsync_bytes << " bytes over "
-        << links_per_tick(stats, base) << " links ("
+    cells.push_back(config);
+  }
+  return cells;
+}
+
+std::vector<ScaleStats> run_sweep(const std::vector<ScaleConfig>& cells,
+                                  std::ostream& log) {
+  std::vector<ScaleStats> all;
+  for (const ScaleConfig& config : cells) {
+    log << "bench: members=" << config.members << " groups=" << config.groups
+        << " join=" << (config.snapshot_join ? "snapshot" : "dissemination")
+        << " ...\n";
+    const ScaleStats stats = run_scale_trial(config);
+    log << "  join " << stats.join_events << " events / " << stats.join_bytes
+        << " bytes, divergence " << stats.join_divergence << "; steady "
+        << stats.steady_events << " events, kViewSync " << stats.viewsync_msgs
+        << " msgs / " << stats.viewsync_bytes << " bytes over "
+        << links_per_tick(stats, config) << " links ("
         << stats.bytes_per_link_tick() << " B/link/tick); group_divergence "
         << stats.group_divergence
         << "; converged=" << (stats.converged ? "yes" : "NO") << std::endl;
@@ -405,111 +396,10 @@ std::vector<ScaleStats> run_multigroup_sweep(
   return all;
 }
 
-bool all_multigroup_clean(const std::vector<ScaleStats>& stats) {
-  for (const ScaleStats& s : stats) {
-    if (!s.converged || s.group_divergence != 0) return false;
-  }
-  return true;
-}
-
-void write_multigroup_json(const ScaleConfig& base,
-                           const std::vector<ScaleStats>& stats,
-                           std::ostream& os) {
-  // The sublinearity baseline: what G *independent single-group
-  // hierarchies* of the same shape would spend per link per tick (the G=1
-  // cell, scaled by G).
-  double g1_bytes = 0.0;
-  for (const ScaleStats& s : stats) {
-    if (s.groups == 1) g1_bytes = s.bytes_per_link_tick();
-  }
-  os << "{\n"
-     << "  \"bench\": \"bench_multigroup\",\n"
-     << "  \"layout\": {\"tiers\": " << base.tiers
-     << ", \"ring_size\": " << base.ring_size << "},\n"
-     << "  \"members_per_group\": " << base.members << ",\n"
-     << "  \"probe_period_us\": " << kProbePeriod << ",\n"
-     << "  \"warmup_ticks\": " << base.warmup_ticks << ",\n"
-     << "  \"steady_ticks\": " << base.steady_ticks << ",\n"
-     << "  \"join_spacing_us\": " << base.join_spacing << ",\n"
-     << "  \"seed\": " << base.seed << ",\n"
-     << "  \"cells\": [\n";
-  for (std::size_t i = 0; i < stats.size(); ++i) {
-    const ScaleStats& s = stats[i];
-    os << "    {\"groups\": " << s.groups
-       << ", \"members_per_group\": " << base.members
-       << ", \"total_members\": " << s.members
-       << ", \"ne_count\": " << s.ne_count
-       << ", \"converged\": " << (s.converged ? "true" : "false")
-       << ", \"group_divergence\": " << s.group_divergence << ",\n"
-       << "     \"join\": {\"events\": " << s.join_events
-       << ", \"bytes\": " << s.join_bytes
-       << ", \"wall_ms\": " << s.join_wall_ms << "},\n"
-       << "     \"steady\": {\"events\": " << s.steady_events
-       << ", \"wall_ms\": " << s.steady_wall_ms
-       << ", \"viewsync_msgs\": " << s.viewsync_msgs
-       << ", \"viewsync_bytes\": " << s.viewsync_bytes
-       << ", \"total_bytes\": " << s.total_bytes
-       << ", \"links\": " << links_per_tick(s, base)
-       << ", \"bytes_per_link_tick\": "
-       << format_double(s.bytes_per_link_tick()) << "},\n"
-       << "     \"directory\": {\"groups_created\": " << s.groups_created
-       << ", \"digests_packed\": " << s.digests_packed
-       << ", \"group_fulls\": " << s.group_fulls
-       << ", \"group_diffs\": " << s.group_diffs << "},\n";
-    if (g1_bytes > 0.0) {
-      os << "     \"packing_ratio\": "
-         << format_double(s.bytes_per_link_tick() /
-                          (static_cast<double>(s.groups) * g1_bytes))
-         << ",\n";
-    }
-    os << "     \"peak_rss_kb\": " << s.peak_rss_kb << "}"
-       << (i + 1 < stats.size() ? "," : "") << "\n";
-  }
-  os << "  ]\n}\n";
-}
-
-std::vector<ScaleStats> run_scale_sweep(
-    const ScaleConfig& base, const std::vector<std::uint64_t>& member_counts,
-    const SweepModes& modes, std::ostream& log, bool timed) {
-  std::vector<ScaleStats> all;
-  for (const std::uint64_t members : member_counts) {
-    for (const bool snapshot : {false, true}) {
-      if (snapshot ? !modes.snapshot : !modes.dissemination) continue;
-      for (const bool spans : {false, true}) {
-        if (spans && !modes.spans_ab) continue;
-        ScaleConfig config = base;
-        config.members = members;
-        config.snapshot_join = snapshot;
-        config.spans = spans;
-        log << "bench: members=" << members
-            << " join=" << (snapshot ? "snapshot" : "dissemination")
-            << (modes.spans_ab ? (spans ? " spans=on" : " spans=off") : "")
-            << " ...\n";
-        const ScaleStats stats = run_scale_trial(config, timed);
-        log << "  join " << stats.join_events << " events / "
-            << stats.join_bytes << " bytes in " << stats.join_wall_ms
-            << " ms ("
-            << static_cast<std::uint64_t>(stats.join_events_per_sec())
-            << " ev/s), divergence " << stats.join_divergence << "; steady "
-            << stats.steady_events << " events in " << stats.steady_wall_ms
-            << " ms ("
-            << static_cast<std::uint64_t>(stats.steady_events_per_sec())
-            << " ev/s); kViewSync " << stats.viewsync_msgs << " msgs / "
-            << stats.viewsync_bytes << " bytes; rss " << stats.peak_rss_kb
-            << " KiB; converged=" << (stats.converged ? "yes" : "NO")
-            << std::endl;
-        all.push_back(stats);
-      }
-    }
-  }
-  return all;
-}
-
-bool all_converged(const std::vector<ScaleStats>& stats) {
-  for (const ScaleStats& s : stats) {
-    if (!s.converged) return false;
-  }
-  return true;
+bool all_clean(const std::vector<ScaleStats>& stats) {
+  return std::all_of(stats.begin(), stats.end(), [](const ScaleStats& s) {
+    return s.converged && s.group_divergence == 0;
+  });
 }
 
 void write_bench_json(const ScaleConfig& base,
@@ -530,25 +420,29 @@ void write_bench_json(const ScaleConfig& base,
      << "  \"cells\": [\n";
   for (std::size_t i = 0; i < stats.size(); ++i) {
     const ScaleStats& s = stats[i];
-    os << "    {\"members\": " << s.members << ", \"ne_count\": " << s.ne_count
+    os << "    {\"members\": " << s.members << ", \"groups\": " << s.groups
+       << ", \"ne_count\": " << s.ne_count
        << ", \"snapshot_join\": " << (s.snapshot_join ? "true" : "false")
-       << ", \"spans\": " << (s.spans ? "true" : "false")
-       << ", \"converged\": " << (s.converged ? "true" : "false") << ",\n"
+       << ", \"converged\": " << (s.converged ? "true" : "false")
+       << ", \"group_divergence\": " << s.group_divergence << ",\n"
        << "     \"join\": {\"events\": " << s.join_events
        << ", \"bytes\": " << s.join_bytes
        << ", \"snapshot_msgs\": " << s.join_snapshot_msgs
        << ", \"snapshot_bytes\": " << s.join_snapshot_bytes
-       << ", \"divergence\": " << s.join_divergence
-       << ", \"wall_ms\": " << s.join_wall_ms
-       << ", \"events_per_sec\": " << s.join_events_per_sec() << "},\n"
+       << ", \"divergence\": " << s.join_divergence << "},\n"
        << "     \"steady\": {\"events\": " << s.steady_events
-       << ", \"wall_ms\": " << s.steady_wall_ms
-       << ", \"events_per_sec\": " << s.steady_events_per_sec()
        << ", \"viewsync_msgs\": " << s.viewsync_msgs
        << ", \"viewsync_bytes\": " << s.viewsync_bytes
        << ", \"total_bytes\": " << s.total_bytes
+       << ", \"links\": " << links_per_tick(s, base)
+       << ", \"bytes_per_link_tick\": "
+       << format_double(s.bytes_per_link_tick())
        << ", \"view_changes\": " << s.steady_view_changes
        << ", \"repairs\": " << s.steady_repairs << "},\n"
+       << "     \"directory\": {\"groups_created\": " << s.groups_created
+       << ", \"digests_packed\": " << s.digests_packed
+       << ", \"group_fulls\": " << s.group_fulls
+       << ", \"group_diffs\": " << s.group_diffs << "},\n"
        << "     \"latency\": {\"dissemination\": ";
     write_latency_json(os, s.dissemination_latency);
     os << ", \"join_to_root\": ";
@@ -577,8 +471,7 @@ void write_bench_json(const ScaleConfig& base,
          << "\": " << s.profile.handled[j].second;
     }
     os << "}, \"spans_recorded\": " << s.spans_recorded
-       << ", \"spans_dropped\": " << s.spans_dropped << "},\n"
-       << "     \"peak_rss_kb\": " << s.peak_rss_kb << "}"
+       << ", \"spans_dropped\": " << s.spans_dropped << "}}"
        << (i + 1 < stats.size() ? "," : "") << "\n";
   }
   os << "  ]";

@@ -1,24 +1,19 @@
-// Scale bench: the repo's perf-trajectory measurement.
+// Scale bench: the repo's deterministic scale and multi-group sweep.
 //
 // One trial builds an RGB hierarchy, joins N members (arrivals spaced in
 // virtual time, round-robin over the APs), lets the protocol quiesce, then
-// enables probing and measures a steady-state anti-entropy window. It
-// reports two kinds of numbers:
-//
-//  * deterministic protocol metrics — events executed, kViewSync messages
-//    and bytes over the steady window, convergence — pure functions of the
-//    (seed, config) pair, byte-identical across hosts and thread counts;
-//    these back the registered `bench.scale` scenario and the flat
-//    steady-state kViewSync traffic claim;
-//  * wall-clock metrics — join/steady wall time, events/sec, peak RSS —
-//    host-dependent by nature, reported only by the timed bench entry
-//    point (`rgb_exp bench`) and recorded per PR in BENCH_*.json so the
-//    perf trajectory accumulates alongside the code.
+// enables probing and measures a steady-state anti-entropy window. Every
+// number it reports — events, kViewSync messages and bytes, convergence,
+// latency digests, the tick series, the handler profile — is a pure
+// function of the (seed, config) pair, byte-identical across hosts, runs
+// and runner thread counts. It backs the registered `bench.scale`
+// scenario, `rgb_exp bench` and `rgb_exp trace`. Host-dependent cost
+// (elapsed time, memory) is measured by bench/suite, which rescales it, or
+// from outside the process.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -50,10 +45,6 @@ struct ScaleConfig {
   /// Steady-state measurement window, in probe periods.
   int steady_ticks = 10;
   std::uint64_t seed = 0xBE7C4ULL;
-  /// Causal-span recording (OpTracer spans) on for the trial. Off by default
-  /// so the perf trajectory measures the protocol, not the tracer; the
-  /// spans A/B sweep (SweepModes::spans_ab) quantifies the overhead.
-  bool spans = false;
 };
 
 /// Digest of one latency histogram (sim-time microseconds), exported into
@@ -83,7 +74,6 @@ struct ScaleStats {
   std::uint64_t groups = 0;
   std::uint64_t ne_count = 0;
   bool snapshot_join = false;
-  bool spans = false;  ///< causal-span recording was on for this cell
 
   // Deterministic protocol metrics.
   std::uint64_t join_events = 0;    ///< events to build + converge the group
@@ -120,31 +110,20 @@ struct ScaleStats {
   /// anything else is the protocol reconfiguring under no faults.
   std::uint64_t steady_view_changes = 0;
   std::uint64_t steady_repairs = 0;
-  /// Sampled cumulative counters: ~16 points over the join surge and one
-  /// per probe tick over warmup + steady (divergence sampled only in the
-  /// untimed warm-up phase — the O(NE*N) walk inside a timed window would
-  /// skew the wall-clock headlines). Rates are first differences within a
+  /// Sampled cumulative counters: 16 points over the join surge and one
+  /// per probe tick over warmup + steady. Divergence is sampled in the
+  /// warm-up alone: each sample is an O(NE*N) walk, and the warm-up is the
+  /// phase whose repair it shows. Rates are first differences within a
   /// phase; the network counters reset at the steady-window start.
   std::vector<obs::SeriesPoint> series;
   std::uint64_t series_dropped = 0;
   /// Handler-profiler digest (whole trial); see ProfileStats.
   ProfileStats profile;
-  /// Span-layer accounting when spans were on (otherwise both zero).
+  /// Span-layer accounting; spans are recorded only by a trace trial
+  /// (run_trace_trial), so both are zero elsewhere.
   std::uint64_t spans_recorded = 0;
   std::uint64_t spans_dropped = 0;
 
-  // Wall-clock metrics (zero when only the deterministic part ran).
-  double join_wall_ms = 0.0;
-  double steady_wall_ms = 0.0;
-  long peak_rss_kb = 0;  ///< getrusage ru_maxrss after the trial
-
-  [[nodiscard]] double join_events_per_sec() const {
-    return join_wall_ms > 0 ? join_events / (join_wall_ms / 1000.0) : 0.0;
-  }
-  [[nodiscard]] double steady_events_per_sec() const {
-    return steady_wall_ms > 0 ? steady_events / (steady_wall_ms / 1000.0)
-                              : 0.0;
-  }
   /// Steady kViewSync bytes per link per tick. Once converged, each steady
   /// frame is one link-tick (none is a reply), so this is bytes per frame.
   /// Flat in `groups` under kSummary packing; ~linear for unpacked
@@ -156,16 +135,13 @@ struct ScaleStats {
   }
 };
 
-/// Runs one scale trial. `timed` additionally fills the wall-clock fields
-/// (the deterministic fields never depend on it).
-[[nodiscard]] ScaleStats run_scale_trial(const ScaleConfig& config,
-                                         bool timed = true);
+/// Runs one scale trial, causal spans off.
+[[nodiscard]] ScaleStats run_scale_trial(const ScaleConfig& config);
 
-/// Runs one untimed scale trial with causal spans forced on and writes the
-/// Chrome trace-event JSON export (Perfetto / chrome://tracing) of the
-/// trial's span layer + flight ring to `trace_out`. The export is a pure
-/// function of (config, seed).
-/// Backs `rgb_exp trace`.
+/// Runs one scale trial with causal spans on and writes the Chrome
+/// trace-event JSON export (Perfetto / chrome://tracing) of the trial's
+/// span layer + flight ring to `trace_out`. The export is a pure function
+/// of (config, seed). Backs `rgb_exp trace`.
 [[nodiscard]] ScaleStats run_trace_trial(const ScaleConfig& config,
                                          std::ostream& trace_out);
 
@@ -217,56 +193,42 @@ struct OscillationStats {
     const std::vector<std::uint64_t>& seeds = {0x05C111ULL, 0x05C112ULL,
                                                0x05C113ULL});
 
-/// Multi-group serving bench (PR10): G groups x M members each multiplexed
-/// over ONE hierarchy. Each cell is a scale trial of `base` with `groups` =
-/// G and `members` = G*M, where M is `base.members`: one cell per entry of
-/// `group_counts`, one summary line per cell to `log`. The headline is
-/// bytes_per_link_tick() as a function of G: the kSummary combined-digest
-/// tick keeps it O(1), so the curve is flat where G independent
-/// single-group hierarchies would pay G full frames.
-[[nodiscard]] std::vector<ScaleStats> run_multigroup_sweep(
-    const ScaleConfig& base, const std::vector<std::uint64_t>& group_counts,
-    std::ostream& log, bool timed = true);
-
-/// Every cell converged with zero per-group divergence — the bench's gate.
-[[nodiscard]] bool all_multigroup_clean(const std::vector<ScaleStats>& stats);
-
-/// Writes the multi-group BENCH json artifact of a run_multigroup_sweep over
-/// `base`. When the sweep contains a G=1 cell, every cell also carries
-/// `packing_ratio` = bytes_per_link_tick / (G * G=1-cell
-/// bytes_per_link_tick) — the sublinearity headline (the PR10 acceptance
-/// bar is < 0.25 at G=1000).
-void write_multigroup_json(const ScaleConfig& base,
-                           const std::vector<ScaleStats>& stats,
-                           std::ostream& os);
-
-/// Which join modes a sweep runs.
+/// Which join modes a scale sweep runs.
 struct SweepModes {
   bool dissemination = true;  ///< per-op downward dissemination join
   bool snapshot = false;      ///< kSnapshot bulk-join state transfer
-  /// Adds a spans-on twin for every selected cell (spans-off first), so
-  /// the bench JSON carries the span-layer overhead A/B side by side.
-  bool spans_ab = false;
 };
 
-/// Runs the full members x mode grid (timed), logging one summary line per
-/// cell to `log`. Backs `rgb_exp bench`, so the sweep semantics — cell
-/// order, mode selection, reporting — live in one place.
-/// `timed = false` zeroes the wall-clock fields, making the JSON artifact
-/// byte-identical across hosts and replays (the CI determinism gate).
-[[nodiscard]] std::vector<ScaleStats> run_scale_sweep(
+/// The scale sweep's cells: `base` at each member count, members-major,
+/// the dissemination join before the snapshot join.
+[[nodiscard]] std::vector<ScaleConfig> scale_cells(
     const ScaleConfig& base, const std::vector<std::uint64_t>& member_counts,
-    const SweepModes& modes, std::ostream& log, bool timed = true);
+    const SweepModes& modes);
 
-/// True when every cell reached convergence — a non-converged cell means a
-/// window measured a system still reconciling, so its numbers are not
-/// comparable across PRs and the bench entry points exit non-zero.
-[[nodiscard]] bool all_converged(const std::vector<ScaleStats>& stats);
+/// The multi-group serving cells (PR10): G groups x M members multiplexed
+/// over ONE hierarchy, one cell per entry of `group_counts`, each `base`
+/// with `groups` = G and `members` = G*M, where M is `base.members`. The
+/// headline is bytes_per_link_tick() as a function of G: the kSummary
+/// combined-digest tick keeps it O(1), so the curve is flat where G
+/// independent single-group hierarchies would pay G full frames.
+[[nodiscard]] std::vector<ScaleConfig> multigroup_cells(
+    const ScaleConfig& base, const std::vector<std::uint64_t>& group_counts);
 
-/// Writes the BENCH_*.json perf-trajectory artifact: one record per stats
-/// entry plus the shared sweep configuration. `detect` (when non-null)
-/// adds the failure-detection latency block; `oscillation` (when non-null)
-/// adds the stability A/B flap-suppression cells.
+/// Runs every cell in order, logging one summary line per cell to `log`.
+/// Backs `rgb_exp bench`, scale and multi-group cells alike.
+[[nodiscard]] std::vector<ScaleStats> run_sweep(
+    const std::vector<ScaleConfig>& cells, std::ostream& log);
+
+/// The bench's pass rule: every cell converged with zero per-group
+/// divergence. A cell that fails it measured a system still reconciling
+/// (or a record parked in the wrong group), so its numbers are not
+/// comparable across PRs and `rgb_exp bench` exits non-zero.
+[[nodiscard]] bool all_clean(const std::vector<ScaleStats>& stats);
+
+/// Writes the bench JSON artifact: the sweep configuration `base` shares
+/// with every cell, then one record per stats entry. `detect` (when
+/// non-null) adds the failure-detection latency block; `oscillation` (when
+/// non-null) adds the stability A/B flap-suppression cells.
 void write_bench_json(const ScaleConfig& base,
                       const std::vector<ScaleStats>& stats, std::ostream& os,
                       const DetectStats* detect = nullptr,

@@ -465,9 +465,9 @@ Scenario make_bench_scale() {
       "Scale sweep: steady anti-entropy cost, join mode "
       "(dissemination vs snapshot)";
   s.paper_ref = "extension (perf trajectory, PR3/PR4)";
-  // Deterministic protocol metrics only — wall-clock numbers come from the
-  // timed entry point (`rgb_exp bench`) and BENCH_*.json.
-  // Byte metrics are real encoded bytes (wire codec metering).
+  // The scale trial's protocol metrics through the trial runner (the
+  // `rgb_exp bench` sweep writes the whole cell record). Byte metrics are
+  // real encoded bytes (wire codec metering).
   s.metrics = {"viewsync_bytes", "viewsync_msgs", "steady_events",
                "join_events",    "join_bytes",    "join_divergence",
                "converged"};
@@ -489,7 +489,7 @@ Scenario make_bench_scale() {
     config.members = static_cast<std::uint64_t>(ctx.params.get_int("members"));
     config.snapshot_join = ctx.params.get_int("snapshot") != 0;
     config.seed = ctx.seed;
-    const ScaleStats stats = run_scale_trial(config, /*timed=*/false);
+    const ScaleStats stats = run_scale_trial(config);
     return {double(stats.viewsync_bytes), double(stats.viewsync_msgs),
             double(stats.steady_events),  double(stats.join_events),
             double(stats.join_bytes),     double(stats.join_divergence),

@@ -1,16 +1,17 @@
-// bench.multigroup determinism and sublinearity: the deterministic
-// (timed=false) artifact must be byte-identical from run to run,
-// every cell must converge with zero per-group divergence, and the
-// steady-state kViewSync bytes per link per tick must stay flat as the
-// group count grows (the kSummary push-pull keeps the steady frame O(1) in
-// G, which is the whole point of multi-group serving on one hierarchy).
-// Each cell is a scale trial with `groups` set; `rgb_exp bench
-// --multigroup`'s shape (ring 3, 200us join spacing, its seed) at 20
-// members per group and short windows.
+// bench.multigroup determinism and sublinearity: the bench artifact must be
+// byte-identical from run to run and carry no host-dependent field, every
+// cell must converge with zero per-group divergence, and the steady-state
+// kViewSync bytes per link per tick must stay flat as the group count grows
+// (the kSummary push-pull keeps the steady frame O(1) in G, which is the
+// whole point of multi-group serving on one hierarchy). Each cell is a
+// scale trial with `groups` set; `rgb_exp bench --multigroup`'s shape
+// (ring 3, 200us join spacing, its seed) at 20 members per group and short
+// windows.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/bench.hpp"
@@ -29,28 +30,40 @@ ScaleConfig small_base() {
   return base;
 }
 
-std::string multigroup_json() {
+/// The bench artifact of `cells`, with the detect block when `detect`.
+std::string bench_json(const std::vector<ScaleConfig>& cells, bool detect) {
   std::ostringstream log, json;
-  const auto cells =
-      run_multigroup_sweep(small_base(), {1, 6}, log, /*timed=*/false);
-  EXPECT_TRUE(all_multigroup_clean(cells));
-  write_multigroup_json(small_base(), cells, json);
+  const auto stats = run_sweep(cells, log);
+  EXPECT_TRUE(all_clean(stats));
+  const DetectStats detect_stats = detect ? run_detect_trial() : DetectStats{};
+  write_bench_json(small_base(), stats, json,
+                   detect ? &detect_stats : nullptr);
   return json.str();
 }
 
+// The one writer, on the multi-group cell list and on the scale cell list
+// with the detect trial.
 TEST(MultigroupBench, ArtifactByteIdenticalOnASecondRun) {
-  const std::string first = multigroup_json();
-  EXPECT_NE(first.find("\"bench\": \"bench_multigroup\""),
-            std::string::npos);
-  EXPECT_EQ(multigroup_json(), first);
+  const std::vector<std::pair<std::vector<ScaleConfig>, bool>> inputs{
+      {multigroup_cells(small_base(), {1, 6}), false},
+      {scale_cells(small_base(), {40}, SweepModes{true, true}), true}};
+  for (const auto& [cells, detect] : inputs) {
+    const std::string first = bench_json(cells, detect);
+    EXPECT_NE(first.find("\"bench\": \"bench_scale\""), std::string::npos);
+    EXPECT_EQ(first.find("\"detect\"") != std::string::npos, detect);
+    // Nothing host-dependent: no clock, rate or resident-memory field.
+    for (const char* host_word : {"wall", "per_sec", "rss"}) {
+      EXPECT_EQ(first.find(host_word), std::string::npos) << host_word;
+    }
+    EXPECT_EQ(bench_json(cells, detect), first);
+  }
 }
 
 TEST(MultigroupBench, SteadyBytesPerLinkStayFlatInGroupCount) {
   std::ostringstream log;
-  const auto cells =
-      run_multigroup_sweep(small_base(), {1, 8}, log, /*timed=*/false);
+  const auto cells = run_sweep(multigroup_cells(small_base(), {1, 8}), log);
   ASSERT_EQ(cells.size(), 2u);
-  ASSERT_TRUE(all_multigroup_clean(cells));
+  ASSERT_TRUE(all_clean(cells));
   const ScaleStats& g1 = cells[0];
   const ScaleStats& g8 = cells[1];
   EXPECT_EQ(g8.members, 8 * g1.members);
@@ -64,11 +77,11 @@ TEST(MultigroupBench, SteadyBytesPerLinkStayFlatInGroupCount) {
 
 // The tick series `rgb_exp bench --multigroup --series` writes: 16 points
 // over the join surge, then one per warm-up and one per steady tick, with
-// divergence sampled in the untimed warm-up alone.
+// divergence sampled in the warm-up alone.
 TEST(MultigroupBench, SeriesCsvCoversEveryPhase) {
   const ScaleConfig base = small_base();
   std::ostringstream log, csv;
-  const auto cells = run_multigroup_sweep(base, {4}, log, /*timed=*/false);
+  const auto cells = run_sweep(multigroup_cells(base, {4}), log);
   ASSERT_EQ(cells.size(), 1u);
   EXPECT_EQ(cells[0].series_dropped, 0u);
   write_series_csv(cells[0], csv);
@@ -95,16 +108,12 @@ TEST(MultigroupBench, TrialReportsPerGroupConvergence) {
   ScaleConfig config = small_base();
   config.groups = 5;
   config.members = 5 * 20;
-  const ScaleStats stats = run_scale_trial(config, /*timed=*/false);
+  const ScaleStats stats = run_scale_trial(config);
   EXPECT_TRUE(stats.converged);
   EXPECT_EQ(stats.group_divergence, 0u);
   EXPECT_EQ(stats.members, 100u);
   // Every NE in the 2-tier ring-3 hierarchy hosts all 5 groups.
   EXPECT_EQ(stats.groups_created, 5u * stats.ne_count);
-  // Untimed runs zero the wall-clock fields (the determinism contract).
-  EXPECT_EQ(stats.join_wall_ms, 0.0);
-  EXPECT_EQ(stats.steady_wall_ms, 0.0);
-  EXPECT_EQ(stats.peak_rss_kb, 0);
 }
 
 }  // namespace

@@ -31,9 +31,9 @@ TEST(SnapshotJoin, JoinSurgeDivergenceRegressionAt5000) {
   config.members = 5000;
 
   config.snapshot_join = true;
-  const exp::ScaleStats snapshot = exp::run_scale_trial(config, false);
+  const exp::ScaleStats snapshot = exp::run_scale_trial(config);
   config.snapshot_join = false;
-  const exp::ScaleStats dissemination = exp::run_scale_trial(config, false);
+  const exp::ScaleStats dissemination = exp::run_scale_trial(config);
 
   // The measuring stick: a drained join surge must leave zero residual
   // per-ring view disagreement on the snapshot path.

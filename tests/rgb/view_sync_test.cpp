@@ -553,9 +553,9 @@ TEST(ViewSyncTraffic, SteadyStateBytesFlatInMemberCount) {
   // runs must actually converge for the window to be steady state).
   exp::ScaleConfig config;
   config.members = 250;
-  const exp::ScaleStats small = exp::run_scale_trial(config, false);
+  const exp::ScaleStats small = exp::run_scale_trial(config);
   config.members = 1000;
-  const exp::ScaleStats large = exp::run_scale_trial(config, false);
+  const exp::ScaleStats large = exp::run_scale_trial(config);
 
   ASSERT_TRUE(small.converged);
   ASSERT_TRUE(large.converged);

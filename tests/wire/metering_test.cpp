@@ -123,9 +123,9 @@ TEST(EncodedMetering, OptOutKeepsEstimates) {
 TEST(EncodedMetering, SteadyDigestTrafficFlatOnRealBytes) {
   exp::ScaleConfig config;
   config.members = 250;
-  const exp::ScaleStats small = exp::run_scale_trial(config, false);
+  const exp::ScaleStats small = exp::run_scale_trial(config);
   config.members = 1000;
-  const exp::ScaleStats large = exp::run_scale_trial(config, false);
+  const exp::ScaleStats large = exp::run_scale_trial(config);
   ASSERT_TRUE(small.converged);
   ASSERT_TRUE(large.converged);
   ASSERT_GT(small.viewsync_bytes, 0u);

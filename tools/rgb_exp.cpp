@@ -1,5 +1,5 @@
 // rgb_exp — list and run registered experiment scenarios on a worker pool,
-// and run the timed scale bench that feeds the BENCH_*.json perf trajectory.
+// and run the deterministic scale and multi-group bench sweep.
 //
 //   rgb_exp --list
 //   rgb_exp run <scenario-id> [--threads N] [--trials N] [--seed S]
@@ -9,10 +9,9 @@
 //                 [--tiers H] [--ring R] [--steady-ticks K] [--seed S]
 //                 [--warmup-ticks K] [--join-spacing US] [--json PATH|-]
 //                 [--smoke] [--series PATH|-] [--detect] [--oscillation]
-//                 [--deterministic] [--spans-ab]
 //                 [--multigroup [--groups G[,G...]] [--group-members M]]
-//                 (--multigroup rejects --members, --join, --detect,
-//                 --oscillation and --spans-ab)
+//                 (--multigroup rejects --members, --join, --detect and
+//                 --oscillation)
 //   rgb_exp trace [--members N] [--tiers H] [--ring R] [--seed S]
 //                 [--steady-ticks K] [--warmup-ticks K] [--out PATH|-]
 //   rgb_exp metrics --catalog
@@ -24,11 +23,10 @@
 // Aggregate output of `run` (table / CSV / JSON on stdout) is a pure
 // function of (scenario, seed, trials): byte-identical for any --threads
 // value — the --check violation report included. Timing and pool
-// diagnostics go to stderr. `bench` is single-threaded and additionally
-// reports host-dependent wall-clock/RSS numbers; its protocol metrics
-// (events, kViewSync messages/bytes, convergence) are deterministic. See
-// EXPERIMENTS.md for the catalogue, the invariant suite and the BENCH
-// schema.
+// diagnostics go to stderr. `bench` and `trace` are single-threaded, and
+// everything they write is a pure function of their flags and seed. See
+// EXPERIMENTS.md for the catalogue, the invariant suite and the bench
+// JSON schema.
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -165,34 +163,30 @@ int usage(const char* argv0, int code, const std::string& command = "") {
        << "  --join-spacing US  virtual us between member arrivals\n"
        << "                 (default 500)\n"
        << "  --seed S       trial seed (default 780228 = 0xBE7C4)\n"
-       << "  --json PATH    write the BENCH json artifact ('-' for stdout)\n"
+       << "  --json PATH    write the bench JSON artifact ('-' for stdout);\n"
+       << "                 a pure function of the flags and seed\n"
        << "  --smoke        bounded CI profile (members=200, both join modes)\n"
        << "  --series PATH  write the first cell's tick series as CSV\n"
        << "                 ('-' for stdout)\n"
        << "  --detect       append the failure-detection latency micro-trial\n"
        << "  --oscillation  append the stability A/B flap-suppression cells\n"
        << "                 (churn + loss window, stability off vs on)\n"
-       << "  --deterministic  zero the wall-clock fields: the JSON becomes a\n"
-       << "                 pure function of (config, seed) — the CI\n"
-       << "                 byte-identity gate\n"
-       << "  --spans-ab     run every cell twice, causal spans off then on,\n"
-       << "                 so the JSON carries the span overhead A/B\n"
+
        << "  --multigroup   run the multi-group serving cell instead of the\n"
        << "                 scale sweep: G groups x M members on ONE shared\n"
        << "                 hierarchy, measuring steady-state kViewSync bytes\n"
        << "                 per link per tick as G grows (defaults: ring 3,\n"
        << "                 join spacing 200us, seed 158010869 = 0x96B0DF5,\n"
        << "                 groups 1,10,100,1000; --smoke bounds it to\n"
-       << "                 groups 1,8). --members, --join, --detect,\n"
-       << "                 --oscillation and --spans-ab do not apply to it\n"
-       << "                 (exit 2); every other bench option does, and\n"
-       << "                 --series writes its first cell's series\n"
+       << "                 groups 1,8). --members, --join, --detect and\n"
+       << "                 --oscillation do not apply to it (exit 2);\n"
+       << "                 every other bench option does, and --series\n"
+       << "                 writes its first cell's series\n"
        << "  --groups LIST  comma-separated group counts (with --multigroup)\n"
        << "  --group-members M  members per group (default 100)\n";
   }
   if (shows("trace")) {
-    os << "trace options (causal-span Chrome trace export; spans forced on,\n"
-       << "untimed):\n"
+    os << "trace options (causal-span Chrome trace export; spans on):\n"
        << "  --members N    members to join (default 2000)\n"
        << "  --tiers H / --ring R / --seed S      as for bench\n"
        << "  --steady-ticks K / --warmup-ticks K  as for bench\n"
@@ -276,7 +270,6 @@ int run_bench(int argc, char** argv) {
   bool smoke = false;
   bool detect = false;
   bool oscillation = false;
-  bool deterministic = false;
   std::string json_path;
   std::string series_path;
   // Multi-group cell (bench.multigroup): G x M sweep measuring steady-state
@@ -335,10 +328,6 @@ int run_bench(int argc, char** argv) {
       detect = true;
     } else if (arg == "--oscillation") {
       oscillation = true;
-    } else if (arg == "--deterministic") {
-      deterministic = true;
-    } else if (arg == "--spans-ab") {
-      modes.spans_ab = true;
     } else {
       std::cerr << "rgb_exp: unknown bench option '" << arg << "'\n";
       return usage(argv[0], 2);
@@ -348,13 +337,7 @@ int run_bench(int argc, char** argv) {
     std::cerr << "rgb_exp: --groups/--group-members need --multigroup\n";
     return 2;
   }
-  using Cells = std::vector<rgb::exp::ScaleStats>;
-  const auto write_series = [&series_path](const Cells& cells) {
-    return series_path.empty() || cells.empty() ||
-           write_to(series_path, [&cells](std::ostream& os) {
-             rgb::exp::write_series_csv(cells.front(), os);
-           });
-  };
+  std::vector<rgb::exp::ScaleConfig> cells;
   if (multigroup) {
     // A multi-group cell takes its members from --groups x --group-members,
     // runs the dissemination join alone and no side trial: these scale-sweep
@@ -362,8 +345,7 @@ int run_bench(int argc, char** argv) {
     for (const auto& [flag, given] :
          {std::pair{"--members", !member_counts.empty()},
           std::pair{"--join", join_flag_seen}, std::pair{"--detect", detect},
-          std::pair{"--oscillation", oscillation},
-          std::pair{"--spans-ab", modes.spans_ab}}) {
+          std::pair{"--oscillation", oscillation}}) {
       if (given) {
         std::cerr << "rgb_exp: " << flag << " does not apply to --multigroup\n";
         return 2;
@@ -377,31 +359,22 @@ int run_bench(int argc, char** argv) {
       group_counts = smoke ? std::vector<std::uint64_t>{1, 8}
                            : std::vector<std::uint64_t>{1, 10, 100, 1000};
     }
-    const std::vector<rgb::exp::ScaleStats> cells =
-        rgb::exp::run_multigroup_sweep(base, group_counts, std::cerr,
-                                       /*timed=*/!deterministic);
-    if (!json_path.empty() &&
-        !write_to(json_path, [&](std::ostream& os) {
-          rgb::exp::write_multigroup_json(base, cells, os);
-        })) {
-      return 1;
+    cells = rgb::exp::multigroup_cells(base, group_counts);
+  } else {
+    // --smoke bounds the sweep; explicit --members / --join override it (in
+    // any argument order), so the flags never silently fight. Absent an
+    // explicit --join, the smoke profile covers both join modes so CI keeps
+    // a point on the snapshot-join trajectory too.
+    if (member_counts.empty()) {
+      member_counts = smoke ? std::vector<std::uint64_t>{200}
+                            : std::vector<std::uint64_t>{1000, 10000, 100000};
     }
-    if (!write_series(cells)) return 1;
-    return rgb::exp::all_multigroup_clean(cells) ? 0 : 1;
+    if (smoke && !join_flag_seen) modes.snapshot = true;
+    cells = rgb::exp::scale_cells(base, member_counts, modes);
   }
-  // --smoke bounds the sweep; explicit --members / --join override it (in
-  // any argument order), so the flags never silently fight. Absent an
-  // explicit --join, the smoke profile covers both join modes so CI keeps
-  // a point on the snapshot-join trajectory too.
-  if (member_counts.empty()) {
-    member_counts = smoke ? std::vector<std::uint64_t>{200}
-                          : std::vector<std::uint64_t>{1000, 10000, 100000};
-  }
-  if (smoke && !join_flag_seen) modes.snapshot = true;
 
   const std::vector<rgb::exp::ScaleStats> all =
-      rgb::exp::run_scale_sweep(base, member_counts, modes, std::cerr,
-                                /*timed=*/!deterministic);
+      rgb::exp::run_sweep(cells, std::cerr);
   rgb::exp::DetectStats detect_stats;
   if (detect) detect_stats = rgb::exp::run_detect_trial();
   std::vector<rgb::exp::OscillationStats> oscillation_stats;
@@ -427,8 +400,13 @@ int run_bench(int argc, char** argv) {
       })) {
     return 1;
   }
-  if (!write_series(all)) return 1;
-  return rgb::exp::all_converged(all) ? 0 : 1;
+  if (!series_path.empty() && !all.empty() &&
+      !write_to(series_path, [&all](std::ostream& os) {
+        rgb::exp::write_series_csv(all.front(), os);
+      })) {
+    return 1;
+  }
+  return rgb::exp::all_clean(all) ? 0 : 1;
 }
 
 int list_scenarios() {
