@@ -15,8 +15,8 @@
 // digest, entry count, queue occupancy, MQ counters) are kept up to date at
 // the directory's own mutation points, so those reads cost O(1) however
 // many groups the directory serves. Every table write goes through apply /
-// import_all / import_and_diff / clear; there is deliberately no mutable
-// table accessor (bucket_digests and group_snapshot only index a table).
+// import_all / import_and_diff; there is deliberately no mutable table
+// accessor (bucket_digests and group_snapshot only index a table).
 #pragma once
 
 #include <cstdint>
@@ -143,10 +143,13 @@ class GroupDirectory {
 
   /// Operational members across every group, deduplicated by guid and
   /// guid-sorted — the pre-v4 "merged view" a group-less query answers.
+  /// The groups' views are unioned in gid order (MemberUnion), so on a guid
+  /// that several groups hold the lowest gid's record is the answer.
   [[nodiscard]] std::vector<MemberRecord> merged_snapshot() const;
 
   /// Members attached to `ap` in any group, deduplicated by guid and
-  /// guid-sorted (ListOfLocalMembers / ListOfNeighborMembers semantics).
+  /// guid-sorted (ListOfLocalMembers / ListOfNeighborMembers semantics),
+  /// by the same union as merged_snapshot.
   [[nodiscard]] std::vector<MemberRecord> merged_members_at(NodeId ap) const;
 
   /// Per group: operational members attached to `ap` (the batched
@@ -167,8 +170,6 @@ class GroupDirectory {
   [[nodiscard]] const std::map<GroupId, GroupState>& groups() const {
     return groups_;
   }
-
-  void clear();
 
  private:
   GroupState& state(GroupId gid);

@@ -5,7 +5,7 @@
 #include <map>
 #include <sstream>
 
-#include "rgb/query.hpp"
+#include "rgb/member_table.hpp"
 #include "wire/metering.hpp"
 
 namespace rgb::core {

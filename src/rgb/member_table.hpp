@@ -240,10 +240,6 @@ class MemberTable {
 
   friend bool operator==(const MemberTable& a, const MemberTable& b);
 
-  /// Empties the table and drops its bucket state and its guid order; the
-  /// index keeps its size for the refill.
-  void clear();
-
  private:
   struct Entry {
     MemberRecord record;
@@ -298,6 +294,24 @@ class MemberTable {
   /// entries_ positions in guid order, covering the first order_.size()
   /// records: empty until index_order(), which extends it to all of them.
   std::vector<std::uint32_t> order_;
+};
+
+/// The union of member views, added in order: a query's replies in arrival
+/// order, a system's query targets, a directory's groups in gid order. On a
+/// guid that several views hold, the earliest view's record is kept,
+/// whatever its status; take() then keeps the Operational records.
+class MemberUnion {
+ public:
+  /// Merges `view` in. A guid-ascending view without repeats (a snapshot)
+  /// is merged as it is; any other is first stable-sorted by guid, keeping
+  /// each guid's first record.
+  void add(std::span<const MemberRecord> view);
+  /// The union's Operational records, guid-sorted; leaves the union empty.
+  [[nodiscard]] std::vector<MemberRecord> take();
+
+ private:
+  std::vector<MemberRecord> records_;  ///< guid-ascending, one per guid
+  std::vector<MemberRecord> merged_;   ///< the next merge's output
 };
 
 }  // namespace rgb::core

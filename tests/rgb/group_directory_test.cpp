@@ -245,17 +245,6 @@ TEST(GroupDirectory, QueueRoutesByGroupAndDrainsNeOpsFirst) {
   EXPECT_TRUE(dir.queue_empty());
 }
 
-TEST(GroupDirectory, ClearEmptiesEverything) {
-  GroupDirectory dir;
-  dir.apply(member_op(1, OpKind::kMemberJoin, 1, 10, 100));
-  dir.insert(member_op(1, OpKind::kMemberJoin, 2, 20, 100));
-  dir.clear();
-  EXPECT_TRUE(dir.empty());
-  EXPECT_TRUE(dir.queue_empty());
-  EXPECT_EQ(dir.group_count(), 0u);
-  EXPECT_EQ(dir.combined_digest().count, 0u);
-}
-
 // --- incremental aggregates vs. a walk over groups() ------------------------
 
 /// The combined digest's construction, recomputed by walking every group:
@@ -325,8 +314,6 @@ class WalkingQueues {
     }
     return batch;
   }
-
-  void clear() { queues_.clear(); }
 
  private:
   bool aggregate_;
@@ -444,12 +431,10 @@ void run_random_directory_walk(std::uint64_t seed, bool aggregate) {
         }
         break;
       }
-      default: {  // clear, rarely
+      default: {  // start over from a fresh directory, rarely
         if (!rng.chance(0.1)) break;
-        const bool had_entries = !dir.empty();
-        dir.clear();
-        walk.clear();
-        EXPECT_EQ(dir.change_count() > changes_before, had_entries);
+        dir = GroupDirectory{aggregate};
+        walk = WalkingQueues{aggregate};
         table_may_change = true;
         break;
       }
