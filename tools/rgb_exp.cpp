@@ -171,7 +171,6 @@ int usage(const char* argv0, int code, const std::string& command = "") {
        << "  --detect       append the failure-detection latency micro-trial\n"
        << "  --oscillation  append the stability A/B flap-suppression cells\n"
        << "                 (churn + loss window, stability off vs on)\n"
-
        << "  --multigroup   run the multi-group serving cell instead of the\n"
        << "                 scale sweep: G groups x M members on ONE shared\n"
        << "                 hierarchy, measuring steady-state kViewSync bytes\n"
