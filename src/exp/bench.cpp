@@ -407,8 +407,8 @@ void write_bench_json(const ScaleConfig& base,
                       const DetectStats* detect,
                       const std::vector<OscillationStats>* oscillation) {
   os << "{\n"
-     // The artifact keeps its historical name so every BENCH_*.json stays
-     // comparable.
+     // One name for every sweep: the one the scale artifacts have always
+     // carried.
      << "  \"bench\": \"bench_scale\",\n"
      << "  \"layout\": {\"tiers\": " << base.tiers
      << ", \"ring_size\": " << base.ring_size << "},\n"
