@@ -205,7 +205,7 @@ struct SweepModes {
     const ScaleConfig& base, const std::vector<std::uint64_t>& member_counts,
     const SweepModes& modes);
 
-/// The multi-group serving cells (PR10): G groups x M members multiplexed
+/// The multi-group serving cells: G groups x M members multiplexed
 /// over ONE hierarchy, one cell per entry of `group_counts`, each `base`
 /// with `groups` = G and `members` = G*M, where M is `base.members`. The
 /// headline is bytes_per_link_tick() as a function of G: the kSummary
