@@ -100,6 +100,31 @@ Scope scope_of(std::span<const GroupId> gids,
   out.resize(kept);
   return out;
 }
+/// Each group's `view` of its table (guid-sorted, one record per guid)
+/// merged into one guid-sorted view with one record per guid, the lowest
+/// gid's: a lone group's view as it is, else the views concatenated in
+/// gid order, stable-sorted by guid, and the first copy of each guid kept.
+template <class View>
+std::vector<MemberRecord> merged_view(
+    const std::map<GroupId, GroupDirectory::GroupState>& groups,
+    const View& view) {
+  if (groups.size() == 1) return view(groups.begin()->second.table);
+  std::vector<MemberRecord> out;
+  for (const auto& [gid, st] : groups) {
+    const std::vector<MemberRecord> part = view(st.table);
+    out.insert(out.end(), part.begin(), part.end());
+  }
+  std::stable_sort(out.begin(), out.end(),
+                   [](const MemberRecord& a, const MemberRecord& b) {
+                     return a.guid < b.guid;
+                   });
+  out.erase(std::unique(out.begin(), out.end(),
+                        [](const MemberRecord& a, const MemberRecord& b) {
+                          return a.guid == b.guid;
+                        }),
+            out.end());
+  return out;
+}
 
 }  // namespace
 
@@ -372,15 +397,14 @@ std::vector<MemberRecord> GroupDirectory::group_snapshot(GroupId gid) {
 }
 
 std::vector<MemberRecord> GroupDirectory::merged_snapshot() const {
-  MemberUnion all;
-  for (const auto& [gid, st] : groups_) all.add(st.table.snapshot());
-  return all.take();
+  return merged_view(groups_,
+                     [](const MemberTable& tab) { return tab.snapshot(); });
 }
 
 std::vector<MemberRecord> GroupDirectory::merged_members_at(NodeId ap) const {
-  MemberUnion all;
-  for (const auto& [gid, st] : groups_) all.add(st.table.members_at(ap));
-  return all.take();
+  return merged_view(groups_, [ap](const MemberTable& tab) {
+    return tab.members_at(ap);
+  });
 }
 
 std::vector<std::pair<GroupId, std::vector<MemberRecord>>>

@@ -143,13 +143,10 @@ class GroupDirectory {
 
   /// Operational members across every group, deduplicated by guid and
   /// guid-sorted — the pre-v4 "merged view" a group-less query answers.
-  /// The groups' views are unioned in gid order (MemberUnion), so on a guid
-  /// that several groups hold the lowest gid's record is the answer.
   [[nodiscard]] std::vector<MemberRecord> merged_snapshot() const;
 
   /// Members attached to `ap` in any group, deduplicated by guid and
-  /// guid-sorted (ListOfLocalMembers / ListOfNeighborMembers semantics),
-  /// by the same union as merged_snapshot.
+  /// guid-sorted (ListOfLocalMembers / ListOfNeighborMembers semantics).
   [[nodiscard]] std::vector<MemberRecord> merged_members_at(NodeId ap) const;
 
   /// Per group: operational members attached to `ap` (the batched

@@ -5,7 +5,7 @@
 #include <map>
 #include <sstream>
 
-#include "rgb/member_table.hpp"
+#include "rgb/query.hpp"
 #include "wire/metering.hpp"
 
 namespace rgb::core {

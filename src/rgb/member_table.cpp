@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <iterator>
 #include <limits>
 #include <stdexcept>
-#include <utility>
 
 namespace rgb::core {
 
@@ -343,41 +341,6 @@ bool MemberTable::import_and_diff(std::span<const TableEntry> run,
 
 bool operator==(const MemberTable& a, const MemberTable& b) {
   return a.snapshot() == b.snapshot();
-}
-
-void MemberUnion::add(std::span<const MemberRecord> view) {
-  std::vector<MemberRecord> sorted;
-  const auto not_ascending = [](const MemberRecord& a, const MemberRecord& b) {
-    return !by_record_guid(a, b);
-  };
-  if (std::adjacent_find(view.begin(), view.end(), not_ascending) !=
-      view.end()) {
-    sorted.assign(view.begin(), view.end());
-    std::stable_sort(sorted.begin(), sorted.end(), by_record_guid);
-    sorted.erase(std::unique(sorted.begin(), sorted.end(),
-                             [](const MemberRecord& a, const MemberRecord& b) {
-                               return a.guid == b.guid;
-                             }),
-                 sorted.end());
-    view = sorted;
-  }
-  if (records_.empty()) {
-    records_.assign(view.begin(), view.end());
-    return;
-  }
-  // On a shared guid std::set_union copies the first range's element: the
-  // earlier views' record stays.
-  merged_.clear();
-  std::set_union(records_.begin(), records_.end(), view.begin(), view.end(),
-                 std::back_inserter(merged_), by_record_guid);
-  records_.swap(merged_);
-}
-
-std::vector<MemberRecord> MemberUnion::take() {
-  std::erase_if(records_, [](const MemberRecord& rec) {
-    return rec.status != MemberStatus::kOperational;
-  });
-  return std::exchange(records_, {});
 }
 
 }  // namespace rgb::core

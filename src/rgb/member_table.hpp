@@ -296,22 +296,4 @@ class MemberTable {
   std::vector<std::uint32_t> order_;
 };
 
-/// The union of member views, added in order: a query's replies in arrival
-/// order, a system's query targets, a directory's groups in gid order. On a
-/// guid that several views hold, the earliest view's record is kept,
-/// whatever its status; take() then keeps the Operational records.
-class MemberUnion {
- public:
-  /// Merges `view` in. A guid-ascending view without repeats (a snapshot)
-  /// is merged as it is; any other is first stable-sorted by guid, keeping
-  /// each guid's first record.
-  void add(std::span<const MemberRecord> view);
-  /// The union's Operational records, guid-sorted; leaves the union empty.
-  [[nodiscard]] std::vector<MemberRecord> take();
-
- private:
-  std::vector<MemberRecord> records_;  ///< guid-ascending, one per guid
-  std::vector<MemberRecord> merged_;   ///< the next merge's output
-};
-
 }  // namespace rgb::core

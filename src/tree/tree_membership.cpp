@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
-#include "rgb/member_table.hpp"
 #include "rgb/messages.hpp"
+#include "rgb/query.hpp"
 #include "wire/metering.hpp"
 
 namespace rgb::tree {
