@@ -2,7 +2,7 @@
 // per-trial time series by probing a caller-supplied closure at a fixed
 // sim-time cadence. The bench hooks it into sim::Simulator around each
 // phase (join surge, warmup, steady window) and exports the points into
-// BENCH_PR6.json / `rgb_exp bench --series`.
+// the `rgb_exp bench --json` cell record and `--series`.
 //
 // Design constraint: the simulator's run() drains the queue, so a
 // self-rescheduling sampler would keep the run alive forever. arm()
@@ -30,8 +30,8 @@ struct SeriesPoint {
   std::uint64_t reconcile_rounds = 0;  ///< post-heal claim exchanges
   std::uint64_t view_changes = 0;      ///< ring-shape transitions
   std::uint64_t repairs = 0;           ///< reconfiguration rounds (splices)
-  /// Global view divergence at this point; -1 = not sampled (the O(NE*N)
-  /// walk is too expensive inside a timed steady window).
+  /// Global view divergence at this point; -1 = not sampled (each sample
+  /// is an O(NE*N) walk, so only warm-up points take one).
   std::int64_t divergence = -1;
 };
 
