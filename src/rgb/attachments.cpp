@@ -167,10 +167,11 @@ void Attachments::run_reconcile_round() {
     return;
   }
   ne_.metrics_.reconcile_rounds.increment();
-  ne_.obs_.tracer.record(ne_.now(), ne_.id(), obs::FlightKind::kReconcileRound,
-                         local_attached_.size(), target.value());
   const std::uint64_t rid = origin_scoped_id(ne_.id(), ++reconcile_counter_);
   ReconcileMsg msg{rid, local_claims()};
+  // One claim per (member, group): a member attached in two groups is two.
+  ne_.obs_.tracer.record(ne_.now(), ne_.id(), obs::FlightKind::kReconcileRound,
+                         msg.claims.size(), target.value());
   const auto bytes = wire_size(msg);
   PendingSend& pending = pending_reconciles_[rid] =
       PendingSend{target, kind::kReconcile, std::move(msg), bytes};

@@ -3,8 +3,9 @@
 // stability and reconcile machinery stays shared per-link. Covers per-group
 // convergence (group_view_divergence, which a merged view cannot fake),
 // group-scoped queries, per-group failure handling, the facade's
-// deterministic member_groups() fan-out, and the idle reaffirmation pass
-// that skips its per-claim walk while nothing changed.
+// deterministic member_groups() fan-out, the idle reaffirmation pass that
+// skips its per-claim walk while nothing changed, and the reconcile round's
+// flight record, which counts one claim per (member, group).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -241,6 +242,37 @@ TEST_F(MultigroupTest, HeldBackReanchorIsReannouncedEveryTick) {
   EXPECT_LE(announced, kTicks);
   EXPECT_EQ(sys.entity(x)->directory().lookup(gid, mh)->record.status,
             MemberStatus::kFailed);
+}
+
+// A reconcile round's flight record counts the claims its message carries,
+// one per (member, group): with two groups per member, twice the members.
+TEST_F(MultigroupTest, ReconcileRoundRecordsTheClaimsItSends) {
+  auto& sys = build(2, 3, grouped(4, 2));
+  const auto& ring = sys.rings(1)[0];
+  const NodeId successor = ring[1];  // ids ascend: the next leader
+  constexpr std::uint64_t kMembers = 3;
+  for (std::uint64_t i = 1; i <= kMembers; ++i) sys.join(Guid{i}, successor);
+  run_all();
+  std::vector<std::uint64_t> sent;  // claims per kReconcile the successor sends
+  network_.set_tap([&](const net::Envelope& env, bool) {
+    if (env.kind == kind::kReconcile && env.src == successor) {
+      sent.push_back(env.payload.get<ReconcileMsg>().claims.size());
+    }
+  });
+  // The leader hands the ring over; the reform makes the successor, now
+  // leader, assert its claims to its parent.
+  sys.entity(ring.front())->request_ring_leave();
+  run_all();
+
+  std::vector<std::uint64_t> recorded;
+  for (const obs::FlightEvent& e : sys.obs().tracer.flight_events()) {
+    if (e.kind == obs::FlightKind::kReconcileRound && e.ne == successor) {
+      recorded.push_back(e.a);
+    }
+  }
+  ASSERT_TRUE(sys.entity(successor)->is_leader());
+  EXPECT_EQ(sent, std::vector<std::uint64_t>{2 * kMembers});
+  EXPECT_EQ(recorded, sent);
 }
 
 }  // namespace
